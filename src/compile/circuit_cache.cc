@@ -444,10 +444,15 @@ std::vector<Rational> CircuitCache::ProbabilityBatch(
     return std::vector<Rational>(
         static_cast<size_t>(weights.num_vectors()));
   }
-  const NnfCircuit& circuit = *pinned;
   // The GetShared above accounted one compile or hit; the remaining K − 1
   // vectors are all cache-served evaluations.
   stats_.hits.fetch_add(weights.num_vectors() - 1, std::memory_order_relaxed);
+  return EvaluatePinned(*pinned, weights, cancel);
+}
+
+std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
+                                                   const WeightMatrix& weights,
+                                                   const CancelToken* cancel) {
   stats_.batch_passes.fetch_add(1, std::memory_order_relaxed);
   stats_.batched_vectors.fetch_add(weights.num_vectors(),
                                    std::memory_order_relaxed);
@@ -489,28 +494,35 @@ std::vector<Rational> CircuitCache::ProbabilityBatch(
     groups[lineages[i].cnf].push_back(i);
   }
   for (const auto& [cnf, members] : groups) {
-    // Group equality compares clause lists only, so members can carry more
-    // interned-then-orphaned variables than the representative key's
-    // num_vars; size the matrix to the widest row (the circuit never reads
-    // the orphan columns — its variables all occur in the shared clauses).
-    size_t width = static_cast<size_t>(cnf.num_vars);
-    for (size_t member : members) {
-      width = std::max(width, lineages[member].probabilities.size());
-    }
-    WeightMatrix weights(static_cast<int>(members.size()),
-                         static_cast<int>(width));
-    for (size_t m = 0; m < members.size(); ++m) {
-      const std::vector<Rational>& row = lineages[members[m]].probabilities;
-      for (size_t v = 0; v < row.size(); ++v) {
-        weights.Set(static_cast<int>(m), static_cast<int>(v), row[v]);
-      }
-    }
-    std::vector<Rational> values = ProbabilityBatch(cnf, weights);
+    std::vector<Rational> values =
+        ProbabilityBatch(cnf, StackWeights(lineages, members));
     for (size_t m = 0; m < members.size(); ++m) {
       results[members[m]] = std::move(values[m]);
     }
   }
   return results;
+}
+
+WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
+                          const std::vector<size_t>& members) {
+  // Group equality compares clause lists only, so members can carry more
+  // interned-then-orphaned variables than one another; size the matrix to
+  // the widest row (the circuit never reads the orphan columns — its
+  // variables all occur in the shared clauses).
+  size_t width = 0;
+  for (size_t member : members) {
+    width = std::max({width, lineages[member].probabilities.size(),
+                      static_cast<size_t>(lineages[member].cnf.num_vars)});
+  }
+  WeightMatrix weights(static_cast<int>(members.size()),
+                       static_cast<int>(width));
+  for (size_t m = 0; m < members.size(); ++m) {
+    const std::vector<Rational>& row = lineages[members[m]].probabilities;
+    for (size_t v = 0; v < row.size(); ++v) {
+      weights.Set(static_cast<int>(m), static_cast<int>(v), row[v]);
+    }
+  }
+  return weights;
 }
 
 CircuitCache::Stats CircuitCache::stats() const {

@@ -51,6 +51,12 @@ namespace gmc {
 /// SafeEvaluator::EvaluateMany and GfomcSession.
 inline constexpr size_t kMaxCompiledLineageVars = 96;
 
+/// The weight rows of lineages[members[0]], lineages[members[1]], ... as
+/// one batch (row m of the result is member m) — the input of one grouped
+/// pass over the circuit the members' shared structure compiles to.
+WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
+                          const std::vector<size_t>& members);
+
 /// Thread-safe compile-once / evaluate-many circuit store. All evaluation
 /// entry points are exact (results are canonical reduced Rationals,
 /// bit-identical across the dyadic/Rational routing, every order
@@ -203,6 +209,16 @@ class CircuitCache {
   std::vector<Rational> ProbabilityBatch(const Cnf& cnf,
                                          const WeightMatrix& weights,
                                          const CancelToken* cancel = nullptr);
+  /// Numeric routing for one exact pass over a circuit the caller already
+  /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
+  /// or BigInt kernels, see nnf_fixed.cc) when dyadic_enabled and every
+  /// weight has a power-of-two denominator, the Rational walk otherwise —
+  /// identical reduced Rationals either way. Counts the pass and its
+  /// routing; never a lookup, so hits/compiles stay the probe's business.
+  /// `cancel` has EvaluateBatch's contract: the caller checks and discards.
+  std::vector<Rational> EvaluatePinned(const NnfCircuit& circuit,
+                                       const WeightMatrix& weights,
+                                       const CancelToken* cancel = nullptr);
   /// Mixed-structure form: groups the lineages by CNF structure, compiles
   /// each distinct structure once, and serves every group with one batch
   /// pass over that group's weight vectors. Results come back in input

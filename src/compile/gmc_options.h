@@ -5,9 +5,9 @@
 // parallel set_* setters across CircuitCache / SafeEvaluator / WmcEngine /
 // GfomcSession; the anytime tier would have added five more (ε, δ, compile
 // budget, sample cap, routing mode). This header replaces that pattern
-// with a single value struct: each class exposes one
-// Configure(const GmcOptions&) that applies the fields it understands, the
-// legacy setters survive as thin wrappers over Configure, and every
+// with a single value struct: CircuitCache and GfomcSession each expose
+// one Configure(const GmcOptions&) that applies the fields it understands,
+// the legacy setters survive as thin wrappers over Configure, and every
 // environment default (GMC_THREADS / GMC_ORDER / GMC_STORE) is resolved in
 // exactly one place, GmcOptions::FromEnv().
 //
@@ -44,6 +44,7 @@ struct CompileBudget {
   /// True iff `other` allows strictly more work on at least one axis — the
   /// retry rule for structures that already exhausted a budget.
   bool AllowsMoreThan(const CompileBudget& other) const;
+  bool operator==(const CompileBudget&) const = default;
 };
 
 /// The deterministic default budget of RoutingMode::kAuto: generous enough
@@ -86,14 +87,17 @@ bool ParseRoutingMode(const char* name, RoutingMode* out);
 
 /// The unified option set. Field groups, with their consumers:
 ///   CircuitCache:  num_threads, order, dyadic_enabled, store_directory,
-///                  store_write_through
-///   SafeEvaluator / WmcEngine: forward the above to their embedded cache
-///   GfomcSession:  all of the above plus routing_mode, compile_budget,
-///                  epsilon, delta, max_samples, sample_seed,
-///                  sample_threads, sample_plan_entries
-/// Configure(options) on any of those classes applies the fields that
-/// class understands and ignores the rest, so one options value can
-/// configure the whole stack.
+///                  store_write_through, store_self_heal,
+///                  max_resident_bytes
+///   GfomcSession:  all of the above, applied to its one cache, plus
+///                  max_samples, sample_seed, sample_threads,
+///                  sample_plan_entries
+///   Per call:      routing_mode, compile_budget, epsilon, delta,
+///                  deadline_ms — GfomcSession::EvaluateAnswers reads
+///                  them from its request; the configured values serve
+///                  the configured-options entry points
+/// Configure(options) on either class applies the fields that class
+/// understands and ignores the rest.
 struct GmcOptions {
   /// Worker bound for batched circuit passes: 0 defers to the process
   /// default (the GMC_THREADS environment variable, else the hardware

@@ -1,5 +1,6 @@
 #include "core/dichotomy.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "approx/karp_luby.h"
@@ -97,52 +98,22 @@ GfomcResult GfomcSession::Evaluate(const Query& query, const Tid& tid) {
 
 std::vector<GfomcResult> GfomcSession::EvaluateMany(
     const Query& query, const std::vector<Tid>& tids) {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.queries += tids.size();
+  // The legacy contract: exact whatever the configured routing fields — an
+  // unlimited budget compiles compact lineages and recurses past the var
+  // gate instead of refusing — and never interrupted.
+  GmcOptions legacy;
+  legacy.routing_mode = RoutingMode::kExact;
+  legacy.compile_budget = CompileBudget{};
+  std::vector<GmcAnswer> answers;
+  const std::vector<GmcStatus> statuses =
+      EvaluateAnswers(query, tids, legacy, &answers);
+  const bool safe = IsSafe(query);
   std::vector<GfomcResult> results(tids.size());
-  // Safe branch. EvaluateMany (not Evaluate) so GFOMC instances route
-  // through the SafeEvaluator's circuit cache and repeated assignments hit
-  // compiled circuits; general weights fall back to the lifted plan inside.
-  const int compiled_before = safe_.stats().compiled_assignments;
-  if (auto safe = safe_.EvaluateMany(query, tids); safe.has_value()) {
-    const bool compiled =
-        safe_.stats().compiled_assignments > compiled_before;
-    for (size_t i = 0; i < tids.size(); ++i) {
-      results[i].probability = std::move((*safe)[i]);
-      results[i].used_lifted = true;
-    }
-    if (compiled) {
-      counters_.safe_compiled += tids.size();
-    } else {
-      counters_.safe_lifted += tids.size();
-    }
-    return results;
-  }
-  // Unsafe (constant queries were answered by the safe branch above):
-  // ground everything, serve the compact lineages with grouped batched
-  // circuit passes, and the oversized ones recursively.
-  std::vector<Lineage> lineages;
-  std::vector<size_t> batched_index;
-  lineages.reserve(tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
-    results[i].used_lifted = false;
-    Lineage lineage = Ground(query, tids[i]);
-    if (!lineage.is_false &&
-        lineage.variables.size() > kMaxCompiledLineageVars) {
-      ++counters_.unsafe_recursive;
-      results[i].probability = engine_.Probability(lineage);
-      continue;
-    }
-    ++counters_.unsafe_compiled;
-    lineages.push_back(std::move(lineage));
-    batched_index.push_back(i);
-  }
-  if (!lineages.empty()) {
-    std::vector<Rational> values =
-        engine_.CompiledProbabilityBatch(lineages);
-    for (size_t m = 0; m < batched_index.size(); ++m) {
-      results[batched_index[m]].probability = std::move(values[m]);
-    }
+    // Trusted input: only an invalid weight can fail here.
+    GMC_CHECK_MSG(statuses[i].ok(), statuses[i].message.c_str());
+    results[i].probability = std::move(answers[i].exact);
+    results[i].used_lifted = safe;
   }
   return results;
 }
@@ -150,8 +121,7 @@ std::vector<GfomcResult> GfomcSession::EvaluateMany(
 void GfomcSession::Configure(const GmcOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   options_ = options;
-  safe_.Configure(options);
-  engine_.Configure(options);
+  circuits_.Configure(options);
   sample_plans_.set_max_entries(options.sample_plan_entries);
 }
 
@@ -179,10 +149,9 @@ void GfomcSession::set_store_directory(const std::string& directory,
     options_.store_directory = directory;
     options_.store_write_through = write_through;
   }
-  // Through the caches' own setters (not Configure) so a repeated call with
+  // Through the cache's own setter (not Configure) so a repeated call with
   // the same directory still forces a fresh scan — the legacy contract.
-  safe_.set_store_directory(directory, write_through);
-  engine_.set_store_directory(directory, write_through);
+  circuits_.set_store_directory(directory, write_through);
 }
 
 GmcStatus GfomcSession::EvaluateAnswer(const Query& query, const Tid& tid,
@@ -196,75 +165,141 @@ GmcStatus GfomcSession::EvaluateAnswer(const Query& query, const Tid& tid,
 GmcStatus GfomcSession::EvaluateAnswers(const Query& query,
                                         const std::vector<Tid>& tids,
                                         std::vector<GmcAnswer>* answers) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Pre-validation: every failure mode of the evaluators' GMC_CHECKs is
-  // caught here and typed, so untrusted inputs never reach an abort.
-  const RoutingPolicy policy(options_);
-  if (!(options_.epsilon > 0.0 && options_.epsilon < 1.0 &&
-        options_.delta > 0.0 && options_.delta < 1.0)) {
-    ++counters_.invalid_requests;
-    return GmcStatus::Error(GmcStatusCode::kInvalidOptions,
-                            "epsilon and delta must be in (0, 1)");
-  }
-  for (size_t i = 0; i < tids.size(); ++i) {
-    if (GmcStatus status = ValidateTid(tids[i]); !status.ok()) {
-      ++counters_.invalid_requests;
-      status.message = "tid " + std::to_string(i) + ": " + status.message;
-      return status;
+  std::vector<GmcAnswer> routed;
+  std::vector<GmcStatus> statuses =
+      EvaluateAnswers(query, tids, options(), &routed);
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (!statuses[i].ok()) {
+      statuses[i].message =
+          "tid " + std::to_string(i) + ": " + statuses[i].message;
+      return std::move(statuses[i]);
     }
   }
-
-  counters_.queries += tids.size();
-  // One deadline token per checked call, shared by every instance the call
-  // evaluates: compile, circuit passes, and sampling all poll it. 0 ms
-  // means no deadline — the token stays null and every poll site reduces
-  // to one pointer comparison.
-  const CancelToken deadline(options_.deadline_ms);
-  const CancelToken* cancel =
-      options_.deadline_ms > 0 ? &deadline : nullptr;
-  std::vector<GmcAnswer> routed(tids.size());
-  // Safe branch, exactly as EvaluateMany: safety is PTIME exact, so the
-  // anytime tiers never apply — there is nothing to trade away (and the
-  // lifted plan is polynomial, so the deadline has nothing to interrupt).
-  const int compiled_before = safe_.stats().compiled_assignments;
-  if (auto safe = safe_.EvaluateMany(query, tids); safe.has_value()) {
-    const bool compiled =
-        safe_.stats().compiled_assignments > compiled_before;
-    for (size_t i = 0; i < tids.size(); ++i) {
-      routed[i].tier =
-          compiled ? AnswerTier::kCompiledExact : AnswerTier::kLifted;
-      routed[i].exact = std::move((*safe)[i]);
-    }
-    if (compiled) {
-      counters_.safe_compiled += tids.size();
-    } else {
-      counters_.safe_lifted += tids.size();
-    }
-    *answers = std::move(routed);
-    return GmcStatus::Ok();
-  }
-  // Unsafe: ground and route each instance through the policy. Instances
-  // the sampler answers share this session's plan cache, so a batch of
-  // same-structure tids pays one plan build — the coalesced-round win the
-  // sampler_batches counter makes observable.
-  const uint64_t sampled_before = counters_.anytime_sampled;
-  for (size_t i = 0; i < tids.size(); ++i) {
-    const Lineage lineage = Ground(query, tids[i]);
-    if (GmcStatus status = RouteUnsafe(lineage, policy, cancel, &routed[i]);
-        !status.ok()) {
-      status.message = "tid " + std::to_string(i) + ": " + status.message;
-      return status;
-    }
-  }
-  if (counters_.anytime_sampled > sampled_before) ++counters_.sampler_batches;
   *answers = std::move(routed);
   return GmcStatus::Ok();
 }
 
+std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
+    const Query& query, const std::vector<Tid>& tids,
+    const GmcOptions& request, std::vector<GmcAnswer>* answers) {
+  std::lock_guard<std::mutex> lock(mu_);
+  answers->assign(tids.size(), GmcAnswer{});
+  std::vector<GmcStatus> statuses(tids.size());
+  // Validation: every failure mode of the evaluators' GMC_CHECKs is caught
+  // here and typed, so untrusted inputs never reach an abort — only the
+  // `live` (valid) instances go on.
+  const bool options_valid = request.epsilon > 0.0 && request.epsilon < 1.0 &&
+                             request.delta > 0.0 && request.delta < 1.0;
+  std::vector<size_t> live;
+  for (size_t i = 0; i < tids.size(); ++i) {
+    statuses[i] = options_valid
+                      ? ValidateTid(tids[i])
+                      : GmcStatus::Error(GmcStatusCode::kInvalidOptions,
+                                         "epsilon and delta must be in (0, 1)");
+    if (statuses[i].ok()) {
+      live.push_back(i);
+    } else {
+      ++counters_.invalid_requests;
+    }
+  }
+  std::vector<Tid> live_subset;
+  if (live.size() < tids.size()) {
+    for (const size_t i : live) live_subset.push_back(tids[i]);
+  }
+  const std::vector<Tid>& live_tids =
+      live.size() < tids.size() ? live_subset : tids;
+  counters_.queries += live.size();
+
+  // Safe branch: safety is PTIME exact, so the anytime tiers never apply —
+  // there is nothing to trade away (and the lifted plan is polynomial, so
+  // the deadline has nothing to interrupt). GFOMC instances route through
+  // the session's cache, general weights through the lifted plan.
+  const int compiled_before = safe_.stats().compiled_assignments;
+  if (auto safe = safe_.EvaluateMany(query, live_tids, circuits_);
+      safe.has_value()) {
+    const bool compiled = safe_.stats().compiled_assignments > compiled_before;
+    for (size_t m = 0; m < live.size(); ++m) {
+      GmcAnswer& answer = (*answers)[live[m]];
+      answer.tier = compiled ? AnswerTier::kCompiledExact : AnswerTier::kLifted;
+      answer.exact = std::move((*safe)[m]);
+    }
+    (compiled ? counters_.safe_compiled : counters_.safe_lifted) +=
+        live.size();
+    return statuses;
+  }
+
+  // Unsafe: ground and route each instance through the policy. One deadline
+  // token covers the call — compile probes, circuit passes, and sampling
+  // all poll it; 0 ms means none, and every poll site reduces to one
+  // pointer comparison. Instances the sampler answers share the plan
+  // cache, so same-structure tids pay one plan build (sampler_batches).
+  const RoutingPolicy policy(request);
+  const CancelToken deadline(request.deadline_ms);
+  KarpLubyParams sampler;
+  sampler.epsilon = request.epsilon;
+  sampler.delta = request.delta;
+  sampler.max_samples = options_.max_samples;
+  // sample_threads caps the sampler's workers independently of the circuit
+  // passes; 0 falls through to num_threads (whose 0 defers to the process
+  // default inside the sampler). Bit-identical either way.
+  sampler.num_threads = options_.sample_threads != 0 ? options_.sample_threads
+                                                     : options_.num_threads;
+  sampler.cancel = request.deadline_ms > 0 ? &deadline : nullptr;
+  std::vector<Lineage> lineages(tids.size());
+  // Instances answered from a circuit, grouped by the circuit the probe
+  // pinned (one per structure), in first-seen order.
+  std::vector<std::pair<std::shared_ptr<const NnfCircuit>, std::vector<size_t>>>
+      groups;
+  std::unordered_map<const NnfCircuit*, size_t> group_of;
+  const uint64_t sampled_before = counters_.anytime_sampled;
+  for (const size_t i : live) {
+    lineages[i] = Ground(query, tids[i]);
+    std::shared_ptr<const NnfCircuit> circuit;
+    statuses[i] = RouteUnsafe(lineages[i], policy, sampler, &(*answers)[i],
+                              &circuit);
+    if (circuit == nullptr) continue;
+    const auto [it, fresh] = group_of.try_emplace(circuit.get(), groups.size());
+    if (fresh) groups.emplace_back(std::move(circuit), std::vector<size_t>());
+    groups[it->second].second.push_back(i);
+  }
+  if (counters_.anytime_sampled > sampled_before) ++counters_.sampler_batches;
+
+  // One pass per group: numeric routing for the exact tier, one interval
+  // pass for the certified tier. Columns are independent, so a grouped
+  // answer is bit-identical to the same instance evaluated alone.
+  const bool interval =
+      policy.TierForCompiled() == AnswerTier::kCertifiedInterval;
+  for (const auto& [circuit, members] : groups) {
+    const WeightMatrix weights = StackWeights(lineages, members);
+    std::vector<Rational> exact;
+    std::vector<ProbInterval> enclosures;
+    if (interval) {
+      enclosures = circuit->EvaluateBatchInterval(weights, options_.num_threads,
+                                                  sampler.cancel);
+    } else {
+      exact = circuits_.EvaluatePinned(*circuit, weights, sampler.cancel);
+    }
+    const bool expired = deadline.cancelled();
+    for (size_t m = 0; m < members.size(); ++m) {
+      GmcAnswer& answer = (*answers)[members[m]];
+      if (expired) {
+        statuses[members[m]] = DeadlineExceeded();
+      } else if (interval) {
+        answer.interval = enclosures[m];
+        ++counters_.anytime_interval;
+      } else {
+        answer.exact = std::move(exact[m]);
+        ++counters_.unsafe_compiled;
+      }
+    }
+  }
+  return statuses;
+}
+
 GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
                                     const RoutingPolicy& policy,
-                                    const CancelToken* cancel,
-                                    GmcAnswer* answer) {
+                                    KarpLubyParams sampler, GmcAnswer* answer,
+                                    std::shared_ptr<const NnfCircuit>* circuit) {
   if (lineage.is_false || lineage.cnf.HasEmptyClause()) {
     // Some ground clause is unsatisfiable: exactly 0, every mode.
     answer->tier = AnswerTier::kCompiledExact;
@@ -272,102 +307,55 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
     ++counters_.unsafe_compiled;
     return GmcStatus::Ok();
   }
-  auto deadline_error = [this] {
-    ++counters_.deadline_exceeded;
-    return GmcStatus::Error(
-        GmcStatusCode::kDeadlineExceeded,
-        "deadline exceeded before an answer was produced (nothing is "
-        "memoized; retrying without a deadline may succeed)");
-  };
-  if (cancel != nullptr && cancel->Poll()) return deadline_error();
-  // kExact with an unlimited budget reproduces the legacy routing verbatim:
-  // the var-count gate picks circuits or recursion, both exact.
-  if (policy.mode() == RoutingMode::kExact && policy.budget().Unlimited()) {
-    if (lineage.variables.size() > kMaxCompiledLineageVars) {
-      // The recursive engine has no cancellation points — the entry check
-      // above is the deadline's only purchase on this tier.
-      answer->tier = AnswerTier::kRecursiveExact;
-      answer->exact = engine_.Probability(lineage);
-      ++counters_.unsafe_recursive;
+  const CancelToken* cancel = sampler.cancel;
+  if (cancel != nullptr && cancel->Poll()) return DeadlineExceeded();
+  // kExact with an unlimited budget reproduces the legacy routing: the
+  // var-count gate sends oversized lineages to the recursive engine. Under
+  // a budget the gate is retired: the budget itself bounds compile work,
+  // which is a sharper admission test than counting variables.
+  if (policy.mode() == RoutingMode::kExact && policy.budget().Unlimited() &&
+      lineage.variables.size() > kMaxCompiledLineageVars) {
+    // The recursive engine has no cancellation points — the entry check
+    // above is the deadline's only purchase on this tier.
+    answer->tier = AnswerTier::kRecursiveExact;
+    answer->exact = WmcEngine().Probability(lineage);
+    ++counters_.unsafe_recursive;
+    return GmcStatus::Ok();
+  }
+  if (policy.WantsCompileProbe()) {
+    // Budgeted compile probe (kSample skips it; an unlimited budget always
+    // compiles). The shared_ptr pins the circuit across any concurrent
+    // eviction until the group pass.
+    *circuit = circuits_.TryGetShared(lineage.cnf, policy.budget(), cancel);
+    if (*circuit != nullptr) {
+      answer->tier = policy.TierForCompiled();
       return GmcStatus::Ok();
     }
-    // Unlimited budget: only a fired deadline can make this null.
-    const std::shared_ptr<const NnfCircuit> circuit =
-        engine_.TryGetCircuitShared(lineage.cnf, CompileBudget{}, cancel);
-    if (circuit == nullptr) return deadline_error();
-    const WeightMatrix weights =
-        WeightMatrix::FromRows({lineage.probabilities});
-    answer->exact =
-        circuit->EvaluateBatch(weights, options_.num_threads, cancel)[0];
-    if (cancel != nullptr && cancel->cancelled()) return deadline_error();
-    answer->tier = AnswerTier::kCompiledExact;
-    ++counters_.unsafe_compiled;
-    return GmcStatus::Ok();
-  }
-  // Budgeted compile probe (skipped by kSample). Under a budget the var
-  // gate is retired: the budget itself bounds compile work, which is a
-  // sharper admission test than counting variables. The shared_ptr pins
-  // the circuit across any concurrent eviction for the passes below.
-  const std::shared_ptr<const NnfCircuit> circuit =
-      policy.WantsCompileProbe()
-          ? engine_.TryGetCircuitShared(lineage.cnf, policy.budget(), cancel)
-          : nullptr;
-  // A null probe result is ambiguous until the token is consulted: budget
-  // exhaustion falls through to the anytime tiers, a fired deadline is the
-  // typed error (nothing memoized, nothing counted as exhausted).
-  if (circuit == nullptr && cancel != nullptr && cancel->cancelled() &&
-      policy.WantsCompileProbe()) {
-    return deadline_error();
-  }
-  if (circuit != nullptr) {
-    const WeightMatrix weights =
-        WeightMatrix::FromRows({lineage.probabilities});
-    if (policy.TierForCompiled() == AnswerTier::kCertifiedInterval) {
-      answer->interval =
-          circuit->EvaluateBatchInterval(weights, options_.num_threads,
-                                         cancel)[0];
-      if (cancel != nullptr && cancel->cancelled()) return deadline_error();
-      answer->tier = AnswerTier::kCertifiedInterval;
-      ++counters_.anytime_interval;
-    } else {
-      answer->exact =
-          circuit->EvaluateBatch(weights, options_.num_threads, cancel)[0];
-      if (cancel != nullptr && cancel->cancelled()) return deadline_error();
-      answer->tier = AnswerTier::kCompiledExact;
-      ++counters_.unsafe_compiled;
+    // A null probe is ambiguous until the token is consulted: a fired
+    // deadline is the typed error (nothing memoized, nothing counted as
+    // exhausted), budget exhaustion falls through to the anytime tiers.
+    if (cancel != nullptr && cancel->cancelled()) return DeadlineExceeded();
+    ++counters_.budget_exhausted;
+    if (policy.ExhaustedIsError()) {
+      return GmcStatus::Error(
+          GmcStatusCode::kBudgetExhausted,
+          "compile budget exhausted and RoutingMode::kExact has no anytime "
+          "fallback (raise the budget or switch to kAuto)");
     }
-    return GmcStatus::Ok();
-  }
-  if (policy.WantsCompileProbe()) ++counters_.budget_exhausted;
-  if (policy.ExhaustedIsError()) {
-    return GmcStatus::Error(
-        GmcStatusCode::kBudgetExhausted,
-        "compile budget exhausted and RoutingMode::kExact has no anytime "
-        "fallback (raise the budget or switch to kAuto)");
   }
   // (ε, δ) sampler — the anytime floor. The per-instance seed mixes the
   // session seed with the lineage structure, so fixed-seed runs reproduce
   // per instance regardless of batch order. A deadline firing mid-sampling
   // degrades to the achieved-ε anytime report, never an error — samples
   // already drawn are not thrown away (see approx/karp_luby.h).
-  KarpLubyParams params;
-  params.epsilon = options_.epsilon;
-  params.delta = options_.delta;
-  params.max_samples = options_.max_samples;
-  params.cancel = cancel;
-  // sample_threads caps the sampler's workers independently of the
-  // circuit passes; 0 falls through to num_threads (whose 0 defers to
-  // the process default inside the sampler). Bit-identical either way.
-  params.num_threads = options_.sample_threads != 0 ? options_.sample_threads
-                                                    : options_.num_threads;
-  params.seed = approx_internal::SplitMix64(options_.sample_seed ^
-                                            lineage.cnf.Hash64())
-                    .Next();
+  sampler.seed =
+      approx_internal::SplitMix64(options_.sample_seed ^ lineage.cnf.Hash64())
+          .Next();
   // lineage.is_false was handled at entry, so the plan covers every
   // remaining case; same-structure requests share one build via the cache.
   const std::shared_ptr<const KarpLubyPlan> plan =
       sample_plans_.Get(lineage.cnf, lineage.probabilities);
-  const KarpLubyResult sampled = KarpLubyEstimate(*plan, params);
+  const KarpLubyResult sampled = KarpLubyEstimate(*plan, sampler);
   answer->tier = AnswerTier::kSampled;
   answer->estimate = sampled.estimate;
   answer->epsilon = sampled.epsilon;
@@ -377,25 +365,26 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
   return GmcStatus::Ok();
 }
 
+GmcStatus GfomcSession::DeadlineExceeded() {
+  ++counters_.deadline_exceeded;
+  return GmcStatus::Error(
+      GmcStatusCode::kDeadlineExceeded,
+      "deadline exceeded before an answer was produced (nothing is "
+      "memoized; retrying without a deadline may succeed)");
+}
+
 GfomcSession::Stats GfomcSession::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out = counters_;
-  out.circuit_compiles = safe_.circuits().stats().compiles +
-                         engine_.circuits().stats().compiles;
-  out.circuit_hits =
-      safe_.circuits().stats().hits + engine_.circuits().stats().hits;
-  out.store_hits = safe_.circuits().stats().store_hits +
-                   engine_.circuits().stats().store_hits;
-  out.store_misses = safe_.circuits().stats().store_misses +
-                     engine_.circuits().stats().store_misses;
-  out.store_rejected = safe_.circuits().stats().store_rejected +
-                       engine_.circuits().stats().store_rejected;
-  out.store_quarantined = safe_.circuits().stats().store_quarantined +
-                          engine_.circuits().stats().store_quarantined;
-  out.evictions = safe_.circuits().stats().evictions +
-                  engine_.circuits().stats().evictions;
-  out.resident_bytes = safe_.circuits().stats().resident_bytes +
-                       engine_.circuits().stats().resident_bytes;
+  const CircuitCache::Stats cache = circuits_.stats();
+  out.circuit_compiles = cache.compiles;
+  out.circuit_hits = cache.hits;
+  out.store_hits = cache.store_hits;
+  out.store_misses = cache.store_misses;
+  out.store_rejected = cache.store_rejected;
+  out.store_quarantined = cache.store_quarantined;
+  out.evictions = cache.evictions;
+  out.resident_bytes = cache.resident_bytes;
   const KarpLubyPlanCache::Stats plans = sample_plans_.stats();
   out.plan_hits = plans.hits;
   out.plan_misses = plans.misses;

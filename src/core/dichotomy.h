@@ -6,10 +6,10 @@
 //   lifted PTIME evaluator; unsafe ones fall back to exact (worst-case
 //   exponential) weighted model counting, as the dichotomy promises nothing
 //   better.
-// * GfomcSession: the repeated-query front end. Holds the evaluators (and
-//   the CircuitCaches inside them) across calls, so probing the same query
-//   at many probability assignments compiles each grounded lineage once and
-//   pays a linear circuit pass afterwards; surfaces compile/hit counters.
+// * GfomcSession: the repeated-query front end. Holds one CircuitCache
+//   across calls, so probing the same query at many probability
+//   assignments compiles each grounded lineage once and pays a linear
+//   circuit pass afterwards; surfaces compile/hit counters.
 // * DemonstrateHardness(Q, Φ): constructive witness of #P-hardness for
 //   unsafe Type I-I queries — simplifies Q to a final query (Def. 2.8) if
 //   needed, then runs the Cook reduction of §3 to count Φ's models through
@@ -19,19 +19,21 @@
 #define GMC_CORE_DICHOTOMY_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "approx/karp_luby.h"
+#include "compile/circuit_cache.h"
 #include "compile/gmc_options.h"
 #include "compile/nnf_walk.h"
 #include "hardness/reduction_type1.h"
+#include "lineage/grounder.h"
 #include "logic/bipartite.h"
 #include "logic/query.h"
 #include "prob/tid.h"
 #include "safe/safe_eval.h"
-#include "wmc/wmc.h"
 
 namespace gmc {
 
@@ -178,21 +180,20 @@ class RoutingPolicy {
 
 // Stateful GFOMC evaluation for repeated-query traffic. One-shot Gfomc()
 // rebuilds its evaluators — and loses their compiled circuits — on every
-// call; a session keeps the SafeEvaluator and WmcEngine (each backed by a
-// CircuitCache) alive, so a workload that probes one query at many
-// probability assignments compiles each distinct grounded lineage once.
-// Unsafe queries with compact lineages go through the compiled path too;
-// oversized lineages fall back to the recursive engine (compilation is
-// worst-case exponential, same as recursion, but the recursive engine's
-// memo is cheaper when nothing is reused).
+// call; a session keeps ONE CircuitCache alive for the safe route's
+// compiled GFOMC path and the unsafe compiled route alike, so a workload
+// that probes one query at many probability assignments compiles each
+// distinct grounded lineage once and holds it once.
 //
-// Thread safety: a session may be shared across request threads. Calls
-// serialize on a session mutex (the evaluators' per-call scratch state —
-// the recursive engine's memo, the lifted plan's counters — is not
-// concurrency-safe); throughput within each call comes from the
-// column-parallel batch passes underneath (set_num_threads), and the
-// embedded CircuitCaches are themselves striped-lock thread-safe, so
-// sessions sharing nothing but a cache never contend.
+// The per-call EvaluateAnswers is the one evaluation core; EvaluateMany and
+// the configured-options EvaluateAnswers are adapters over it. Instances
+// answered from a circuit are grouped by structure: one batched pass per
+// group.
+//
+// Thread safety: calls serialize on a session mutex (the lifted plan's and
+// the session's counters are not concurrency-safe); throughput within a
+// call comes from the column-parallel passes underneath (set_num_threads),
+// and the CircuitCache is itself striped-lock thread-safe.
 class GfomcSession {
  public:
   struct Stats {
@@ -201,32 +202,31 @@ class GfomcSession {
     uint64_t safe_compiled = 0;      // safe GFOMC instances, circuit cache
     uint64_t unsafe_compiled = 0;    // unsafe, compact lineage → circuits
     uint64_t unsafe_recursive = 0;   // unsafe, oversized → recursive WMC
-    // Anytime-tier traffic (EvaluateAnswers only; the legacy entry points
-    // are always exact): answers served as certified intervals, answers
-    // served by the (ε, δ) sampler, compile probes that hit their budget,
-    // and checked calls rejected by validation.
+    // Anytime-tier traffic (EvaluateMany is always exact): answers served
+    // as certified intervals, answers served by the (ε, δ) sampler,
+    // compile probes that hit their budget, and instances rejected by
+    // validation.
     uint64_t anytime_interval = 0;
     uint64_t anytime_sampled = 0;
     uint64_t budget_exhausted = 0;
     uint64_t invalid_requests = 0;
-    // Checked calls that returned kDeadlineExceeded (the configured
-    // deadline_ms fired before an exact or certified answer existed).
+    // Instances that returned kDeadlineExceeded (the call's deadline_ms
+    // fired before an exact or certified answer existed).
     uint64_t deadline_exceeded = 0;
-    // Aggregated over both embedded CircuitCaches: how often a grounded
-    // lineage compiled vs was served from cache — the repeated-query win.
+    // From the session's CircuitCache: how often a grounded lineage
+    // compiled vs was served from cache — the repeated-query win.
     uint64_t circuit_compiles = 0;
     uint64_t circuit_hits = 0;
-    // Persistent-store traffic, aggregated the same way (zero unless a
-    // store is attached; see CircuitCache::Stats and docs/SERVING.md).
+    // Persistent-store traffic (zero unless a store is attached; see
+    // CircuitCache::Stats and docs/SERVING.md).
     uint64_t store_hits = 0;
     uint64_t store_misses = 0;
     uint64_t store_rejected = 0;
     // Rejected entries the self-healing read path quarantined (see
     // CircuitCache::Stats::store_quarantined and store/scrub.h).
     uint64_t store_quarantined = 0;
-    // Memory governance, aggregated over both caches (zero unless
-    // max_resident_bytes is set): LRU evictions, and the current resident
-    // circuit bytes (a gauge).
+    // Memory governance (zero unless max_resident_bytes is set): LRU
+    // evictions, and the current resident circuit bytes (a gauge).
     uint64_t evictions = 0;
     uint64_t resident_bytes = 0;
     // Karp–Luby plan-cache traffic (the sampled tier's per-instance
@@ -234,105 +234,109 @@ class GfomcSession {
     // sums instead of rebuilding them (see KarpLubyPlanCache).
     uint64_t plan_hits = 0;
     uint64_t plan_misses = 0;
-    // Checked EvaluateAnswers calls in which the sampler answered at
-    // least one instance — with serve's coalescing, N same-round sampled
-    // requests surface here as ONE batch (vs anytime_sampled counting N).
+    // Checked calls in which the sampler answered at least one instance —
+    // with serve's coalescing, N same-round sampled requests surface here
+    // as ONE batch (vs anytime_sampled counting N).
     uint64_t sampler_batches = 0;
   };
 
   GfomcResult Evaluate(const Query& query, const Tid& tid);
-  // Batched form: safe queries use SafeEvaluator::EvaluateMany (grouped
-  // batched circuit passes); unsafe ones group compact lineages through
-  // WmcEngine::CompiledProbabilityBatch. Results in input order. Always
-  // EXACT and bit-identical to every pre-anytime release (these legacy
-  // entry points never route to the approximate tiers, whatever the
-  // configured routing_mode); inputs are trusted (GMC_CHECK aborts on bad
-  // weights) — use EvaluateAnswers for the checked, routed surface.
+  // Legacy batched form: the core under kExact with an unlimited compile
+  // budget and no deadline, whatever the configured routing fields — always
+  // EXACT, bit-identical to every pre-anytime release. Inputs are trusted
+  // (GMC_CHECK aborts on bad weights). used_lifted means "the query is
+  // safe". Results in input order.
   std::vector<GfomcResult> EvaluateMany(const Query& query,
                                         const std::vector<Tid>& tids);
 
-  // The checked, three-way-routed surface. Validates every Tid (and the
-  // configured epsilon/delta) up front — invalid inputs come back as a
-  // typed GmcStatus, never an abort — then routes each instance: safe →
-  // lifted/compiled exact; unsafe → budgeted compile probe (exact circuit
+  // The core: checked, three-way-routed evaluation with per-call routing
+  // fields — only routing_mode, compile_budget, epsilon, delta and
+  // deadline_ms are read from `request`; the rest stays session
+  // configuration. Each instance is validated (a weight outside [0, 1] or
+  // an (ε, δ) outside (0, 1) is a typed status, never an abort) and routed:
+  // safe → lifted/compiled exact; unsafe → budgeted compile probe (exact
   // pass or certified interval on success, Karp–Luby (ε, δ) estimate once
-  // the budget is exhausted), per the configured RoutingMode (see
-  // RoutingPolicy and docs/ANYTIME.md). On failure *answers is left
-  // untouched; on success it holds one GmcAnswer per tid, in input order.
+  // the budget is exhausted), per RoutingPolicy and docs/ANYTIME.md.
+  // Returns one status per tid and resizes *answers to match; answers[i]
+  // is meaningful iff status i is OK, so a refused or timed-out instance
+  // never costs the others their answers. One deadline covers the call.
+  std::vector<GmcStatus> EvaluateAnswers(const Query& query,
+                                         const std::vector<Tid>& tids,
+                                         const GmcOptions& request,
+                                         std::vector<GmcAnswer>* answers);
+  // The core under the configured options, all or nothing: on failure the
+  // first failing instance's status, its message prefixed "tid <i>: ",
+  // with *answers untouched; on success one GmcAnswer per tid, in order.
   GmcStatus EvaluateAnswers(const Query& query, const std::vector<Tid>& tids,
                             std::vector<GmcAnswer>* answers);
   GmcStatus EvaluateAnswer(const Query& query, const Tid& tid,
                            GmcAnswer* answer);
 
   // One-call configuration (see compile/gmc_options.h): applies the
-  // cache-level fields to BOTH embedded caches and keeps the session-level
-  // routing fields (routing_mode, compile_budget, epsilon, delta,
-  // max_samples, sample_seed) for EvaluateAnswers. New sessions start from
-  // GmcOptions::FromEnv(). The set_* setters below are thin wrappers.
+  // cache-level fields to the session's CircuitCache and keeps the rest
+  // for evaluation. New sessions start from GmcOptions::FromEnv(). The
+  // set_* setters below are thin wrappers.
   void Configure(const GmcOptions& options);
   GmcOptions options() const;
 
-  // Worker bound for this session's batched circuit passes, applied to
-  // both embedded caches: 0 (the default) defers to the process default —
-  // the GMC_THREADS environment variable, else the hardware thread count
-  // (util/parallel.h) — 1 forces serial, n allows at most n column slices
-  // per pass. Results are bit-identical at every setting.
+  // Worker bound for the batched circuit passes: 0 (the default) defers to
+  // the process default — GMC_THREADS, else the hardware thread count
+  // (util/parallel.h) — 1 forces serial, n allows at most n column slices.
+  // Results are bit-identical at every setting.
   void set_num_threads(int num_threads);
 
-  // Shannon-order heuristic for every circuit this session compiles,
-  // applied to both embedded caches (new sessions start from the GMC_ORDER
-  // environment knob via DefaultOrderHeuristic). Circuit size only —
-  // probabilities are bit-identical under every setting.
+  // Shannon-order heuristic for every circuit this session compiles (new
+  // sessions start from GMC_ORDER via DefaultOrderHeuristic). Circuit size
+  // only — probabilities are bit-identical under every setting.
   void set_order(OrderHeuristic order);
 
-  // Persistent circuit store for both embedded caches (see
+  // Persistent circuit store for the cache (see
   // CircuitCache::set_store_directory): read-through on every compile
   // miss, write-through for every fresh compile. New sessions start from
-  // the GMC_STORE environment knob; this overrides per session. Results
-  // are bit-identical with or without a store.
+  // GMC_STORE; this overrides per session. Results are bit-identical with
+  // or without a store.
   void set_store_directory(const std::string& directory,
                            bool write_through = true);
-  // Flushes every circuit both caches hold into `directory` (the graceful-
+  // Flushes every circuit the cache holds into `directory` (the graceful-
   // shutdown hook of gmc_serve and the replica-priming recipe of
   // docs/SERVING.md). Returns the number persisted; first I/O failure
   // lands in *error, the rest still save.
   size_t SaveCircuitsTo(const std::string& directory,
                         std::string* error = nullptr) {
-    return safe_.SaveCircuitsTo(directory, error) +
-           engine_.SaveCircuitsTo(directory, error);
+    return circuits_.SaveTo(directory, error);
   }
-  // Bulk warm start: loads every valid persisted circuit into both caches
-  // before traffic arrives (safe to run while serving). Returns the
-  // number of circuits now resident that came from the directory.
+  // Bulk warm start: loads every valid persisted circuit into the cache
+  // (safe to run while serving). Returns the number of circuits inserted.
   size_t WarmCircuitsFrom(const std::string& directory) {
-    return safe_.WarmCircuitsFrom(directory) +
-           engine_.WarmCircuitsFrom(directory);
+    return circuits_.WarmFrom(directory);
   }
 
-  // Counters above plus live compile/hit totals from the embedded caches.
+  // Counters above plus live compile/hit totals from the cache.
   Stats stats() const;
 
  private:
-  // EvaluateAnswers helper: routes one unsafe grounded lineage per the
-  // policy. Requires mu_ held; returns non-OK only when the policy refuses
-  // (kExact with a finite, exhausted budget) or `cancel` fires before an
-  // answer exists (kDeadlineExceeded; the sampled tier instead degrades to
-  // its achieved-ε report). `cancel` may be null (no deadline configured).
+  // Routes one unsafe grounded lineage (mu_ held). `sampler` carries the
+  // call's (ε, δ), sample cap, workers, and deadline token, which the
+  // compile probe polls too. OK with *circuit set: the structure's group
+  // pass answers the instance from that pinned circuit. Non-OK only when
+  // kExact refuses a finite, exhausted budget, or the deadline fires first
+  // (the sampled tier degrades to its achieved-ε report instead).
   GmcStatus RouteUnsafe(const Lineage& lineage, const RoutingPolicy& policy,
-                        const CancelToken* cancel, GmcAnswer* answer);
+                        KarpLubyParams sampler, GmcAnswer* answer,
+                        std::shared_ptr<const NnfCircuit>* circuit);
+  GmcStatus DeadlineExceeded();
 
-  mutable std::mutex mu_;  // serializes Evaluate/EvaluateMany/stats
+  mutable std::mutex mu_;  // serializes evaluation, Configure, and stats
+  CircuitCache circuits_;  // the one cache, for safe and unsafe routes
   SafeEvaluator safe_;
-  WmcEngine engine_;
   // Cached per-instance sampler setup, keyed by (cnf, probabilities) —
   // same-structure sampled requests (one serve coalescing round, or a
   // probability sweep re-hitting one lineage) build the exact disjunct-
   // weight prefix sums once. Capacity follows sample_plan_entries.
   KarpLubyPlanCache sample_plans_;
   Stats counters_;
-  // The session-level routing fields; the cache-level fields live in the
-  // embedded caches (kept in sync by Configure). Starts from FromEnv(),
-  // matching the caches' own constructors.
+  // The options last Configured; the cache-level fields are mirrored in
+  // circuits_. Starts from FromEnv(), matching the cache's constructor.
   GmcOptions options_ = GmcOptions::FromEnv();
 };
 

@@ -266,7 +266,7 @@ std::optional<Rational> SafeEvaluator::Evaluate(const Query& query,
 }
 
 std::optional<std::vector<Rational>> SafeEvaluator::EvaluateMany(
-    const Query& query, const std::vector<Tid>& tids) {
+    const Query& query, const std::vector<Tid>& tids, CircuitCache& circuits) {
   if (query.IsFalse()) {
     return std::vector<Rational>(tids.size(), Rational::Zero());
   }
@@ -305,7 +305,7 @@ std::optional<std::vector<Rational>> SafeEvaluator::EvaluateMany(
     // lineages — the certain tuples fold away — so route through the
     // circuit cache: one compile per distinct grounded lineage, one batched
     // circuit pass per structure.
-    results = circuits_.ProbabilityBatch(lineages);
+    results = circuits.ProbabilityBatch(lineages);
     stats_.compiled_assignments += static_cast<int>(tids.size());
   } else {
     results.reserve(tids.size());

@@ -15,7 +15,6 @@
 #define GMC_SAFE_SAFE_EVAL_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "compile/circuit_cache.h"
@@ -45,57 +44,21 @@ class SafeEvaluator {
   // in input order; std::nullopt if the query is unsafe. When every TID is
   // a GFOMC instance (Tid::IsGfomcInstance — probabilities in {0, 1/2, 1}),
   // grounding folds all certain tuples away and the assignments share
-  // compact lineage structure, so they route through a CircuitCache:
-  // each distinct grounded lineage compiles once and its assignments are
-  // served by one batched circuit pass. The compiled route is gated on
-  // lineage size — safety promises a PTIME lifted plan, not a small
-  // circuit, so oversized lineages and general-weight TIDs fall back to
-  // the lifted per-TID algorithm, which remains the asymptotic contract.
+  // compact lineage structure, so they route through the caller's
+  // `circuits`: each distinct grounded lineage compiles once and its
+  // assignments are served by one batched circuit pass (the cache's
+  // configuration — threads, order, store — applies). The compiled route
+  // is gated on lineage size — safety promises a PTIME lifted plan, not a
+  // small circuit, so oversized lineages and general-weight TIDs fall back
+  // to the lifted per-TID algorithm, which remains the asymptotic contract.
   std::optional<std::vector<Rational>> EvaluateMany(
-      const Query& query, const std::vector<Tid>& tids);
+      const Query& query, const std::vector<Tid>& tids,
+      CircuitCache& circuits);
 
   const Stats& stats() const { return stats_; }
-  const CircuitCache& circuits() const { return circuits_; }
-
-  // One-call configuration (see compile/gmc_options.h): forwards the
-  // cache-level fields to the embedded CircuitCache; the session-level
-  // routing fields don't apply to the lifted plan (safe queries are PTIME
-  // exact — there is nothing to trade away) and are ignored. The set_*
-  // setters below are the legacy per-field wrappers.
-  void Configure(const GmcOptions& options) { circuits_.Configure(options); }
-  GmcOptions options() const { return circuits_.options(); }
-
-  // Worker bound for the embedded circuit cache's batch passes (see
-  // CircuitCache::set_num_threads); 0 defers to the process default
-  // (GMC_THREADS / DefaultNumThreads). Results are identical either way.
-  void set_num_threads(int num_threads) {
-    circuits_.set_num_threads(num_threads);
-  }
-
-  // Shannon-order heuristic for the compiled route (see
-  // CircuitCache::set_order / compile/vtree.h); circuit size only, never
-  // results. The lifted per-TID algorithm is unaffected.
-  void set_order(OrderHeuristic order) { circuits_.set_order(order); }
-
-  // Persistent-store plumbing for the embedded cache (see
-  // CircuitCache::set_store_directory / SaveTo / WarmFrom): warm starts
-  // and write-through for the compiled route. Results are bit-identical
-  // with or without a store.
-  void set_store_directory(const std::string& directory,
-                           bool write_through = true) {
-    circuits_.set_store_directory(directory, write_through);
-  }
-  size_t SaveCircuitsTo(const std::string& directory,
-                        std::string* error = nullptr) {
-    return circuits_.SaveTo(directory, error);
-  }
-  size_t WarmCircuitsFrom(const std::string& directory) {
-    return circuits_.WarmFrom(directory);
-  }
 
  private:
   Stats stats_;
-  CircuitCache circuits_;
 };
 
 }  // namespace gmc

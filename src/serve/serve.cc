@@ -79,7 +79,9 @@ bool ParseProbability(const std::string& token, Rational* out) {
 }  // namespace internal
 
 GmcServer::GmcServer(Query query, GmcServerOptions options)
-    : query_(std::move(query)), options_(std::move(options)) {}
+    : query_(std::move(query)),
+      query_safe_(IsSafe(query_)),
+      options_(std::move(options)) {}
 
 GmcServer::~GmcServer() { Stop(); }
 
@@ -640,6 +642,32 @@ std::string FormatDouble(double value) {
   return out.str();
 }
 
+// The EVAL reply shape. lifted=1 means the query is safe: the lifted
+// tier's PTIME guarantee covers every instance of a safe query, whichever
+// exact route (plan or circuit) served this one.
+std::string FormatEval(const std::string& id, const GmcAnswer& answer,
+                       bool safe) {
+  return "OK " + id + " " + answer.exact.ToString() +
+         " lifted=" + (safe ? "1" : "0");
+}
+
+// The EVAL_APPROX reply shape, by answering tier.
+std::string FormatApprox(const std::string& id, const GmcAnswer& answer) {
+  switch (answer.tier) {
+    case AnswerTier::kCertifiedInterval:
+      return "OK " + id + " INTERVAL " + FormatDouble(answer.interval.lo) +
+             " " + FormatDouble(answer.interval.hi) + " tier=interval";
+    case AnswerTier::kSampled:
+      return "OK " + id + " ESTIMATE " + FormatDouble(answer.estimate) +
+             " eps=" + FormatDouble(answer.epsilon) +
+             " delta=" + FormatDouble(answer.delta) +
+             " samples=" + std::to_string(answer.samples) + " tier=sampled";
+    default:
+      return "OK " + id + " EXACT " + answer.exact.ToString() +
+             " tier=" + AnswerTierName(answer.tier);
+  }
+}
+
 }  // namespace
 
 void GmcServer::RunBatch(std::vector<PendingEval> batch) {
@@ -665,193 +693,97 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
   governor_.BeginWork(batch.size());
   const auto work_started = std::chrono::steady_clock::now();
 
-  auto write_line = [&](const PendingEval& eval, const std::string& text,
-                        bool is_ok) {
-    SendLine(eval.conn, text);
-    eval.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-    if (is_ok) {
-      stats_.responses.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      stats_.eval_errors.fetch_add(1, std::memory_order_relaxed);
+  // Resolve each request once to its route. EVAL is the legacy exact
+  // contract: kExact with an unlimited compile budget. EVAL_APPROX takes
+  // the session's configured budget and its own mode — downshifted under
+  // pressure when it is auto (brownout: exact → interval → sample). An
+  // EXPLICIT mode is a contract and passes through untouched — the server
+  // may shed it, never silently weaken it; DegradeForPressure enforces
+  // exactly that.
+  const CompileBudget configured_budget = session_.options().compile_budget;
+  const Pressure level = governor_.level();
+  for (PendingEval& eval : batch) {
+    if (!eval.approx) {
+      eval.mode = RoutingMode::kExact;
+      eval.budget = CompileBudget{};
+      continue;
     }
-  };
-
-  // The coalescing payoff: every legacy EVAL in the drained queue goes
-  // through ONE EvaluateMany call — requests sharing a grounded lineage
-  // structure are answered by one batched circuit pass over a multi-column
-  // WeightMatrix instead of one walk each. Deadline'd EVALs are excluded:
-  // one deadline must bound ONE request, not abort a whole coalesced
-  // round, so they run below as single checked evaluations.
-  std::vector<Tid> tids;
-  std::vector<size_t> exact_index;
-  tids.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].approx || batch[i].deadline_ms > 0) continue;
-    tids.push_back(batch[i].tid);
-    exact_index.push_back(i);
-  }
-  if (!tids.empty()) {
-    const std::vector<GfomcResult> results =
-        session_.EvaluateMany(query_, tids);
-    for (size_t m = 0; m < exact_index.size(); ++m) {
-      const PendingEval& eval = batch[exact_index[m]];
-      write_line(eval,
-                 "OK " + eval.id + " " + results[m].probability.ToString() +
-                     " lifted=" + (results[m].used_lifted ? "1" : "0"),
-                 /*is_ok=*/true);
-    }
-  }
-
-  // Brownout: under pressure, auto-routed requests degrade to the cheaper
-  // certified tiers (exact → interval → sample). An EXPLICIT mode is a
-  // contract and passes through untouched — the server may shed it, never
-  // silently weaken it. DegradeForPressure enforces exactly that. The
-  // effective route is resolved ONCE per request here so the sampled-tier
-  // grouping below and the singles loop agree on it (and the degraded
-  // counter cannot double-count).
-  std::vector<RoutingMode> effective(batch.size(), RoutingMode::kAuto);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!batch[i].approx) continue;
-    effective[i] = DegradeForPressure(batch[i].mode, governor_.level());
-    if (effective[i] != batch[i].mode) {
+    const RoutingMode effective = DegradeForPressure(eval.mode, level);
+    if (effective != eval.mode) {
       stats_.degraded.fetch_add(1, std::memory_order_relaxed);
     }
+    eval.mode = effective;
+    eval.budget = configured_budget;
   }
 
-  // One reply formatter for every EVAL_APPROX answer, shared by the
-  // grouped and single paths so the two are byte-identical by construction.
-  auto format_approx_reply = [](const PendingEval& eval,
-                                const GmcAnswer& answer) {
-    switch (answer.tier) {
-      case AnswerTier::kCertifiedInterval:
-        return "OK " + eval.id + " INTERVAL " +
-               FormatDouble(answer.interval.lo) + " " +
-               FormatDouble(answer.interval.hi) + " tier=interval";
-      case AnswerTier::kSampled:
-        return "OK " + eval.id + " ESTIMATE " +
-               FormatDouble(answer.estimate) +
-               " eps=" + FormatDouble(answer.epsilon) +
-               " delta=" + FormatDouble(answer.delta) +
-               " samples=" + std::to_string(answer.samples) +
-               " tier=sampled";
-      default:
-        return "OK " + eval.id + " EXACT " + answer.exact.ToString() +
-               " tier=" + AnswerTierName(answer.tier);
-    }
+  // One grouping pass: requests with the same route share ONE session
+  // call, so every tier coalesces — same-structure instances in a group
+  // cost one batched circuit pass (a K-column WeightMatrix instead of K
+  // walks) or one Karp–Luby plan build. Statuses are per instance, so an
+  // over-budget request fails alone. A deadline'd request is a group of
+  // one: one deadline must bound ONE request, never a whole round.
+  auto same_route = [](const PendingEval& a, const PendingEval& b) {
+    return a.deadline_ms == 0 && b.deadline_ms == 0 && a.mode == b.mode &&
+           a.budget == b.budget && a.epsilon == b.epsilon &&
+           a.delta == b.delta;
   };
-
-  const GmcOptions base = session_.options();
-  bool reconfigured = false;
-
-  // Sampled-tier coalescing: EVAL_APPROX requests whose effective route is
-  // the sampler — and that carry no deadline — group by (eps, delta) and
-  // run as ONE EvaluateAnswers call per group, so same-structure requests
-  // in one round share one Karp–Luby plan build (the session's plan cache)
-  // and one batched sample pass. Grouping is safe exactly here: kSample
-  // never returns BUDGET or TIMEOUT (no compile probe, no deadline), and
-  // the inputs were parse-validated at admission, so one group-wide status
-  // suffices — on the unexpected !ok every member gets the same typed
-  // INVALID the single path would produce. Deadline'd requests stay
-  // single: one deadline must bound ONE request, not abort a group.
-  std::vector<size_t> sampled;
   std::vector<char> grouped(batch.size(), 0);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].approx && effective[i] == RoutingMode::kSample &&
-        batch[i].deadline_ms == 0) {
-      sampled.push_back(i);
-    }
-  }
-  for (size_t g = 0; g < sampled.size(); ++g) {
-    if (grouped[sampled[g]]) continue;
-    std::vector<size_t> members;
-    for (size_t h = g; h < sampled.size(); ++h) {
-      const size_t i = sampled[h];
-      if (grouped[i]) continue;
-      if (batch[i].epsilon == batch[sampled[g]].epsilon &&
-          batch[i].delta == batch[sampled[g]].delta) {
-        members.push_back(i);
-        grouped[i] = 1;
+  for (size_t g = 0; g < batch.size(); ++g) {
+    if (grouped[g]) continue;
+    std::vector<size_t> members = {g};
+    for (size_t h = g + 1; h < batch.size(); ++h) {
+      if (!grouped[h] && same_route(batch[g], batch[h])) {
+        members.push_back(h);
+        grouped[h] = 1;
       }
     }
-    stats_.approx_batches.fetch_add(1, std::memory_order_relaxed);
-    uint64_t largest = stats_.max_approx_batch.load(std::memory_order_relaxed);
-    while (largest < members.size() &&
-           !stats_.max_approx_batch.compare_exchange_weak(
-               largest, members.size(), std::memory_order_relaxed)) {
-    }
-    GmcOptions opts = base;
-    opts.routing_mode = RoutingMode::kSample;
-    opts.epsilon = batch[members[0]].epsilon;
-    opts.delta = batch[members[0]].delta;
-    opts.deadline_ms = 0;
-    session_.Configure(opts);
-    reconfigured = true;
-    std::vector<Tid> group_tids;
-    group_tids.reserve(members.size());
-    for (const size_t i : members) group_tids.push_back(batch[i].tid);
+    GmcOptions request;
+    request.routing_mode = batch[g].mode;
+    request.compile_budget = batch[g].budget;
+    request.epsilon = batch[g].epsilon;
+    request.delta = batch[g].delta;
+    request.deadline_ms = batch[g].deadline_ms;
+    std::vector<Tid> tids;
+    tids.reserve(members.size());
+    for (const size_t i : members) tids.push_back(std::move(batch[i].tid));
     std::vector<GmcAnswer> answers;
-    const GmcStatus status =
-        session_.EvaluateAnswers(query_, group_tids, &answers);
+    const std::vector<GmcStatus> statuses =
+        session_.EvaluateAnswers(query_, tids, request, &answers);
+
+    uint64_t approx_members = 0;
     for (size_t m = 0; m < members.size(); ++m) {
       const PendingEval& eval = batch[members[m]];
+      approx_members += eval.approx ? 1 : 0;
+      const GmcStatus& status = statuses[m];
+      std::string text;
       if (!status.ok()) {
-        write_line(eval, "ERR " + eval.id + " INVALID " + status.message,
-                   /*is_ok=*/false);
+        const char* kind = "INVALID";
+        if (status.code == GmcStatusCode::kBudgetExhausted) kind = "BUDGET";
+        if (status.code == GmcStatusCode::kDeadlineExceeded) {
+          kind = "TIMEOUT";
+          stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+        }
+        text = "ERR " + eval.id + " " + kind + " " + status.message;
+      } else if (eval.approx) {
+        text = FormatApprox(eval.id, answers[m]);
       } else {
-        write_line(eval, format_approx_reply(eval, answers[m]),
-                   /*is_ok=*/true);
+        text = FormatEval(eval.id, answers[m], query_safe_);
+      }
+      SendLine(eval.conn, text);
+      eval.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
+      (status.ok() ? stats_.responses : stats_.eval_errors)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    if (approx_members > 0) {
+      stats_.approx_batches.fetch_add(1, std::memory_order_relaxed);
+      uint64_t largest =
+          stats_.max_approx_batch.load(std::memory_order_relaxed);
+      while (largest < approx_members &&
+             !stats_.max_approx_batch.compare_exchange_weak(
+                 largest, approx_members, std::memory_order_relaxed)) {
       }
     }
   }
-
-  // Remaining EVAL_APPROX requests (exact/interval routes, or deadline'd)
-  // and deadline'd legacy EVALs carry per-request knobs, so each runs as
-  // one checked EvaluateAnswer with the session temporarily configured for
-  // it (this function is the only config writer; the base is restored
-  // after). A deadline'd legacy EVAL maps onto mode=exact with an
-  // unlimited compile budget: the same always-exact semantics as the
-  // coalesced path, interruptible by the deadline alone.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const PendingEval& eval = batch[i];
-    if (grouped[i]) continue;
-    if (!eval.approx && eval.deadline_ms == 0) continue;
-    GmcOptions opts = base;
-    if (eval.approx) {
-      opts.routing_mode = effective[i];
-      opts.epsilon = eval.epsilon;
-      opts.delta = eval.delta;
-    } else {
-      opts.routing_mode = RoutingMode::kExact;
-      opts.compile_budget = CompileBudget{};
-    }
-    opts.deadline_ms = eval.deadline_ms;
-    session_.Configure(opts);
-    reconfigured = true;
-    GmcAnswer answer;
-    const GmcStatus status = session_.EvaluateAnswer(query_, eval.tid, &answer);
-    if (!status.ok()) {
-      const char* kind = "INVALID";
-      if (status.code == GmcStatusCode::kBudgetExhausted) kind = "BUDGET";
-      if (status.code == GmcStatusCode::kDeadlineExceeded) {
-        kind = "TIMEOUT";
-        stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
-      write_line(eval, "ERR " + eval.id + " " + kind + " " + status.message,
-                 /*is_ok=*/false);
-      continue;
-    }
-    if (!eval.approx) {
-      // Deadline'd legacy EVAL: reply in the legacy EVAL shape so clients
-      // need not care which internal path served them.
-      write_line(eval,
-                 "OK " + eval.id + " " + answer.exact.ToString() + " lifted=" +
-                     (answer.tier == AnswerTier::kLifted ? "1" : "0"),
-                 /*is_ok=*/true);
-      continue;
-    }
-    write_line(eval, format_approx_reply(eval, answer), /*is_ok=*/true);
-  }
-  if (reconfigured) session_.Configure(base);
 
   // Feed the governor the batch's per-request evaluation cost: under a
   // RED-tier downshift the sampler drains the queue fast enough that the

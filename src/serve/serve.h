@@ -4,22 +4,19 @@
 // probability evaluations over a Unix-domain stream socket. The design
 // goals, in order:
 //
-//   1. Compile once, serve forever: the session's CircuitCaches persist
+//   1. Compile once, serve forever: the session's CircuitCache persists
 //      across requests, and with a store directory attached the server
 //      warm-starts from disk (WarmCircuitsFrom) and write-throughs every
 //      fresh compile — a restarted or replicated server re-serves in
 //      milliseconds what first cost a compilation.
 //   2. Coalesce concurrent load: requests land in a bounded queue; a
 //      single batch loop drains the WHOLE queue each round and answers it
-//      with ONE GfomcSession::EvaluateMany call, so K concurrent requests
-//      against the same lineage structure cost one topological circuit
-//      pass over a K-column WeightMatrix instead of K walks. Sampled-tier
-//      EVAL_APPROX traffic coalesces the same way: requests in one round
-//      whose effective route is the sampler (and that carry no deadline)
-//      are grouped by (eps, delta) and answered with ONE
-//      GfomcSession::EvaluateAnswers call per group, so same-structure
-//      requests share one Karp–Luby plan build (plan_hits in STATS) —
-//      with answers byte-identical to serial single-request serving.
+//      in one grouping pass — requests with the same route (mode, compile
+//      budget, eps, delta) share ONE GfomcSession::EvaluateAnswers call,
+//      on every tier — so K concurrent requests against the same lineage
+//      structure cost one circuit pass over a K-column WeightMatrix (or
+//      one Karp–Luby plan build) instead of K, with answers
+//      byte-identical to serial single-request serving.
 //   3. Shed, don't stall: past the admission limit a request is refused
 //      immediately with a typed SHED error carrying a retry_after_ms
 //      backoff hint — the client can retry or fail over; the queue never
@@ -51,12 +48,13 @@
 //         in [0, 1]. <id> is an opaque token echoed in the response.
 //         The optional deadline token bounds the request end to end; a
 //         request that cannot finish in time answers ERR TIMEOUT instead
-//         of stalling the connection (deadline'd EVALs skip the coalesced
-//         batch pass and run as single checked exact evaluations).
+//         of stalling the connection (a deadline'd request is never
+//         coalesced with others).
 //     EVAL_APPROX <id> [deadline=<ms>] <mode> <eps> <delta>
 //                 <num_left> <num_right> <default_p> [<tuple>=<p> ...]
-//         the checked, three-way-routed evaluation (GfomcSession::
-//         EvaluateAnswer; see docs/ANYTIME.md). <mode> is auto, exact,
+//         the checked, three-way-routed evaluation (see
+//         docs/ANYTIME.md); EVAL is its mode=exact, unlimited-budget
+//         case. <mode> is auto, exact,
 //         interval, or sample; <eps> and <delta> are rationals strictly
 //         inside (0, 1) with the (ε, δ) semantics of the sampled tier.
 //         The TID tail is identical to EVAL's.
@@ -70,6 +68,7 @@
 //     QUIT         server answers BYE and closes the connection
 //   server → client:
 //     OK <id> <probability> lifted=<0|1>                      (EVAL)
+//         lifted=1 iff the query is safe (PTIME on every instance).
 //     OK <id> EXACT <probability> tier=<t>                    (EVAL_APPROX)
 //         t ∈ {lifted, compiled, recursive}; <probability> is the exact
 //         rational, bit-identical to what EVAL would answer.
@@ -207,9 +206,9 @@ class GmcServer {
     uint64_t scrubbed = 0;          ///< store entries the startup scrub scanned
     uint64_t quarantined = 0;       ///< entries the startup scrub quarantined
     uint64_t scrub_orphans = 0;     ///< dead-writer temp files it removed
-    /// Sampled-tier coalescing: (eps, delta) groups answered with one
-    /// EvaluateAnswers call each, and the largest such group — >1 proves
-    /// concurrent sampled requests shared one Karp–Luby plan build.
+    /// EVAL_APPROX coalescing, every tier: groups holding EVAL_APPROX
+    /// requests (one EvaluateAnswers call each), and the most such requests
+    /// one group held — >1 proves concurrent requests shared a call.
     uint64_t approx_batches = 0;
     uint64_t max_approx_batch = 0;
   };
@@ -273,19 +272,22 @@ class GmcServer {
     std::string id;
     Tid tid;
     std::shared_ptr<Connection> conn;
-    // EVAL_APPROX extras; `approx` false means the legacy exact EVAL path.
+    // EVAL_APPROX extras; `approx` false means the legacy exact EVAL verb.
+    // RunBatch resolves `mode` to the effective route (EVAL: kExact) and
+    // fills `budget` (EVAL: unlimited; EVAL_APPROX: the session's).
     bool approx = false;
     RoutingMode mode = RoutingMode::kAuto;
     double epsilon = 0.05;
     double delta = 0.01;
     // End-to-end deadline for this one request (0 = none); see the
-    // deadline=<ms> wire token. Deadline'd requests run as single checked
-    // evaluations, never inside the coalesced EvaluateMany pass.
+    // deadline=<ms> wire token. A deadline'd request is a group of one,
+    // never coalesced with others.
     uint64_t deadline_ms = 0;
+    CompileBudget budget{};
     // Admission time: the governor folds (drain − enqueued) into its
     // queue-wait EWMA, the signal that catches cheap-queue-expensive-work
     // overload a depth limit alone misses.
-    std::chrono::steady_clock::time_point enqueued;
+    std::chrono::steady_clock::time_point enqueued{};
   };
 
   void AcceptLoop();
@@ -311,6 +313,8 @@ class GmcServer {
   std::string HealthLine();
 
   Query query_;
+  // Whether query_ is safe: the lifted= flag of every EVAL reply.
+  const bool query_safe_;
   GmcServerOptions options_;
   GfomcSession session_;
   LoadGovernor governor_;

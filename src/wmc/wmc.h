@@ -15,7 +15,6 @@
 #define GMC_WMC_WMC_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -70,60 +69,6 @@ class WmcEngine {
   const CircuitCache& circuits() const { return circuits_; }
   void ResetStats() { stats_ = Stats(); }
   void ClearCache() { cache_.clear(); }
-
-  // One-call configuration (see compile/gmc_options.h): forwards the
-  // cache-level fields to the embedded CircuitCache. The recursive path
-  // has no knobs; routing fields are the session's business and are
-  // ignored here. The set_* setters below are the legacy wrappers.
-  void Configure(const GmcOptions& options) { circuits_.Configure(options); }
-  GmcOptions options() const { return circuits_.options(); }
-
-  // Budgeted compiled-path probe for the anytime router: the circuit if
-  // `cnf` is cached or compiles inside `budget`, nullptr once the budget
-  // is exhausted (see CircuitCache::TryGet). Pointer valid until the
-  // cache is cleared.
-  const NnfCircuit* TryGetCircuit(const Cnf& cnf, const CompileBudget& budget) {
-    return circuits_.TryGet(cnf, budget);
-  }
-
-  // Pinning, cancellable probe (see CircuitCache::TryGetShared): the
-  // shared_ptr keeps the circuit alive across eviction, and a non-null
-  // `cancel` turns the compile into a deadline-bounded attempt — null with
-  // cancel->cancelled() set means the deadline fired (not memoized), null
-  // otherwise means the budget was exhausted (memoized).
-  std::shared_ptr<const NnfCircuit> TryGetCircuitShared(
-      const Cnf& cnf, const CompileBudget& budget,
-      const CancelToken* cancel = nullptr) {
-    return circuits_.TryGetShared(cnf, budget, cancel);
-  }
-
-  // Worker bound for the embedded circuit cache's batch passes (see
-  // CircuitCache::set_num_threads); 0 defers to the process default
-  // (GMC_THREADS / DefaultNumThreads). Results are identical either way.
-  void set_num_threads(int num_threads) {
-    circuits_.set_num_threads(num_threads);
-  }
-
-  // Shannon-order heuristic for the compiled path (see
-  // CircuitCache::set_order / compile/vtree.h); affects circuit size only,
-  // never results. The recursive path always uses the legacy heuristic.
-  void set_order(OrderHeuristic order) { circuits_.set_order(order); }
-
-  // Persistent-store plumbing for the embedded cache (see
-  // CircuitCache::set_store_directory / SaveTo / WarmFrom): warm starts
-  // and write-through for the compiled path. Results are bit-identical
-  // with or without a store.
-  void set_store_directory(const std::string& directory,
-                           bool write_through = true) {
-    circuits_.set_store_directory(directory, write_through);
-  }
-  size_t SaveCircuitsTo(const std::string& directory,
-                        std::string* error = nullptr) {
-    return circuits_.SaveTo(directory, error);
-  }
-  size_t WarmCircuitsFrom(const std::string& directory) {
-    return circuits_.WarmFrom(directory);
-  }
 
  private:
   Rational Recurse(const Cnf& cnf);

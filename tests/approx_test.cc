@@ -20,6 +20,7 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/rational.h"
+#include "wmc/brute_force.h"
 #include "wmc/wmc.h"
 
 namespace gmc {
@@ -421,9 +422,6 @@ TEST(SessionRouterTest, AutoCompilesInsideTheBudgetBitIdentically) {
   for (int salt = 0; salt < 4; ++salt) {
     tids.push_back(CorpusTid(h1, 2, 2, salt));
   }
-  GfomcSession legacy;
-  const std::vector<GfomcResult> expected = legacy.EvaluateMany(h1, tids);
-
   GfomcSession session;  // default mode is kAuto with the default budget
   ASSERT_EQ(session.options().routing_mode, RoutingMode::kAuto);
   std::vector<GmcAnswer> answers;
@@ -431,7 +429,8 @@ TEST(SessionRouterTest, AutoCompilesInsideTheBudgetBitIdentically) {
   ASSERT_EQ(answers.size(), tids.size());
   for (size_t i = 0; i < answers.size(); ++i) {
     EXPECT_EQ(answers[i].tier, AnswerTier::kCompiledExact);
-    EXPECT_EQ(answers[i].exact, expected[i].probability);  // bit-identical
+    // Exact, against an independent reference (8 variables: enumerable).
+    EXPECT_EQ(answers[i].exact, BruteForceQueryProbability(h1, tids[i]));
   }
   EXPECT_EQ(session.stats().unsafe_compiled, tids.size());
   EXPECT_EQ(session.stats().anytime_sampled, 0u);
@@ -518,8 +517,7 @@ TEST(SessionRouterTest, ExactModeRefusesOverBudgetWithATypedStatus) {
 TEST(SessionRouterTest, ExactModeUnlimitedReproducesLegacyRouting) {
   const Query h1 = H1();
   const Tid tid = CorpusTid(h1, 2, 2, 0);
-  GfomcSession legacy;
-  const GfomcResult expected = legacy.Evaluate(h1, tid);
+  const Rational expected = BruteForceQueryProbability(h1, tid);
 
   GfomcSession session;
   GmcOptions options = session.options();
@@ -529,18 +527,20 @@ TEST(SessionRouterTest, ExactModeUnlimitedReproducesLegacyRouting) {
   GmcAnswer answer;
   ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &answer).ok());
   EXPECT_EQ(answer.tier, AnswerTier::kCompiledExact);
-  EXPECT_EQ(answer.exact, expected.probability);
-  EXPECT_EQ(answer.PointEstimate(), expected.probability.ToDouble());
+  EXPECT_EQ(answer.exact, expected);
+  EXPECT_EQ(answer.PointEstimate(), expected.ToDouble());
 }
 
 TEST(SessionRouterTest, ExactModeUnlimitedRecursesPastTheVarGate) {
   // Oversized lineage (> kMaxCompiledLineageVars): the legacy gate sends
   // it to the recursive engine, and kExact + unlimited budget must do the
-  // same — tier kRecursiveExact, value bit-identical to EvaluateMany.
+  // same — tier kRecursiveExact, value bit-identical to the engine run on
+  // its own.
   const Query h1 = H1();
   Tid tid(h1.vocab_ptr(), 5, 20, Rational::Half());
+  const Rational expected = WmcEngine().Probability(Ground(h1, tid));
   GfomcSession legacy;
-  const GfomcResult expected = legacy.Evaluate(h1, tid);
+  EXPECT_EQ(legacy.Evaluate(h1, tid).probability, expected);
   EXPECT_EQ(legacy.stats().unsafe_recursive, 1u);
 
   GfomcSession session;
@@ -551,8 +551,48 @@ TEST(SessionRouterTest, ExactModeUnlimitedRecursesPastTheVarGate) {
   GmcAnswer answer;
   ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &answer).ok());
   EXPECT_EQ(answer.tier, AnswerTier::kRecursiveExact);
-  EXPECT_EQ(answer.exact, expected.probability);
+  EXPECT_EQ(answer.exact, expected);
   EXPECT_EQ(session.stats().unsafe_recursive, 1u);
+}
+
+TEST(SessionRouterTest, PerCallOptionsAnswerEachInstanceOnItsOwn) {
+  // The core's per-call surface: the request's routing fields apply to this
+  // call only, and every instance gets its own status — an over-budget
+  // instance fails alone while its neighbours are answered.
+  const Query h1 = H1();
+  const Tid small = CorpusTid(h1, 2, 2, 0);
+  const Tid large = CorpusTid(h1, 3, 3, 0);
+  GfomcSession session;
+  const GmcOptions configured = session.options();
+  session.Evaluate(h1, small);  // cached: lookups ignore the budget
+
+  GmcOptions request;
+  request.routing_mode = RoutingMode::kExact;
+  request.compile_budget = CompileBudget{};
+  request.compile_budget.max_calls = 2;  // refuses the cold 3x3 structure
+  std::vector<GmcAnswer> answers;
+  const std::vector<GmcStatus> statuses =
+      session.EvaluateAnswers(h1, {small, large, small}, request, &answers);
+  ASSERT_EQ(statuses.size(), 3u);
+  ASSERT_EQ(answers.size(), 3u);
+  EXPECT_EQ(statuses[1].code, GmcStatusCode::kBudgetExhausted);
+  for (size_t i : {0u, 2u}) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].message;
+    EXPECT_EQ(answers[i].tier, AnswerTier::kCompiledExact);
+    EXPECT_EQ(answers[i].exact, BruteForceQueryProbability(h1, small));
+  }
+  // Nothing was written into the session's configuration.
+  EXPECT_EQ(session.options().routing_mode, configured.routing_mode);
+  EXPECT_EQ(session.options().compile_budget, configured.compile_budget);
+
+  // Invalid per-call options reject every instance, typed.
+  request.epsilon = 0;
+  const std::vector<GmcStatus> invalid =
+      session.EvaluateAnswers(h1, {small, large}, request, &answers);
+  ASSERT_EQ(invalid.size(), 2u);
+  for (const GmcStatus& status : invalid) {
+    EXPECT_EQ(status.code, GmcStatusCode::kInvalidOptions);
+  }
 }
 
 TEST(SessionRouterTest, InvalidOptionsComeBackTyped) {
@@ -590,7 +630,7 @@ TEST(SessionRouterTest, GfomcCheckedOneShotMatchesTheSession) {
   GmcAnswer answer;
   ASSERT_TRUE(GfomcChecked(h1, tid, options, &answer).ok());
   EXPECT_EQ(answer.tier, AnswerTier::kCompiledExact);
-  EXPECT_EQ(answer.exact, Gfomc(h1, tid).probability);
+  EXPECT_EQ(answer.exact, BruteForceQueryProbability(h1, tid));
 }
 
 TEST(AnytimeDefaultsTest, ParamsAndOptionsShareOneSourceOfTruth) {

@@ -356,16 +356,16 @@ TEST_F(DyadicOnOffTest, SafeEvaluateManyBitIdentical) {
   }
 
   CircuitCache::SetDyadicDefaultEnabled(true);
-  SafeEvaluator eval_on;
-  auto on = eval_on.EvaluateMany(q, tids);
+  CircuitCache cache_on;
+  auto on = SafeEvaluator().EvaluateMany(q, tids, cache_on);
   ASSERT_TRUE(on.has_value());
-  EXPECT_GT(eval_on.circuits().stats().dyadic_batches, 0u);
+  EXPECT_GT(cache_on.stats().dyadic_batches, 0u);
 
   CircuitCache::SetDyadicDefaultEnabled(false);
-  SafeEvaluator eval_off;
-  auto off = eval_off.EvaluateMany(q, tids);
+  CircuitCache cache_off;
+  auto off = SafeEvaluator().EvaluateMany(q, tids, cache_off);
   ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(eval_off.circuits().stats().dyadic_batches, 0u);
+  EXPECT_EQ(cache_off.stats().dyadic_batches, 0u);
   EXPECT_EQ(*on, *off);
 
   // Both agree with the lifted per-TID algorithm.

@@ -336,11 +336,12 @@ TEST(SafeEvaluatorBatchTest, GfomcAssignmentsRouteThroughCircuitCache) {
     tids.push_back(std::move(tid));
   }
   SafeEvaluator batched;
-  auto results = batched.EvaluateMany(q, tids);
+  CircuitCache cache;
+  auto results = batched.EvaluateMany(q, tids, cache);
   ASSERT_TRUE(results.has_value());
   EXPECT_EQ(batched.stats().compiled_assignments, 4);
   EXPECT_EQ(batched.stats().lifted_assignments, 0);
-  EXPECT_GT(batched.circuits().stats().batch_passes, 0u);
+  EXPECT_GT(cache.stats().batch_passes, 0u);
   SafeEvaluator lifted;
   for (size_t i = 0; i < tids.size(); ++i) {
     auto expected = lifted.Evaluate(q, tids[i]);
@@ -363,7 +364,8 @@ TEST(SafeEvaluatorBatchTest, GeneralWeightsFallBackToLiftedPath) {
     tids.push_back(std::move(tid));
   }
   SafeEvaluator evaluator;
-  auto results = evaluator.EvaluateMany(q, tids);
+  CircuitCache cache;
+  auto results = evaluator.EvaluateMany(q, tids, cache);
   ASSERT_TRUE(results.has_value());
   EXPECT_EQ(evaluator.stats().lifted_assignments, 3);
   EXPECT_EQ(evaluator.stats().compiled_assignments, 0);
@@ -378,7 +380,8 @@ TEST(SafeEvaluatorBatchTest, UnsafeQueryReturnsNullopt) {
   SafeEvaluator evaluator;
   std::vector<Tid> tids;
   tids.emplace_back(H1().vocab_ptr(), 2, 2, Rational::Half());
-  EXPECT_FALSE(evaluator.EvaluateMany(H1(), tids).has_value());
+  CircuitCache cache;
+  EXPECT_FALSE(evaluator.EvaluateMany(H1(), tids, cache).has_value());
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,6 +39,7 @@
 #include "logic/parser.h"
 #include "prob/tid.h"
 #include "serve/serve.h"
+#include "store/circuit_io.h"
 #include "store/circuit_store.h"
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -433,6 +436,84 @@ TEST(EvictionTest, EvictedButPersistedCircuitsReloadFromTheStore) {
     ::unlink(path.c_str());
   }
   ::rmdir(dir.c_str());
+}
+
+// One session, one cache, one byte budget: a warm start from a store larger
+// than max_resident_bytes loads each stored circuit once and ends inside
+// the cap, safe and unsafe traffic share that cap, and a flush writes each
+// resident circuit once.
+TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
+  fault::Reset();  // every circuit below must reach the store
+  char store_tmpl[] = "/tmp/gmc_robust_store_XXXXXX";
+  char flush_tmpl[] = "/tmp/gmc_robust_flush_XXXXXX";
+  ASSERT_NE(::mkdtemp(store_tmpl), nullptr);
+  ASSERT_NE(::mkdtemp(flush_tmpl), nullptr);
+  const std::string store_dir = store_tmpl;
+  const std::string flush_dir = flush_tmpl;
+
+  // Eight structures of similar size: a 4x4 domain with one binary tuple
+  // made certain at a different pair each time.
+  const Query query = H1();
+  std::vector<Tid> tids;
+  for (int k = 0; k < 8; ++k) {
+    Tid tid = UniformTid(query, 4);
+    tid.SetBinary(query.vocab().Find("S"), k / 4, k % 4, Rational::One());
+    tids.push_back(std::move(tid));
+  }
+  // The caches live on the heap: std::mutex has a trivial destructor, so
+  // ThreadSanitizer would take later tests' stack caches, reusing this
+  // frame's addresses, for the same mutexes and report a false
+  // lock-order cycle.
+  std::vector<Rational> want;
+  {
+    auto writer = std::make_unique<CircuitCache>();
+    writer->set_store_directory(store_dir);  // write-through every compile
+    for (const Tid& tid : tids) {
+      want.push_back(writer->QueryProbability(query, tid));
+    }
+  }
+  const size_t stored = store::CircuitStore(store_dir).ListEntries().size();
+  ASSERT_EQ(stored, tids.size());
+  uint64_t total = 0;
+  uint64_t largest = 0;
+  for (const std::string& path :
+       store::CircuitStore(store_dir).ListEntries()) {
+    store::LoadedCircuit loaded;
+    ASSERT_TRUE(store::LoadCircuit(path, &loaded, nullptr));
+    total += loaded.circuit.MemoryBytes();
+    largest = std::max(largest, loaded.circuit.MemoryBytes());
+  }
+  const uint64_t cap = total / 2;
+  ASSERT_GE(cap, largest) << "every circuit must fit the cap alone";
+
+  auto session = std::make_unique<GfomcSession>();
+  GmcOptions opts = session->options();
+  opts.max_resident_bytes = cap;
+  session->Configure(opts);
+  EXPECT_EQ(session->WarmCircuitsFrom(store_dir), stored);
+  EXPECT_LE(session->stats().resident_bytes, cap);
+
+  const std::vector<GfomcResult> results = session->EvaluateMany(query, tids);
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(results[i].probability, want[i]) << "tid " << i;
+  }
+  const Query safe = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
+  session->EvaluateMany(safe, {Tid(safe.vocab_ptr(), 3, 3, Rational::Half())});
+  const GfomcSession::Stats stats = session->stats();
+  EXPECT_EQ(stats.safe_compiled, 1u);  // the safe route used the cache too
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(stats.resident_bytes, cap);
+
+  const size_t saved = session->SaveCircuitsTo(flush_dir);
+  EXPECT_GT(saved, 0u);
+  EXPECT_EQ(saved, store::CircuitStore(flush_dir).ListEntries().size());
+
+  for (const std::string& dir : {store_dir, flush_dir}) {
+    for (const std::string& path : store::CircuitStore(dir).ListEntries()) {
+      ::unlink(path.c_str());
+    }
+    ::rmdir(dir.c_str());
+  }
 }
 
 // The TSAN pin: 8 threads hammer GetShared + evaluate against a budget

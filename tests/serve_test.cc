@@ -33,6 +33,7 @@
 #include "store/circuit_store.h"
 #include "store/scrub.h"
 #include "util/fault.h"
+#include "wmc/brute_force.h"
 
 namespace gmc {
 namespace serve {
@@ -469,6 +470,81 @@ TEST_F(ServeTest, ApproxWireAnswersEveryTier) {
             0u);
 }
 
+TEST_F(ServeTest, EvalLiftedFlagIsTheQuerysSafetyOnEveryRoute) {
+  // lifted=1 says the query is safe, whichever exact route answered — the
+  // compiled GFOMC path ({0, 1/2, 1} weights) or the lifted plan (general
+  // weights) — with or without a deadline.
+  const Query safe = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("lifted");
+  GmcServer server(safe, options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.socket_path()));
+  for (const Rational& p : {Rational::Half(), Rational(1, 3)}) {
+    const std::string tail = "2 2 " + p.ToString();
+    const std::string want =
+        BruteForceQueryProbability(safe, Tid(safe.vocab_ptr(), 2, 2, p))
+            .ToString();
+    EXPECT_EQ(client.Roundtrip("EVAL a " + tail), "OK a " + want + " lifted=1");
+    EXPECT_EQ(client.Roundtrip("EVAL b deadline=60000 " + tail),
+              "OK b " + want + " lifted=1");
+  }
+}
+
+TEST_F(ServeTest, ExactAndIntervalRequestsCoalesceByteIdentically) {
+  // Every tier coalesces: concurrent EVAL_APPROX exact and interval
+  // requests of one round share one session call per mode — one batched
+  // circuit pass per structure — and answer the bytes each gets alone.
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("tiers");
+  options.max_pending = 256;
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  constexpr int kClients = 8;
+  auto line = [](int c) {
+    return "EVAL_APPROX t" + std::to_string(c) +
+           (c % 2 == 0 ? " exact" : " interval") + " 1/20 1/100 3 3 " +
+           std::to_string(c + 1) + "/16";
+  };
+  // The references: one request at a time, each alone in its round.
+  std::vector<std::string> alone(kClients);
+  {
+    LineClient client;
+    ASSERT_TRUE(client.Connect(server.socket_path()));
+    for (int c = 0; c < kClients; ++c) {
+      alone[c] = client.Roundtrip(line(c));
+      ASSERT_EQ(alone[c].rfind("OK t" + std::to_string(c) + " ", 0), 0u)
+          << alone[c];
+    }
+  }
+
+  for (int round = 0; round < 20 && server.stats().max_approx_batch < 2;
+       ++round) {
+    std::vector<std::thread> workers;
+    std::vector<std::string> got(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      workers.emplace_back([&, c] {
+        LineClient client;
+        if (client.Connect(server.socket_path())) {
+          got[c] = client.Roundtrip(line(c));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(got[c], alone[c]) << "client " << c << " round " << round;
+    }
+  }
+  EXPECT_GE(server.stats().max_approx_batch, 2u)
+      << "no coalesced exact/interval group after 20 rounds of " << kClients
+      << " concurrent clients";
+}
+
 TEST_F(ServeTest, OverBudgetInstanceDegradesOverTheWire) {
   // The serving-tier half of the headline contract: with a tiny compile
   // budget (via the GMC_BUDGET_CALLS environment default), an unsafe
@@ -510,6 +586,50 @@ TEST_F(ServeTest, OverBudgetInstanceDegradesOverTheWire) {
     EXPECT_NE(stats_line.find(field), std::string::npos)
         << "missing " << field << " in: " << stats_line;
   }
+}
+
+TEST_F(ServeTest, OverBudgetRequestFailsAloneInsideItsGroup) {
+  // Per-instance statuses: an over-budget mode=exact request coalesced with
+  // a compilable neighbour gets its own ERR BUDGET, and the neighbour still
+  // gets its exact answer. The budget is tiny (GMC_BUDGET_CALLS, as in
+  // OverBudgetInstanceDegradesOverTheWire); the neighbour's structure is
+  // cached first, and lookups ignore the budget. A dropped cache insert
+  // would send the neighbour back to the tiny budget, so this test clears
+  // any ambient GMC_FAULT spec and runs just before the last ServeTest,
+  // which clears it too.
+  fault::Reset();
+  ::setenv("GMC_BUDGET_CALLS", "2", 1);
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("budgetgroup");
+  GmcServer server(H1(), options);
+  ::unsetenv("GMC_BUDGET_CALLS");
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const Query query = H1();
+  const std::string want =
+      BruteForceQueryProbability(query,
+                                 Tid(query.vocab_ptr(), 2, 2, Rational::Half()))
+          .ToString();
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.socket_path()));
+  ASSERT_EQ(client.Roundtrip("EVAL w 2 2 1/2"), "OK w " + want + " lifted=0");
+  // Both requests ride one write, so they usually land in one round.
+  for (int round = 0; round < 50 && server.stats().max_approx_batch < 2;
+       ++round) {
+    const std::string big = "big" + std::to_string(round);
+    const std::string ok = "ok" + std::to_string(round);
+    ASSERT_TRUE(client.SendLine("EVAL_APPROX " + big +
+                                " exact 1/10 1/100 3 3 1/2\nEVAL_APPROX " +
+                                ok + " exact 1/10 1/100 2 2 1/2"));
+    std::string answered = client.ReadLine();
+    std::string refused = client.ReadLine();
+    if (answered.rfind("ERR ", 0) == 0) std::swap(answered, refused);
+    EXPECT_EQ(answered, "OK " + ok + " EXACT " + want + " tier=compiled");
+    EXPECT_EQ(refused.rfind("ERR " + big + " BUDGET ", 0), 0u) << refused;
+  }
+  EXPECT_GE(server.stats().max_approx_batch, 2u)
+      << "the two requests never shared a round";
 }
 
 TEST_F(ServeTest, SampledRequestsCoalesceAndShareOnePlanBuild) {

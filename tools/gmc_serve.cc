@@ -6,9 +6,9 @@
 // disk instead of recompiling.
 //
 // Usage:
-//   gmc_serve --socket=/tmp/gmc.sock --query='Ax Ay (R(x) | S(x,y))' \
-//             [--store=DIR] [--threads=N] [--max-pending=N] [--no-warm] \
-//             [--read-idle-ms=N] [--write-timeout-ms=N] [--backlog=N] \
+//   gmc_serve --socket=/tmp/gmc.sock --query='Ax Ay (R(x) | S(x,y))'
+//             [--store=DIR] [--threads=N] [--max-pending=N] [--no-warm]
+//             [--read-idle-ms=N] [--write-timeout-ms=N] [--backlog=N]
 //             [--max-connections=N] [--max-inflight-per-conn=N]
 //
 // --max-connections defaults from the GMC_MAX_CONNECTIONS environment
