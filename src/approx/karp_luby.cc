@@ -25,6 +25,11 @@ BigInt BigIntFromU64(uint64_t value) {
 
 }  // namespace
 
+LazyUniform::LazyUniform(SplitMix64* rng, uint64_t first_word)
+    : rng_(rng),
+      low_(Rational::Dyadic(BigIntFromU64(first_word), 64)),
+      bits_(64) {}
+
 void LazyUniform::Refine() {
   // Append 64 fresh bits: the draw's enclosing dyadic interval narrows
   // from [low_, low_ + 2^-bits_) to width 2^-(bits_ + 64).
@@ -75,6 +80,30 @@ size_t LazyUniform::Categorical(const std::vector<Rational>& prefix,
   }
 }
 
+// With u ∈ [c/2^64, (c+1)/2^64) and a threshold word F = ⌊t·2^64⌋, c < F
+// puts all of u below t and c > F puts all of it at or above t: exactly
+// the first-word checks LazyUniform makes, over integers. c = F is the
+// one word where they can fail, so it continues the exact draw from c.
+bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng) {
+  const KarpLubyPlan::VariableWord& word = plan.variable_words[var];
+  if (word.fixed >= 0) return word.fixed != 0;  // decided with no word
+  const uint64_t c = rng->Next();
+  if (c != word.floor) [[likely]] return c < word.floor;
+  return LazyUniform(rng, c).LessThan(plan.probabilities[var]);
+}
+
+size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng) {
+  // Boundaries with a word below c lie below u, those with a word above c
+  // lie above all of u's interval; lo counts the former, so unless the
+  // next boundary's word is c itself, u · W falls in bucket lo.
+  const std::vector<uint64_t>& words = plan.boundary_words;
+  const uint64_t c = rng->Next();
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(words.begin(), words.end(), c) - words.begin());
+  if (lo == words.size() || words[lo] != c) [[likely]] return lo;
+  return LazyUniform(rng, c).Categorical(plan.prefix, plan.total_weight());
+}
+
 }  // namespace approx_internal
 
 uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
@@ -84,8 +113,20 @@ uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
   const double target = std::ceil(3.0 * static_cast<double>(num_clauses) *
                                   std::log(2.0 / delta) /
                                   (epsilon * epsilon));
+  // Saturate past 2^64, where the cast would be undefined; a sample cap
+  // then binds as for any large target.
+  if (!(target < 0x1p64)) return UINT64_MAX;
   return static_cast<uint64_t>(target);
 }
+
+namespace {
+
+// ⌊(num / den)·2^64⌋ for 0 ≤ num < den: the word a threshold compares as.
+uint64_t FloorWord(const BigInt& num, const BigInt& den) {
+  return (num.ShiftLeft(64) / den).Bits64At(0);
+}
+
+}  // namespace
 
 std::shared_ptr<const KarpLubyPlan> BuildKarpLubyPlan(
     const Cnf& cnf, const std::vector<Rational>& probabilities) {
@@ -107,6 +148,26 @@ std::shared_ptr<const KarpLubyPlan> BuildKarpLubyPlan(
       if (weight.IsZero()) break;
     }
     plan->prefix[i + 1] = plan->prefix[i] + weight;
+  }
+  // The threshold words the draws compare against (see DrawBernoulli).
+  plan->variable_words.resize(probabilities.size());
+  for (size_t v = 0; v < probabilities.size(); ++v) {
+    const Rational& p = probabilities[v];
+    KarpLubyPlan::VariableWord& word = plan->variable_words[v];
+    if (p.sign() <= 0) {
+      word.fixed = 0;
+    } else if (p >= Rational::One()) {
+      word.fixed = 1;
+    } else {
+      word.floor = FloorWord(p.numerator(), p.denominator());
+    }
+  }
+  const Rational& total = plan->total_weight();
+  for (size_t i = 1; i < m && plan->prefix[i] != total; ++i) {
+    // prefix[i] / W < 1, as (a/b) / (N/D) = a·D / (b·N).
+    plan->boundary_words.push_back(
+        FloorWord(plan->prefix[i].numerator() * total.denominator(),
+                  plan->prefix[i].denominator() * total.numerator()));
   }
   return plan;
 }
@@ -134,7 +195,6 @@ bool SampleChunk(const KarpLubyPlan& plan, const KarpLubyParams& params,
                  std::vector<char>* assigned_scratch,
                  std::vector<char>* value_scratch, ChunkTally* tally) {
   const Cnf& cnf = plan.cnf;
-  const Rational& total = plan.total_weight();
   std::vector<char>& assigned = *assigned_scratch;
   std::vector<char>& value = *value_scratch;
   approx_internal::SplitMix64 rng(params.seed ^ chunk);
@@ -151,8 +211,7 @@ bool SampleChunk(const KarpLubyPlan& plan, const KarpLubyParams& params,
       return false;
     }
     // 1. Disjunct i ∝ w_i.
-    approx_internal::LazyUniform pick(&rng);
-    const size_t i = pick.Categorical(plan.prefix, total);
+    const size_t i = approx_internal::DrawDisjunct(plan, &rng);
     // 2. Assignment conditioned on D_i: clause_i's variables are false;
     //    everything else is sampled lazily on first read in step 3 —
     //    variables in no earlier clause never consume randomness. To keep
@@ -165,8 +224,7 @@ bool SampleChunk(const KarpLubyPlan& plan, const KarpLubyParams& params,
     auto is_true = [&](int v) {
       if (!assigned[v]) {
         assigned[v] = 1;
-        approx_internal::LazyUniform draw(&rng);
-        value[v] = draw.LessThan(plan.probabilities[v]) ? 1 : 0;
+        value[v] = approx_internal::DrawBernoulli(plan, v, &rng) ? 1 : 0;
       }
       return value[v] != 0;
     };
@@ -244,7 +302,10 @@ KarpLubyResult KarpLubyEstimate(const KarpLubyPlan& plan,
   // SCHEDULE is dynamic but every per-chunk computation — and the ordered
   // reduction below — is a pure function of (plan, seed, target).
   const uint64_t chunk_size = approx_internal::kSamplesPerChunk;
-  const uint64_t num_chunks = (target + chunk_size - 1) / chunk_size;
+  // Rounded up without forming target + chunk_size − 1, which wraps for
+  // a saturated target.
+  const uint64_t num_chunks =
+      target / chunk_size + (target % chunk_size != 0 ? 1 : 0);
   std::vector<ChunkTally> tallies(num_chunks);
   std::atomic<uint64_t> next_chunk{0};
   const int requested = params.num_threads > 0 ? params.num_threads

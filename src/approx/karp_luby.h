@@ -22,11 +22,17 @@
 // rather than a heuristic.
 //
 // Exactness of the per-sample randomness: every Bernoulli and categorical
-// draw is decided by comparing a lazily refined dyadic uniform against the
-// exact Rational weights (util/rational.h) — 64 fresh bits per refinement,
-// refinement probability 2^-64 per comparison — so the sampling
-// distribution is exactly the one the analysis above assumes; no floating-
-// point bias anywhere. Doubles appear only in the reported estimate.
+// draw compares an exact uniform u ∈ [0, 1) against the exact Rational
+// weights (util/rational.h), so the sampling distribution is exactly the
+// one the analysis above assumes; no floating-point bias anywhere. Doubles
+// appear only in the reported estimate. A draw reads one 64-bit word c,
+// which pins u to [c/2^64, (c+1)/2^64), and the plan holds every threshold
+// t as the integer word ⌊t·2^64⌋: c below the word means u < t, c above it
+// means u ≥ t, so one integer compare decides the draw. Only c equal to
+// the word (probability 2^-64) leaves t inside u's interval; the draw then
+// continues as an exact LazyUniform refinement from c, reading 64 more
+// bits at a time. Decisions and stream consumption are those of a fully
+// Rational draw, word for word.
 //
 // Anytime contract: when max_samples caps N below the target, the sampler
 // still runs and reports the LARGER epsilon it actually achieved at that
@@ -123,15 +129,31 @@ struct KarpLubyResult {
 };
 
 /// The reusable per-instance setup of a sampling run: the formula, the
-/// marginals, and the exact disjunct-weight prefix sums that dominate
-/// setup cost for short runs. Immutable once built, so one shared_ptr can
-/// back any number of concurrent KarpLubyEstimate calls.
+/// marginals, the exact disjunct-weight prefix sums that dominate setup
+/// cost for short runs, and the threshold words the draws compare against.
+/// Immutable once built, so one shared_ptr can back any number of
+/// concurrent KarpLubyEstimate calls.
 struct KarpLubyPlan {
+  /// A variable's Bernoulli threshold as a word: ⌊p·2^64⌋ when 0 < p < 1.
+  /// p ≤ 0 and p ≥ 1 are decided without reading the stream; `fixed` then
+  /// holds the value (0 or 1), and is −1 for a variable that draws.
+  struct VariableWord {
+    uint64_t floor = 0;
+    int8_t fixed = -1;
+  };
+
   Cnf cnf;
   std::vector<Rational> probabilities;
   /// prefix[0] = 0, prefix[i + 1] = prefix[i] + w_i, prefix[m] = W. Size
-  /// m + 1 (size 1 for a clause-free formula). Exact.
+  /// m + 1 (size 1 for a clause-free formula). Exact; read by the draws
+  /// only on a threshold tie.
   std::vector<Rational> prefix;
+  /// One per entry of `probabilities`.
+  std::vector<VariableWord> variable_words;
+  /// ⌊(prefix[i] / W)·2^64⌋ for i = 1 … k − 1, where k is the first index
+  /// with prefix[k] = W (below m when the trailing disjuncts weigh 0).
+  /// Nondecreasing; empty when W = 0.
+  std::vector<uint64_t> boundary_words;
 
   size_t num_clauses() const { return cnf.clauses.size(); }
   const Rational& total_weight() const { return prefix.back(); }
@@ -242,10 +264,16 @@ class SplitMix64 {
 /// An exact uniform draw over [0, 1), materialized lazily: each comparison
 /// against an exact Rational consumes just enough 64-bit chunks to decide
 /// it (one, except with probability 2^-64 per extra chunk). Each draw is
-/// independent; construct one per decision.
+/// independent; construct one per decision. The sampler builds one only
+/// when a word ties its threshold (see DrawBernoulli / DrawDisjunct); the
+/// fresh-draw form is their reference.
 class LazyUniform {
  public:
+  /// A fresh draw: no bits read yet.
   explicit LazyUniform(SplitMix64* rng) : rng_(rng) {}
+  /// A draw whose first 64-bit chunk, `first_word`, was already read: the
+  /// state a fresh draw is in right after its first refinement.
+  LazyUniform(SplitMix64* rng, uint64_t first_word);
 
   /// True iff the draw is < threshold. Exact; threshold must be in [0, 1].
   bool LessThan(const Rational& threshold);
@@ -264,6 +292,14 @@ class LazyUniform {
   Rational low_;          // the bits drawn so far, as low_ <= draw < high_
   uint64_t bits_ = 0;     // draw resolution: high_ - low_ == 2^-bits_
 };
+
+/// The sampler's two draws, decided by a 64-bit compare against the plan's
+/// words and continued exactly on a tie. Each returns what a fresh
+/// LazyUniform would (LessThan(plan.probabilities[var]), respectively
+/// Categorical(plan.prefix, plan.total_weight())) and reads the same words
+/// from `rng`. DrawDisjunct needs W > 0.
+bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng);
+size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng);
 
 }  // namespace approx_internal
 

@@ -167,11 +167,15 @@ void GmcServer::Stop() {
   stopping_.store(true, std::memory_order_release);
 
   // Unblock accept() (on Linux a SHUT_RDWR on the listening socket wakes
-  // it with EINVAL), then the per-connection readers, then the batch loop
-  // — in dependency order, joining at each stage so no producer survives
-  // its consumer.
+  // it with EINVAL), then drain the batch loop, then the per-connection
+  // readers. The batch loop goes before the readers because answering a
+  // queued request needs its connection open. Readers that outlive it
+  // enqueue nothing: HandleLine sheds under queue_mu_ once stopping_ is
+  // set, so no request can land after the loop's last empty swap.
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  queue_cv_.notify_all();
+  if (batch_thread_.joinable()) batch_thread_.join();  // drains the queue
   {
     std::lock_guard<std::mutex> lock(threads_mu_);
     for (const Reader& reader : readers_) {
@@ -183,8 +187,6 @@ void GmcServer::Stop() {
     }
     readers_.clear();
   }
-  queue_cv_.notify_all();
-  if (batch_thread_.joinable()) batch_thread_.join();  // drains the queue
 
   ::close(listen_fd_);
   listen_fd_ = -1;

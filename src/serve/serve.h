@@ -240,8 +240,8 @@ class GmcServer {
   /// with *error on socket failure (nothing left running).
   bool Start(std::string* error);
 
-  /// Graceful shutdown: stops accepting, unblocks readers, answers every
-  /// queued request, flushes the store, joins all threads. Idempotent.
+  /// Graceful shutdown: stops accepting, answers every queued request,
+  /// unblocks readers, flushes the store, joins all threads. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }

@@ -4,6 +4,7 @@
 // budgets use the node/call caps (never wall clock) — so every pin is a
 // hard equality or containment, not a flaky tolerance.
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -204,6 +205,9 @@ TEST(KarpLubyTest, SampleTargetMatchesTheFormula) {
       std::ceil(3.0 * m * std::log(2.0 / delta) / (eps * eps)));
   EXPECT_EQ(KarpLubySampleTarget(m, eps, delta), expected);
   EXPECT_EQ(KarpLubySampleTarget(0, eps, delta), 0u);
+  // Past 2^64 the target saturates instead of overflowing the cast:
+  // 3·63·ln(40)/ε² is ~7·10^20 at ε = 1e-9.
+  EXPECT_EQ(KarpLubySampleTarget(63, 1e-9, delta), UINT64_MAX);
 }
 
 TEST(KarpLubyTest, CalibratesAgainstExactWmc) {
@@ -243,18 +247,21 @@ TEST(KarpLubyTest, FixedSeedReproducesExactly) {
 TEST(KarpLubyTest, SampleCapReportsTheAchievedEpsilon) {
   const Lineage lineage = Ground(H1(), CorpusTid(H1(), 3, 3, 0));
   const size_t m = lineage.cnf.clauses.size();
-  KarpLubyParams params;
-  params.epsilon = 0.01;  // target far beyond the cap
-  params.max_samples = 500;
-  const KarpLubyResult r = KarpLubyEstimate(lineage, params);
-  ASSERT_GT(KarpLubySampleTarget(m, params.epsilon, params.delta), 500u);
-  EXPECT_EQ(r.samples, 500u);
-  // The anytime contract: the certificate is the epsilon 500 samples buy.
-  const double achieved =
-      std::sqrt(3.0 * static_cast<double>(m) * std::log(2.0 / params.delta) /
-                500.0);
-  EXPECT_DOUBLE_EQ(r.epsilon, achieved);
-  EXPECT_GT(r.epsilon, params.epsilon);
+  // Targets far beyond the cap; at 1e-12 past 2^64 samples (saturated).
+  for (double epsilon : {0.01, 1e-12}) {
+    KarpLubyParams params;
+    params.epsilon = epsilon;
+    params.max_samples = 500;
+    const KarpLubyResult r = KarpLubyEstimate(lineage, params);
+    ASSERT_GT(KarpLubySampleTarget(m, params.epsilon, params.delta), 500u);
+    EXPECT_EQ(r.samples, 500u) << "epsilon=" << epsilon;
+    // The anytime contract: the certificate is the epsilon 500 samples buy.
+    const double achieved =
+        std::sqrt(3.0 * static_cast<double>(m) *
+                  std::log(2.0 / params.delta) / 500.0);
+    EXPECT_DOUBLE_EQ(r.epsilon, achieved);
+    EXPECT_GT(r.epsilon, params.epsilon);
+  }
 }
 
 TEST(CompileBudgetTest, TryCompileRefusesAndRecovers) {
@@ -722,6 +729,260 @@ TEST(KarpLubyParallelTest, PreFiredDeadlineIsThreadCountInvariant) {
     EXPECT_EQ(r.estimate, serial.estimate);
     EXPECT_EQ(r.successes, serial.successes);
     EXPECT_EQ(r.epsilon, serial.epsilon);
+  }
+}
+
+// A TID on an n×n domain whose tuple weights cycle through `weights` in
+// (symbol, u, v) order — every tuple gets its own weight, unlike
+// CorpusTid's mostly-uniform profile.
+Tid CyclingTid(const Query& query, int n,
+               const std::vector<Rational>& weights) {
+  Tid tid(query.vocab_ptr(), n, n, Rational::Half());
+  const Vocabulary& vocab = query.vocab();
+  size_t next = 0;
+  auto weight = [&] { return weights[next++ % weights.size()]; };
+  for (SymbolId s = 0; s < vocab.size(); ++s) {
+    for (int u = 0; u < n; ++u) {
+      switch (vocab.kind(s)) {
+        case SymbolKind::kUnaryLeft:
+          tid.SetUnaryLeft(s, u, weight());
+          break;
+        case SymbolKind::kUnaryRight:
+          tid.SetUnaryRight(s, u, weight());
+          break;
+        case SymbolKind::kBinary:
+          for (int v = 0; v < n; ++v) tid.SetBinary(s, u, v, weight());
+          break;
+      }
+    }
+  }
+  return tid;
+}
+
+// Golden pins: the sampler's exact output for fixed (lineage, weights,
+// seed, cap), recorded from the all-Rational draw code that preceded the
+// integer word compare. Every other sampler pin compares two runs of the
+// same code (serial vs parallel, plan vs one-shot); these are the ones a
+// change to how a draw reads the stream cannot pass.
+TEST(KarpLubyGoldenTest, EstimatesMatchTheRecordedBits) {
+  const std::vector<Rational> sevenths_elevenths = {
+      Rational(1, 7),  Rational(2, 11), Rational(3, 7), Rational(5, 11),
+      Rational(6, 7),  Rational(9, 11), Rational(2, 7), Rational(4, 11),
+      Rational(5, 7),  Rational(10, 11)};
+  const std::vector<Rational> sixteenths = {
+      Rational(1, 16), Rational(3, 16), Rational(5, 16),  Rational(1, 2),
+      Rational(9, 16), Rational(3, 4),  Rational(13, 16), Rational(15, 16)};
+  // p = 0 and p = 1 never reach a grounded lineage (the grounder folds
+  // them away), so that instance is a hand-built CNF: variables 0 and 5
+  // are impossible, 1 and 7 certain; disjunct 2 has zero weight, and so do
+  // the trailing disjuncts 6 and 7.
+  Cnf mixed;
+  mixed.num_vars = 8;
+  mixed.clauses = {{0, 2}, {2, 3}, {1, 4}, {3, 5, 6},
+                   {4, 6}, {2, 5}, {0, 7}, {1, 6}};
+  const std::vector<Rational> mixed_p = {
+      Rational::Zero(), Rational::One(),  Rational(1, 3), Rational::Half(),
+      Rational(2, 5),   Rational::Zero(), Rational(3, 4), Rational::One()};
+
+  struct Golden {
+    const char* name;
+    Cnf cnf;
+    std::vector<Rational> probabilities;
+    uint64_t seed;
+    uint64_t successes;
+    uint64_t estimate_bits;
+  };
+  auto grounded = [](const Query& query, const std::vector<Rational>& w) {
+    const Lineage lineage = Ground(query, CyclingTid(query, 3, w));
+    EXPECT_FALSE(lineage.is_false);
+    return lineage;
+  };
+  const Lineage h1 = grounded(H1(), sevenths_elevenths);
+  const Lineage c9 = grounded(ExampleC9(), sevenths_elevenths);
+  const Lineage dyadic = grounded(H1(), sixteenths);
+  const Golden goldens[] = {
+      {"H1 k/7 k/11", h1.cnf, h1.probabilities, 0x601d0001u, 578,
+       0x3fa87f296e1c3200ull},
+      {"C9 k/7 k/11", c9.cnf, c9.probabilities, 0x601d0002u, 169,
+       0x3fc532ce555c3383ull},
+      {"H1 k/16", dyadic.cnf, dyadic.probabilities, 0x601d0003u, 625,
+       0x3f90800000000000ull},
+      {"mixed 0/1", mixed, mixed_p, 0x601d0004u, 1129,
+       0x3fd13bfbd01f4fc8ull},
+  };
+  for (const Golden& golden : goldens) {
+    for (int threads : {1, 3}) {
+      KarpLubyParams params;
+      params.epsilon = 0.1;
+      params.delta = 0.05;
+      params.max_samples = 3000;  // binds, and ends mid-chunk
+      params.seed = golden.seed;
+      params.num_threads = threads;
+      const KarpLubyResult r =
+          KarpLubyEstimate(golden.cnf, golden.probabilities, params);
+      ASSERT_FALSE(r.exact) << golden.name;
+      EXPECT_EQ(r.samples, 3000u) << golden.name;
+      EXPECT_EQ(r.successes, golden.successes) << golden.name;
+      EXPECT_EQ(std::bit_cast<uint64_t>(r.estimate), golden.estimate_bits)
+          << golden.name << " estimate=" << r.estimate;
+    }
+  }
+}
+
+// The draw routines against their reference. Each check runs the fast
+// draw and a fresh-draw LazyUniform on identically seeded streams: the
+// decisions must agree, and so must the next word each stream returns,
+// which shows both read the same words — `words_read` of them.
+namespace tie {
+
+using approx_internal::DrawBernoulli;
+using approx_internal::DrawDisjunct;
+using approx_internal::LazyUniform;
+using approx_internal::SplitMix64;
+
+BigInt BigOfU64(uint64_t value) {
+  BigInt big(static_cast<int64_t>(value >> 32));
+  big.ShiftLeftInPlace(32);
+  return big + BigInt(static_cast<int64_t>(value & 0xffffffffull));
+}
+
+// The word a stream seeded `seed` returns after `consumed` words.
+uint64_t WordAfter(uint64_t seed, int consumed) {
+  SplitMix64 rng(seed);
+  for (int i = 0; i < consumed; ++i) rng.Next();
+  return rng.Next();
+}
+
+// One variable per probability, one single-variable clause per variable.
+std::shared_ptr<const KarpLubyPlan> UnitClausePlan(
+    const std::vector<Rational>& probabilities) {
+  Cnf cnf;
+  cnf.num_vars = static_cast<int>(probabilities.size());
+  for (int v = 0; v < cnf.num_vars; ++v) cnf.clauses.push_back({v});
+  return BuildKarpLubyPlan(cnf, probabilities);
+}
+
+// Returns the decision.
+bool ExpectBernoulliMatches(const KarpLubyPlan& plan, int var, uint64_t seed,
+                            int words_read) {
+  SplitMix64 fast(seed);
+  SplitMix64 reference(seed);
+  const bool got = DrawBernoulli(plan, var, &fast);
+  EXPECT_EQ(got, LazyUniform(&reference).LessThan(plan.probabilities[var]))
+      << "var=" << var << " seed=" << seed;
+  const uint64_t next = fast.Next();
+  EXPECT_EQ(next, reference.Next()) << "var=" << var << " seed=" << seed;
+  EXPECT_EQ(next, WordAfter(seed, words_read))
+      << "var=" << var << " seed=" << seed;
+  return got;
+}
+
+size_t ExpectDisjunctMatches(const KarpLubyPlan& plan, uint64_t seed,
+                             int words_read) {
+  SplitMix64 fast(seed);
+  SplitMix64 reference(seed);
+  const size_t got = DrawDisjunct(plan, &fast);
+  EXPECT_EQ(got, LazyUniform(&reference)
+                     .Categorical(plan.prefix, plan.total_weight()))
+      << "seed=" << seed;
+  const uint64_t next = fast.Next();
+  EXPECT_EQ(next, reference.Next()) << "seed=" << seed;
+  EXPECT_EQ(next, WordAfter(seed, words_read)) << "seed=" << seed;
+  return got;
+}
+
+// Clause weights (3w+1)/2^67 and (3·2^64 − 3w − 1)/2^67 sum to W = 3/8 and
+// put the boundary between them at q = (w + 1/3)/2^64: one third of a unit
+// above the word w. As marginals, p = 1 − weight.
+Rational LowerWeight(uint64_t w) {
+  return Rational::Dyadic(BigOfU64(w) * BigInt(3) + BigInt(1), 67);
+}
+Rational UpperWeight(uint64_t w) {
+  return Rational(3, 8) - LowerWeight(w);
+}
+
+constexpr uint64_t kTieSeeds[] = {1, 2, 3, 0x601d, 0xfeedface, 1u << 31};
+
+}  // namespace tie
+
+TEST(KarpLubyDrawTest, NonIntegralBernoulliTieRefinesExactly) {
+  for (uint64_t seed : tie::kTieSeeds) {
+    const uint64_t w = tie::WordAfter(seed, 0);
+    // p·2^64 = w + 1/2: the first word lands on the threshold word, and
+    // the draw reads a second one.
+    const Rational p =
+        Rational::Dyadic(tie::BigOfU64(w) * BigInt(2) + BigInt(1), 65);
+    const auto plan = tie::UnitClausePlan({p});
+    ASSERT_EQ(plan->variable_words[0].floor, w);
+    tie::ExpectBernoulliMatches(*plan, 0, seed, 2);
+  }
+}
+
+TEST(KarpLubyDrawTest, IntegralBernoulliTieIsDecidedByItsWord) {
+  for (uint64_t seed : tie::kTieSeeds) {
+    const uint64_t w = tie::WordAfter(seed, 0);
+    ASSERT_NE(w, 0u);
+    // p·2^64 = w: u ≥ w/2^64 = p, so false, with no second word.
+    const auto plan =
+        tie::UnitClausePlan({Rational::Dyadic(tie::BigOfU64(w), 64)});
+    ASSERT_EQ(plan->variable_words[0].floor, w);
+    EXPECT_FALSE(tie::ExpectBernoulliMatches(*plan, 0, seed, 1));
+  }
+}
+
+TEST(KarpLubyDrawTest, CertainAndImpossibleVariablesReadNoWord) {
+  const auto plan = tie::UnitClausePlan({Rational::Zero(), Rational::One()});
+  for (uint64_t seed : tie::kTieSeeds) {
+    EXPECT_FALSE(tie::ExpectBernoulliMatches(*plan, 0, seed, 0));
+    EXPECT_TRUE(tie::ExpectBernoulliMatches(*plan, 1, seed, 0));
+  }
+}
+
+TEST(KarpLubyDrawTest, DisjunctTieRefinesExactly) {
+  for (uint64_t seed : tie::kTieSeeds) {
+    const uint64_t w = tie::WordAfter(seed, 0);
+    const auto plan =
+        tie::UnitClausePlan({Rational::One() - tie::LowerWeight(w),
+                             Rational::One() - tie::UpperWeight(w)});
+    ASSERT_EQ(plan->total_weight(), Rational(3, 8));
+    ASSERT_EQ(plan->boundary_words, std::vector<uint64_t>{w});
+    tie::ExpectDisjunctMatches(*plan, seed, 2);
+  }
+}
+
+TEST(KarpLubyDrawTest, ZeroWeightDisjunctsAreNeverDrawn) {
+  for (uint64_t seed : tie::kTieSeeds) {
+    const uint64_t w = tie::WordAfter(seed, 0);
+    const Rational lower = Rational::One() - tie::LowerWeight(w);
+    const Rational upper = Rational::One() - tie::UpperWeight(w);
+    // A zero-weight middle disjunct: two equal boundary words, tied.
+    const auto middle = tie::UnitClausePlan({lower, Rational::One(), upper});
+    ASSERT_EQ(middle->boundary_words, (std::vector<uint64_t>{w, w}));
+    EXPECT_NE(tie::ExpectDisjunctMatches(*middle, seed, 2), 1u);
+    // Trailing zero-weight disjuncts: no words past the last positive one.
+    const auto trailing = tie::UnitClausePlan(
+        {lower, upper, Rational::One(), Rational::One()});
+    ASSERT_EQ(trailing->boundary_words, std::vector<uint64_t>{w});
+    EXPECT_LT(tie::ExpectDisjunctMatches(*trailing, seed, 2), 2u);
+  }
+}
+
+TEST(KarpLubyDrawTest, UntiedDrawsReadOneWordAndMatchTheReference) {
+  // Zero-weight leading, middle and trailing disjuncts among general
+  // weights; the variables cover p = 1 and several p in (0, 1).
+  const auto plan = tie::UnitClausePlan(
+      {Rational::One(), Rational(1, 7), Rational(5, 11), Rational::One(),
+       Rational(1, 2), Rational(999, 1000), Rational::One()});
+  ASSERT_EQ(plan->boundary_words.size(), 5u);  // k = 6 of m = 7
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    const size_t i = tie::ExpectDisjunctMatches(*plan, seed, 1);
+    EXPECT_NE(i, 0u);
+    EXPECT_NE(i, 3u);
+    EXPECT_NE(i, 6u);
+    for (int v = 0; v < 7; ++v) {
+      tie::ExpectBernoulliMatches(*plan, v, seed,
+                                  plan->variable_words[v].fixed < 0 ? 1 : 0);
+    }
   }
 }
 

@@ -404,10 +404,14 @@ TEST_F(ServeTest, StopAnswersQueuedRequestsBeforeExiting) {
   LineClient client;
   ASSERT_TRUE(client.Connect(server.socket_path()));
   ASSERT_TRUE(client.SendLine("EVAL d1 2 2 1/2"));
-  // Stop() drains the queue before joining the batch loop, so the answer
-  // arrives even when shutdown races the request. (It may also have been
-  // answered before Stop began — both orders must deliver the OK line.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Stop() answers every queued request before it closes a connection,
+  // so the answer arrives even when shutdown races the request. (It may
+  // also have been answered before Stop began — both orders must deliver
+  // the OK line.) The request counts once it is queued, so Stop starts
+  // with it queued or answered, never still unread in the socket.
+  while (server.stats().requests == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   std::thread stopper([&] { server.Stop(); });
   const std::string response = client.ReadLine();
   stopper.join();
@@ -468,6 +472,29 @@ TEST_F(ServeTest, ApproxWireAnswersEveryTier) {
   EXPECT_EQ(client.Roundtrip("EVAL_APPROX b3 auto 1/20 1/100")
                 .rfind("ERR b3 PARSE ", 0),
             0u);
+}
+
+TEST_F(ServeTest, TinyEpsilonRunsToTheSampleCap) {
+  // ε = 1e-9 asks for ~10^20 samples, past 2^64: the target saturates,
+  // the cap binds, and the reply certifies the epsilon the cap buys. A
+  // target cast to 0 would draw nothing and divide by zero, killing the
+  // server.
+  ::setenv("GMC_MAX_SAMPLES", "4096", 1);
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("tinyeps");
+  GmcServer server(H1(), options);
+  ::unsetenv("GMC_MAX_SAMPLES");
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.socket_path()));
+  const std::string sampled =
+      client.Roundtrip("EVAL_APPROX b sample 1/1000000000 1/100 2 2 1/2");
+  EXPECT_EQ(sampled.rfind("OK b ESTIMATE ", 0), 0u) << sampled;
+  EXPECT_NE(sampled.find(" samples=4096 tier=sampled"), std::string::npos)
+      << sampled;
+  EXPECT_EQ(client.Roundtrip("STATS").rfind("STATS ", 0), 0u);
 }
 
 TEST_F(ServeTest, EvalLiftedFlagIsTheQuerysSafetyOnEveryRoute) {
@@ -614,20 +641,29 @@ TEST_F(ServeTest, OverBudgetRequestFailsAloneInsideItsGroup) {
   LineClient client;
   ASSERT_TRUE(client.Connect(server.socket_path()));
   ASSERT_EQ(client.Roundtrip("EVAL w 2 2 1/2"), "OK w " + want + " lifted=0");
-  // Both requests ride one write, so they usually land in one round.
-  for (int round = 0; round < 50 && server.stats().max_approx_batch < 2;
-       ++round) {
-    const std::string big = "big" + std::to_string(round);
-    const std::string ok = "ok" + std::to_string(round);
-    ASSERT_TRUE(client.SendLine("EVAL_APPROX " + big +
-                                " exact 1/10 1/100 3 3 1/2\nEVAL_APPROX " +
-                                ok + " exact 1/10 1/100 2 2 1/2"));
-    std::string answered = client.ReadLine();
-    std::string refused = client.ReadLine();
-    if (answered.rfind("ERR ", 0) == 0) std::swap(answered, refused);
-    EXPECT_EQ(answered, "OK " + ok + " EXACT " + want + " tier=compiled");
-    EXPECT_EQ(refused.rfind("ERR " + big + " BUDGET ", 0), 0u) << refused;
+  // Both requests ride one write, queued behind a sampled request from
+  // another routing group that runs to the 2^20-sample cap. The pair is
+  // sent only once the batch thread has taken that request (its round
+  // count moved), so the reader parses both lines while the batch thread
+  // is busy, and its next round takes them together.
+  const uint64_t rounds_before = server.stats().batches;
+  ASSERT_TRUE(client.SendLine("EVAL_APPROX slow sample 1/1000 1/100 6 6 1/2"));
+  while (server.stats().batches == rounds_before) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
+  ASSERT_TRUE(client.SendLine(
+      "EVAL_APPROX big exact 1/10 1/100 3 3 1/2\n"
+      "EVAL_APPROX ok exact 1/10 1/100 2 2 1/2"));
+  const std::string sampled = client.ReadLine();
+  EXPECT_EQ(sampled.rfind("OK slow ESTIMATE ", 0), 0u) << sampled;
+  std::string answered = client.ReadLine();
+  std::string refused = client.ReadLine();
+  if (answered.rfind("ERR ", 0) == 0) std::swap(answered, refused);
+  EXPECT_EQ(answered, "OK ok EXACT " + want + " tier=compiled");
+  EXPECT_EQ(refused.rfind("ERR big BUDGET ", 0), 0u) << refused;
+  // A group is counted after its replies are sent; Stop joins the batch
+  // thread, so the count below is final.
+  server.Stop();
   EXPECT_GE(server.stats().max_approx_batch, 2u)
       << "the two requests never shared a round";
 }
