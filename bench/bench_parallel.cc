@@ -22,8 +22,11 @@
 //      bit-identical results at every thread count — is enforced here by
 //      BM_ParallelCrossCheck, which fails the run loudly on any mismatch.
 //
-// All configurations run the public EvaluateBatch* entry points, so they
-// measure exactly what CircuitCache::ProbabilityBatch traffic pays.
+// The fixed-width and Rational configurations run the public
+// EvaluateBatch* entry points, so they measure exactly what
+// CircuitCache::ProbabilityBatch traffic pays; the BigInt comparators run
+// the arena behind them (walk_internal::WalkEvaluateBatchDyadicBig),
+// flattening the circuit per pass just as those entry points do.
 
 #include <benchmark/benchmark.h>
 
@@ -32,6 +35,7 @@
 
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "compile/nnf_walk.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "lineage/grounder.h"
@@ -95,7 +99,6 @@ void BM_Fixed64Sweep(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));
   Gadget& gadget = SmallGadget();
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/2);
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
   gmc::DyadicBatchStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -115,12 +118,10 @@ void BM_BigIntDyadicSweepSmall(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));
   Gadget& gadget = SmallGadget();
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/2);
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gadget.circuit.EvaluateBatchDyadic(weights, /*num_threads=*/1));
+    benchmark::DoNotOptimize(gmc::walk_internal::WalkEvaluateBatchDyadicBig(
+        gadget.circuit.Flatten().view(), weights, /*num_threads=*/1));
   }
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
   state.counters["weight_vectors"] = num_k;
 }
 BENCHMARK(BM_BigIntDyadicSweepSmall)->Arg(64)->Arg(256)
@@ -130,7 +131,6 @@ void BM_Fixed128Sweep(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));
   Gadget& gadget = LargeGadget();
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/1);
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
   gmc::DyadicBatchStats stats;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -149,12 +149,10 @@ void BM_BigIntDyadicSweepLarge(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));
   Gadget& gadget = LargeGadget();
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/1);
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gadget.circuit.EvaluateBatchDyadic(weights, /*num_threads=*/1));
+    benchmark::DoNotOptimize(gmc::walk_internal::WalkEvaluateBatchDyadicBig(
+        gadget.circuit.Flatten().view(), weights, /*num_threads=*/1));
   }
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
   state.counters["weight_vectors"] = num_k;
 }
 BENCHMARK(BM_BigIntDyadicSweepLarge)->Arg(64)->Arg(256)
@@ -184,7 +182,6 @@ void BM_Fixed128SweepThreads(benchmark::State& state) {
   const int num_threads = static_cast<int>(state.range(0));
   Gadget& gadget = LargeGadget();
   gmc::WeightMatrix weights = GridWeights(gadget, 256, /*exponent=*/1);
-  gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         gadget.circuit.EvaluateBatchDyadic(weights, num_threads));
@@ -215,19 +212,17 @@ void BM_ParallelCrossCheck(benchmark::State& state) {
             state.SkipWithError("Rational batch varies with thread count");
             return;
           }
-          gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
           if (gadget->circuit.EvaluateBatchDyadic(weights, threads) !=
               reference) {
             state.SkipWithError("fixed-width dyadic disagrees");
             return;
           }
-          gmc::NnfCircuit::SetFixedWidthDefaultEnabled(false);
-          if (gadget->circuit.EvaluateBatchDyadic(weights, threads) !=
+          if (gmc::walk_internal::WalkEvaluateBatchDyadicBig(
+                  gadget->circuit.Flatten().view(), weights, threads) !=
               reference) {
             state.SkipWithError("BigInt dyadic disagrees");
             return;
           }
-          gmc::NnfCircuit::SetFixedWidthDefaultEnabled(true);
         }
       }
     }

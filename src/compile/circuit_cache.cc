@@ -9,78 +9,32 @@
 
 namespace gmc {
 
-namespace {
-std::atomic<bool> g_dyadic_default_enabled{true};
-}  // namespace
-
-void CircuitCache::SetDyadicDefaultEnabled(bool enabled) {
-  g_dyadic_default_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool CircuitCache::DyadicDefaultEnabled() {
-  return g_dyadic_default_enabled.load(std::memory_order_relaxed);
-}
-
 CircuitCache::CircuitCache() { Configure(GmcOptions::FromEnv()); }
 
 void CircuitCache::Configure(const GmcOptions& options) {
   std::lock_guard<std::mutex> lock(options_mu_);
   num_threads_.store(options.num_threads, std::memory_order_relaxed);
   order_.store(options.order, std::memory_order_relaxed);
-  dyadic_enabled_.store(options.dyadic_enabled, std::memory_order_relaxed);
   max_resident_bytes_.store(options.max_resident_bytes,
                             std::memory_order_relaxed);
   self_heal_.store(options.store_self_heal, std::memory_order_relaxed);
-  const bool store_changed =
-      options.store_directory != options_.store_directory ||
-      options.store_write_through != options_.store_write_through;
-  options_ = options;
-  if (store_changed) {
-    ApplyStore(options.store_directory, options.store_write_through);
+  write_through_.store(options.store_write_through,
+                       std::memory_order_relaxed);
+  if (options.store_directory != options_.store_directory) {
+    std::shared_ptr<const store::CircuitStore> next =
+        options.store_directory.empty()
+            ? nullptr
+            : std::make_shared<const store::CircuitStore>(
+                  options.store_directory);
+    std::lock_guard<std::mutex> store_lock(store_mu_);
+    store_ = std::move(next);
   }
+  options_ = options;
 }
 
 GmcOptions CircuitCache::options() const {
   std::lock_guard<std::mutex> lock(options_mu_);
   return options_;
-}
-
-void CircuitCache::set_order(OrderHeuristic order) {
-  GmcOptions next = options();
-  next.order = order;
-  Configure(next);
-}
-
-void CircuitCache::set_dyadic_enabled(bool enabled) {
-  GmcOptions next = options();
-  next.dyadic_enabled = enabled;
-  Configure(next);
-}
-
-void CircuitCache::set_num_threads(int num_threads) {
-  GmcOptions next = options();
-  next.num_threads = num_threads;
-  Configure(next);
-}
-
-void CircuitCache::set_store_directory(const std::string& directory,
-                                       bool write_through) {
-  // Unlike Configure, the direct setter always re-attaches — callers use
-  // it to force a fresh directory scan of the same path.
-  std::lock_guard<std::mutex> lock(options_mu_);
-  options_.store_directory = directory;
-  options_.store_write_through = write_through;
-  ApplyStore(directory, write_through);
-}
-
-void CircuitCache::ApplyStore(const std::string& directory,
-                              bool write_through) {
-  write_through_.store(write_through, std::memory_order_relaxed);
-  std::shared_ptr<const store::CircuitStore> next =
-      directory.empty() ? nullptr
-                        : std::make_shared<const store::CircuitStore>(directory);
-  std::lock_guard<std::mutex> lock(store_mu_);
-  store_ = std::move(next);
 }
 
 std::string CircuitCache::store_directory() const {
@@ -290,8 +244,6 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
       // below (the compiler's sub-formula memo is shared state).
       const OrderHeuristic order = order_.load(std::memory_order_relaxed);
       NnfCircuit compiled;
-      NnfCircuit legacy;
-      bool have_legacy = false;
       {
         std::lock_guard<std::mutex> compiler_lock(compiler_mu_);
         compiler_.set_order(order);
@@ -328,31 +280,15 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
             compiler_.stats().minimize_nodes_after -
                 before.minimize_nodes_after,
             std::memory_order_relaxed);
-        if (budget == nullptr && order != OrderHeuristic::kDefault &&
-            order_baseline_recording_.load(std::memory_order_relaxed)) {
-          // Reference compile under the legacy order, discarded — only its
-          // edge count survives, as the denominator of the order payoff.
-          // Budgeted probes skip recording: the reference compile would run
-          // unbudgeted on a structure suspected of blowing up.
-          compiler_.set_order(OrderHeuristic::kDefault);
-          legacy = compiler_.Compile(cnf);
-          have_legacy = true;
-        }
       }
-      // Edge accounting happens OUTSIDE the compiler mutex: both circuits
-      // are locals, and compiler_mu_ serializes compiles across every
-      // stripe, so the O(edges) ComputeStats walks must not lengthen that
-      // critical section.
+      // Edge accounting happens OUTSIDE the compiler mutex: the circuit is
+      // a local, and compiler_mu_ serializes compiles across every stripe,
+      // so the O(edges) ComputeStats walk must not lengthen that critical
+      // section.
       if (order != OrderHeuristic::kDefault) {
         stats_.ordered_compiles.fetch_add(1, std::memory_order_relaxed);
-        const uint64_t edges = compiled.ComputeStats().edges;
-        stats_.order_edges.fetch_add(edges, std::memory_order_relaxed);
-        if (have_legacy) {
-          stats_.recorded_order_edges.fetch_add(edges,
-                                                std::memory_order_relaxed);
-          stats_.legacy_order_edges.fetch_add(legacy.ComputeStats().edges,
-                                              std::memory_order_relaxed);
-        }
+        stats_.order_edges.fetch_add(compiled.ComputeStats().edges,
+                                     std::memory_order_relaxed);
       }
       publish(std::move(compiled));
       // Write-through AFTER the insert, from the caller's copy: a failed
@@ -461,7 +397,7 @@ std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
   // denominators throughout; those batches take the gcd-free dyadic pass.
   // Both paths return identical reduced Rationals, so callers never see
   // which one ran.
-  if (dyadic_enabled() && weights.AllDyadic()) {
+  if (weights.AllDyadic()) {
     stats_.dyadic_batches.fetch_add(1, std::memory_order_relaxed);
     stats_.dyadic_vectors.fetch_add(weights.num_vectors(),
                                     std::memory_order_relaxed);
@@ -546,10 +482,6 @@ CircuitCache::Stats CircuitCache::stats() const {
   out.ordered_compiles =
       stats_.ordered_compiles.load(std::memory_order_relaxed);
   out.order_edges = stats_.order_edges.load(std::memory_order_relaxed);
-  out.recorded_order_edges =
-      stats_.recorded_order_edges.load(std::memory_order_relaxed);
-  out.legacy_order_edges =
-      stats_.legacy_order_edges.load(std::memory_order_relaxed);
   out.store_hits = stats_.store_hits.load(std::memory_order_relaxed);
   out.store_misses = stats_.store_misses.load(std::memory_order_relaxed);
   out.store_rejected = stats_.store_rejected.load(std::memory_order_relaxed);

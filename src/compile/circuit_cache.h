@@ -84,28 +84,17 @@ class CircuitCache {
     uint64_t bigint_vectors = 0;
     /// Sweep-and-merge payoff across all compiles (mirrors the compiler's
     /// minimize_nodes_before/after, surfaced here because this cache is
-    /// the front end repeated-query traffic goes through — except that
-    /// the discarded legacy reference compiles of baseline recording are
-    /// excluded here but do count in compiler_stats()).
+    /// the front end repeated-query traffic goes through).
     uint64_t nodes_before_minimize = 0;
     uint64_t nodes_after_minimize = 0;
     /// Vtree-order accounting: compiles that ran under a non-default
     /// OrderHeuristic, and the total edges (after minimization) of the
-    /// circuits they produced. While set_order_baseline_recording(true)
-    /// pays for the extra reference compilations, each such compile also
-    /// adds its ordered edges to recorded_order_edges and the edges the
-    /// SAME structure compiles to under the legacy kDefault order to
-    /// legacy_order_edges — so recorded_order_edges vs legacy_order_edges
-    /// is the per-cache circuit-size payoff of the active order over a
-    /// like-for-like structure set, even if recording was toggled mid-run
-    /// (order_edges alone also counts unrecorded compiles).
+    /// circuits they produced.
     uint64_t ordered_compiles = 0;
     uint64_t order_edges = 0;
-    uint64_t recorded_order_edges = 0;
-    uint64_t legacy_order_edges = 0;
     /// Persistent-store traffic (zero unless a store is attached — the
-    /// GMC_STORE knob or set_store_directory). A store hit replaces a
-    /// compile entirely; a rejected entry means a file was present but
+    /// GMC_STORE knob or GmcOptions::store_directory). A store hit replaces
+    /// a compile entirely; a rejected entry means a file was present but
     /// unusable (corrupt, version skew, or a CNF mismatch behind a hash
     /// collision) and the structure was recompiled. store_hits +
     /// store_misses + store_rejected == the compulsory in-memory misses
@@ -135,20 +124,22 @@ class CircuitCache {
     uint64_t resident_bytes = 0;
   };
 
-  /// A fresh cache adopts the process-wide defaults — one
-  /// Configure(GmcOptions::FromEnv()): DefaultOrderHeuristic (the
-  /// GMC_ORDER environment knob), DyadicDefaultEnabled, and — when
-  /// GMC_STORE names a directory (store::DefaultStorePath) — a persistent
-  /// circuit store attached read-through + write-through at that path.
+  /// A fresh cache adopts the environment defaults — one
+  /// Configure(GmcOptions::FromEnv()): the GMC_ORDER heuristic and, when
+  /// GMC_STORE names a directory, a persistent circuit store attached
+  /// read-through + write-through at that path.
   CircuitCache();
 
   /// Applies every option this cache understands (num_threads, order,
-  /// dyadic_enabled, store_directory + store_write_through; the session-
-  /// level routing fields are ignored) in one atomic step. The store is
-  /// re-attached only when its directory or write-through flag actually
-  /// changed, so re-Configuring with a tweaked unrelated field never
-  /// churns the store. The legacy set_* setters below are thin wrappers
-  /// over this. Thread-safe.
+  /// store_directory, store_write_through, store_self_heal,
+  /// max_resident_bytes; the session-level routing fields are ignored) in
+  /// one atomic step. A new order shapes only circuits compiled from now
+  /// on (the cache key is the CNF alone; Clear() first for a clean A/B).
+  /// The store is re-attached only when its directory changes, and
+  /// in-flight Gets finish against the store they started with; a failed
+  /// write-through is a lost cache entry, never a query failure. Results
+  /// are bit-identical under every setting (store loads re-verify by
+  /// exact clause comparison and fingerprint). Thread-safe.
   void Configure(const GmcOptions& options);
   /// Snapshot of the options currently in force (tweak-one-field-and-
   /// re-Configure is the intended update idiom).
@@ -201,7 +192,7 @@ class CircuitCache {
   /// Batched evaluate-many: all K weight vectors of one CNF structure in a
   /// single topological circuit pass (NnfCircuit::EvaluateBatch) instead
   /// of K independent walks. The pass itself is column-parallel (see
-  /// nnf.h); set_num_threads below bounds the workers it may use.
+  /// nnf.h); GmcOptions::num_threads bounds the workers it may use.
   /// `cancel`, if non-null, covers both the compile and the batch pass; a
   /// fired token makes the RESULT meaningless (well-formed sizes, garbage
   /// values) — the caller owns the cancelled() check-and-discard, exactly
@@ -211,8 +202,8 @@ class CircuitCache {
                                          const CancelToken* cancel = nullptr);
   /// Numeric routing for one exact pass over a circuit the caller already
   /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
-  /// or BigInt kernels, see nnf_fixed.cc) when dyadic_enabled and every
-  /// weight has a power-of-two denominator, the Rational walk otherwise —
+  /// or BigInt kernels, see nnf_fixed.cc) when every weight has a
+  /// power-of-two denominator, the Rational walk otherwise —
   /// identical reduced Rationals either way. Counts the pass and its
   /// routing; never a lookup, so hits/compiles stay the probe's business.
   /// `cancel` has EvaluateBatch's contract: the caller checks and discards.
@@ -227,69 +218,12 @@ class CircuitCache {
   /// setting still batch within each surviving structure.
   std::vector<Rational> ProbabilityBatch(const std::vector<Lineage>& lineages);
 
-  /// Shannon-order selection for every compile this cache performs from
-  /// now on (default: DefaultOrderHeuristic(), i.e. the GMC_ORDER
-  /// environment knob). Affects only the SIZE of newly compiled circuits —
-  /// results are bit-identical under every heuristic. Structures already
-  /// cached keep the circuit they were compiled with (the cache key is the
-  /// CNF alone); Clear() first for a clean A/B. Thread-safe. (Legacy
-  /// wrapper over Configure, like every set_* below.)
-  void set_order(OrderHeuristic order);
+  /// The Shannon-order heuristic in force (the order SaveTo stamps into
+  /// persisted circuits).
   OrderHeuristic order() const {
     return order_.load(std::memory_order_relaxed);
   }
 
-  /// Order-payoff instrumentation (off by default): while enabled, every
-  /// compile under a non-default heuristic ALSO compiles the structure
-  /// under the legacy kDefault order — the extra circuit is discarded, its
-  /// edge count lands in Stats::legacy_order_edges. Roughly doubles
-  /// compile cost while on; evaluation traffic is unaffected. For
-  /// benchmarks, tests, and production canaries measuring what the active
-  /// order buys.
-  void set_order_baseline_recording(bool enabled) {
-    order_baseline_recording_.store(enabled, std::memory_order_relaxed);
-  }
-  bool order_baseline_recording() const {
-    return order_baseline_recording_.load(std::memory_order_relaxed);
-  }
-
-  /// Dyadic routing knob, on by default: batches whose weights are all
-  /// dyadic (power-of-two denominators — every interpolation sweep and
-  /// GFOMC instance) are served by NnfCircuit::EvaluateBatchDyadic. The
-  /// results are bit-identical to the Rational path either way; the knob
-  /// exists for cross-checks and A/B benchmarks, not for correctness.
-  void set_dyadic_enabled(bool enabled);
-  bool dyadic_enabled() const {
-    return dyadic_enabled_.load(std::memory_order_relaxed);
-  }
-
-  /// Worker bound for this cache's batch passes: 0 (default) defers to the
-  /// process default (DefaultNumThreads, i.e. GMC_THREADS), 1 forces
-  /// serial, n allows at most n column slices. Results are bit-identical
-  /// at every setting.
-  void set_num_threads(int num_threads);
-  int num_threads() const {
-    return num_threads_.load(std::memory_order_relaxed);
-  }
-
-  /// Process-wide default for newly constructed caches (per-instance
-  /// set_dyadic_enabled overrides). The on/off cross-check tests and the
-  /// A/B benchmarks flip this to drive the full caller stack —
-  /// Type-I/Type-II reductions, WmcEngine, SafeEvaluator — down either
-  /// path; results must be bit-identical both ways.
-  static void SetDyadicDefaultEnabled(bool enabled);
-  static bool DyadicDefaultEnabled();
-
-  /// Attaches (or, with "", detaches) a persistent circuit store rooted at
-  /// `directory`. While attached, every in-memory miss consults the store
-  /// before compiling (read-through; hits skip compilation entirely), and
-  /// with `write_through` every fresh compile is persisted via an atomic
-  /// rename — a lost write is a lost cache entry, never a query failure.
-  /// Results are bit-identical with or without a store (loads re-verify by
-  /// exact clause comparison and fingerprint). Thread-safe; in-flight Gets
-  /// finish against the store they started with.
-  void set_store_directory(const std::string& directory,
-                           bool write_through = true);
   /// The attached store's directory, or "" when none is attached.
   std::string store_directory() const;
 
@@ -353,8 +287,6 @@ class CircuitCache {
     std::atomic<uint64_t> nodes_after_minimize{0};
     std::atomic<uint64_t> ordered_compiles{0};
     std::atomic<uint64_t> order_edges{0};
-    std::atomic<uint64_t> recorded_order_edges{0};
-    std::atomic<uint64_t> legacy_order_edges{0};
     std::atomic<uint64_t> store_hits{0};
     std::atomic<uint64_t> store_misses{0};
     std::atomic<uint64_t> store_rejected{0};
@@ -375,11 +307,8 @@ class CircuitCache {
   // it immediately would thrash). Takes stripe locks one at a time;
   // callers must hold NONE.
   void MaybeEvict(uint64_t max_bytes, uint64_t keep_from);
-  // (Re-)attaches or detaches the persistent store; the body of the legacy
-  // set_store_directory.
-  void ApplyStore(const std::string& directory, bool write_through);
   // The attached store (shared_ptr so in-flight Gets survive a concurrent
-  // set_store_directory), or nullptr.
+  // re-Configure), or nullptr.
   std::shared_ptr<const store::CircuitStore> store() const;
 
   mutable std::mutex compiler_mu_;  // guards compiler_ (shared memo + stats)
@@ -401,10 +330,8 @@ class CircuitCache {
   // the entry. Empty in production (no faults configured).
   mutable std::mutex pinned_mu_;
   std::vector<std::shared_ptr<const NnfCircuit>> pinned_;
-  std::atomic<bool> dyadic_enabled_{DyadicDefaultEnabled()};
   std::atomic<int> num_threads_{0};
-  std::atomic<OrderHeuristic> order_{DefaultOrderHeuristic()};
-  std::atomic<bool> order_baseline_recording_{false};
+  std::atomic<OrderHeuristic> order_{OrderHeuristic::kDefault};
   // The options last Configured, for options() snapshots and store change
   // detection. The hot paths never touch this — they read the atomics
   // above, which Configure keeps in sync.

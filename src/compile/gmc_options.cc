@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "compile/circuit_cache.h"
-#include "store/circuit_store.h"
 #include "util/parallel.h"
 
 namespace gmc {
@@ -100,13 +98,13 @@ bool ParseRoutingMode(const char* name, RoutingMode* out) {
 
 GmcOptions GmcOptions::FromEnv() {
   GmcOptions options;
-  options.order = DefaultOrderHeuristic();              // GMC_ORDER
-  options.store_directory = store::DefaultStorePath();  // GMC_STORE
+  ParseOrderHeuristic(std::getenv("GMC_ORDER"), &options.order);
+  if (const char* store = std::getenv("GMC_STORE")) {
+    options.store_directory = store;
+  }
   // GMC_THREADS: num_threads stays 0 — "defer to the process default" is
   // the existing contract, and util/parallel resolves that default from
   // GMC_THREADS (or a SetDefaultNumThreads override) at use time.
-  options.num_threads = 0;
-  options.dyadic_enabled = CircuitCache::DyadicDefaultEnabled();
   ParseRoutingMode(std::getenv("GMC_ROUTING"), &options.routing_mode);
   EnvU64("GMC_BUDGET_NODES", &options.compile_budget.max_nodes);
   EnvU64("GMC_BUDGET_CALLS", &options.compile_budget.max_calls);

@@ -1,15 +1,11 @@
 // GmcOptions — the one configuration surface of the evaluation stack.
 //
-// Every knob added since the batch-evaluation work (threads, Shannon
-// order, dyadic routing, persistent store) had been copy-pasted as
-// parallel set_* setters across CircuitCache / SafeEvaluator / WmcEngine /
-// GfomcSession; the anytime tier would have added five more (ε, δ, compile
-// budget, sample cap, routing mode). This header replaces that pattern
-// with a single value struct: CircuitCache and GfomcSession each expose
-// one Configure(const GmcOptions&) that applies the fields it understands,
-// the legacy setters survive as thin wrappers over Configure, and every
-// environment default (GMC_THREADS / GMC_ORDER / GMC_STORE) is resolved in
-// exactly one place, GmcOptions::FromEnv().
+// CircuitCache and GfomcSession each expose one
+// Configure(const GmcOptions&) that applies the fields it understands, and
+// every environment default is read in exactly one place,
+// GmcOptions::FromEnv(). The only other knob is the process-wide worker
+// default of util/parallel.h (GMC_THREADS / SetDefaultNumThreads), which
+// num_threads = 0 defers to.
 //
 // The struct lives at the compile layer (the lowest consumer is
 // CircuitCache) and is plain data — copying is cheap, and a caller can
@@ -86,7 +82,7 @@ const char* RoutingModeName(RoutingMode mode);
 bool ParseRoutingMode(const char* name, RoutingMode* out);
 
 /// The unified option set. Field groups, with their consumers:
-///   CircuitCache:  num_threads, order, dyadic_enabled, store_directory,
+///   CircuitCache:  num_threads, order, store_directory,
 ///                  store_write_through, store_self_heal,
 ///                  max_resident_bytes
 ///   GfomcSession:  all of the above, applied to its one cache, plus
@@ -107,9 +103,6 @@ struct GmcOptions {
   /// Shannon-order heuristic for newly compiled circuits (circuit size
   /// only; results are bit-identical under every heuristic).
   OrderHeuristic order = OrderHeuristic::kDefault;
-  /// Dyadic fast-path routing for all-power-of-two-denominator batches
-  /// (bit-identical either way; the knob exists for A/B cross-checks).
-  bool dyadic_enabled = true;
   /// Persistent circuit store root ("" = no store), read-through on every
   /// compile miss and — when store_write_through — write-through on every
   /// fresh compile.
@@ -169,8 +162,9 @@ struct GmcOptions {
   /// degrade to store read-through hits, not recompiles.
   uint64_t max_resident_bytes = 0;
 
-  /// The process-environment defaults, resolved in one place: GMC_ORDER →
-  /// order, GMC_STORE → store_directory, GMC_THREADS → (deliberately) a
+  /// The process-environment defaults, read afresh on every call:
+  /// GMC_ORDER → order (default/minfill/balanced; anything else keeps
+  /// kDefault), GMC_STORE → store_directory, GMC_THREADS → (deliberately) a
   /// num_threads of 0, because 0 already means "defer to the process
   /// default", which util/parallel resolves from GMC_THREADS at use time —
   /// keeping late SetDefaultNumThreads overrides effective. Routing knobs:

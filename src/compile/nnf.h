@@ -229,13 +229,6 @@ class NnfCircuit {
       const WeightMatrix& weights, int num_threads = 0,
       const CancelToken* cancel = nullptr) const;
 
-  /// Process-wide A/B knob for the fixed-width dyadic kernels (on by
-  /// default). Off forces every dyadic batch through the BigInt arena;
-  /// results are bit-identical either way — the knob exists for the
-  /// cross-check tests and benchmarks, not for correctness.
-  static void SetFixedWidthDefaultEnabled(bool enabled);
-  static bool FixedWidthDefaultEnabled();
-
   /// The flat, pointer-free form of this circuit — the layout the walk
   /// core (nnf_walk.h) evaluates and the circuit store persists. One
   /// linear copy; every evaluation entry point above flattens once and

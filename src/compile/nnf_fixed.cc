@@ -28,7 +28,6 @@
 // thread counts.
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -44,8 +43,6 @@
 namespace gmc {
 
 namespace {
-
-std::atomic<bool> g_fixed_width_default_enabled{true};
 
 // Exponent saturation cap: far above any width the fixed kernels accept,
 // far below uint64 wraparound even when summed over a whole circuit.
@@ -280,14 +277,6 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
 
 }  // namespace
 
-void NnfCircuit::SetFixedWidthDefaultEnabled(bool enabled) {
-  g_fixed_width_default_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool NnfCircuit::FixedWidthDefaultEnabled() {
-  return g_fixed_width_default_enabled.load(std::memory_order_relaxed);
-}
-
 std::vector<Rational> WalkEvaluateBatchDyadic(const CircuitWalkView& view,
                                               const WeightMatrix& weights,
                                               int num_threads,
@@ -305,7 +294,7 @@ std::vector<Rational> WalkEvaluateBatchDyadic(const CircuitWalkView& view,
 
   // The fixed kernels' probability invariant needs weights in [0, 1];
   // anything else (legal for plain WMC) keeps the BigInt arena.
-  bool unit_range = NnfCircuit::FixedWidthDefaultEnabled();
+  bool unit_range = true;
   std::vector<uint64_t> var_exp(static_cast<size_t>(num_vars), 0);
   for (int v = 0; v < num_vars && unit_range; ++v) {
     const Rational* column = weights.Column(v);

@@ -137,8 +137,9 @@ uint64_t WalkFingerprint(const CircuitWalkView& view);
 
 namespace walk_internal {
 /// The BigInt Dyadic arena pass — exact at any exponent, the fallback of
-/// the fixed-width routing in nnf_fixed.cc. Exposed here only so the two
-/// walk translation units can share it.
+/// the fixed-width routing in nnf_fixed.cc. Exposed here so the two walk
+/// translation units can share it, and so tests and benchmarks can run the
+/// arena directly as the reference for the fixed-width kernels.
 std::vector<Rational> WalkEvaluateBatchDyadicBig(
     const CircuitWalkView& view, const WeightMatrix& weights, int num_threads,
     const CancelToken* cancel = nullptr);

@@ -1,10 +1,7 @@
 #include "compile/vtree.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "logic/incidence.h"
 #include "util/check.h"
@@ -34,36 +31,6 @@ bool ParseOrderHeuristic(const char* name, OrderHeuristic* out) {
     }
   }
   return false;
-}
-
-namespace internal {
-OrderHeuristic ParseOrderSpec(const char* spec) {
-  OrderHeuristic order = OrderHeuristic::kDefault;
-  ParseOrderHeuristic(spec, &order);
-  return order;
-}
-}  // namespace internal
-
-namespace {
-std::atomic<OrderHeuristic>& DefaultOrderSlot() {
-  // Initialized from GMC_ORDER exactly once, before the first read; the
-  // std::once_flag (not the atomic) carries the happens-before edge.
-  static std::atomic<OrderHeuristic> slot{OrderHeuristic::kDefault};
-  static std::once_flag init;
-  std::call_once(init, [] {
-    slot.store(internal::ParseOrderSpec(std::getenv("GMC_ORDER")),
-               std::memory_order_relaxed);
-  });
-  return slot;
-}
-}  // namespace
-
-OrderHeuristic DefaultOrderHeuristic() {
-  return DefaultOrderSlot().load(std::memory_order_relaxed);
-}
-
-void SetDefaultOrderHeuristic(OrderHeuristic order) {
-  DefaultOrderSlot().store(order, std::memory_order_relaxed);
 }
 
 int Vtree::AddLeaf(int var) {

@@ -50,20 +50,6 @@ const char* OrderHeuristicName(OrderHeuristic order);
 /// and leaves *out untouched on unknown or null input.
 bool ParseOrderHeuristic(const char* name, OrderHeuristic* out);
 
-/// Process-wide default heuristic for newly constructed CircuitCaches:
-/// the GMC_ORDER environment variable (read once; unknown values mean
-/// kDefault), unless SetDefaultOrderHeuristic overrode it. Thread-safe.
-OrderHeuristic DefaultOrderHeuristic();
-/// Overrides the process default (tests and whole-process A/B runs;
-/// per-instance CircuitCache::set_order takes precedence as usual).
-void SetDefaultOrderHeuristic(OrderHeuristic order);
-
-namespace internal {
-/// GMC_ORDER parser, exposed for tests: kDefault on null, empty, or
-/// unknown input.
-OrderHeuristic ParseOrderSpec(const char* spec);
-}  // namespace internal
-
 /// A vtree: full binary tree over the occurring variables of one CNF,
 /// plus the decision ranks its dissection induces. Value type — no
 /// internal sharing; safe to copy and to read concurrently. Building is

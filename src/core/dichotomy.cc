@@ -130,28 +130,12 @@ GmcOptions GfomcSession::options() const {
   return options_;
 }
 
-void GfomcSession::set_num_threads(int num_threads) {
-  GmcOptions next = options();
-  next.num_threads = num_threads;
-  Configure(next);
-}
-
-void GfomcSession::set_order(OrderHeuristic order) {
-  GmcOptions next = options();
-  next.order = order;
-  Configure(next);
-}
-
 void GfomcSession::set_store_directory(const std::string& directory,
                                        bool write_through) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    options_.store_directory = directory;
-    options_.store_write_through = write_through;
-  }
-  // Through the cache's own setter (not Configure) so a repeated call with
-  // the same directory still forces a fresh scan — the legacy contract.
-  circuits_.set_store_directory(directory, write_through);
+  GmcOptions next = options();
+  next.store_directory = directory;
+  next.store_write_through = write_through;
+  Configure(next);
 }
 
 GmcStatus GfomcSession::EvaluateAnswer(const Query& query, const Tid& tid,
@@ -232,7 +216,8 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // token covers the call — compile probes, circuit passes, and sampling
   // all poll it; 0 ms means none, and every poll site reduces to one
   // pointer comparison. Instances the sampler answers share the plan
-  // cache, so same-structure tids pay one plan build (sampler_batches).
+  // cache, so same-structure tids pay one plan build (plan_hits), and a
+  // call with any sampled instance counts once in sampler_batches.
   const RoutingPolicy policy(request);
   const CancelToken deadline(request.deadline_ms);
   KarpLubyParams sampler;

@@ -192,8 +192,9 @@ class RoutingPolicy {
 //
 // Thread safety: calls serialize on a session mutex (the lifted plan's and
 // the session's counters are not concurrency-safe); throughput within a
-// call comes from the column-parallel passes underneath (set_num_threads),
-// and the CircuitCache is itself striped-lock thread-safe.
+// call comes from the column-parallel passes underneath
+// (GmcOptions::num_threads), and the CircuitCache is itself striped-lock
+// thread-safe.
 class GfomcSession {
  public:
   struct Stats {
@@ -274,27 +275,14 @@ class GfomcSession {
 
   // One-call configuration (see compile/gmc_options.h): applies the
   // cache-level fields to the session's CircuitCache and keeps the rest
-  // for evaluation. New sessions start from GmcOptions::FromEnv(). The
-  // set_* setters below are thin wrappers.
+  // for evaluation. New sessions start from GmcOptions::FromEnv().
   void Configure(const GmcOptions& options);
   GmcOptions options() const;
 
-  // Worker bound for the batched circuit passes: 0 (the default) defers to
-  // the process default — GMC_THREADS, else the hardware thread count
-  // (util/parallel.h) — 1 forces serial, n allows at most n column slices.
-  // Results are bit-identical at every setting.
-  void set_num_threads(int num_threads);
-
-  // Shannon-order heuristic for every circuit this session compiles (new
-  // sessions start from GMC_ORDER via DefaultOrderHeuristic). Circuit size
-  // only — probabilities are bit-identical under every setting.
-  void set_order(OrderHeuristic order);
-
-  // Persistent circuit store for the cache (see
-  // CircuitCache::set_store_directory): read-through on every compile
-  // miss, write-through for every fresh compile. New sessions start from
-  // GMC_STORE; this overrides per session. Results are bit-identical with
-  // or without a store.
+  // Shorthand for Configure with store_directory and store_write_through
+  // replaced: read-through on every compile miss, write-through (when on)
+  // for every fresh compile. Results are bit-identical with or without a
+  // store.
   void set_store_directory(const std::string& directory,
                            bool write_through = true);
   // Flushes every circuit the cache holds into `directory` (the graceful-

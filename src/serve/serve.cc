@@ -35,14 +35,6 @@ bool AllDigits(const std::string& s) {
   return true;
 }
 
-// Small non-negative integer ("0".."999999999"), for domain sizes and
-// constant ids. Bounded length so no overflow path exists at all.
-bool ParseSmallInt(const std::string& token, int* out) {
-  if (!AllDigits(token) || token.size() > 9) return false;
-  *out = std::stoi(token);
-  return true;
-}
-
 std::vector<std::string> SplitWords(const std::string& line) {
   std::vector<std::string> words;
   std::istringstream in(line);
@@ -74,6 +66,12 @@ bool ParseProbability(const std::string& token, Rational* out) {
   Rational value = Rational::FromString(num) / denominator;
   if (value > Rational::One()) return false;
   return (*out = std::move(value), true);
+}
+
+bool ParseSmallInt(const std::string& token, int* out) {
+  if (!AllDigits(token) || token.size() > 9) return false;
+  *out = std::stoi(token);
+  return true;
 }
 
 }  // namespace internal
@@ -129,7 +127,8 @@ bool GmcServer::Start(std::string* error) {
     return false;
   }
 
-  session_.set_num_threads(options_.num_threads);
+  GmcOptions session_options = session_.options();
+  session_options.num_threads = options_.num_threads;
   if (!options_.store_directory.empty()) {
     // Recovery BEFORE attach/warm: quarantine torn or corrupt entries and
     // sweep dead writers' temp files, so the warm start below only ever
@@ -141,10 +140,12 @@ bool GmcServer::Start(std::string* error) {
                                  std::memory_order_relaxed);
     stats_.scrub_orphans.fetch_add(scrub.orphan_tmps_removed,
                                    std::memory_order_relaxed);
-    session_.set_store_directory(options_.store_directory);
-    if (options_.warm_start) {
-      session_.WarmCircuitsFrom(options_.store_directory);
-    }
+    session_options.store_directory = options_.store_directory;
+    session_options.store_write_through = true;
+  }
+  session_.Configure(session_options);
+  if (!options_.store_directory.empty() && options_.warm_start) {
+    session_.WarmCircuitsFrom(options_.store_directory);
   }
 
   // The governor's capacity defaults to the admission limit: "the queue
@@ -437,7 +438,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
   // Optional end-to-end deadline, directly after <id> on both verbs.
   if (words.size() > first && words[first].rfind("deadline=", 0) == 0) {
     int deadline_ms = 0;
-    if (!ParseSmallInt(words[first].substr(9), &deadline_ms)) {
+    if (!internal::ParseSmallInt(words[first].substr(9), &deadline_ms)) {
       parse_error("deadline must be a non-negative integer (milliseconds)");
       return;
     }
@@ -538,8 +539,8 @@ std::optional<Tid> GmcServer::ParseTidSpec(
   }
   int num_left = 0;
   int num_right = 0;
-  if (!ParseSmallInt(words[first], &num_left) ||
-      !ParseSmallInt(words[first + 1], &num_right) ||
+  if (!internal::ParseSmallInt(words[first], &num_left) ||
+      !internal::ParseSmallInt(words[first + 1], &num_right) ||
       num_left > options_.max_domain || num_right > options_.max_domain) {
     return (*detail = "domain sides must be integers in [0, " +
                       std::to_string(options_.max_domain) + "]",
@@ -578,9 +579,9 @@ std::optional<Tid> GmcServer::ParseTidSpec(
     int u = 0;
     int v = 0;
     const bool unary = comma == std::string::npos;
-    if (unary ? !ParseSmallInt(args, &u)
-              : (!ParseSmallInt(args.substr(0, comma), &u) ||
-                 !ParseSmallInt(args.substr(comma + 1), &v))) {
+    if (unary ? !internal::ParseSmallInt(args, &u)
+              : (!internal::ParseSmallInt(args.substr(0, comma), &u) ||
+                 !internal::ParseSmallInt(args.substr(comma + 1), &v))) {
       return (*detail = "bad constants in '" + token + "'", std::nullopt);
     }
     // Range-check BEFORE touching the Tid: its setters abort on bad keys,

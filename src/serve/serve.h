@@ -145,8 +145,8 @@ struct GmcServerOptions {
   /// Largest accepted per-request domain side — a line of text must not
   /// be able to demand an arbitrarily large grounding.
   int max_domain = 256;
-  /// Worker bound for the session's batch passes (GfomcSession::
-  /// set_num_threads semantics; 0 = process default).
+  /// Worker bound for the session's batch passes (GmcOptions::num_threads
+  /// semantics; 0 = process default).
   int num_threads = 0;
   /// Optional circuit store: attached read-through + write-through on
   /// Start, warm-started from (if warm_start) and flushed to on Stop.
@@ -215,8 +215,8 @@ class GmcServer {
 
   /// One coherent picture of the whole serving stack, taken in a single
   /// call: the serving-layer counters plus the session's evaluation/tier/
-  /// cache/store counters. STATS lines and the docs/SERVING.md key list
-  /// are both generated from this one struct, so they cannot drift apart.
+  /// cache/store counters. STATS lines are generated from this struct;
+  /// the docs/SERVING.md key list is maintained by hand beside it.
   struct StatsSnapshot {
     Stats server;
     GfomcSession::Stats session;
@@ -367,6 +367,11 @@ namespace internal {
 /// untrusted; Rational::FromString aborts). Accepts only canonical
 /// non-negative rationals with value in [0, 1].
 bool ParseProbability(const std::string& token, Rational* out);
+/// Digit-only small non-negative integer ("0".."999999999"): no sign, no
+/// whitespace, no suffix, at most nine digits, so no overflow path exists.
+/// Parses the wire's domain sizes, constant ids and deadlines, and
+/// gmc_serve's numeric flags.
+bool ParseSmallInt(const std::string& token, int* out);
 }  // namespace internal
 
 }  // namespace serve

@@ -4,9 +4,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "store/circuit_format.h"
@@ -26,33 +24,7 @@ std::string HashFileName(uint64_t hash) {
   return name + kFileExtension;
 }
 
-// Process-wide default store directory: GMC_STORE, read once, overridable
-// for tests. Same shape as the GMC_ORDER plumbing (compile/vtree.cc).
-std::mutex g_default_store_mu;
-std::string* g_default_store_path = nullptr;
-bool g_default_store_initialized = false;
-
 }  // namespace
-
-std::string DefaultStorePath() {
-  std::lock_guard<std::mutex> lock(g_default_store_mu);
-  if (!g_default_store_initialized) {
-    const char* env = std::getenv("GMC_STORE");
-    g_default_store_path = new std::string(env != nullptr ? env : "");
-    g_default_store_initialized = true;
-  }
-  return *g_default_store_path;
-}
-
-void SetDefaultStorePath(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_default_store_mu);
-  if (g_default_store_path == nullptr) {
-    g_default_store_path = new std::string(path);
-  } else {
-    *g_default_store_path = path;
-  }
-  g_default_store_initialized = true;
-}
 
 bool EnsureDirectory(const std::string& path, std::string* error) {
   if (path.empty()) {

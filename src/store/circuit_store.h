@@ -75,13 +75,6 @@ class CircuitStore {
   std::string directory_;
 };
 
-/// The GMC_STORE environment knob, read once per process (mirrors
-/// GMC_ORDER's plumbing in compile/vtree.h): the store directory newly
-/// constructed CircuitCaches attach read-through + write-through, or ""
-/// for no store. SetDefaultStorePath overrides it (tests).
-std::string DefaultStorePath();
-void SetDefaultStorePath(const std::string& path);
-
 /// mkdir -p. Returns false with *error on failure (EEXIST is success).
 bool EnsureDirectory(const std::string& path, std::string* error);
 

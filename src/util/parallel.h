@@ -41,8 +41,9 @@ inline constexpr int kMaxThreads = 256;
 // Always >= 1; 1 means every batch pass runs serially.
 int DefaultNumThreads();
 // Overrides the process default (0 restores env/hardware resolution).
-// GfomcSession::set_num_threads and CircuitCache::set_num_threads override
-// per instance; this is the knob for whole-process A/B runs and tests.
+// GmcOptions::num_threads overrides per cache or session; this is the knob
+// for whole-process A/B runs, tests, and callers that build their own
+// caches (VerifyMobiusInversion).
 void SetDefaultNumThreads(int num_threads);
 
 class ThreadPool {

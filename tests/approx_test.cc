@@ -18,6 +18,7 @@
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
+#include "scoped_env.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/rational.h"
@@ -108,7 +109,9 @@ TEST(IntervalEvalTest, EnclosesExactAcrossCorpusOrdersAndThreads) {
            {OrderHeuristic::kDefault, OrderHeuristic::kMinFill,
             OrderHeuristic::kBalanced}) {
         CircuitCache cache;
-        cache.set_order(order);
+        GmcOptions options = cache.options();
+        options.order = order;
+        cache.Configure(options);
         const NnfCircuit& circuit = cache.Get(lineage.cnf);
         const Rational exact = circuit.EvaluateBatch(weights, 1)[0];
         for (int threads : {1, 8}) {
@@ -311,7 +314,6 @@ TEST(GmcOptionsTest, ConfigureRoundTripsThroughTheStack) {
   GmcOptions options;
   options.num_threads = 3;
   options.order = OrderHeuristic::kMinFill;
-  options.dyadic_enabled = false;
   options.routing_mode = RoutingMode::kInterval;
   options.compile_budget.max_calls = 123;
   options.epsilon = 0.25;
@@ -323,7 +325,6 @@ TEST(GmcOptionsTest, ConfigureRoundTripsThroughTheStack) {
   cache.Configure(options);
   EXPECT_EQ(cache.options().num_threads, 3);
   EXPECT_EQ(cache.options().order, OrderHeuristic::kMinFill);
-  EXPECT_FALSE(cache.options().dyadic_enabled);
 
   GfomcSession session;
   session.Configure(options);
@@ -337,41 +338,67 @@ TEST(GmcOptionsTest, ConfigureRoundTripsThroughTheStack) {
   EXPECT_EQ(got.num_threads, 3);
 }
 
-TEST(GmcOptionsTest, LegacySettersAreThinWrappers) {
-  GfomcSession by_setter;
-  by_setter.set_num_threads(2);
-  by_setter.set_order(OrderHeuristic::kBalanced);
-
-  GfomcSession by_configure;
-  GmcOptions options = by_configure.options();
-  options.num_threads = 2;
-  options.order = OrderHeuristic::kBalanced;
-  by_configure.Configure(options);
-
-  EXPECT_EQ(by_setter.options().num_threads,
-            by_configure.options().num_threads);
-  EXPECT_EQ(by_setter.options().order, by_configure.options().order);
-}
-
 TEST(GmcOptionsTest, FromEnvReadsTheRoutingKnobs) {
-  ::setenv("GMC_ROUTING", "sample", 1);
-  ::setenv("GMC_BUDGET_CALLS", "77", 1);
-  ::setenv("GMC_EPSILON", "0.125", 1);
-  ::setenv("GMC_MAX_SAMPLES", "1000", 1);
-  const GmcOptions options = GmcOptions::FromEnv();
-  ::unsetenv("GMC_ROUTING");
-  ::unsetenv("GMC_BUDGET_CALLS");
-  ::unsetenv("GMC_EPSILON");
-  ::unsetenv("GMC_MAX_SAMPLES");
-  EXPECT_EQ(options.routing_mode, RoutingMode::kSample);
-  EXPECT_EQ(options.compile_budget.max_calls, 77u);
-  EXPECT_EQ(options.epsilon, 0.125);
-  EXPECT_EQ(options.max_samples, 1000u);
-  // Unset again: back to the struct defaults.
+  // Every variable of the docs/ANYTIME.md option table.
+  const char* const kVariables[] = {
+      "GMC_THREADS",        "GMC_ORDER",         "GMC_STORE",
+      "GMC_ROUTING",        "GMC_BUDGET_NODES",  "GMC_BUDGET_CALLS",
+      "GMC_BUDGET_MS",      "GMC_EPSILON",       "GMC_DELTA",
+      "GMC_MAX_SAMPLES",    "GMC_SEED",          "GMC_SAMPLE_THREADS",
+      "GMC_PLAN_ENTRIES",   "GMC_DEADLINE_MS",   "GMC_CACHE_BYTES",
+      "GMC_STORE_SELF_HEAL"};
+  ScopedEnv env;
+  for (const char* name : kVariables) env.Set(name, nullptr);
+  // All unset: the struct defaults.
   const GmcOptions defaults = GmcOptions::FromEnv();
+  EXPECT_EQ(defaults.order, OrderHeuristic::kDefault);
+  EXPECT_EQ(defaults.store_directory, "");
   EXPECT_EQ(defaults.routing_mode, RoutingMode::kAuto);
-  EXPECT_EQ(defaults.compile_budget.max_calls,
-            DefaultCompileBudget().max_calls);
+  EXPECT_EQ(defaults.compile_budget, DefaultCompileBudget());
+  EXPECT_EQ(defaults.deadline_ms, 0u);
+  EXPECT_EQ(defaults.max_resident_bytes, 0u);
+  EXPECT_TRUE(defaults.store_self_heal);
+
+  env.Set("GMC_THREADS", "3");
+  env.Set("GMC_ORDER", "minfill");
+  env.Set("GMC_STORE", "/nonexistent/gmc_store");
+  env.Set("GMC_ROUTING", "sample");
+  env.Set("GMC_BUDGET_NODES", "11");
+  env.Set("GMC_BUDGET_CALLS", "77");
+  env.Set("GMC_BUDGET_MS", "5");
+  env.Set("GMC_EPSILON", "0.125");
+  env.Set("GMC_DELTA", "0.25");
+  env.Set("GMC_MAX_SAMPLES", "1000");
+  env.Set("GMC_SEED", "99");
+  env.Set("GMC_SAMPLE_THREADS", "3");
+  env.Set("GMC_PLAN_ENTRIES", "5");
+  env.Set("GMC_DEADLINE_MS", "250");
+  env.Set("GMC_CACHE_BYTES", "4096");
+  env.Set("GMC_STORE_SELF_HEAL", "off");
+  const GmcOptions options = GmcOptions::FromEnv();
+  // GMC_THREADS is resolved by util/parallel at use time, not here.
+  EXPECT_EQ(options.num_threads, 0);
+  EXPECT_EQ(options.order, OrderHeuristic::kMinFill);
+  EXPECT_EQ(options.store_directory, "/nonexistent/gmc_store");
+  EXPECT_EQ(options.routing_mode, RoutingMode::kSample);
+  EXPECT_EQ(options.compile_budget.max_nodes, 11u);
+  EXPECT_EQ(options.compile_budget.max_calls, 77u);
+  EXPECT_EQ(options.compile_budget.max_millis, 5u);
+  EXPECT_EQ(options.epsilon, 0.125);
+  EXPECT_EQ(options.delta, 0.25);
+  EXPECT_EQ(options.max_samples, 1000u);
+  EXPECT_EQ(options.sample_seed, 99u);
+  EXPECT_EQ(options.sample_threads, 3);
+  EXPECT_EQ(options.sample_plan_entries, 5u);
+  EXPECT_EQ(options.deadline_ms, 250u);
+  EXPECT_EQ(options.max_resident_bytes, 4096u);
+  EXPECT_FALSE(options.store_self_heal);
+
+  // Read afresh on every call: an unknown order name keeps the default.
+  env.Set("GMC_ORDER", "bogus");
+  EXPECT_EQ(GmcOptions::FromEnv().order, OrderHeuristic::kDefault);
+  env.Set("GMC_ORDER", "balanced");
+  EXPECT_EQ(GmcOptions::FromEnv().order, OrderHeuristic::kBalanced);
 }
 
 TEST(RoutingPolicyTest, TierSelectionPins) {

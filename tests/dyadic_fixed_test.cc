@@ -15,6 +15,7 @@
 #include "compile/circuit_cache.h"
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "compile/nnf_walk.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "lineage/grounder.h"
@@ -26,13 +27,6 @@
 
 namespace gmc {
 namespace {
-
-struct KnobGuard {
-  ~KnobGuard() {
-    NnfCircuit::SetFixedWidthDefaultEnabled(true);
-    CircuitCache::SetDyadicDefaultEnabled(true);
-  }
-};
 
 Query H1() {
   return ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
@@ -234,7 +228,6 @@ struct GadgetFixture {
 };
 
 TEST(FixedWidthBatchTest, Uint64ClassMatchesRationalBitIdentically) {
-  KnobGuard guard;
   GadgetFixture gadget(3, 2);  // 31 lineage variables
   WeightMatrix weights = gadget.Grid(24, /*exponent=*/2);  // bound ≈ 62
   DyadicBatchStats stats;
@@ -247,7 +240,6 @@ TEST(FixedWidthBatchTest, Uint64ClassMatchesRationalBitIdentically) {
 }
 
 TEST(FixedWidthBatchTest, Uint128ClassMatchesRationalBitIdentically) {
-  KnobGuard guard;
   GadgetFixture gadget(5, 5);  // 75 lineage variables
   WeightMatrix weights = gadget.Grid(24, /*exponent=*/1);  // bound ≈ 75
   DyadicBatchStats stats;
@@ -260,7 +252,6 @@ TEST(FixedWidthBatchTest, Uint128ClassMatchesRationalBitIdentically) {
 }
 
 TEST(FixedWidthBatchTest, WideExponentsFallBackToBigInt) {
-  KnobGuard guard;
   GadgetFixture gadget(5, 5);
   WeightMatrix weights = gadget.Grid(8, /*exponent=*/7);  // bound ≈ 525
   DyadicBatchStats stats;
@@ -273,7 +264,6 @@ TEST(FixedWidthBatchTest, WideExponentsFallBackToBigInt) {
 }
 
 TEST(FixedWidthBatchTest, MixedPrecisionSplitsPerColumn) {
-  KnobGuard guard;
   // A small chain circuit (exponent depth 3) where half the columns use
   // 1/2-grid weights (bound 3 — fits uint64) and half use 2^43
   // denominators (bound 129 — needs BigInt): the batch-wide bound spills,
@@ -311,7 +301,6 @@ TEST(FixedWidthBatchTest, MixedPrecisionSplitsPerColumn) {
 }
 
 TEST(FixedWidthBatchTest, NonUnitWeightsUseBigIntAndStillAgree) {
-  KnobGuard guard;
   // Weights above one (legal for plain WMC) violate the probability
   // invariant the fixed kernels rely on — the router must detect that and
   // keep the exact BigInt arena.
@@ -334,29 +323,24 @@ TEST(FixedWidthBatchTest, NonUnitWeightsUseBigIntAndStillAgree) {
   EXPECT_EQ(dyadic, circuit.EvaluateBatch(weights, 1));
 }
 
-TEST(FixedWidthBatchTest, KnobOffForcesBigIntWithIdenticalResults) {
-  KnobGuard guard;
+TEST(FixedWidthBatchTest, FixedWidthMatchesTheBigIntArena) {
   GadgetFixture gadget(3, 2);
   WeightMatrix weights = gadget.Grid(16, /*exponent=*/2);
-  DyadicBatchStats on_stats;
-  const std::vector<Rational> on =
-      gadget.circuit.EvaluateBatchDyadic(weights, 1, &on_stats);
-  EXPECT_EQ(on_stats.fixed64_vectors, 16);
-  NnfCircuit::SetFixedWidthDefaultEnabled(false);
-  DyadicBatchStats off_stats;
-  const std::vector<Rational> off =
-      gadget.circuit.EvaluateBatchDyadic(weights, 1, &off_stats);
-  EXPECT_EQ(off_stats.bigint_vectors, 16);
-  EXPECT_EQ(off_stats.fixed64_vectors + off_stats.fixed128_vectors, 0);
-  EXPECT_EQ(on, off);
-  NnfCircuit::SetFixedWidthDefaultEnabled(true);
+  DyadicBatchStats stats;
+  const std::vector<Rational> fixed =
+      gadget.circuit.EvaluateBatchDyadic(weights, 1, &stats);
+  EXPECT_EQ(stats.fixed64_vectors, 16);
+  EXPECT_EQ(stats.bigint_vectors, 0);
+  EXPECT_EQ(fixed, walk_internal::WalkEvaluateBatchDyadicBig(
+                       gadget.circuit.Flatten().view(), weights, 1));
 }
 
 TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
-  KnobGuard guard;
   GadgetFixture gadget(3, 2);
   CircuitCache cache;
-  cache.set_num_threads(1);
+  GmcOptions options = cache.options();
+  options.num_threads = 1;
+  cache.Configure(options);
   std::vector<Lineage> lineages;
   for (int i = 0; i < 5; ++i) lineages.push_back(gadget.lineage);
   std::vector<Rational> results = cache.ProbabilityBatch(lineages);
@@ -370,7 +354,6 @@ TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
 }
 
 TEST(FixedWidthBatchTest, RandomCircuitsAgreeAcrossAllPaths) {
-  KnobGuard guard;
   std::mt19937_64 rng(616);
   Compiler compiler;
   for (int trial = 0; trial < 20; ++trial) {
@@ -402,10 +385,10 @@ TEST(FixedWidthBatchTest, RandomCircuitsAgreeAcrossAllPaths) {
     const std::vector<Rational> rational = circuit.EvaluateBatch(weights, 1);
     EXPECT_EQ(circuit.EvaluateBatchDyadic(weights, 1), rational)
         << "trial " << trial;
-    NnfCircuit::SetFixedWidthDefaultEnabled(false);
-    EXPECT_EQ(circuit.EvaluateBatchDyadic(weights, 1), rational)
+    EXPECT_EQ(walk_internal::WalkEvaluateBatchDyadicBig(
+                  circuit.Flatten().view(), weights, 1),
+              rational)
         << "trial " << trial;
-    NnfCircuit::SetFixedWidthDefaultEnabled(true);
   }
 }
 

@@ -6,7 +6,8 @@
 //      the batch normalization helpers;
 //   2. EvaluateBatchDyadic vs EvaluateBatch exact (bit-identical) equality
 //      on random CNFs and on the Type I / Type II gadget lineages, and the
-//      automatic CircuitCache routing with the feature on and off;
+//      automatic CircuitCache routing through every production caller,
+//      checked against independent exact references;
 //   3. BigInt small-value-optimization boundaries (1→2→3 limb transitions,
 //      heap spill and shrink-back) and in-place aliasing (a += a, a *= a),
 //      since the in-place compound operators are new load-bearing code.
@@ -273,53 +274,43 @@ TEST(CircuitCacheRoutingTest, DyadicBatchesRouteAutomatically) {
   ASSERT_TRUE(dyadic_weights.AllDyadic());
   ASSERT_FALSE(mixed_weights.AllDyadic());
 
-  CircuitCache on;
-  ASSERT_TRUE(on.dyadic_enabled());
+  CircuitCache cache;
   const std::vector<Rational> via_dyadic =
-      on.ProbabilityBatch(cnf, dyadic_weights);
-  EXPECT_EQ(on.stats().dyadic_batches, 1u);
-  EXPECT_EQ(on.stats().dyadic_vectors, 8u);
-  const std::vector<Rational> mixed = on.ProbabilityBatch(cnf, mixed_weights);
-  EXPECT_EQ(on.stats().dyadic_batches, 1u);  // mixed batch fell back
-  EXPECT_EQ(on.stats().batch_passes, 2u);
+      cache.ProbabilityBatch(cnf, dyadic_weights);
+  EXPECT_EQ(cache.stats().dyadic_batches, 1u);
+  EXPECT_EQ(cache.stats().dyadic_vectors, 8u);
+  const std::vector<Rational> mixed =
+      cache.ProbabilityBatch(cnf, mixed_weights);
+  EXPECT_EQ(cache.stats().dyadic_batches, 1u);  // mixed batch fell back
+  EXPECT_EQ(cache.stats().batch_passes, 2u);
 
-  CircuitCache off;
-  off.set_dyadic_enabled(false);
-  EXPECT_EQ(off.ProbabilityBatch(cnf, dyadic_weights), via_dyadic);
-  EXPECT_EQ(off.ProbabilityBatch(cnf, mixed_weights), mixed);
-  EXPECT_EQ(off.stats().dyadic_batches, 0u);
+  // Both routes agree with the Rational walk.
+  const NnfCircuit& circuit = cache.Get(cnf);
+  EXPECT_EQ(via_dyadic, circuit.EvaluateBatch(dyadic_weights, 1));
+  EXPECT_EQ(mixed, circuit.EvaluateBatch(mixed_weights, 1));
 }
 
-// Feature on vs feature off through every production caller: results must
-// be bit-identical. The process-wide default drives the caches embedded in
-// the reduction oracles and evaluators.
-class DyadicOnOffTest : public ::testing::Test {
- protected:
-  ~DyadicOnOffTest() override {
-    CircuitCache::SetDyadicDefaultEnabled(true);  // restore for other tests
-  }
-};
-
-TEST_F(DyadicOnOffTest, Type1ReductionBitIdentical) {
+// The dyadic routing through every production caller — the caches
+// embedded in the reduction oracles and evaluators — against independent
+// exact references.
+TEST(DyadicRoutingTest, Type1ReductionBitIdentical) {
   Type1Reduction reduction(H1());
   P2Cnf phi = P2Cnf::Random(4, 3, /*seed=*/7);
 
-  CircuitCache::SetDyadicDefaultEnabled(true);
-  CompiledOracle oracle_on;
-  Type1ReductionResult on = reduction.Run(phi, &oracle_on);
-  EXPECT_GT(oracle_on.cache().stats().dyadic_batches, 0u);
+  CompiledOracle compiled;
+  Type1ReductionResult result = reduction.Run(phi, &compiled);
+  EXPECT_GT(compiled.cache().stats().dyadic_batches, 0u);
 
-  CircuitCache::SetDyadicDefaultEnabled(false);
-  CompiledOracle oracle_off;
-  Type1ReductionResult off = reduction.Run(phi, &oracle_off);
-  EXPECT_EQ(oracle_off.cache().stats().dyadic_batches, 0u);
+  // The structure-blind recursive WMC oracle never touches a circuit.
+  WmcOracle wmc;
+  Type1ReductionResult reference = reduction.Run(phi, &wmc);
 
-  EXPECT_EQ(on.model_count, off.model_count);
-  EXPECT_EQ(on.model_count, CountSatisfying(phi));
-  EXPECT_EQ(on.signature_counts, off.signature_counts);
+  EXPECT_EQ(result.model_count, CountSatisfying(phi));
+  EXPECT_EQ(result.model_count, reference.model_count);
+  EXPECT_EQ(result.signature_counts, reference.signature_counts);
 }
 
-TEST_F(DyadicOnOffTest, WmcEngineBatchBitIdentical) {
+TEST(DyadicRoutingTest, WmcEngineBatchBitIdentical) {
   Cnf cnf;
   cnf.num_vars = 5;
   cnf.AddClause({0, 1, 2});
@@ -328,22 +319,16 @@ TEST_F(DyadicOnOffTest, WmcEngineBatchBitIdentical) {
   std::mt19937_64 rng(2718);
   WeightMatrix weights = RandomDyadicWeights(12, 5, rng);
 
-  CircuitCache::SetDyadicDefaultEnabled(true);
-  WmcEngine engine_on;
-  const std::vector<Rational> on =
-      engine_on.CompiledProbabilityBatch(cnf, weights);
-  CircuitCache::SetDyadicDefaultEnabled(false);
-  WmcEngine engine_off;
-  const std::vector<Rational> off =
-      engine_off.CompiledProbabilityBatch(cnf, weights);
-  EXPECT_EQ(on, off);
-  // And both agree with the per-vector recursive engine.
+  WmcEngine engine;
+  const std::vector<Rational> batch =
+      engine.CompiledProbabilityBatch(cnf, weights);
+  // The per-vector recursive engine is the reference.
   for (int k = 0; k < weights.num_vectors(); ++k) {
-    EXPECT_EQ(on[k], engine_on.Probability(cnf, weights.Row(k)));
+    EXPECT_EQ(batch[k], engine.Probability(cnf, weights.Row(k)));
   }
 }
 
-TEST_F(DyadicOnOffTest, SafeEvaluateManyBitIdentical) {
+TEST(DyadicRoutingTest, SafeEvaluateManyBitIdentical) {
   // A safe query whose GFOMC instances route through the circuit cache.
   Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
   std::vector<Tid> tids;
@@ -355,25 +340,17 @@ TEST_F(DyadicOnOffTest, SafeEvaluateManyBitIdentical) {
     tids.push_back(std::move(tid));
   }
 
-  CircuitCache::SetDyadicDefaultEnabled(true);
-  CircuitCache cache_on;
-  auto on = SafeEvaluator().EvaluateMany(q, tids, cache_on);
-  ASSERT_TRUE(on.has_value());
-  EXPECT_GT(cache_on.stats().dyadic_batches, 0u);
+  CircuitCache cache;
+  auto batched = SafeEvaluator().EvaluateMany(q, tids, cache);
+  ASSERT_TRUE(batched.has_value());
+  EXPECT_GT(cache.stats().dyadic_batches, 0u);
 
-  CircuitCache::SetDyadicDefaultEnabled(false);
-  CircuitCache cache_off;
-  auto off = SafeEvaluator().EvaluateMany(q, tids, cache_off);
-  ASSERT_TRUE(off.has_value());
-  EXPECT_EQ(cache_off.stats().dyadic_batches, 0u);
-  EXPECT_EQ(*on, *off);
-
-  // Both agree with the lifted per-TID algorithm.
+  // The lifted per-TID algorithm is the reference.
   SafeEvaluator lifted;
   for (size_t i = 0; i < tids.size(); ++i) {
     auto value = lifted.Evaluate(q, tids[i]);
     ASSERT_TRUE(value.has_value());
-    EXPECT_EQ((*on)[i], *value) << "tid " << i;
+    EXPECT_EQ((*batched)[i], *value) << "tid " << i;
   }
 }
 

@@ -140,6 +140,13 @@ class OverloadTest : public ::testing::Test {
     RemoveTree(dir_);
   }
 
+  // Options attaching a cache to dir_, read-through + write-through.
+  GmcOptions StoreOptions() const {
+    GmcOptions options;
+    options.store_directory = dir_;
+    return options;
+  }
+
   std::string dir_;
 };
 
@@ -440,7 +447,7 @@ TEST_F(OverloadTest, InjectedReadFailureNeverQuarantinesHealthyFiles) {
   // it. Only durably invalid bytes quarantine.
   const Lineage lineage = TestLineage();
   CircuitCache writer;
-  writer.set_store_directory(dir_);
+  writer.Configure(StoreOptions());
   const Rational want = writer.Probability(lineage);
   const std::string path = store::CircuitStore(dir_).PathFor(lineage.cnf);
   ASSERT_TRUE(FileExists(path));
@@ -448,7 +455,7 @@ TEST_F(OverloadTest, InjectedReadFailureNeverQuarantinesHealthyFiles) {
   std::string error;
   ASSERT_TRUE(fault::Configure("store.read=1.0,seed=5", &error)) << error;
   CircuitCache reader;
-  reader.set_store_directory(dir_);
+  reader.Configure(StoreOptions());
   EXPECT_EQ(reader.Probability(lineage), want);  // recompiled, still right
   const CircuitCache::Stats stats = reader.stats();
   EXPECT_GE(stats.store_rejected, 1u);
@@ -465,7 +472,7 @@ TEST_F(OverloadTest, ReadPathSelfHealsCorruptEntries) {
   // One bad file costs ONE recompile total: the rejection quarantines it
   // and the write-through immediately re-lands a healthy entry.
   CircuitCache cache;
-  cache.set_store_directory(dir_);
+  cache.Configure(StoreOptions());
   const Rational got = cache.Probability(lineage);
   const CircuitCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.store_rejected, 1u);
@@ -476,7 +483,7 @@ TEST_F(OverloadTest, ReadPathSelfHealsCorruptEntries) {
   EXPECT_TRUE(FileExists(path));  // write-through healed the store
 
   CircuitCache healed;
-  healed.set_store_directory(dir_);
+  healed.Configure(StoreOptions());
   EXPECT_EQ(healed.Probability(lineage), got);
   EXPECT_EQ(healed.stats().store_hits, 1u);
   EXPECT_EQ(healed.stats().compiles, 0u);
@@ -563,11 +570,11 @@ TEST_F(OverloadTest, CrashMidSaveRecoveryQuarantinesAndRecompiles) {
   // And the cache recovers cleanly: one recompile, bit-identical answer,
   // store healed for the next cold process.
   CircuitCache cache;
-  cache.set_store_directory(dir_);
+  cache.Configure(StoreOptions());
   EXPECT_EQ(cache.Probability(lineage), want);
   EXPECT_EQ(cache.stats().compiles, 1u);
   CircuitCache healed;
-  healed.set_store_directory(dir_);
+  healed.Configure(StoreOptions());
   EXPECT_EQ(healed.Probability(lineage), want);
   EXPECT_EQ(healed.stats().store_hits, 1u);
 }

@@ -1,6 +1,6 @@
 // The parallel evaluation engine: thread pool mechanics, thread-count
 // invariance of the batched evaluators (bit-identical results at 1/2/8
-// threads, dyadic routing on and off, on random CNFs and the Type I / II
+// threads, on every numeric route, on random CNFs and the Type I / II
 // gadget lineages), and the thread safety of CircuitCache under a
 // concurrent hammer (exact stats accounting included). This test is the
 // primary TSAN target of the CI tsan job.
@@ -16,6 +16,7 @@
 #include "compile/circuit_cache.h"
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "compile/nnf_walk.h"
 #include "core/dichotomy.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
@@ -38,16 +39,6 @@ Query ExampleC9() {
       "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | S3(x,y)) & "
       "Ay (Ax (S3(x,y)) | Ax (S4(x,y)))");
 }
-
-// Restores the process-wide knobs this suite flips, so test order never
-// matters.
-struct KnobGuard {
-  ~KnobGuard() {
-    SetDefaultNumThreads(0);
-    NnfCircuit::SetFixedWidthDefaultEnabled(true);
-    CircuitCache::SetDyadicDefaultEnabled(true);
-  }
-};
 
 Cnf RandomCnf(std::mt19937_64& rng) {
   const int num_vars = 3 + static_cast<int>(rng() % 10);
@@ -169,7 +160,6 @@ TEST(ParallelForTest, RespectsMinGrain) {
 }
 
 TEST(DefaultNumThreadsTest, ParseAndOverride) {
-  KnobGuard guard;
   EXPECT_EQ(internal::ParseThreadsSpec(nullptr), 0);
   EXPECT_EQ(internal::ParseThreadsSpec(""), 0);
   EXPECT_EQ(internal::ParseThreadsSpec("0"), 0);
@@ -187,7 +177,6 @@ TEST(DefaultNumThreadsTest, ParseAndOverride) {
 // ------------------------------------------- thread-count invariance
 
 TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
-  KnobGuard guard;
   std::mt19937_64 rng(4242);
   Compiler compiler;
   for (int trial = 0; trial < 12; ++trial) {
@@ -213,15 +202,14 @@ TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
     }
     // The dyadic and Rational paths agree bit-for-bit as well.
     EXPECT_EQ(serial, serial_dyadic);
-    // And with the fixed-width kernels disabled, the BigInt arena agrees.
-    NnfCircuit::SetFixedWidthDefaultEnabled(false);
-    EXPECT_EQ(circuit.EvaluateBatchDyadic(weights, 8), serial_dyadic);
-    NnfCircuit::SetFixedWidthDefaultEnabled(true);
+    // And so does the BigInt arena behind the fixed-width kernels.
+    EXPECT_EQ(walk_internal::WalkEvaluateBatchDyadicBig(
+                  circuit.Flatten().view(), weights, 8),
+              serial_dyadic);
   }
 }
 
 TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
-  KnobGuard guard;
   Type1Reduction reduction(H1());
   P2Cnf phi = P2Cnf::Random(3, 2, /*seed=*/17);
   // The actual reduction TIDs ({1/2, 1} probabilities), grounded per
@@ -233,25 +221,26 @@ TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
           Ground(reduction.query(), reduction.BuildTid(phi, p1, p2)));
     }
   }
+  // The reference: the Rational walk, one lineage at a time.
   std::vector<Rational> reference;
-  for (bool dyadic : {true, false}) {
-    for (int threads : {1, 2, 8}) {
-      CircuitCache cache;
-      cache.set_dyadic_enabled(dyadic);
-      cache.set_num_threads(threads);
-      std::vector<Rational> result = cache.ProbabilityBatch(lineages);
-      if (reference.empty()) {
-        reference = result;
-      } else {
-        EXPECT_EQ(result, reference)
-            << "dyadic " << dyadic << " threads " << threads;
-      }
-    }
+  CircuitCache rational;
+  for (size_t i = 0; i < lineages.size(); ++i) {
+    reference.push_back(rational.Get(lineages[i].cnf)
+                            .EvaluateBatch(StackWeights(lineages, {i}), 1)
+                            .front());
+  }
+  for (int threads : {1, 2, 8}) {
+    CircuitCache cache;
+    GmcOptions options = cache.options();
+    options.num_threads = threads;
+    cache.Configure(options);
+    EXPECT_EQ(cache.ProbabilityBatch(lineages), reference)
+        << "threads " << threads;
+    EXPECT_EQ(cache.stats().dyadic_vectors, lineages.size());
   }
 }
 
 TEST(ThreadInvarianceTest, TypeIiMobiusInversionAcrossThreadCounts) {
-  KnobGuard guard;
   Query q = ExampleC9();
   TypeIIStructure structure = AnalyzeTypeII(q);
   Tid delta(q.vocab_ptr(), 2, 2, Rational::One());
@@ -276,6 +265,7 @@ TEST(ThreadInvarianceTest, TypeIiMobiusInversionAcrossThreadCounts) {
         << "threads " << threads;
     EXPECT_EQ(check.direct, serial.direct);
   }
+  SetDefaultNumThreads(0);  // back to env/hardware resolution
 }
 
 // ------------------------------------------------------- thread safety
@@ -300,7 +290,9 @@ TEST(CircuitCacheConcurrencyTest, HammerStatsAddUp) {
   // Per-(thread, structure) weights and their single-threaded reference
   // results, computed before the hammer starts.
   CircuitCache reference;
-  reference.set_num_threads(1);
+  GmcOptions serial = reference.options();
+  serial.num_threads = 1;
+  reference.Configure(serial);
   std::vector<std::vector<WeightMatrix>> weights;
   std::vector<std::vector<std::vector<Rational>>> expected;
   for (int t = 0; t < kThreads; ++t) {
@@ -365,9 +357,10 @@ TEST(CircuitCacheConcurrencyTest, ConcurrentGetReferencesStayValid) {
 }
 
 TEST(GfomcSessionTest, SharedSessionServesConcurrentTraffic) {
-  KnobGuard guard;
   GfomcSession session;
-  session.set_num_threads(2);
+  GmcOptions options = session.options();
+  options.num_threads = 2;
+  session.Configure(options);
   Query query = H1();
   // GFOMC instances over a 2×2 domain: every thread evaluates the same
   // sweep; the session must serialize internally and agree with a private
@@ -384,7 +377,8 @@ TEST(GfomcSessionTest, SharedSessionServesConcurrentTraffic) {
     tids.push_back(std::move(tid));
   }
   GfomcSession reference;
-  reference.set_num_threads(1);
+  options.num_threads = 1;
+  reference.Configure(options);
   std::vector<GfomcResult> expected = reference.EvaluateMany(query, tids);
 
   std::atomic<int> mismatches{0};

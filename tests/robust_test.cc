@@ -205,17 +205,19 @@ TEST(FaultTest, StoreReadFaultDegradesToARecompileWithCorrectBits) {
 
   const Query query = H1();
   const Lineage lineage = Ground(query, UniformTid(query, 3));
+  GmcOptions store_options;
+  store_options.store_directory = dir;
   Rational want;
   {
     // Populate the store via write-through.
     CircuitCache writer;
-    writer.set_store_directory(dir);
+    writer.Configure(store_options);
     want = writer.Probability(lineage.cnf, lineage.probabilities);
   }
 
   ASSERT_TRUE(fault::Configure("store.read=1,seed=1"));
   CircuitCache reader;
-  reader.set_store_directory(dir);
+  reader.Configure(store_options);
   EXPECT_EQ(reader.Probability(lineage.cnf, lineage.probabilities), want);
   // The read-through was exercised and failed; the compile covered it.
   EXPECT_GE(fault::InjectedCount(fault::Point::kStoreRead), 1u);
@@ -467,7 +469,9 @@ TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
   std::vector<Rational> want;
   {
     auto writer = std::make_unique<CircuitCache>();
-    writer->set_store_directory(store_dir);  // write-through every compile
+    GmcOptions options = writer->options();
+    options.store_directory = store_dir;  // write-through every compile
+    writer->Configure(options);
     for (const Tid& tid : tids) {
       want.push_back(writer->QueryProbability(query, tid));
     }
@@ -585,7 +589,9 @@ TEST(EvictionTest, DeadlinedCompilesLeaveTheCacheConsistent) {
 
   for (int threads : {1, 2, 8}) {
     CircuitCache cache;
-    cache.set_num_threads(threads);
+    GmcOptions options = cache.options();
+    options.num_threads = threads;
+    cache.Configure(options);
     CancelToken fired;
     fired.Cancel();
     // A pre-fired token aborts the compile deterministically (the first

@@ -767,6 +767,24 @@ TEST(ServeInternalTest, ParseProbabilityRejectsHostileTokens) {
   }
 }
 
+// The wire's integer tokens and gmc_serve's numeric flags share this
+// parser: digits only, at most nine of them.
+TEST(ServeInternalTest, ParseSmallIntRejectsSignsSuffixesAndOverflow) {
+  int out = -1;
+  for (const auto& [token, value] :
+       {std::pair<const char*, int>{"0", 0}, {"64", 64},
+        {"999999999", 999999999}}) {
+    EXPECT_TRUE(internal::ParseSmallInt(token, &out)) << token;
+    EXPECT_EQ(out, value);
+  }
+  out = 7;
+  for (const char* bad :
+       {"", "-1", "+3", "abc", "5s", " 7", "1000000000"}) {
+    EXPECT_FALSE(internal::ParseSmallInt(bad, &out)) << bad;
+  }
+  EXPECT_EQ(out, 7);  // untouched on failure
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace gmc

@@ -29,6 +29,7 @@
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
+#include "scoped_env.h"
 #include "store/circuit_format.h"
 #include "store/circuit_io.h"
 #include "store/circuit_store.h"
@@ -132,6 +133,13 @@ class StoreTest : public ::testing::Test {
     }
     ::rmdir(qdir.c_str());
     ::rmdir(dir_.c_str());
+  }
+
+  // Options attaching a cache to dir_, read-through + write-through.
+  GmcOptions StoreOptions() const {
+    GmcOptions options;
+    options.store_directory = dir_;
+    return options;
   }
 
   std::string dir_;
@@ -398,7 +406,7 @@ TEST_F(StoreTest, ReadThroughAndWriteThrough) {
   const Lineage lineage = GadgetCorpus(3).back();
 
   CircuitCache writer;
-  writer.set_store_directory(dir_);
+  writer.Configure(StoreOptions());
   EXPECT_EQ(writer.store_directory(), dir_);
   const Rational want = writer.Probability(lineage);
   {
@@ -416,7 +424,7 @@ TEST_F(StoreTest, ReadThroughAndWriteThrough) {
   // A cold process (fresh cache, same directory): the store replaces the
   // compile and the probability is bit-identical.
   CircuitCache reader;
-  reader.set_store_directory(dir_);
+  reader.Configure(StoreOptions());
   EXPECT_EQ(reader.Probability(lineage), want);
   const CircuitCache::Stats s = reader.stats();
   EXPECT_EQ(s.compiles, 0u);
@@ -432,14 +440,14 @@ TEST_F(StoreTest, RejectedEntryFallsBackToCompilation) {
   ::fclose(f);
 
   CircuitCache cache;
-  cache.set_store_directory(dir_);
+  cache.Configure(StoreOptions());
   const Rational got = cache.Probability(lineage);
   const CircuitCache::Stats s = cache.stats();
   EXPECT_EQ(s.store_rejected, 1u);
   EXPECT_EQ(s.compiles, 1u);  // fell back and recompiled
   // And the write-through healed the store: a fresh cache now hits.
   CircuitCache healed;
-  healed.set_store_directory(dir_);
+  healed.Configure(StoreOptions());
   EXPECT_EQ(healed.Probability(lineage), got);
   EXPECT_EQ(healed.stats().store_hits, 1u);
 }
@@ -497,14 +505,17 @@ TEST_F(StoreTest, WarmFromRacesLiveCompiles) {
 }
 
 TEST_F(StoreTest, GmcStoreDefaultFlowsIntoNewCaches) {
-  const std::string saved = store::DefaultStorePath();
-  store::SetDefaultStorePath(dir_);
+  ScopedEnv env;
+  env.Set("GMC_STORE", dir_.c_str());
   CircuitCache attached;
   EXPECT_EQ(attached.store_directory(), dir_);
-  store::SetDefaultStorePath("");
+  GfomcSession session;
+  EXPECT_EQ(session.options().store_directory, dir_);
+  env.Set("GMC_STORE", nullptr);
   CircuitCache detached;
   EXPECT_EQ(detached.store_directory(), "");
-  store::SetDefaultStorePath(saved);
+  // A cache keeps the store it was built with.
+  EXPECT_EQ(attached.store_directory(), dir_);
 }
 
 TEST_F(StoreTest, SessionStorePlumbing) {
@@ -517,6 +528,7 @@ TEST_F(StoreTest, SessionStorePlumbing) {
   {
     GfomcSession session;
     session.set_store_directory(dir_);
+    EXPECT_EQ(session.options().store_directory, dir_);
     want = session.Evaluate(query, tid).probability;
     EXPECT_GT(session.stats().store_misses, 0u);
   }

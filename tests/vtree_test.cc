@@ -2,10 +2,10 @@
 // results. Pins (a) structural well-formedness of the vtrees themselves,
 // (b) exact agreement of every OrderHeuristic with the recursive engine on
 // random CNFs and the paper's gadget lineages — bit-identical at every
-// thread count, dyadic routing on and off, (c) the regression guarantee
-// that kMinFill never produces a larger circuit than the legacy order on
-// the gadget corpus, and (d) the CircuitCache / GfomcSession plumbing
-// (GMC_ORDER parsing, per-cache order stats, baseline recording).
+// thread count, on the Rational and dyadic routes, (c) the regression
+// guarantee that kMinFill never produces a larger circuit than the legacy
+// order on the gadget corpus, and (d) the CircuitCache / GfomcSession
+// plumbing (GMC_ORDER parsing, per-cache order stats).
 
 #include <random>
 
@@ -21,6 +21,7 @@
 #include "logic/incidence.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
+#include "scoped_env.h"
 #include "wmc/brute_force.h"
 #include "wmc/wmc.h"
 
@@ -112,22 +113,33 @@ TEST(OrderHeuristicTest, NamesRoundTrip) {
 }
 
 TEST(OrderHeuristicTest, EnvSpecParsing) {
-  // The GMC_ORDER vocabulary: unknown or missing values mean kDefault.
-  EXPECT_EQ(internal::ParseOrderSpec("minfill"), OrderHeuristic::kMinFill);
-  EXPECT_EQ(internal::ParseOrderSpec("balanced"), OrderHeuristic::kBalanced);
-  EXPECT_EQ(internal::ParseOrderSpec("default"), OrderHeuristic::kDefault);
-  EXPECT_EQ(internal::ParseOrderSpec("bogus"), OrderHeuristic::kDefault);
-  EXPECT_EQ(internal::ParseOrderSpec(nullptr), OrderHeuristic::kDefault);
+  // The GMC_ORDER vocabulary: unknown, empty or missing values mean
+  // kDefault.
+  ScopedEnv env;
+  const std::pair<const char*, OrderHeuristic> kSpecs[] = {
+      {"minfill", OrderHeuristic::kMinFill},
+      {"balanced", OrderHeuristic::kBalanced},
+      {"default", OrderHeuristic::kDefault},
+      {"bogus", OrderHeuristic::kDefault},
+      {"", OrderHeuristic::kDefault},
+      {nullptr, OrderHeuristic::kDefault}};
+  for (const auto& [spec, order] : kSpecs) {
+    env.Set("GMC_ORDER", spec);
+    EXPECT_EQ(GmcOptions::FromEnv().order, order)
+        << (spec != nullptr ? spec : "(unset)");
+  }
 }
 
 TEST(OrderHeuristicTest, ProcessDefaultFlowsIntoNewCaches) {
-  const OrderHeuristic saved = DefaultOrderHeuristic();
-  SetDefaultOrderHeuristic(OrderHeuristic::kMinFill);
+  ScopedEnv env;
+  env.Set("GMC_ORDER", "minfill");
   CircuitCache cache;
   EXPECT_EQ(cache.order(), OrderHeuristic::kMinFill);
-  SetDefaultOrderHeuristic(saved);
+  env.Set("GMC_ORDER", nullptr);
   CircuitCache restored;
-  EXPECT_EQ(restored.order(), saved);
+  EXPECT_EQ(restored.order(), OrderHeuristic::kDefault);
+  // A cache keeps the order it was built with.
+  EXPECT_EQ(cache.order(), OrderHeuristic::kMinFill);
 }
 
 TEST(VtreeTest, FromLinearOrderIsWellFormed) {
@@ -323,48 +335,50 @@ TEST(OrderRegressionTest, MinFillNeverLargerThanDefaultOnGadgetCorpus) {
   EXPECT_LT(total_minfill, total_default);
 }
 
-TEST(CircuitCacheOrderTest, OrderStatsAndBaselineRecording) {
+CircuitCache::Stats OrderedCacheRun(OrderHeuristic order,
+                                    const Lineage& lineage,
+                                    uint64_t* edges) {
+  CircuitCache cache;
+  GmcOptions options = cache.options();
+  options.order = order;
+  cache.Configure(options);
+  EXPECT_EQ(cache.order(), order);
+  WmcEngine engine;
+  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage))
+      << OrderHeuristicName(order);
+  // Second probe: cache hit, no new compile.
+  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage));
+  *edges = cache.Get(lineage.cnf).ComputeStats().edges;
+  return cache.stats();
+}
+
+TEST(CircuitCacheOrderTest, OrderStatsCountOrderedCompiles) {
   Type1Reduction reduction(H1());
   P2Cnf phi = P2Cnf::Random(3, 2, /*seed=*/9);
   Tid tid = reduction.BuildTid(phi, 1, 2);
   Lineage lineage = Ground(reduction.query(), tid);
 
-  CircuitCache cache;
-  cache.set_order(OrderHeuristic::kMinFill);
-  cache.set_order_baseline_recording(true);
-  EXPECT_EQ(cache.order(), OrderHeuristic::kMinFill);
+  // The default order records nothing in the order counters.
+  uint64_t default_edges = 0;
+  const CircuitCache::Stats plain =
+      OrderedCacheRun(OrderHeuristic::kDefault, lineage, &default_edges);
+  EXPECT_EQ(plain.compiles, 1u);
+  EXPECT_EQ(plain.ordered_compiles, 0u);
+  EXPECT_EQ(plain.order_edges, 0u);
 
-  WmcEngine engine;
-  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage));
-  CircuitCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.compiles, 1u);
-  EXPECT_EQ(stats.ordered_compiles, 1u);
-  EXPECT_GT(stats.order_edges, 0u);
-  // Recording was on for the whole run, so every ordered edge is also a
-  // recorded one, and on this gadget the ordered circuit is strictly
-  // smaller than its legacy reference.
-  EXPECT_EQ(stats.recorded_order_edges, stats.order_edges);
-  EXPECT_LT(stats.recorded_order_edges, stats.legacy_order_edges);
-
-  // Second probe: cache hit, no new compile, stats unchanged.
-  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage));
-  EXPECT_EQ(cache.stats().ordered_compiles, 1u);
-
-  // Without baseline recording the legacy counter stays put.
-  CircuitCache plain;
-  plain.set_order(OrderHeuristic::kBalanced);
-  EXPECT_EQ(plain.Probability(lineage), engine.Probability(lineage));
-  EXPECT_EQ(plain.stats().ordered_compiles, 1u);
-  EXPECT_GT(plain.stats().order_edges, 0u);
-  EXPECT_EQ(plain.stats().recorded_order_edges, 0u);
-  EXPECT_EQ(plain.stats().legacy_order_edges, 0u);
-
-  // Default order records nothing in the order counters.
-  CircuitCache legacy;
-  legacy.set_order(OrderHeuristic::kDefault);
-  EXPECT_EQ(legacy.Probability(lineage), engine.Probability(lineage));
-  EXPECT_EQ(legacy.stats().ordered_compiles, 0u);
-  EXPECT_EQ(legacy.stats().order_edges, 0u);
+  for (OrderHeuristic order :
+       {OrderHeuristic::kMinFill, OrderHeuristic::kBalanced}) {
+    uint64_t edges = 0;
+    const CircuitCache::Stats stats = OrderedCacheRun(order, lineage, &edges);
+    EXPECT_EQ(stats.compiles, 1u);
+    EXPECT_EQ(stats.ordered_compiles, 1u);
+    EXPECT_EQ(stats.order_edges, edges);
+    // On this gadget the min-fill circuit is strictly smaller than the
+    // same structure compiled under the default order.
+    if (order == OrderHeuristic::kMinFill) {
+      EXPECT_LT(edges, default_edges);
+    }
+  }
 }
 
 TEST(GfomcSessionOrderTest, SessionResultsInvariantUnderOrder) {
@@ -380,18 +394,15 @@ TEST(GfomcSessionOrderTest, SessionResultsInvariantUnderOrder) {
       tid.SetBinary(v.Find("S"), a, b, Rational::Half());
     }
   }
-  std::vector<GfomcResult> reference;
+  const Rational reference = WmcEngine().QueryProbability(q, tid);
   for (OrderHeuristic order : kAllOrders) {
     GfomcSession session;
-    session.set_order(order);
+    GmcOptions options = session.options();
+    options.order = order;
+    session.Configure(options);
     GfomcResult result = session.Evaluate(q, tid);
-    if (reference.empty()) {
-      reference.push_back(result);
-    } else {
-      EXPECT_EQ(result.probability, reference[0].probability)
-          << OrderHeuristicName(order);
-      EXPECT_EQ(result.used_lifted, reference[0].used_lifted);
-    }
+    EXPECT_EQ(result.probability, reference) << OrderHeuristicName(order);
+    EXPECT_FALSE(result.used_lifted);
   }
 }
 

@@ -11,10 +11,13 @@
 //             [--read-idle-ms=N] [--write-timeout-ms=N] [--backlog=N]
 //             [--max-connections=N] [--max-inflight-per-conn=N]
 //
-// --max-connections defaults from the GMC_MAX_CONNECTIONS environment
-// variable (the flag wins when both are set); 0 means unlimited. Clients
-// accepted past the cap get one typed "ERR - BUSY retry_after_ms=<n>"
-// greeting and are closed.
+// Numeric values are plain decimal digits, at most nine of them; anything
+// else (a sign, a unit suffix, an empty value) prints the usage line and
+// exits 2. --max-connections defaults from the GMC_MAX_CONNECTIONS
+// environment variable (the flag wins when both are set; a malformed
+// variable keeps the default); 0 means unlimited. Clients accepted past
+// the cap get one typed "ERR - BUSY retry_after_ms=<n>" greeting and are
+// closed.
 //
 // Talk to it with any line client, e.g.:
 //   printf 'EVAL q1 2 2 1/2\nQUIT\n' | nc -U /tmp/gmc.sock
@@ -47,6 +50,16 @@ bool FlagValue(const char* arg, const char* name, std::string* value) {
   return true;
 }
 
+// A numeric flag value, through the server's digit-only wire parser.
+// Leaves *out untouched and returns false on malformed input.
+template <typename T>
+bool ParseCount(const std::string& value, T* out) {
+  int parsed = 0;
+  if (!gmc::serve::internal::ParseSmallInt(value, &parsed)) return false;
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket=PATH --query=QUERY [--store=DIR] "
@@ -68,11 +81,12 @@ int main(int argc, char** argv) {
   // Environment default for deployments that cannot edit the command line
   // (service managers with fixed unit files); the flag overrides it.
   if (const char* env = std::getenv("GMC_MAX_CONNECTIONS")) {
-    options.max_connections = static_cast<size_t>(std::atol(env));
+    ParseCount(env, &options.max_connections);
   }
 
   for (int i = 1; i < argc; ++i) {
     std::string value;
+    bool ok = true;
     if (FlagValue(argv[i], "--socket", &value)) {
       socket_path = value;
     } else if (FlagValue(argv[i], "--query", &value)) {
@@ -80,32 +94,31 @@ int main(int argc, char** argv) {
     } else if (FlagValue(argv[i], "--store", &value)) {
       options.store_directory = value;
     } else if (FlagValue(argv[i], "--threads", &value)) {
-      options.num_threads = std::atoi(value.c_str());
+      ok = ParseCount(value, &options.num_threads);
     } else if (FlagValue(argv[i], "--max-pending", &value)) {
-      options.max_pending = static_cast<size_t>(std::atol(value.c_str()));
+      ok = ParseCount(value, &options.max_pending);
     } else if (FlagValue(argv[i], "--max-domain", &value)) {
-      options.max_domain = std::atoi(value.c_str());
+      ok = ParseCount(value, &options.max_domain);
     } else if (FlagValue(argv[i], "--read-idle-ms", &value)) {
       // 0 = never reap idle connections (the default).
-      options.read_idle_ms = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, &options.read_idle_ms);
     } else if (FlagValue(argv[i], "--write-timeout-ms", &value)) {
       // 0 = block forever on a stalled peer.
-      options.write_timeout_ms =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, &options.write_timeout_ms);
     } else if (FlagValue(argv[i], "--backlog", &value)) {
-      options.listen_backlog = std::atoi(value.c_str());
+      ok = ParseCount(value, &options.listen_backlog);
     } else if (FlagValue(argv[i], "--max-connections", &value)) {
       // 0 = unlimited.
-      options.max_connections = static_cast<size_t>(std::atol(value.c_str()));
+      ok = ParseCount(value, &options.max_connections);
     } else if (FlagValue(argv[i], "--max-inflight-per-conn", &value)) {
       // 0 = unlimited.
-      options.max_inflight_per_connection =
-          static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseCount(value, &options.max_inflight_per_connection);
     } else if (std::strcmp(argv[i], "--no-warm") == 0) {
       options.warm_start = false;
     } else {
-      return Usage(argv[0]);
+      ok = false;
     }
+    if (!ok) return Usage(argv[0]);
   }
   if (socket_path.empty() || query_text.empty()) return Usage(argv[0]);
   options.socket_path = socket_path;
