@@ -3,10 +3,13 @@
 // Path blocks B_p(u,v) have tree-like lineage; component decomposition plus
 // caching keeps the engine effectively linear in p, while brute-force
 // enumeration is exponential in the number of tuples (2 + 4p variables for
-// H1). The crossover is the reason the engine exists.
+// H1). The crossover is the reason the engine exists. BM_CompiledPathBlock
+// prices the same lineages on the production path: one compile plus one
+// exact circuit pass.
 
 #include <benchmark/benchmark.h>
 
+#include "compile/circuit_cache.h"
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "prob/block.h"
@@ -33,6 +36,34 @@ void BM_WmcPathBlock(benchmark::State& state) {
       static_cast<double>(lineage.variables.size());
 }
 BENCHMARK(BM_WmcPathBlock)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+// What a one-shot exact request costs GfomcSession: a fresh cache compiles
+// the lineage, then one numerically routed pass evaluates its weight row.
+void BM_CompiledPathBlock(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  gmc::Query q = H1();
+  gmc::IsolatedBlock block = gmc::MakeIsolatedBlock(q.vocab_ptr(), {p});
+  gmc::Lineage lineage = gmc::Ground(q, block.tid);
+  const gmc::WeightMatrix weights =
+      gmc::WeightMatrix::FromRows({lineage.probabilities});
+  {
+    gmc::CircuitCache cache;
+    if (cache.EvaluatePinned(*cache.GetShared(lineage.cnf), weights)[0] !=
+        gmc::WmcEngine().Probability(lineage)) {
+      state.SkipWithError("compiled value disagrees with WmcEngine");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    gmc::CircuitCache cache;
+    const auto circuit = cache.GetShared(lineage.cnf);
+    benchmark::DoNotOptimize(cache.EvaluatePinned(*circuit, weights));
+  }
+  state.counters["lineage_vars"] =
+      static_cast<double>(lineage.variables.size());
+}
+BENCHMARK(BM_CompiledPathBlock)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_BruteForcePathBlock(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

@@ -4,7 +4,9 @@
 //   ./circuit_explorer
 //
 // The DOT for the paper's §1.6 example (three lineage variables, 5/8) is
-// printed in full; pipe it into `dot -Tpng` to render.
+// printed in full; pipe it into `dot -Tpng` to render. Exits 1 if the
+// §1.6 value, the structural audits, or the sweep's agreement with the
+// recursive engine fail.
 
 #include <chrono>
 #include <cstdio>
@@ -32,11 +34,10 @@ int main() {
 
   Compiler compiler;
   NnfCircuit tiny_circuit = compiler.Compile(tiny_lineage);
+  const Rational tiny_pr = tiny_circuit.Evaluate(tiny_lineage.probabilities);
   std::printf("lineage: %s\n", tiny_lineage.cnf.ToString().c_str());
-  std::printf("Pr = %s (paper: 5/8)\n\n",
-              tiny_circuit.Evaluate(tiny_lineage.probabilities)
-                  .ToString()
-                  .c_str());
+  std::printf("Pr = %s (paper: 5/8)\n\n", tiny_pr.ToString().c_str());
+  bool ok = tiny_pr == Rational(5, 8);
   std::printf("--- d-DNNF circuit (Graphviz DOT) ---\n%s\n",
               tiny_circuit.ToDot().c_str());
 
@@ -63,18 +64,21 @@ int main() {
               "%zu edges, depth %d\n",
               stats.num_nodes, stats.var_nodes, stats.and_nodes,
               stats.decision_nodes, stats.edges, stats.depth);
+  const bool decomposable = circuit.CheckDecomposable();
+  const bool deterministic = circuit.CheckDeterministic();
   std::printf("decomposable: %s, deterministic: %s\n",
-              circuit.CheckDecomposable() ? "yes" : "no",
-              circuit.CheckDeterministic() ? "yes" : "no");
+              decomposable ? "yes" : "no", deterministic ? "yes" : "no");
+  ok = ok && decomposable && deterministic;
 
   // Sweep every tuple weight over k/17, k = 1..16 — the interpolation
   // workload. The circuit is compiled once; each point is one linear pass.
   const int points = 16;
+  std::vector<Rational> sweep;
   auto t2 = std::chrono::steady_clock::now();
   for (int k = 1; k <= points; ++k) {
     std::vector<Rational> weights(lineage.probabilities.size(),
                                   Rational(k, points + 1));
-    Rational pr = circuit.Evaluate(weights);
+    const Rational& pr = sweep.emplace_back(circuit.Evaluate(weights));
     if (k == 1 || k == points) {
       std::printf("  Pr at weight %d/%d = %s\n", k, points + 1,
                   pr.ToString().c_str());
@@ -83,13 +87,17 @@ int main() {
   auto t3 = std::chrono::steady_clock::now();
 
   WmcEngine engine;
+  bool agrees = true;
   auto t4 = std::chrono::steady_clock::now();
   for (int k = 1; k <= points; ++k) {
     std::vector<Rational> weights(lineage.probabilities.size(),
                                   Rational(k, points + 1));
-    engine.Probability(lineage.cnf, weights);
+    agrees = agrees && engine.Probability(lineage.cnf, weights) == sweep[k - 1];
   }
   auto t5 = std::chrono::steady_clock::now();
+  std::printf("sweep agrees with the recursive engine: %s\n",
+              agrees ? "yes" : "NO");
+  ok = ok && agrees;
 
   auto us = [](auto a, auto b) {
     return std::chrono::duration_cast<std::chrono::microseconds>(b - a)
@@ -101,5 +109,5 @@ int main() {
               static_cast<long long>(us(t2, t3)));
   std::printf("%d WmcEngine runs:   %8lld us\n", points,
               static_cast<long long>(us(t4, t5)));
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 // Lineage and arithmetization explorer: shows the Boolean-to-algebra bridge
 // of §1.6 — block lineages, the arithmetization polynomial, the small
 // matrix of Lemma 1.2, and Corollary 3.18's determinant factorization.
+// Exits 1 if the §1.6 value is not the paper's 5/8 or the Lemma 1.1
+// witness is a root.
 //
 //   ./lineage_explorer
 
@@ -11,7 +13,6 @@
 #include "logic/parser.h"
 #include "poly/lemmas.h"
 #include "prob/block.h"
-#include "wmc/wmc.h"
 
 int main() {
   using namespace gmc;
@@ -24,12 +25,10 @@ int main() {
   std::printf("lineage over one pair: %s\n", lineage.cnf.ToString().c_str());
   Polynomial y = ArithmetizeCnf(lineage.cnf);
   std::printf("arithmetization: %s\n", y.ToString().c_str());
+  const Rational half_pr = y.Evaluate(
+      {{0, Rational::Half()}, {1, Rational::Half()}, {2, Rational::Half()}});
   std::printf("Pr at 1/2,...,1/2 = %s (paper: 5/8)\n\n",
-              y.Evaluate({{0, Rational::Half()},
-                          {1, Rational::Half()},
-                          {2, Rational::Half()}})
-                  .ToString()
-                  .c_str());
+              half_pr.ToString().c_str());
 
   // The block B_p(u,v) for growing p: lineage sizes and z-values.
   std::printf("%-4s %-10s %-14s %-14s %-14s\n", "p", "#vars", "z00(p)",
@@ -58,5 +57,8 @@ int main() {
   for (const auto& [var, value] : witness) {
     std::printf("  x%d -> %s\n", var, value.ToString().c_str());
   }
-  return 0;
+  const bool non_root = !det.Evaluate(witness).IsZero();
+  std::printf("det at the witness is non-zero: %s\n",
+              non_root ? "yes" : "NO");
+  return half_pr == Rational(5, 8) && non_root ? 0 : 1;
 }

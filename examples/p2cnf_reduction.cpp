@@ -1,6 +1,7 @@
 // The headline result, end to end: counting the models of a P2CNF formula
 // through a Pr(Q) oracle for an unsafe query (Theorem 3.1's Cook
-// reduction), with every intermediate artifact printed.
+// reduction), with every intermediate artifact printed. Exits 1 if the
+// recovered count differs from brute force.
 //
 //   ./p2cnf_reduction
 
@@ -42,8 +43,8 @@ int main() {
     std::printf("  (%d, %d, %d) -> %s\n", signature[0], signature[1],
                 signature[2], count.ToString().c_str());
   }
+  const bool matches = result.model_count == CountSatisfying(phi);
   std::printf("recovered #Phi = %s  (matches brute force: %s)\n",
-              result.model_count.ToString().c_str(),
-              result.model_count == CountSatisfying(phi) ? "yes" : "NO");
-  return 0;
+              result.model_count.ToString().c_str(), matches ? "yes" : "NO");
+  return matches ? 0 : 1;
 }

@@ -1,5 +1,7 @@
 // Quickstart: parse a query, build a probabilistic database, classify the
-// query under the dichotomy, and compute its exact probability.
+// query under the dichotomy, and compute its exact probability. Exits 1 if
+// the §1.6 value is not the paper's 5/8 or the safe query misses the lifted
+// evaluator.
 //
 //   ./quickstart
 
@@ -44,5 +46,7 @@ int main() {
   std::printf("Pr(safe query) = %s  [lifted evaluator used: %s]\n",
               safe_result.probability.ToString().c_str(),
               safe_result.used_lifted ? "yes" : "no");
-  return 0;
+  return tiny_result.probability == Rational(5, 8) && safe_result.used_lifted
+             ? 0
+             : 1;
 }

@@ -1,7 +1,8 @@
 // Type-II machinery on Example C.9: the implication lattices with their
 // Möbius functions, the Q_αβ query family, Theorem C.19's inversion
 // formula checked against direct model counting, and Theorem C.3's
-// #PP2CNF-from-CCP extraction.
+// #PP2CNF-from-CCP extraction. Exits 1 if the inversion or the extraction
+// disagrees with its direct count.
 //
 //   ./typeii_lattice
 
@@ -48,15 +49,16 @@ int main() {
   graph.num_v = 2;
   graph.edges = {{0, 0}, {0, 1}, {1, 1}};
   auto counts = ColoringCounts(graph, structure.m_bar, structure.n_bar);
+  const BigInt extracted = PP2CnfFromColoringCounts(
+      graph, counts, structure.m_bar, structure.n_bar);
+  const BigInt brute_force = CountPP2Cnf(graph);
   std::printf(
       "\nCCP(%d,%d) on %s:\n  distinct signatures: %zu\n  #PP2CNF from "
       "counts = %s (brute force %s)\n",
       structure.m_bar, structure.n_bar, graph.ToString().c_str(),
-      counts.size(),
-      PP2CnfFromColoringCounts(graph, counts, structure.m_bar,
-                               structure.n_bar)
-          .ToString()
-          .c_str(),
-      CountPP2Cnf(graph).ToString().c_str());
-  return 0;
+      counts.size(), extracted.ToString().c_str(),
+      brute_force.ToString().c_str());
+  return check.direct == check.via_inversion && extracted == brute_force
+             ? 0
+             : 1;
 }

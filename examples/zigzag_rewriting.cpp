@@ -1,11 +1,13 @@
 // The zig-zag rewriting of Lemma 2.6 / Appendix A: builds zg(Q) for a
 // Type I-I and a Type II-II query, shows the type/length mapping, and
 // verifies Lemma A.1's probability equality on a concrete database.
+// Exits 1 if a check fails.
 //
 //   ./zigzag_rewriting
 
 #include <cstdio>
 
+#include "compile/circuit_cache.h"
 #include "hardness/zigzag.h"
 #include "logic/bipartite.h"
 #include "logic/parser.h"
@@ -13,6 +15,7 @@
 
 int main() {
   using namespace gmc;
+  bool ok = true;
   for (const char* text :
        {"Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))",
         "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | S3(x,y)) & "
@@ -28,13 +31,14 @@ int main() {
                 zg.n);
 
     // Lemma A.1 on a 2×2 database with all uncertain tuples at 1/2 —
-    // checked by the recursive engine and by its compiled d-DNNF path.
+    // checked by the recursive engine and by the compiled d-DNNF path.
     Tid delta(zg.query.vocab_ptr(), 2, 2, Rational::Half());
     Tid zg_delta = MakeZigzagTid(zg, delta);
-    WmcEngine engine1, engine2;
-    Rational lhs = engine1.QueryProbability(zg.query, delta);
-    Rational rhs = engine2.QueryProbability(q, zg_delta);
-    Rational compiled = engine2.CompiledQueryProbability(q, zg_delta);
+    WmcEngine engine;
+    Rational lhs = engine.QueryProbability(zg.query, delta);
+    Rational rhs = engine.QueryProbability(q, zg_delta);
+    Rational compiled = CircuitCache().QueryProbability(q, zg_delta);
+    ok = ok && lhs == rhs && compiled == rhs;
     std::printf(
         "Lemma A.1: Pr_D(zg(Q)) = %s, Pr_zg(D)(Q) = %s  [%s; compiled "
         "circuit agrees: %s]\n"
@@ -44,5 +48,5 @@ int main() {
         compiled == rhs ? "yes" : "NO", zg_delta.num_left(),
         zg_delta.num_right());
   }
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -43,14 +43,6 @@
 
 namespace gmc {
 
-/// Gate for routing repeated-query traffic through the compiled path: the
-/// circuit cache is a win for compact, heavily repeated lineages, but
-/// compilation is worst-case exponential in lineage size, so larger
-/// lineages stay on their caller's native algorithm (the lifted plan for
-/// safe queries, the recursive engine for unsafe ones). Shared by
-/// SafeEvaluator::EvaluateMany and GfomcSession.
-inline constexpr size_t kMaxCompiledLineageVars = 96;
-
 /// The weight rows of lineages[members[0]], lineages[members[1]], ... as
 /// one batch (row m of the result is member m) — the input of one grouped
 /// pass over the circuit the members' shared structure compiles to.

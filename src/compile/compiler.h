@@ -1,14 +1,16 @@
 // Bottom-up exact compiler: monotone CNF → d-DNNF circuit.
 //
-// The recursion mirrors WmcEngine — connected-component decomposition
-// (independent conjuncts per Lemma B.5; the bipartite gadget lineages
-// split eagerly once an articulation tuple is conditioned) and Shannon
-// expansion — but emits circuit nodes instead of a Rational: components
-// become a decomposable AND, Shannon branches a deterministic decision
-// node. Sub-formulas are memoized on the canonical 64-bit CNF hash (shared
-// with WmcEngine's memo; see Cnf::Hash64), so the compiled circuit is a
-// DAG no larger than the trace of one recursive run — and every later
-// Evaluate costs a single linear pass instead of re-running the recursion.
+// The library's one production component-and-Shannon recursion: every
+// exact unsafe answer, the compiled safe route and the polynomial
+// arithmetization (poly/lemmas.h) evaluate its circuits; WmcEngine keeps
+// an independent copy only as the reference. Connected-component
+// decomposition (independent conjuncts per Lemma B.5; the bipartite gadget
+// lineages split eagerly once an articulation tuple is conditioned)
+// becomes a decomposable AND, Shannon expansion a deterministic decision
+// node. Sub-formulas are memoized on the canonical 64-bit CNF hash (see
+// Cnf::Hash64), so the compiled circuit is a DAG no larger than the trace
+// of one recursive run — and every later Evaluate costs a single linear
+// pass instead of re-running the recursion.
 //
 // The Shannon branch variable is chosen by the active OrderHeuristic
 // (compile/vtree.h): the legacy most-occurring variable under kDefault, or

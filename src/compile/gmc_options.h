@@ -52,11 +52,10 @@ CompileBudget DefaultCompileBudget();
 /// lifted PTIME plan; it is exact and polynomial, so there is nothing to
 /// trade away).
 enum class RoutingMode : uint8_t {
-  /// Legacy two-way behaviour: exact always. Compact lineages compile
-  /// (unboundedly), oversized ones fall back to the recursive engine —
-  /// worst-case exponential, never approximate. With a finite
-  /// compile_budget the checked API reports kBudgetExhausted instead of
-  /// recursing past the budget.
+  /// Legacy two-way behaviour: exact always. With an unlimited
+  /// compile_budget every lineage compiles, whatever its size — worst-case
+  /// exponential, never approximate; with a finite one the checked API
+  /// reports kBudgetExhausted instead of compiling past the budget.
   kExact = 0,
   /// Three-way: try a budgeted compile; inside budget → exact circuit
   /// evaluation, past it → the Karp–Luby (ε, δ) sampler. The production

@@ -6,7 +6,6 @@
 #include "approx/karp_luby.h"
 #include "lineage/grounder.h"
 #include "util/check.h"
-#include "wmc/wmc.h"
 
 namespace gmc {
 
@@ -38,8 +37,6 @@ const char* AnswerTierName(AnswerTier tier) {
       return "lifted";
     case AnswerTier::kCompiledExact:
       return "compiled";
-    case AnswerTier::kRecursiveExact:
-      return "recursive";
     case AnswerTier::kCertifiedInterval:
       return "interval";
     case AnswerTier::kSampled:
@@ -99,8 +96,8 @@ GfomcResult GfomcSession::Evaluate(const Query& query, const Tid& tid) {
 std::vector<GfomcResult> GfomcSession::EvaluateMany(
     const Query& query, const std::vector<Tid>& tids) {
   // The legacy contract: exact whatever the configured routing fields — an
-  // unlimited budget compiles compact lineages and recurses past the var
-  // gate instead of refusing — and never interrupted.
+  // unlimited budget compiles every lineage instead of refusing — and never
+  // interrupted.
   GmcOptions legacy;
   legacy.routing_mode = RoutingMode::kExact;
   legacy.compile_budget = CompileBudget{};
@@ -294,23 +291,11 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
   }
   const CancelToken* cancel = sampler.cancel;
   if (cancel != nullptr && cancel->Poll()) return DeadlineExceeded();
-  // kExact with an unlimited budget reproduces the legacy routing: the
-  // var-count gate sends oversized lineages to the recursive engine. Under
-  // a budget the gate is retired: the budget itself bounds compile work,
-  // which is a sharper admission test than counting variables.
-  if (policy.mode() == RoutingMode::kExact && policy.budget().Unlimited() &&
-      lineage.variables.size() > kMaxCompiledLineageVars) {
-    // The recursive engine has no cancellation points — the entry check
-    // above is the deadline's only purchase on this tier.
-    answer->tier = AnswerTier::kRecursiveExact;
-    answer->exact = WmcEngine().Probability(lineage);
-    ++counters_.unsafe_recursive;
-    return GmcStatus::Ok();
-  }
   if (policy.WantsCompileProbe()) {
     // Budgeted compile probe (kSample skips it; an unlimited budget always
-    // compiles). The shared_ptr pins the circuit across any concurrent
-    // eviction until the group pass.
+    // compiles, whatever the lineage's size — the budget, not a variable
+    // count, bounds compile work). The shared_ptr pins the circuit across
+    // any concurrent eviction until the group pass.
     *circuit = circuits_.TryGetShared(lineage.cnf, policy.budget(), cancel);
     if (*circuit != nullptr) {
       answer->tier = policy.TierForCompiled();

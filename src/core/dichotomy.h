@@ -50,7 +50,7 @@ DichotomyReport Classify(const Query& query);
 struct GfomcResult {
   Rational probability;
   // True if the lifted PTIME algorithm was used (query safe); false means
-  // the exact WMC fallback ran (query unsafe — expected exponential).
+  // the lineage was compiled (query unsafe — expected exponential).
   bool used_lifted = false;
 };
 
@@ -67,24 +67,23 @@ GmcStatus GfomcChecked(const Query& query, const Tid& tid,
                        const GmcOptions& options, GmcAnswer* answer);
 
 /// Which evaluation tier produced an answer — the three-way routing's
-/// receipt. The first three are exact; the last two are the certified
+/// receipt. The first two are exact; the last two are the certified
 /// anytime tiers (see docs/ANYTIME.md).
 enum class AnswerTier : uint8_t {
   kLifted = 0,         ///< safe query, lifted PTIME plan (exact)
   kCompiledExact,      ///< d-DNNF circuit pass (exact)
-  kRecursiveExact,     ///< recursive WMC fallback (exact)
   kCertifiedInterval,  ///< directed-rounding enclosure [lo, hi]
   kSampled,            ///< Karp–Luby (ε, δ) estimate
 };
-/// Stable lowercase name ("lifted" / "compiled" / "recursive" /
-/// "interval" / "sampled") — the wire vocabulary of EVAL_APPROX replies.
+/// Stable lowercase name ("lifted" / "compiled" / "interval" / "sampled")
+/// — the wire vocabulary of EVAL_APPROX replies.
 const char* AnswerTierName(AnswerTier tier);
 
 /// One routed answer: exactly one of the three payloads is meaningful,
 /// selected by `tier`.
 struct GmcAnswer {
   AnswerTier tier = AnswerTier::kCompiledExact;
-  /// Exact tiers (kLifted / kCompiledExact / kRecursiveExact).
+  /// Exact tiers (kLifted / kCompiledExact).
   Rational exact;
   /// kCertifiedInterval: a guaranteed enclosure of the exact probability.
   ProbInterval interval;
@@ -96,7 +95,7 @@ struct GmcAnswer {
   double delta = 0.0;
   uint64_t samples = 0;
 
-  bool IsExact() const { return tier <= AnswerTier::kRecursiveExact; }
+  bool IsExact() const { return tier <= AnswerTier::kCompiledExact; }
   /// A point estimate regardless of tier: the exact value, the interval
   /// midpoint, or the sampled estimate.
   double PointEstimate() const;
@@ -146,7 +145,6 @@ class RoutingPolicy {
  public:
   explicit RoutingPolicy(const GmcOptions& options) : options_(options) {}
 
-  RoutingMode mode() const { return options_.routing_mode; }
   const CompileBudget& budget() const { return options_.compile_budget; }
   /// kSample skips the compile probe entirely.
   bool WantsCompileProbe() const {
@@ -159,16 +157,11 @@ class RoutingPolicy {
                ? AnswerTier::kCertifiedInterval
                : AnswerTier::kCompiledExact;
   }
-  /// The tier when the probe exhausted its budget (or was skipped):
-  /// kSampled for the anytime modes. kExact mode has no anytime fallback —
-  /// an unlimited budget recurses exactly (kRecursiveExact), a finite one
-  /// refuses with kBudgetExhausted (never an unbounded algorithm behind a
-  /// bounded-work request); ExhaustedIsError distinguishes the two.
-  AnswerTier TierForExhausted() const {
-    return options_.routing_mode == RoutingMode::kExact
-               ? AnswerTier::kRecursiveExact
-               : AnswerTier::kSampled;
-  }
+  /// When the probe exhausts its budget (or is skipped), the anytime
+  /// modes answer with the sampler. kExact has no anytime fallback: a
+  /// finite budget refuses with kBudgetExhausted (never an unbounded
+  /// algorithm behind a bounded-work request), and an unlimited one never
+  /// exhausts.
   bool ExhaustedIsError() const {
     return options_.routing_mode == RoutingMode::kExact &&
            !options_.compile_budget.Unlimited();
@@ -201,8 +194,7 @@ class GfomcSession {
     uint64_t queries = 0;
     uint64_t safe_lifted = 0;        // safe, answered by the PTIME plan
     uint64_t safe_compiled = 0;      // safe GFOMC instances, circuit cache
-    uint64_t unsafe_compiled = 0;    // unsafe, compact lineage → circuits
-    uint64_t unsafe_recursive = 0;   // unsafe, oversized → recursive WMC
+    uint64_t unsafe_compiled = 0;    // unsafe, answered by a circuit pass
     // Anytime-tier traffic (EvaluateMany is always exact): answers served
     // as certified intervals, answers served by the (ε, δ) sampler,
     // compile probes that hit their budget, and instances rejected by

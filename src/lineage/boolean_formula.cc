@@ -173,19 +173,6 @@ bool Cnf::Disconnects(const std::vector<int>& u,
   return true;
 }
 
-std::string Cnf::CacheKey() const {
-  std::string out;
-  out.reserve(clauses.size() * 8);
-  for (const auto& clause : clauses) {
-    for (int v : clause) {
-      out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    }
-    const int separator = -1;
-    out.append(reinterpret_cast<const char*>(&separator), sizeof(separator));
-  }
-  return out;
-}
-
 uint64_t Cnf::Hash64() const {
   uint64_t h = 14695981039346656037ull;  // FNV offset basis
   auto mix = [&h](uint32_t word) {

@@ -54,13 +54,10 @@ struct Cnf {
   // Exact on minimized monotone CNFs via component decomposition.
   bool Disconnects(const std::vector<int>& u, const std::vector<int>& v) const;
 
-  // Canonical byte-string key (used by the polynomial-lemma cache).
-  // Variables keep their global ids, so equal keys mean equal formulas over
-  // the same tuples.
-  std::string CacheKey() const;
-
-  // 64-bit FNV-1a hash of the same canonical byte stream as CacheKey(),
-  // computed without allocating. Hash function for CnfHash below.
+  // 64-bit FNV-1a hash of the clause lists (each clause's variable ids,
+  // then a separator), computed without allocating. Variables keep their
+  // global ids, so equal formulas over the same tuples hash equal. Hash
+  // function for CnfHash below.
   uint64_t Hash64() const;
 
   // Splits the formula into its connected components (one sub-CNF per
@@ -69,8 +66,8 @@ struct Cnf {
   std::vector<Cnf> SplitComponents() const;
 
   // The variable occurring in the most clauses (smallest id on ties) — the
-  // shared Shannon-branching heuristic of WmcEngine and the d-DNNF
-  // compiler. Returns -1 for constant formulas.
+  // Shannon-branching heuristic of the d-DNNF compiler's default order and
+  // of the reference WmcEngine. Returns -1 for constant formulas.
   int MostOccurringVariable() const;
 
   std::string ToString() const;

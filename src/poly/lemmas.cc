@@ -1,65 +1,40 @@
 #include "poly/lemmas.h"
 
-#include <algorithm>
-#include <string>
-
+#include "compile/compiler.h"
 #include "util/check.h"
 
 namespace gmc {
 
-namespace {
-
-Polynomial ArithmetizeRecurse(const Cnf& cnf,
-                              std::unordered_map<std::string, Polynomial>*
-                                  cache) {
-  if (cnf.clauses.empty()) return Polynomial::Constant(Rational::One());
-  for (const auto& clause : cnf.clauses) {
-    if (clause.empty()) return Polynomial();
-  }
-  const std::string key = cnf.CacheKey();
-  if (auto it = cache->find(key); it != cache->end()) return it->second;
-
-  std::vector<int> component = cnf.ClauseComponents();
-  int num_components = 0;
-  for (int c : component) num_components = std::max(num_components, c + 1);
-  Polynomial result;
-  if (num_components > 1) {
-    result = Polynomial::Constant(Rational::One());
-    std::vector<Cnf> parts(num_components);
-    for (auto& part : parts) part.num_vars = cnf.num_vars;
-    for (size_t i = 0; i < cnf.clauses.size(); ++i) {
-      parts[component[i]].clauses.push_back(cnf.clauses[i]);
-    }
-    for (const Cnf& part : parts) {
-      result *= ArithmetizeRecurse(part, cache);
-    }
-  } else {
-    // Shannon on the most frequent variable.
-    std::unordered_map<int, int> counts;
-    for (const auto& clause : cnf.clauses) {
-      for (int v : clause) ++counts[v];
-    }
-    int best_var = -1, best_count = -1;
-    for (const auto& [v, c] : counts) {
-      if (c > best_count || (c == best_count && v < best_var)) {
-        best_var = v;
-        best_count = c;
-      }
-    }
-    Polynomial high = ArithmetizeRecurse(cnf.Condition(best_var, true), cache);
-    Polynomial low = ArithmetizeRecurse(cnf.Condition(best_var, false), cache);
-    result = Polynomial::Variable(best_var) * high +
-             Polynomial::OneMinusVariable(best_var) * low;
-  }
-  cache->emplace(key, result);
-  return result;
-}
-
-}  // namespace
-
 Polynomial ArithmetizeCnf(const Cnf& cnf) {
-  std::unordered_map<std::string, Polynomial> cache;
-  return ArithmetizeRecurse(cnf, &cache);
+  // One bottom-up pass over the d-DNNF in the polynomial semiring. Every
+  // node's polynomial agrees with its sub-function on {0,1}^n and is
+  // multilinear (AND children have disjoint supports, decision branches
+  // omit their variable), so the root is THE arithmetization.
+  const NnfCircuit circuit = Compiler().Compile(cnf);
+  const std::vector<NnfNode>& nodes = circuit.nodes();
+  std::vector<Polynomial> value(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const NnfNode& node = nodes[i];
+    switch (node.kind) {
+      case NnfKind::kFalse:  // the zero polynomial
+        break;
+      case NnfKind::kTrue:
+        value[i] = Polynomial::Constant(Rational::One());
+        break;
+      case NnfKind::kVar:
+        value[i] = Polynomial::Variable(node.var);
+        break;
+      case NnfKind::kAnd:
+        value[i] = Polynomial::Constant(Rational::One());
+        for (const int child : node.children) value[i] *= value[child];
+        break;
+      case NnfKind::kDecision:
+        value[i] = Polynomial::Variable(node.var) * value[node.high] +
+                   Polynomial::OneMinusVariable(node.var) * value[node.low];
+        break;
+    }
+  }
+  return value[circuit.root()];
 }
 
 std::unordered_map<int, Rational> FindNonRoot(const Polynomial& f,

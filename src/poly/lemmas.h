@@ -24,8 +24,9 @@ namespace gmc {
 
 // The multilinear polynomial agreeing with the monotone CNF on {0,1}^n —
 // equivalently Pr(cnf) as a function of the variable probabilities.
-// Computed by Shannon expansion with component decomposition; intended for
-// small formulas (single gadget links).
+// Computed by compiling the CNF to a d-DNNF and evaluating the circuit in
+// the polynomial semiring; intended for small formulas (single gadget
+// links).
 Polynomial ArithmetizeCnf(const Cnf& cnf);
 
 // Lemma 1.1 witness: an assignment θ of all of f's variables with values in

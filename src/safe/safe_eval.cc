@@ -13,6 +13,12 @@ namespace gmc {
 
 namespace {
 
+// Gate for routing safe GFOMC traffic through the compiled path: the
+// circuit cache is a win for compact, heavily repeated lineages, but
+// compilation is worst-case exponential in lineage size, so larger
+// lineages stay on the lifted plan.
+constexpr size_t kMaxCompiledLineageVars = 96;
+
 // A clause of a safe component viewed from the evaluation side: a
 // disjunction of unary atoms over the base constant plus ∀-quantified
 // binary-only subclauses over the other side.
@@ -283,9 +289,7 @@ std::optional<std::vector<Rational>> SafeEvaluator::EvaluateMany(
   // the grounded lineage is worst-case exponential even for safe queries.
   // The compiled path is a cache win for the small, heavily repeated
   // gadget-style lineages, so gate it on lineage size (grounding itself is
-  // polynomial; the constant is shared with GfomcSession — see
-  // circuit_cache.h) and keep the lifted algorithm as the asymptotic
-  // contract.
+  // polynomial) and keep the lifted algorithm as the asymptotic contract.
   std::vector<Lineage> lineages;
   if (all_gfomc) {
     lineages.reserve(tids.size());

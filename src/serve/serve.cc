@@ -877,7 +877,6 @@ std::string GmcServer::StatsSnapshot::ToLine() const {
       << " safe_lifted=" << session.safe_lifted
       << " safe_compiled=" << session.safe_compiled
       << " unsafe_compiled=" << session.unsafe_compiled
-      << " unsafe_recursive=" << session.unsafe_recursive
       << " anytime_interval=" << session.anytime_interval
       << " anytime_sampled=" << session.anytime_sampled
       << " budget_exhausted=" << session.budget_exhausted

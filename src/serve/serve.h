@@ -70,7 +70,7 @@
 //     OK <id> <probability> lifted=<0|1>                      (EVAL)
 //         lifted=1 iff the query is safe (PTIME on every instance).
 //     OK <id> EXACT <probability> tier=<t>                    (EVAL_APPROX)
-//         t ∈ {lifted, compiled, recursive}; <probability> is the exact
+//         t ∈ {lifted, compiled}; <probability> is the exact
 //         rational, bit-identical to what EVAL would answer.
 //     OK <id> INTERVAL <lo> <hi> tier=interval                (EVAL_APPROX)
 //         a guaranteed enclosure: lo <= Pr <= hi.
@@ -216,7 +216,7 @@ class GmcServer {
   /// One coherent picture of the whole serving stack, taken in a single
   /// call: the serving-layer counters plus the session's evaluation/tier/
   /// cache/store counters. STATS lines are generated from this struct;
-  /// the docs/SERVING.md key list is maintained by hand beside it.
+  /// serve_test pins the docs/SERVING.md key table to ToLine().
   struct StatsSnapshot {
     Stats server;
     GfomcSession::Stats session;

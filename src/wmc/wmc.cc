@@ -33,32 +33,6 @@ Rational WmcEngine::QueryProbability(const Query& query, const Tid& tid) {
   return Probability(Ground(query, tid));
 }
 
-Rational WmcEngine::CompiledProbability(
-    const Cnf& cnf, const std::vector<Rational>& probabilities) {
-  GMC_CHECK(static_cast<int>(probabilities.size()) >= cnf.num_vars);
-  return circuits_.Probability(cnf, probabilities);
-}
-
-Rational WmcEngine::CompiledProbability(const Lineage& lineage) {
-  return circuits_.Probability(lineage);
-}
-
-Rational WmcEngine::CompiledQueryProbability(const Query& query,
-                                             const Tid& tid) {
-  return circuits_.QueryProbability(query, tid);
-}
-
-std::vector<Rational> WmcEngine::CompiledProbabilityBatch(
-    const Cnf& cnf, const WeightMatrix& weights) {
-  GMC_CHECK(weights.num_vars() >= cnf.num_vars);
-  return circuits_.ProbabilityBatch(cnf, weights);
-}
-
-std::vector<Rational> WmcEngine::CompiledProbabilityBatch(
-    const std::vector<Lineage>& lineages) {
-  return circuits_.ProbabilityBatch(lineages);
-}
-
 Rational WmcEngine::Recurse(const Cnf& cnf) {
   ++stats_.recursive_calls;
   if (cnf.clauses.empty()) return Rational::One();

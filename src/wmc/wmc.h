@@ -1,12 +1,16 @@
-// Exact weighted model counting for monotone CNF.
+// Exact weighted model counting for monotone CNF — the reference engine.
 //
-// This is the Pr(Q) oracle used throughout: Pr(Q) = WMC(Φ_∆(Q)) with the
-// lineage variables weighted by their tuple probabilities (§2). The engine
-// combines (a) connected-component decomposition — independent AND per
-// Theorem 3.4's reasoning, (b) Shannon expansion on a most-occurring
-// variable, and (c) memoization keyed on the canonical sub-formula. On the
-// paper's path-shaped gadget lineages, component splits after conditioning
-// an articulation tuple keep the recursion effectively linear (bench E15).
+// Pr(Q) = WMC(Φ_∆(Q)) with the lineage variables weighted by their tuple
+// probabilities (§2). The engine combines (a) connected-component
+// decomposition — independent AND per Theorem 3.4's reasoning, (b) Shannon
+// expansion on a most-occurring variable, and (c) memoization keyed on the
+// canonical sub-formula. On the paper's path-shaped gadget lineages,
+// component splits after conditioning an articulation tuple keep the
+// recursion effectively linear (bench E15).
+//
+// Production traffic evaluates through the d-DNNF compiler (compile/); this
+// engine runs its own recursion and stays the independent reference that
+// the tests, WmcOracle and the hardness checks compare against.
 //
 // WMC on monotone CNF is #P-hard in general (that is the paper's point), so
 // worst-case exponential behaviour is expected; the engine is exact always.
@@ -18,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "compile/circuit_cache.h"
 #include "lineage/grounder.h"
 #include "logic/query.h"
 #include "prob/tid.h"
@@ -45,30 +48,7 @@ class WmcEngine {
   // Grounds and counts: Pr_∆(Q).
   Rational QueryProbability(const Query& query, const Tid& tid);
 
-  // Knowledge-compilation path (src/compile/): the formula is compiled to a
-  // d-DNNF circuit on first sight and every call afterwards is one linear
-  // circuit pass. Unlike the recursive path, whose memo dies with the
-  // weight vector, compiled circuits are reused across weight vectors —
-  // prefer this whenever the same lineage is evaluated more than once.
-  Rational CompiledProbability(const Cnf& cnf,
-                               const std::vector<Rational>& probabilities);
-  Rational CompiledProbability(const Lineage& lineage);
-  Rational CompiledQueryProbability(const Query& query, const Tid& tid);
-
-  // Batched compiled path: all K weight vectors in one topological circuit
-  // pass (NnfCircuit::EvaluateBatch) instead of K walks — the preferred
-  // entry point for interpolation sweeps and any other workload that knows
-  // its whole weight set up front. The lineage form groups by CNF
-  // structure and batches within each group.
-  std::vector<Rational> CompiledProbabilityBatch(const Cnf& cnf,
-                                                 const WeightMatrix& weights);
-  std::vector<Rational> CompiledProbabilityBatch(
-      const std::vector<Lineage>& lineages);
-
   const Stats& stats() const { return stats_; }
-  const CircuitCache& circuits() const { return circuits_; }
-  void ResetStats() { stats_ = Stats(); }
-  void ClearCache() { cache_.clear(); }
 
  private:
   Rational Recurse(const Cnf& cnf);
@@ -78,7 +58,6 @@ class WmcEngine {
   // Cnf::Hash64, compared exactly (CnfClauseEq), so hits never allocate
   // and collisions never corrupt the exact result.
   std::unordered_map<Cnf, Rational, CnfHash, CnfClauseEq> cache_;
-  CircuitCache circuits_;
   Stats stats_;
 };
 

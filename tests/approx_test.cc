@@ -2,7 +2,8 @@
 // Karp–Luby (ε, δ) sampling, compile budgets, and the three-way router.
 // Everything here is deterministic — the sampler runs fixed seeds, the
 // budgets use the node/call caps (never wall clock) — so every pin is a
-// hard equality or containment, not a flaky tolerance.
+// hard equality or containment, not a flaky tolerance. The one wall-clock
+// input, a request deadline, is set 35x below the work it interrupts.
 
 #include <bit>
 #include <cmath>
@@ -408,7 +409,6 @@ TEST(RoutingPolicyTest, TierSelectionPins) {
   RoutingPolicy auto_policy(options);
   EXPECT_TRUE(auto_policy.WantsCompileProbe());
   EXPECT_EQ(auto_policy.TierForCompiled(), AnswerTier::kCompiledExact);
-  EXPECT_EQ(auto_policy.TierForExhausted(), AnswerTier::kSampled);
   EXPECT_FALSE(auto_policy.ExhaustedIsError());
 
   options.routing_mode = RoutingMode::kInterval;
@@ -416,16 +416,15 @@ TEST(RoutingPolicyTest, TierSelectionPins) {
   EXPECT_TRUE(interval_policy.WantsCompileProbe());
   EXPECT_EQ(interval_policy.TierForCompiled(),
             AnswerTier::kCertifiedInterval);
-  EXPECT_EQ(interval_policy.TierForExhausted(), AnswerTier::kSampled);
+  EXPECT_FALSE(interval_policy.ExhaustedIsError());
 
   options.routing_mode = RoutingMode::kSample;
   RoutingPolicy sample_policy(options);
   EXPECT_FALSE(sample_policy.WantsCompileProbe());
-  EXPECT_EQ(sample_policy.TierForExhausted(), AnswerTier::kSampled);
+  EXPECT_FALSE(sample_policy.ExhaustedIsError());
 
   options.routing_mode = RoutingMode::kExact;  // finite default budget
   RoutingPolicy exact_policy(options);
-  EXPECT_EQ(exact_policy.TierForExhausted(), AnswerTier::kRecursiveExact);
   EXPECT_TRUE(exact_policy.ExhaustedIsError());
   options.compile_budget = CompileBudget{};  // unlimited
   RoutingPolicy legacy_policy(options);
@@ -565,17 +564,18 @@ TEST(SessionRouterTest, ExactModeUnlimitedReproducesLegacyRouting) {
   EXPECT_EQ(answer.PointEstimate(), expected.ToDouble());
 }
 
-TEST(SessionRouterTest, ExactModeUnlimitedRecursesPastTheVarGate) {
-  // Oversized lineage (> kMaxCompiledLineageVars): the legacy gate sends
-  // it to the recursive engine, and kExact + unlimited budget must do the
-  // same — tier kRecursiveExact, value bit-identical to the engine run on
-  // its own.
+TEST(SessionRouterTest, ExactModeUnlimitedCompilesPastTheVarGate) {
+  // Oversized lineage (125 variables, past the 96-variable gate that keeps
+  // large safe GFOMC lineages on the lifted plan): kExact + unlimited
+  // budget compiles it like any other — tier kCompiledExact, value
+  // bit-identical to the reference engine — and a repeat is answered from
+  // the resident circuit.
   const Query h1 = H1();
   Tid tid(h1.vocab_ptr(), 5, 20, Rational::Half());
   const Rational expected = WmcEngine().Probability(Ground(h1, tid));
   GfomcSession legacy;
   EXPECT_EQ(legacy.Evaluate(h1, tid).probability, expected);
-  EXPECT_EQ(legacy.stats().unsafe_recursive, 1u);
+  EXPECT_EQ(legacy.stats().unsafe_compiled, 1u);
 
   GfomcSession session;
   GmcOptions options = session.options();
@@ -584,9 +584,50 @@ TEST(SessionRouterTest, ExactModeUnlimitedRecursesPastTheVarGate) {
   session.Configure(options);
   GmcAnswer answer;
   ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &answer).ok());
-  EXPECT_EQ(answer.tier, AnswerTier::kRecursiveExact);
+  EXPECT_EQ(answer.tier, AnswerTier::kCompiledExact);
   EXPECT_EQ(answer.exact, expected);
-  EXPECT_EQ(session.stats().unsafe_recursive, 1u);
+  EXPECT_EQ(session.stats().circuit_compiles, 1u);
+  EXPECT_EQ(session.stats().circuit_hits, 0u);
+
+  GmcAnswer repeat;
+  ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &repeat).ok());
+  EXPECT_EQ(repeat.tier, AnswerTier::kCompiledExact);
+  EXPECT_EQ(repeat.exact, expected);
+  EXPECT_EQ(session.stats().circuit_compiles, 1u);
+  EXPECT_EQ(session.stats().circuit_hits, 1u);
+}
+
+TEST(SessionRouterTest, DeadlineBoundsAnOversizedExactRequest) {
+  // The compiler polls the request's deadline, so an oversized kExact
+  // request with an unlimited budget is interruptible: H1 10x12 at 1/2
+  // (142 variables) takes ~350 ms to compile on a Release build, 35x the
+  // deadline below.
+  const Query h1 = H1();
+  const Tid tid(h1.vocab_ptr(), 10, 12, Rational::Half());
+  GfomcSession session;
+  GmcOptions request = session.options();
+  request.routing_mode = RoutingMode::kExact;
+  request.compile_budget = CompileBudget{};  // unlimited
+  request.deadline_ms = 10;
+  std::vector<GmcAnswer> answers;
+  const std::vector<GmcStatus> timed =
+      session.EvaluateAnswers(h1, {tid}, request, &answers);
+  ASSERT_EQ(timed.size(), 1u);
+  EXPECT_EQ(timed[0].code, GmcStatusCode::kDeadlineExceeded);
+  EXPECT_EQ(session.stats().deadline_exceeded, 1u);
+  // Nothing memoized: no circuit, no budget failure.
+  EXPECT_EQ(session.stats().circuit_compiles, 0u);
+  EXPECT_EQ(session.stats().budget_exhausted, 0u);
+
+  // The undeadlined retry compiles and answers exactly.
+  request.deadline_ms = 0;
+  const std::vector<GmcStatus> retry =
+      session.EvaluateAnswers(h1, {tid}, request, &answers);
+  ASSERT_TRUE(retry[0].ok()) << retry[0].message;
+  EXPECT_EQ(answers[0].tier, AnswerTier::kCompiledExact);
+  EXPECT_EQ(answers[0].exact, WmcEngine().Probability(Ground(h1, tid)));
+  EXPECT_EQ(session.stats().circuit_compiles, 1u);
+  EXPECT_EQ(session.stats().deadline_exceeded, 1u);
 }
 
 TEST(SessionRouterTest, PerCallOptionsAnswerEachInstanceOnItsOwn) {
@@ -652,7 +693,6 @@ TEST(SessionRouterTest, ValidateTidAcceptsWellFormedInputs) {
 TEST(SessionRouterTest, AnswerTierNamesAreTheWireVocabulary) {
   EXPECT_STREQ(AnswerTierName(AnswerTier::kLifted), "lifted");
   EXPECT_STREQ(AnswerTierName(AnswerTier::kCompiledExact), "compiled");
-  EXPECT_STREQ(AnswerTierName(AnswerTier::kRecursiveExact), "recursive");
   EXPECT_STREQ(AnswerTierName(AnswerTier::kCertifiedInterval), "interval");
   EXPECT_STREQ(AnswerTierName(AnswerTier::kSampled), "sampled");
 }

@@ -248,7 +248,7 @@ TEST(CircuitCacheTest, CompilesOncePerStructure) {
   EXPECT_EQ(cache.stats().hits, 7u);
 }
 
-TEST(CircuitCacheTest, WmcEngineCompiledPathMatchesRecursive) {
+TEST(CircuitCacheTest, CompiledQueryPathMatchesRecursive) {
   Query q = H1();
   const Vocabulary& v = q.vocab();
   Tid tid(q.vocab_ptr(), 2, 2);
@@ -259,10 +259,10 @@ TEST(CircuitCacheTest, WmcEngineCompiledPathMatchesRecursive) {
       tid.SetBinary(v.Find("S"), u, w, Rational(1, 3));
     }
   }
-  WmcEngine engine;
-  EXPECT_EQ(engine.CompiledQueryProbability(q, tid),
-            engine.QueryProbability(q, tid));
-  EXPECT_EQ(engine.circuits().stats().compiles, 1u);
+  CircuitCache cache;
+  EXPECT_EQ(cache.QueryProbability(q, tid),
+            WmcEngine().QueryProbability(q, tid));
+  EXPECT_EQ(cache.stats().compiles, 1u);
 }
 
 TEST(CompiledOracleTest, DrivesTheType1ReductionExactly) {

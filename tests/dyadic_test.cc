@@ -310,7 +310,7 @@ TEST(DyadicRoutingTest, Type1ReductionBitIdentical) {
   EXPECT_EQ(result.signature_counts, reference.signature_counts);
 }
 
-TEST(DyadicRoutingTest, WmcEngineBatchBitIdentical) {
+TEST(DyadicRoutingTest, CacheBatchMatchesRecursiveEngine) {
   Cnf cnf;
   cnf.num_vars = 5;
   cnf.AddClause({0, 1, 2});
@@ -319,10 +319,10 @@ TEST(DyadicRoutingTest, WmcEngineBatchBitIdentical) {
   std::mt19937_64 rng(2718);
   WeightMatrix weights = RandomDyadicWeights(12, 5, rng);
 
-  WmcEngine engine;
-  const std::vector<Rational> batch =
-      engine.CompiledProbabilityBatch(cnf, weights);
+  CircuitCache cache;
+  const std::vector<Rational> batch = cache.ProbabilityBatch(cnf, weights);
   // The per-vector recursive engine is the reference.
+  WmcEngine engine;
   for (int k = 0; k < weights.num_vectors(); ++k) {
     EXPECT_EQ(batch[k], engine.Probability(cnf, weights.Row(k)));
   }

@@ -63,23 +63,49 @@ TEST(ArithmetizeTest, PaperSection16) {
             Rational(5, 8));
 }
 
-TEST(ArithmetizeTest, AgreesWithFormulaOnBooleanPoints) {
-  Cnf cnf;
-  cnf.num_vars = 4;
-  cnf.AddClause({0, 1});
-  cnf.AddClause({1, 2, 3});
-  cnf.AddClause({0, 3});
-  Polynomial y = ArithmetizeCnf(cnf);
-  for (int mask = 0; mask < 16; ++mask) {
+// Agreement on every point of {0,1}^n plus multilinearity pins the
+// arithmetization uniquely.
+void ExpectArithmetizes(const Cnf& cnf) {
+  const Polynomial y = ArithmetizeCnf(cnf);
+  EXPECT_LE(y.MaxVariableDegree(), 1) << cnf.ToString();
+  for (int mask = 0; mask < (1 << cnf.num_vars); ++mask) {
     std::unordered_map<int, Rational> point;
-    for (int v = 0; v < 4; ++v) point[v] = Rational((mask >> v) & 1);
+    for (int v = 0; v < cnf.num_vars; ++v) {
+      point[v] = Rational((mask >> v) & 1);
+    }
     bool satisfied = true;
     for (const auto& clause : cnf.clauses) {
       bool clause_sat = false;
       for (int v : clause) clause_sat |= ((mask >> v) & 1) != 0;
       satisfied &= clause_sat;
     }
-    EXPECT_EQ(y.Evaluate(point), Rational(satisfied ? 1 : 0)) << mask;
+    EXPECT_EQ(y.Evaluate(point), Rational(satisfied ? 1 : 0))
+        << cnf.ToString() << " mask " << mask;
+  }
+}
+
+TEST(ArithmetizeTest, AgreesWithFormulaOnBooleanPoints) {
+  Cnf cnf;
+  cnf.num_vars = 4;
+  cnf.AddClause({0, 1});
+  cnf.AddClause({1, 2, 3});
+  cnf.AddClause({0, 3});
+  ExpectArithmetizes(cnf);
+
+  std::mt19937_64 rng(1729);
+  for (int trial = 0; trial < 100; ++trial) {
+    Cnf random;
+    random.num_vars = 1 + static_cast<int>(rng() % 8);
+    const int num_clauses = static_cast<int>(rng() % 7);
+    for (int c = 0; c < num_clauses; ++c) {
+      std::vector<int> clause;
+      const int len = 1 + static_cast<int>(rng() % 3);
+      for (int l = 0; l < len; ++l) {
+        clause.push_back(static_cast<int>(rng() % random.num_vars));
+      }
+      random.AddClause(std::move(clause));
+    }
+    ExpectArithmetizes(random);
   }
 }
 

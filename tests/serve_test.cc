@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -750,6 +751,37 @@ TEST_F(ServeTest, SampledRequestsCoalesceAndShareOnePlanBuild) {
     EXPECT_NE(line.find(field), std::string::npos)
         << "missing " << field << " in: " << line;
   }
+}
+
+// docs/SERVING.md calls its STATS key table the wire contract; this pins
+// it: one backticked key per row, in ToLine's order, nothing missing.
+TEST(ServeDocsTest, StatsKeyTableMatchesTheWireLine) {
+  std::ifstream doc(std::string(GMC_SOURCE_DIR) + "/docs/SERVING.md");
+  ASSERT_TRUE(doc.is_open());
+  std::vector<std::string> documented;
+  bool in_section = false;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0 || line.rfind("### ", 0) == 0) {
+      in_section = line == "### `STATS` keys";
+    } else if (in_section && line.rfind("| `", 0) == 0) {
+      const size_t end = line.find('`', 3);
+      ASSERT_NE(end, std::string::npos) << line;
+      EXPECT_EQ(line.compare(end, 3, "` |"), 0) << "one key per row: " << line;
+      documented.push_back(line.substr(3, end - 3));
+    }
+  }
+
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("docs");
+  const GmcServer server(H1(), options);
+  std::istringstream wire(server.snapshot().ToLine());
+  std::string token;
+  ASSERT_TRUE(wire >> token);
+  EXPECT_EQ(token, "STATS");
+  std::vector<std::string> keys;
+  while (wire >> token) keys.push_back(token.substr(0, token.find('=')));
+  EXPECT_EQ(documented, keys);
 }
 
 TEST(ServeInternalTest, ParseProbabilityRejectsHostileTokens) {
