@@ -234,8 +234,8 @@ void BM_SessionSampledBatch(benchmark::State& state) {
   }
   const gmc::GfomcSession::Stats stats = session.stats();
   state.counters["requests"] = static_cast<double>(k);
-  state.counters["plan_hits"] = static_cast<double>(stats.plan_hits);
-  state.counters["plan_misses"] = static_cast<double>(stats.plan_misses);
+  state.counters["plan_hits"] = static_cast<double>(stats.plans.hits);
+  state.counters["plan_misses"] = static_cast<double>(stats.plans.misses);
 }
 BENCHMARK(BM_SessionSampledBatch)
     ->Arg(1)

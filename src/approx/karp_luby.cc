@@ -469,11 +469,6 @@ void KarpLubyPlanCache::set_max_entries(uint64_t max_entries) {
   }
 }
 
-KarpLubyPlanCache::Stats KarpLubyPlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
-}
-
 void KarpLubyPlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();

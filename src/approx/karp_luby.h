@@ -80,6 +80,7 @@
 #include "lineage/grounder.h"
 #include "util/cancel.h"
 #include "util/rational.h"
+#include "util/relaxed_counter.h"
 
 namespace gmc {
 
@@ -192,8 +193,8 @@ uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
 /// structure alone is NOT enough, because the disjunct weights depend on
 /// the marginals. GfomcSession holds one so the EVAL_APPROX coalescing
 /// round in serve.cc pays one plan build for N same-structure requests;
-/// hits/misses surface through GfomcSession::Stats (plan_hits /
-/// plan_misses) and the STATS wire line.
+/// hits/misses surface through GfomcSession::Stats::plans and the STATS
+/// wire line (plan_hits / plan_misses).
 ///
 /// Probes verify full key equality (exact Rational comparison), so a hash
 /// collision costs one rebuild, never a wrong plan. The approx.plan fault
@@ -205,10 +206,12 @@ uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
 /// path — cached builds are cheap enough that holding it is simpler).
 class KarpLubyPlanCache {
  public:
+  /// Cumulative counters, updated in place; stats() copies them without
+  /// taking the cache's mutex.
   struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+    RelaxedCounter hits;
+    RelaxedCounter misses;
+    RelaxedCounter evictions;
   };
 
   /// The cached plan for (cnf, probabilities), building and inserting on a
@@ -220,7 +223,7 @@ class KarpLubyPlanCache {
   /// Shrinking evicts least-recently-used entries immediately.
   void set_max_entries(uint64_t max_entries);
 
-  Stats stats() const;
+  Stats stats() const { return stats_; }
   void Clear();  ///< drops every entry and zeroes the stats
 
  private:

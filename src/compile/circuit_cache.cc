@@ -72,20 +72,20 @@ size_t CircuitCache::WarmFrom(const std::string& directory) {
     store::LoadedCircuit loaded;
     std::string load_error;
     if (!store::LoadCircuit(path, &loaded, &load_error)) {
-      stats_.store_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.store_rejected;
       // Same self-heal as the read-through path: quarantine only what
       // re-validates as durably corrupt (an injected store.read failure
       // must not cost a healthy warm-start entry its place on disk).
       if (self_heal_.load(std::memory_order_relaxed) &&
           store::QuarantineIfCorrupt(path)) {
-        stats_.store_quarantined.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.store_quarantined;
       }
       continue;
     }
     Stripe& stripe = StripeFor(loaded.cnf);
     std::lock_guard<std::mutex> lock(stripe.mu);
-    // Keep an already-cached circuit: it is in use (references from Get
-    // stay valid until Clear) and evaluates identically anyway.
+    // Keep an already-cached circuit: it may be pinned by an in-flight
+    // evaluation, and evaluates identically anyway.
     Entry entry;
     entry.circuit =
         std::make_shared<const NnfCircuit>(std::move(loaded.circuit));
@@ -96,15 +96,15 @@ size_t CircuitCache::WarmFrom(const std::string& directory) {
         stripe.circuits.try_emplace(loaded.cnf, std::move(entry)).second;
     if (fresh) {
       ++inserted;
-      resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+      stats_.resident_bytes += bytes;
     }
   }
   // One sweep after the bulk load (protecting nothing: a warm scan has no
   // in-flight entry to shield) so warming a replica against a byte budget
   // ends within it rather than at the full store size.
-  const uint64_t max_bytes = max_resident_bytes_.load(std::memory_order_relaxed);
-  if (max_bytes > 0 &&
-      resident_bytes_.load(std::memory_order_relaxed) > max_bytes) {
+  const uint64_t max_bytes =
+      max_resident_bytes_.load(std::memory_order_relaxed);
+  if (max_bytes > 0 && stats_.resident_bytes > max_bytes) {
     MaybeEvict(max_bytes, use_clock_.load(std::memory_order_relaxed));
   }
   return inserted;
@@ -121,20 +121,9 @@ CircuitCache::Stripe& CircuitCache::StripeFor(const Cnf& cnf) {
   return stripes_[CnfHash{}(cnf) >> kShift & (kNumStripes - 1)];
 }
 
-const NnfCircuit& CircuitCache::Get(const Cnf& cnf) {
-  // Unbudgeted, uncancellable compilation always produces a circuit.
-  return *GetOrCompile(cnf, nullptr, nullptr);
-}
-
 std::shared_ptr<const NnfCircuit> CircuitCache::GetShared(
     const Cnf& cnf, const CancelToken* cancel) {
   return GetOrCompile(cnf, nullptr, cancel);
-}
-
-const NnfCircuit* CircuitCache::TryGet(const Cnf& cnf,
-                                       const CompileBudget& budget) {
-  if (budget.Unlimited()) return &Get(cnf);
-  return GetOrCompile(cnf, &budget, nullptr).get();
 }
 
 std::shared_ptr<const NnfCircuit> CircuitCache::TryGetShared(
@@ -154,30 +143,24 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
   // Inserts one freshly produced circuit (compiled or store-loaded) under
   // the stripe lock. The fault point models a lost insert — an allocator
   // or admission failure between compile and publish: the caller still
-  // gets ITS circuit (pinned until Clear so legacy references survive),
-  // the map just never learns about it and the next lookup recompiles.
+  // gets ITS circuit, the map just never learns about it and the next
+  // lookup recompiles.
   auto publish = [&](NnfCircuit&& circuit) {
     stripe.failed.erase(cnf);
-    auto shared = std::make_shared<const NnfCircuit>(std::move(circuit));
+    result = std::make_shared<const NnfCircuit>(std::move(circuit));
     keep_from = use_clock_.fetch_add(1, std::memory_order_relaxed);
-    if (fault::ShouldFail(fault::Point::kCacheInsert)) {
-      std::lock_guard<std::mutex> pin_lock(pinned_mu_);
-      pinned_.push_back(shared);
-      result = std::move(shared);
-      return;
-    }
+    if (fault::ShouldFail(fault::Point::kCacheInsert)) return;
     Entry entry;
-    entry.circuit = shared;
-    entry.bytes = shared->MemoryBytes();
+    entry.circuit = result;
+    entry.bytes = result->MemoryBytes();
     entry.last_used = keep_from;
-    resident_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
+    stats_.resident_bytes += entry.bytes;
     stripe.circuits.emplace(cnf, std::move(entry));
-    result = std::move(shared);
   };
   {
     std::lock_guard<std::mutex> stripe_lock(stripe.mu);
     if (auto it = stripe.circuits.find(cnf); it != stripe.circuits.end()) {
-      stats_.hits.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.hits;
       keep_from = use_clock_.fetch_add(1, std::memory_order_relaxed);
       it->second.last_used = keep_from;
       // A hit exits through the shared eviction tail below, not an early
@@ -193,7 +176,7 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
     if (result == nullptr && budget != nullptr) {
       if (auto it = stripe.failed.find(cnf); it != stripe.failed.end()) {
         if (!budget->AllowsMoreThan(it->second)) {
-          stats_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.budget_exhausted;
           return nullptr;
         }
       }
@@ -211,14 +194,14 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
       std::string store_error;
       switch (persistent->TryLoad(cnf, &loaded, nullptr, &store_error)) {
         case store::StoreLookup::kLoaded:
-          stats_.store_hits.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.store_hits;
           publish(std::move(loaded));
           break;
         case store::StoreLookup::kMissing:
-          stats_.store_misses.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.store_misses;
           break;
         case store::StoreLookup::kRejected:
-          stats_.store_rejected.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.store_rejected;
           // Self-heal: a durably corrupt file is quarantined NOW, so this
           // rejection is the last one it ever causes (the write-through
           // below re-fills the path with a fresh circuit). The probe
@@ -226,14 +209,14 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
           // read failure never quarantines a healthy file.
           if (self_heal_.load(std::memory_order_relaxed) &&
               store::QuarantineIfCorrupt(persistent->PathFor(cnf))) {
-            stats_.store_quarantined.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.store_quarantined;
           }
           break;
         case store::StoreLookup::kMismatch:
           // A valid circuit for a DIFFERENT CNF (hash collision): counted
           // as a rejection, never quarantined — it may be someone else's
           // good entry.
-          stats_.store_rejected.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.store_rejected;
           break;
       }
     }
@@ -261,7 +244,7 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
             if (!fresh && budget->AllowsMoreThan(it->second)) {
               it->second = *budget;
             }
-            stats_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.budget_exhausted;
             return nullptr;
           }
           compiled = std::move(*attempt);
@@ -271,24 +254,20 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
           // partial circuit — discard it, cache nothing.
           if (cancel != nullptr && cancel->cancelled()) return nullptr;
         }
-        stats_.compiles.fetch_add(1, std::memory_order_relaxed);
-        stats_.nodes_before_minimize.fetch_add(
-            compiler_.stats().minimize_nodes_before -
-                before.minimize_nodes_before,
-            std::memory_order_relaxed);
-        stats_.nodes_after_minimize.fetch_add(
-            compiler_.stats().minimize_nodes_after -
-                before.minimize_nodes_after,
-            std::memory_order_relaxed);
+        ++stats_.compiles;
+        const Compiler::Stats after = compiler_.stats();
+        stats_.nodes_before_minimize +=
+            after.minimize_nodes_before - before.minimize_nodes_before;
+        stats_.nodes_after_minimize +=
+            after.minimize_nodes_after - before.minimize_nodes_after;
       }
       // Edge accounting happens OUTSIDE the compiler mutex: the circuit is
       // a local, and compiler_mu_ serializes compiles across every stripe,
       // so the O(edges) ComputeStats walk must not lengthen that critical
       // section.
       if (order != OrderHeuristic::kDefault) {
-        stats_.ordered_compiles.fetch_add(1, std::memory_order_relaxed);
-        stats_.order_edges.fetch_add(compiled.ComputeStats().edges,
-                                     std::memory_order_relaxed);
+        ++stats_.ordered_compiles;
+        stats_.order_edges += compiled.ComputeStats().edges;
       }
       publish(std::move(compiled));
       // Write-through AFTER the insert, from the caller's copy: a failed
@@ -306,8 +285,7 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
   // fair game.
   const uint64_t max_bytes =
       max_resident_bytes_.load(std::memory_order_relaxed);
-  if (max_bytes > 0 &&
-      resident_bytes_.load(std::memory_order_relaxed) > max_bytes) {
+  if (max_bytes > 0 && stats_.resident_bytes > max_bytes) {
     MaybeEvict(max_bytes, keep_from);
   }
   return result;
@@ -325,7 +303,7 @@ void CircuitCache::MaybeEvict(uint64_t max_bytes, uint64_t keep_from) {
   // thrash-on-every-lookup).
   const int kMaxRounds = 1024;  // paranoia bound, not a policy
   for (int round = 0; round < kMaxRounds; ++round) {
-    if (resident_bytes_.load(std::memory_order_relaxed) <= max_bytes) return;
+    if (stats_.resident_bytes <= max_bytes) return;
     size_t victim_stripe = kNumStripes;
     uint64_t victim_used = keep_from;
     Cnf victim_key;
@@ -345,8 +323,8 @@ void CircuitCache::MaybeEvict(uint64_t max_bytes, uint64_t keep_from) {
     auto it = stripe.circuits.find(victim_key);
     if (it == stripe.circuits.end()) continue;  // raced with Clear
     if (it->second.last_used >= keep_from) continue;  // hit since the scan
-    resident_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
-    stats_.evictions.fetch_add(1, std::memory_order_relaxed);
+    stats_.resident_bytes -= it->second.bytes;
+    ++stats_.evictions;
     // The erase drops the map's reference; an in-flight evaluation that
     // pinned via GetShared keeps the circuit alive until it finishes.
     stripe.circuits.erase(it);
@@ -382,34 +360,29 @@ std::vector<Rational> CircuitCache::ProbabilityBatch(
   }
   // The GetShared above accounted one compile or hit; the remaining K − 1
   // vectors are all cache-served evaluations.
-  stats_.hits.fetch_add(weights.num_vectors() - 1, std::memory_order_relaxed);
+  stats_.hits += weights.num_vectors() - 1;
   return EvaluatePinned(*pinned, weights, cancel);
 }
 
 std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
                                                    const WeightMatrix& weights,
                                                    const CancelToken* cancel) {
-  stats_.batch_passes.fetch_add(1, std::memory_order_relaxed);
-  stats_.batched_vectors.fetch_add(weights.num_vectors(),
-                                   std::memory_order_relaxed);
+  ++stats_.batch_passes;
+  stats_.batched_vectors += weights.num_vectors();
   const int num_threads = num_threads_.load(std::memory_order_relaxed);
   // Interpolation sweeps and GFOMC instances have power-of-two weight
   // denominators throughout; those batches take the gcd-free dyadic pass.
   // Both paths return identical reduced Rationals, so callers never see
   // which one ran.
   if (weights.AllDyadic()) {
-    stats_.dyadic_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.dyadic_vectors.fetch_add(weights.num_vectors(),
-                                    std::memory_order_relaxed);
+    ++stats_.dyadic_batches;
+    stats_.dyadic_vectors += weights.num_vectors();
     DyadicBatchStats widths;
     std::vector<Rational> result =
         circuit.EvaluateBatchDyadic(weights, num_threads, &widths, cancel);
-    stats_.fixed64_vectors.fetch_add(widths.fixed64_vectors,
-                                     std::memory_order_relaxed);
-    stats_.fixed128_vectors.fetch_add(widths.fixed128_vectors,
-                                      std::memory_order_relaxed);
-    stats_.bigint_vectors.fetch_add(widths.bigint_vectors,
-                                    std::memory_order_relaxed);
+    stats_.fixed64_vectors += widths.fixed64_vectors;
+    stats_.fixed128_vectors += widths.fixed128_vectors;
+    stats_.bigint_vectors += widths.bigint_vectors;
     return result;
   }
   return circuit.EvaluateBatch(weights, num_threads, cancel);
@@ -461,39 +434,6 @@ WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
   return weights;
 }
 
-CircuitCache::Stats CircuitCache::stats() const {
-  Stats out;
-  out.compiles = stats_.compiles.load(std::memory_order_relaxed);
-  out.hits = stats_.hits.load(std::memory_order_relaxed);
-  out.batch_passes = stats_.batch_passes.load(std::memory_order_relaxed);
-  out.batched_vectors =
-      stats_.batched_vectors.load(std::memory_order_relaxed);
-  out.dyadic_batches = stats_.dyadic_batches.load(std::memory_order_relaxed);
-  out.dyadic_vectors = stats_.dyadic_vectors.load(std::memory_order_relaxed);
-  out.fixed64_vectors =
-      stats_.fixed64_vectors.load(std::memory_order_relaxed);
-  out.fixed128_vectors =
-      stats_.fixed128_vectors.load(std::memory_order_relaxed);
-  out.bigint_vectors = stats_.bigint_vectors.load(std::memory_order_relaxed);
-  out.nodes_before_minimize =
-      stats_.nodes_before_minimize.load(std::memory_order_relaxed);
-  out.nodes_after_minimize =
-      stats_.nodes_after_minimize.load(std::memory_order_relaxed);
-  out.ordered_compiles =
-      stats_.ordered_compiles.load(std::memory_order_relaxed);
-  out.order_edges = stats_.order_edges.load(std::memory_order_relaxed);
-  out.store_hits = stats_.store_hits.load(std::memory_order_relaxed);
-  out.store_misses = stats_.store_misses.load(std::memory_order_relaxed);
-  out.store_rejected = stats_.store_rejected.load(std::memory_order_relaxed);
-  out.store_quarantined =
-      stats_.store_quarantined.load(std::memory_order_relaxed);
-  out.budget_exhausted =
-      stats_.budget_exhausted.load(std::memory_order_relaxed);
-  out.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  out.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
-  return out;
-}
-
 Compiler::Stats CircuitCache::compiler_stats() const {
   std::lock_guard<std::mutex> lock(compiler_mu_);
   return compiler_.stats();
@@ -512,13 +452,11 @@ void CircuitCache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     for (const auto& [cnf, entry] : stripe.circuits) {
-      resident_bytes_.fetch_sub(entry.bytes, std::memory_order_relaxed);
+      stats_.resident_bytes -= entry.bytes;
     }
     stripe.circuits.clear();
     stripe.failed.clear();
   }
-  std::lock_guard<std::mutex> pin_lock(pinned_mu_);
-  pinned_.clear();
 }
 
 }  // namespace gmc

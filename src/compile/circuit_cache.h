@@ -10,14 +10,14 @@
 //
 // Thread safety: the cache is safe to share across threads. The memo is
 // partitioned into hash stripes, each guarded by its own mutex, so lookups
-// for different structures rarely contend; circuits are held by unique_ptr,
-// so a returned reference stays valid across concurrent insertions (only
-// Clear invalidates, and Clear must not race in-flight evaluations).
-// Compilation of a new structure holds its stripe's lock (a second thread
-// asking for the same CNF blocks instead of compiling twice) plus the
-// compiler mutex (the compiler's sub-formula memo is shared state).
-// Stats counters are atomics; stats() returns a coherent-enough snapshot
-// for monitoring (counters are incremented independently).
+// for different structures rarely contend; circuits are held by
+// shared_ptr, and every lookup hands its caller a pin, so a circuit in use
+// survives any concurrent eviction or Clear. Compilation of a new
+// structure holds its stripe's lock (a second thread asking for the same
+// CNF blocks instead of compiling twice) plus the compiler mutex (the
+// compiler's sub-formula memo is shared state). The Stats counters are
+// RelaxedCounters (util/relaxed_counter.h): stats() is a lock-free copy,
+// each field read independently.
 
 #ifndef GMC_COMPILE_CIRCUIT_CACHE_H_
 #define GMC_COMPILE_CIRCUIT_CACHE_H_
@@ -40,6 +40,7 @@
 #include "prob/tid.h"
 #include "store/circuit_store.h"
 #include "util/rational.h"
+#include "util/relaxed_counter.h"
 
 namespace gmc {
 
@@ -52,38 +53,38 @@ WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
 /// Thread-safe compile-once / evaluate-many circuit store. All evaluation
 /// entry points are exact (results are canonical reduced Rationals,
 /// bit-identical across the dyadic/Rational routing, every order
-/// heuristic, and every thread count); ownership of every compiled
-/// circuit stays with the cache — references returned by Get are valid
-/// until Clear() or destruction.
+/// heuristic, and every thread count); a lookup returns a shared_ptr that
+/// keeps its circuit alive for as long as the caller holds it.
 class CircuitCache {
  public:
-  /// Monitoring counters, all cumulative. Snapshot semantics: see stats().
+  /// Monitoring counters, all cumulative except the resident_bytes gauge.
+  /// The cache updates this struct in place; stats() copies it.
   struct Stats {
-    uint64_t compiles = 0;
-    uint64_t hits = 0;
-    uint64_t batch_passes = 0;      ///< batched passes issued (either path)
-    uint64_t batched_vectors = 0;   ///< weight vectors served by those passes
+    RelaxedCounter compiles;
+    RelaxedCounter hits;
+    RelaxedCounter batch_passes;     ///< batched passes issued (either path)
+    RelaxedCounter batched_vectors;  ///< weight vectors those passes served
     /// Dyadic routing: batches whose weights all had power-of-two
     /// denominators and therefore took EvaluateBatchDyadic instead of the
     /// Rational EvaluateBatch (see nnf.h; results are bit-identical).
-    uint64_t dyadic_batches = 0;
-    uint64_t dyadic_vectors = 0;
+    RelaxedCounter dyadic_batches;
+    RelaxedCounter dyadic_vectors;
     /// Width routing inside the dyadic path (see nnf_fixed.cc): vectors
     /// served by the uint64 / UInt128 fixed-width kernels vs the BigInt
     /// Dyadic arena. fixed64 + fixed128 + bigint == dyadic_vectors.
-    uint64_t fixed64_vectors = 0;
-    uint64_t fixed128_vectors = 0;
-    uint64_t bigint_vectors = 0;
+    RelaxedCounter fixed64_vectors;
+    RelaxedCounter fixed128_vectors;
+    RelaxedCounter bigint_vectors;
     /// Sweep-and-merge payoff across all compiles (mirrors the compiler's
     /// minimize_nodes_before/after, surfaced here because this cache is
     /// the front end repeated-query traffic goes through).
-    uint64_t nodes_before_minimize = 0;
-    uint64_t nodes_after_minimize = 0;
+    RelaxedCounter nodes_before_minimize;
+    RelaxedCounter nodes_after_minimize;
     /// Vtree-order accounting: compiles that ran under a non-default
     /// OrderHeuristic, and the total edges (after minimization) of the
     /// circuits they produced.
-    uint64_t ordered_compiles = 0;
-    uint64_t order_edges = 0;
+    RelaxedCounter ordered_compiles;
+    RelaxedCounter order_edges;
     /// Persistent-store traffic (zero unless a store is attached — the
     /// GMC_STORE knob or GmcOptions::store_directory). A store hit replaces
     /// a compile entirely; a rejected entry means a file was present but
@@ -91,29 +92,29 @@ class CircuitCache {
     /// collision) and the structure was recompiled. store_hits +
     /// store_misses + store_rejected == the compulsory in-memory misses
     /// that consulted the store.
-    uint64_t store_hits = 0;
-    uint64_t store_misses = 0;
-    uint64_t store_rejected = 0;
+    RelaxedCounter store_hits;
+    RelaxedCounter store_misses;
+    RelaxedCounter store_rejected;
     /// Self-healing (store_self_heal, the default): rejected entries whose
     /// bytes re-validated as durably corrupt and were moved into the
     /// store's quarantine/ subdirectory (store/scrub.h) — each such file
     /// costs ONE recompile total instead of one per cold process forever.
     /// Valid-but-mismatched files (hash collisions) count store_rejected
     /// but are never quarantined.
-    uint64_t store_quarantined = 0;
-    /// TryGet probes that came back empty: the compile hit its
+    RelaxedCounter store_quarantined;
+    /// TryGetShared probes that came back empty: the compile hit its
     /// CompileBudget (or a memoized earlier failure under an
     /// equal-or-larger budget short-circuited it) and the caller was sent
     /// to the anytime tier.
-    uint64_t budget_exhausted = 0;
+    RelaxedCounter budget_exhausted;
     /// Memory governance (zero unless max_resident_bytes is set): entries
     /// dropped by the LRU sweep, and the current byte footprint of the
     /// cached circuits (a gauge, not cumulative — NnfCircuit::MemoryBytes
     /// per entry). In-flight evaluations pin evicted circuits alive via
     /// shared_ptr, so resident_bytes tracks what the CACHE retains, not
     /// total process memory.
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
+    RelaxedCounter evictions;
+    RelaxedCounter resident_bytes;
   };
 
   /// A fresh cache adopts the environment defaults — one
@@ -138,16 +139,8 @@ class CircuitCache {
   GmcOptions options() const;
 
   /// The compiled circuit for `cnf`, compiling on first sight. The
-  /// reference stays valid until Clear() or destruction (concurrent Get
-  /// calls never move existing circuits) — PROVIDED eviction is off
-  /// (max_resident_bytes == 0, the default). With a byte budget set, an
-  /// entry can be evicted while a bare reference is outstanding; eviction-
-  /// aware callers must use GetShared, which pins the circuit.
-  const NnfCircuit& Get(const Cnf& cnf);
-
-  /// Pinning Get: the returned shared_ptr keeps the circuit alive across
-  /// any concurrent eviction or Clear — THE lookup for callers running
-  /// under max_resident_bytes. `cancel`, if non-null, is threaded into the
+  /// returned shared_ptr keeps the circuit alive across any concurrent
+  /// eviction or Clear. `cancel`, if non-null, is threaded into the
   /// compile; a fired token abandons the compile and returns nullptr
   /// WITHOUT caching the partial circuit or memoizing a failure (a
   /// deadline says nothing about the instance — see compiler.h). This is
@@ -155,21 +148,16 @@ class CircuitCache {
   std::shared_ptr<const NnfCircuit> GetShared(
       const Cnf& cnf, const CancelToken* cancel = nullptr);
 
-  /// Budgeted Get — the routing probe of the anytime tier. Returns the
-  /// circuit if `cnf` is already cached (in memory or in the attached
+  /// Budgeted GetShared — the routing probe of the anytime tier. Returns
+  /// the circuit if `cnf` is already cached (in memory or in the attached
   /// store; budgets never apply to lookups) or compiles inside `budget`;
   /// nullptr once the compile exhausts it (Stats::budget_exhausted ticks
   /// and the failure is memoized per budget, so re-probing the same
   /// structure only recompiles when offered a strictly larger budget —
-  /// see CompileBudget::AllowsMoreThan). An unlimited budget is exactly
-  /// Get. Pointer lifetime matches Get's reference (same eviction caveat).
-  const NnfCircuit* TryGet(const Cnf& cnf, const CompileBudget& budget);
-
-  /// Pinning TryGet: TryGet's routing semantics with GetShared's lifetime
-  /// and cancellation. Null means EITHER budget exhaustion (memoized,
-  /// Stats::budget_exhausted ticks) or a fired `cancel` (not memoized, no
-  /// stat) — callers under a deadline check cancel->cancelled() to tell
-  /// the two apart.
+  /// see CompileBudget::AllowsMoreThan) or once `cancel` fires (not
+  /// memoized, no stat) — callers under a deadline check
+  /// cancel->cancelled() to tell the two apart. An unlimited budget is
+  /// exactly GetShared.
   std::shared_ptr<const NnfCircuit> TryGetShared(
       const Cnf& cnf, const CompileBudget& budget,
       const CancelToken* cancel = nullptr);
@@ -230,16 +218,15 @@ class CircuitCache {
   /// in-memory cache (structures already cached keep their circuit).
   /// Invalid files count into Stats::store_rejected and are skipped.
   /// Returns the number of circuits inserted. Safe to run concurrently
-  /// with Get traffic — warm a replica while it serves.
+  /// with lookup traffic — warm a replica while it serves.
   size_t WarmFrom(const std::string& directory);
 
-  /// Snapshot of the atomic counters (not a reference: counters move under
-  /// concurrent traffic).
-  Stats stats() const;
+  /// A copy of the live counters; takes no lock.
+  Stats stats() const { return stats_; }
   Compiler::Stats compiler_stats() const;
   size_t size() const;
-  /// Drops every cached circuit. NOT safe to call while other threads hold
-  /// references from Get or are mid-evaluation.
+  /// Drops every cached circuit and budget-failure memo. Circuits that
+  /// callers still pin stay alive with them.
   void Clear();
 
  private:
@@ -248,8 +235,8 @@ class CircuitCache {
   static constexpr size_t kNumStripes = 16;
   // One cached circuit plus its eviction bookkeeping. shared_ptr (not
   // unique_ptr) so eviction can drop the map entry while in-flight
-  // evaluations that pinned via GetShared keep the circuit alive; `bytes`
-  // is the MemoryBytes() the entry charged against resident_bytes_, and
+  // evaluations that pinned the circuit keep it alive; `bytes` is the
+  // MemoryBytes() the entry charged against stats_.resident_bytes, and
   // `last_used` is a global use-clock reading (updated under the stripe
   // lock on every hit) that the LRU sweep compares across stripes.
   struct Entry {
@@ -261,32 +248,11 @@ class CircuitCache {
     mutable std::mutex mu;
     std::unordered_map<Cnf, Entry, CnfHash, CnfClauseEq> circuits;
     // Budget-exhaustion memo: the largest budget each structure has failed
-    // under. TryGet consults it to skip recompiling a known blow-up unless
-    // the caller offers strictly more on some axis. Cleared by Clear().
+    // under. TryGetShared consults it to skip recompiling a known blow-up
+    // unless the caller offers strictly more on some axis. Cleared by
+    // Clear().
     std::unordered_map<Cnf, CompileBudget, CnfHash, CnfClauseEq> failed;
   };
-  struct AtomicStats {
-    std::atomic<uint64_t> compiles{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> batch_passes{0};
-    std::atomic<uint64_t> batched_vectors{0};
-    std::atomic<uint64_t> dyadic_batches{0};
-    std::atomic<uint64_t> dyadic_vectors{0};
-    std::atomic<uint64_t> fixed64_vectors{0};
-    std::atomic<uint64_t> fixed128_vectors{0};
-    std::atomic<uint64_t> bigint_vectors{0};
-    std::atomic<uint64_t> nodes_before_minimize{0};
-    std::atomic<uint64_t> nodes_after_minimize{0};
-    std::atomic<uint64_t> ordered_compiles{0};
-    std::atomic<uint64_t> order_edges{0};
-    std::atomic<uint64_t> store_hits{0};
-    std::atomic<uint64_t> store_misses{0};
-    std::atomic<uint64_t> store_rejected{0};
-    std::atomic<uint64_t> store_quarantined{0};
-    std::atomic<uint64_t> budget_exhausted{0};
-    std::atomic<uint64_t> evictions{0};
-  };
-
   Stripe& StripeFor(const Cnf& cnf);
   // Shared body of every lookup. Null iff the budget was spent (memoized)
   // or `cancel` fired (not memoized).
@@ -294,34 +260,28 @@ class CircuitCache {
                                                  const CompileBudget* budget,
                                                  const CancelToken* cancel);
   // LRU sweep: drops globally least-recently-used entries until
-  // resident_bytes_ fits `max_bytes`, never touching entries used at or
-  // after `keep_from` (the just-inserted entry's clock reading — evicting
-  // it immediately would thrash). Takes stripe locks one at a time;
-  // callers must hold NONE.
+  // stats_.resident_bytes fits `max_bytes`, never touching entries used at
+  // or after `keep_from` (the just-inserted entry's clock reading —
+  // evicting it immediately would thrash). Takes stripe locks one at a
+  // time; callers must hold NONE.
   void MaybeEvict(uint64_t max_bytes, uint64_t keep_from);
-  // The attached store (shared_ptr so in-flight Gets survive a concurrent
-  // re-Configure), or nullptr.
+  // The attached store (shared_ptr so in-flight lookups survive a
+  // concurrent re-Configure), or nullptr.
   std::shared_ptr<const store::CircuitStore> store() const;
 
   mutable std::mutex compiler_mu_;  // guards compiler_ (shared memo + stats)
   Compiler compiler_;
   std::array<Stripe, kNumStripes> stripes_;
-  AtomicStats stats_;
+  Stats stats_;
   mutable std::mutex store_mu_;  // guards store_ (the pointer, not the store)
   std::shared_ptr<const store::CircuitStore> store_;
   std::atomic<bool> write_through_{true};
   std::atomic<bool> self_heal_{true};
-  // Memory governance: byte cap (0 = unlimited), current footprint, and
-  // the monotone use-clock every hit/insert stamps entries with.
+  // Memory governance: byte cap (0 = unlimited; the current footprint is
+  // stats_.resident_bytes) and the monotone use-clock every hit/insert
+  // stamps entries with.
   std::atomic<uint64_t> max_resident_bytes_{0};
-  std::atomic<uint64_t> resident_bytes_{0};
   std::atomic<uint64_t> use_clock_{0};
-  // Circuits whose cache insertion was suppressed by fault injection
-  // (fault::Point::kCacheInsert) are parked here so legacy Get references
-  // honor their valid-until-Clear contract even when the map never held
-  // the entry. Empty in production (no faults configured).
-  mutable std::mutex pinned_mu_;
-  std::vector<std::shared_ptr<const NnfCircuit>> pinned_;
   std::atomic<int> num_threads_{0};
   std::atomic<OrderHeuristic> order_{OrderHeuristic::kDefault};
   // The options last Configured, for options() snapshots and store change

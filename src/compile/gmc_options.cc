@@ -104,7 +104,7 @@ GmcOptions GmcOptions::FromEnv() {
   }
   // GMC_THREADS: num_threads stays 0 — "defer to the process default" is
   // the existing contract, and util/parallel resolves that default from
-  // GMC_THREADS (or a SetDefaultNumThreads override) at use time.
+  // GMC_THREADS at use time.
   ParseRoutingMode(std::getenv("GMC_ROUTING"), &options.routing_mode);
   EnvU64("GMC_BUDGET_NODES", &options.compile_budget.max_nodes);
   EnvU64("GMC_BUDGET_CALLS", &options.compile_budget.max_calls);

@@ -4,8 +4,8 @@
 // Configure(const GmcOptions&) that applies the fields it understands, and
 // every environment default is read in exactly one place,
 // GmcOptions::FromEnv(). The only other knob is the process-wide worker
-// default of util/parallel.h (GMC_THREADS / SetDefaultNumThreads), which
-// num_threads = 0 defers to.
+// default of util/parallel.h (GMC_THREADS), which num_threads = 0 defers
+// to.
 //
 // The struct lives at the compile layer (the lowest consumer is
 // CircuitCache) and is plain data — copying is cheap, and a caller can
@@ -165,8 +165,8 @@ struct GmcOptions {
   /// GMC_ORDER → order (default/minfill/balanced; anything else keeps
   /// kDefault), GMC_STORE → store_directory, GMC_THREADS → (deliberately) a
   /// num_threads of 0, because 0 already means "defer to the process
-  /// default", which util/parallel resolves from GMC_THREADS at use time —
-  /// keeping late SetDefaultNumThreads overrides effective. Routing knobs:
+  /// default", which util/parallel resolves from GMC_THREADS at use time.
+  /// Routing knobs:
   /// GMC_ROUTING (exact/auto/interval/sample), GMC_BUDGET_NODES /
   /// GMC_BUDGET_CALLS / GMC_BUDGET_MS (unsigned; 0 = unlimited),
   /// GMC_EPSILON / GMC_DELTA (decimals strictly in (0, 1)),

@@ -344,20 +344,9 @@ GmcStatus GfomcSession::DeadlineExceeded() {
 }
 
 GfomcSession::Stats GfomcSession::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Stats out = counters_;
-  const CircuitCache::Stats cache = circuits_.stats();
-  out.circuit_compiles = cache.compiles;
-  out.circuit_hits = cache.hits;
-  out.store_hits = cache.store_hits;
-  out.store_misses = cache.store_misses;
-  out.store_rejected = cache.store_rejected;
-  out.store_quarantined = cache.store_quarantined;
-  out.evictions = cache.evictions;
-  out.resident_bytes = cache.resident_bytes;
-  const KarpLubyPlanCache::Stats plans = sample_plans_.stats();
-  out.plan_hits = plans.hits;
-  out.plan_misses = plans.misses;
+  out.cache = circuits_.stats();
+  out.plans = sample_plans_.stats();
   return out;
 }
 

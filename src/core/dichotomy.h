@@ -34,6 +34,7 @@
 #include "logic/query.h"
 #include "prob/tid.h"
 #include "safe/safe_eval.h"
+#include "util/relaxed_counter.h"
 
 namespace gmc {
 
@@ -183,54 +184,41 @@ class RoutingPolicy {
 // answered from a circuit are grouped by structure: one batched pass per
 // group.
 //
-// Thread safety: calls serialize on a session mutex (the lifted plan's and
-// the session's counters are not concurrency-safe); throughput within a
-// call comes from the column-parallel passes underneath
-// (GmcOptions::num_threads), and the CircuitCache is itself striped-lock
-// thread-safe.
+// Thread safety: evaluation calls serialize on a session mutex (the lifted
+// plan is not concurrency-safe); throughput within a call comes from the
+// column-parallel passes underneath (GmcOptions::num_threads), and the
+// CircuitCache is itself striped-lock thread-safe. stats() takes no lock,
+// so a monitor never waits behind an evaluation in flight.
 class GfomcSession {
  public:
+  // Monitoring counters. The session's own are updated in place; stats()
+  // copies them together with its caches' counters.
   struct Stats {
-    uint64_t queries = 0;
-    uint64_t safe_lifted = 0;        // safe, answered by the PTIME plan
-    uint64_t safe_compiled = 0;      // safe GFOMC instances, circuit cache
-    uint64_t unsafe_compiled = 0;    // unsafe, answered by a circuit pass
+    RelaxedCounter queries;
+    RelaxedCounter safe_lifted;      // safe, answered by the PTIME plan
+    RelaxedCounter safe_compiled;    // safe GFOMC instances, circuit cache
+    RelaxedCounter unsafe_compiled;  // unsafe, answered by a circuit pass
     // Anytime-tier traffic (EvaluateMany is always exact): answers served
     // as certified intervals, answers served by the (ε, δ) sampler,
     // compile probes that hit their budget, and instances rejected by
     // validation.
-    uint64_t anytime_interval = 0;
-    uint64_t anytime_sampled = 0;
-    uint64_t budget_exhausted = 0;
-    uint64_t invalid_requests = 0;
+    RelaxedCounter anytime_interval;
+    RelaxedCounter anytime_sampled;
+    RelaxedCounter budget_exhausted;
+    RelaxedCounter invalid_requests;
     // Instances that returned kDeadlineExceeded (the call's deadline_ms
     // fired before an exact or certified answer existed).
-    uint64_t deadline_exceeded = 0;
-    // From the session's CircuitCache: how often a grounded lineage
-    // compiled vs was served from cache — the repeated-query win.
-    uint64_t circuit_compiles = 0;
-    uint64_t circuit_hits = 0;
-    // Persistent-store traffic (zero unless a store is attached; see
-    // CircuitCache::Stats and docs/SERVING.md).
-    uint64_t store_hits = 0;
-    uint64_t store_misses = 0;
-    uint64_t store_rejected = 0;
-    // Rejected entries the self-healing read path quarantined (see
-    // CircuitCache::Stats::store_quarantined and store/scrub.h).
-    uint64_t store_quarantined = 0;
-    // Memory governance (zero unless max_resident_bytes is set): LRU
-    // evictions, and the current resident circuit bytes (a gauge).
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;
-    // Karp–Luby plan-cache traffic (the sampled tier's per-instance
-    // setup): a hit reuses another request's exact disjunct-weight prefix
-    // sums instead of rebuilding them (see KarpLubyPlanCache).
-    uint64_t plan_hits = 0;
-    uint64_t plan_misses = 0;
+    RelaxedCounter deadline_exceeded;
     // Checked calls in which the sampler answered at least one instance —
     // with serve's coalescing, N same-round sampled requests surface here
     // as ONE batch (vs anytime_sampled counting N).
-    uint64_t sampler_batches = 0;
+    RelaxedCounter sampler_batches;
+    // The session's CircuitCache: compiles vs hits (the repeated-query
+    // win), persistent-store traffic, and memory governance.
+    CircuitCache::Stats cache;
+    // The sampled tier's plan cache: a hit reuses another request's exact
+    // disjunct-weight prefix sums instead of rebuilding them.
+    KarpLubyPlanCache::Stats plans;
   };
 
   GfomcResult Evaluate(const Query& query, const Tid& tid);
@@ -291,7 +279,8 @@ class GfomcSession {
     return circuits_.WarmFrom(directory);
   }
 
-  // Counters above plus live compile/hit totals from the cache.
+  // A copy of the counters above: one relaxed load per field, no lock
+  // (a snapshot, not a transaction — fields are read independently).
   Stats stats() const;
 
  private:
@@ -306,7 +295,7 @@ class GfomcSession {
                         std::shared_ptr<const NnfCircuit>* circuit);
   GmcStatus DeadlineExceeded();
 
-  mutable std::mutex mu_;  // serializes evaluation, Configure, and stats
+  mutable std::mutex mu_;  // serializes evaluation and Configure
   CircuitCache circuits_;  // the one cache, for safe and unsafe routes
   SafeEvaluator safe_;
   // Cached per-instance sampler setup, keyed by (cnf, probabilities) —
@@ -314,6 +303,8 @@ class GfomcSession {
   // probability sweep re-hitting one lineage) build the exact disjunct-
   // weight prefix sums once. Capacity follows sample_plan_entries.
   KarpLubyPlanCache sample_plans_;
+  // The session's own counters; `cache` and `plans` stay zero here, since
+  // stats() fills them from circuits_ and sample_plans_.
   Stats counters_;
   // The options last Configured; the cache-level fields are mirrored in
   // circuits_. Starts from FromEnv(), matching the cache's constructor.

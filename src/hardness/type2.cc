@@ -142,7 +142,7 @@ bool CheckInvertibility(const TypeIIStructure& structure) {
 }
 
 MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
-                                           const Tid& delta) {
+                                           const Tid& delta, int num_threads) {
   MobiusInversionCheck out;
   WmcEngine engine;
   out.direct = engine.QueryProbability(structure.query, delta);
@@ -161,6 +161,9 @@ MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
   // blocks are served by a single batched circuit pass instead of one walk
   // per block.
   CircuitCache circuits;
+  GmcOptions cache_options = circuits.options();
+  cache_options.num_threads = num_threads;
+  circuits.Configure(cache_options);
   std::map<std::tuple<int, int, int, int>, Rational> block_probability;
   {
     // The pair TID depends only on (u, v); build the nu·nv of them once

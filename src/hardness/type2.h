@@ -71,8 +71,12 @@ struct MobiusInversionCheck {
   int batch_passes = 0;
 };
 
+/// `num_threads` bounds the per-block batch passes (GmcOptions::num_threads
+/// semantics; 0 = process default). The result is bit-identical for every
+/// value.
 MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
-                                           const Tid& delta);
+                                           const Tid& delta,
+                                           int num_threads = 0);
 
 }  // namespace gmc
 

@@ -58,33 +58,25 @@ void LoadGovernor::Configure(const OverloadOptions& options) {
 
 void LoadGovernor::RecordQueueDepth(uint64_t depth) { Recompute(depth); }
 
-void LoadGovernor::RecordQueueWait(uint64_t wait_ms) {
-  const uint64_t sample =
-      static_cast<uint64_t>(static_cast<double>(wait_ms) * kEwmaScale);
-  uint64_t seen = ewma_fixed_.load(std::memory_order_relaxed);
-  uint64_t next;
-  do {
-    next = static_cast<uint64_t>((1.0 - options_.ewma_alpha) *
-                                     static_cast<double>(seen) +
-                                 options_.ewma_alpha *
-                                     static_cast<double>(sample));
-  } while (!ewma_fixed_.compare_exchange_weak(seen, next,
-                                              std::memory_order_relaxed));
-  Recompute(0);
+void LoadGovernor::RecordQueueWait(double wait_ms) {
+  FoldEwma(ewma_fixed_, wait_ms);
 }
 
 void LoadGovernor::RecordWorkCost(double cost_ms) {
-  const uint64_t sample =
-      static_cast<uint64_t>(std::max(cost_ms, 0.0) * kEwmaScale);
-  uint64_t seen = work_fixed_.load(std::memory_order_relaxed);
+  FoldEwma(work_fixed_, cost_ms);
+}
+
+void LoadGovernor::FoldEwma(std::atomic<uint64_t>& ewma_fixed,
+                            double sample_ms) {
+  const double sample = std::max(sample_ms, 0.0) * kEwmaScale;
+  uint64_t seen = ewma_fixed.load(std::memory_order_relaxed);
   uint64_t next;
   do {
     next = static_cast<uint64_t>((1.0 - options_.ewma_alpha) *
                                      static_cast<double>(seen) +
-                                 options_.ewma_alpha *
-                                     static_cast<double>(sample));
-  } while (!work_fixed_.compare_exchange_weak(seen, next,
-                                              std::memory_order_relaxed));
+                                 options_.ewma_alpha * sample);
+  } while (!ewma_fixed.compare_exchange_weak(seen, next,
+                                             std::memory_order_relaxed));
   Recompute(0);
 }
 

@@ -107,9 +107,9 @@ class LoadGovernor {
   /// Feed: the queue depth observed at an admission or drain boundary.
   /// Recomputes the pressure level.
   void RecordQueueDepth(uint64_t depth);
-  /// Feed: one request's time spent queued, folded into the EWMA.
-  /// Recomputes the pressure level.
-  void RecordQueueWait(uint64_t wait_ms);
+  /// Feed: one request's time spent queued, folded into the EWMA at
+  /// sub-millisecond resolution. Recomputes the pressure level.
+  void RecordQueueWait(double wait_ms);
   /// Feed: the average per-request evaluation cost of one drained batch
   /// (the serve loop feeds batch_ms / batch_size), folded into its own
   /// EWMA and normalized against wait_budget_ms — a request whose WORK
@@ -146,10 +146,13 @@ class LoadGovernor {
 
  private:
   void Recompute(uint64_t depth);
+  // Folds one sample (ms, clamped at 0) into a fixed-point EWMA, then
+  // recomputes the level.
+  void FoldEwma(std::atomic<uint64_t>& ewma_fixed, double sample_ms);
 
   OverloadOptions options_;
   std::atomic<uint64_t> inflight_{0};
-  // EWMAs in micro-milliseconds (ms * 1024) so the CAS loops run on
+  // EWMAs in micro-milliseconds (ms * 1024) so FoldEwma's CAS runs on
   // integers; precision far below anything the bands can resolve.
   std::atomic<uint64_t> ewma_fixed_{0};       // queue wait
   std::atomic<uint64_t> work_fixed_{0};       // per-request work cost

@@ -135,11 +135,9 @@ bool GmcServer::Start(std::string* error) {
     // sees a healthy directory (and its counters stay organic).
     const store::ScrubReport scrub =
         store::ScrubStore(options_.store_directory);
-    stats_.scrubbed.fetch_add(scrub.scanned, std::memory_order_relaxed);
-    stats_.quarantined.fetch_add(scrub.quarantined,
-                                 std::memory_order_relaxed);
-    stats_.scrub_orphans.fetch_add(scrub.orphan_tmps_removed,
-                                   std::memory_order_relaxed);
+    stats_.scrubbed += scrub.scanned;
+    stats_.quarantined += scrub.quarantined;
+    stats_.scrub_orphans += scrub.orphan_tmps_removed;
     session_options.store_directory = options_.store_directory;
     session_options.store_write_through = true;
   }
@@ -226,7 +224,7 @@ void GmcServer::AcceptLoop() {
   uint64_t backoff_ms = 1;
   constexpr uint64_t kMaxBackoffMs = 100;
   auto backoff = [&] {
-    stats_.accept_retries.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.accept_retries;
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     backoff_ms = std::min(backoff_ms * 2, kMaxBackoffMs);
   };
@@ -261,7 +259,7 @@ void GmcServer::AcceptLoop() {
       // Greeting-then-close: the one line this client gets is a typed
       // BUSY with a backoff hint, never a silent RST or an unbounded
       // reader thread.
-      stats_.busy_rejected.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.busy_rejected;
       const std::string busy =
           "ERR - BUSY retry_after_ms=" +
           std::to_string(governor_.retry_after_ms()) +
@@ -273,7 +271,7 @@ void GmcServer::AcceptLoop() {
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    stats_.connections.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.connections;
     active_connections_.fetch_add(1, std::memory_order_relaxed);
     {
       std::lock_guard<std::mutex> write_lock(conn->write_mu);
@@ -296,7 +294,7 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   // error before the close: the framing itself is untrustworthy from that
   // byte on, so nothing after it is parsed.
   auto reject_input = [&](const std::string& detail) {
-    stats_.oversize_lines.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.oversize_lines;
     SendLine(conn, "ERR - INVALID " + detail);
     close_connection = true;
   };
@@ -312,7 +310,7 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
           ::poll(&pfd, 1, static_cast<int>(options_.read_idle_ms));
       if (ready < 0 && errno == EINTR) continue;
       if (ready == 0) {  // idle past the bound
-        stats_.idle_disconnects.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.idle_disconnects;
         break;
       }
       if (ready < 0) break;
@@ -416,20 +414,20 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     return;
   }
   if (words[0] == "HEALTH") {
-    stats_.health_requests.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.health_requests;
     reply(HealthLine());
     return;
   }
   const bool approx = words[0] == "EVAL_APPROX";
   if (words[0] != "EVAL" && !approx) {
-    stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.parse_errors;
     reply("ERR - PARSE unknown command '" + words[0] + "'");
     return;
   }
 
   const std::string id = words.size() > 1 ? words[1] : "-";
   auto parse_error = [&](const std::string& detail) {
-    stats_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.parse_errors;
     reply("ERR " + id + " PARSE " + detail);
   };
 
@@ -492,7 +490,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
   // readers. Every SHED reply carries retry_after_ms — a shed client
   // knows WHEN a retry is worth attempting, not just that it lost.
   auto shed = [&](const std::string& detail) {
-    stats_.shed.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.shed;
     reply("ERR " + id + " SHED retry_after_ms=" +
           std::to_string(governor_.retry_after_ms()) + " " + detail);
   };
@@ -518,9 +516,9 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
            std::to_string(options_.max_inflight_per_connection) + ")");
       return;
     }
-    stats_.requests.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.requests;
     if (approx) {
-      stats_.approx_requests.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.approx_requests;
     }
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
     eval.enqueued = std::chrono::steady_clock::now();
@@ -674,13 +672,9 @@ std::string FormatApprox(const std::string& id, const GmcAnswer& answer) {
 }  // namespace
 
 void GmcServer::RunBatch(std::vector<PendingEval> batch) {
-  stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  stats_.batched_requests.fetch_add(batch.size(), std::memory_order_relaxed);
-  uint64_t seen = stats_.max_batch.load(std::memory_order_relaxed);
-  while (seen < batch.size() && !stats_.max_batch.compare_exchange_weak(
-                                    seen, batch.size(),
-                                    std::memory_order_relaxed)) {
-  }
+  ++stats_.batches;
+  stats_.batched_requests += batch.size();
+  stats_.max_batch.RaiseTo(batch.size());
 
   // Feed the governor: each request's time-in-queue updates the wait EWMA,
   // and the whole batch counts as in-flight work until the batch ends.
@@ -713,7 +707,7 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
     }
     const RoutingMode effective = DegradeForPressure(eval.mode, level);
     if (effective != eval.mode) {
-      stats_.degraded.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.degraded;
     }
     eval.mode = effective;
     eval.budget = configured_budget;
@@ -764,7 +758,7 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
         if (status.code == GmcStatusCode::kBudgetExhausted) kind = "BUDGET";
         if (status.code == GmcStatusCode::kDeadlineExceeded) {
           kind = "TIMEOUT";
-          stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.timeouts;
         }
         text = "ERR " + eval.id + " " + kind + " " + status.message;
       } else if (eval.approx) {
@@ -774,17 +768,11 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
       }
       SendLine(eval.conn, text);
       eval.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-      (status.ok() ? stats_.responses : stats_.eval_errors)
-          .fetch_add(1, std::memory_order_relaxed);
+      ++(status.ok() ? stats_.responses : stats_.eval_errors);
     }
     if (approx_members > 0) {
-      stats_.approx_batches.fetch_add(1, std::memory_order_relaxed);
-      uint64_t largest =
-          stats_.max_approx_batch.load(std::memory_order_relaxed);
-      while (largest < approx_members &&
-             !stats_.max_approx_batch.compare_exchange_weak(
-                 largest, approx_members, std::memory_order_relaxed)) {
-      }
+      ++stats_.approx_batches;
+      stats_.max_approx_batch.RaiseTo(approx_members);
     }
   }
 
@@ -807,41 +795,9 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
   }
 }
 
-GmcServer::Stats GmcServer::stats() const {
-  Stats out;
-  out.connections = stats_.connections.load(std::memory_order_relaxed);
-  out.requests = stats_.requests.load(std::memory_order_relaxed);
-  out.approx_requests =
-      stats_.approx_requests.load(std::memory_order_relaxed);
-  out.responses = stats_.responses.load(std::memory_order_relaxed);
-  out.shed = stats_.shed.load(std::memory_order_relaxed);
-  out.parse_errors = stats_.parse_errors.load(std::memory_order_relaxed);
-  out.eval_errors = stats_.eval_errors.load(std::memory_order_relaxed);
-  out.batches = stats_.batches.load(std::memory_order_relaxed);
-  out.batched_requests =
-      stats_.batched_requests.load(std::memory_order_relaxed);
-  out.max_batch = stats_.max_batch.load(std::memory_order_relaxed);
-  out.timeouts = stats_.timeouts.load(std::memory_order_relaxed);
-  out.idle_disconnects =
-      stats_.idle_disconnects.load(std::memory_order_relaxed);
-  out.oversize_lines = stats_.oversize_lines.load(std::memory_order_relaxed);
-  out.accept_retries = stats_.accept_retries.load(std::memory_order_relaxed);
-  out.busy_rejected = stats_.busy_rejected.load(std::memory_order_relaxed);
-  out.degraded = stats_.degraded.load(std::memory_order_relaxed);
-  out.health_requests =
-      stats_.health_requests.load(std::memory_order_relaxed);
-  out.scrubbed = stats_.scrubbed.load(std::memory_order_relaxed);
-  out.quarantined = stats_.quarantined.load(std::memory_order_relaxed);
-  out.scrub_orphans = stats_.scrub_orphans.load(std::memory_order_relaxed);
-  out.approx_batches = stats_.approx_batches.load(std::memory_order_relaxed);
-  out.max_approx_batch =
-      stats_.max_approx_batch.load(std::memory_order_relaxed);
-  return out;
-}
-
 GmcServer::StatsSnapshot GmcServer::snapshot() const {
   StatsSnapshot snap;
-  snap.server = stats();
+  snap.server = stats_;
   snap.session = session_.stats();
   for (int p = 0; p < static_cast<int>(fault::Point::kNumPoints); ++p) {
     snap.faults_injected +=
@@ -881,17 +837,17 @@ std::string GmcServer::StatsSnapshot::ToLine() const {
       << " anytime_sampled=" << session.anytime_sampled
       << " budget_exhausted=" << session.budget_exhausted
       << " invalid_requests=" << session.invalid_requests
-      << " circuit_compiles=" << session.circuit_compiles
-      << " circuit_hits=" << session.circuit_hits
-      << " store_hits=" << session.store_hits
-      << " store_misses=" << session.store_misses
-      << " store_rejected=" << session.store_rejected
-      << " store_quarantined=" << session.store_quarantined
+      << " circuit_compiles=" << session.cache.compiles
+      << " circuit_hits=" << session.cache.hits
+      << " store_hits=" << session.cache.store_hits
+      << " store_misses=" << session.cache.store_misses
+      << " store_rejected=" << session.cache.store_rejected
+      << " store_quarantined=" << session.cache.store_quarantined
       << " deadline_exceeded=" << session.deadline_exceeded
-      << " evictions=" << session.evictions
-      << " resident_bytes=" << session.resident_bytes
-      << " plan_hits=" << session.plan_hits
-      << " plan_misses=" << session.plan_misses
+      << " evictions=" << session.cache.evictions
+      << " resident_bytes=" << session.cache.resident_bytes
+      << " plan_hits=" << session.plans.hits
+      << " plan_misses=" << session.plans.misses
       << " sampler_batches=" << session.sampler_batches
       << " faults_injected=" << faults_injected;
   return out.str();
@@ -908,7 +864,6 @@ std::string GmcServer::HealthLine() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     depth = pending_.size();
   }
-  const GfomcSession::Stats session = session_.stats();
   std::ostringstream out;
   out << "HEALTH pressure=" << PressureName(governor_.level())
       << " queue=" << depth << " inflight=" << governor_.inflight()
@@ -917,10 +872,8 @@ std::string GmcServer::HealthLine() {
       << " wait_ewma_ms=" << std::setprecision(4)
       << governor_.wait_ewma_ms()
       << " store=" << (options_.store_directory.empty() ? "none" : "attached")
-      << " scrubbed=" << stats_.scrubbed.load(std::memory_order_relaxed)
-      << " quarantined="
-      << (stats_.quarantined.load(std::memory_order_relaxed) +
-          session.store_quarantined);
+      << " scrubbed=" << stats_.scrubbed << " quarantined="
+      << stats_.quarantined + session_.stats().cache.store_quarantined;
   return out.str();
 }
 

@@ -65,6 +65,8 @@
 //                           wait_ewma_ms=<x> store=<attached|none>
 //                           scrubbed=<n> quarantined=<n>
 //                  supervisors poll this instead of paying for an EVAL.
+//                  Neither STATS nor HEALTH waits for an evaluation in
+//                  flight: both read lock-free counters.
 //     QUIT         server answers BYE and closes the connection
 //   server → client:
 //     OK <id> <probability> lifted=<0|1>                      (EVAL)
@@ -131,6 +133,7 @@
 #include "prob/tid.h"
 #include "serve/overload.h"
 #include "util/rational.h"
+#include "util/relaxed_counter.h"
 
 namespace gmc {
 namespace serve {
@@ -183,40 +186,44 @@ struct GmcServerOptions {
 class GmcServer {
  public:
   /// Serving-layer counters (the session's evaluation counters live in
-  /// session_stats()). max_batch is the largest single coalesced round —
-  /// >1 proves concurrent requests shared one batch pass.
+  /// session_stats()), updated in place by the serving threads; stats()
+  /// copies them without a lock. max_batch is the largest single coalesced
+  /// round — >1 proves concurrent requests shared one batch pass.
   struct Stats {
-    uint64_t connections = 0;
-    uint64_t requests = 0;    ///< well-formed EVALs admitted to the queue
-    uint64_t approx_requests = 0;  ///< the EVAL_APPROX share of `requests`
-    uint64_t responses = 0;   ///< OK lines written
-    uint64_t shed = 0;        ///< EVALs refused by admission control
-    uint64_t parse_errors = 0;
-    uint64_t eval_errors = 0;  ///< ERR INVALID + ERR BUDGET lines written
-    uint64_t batches = 0;     ///< coalesced rounds executed
-    uint64_t batched_requests = 0;  ///< EVALs those rounds served
-    uint64_t max_batch = 0;
-    uint64_t timeouts = 0;          ///< ERR TIMEOUT lines written
-    uint64_t idle_disconnects = 0;  ///< connections closed by read_idle_ms
-    uint64_t oversize_lines = 0;    ///< lines rejected (length cap / NUL)
-    uint64_t accept_retries = 0;    ///< transient accept failures retried
-    uint64_t busy_rejected = 0;     ///< connections refused at the cap
-    uint64_t degraded = 0;     ///< auto requests downshifted by pressure
-    uint64_t health_requests = 0;   ///< HEALTH lines answered
-    uint64_t scrubbed = 0;          ///< store entries the startup scrub scanned
-    uint64_t quarantined = 0;       ///< entries the startup scrub quarantined
-    uint64_t scrub_orphans = 0;     ///< dead-writer temp files it removed
+    RelaxedCounter connections;
+    RelaxedCounter requests;   ///< well-formed EVALs admitted to the queue
+    RelaxedCounter approx_requests;  ///< the EVAL_APPROX share of `requests`
+    RelaxedCounter responses;  ///< OK lines written
+    RelaxedCounter shed;       ///< EVALs refused by admission control
+    RelaxedCounter parse_errors;
+    RelaxedCounter eval_errors;  ///< ERR INVALID + ERR BUDGET lines written
+    RelaxedCounter batches;      ///< coalesced rounds executed
+    RelaxedCounter batched_requests;  ///< EVALs those rounds served
+    RelaxedCounter max_batch;
+    RelaxedCounter timeouts;          ///< ERR TIMEOUT lines written
+    RelaxedCounter idle_disconnects;  ///< connections closed by read_idle_ms
+    RelaxedCounter oversize_lines;    ///< lines rejected (length cap / NUL)
+    RelaxedCounter accept_retries;    ///< transient accept failures retried
+    RelaxedCounter busy_rejected;     ///< connections refused at the cap
+    RelaxedCounter degraded;  ///< auto requests downshifted by pressure
+    RelaxedCounter health_requests;  ///< HEALTH lines answered
+    RelaxedCounter scrubbed;       ///< store entries the startup scrub scanned
+    RelaxedCounter quarantined;    ///< entries the startup scrub quarantined
+    RelaxedCounter scrub_orphans;  ///< dead-writer temp files it removed
     /// EVAL_APPROX coalescing, every tier: groups holding EVAL_APPROX
     /// requests (one EvaluateAnswers call each), and the most such requests
     /// one group held — >1 proves concurrent requests shared a call.
-    uint64_t approx_batches = 0;
-    uint64_t max_approx_batch = 0;
+    RelaxedCounter approx_batches;
+    RelaxedCounter max_approx_batch;
   };
 
-  /// One coherent picture of the whole serving stack, taken in a single
-  /// call: the serving-layer counters plus the session's evaluation/tier/
-  /// cache/store counters. STATS lines are generated from this struct;
-  /// serve_test pins the docs/SERVING.md key table to ToLine().
+  /// The whole serving stack's counters: the serving layer's, the
+  /// session's (evaluation, tier, cache, store, plan cache), and the
+  /// process-wide fault tally. Each field is an independent relaxed read,
+  /// so the snapshot is not a transaction: counters bumped together may be
+  /// seen one ahead of the other. Taking it holds no lock, so STATS never
+  /// waits behind an evaluation. serve_test pins the docs/SERVING.md key
+  /// table to ToLine().
   struct StatsSnapshot {
     Stats server;
     GfomcSession::Stats session;
@@ -224,8 +231,9 @@ class GmcServer {
     /// summed; zero unless GMC_FAULT is active) — lets an operator see at
     /// a glance whether observed errors are injected or organic.
     uint64_t faults_injected = 0;
-    /// The STATS wire line: every field above as "key=value", in struct
-    /// order, single space separated, prefixed "STATS".
+    /// The STATS wire line: "STATS" then one "key=value" per counter,
+    /// single space separated — the one list of wire names and their
+    /// order.
     std::string ToLine() const;
   };
   StatsSnapshot snapshot() const;
@@ -247,7 +255,7 @@ class GmcServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
   const std::string& socket_path() const { return options_.socket_path; }
 
-  Stats stats() const;
+  Stats stats() const { return stats_; }
   GfomcSession::Stats session_stats() const { return session_.stats(); }
 
  private:
@@ -335,31 +343,7 @@ class GmcServer {
   // check and the HEALTH line read this instead of walking readers_.
   std::atomic<size_t> active_connections_{0};
 
-  struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> approx_requests{0};
-    std::atomic<uint64_t> responses{0};
-    std::atomic<uint64_t> shed{0};
-    std::atomic<uint64_t> parse_errors{0};
-    std::atomic<uint64_t> eval_errors{0};
-    std::atomic<uint64_t> batches{0};
-    std::atomic<uint64_t> batched_requests{0};
-    std::atomic<uint64_t> max_batch{0};
-    std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> idle_disconnects{0};
-    std::atomic<uint64_t> oversize_lines{0};
-    std::atomic<uint64_t> accept_retries{0};
-    std::atomic<uint64_t> busy_rejected{0};
-    std::atomic<uint64_t> degraded{0};
-    std::atomic<uint64_t> health_requests{0};
-    std::atomic<uint64_t> scrubbed{0};
-    std::atomic<uint64_t> quarantined{0};
-    std::atomic<uint64_t> scrub_orphans{0};
-    std::atomic<uint64_t> approx_batches{0};
-    std::atomic<uint64_t> max_approx_batch{0};
-  };
-  mutable AtomicStats stats_;
+  Stats stats_;
 };
 
 namespace internal {

@@ -35,8 +35,6 @@ int HardwareThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-std::atomic<int> g_default_num_threads{0};  // 0 = resolve env/hardware
-
 int EnvNumThreads() {
   static const int env = internal::ParseThreadsSpec(std::getenv("GMC_THREADS"));
   return env;
@@ -45,17 +43,9 @@ int EnvNumThreads() {
 }  // namespace
 
 int DefaultNumThreads() {
-  const int override = g_default_num_threads.load(std::memory_order_relaxed);
-  if (override > 0) return override;
   const int env = EnvNumThreads();
   if (env > 0) return env;
   return HardwareThreads();
-}
-
-void SetDefaultNumThreads(int num_threads) {
-  g_default_num_threads.store(
-      std::clamp(num_threads, 0, internal::kMaxThreads),
-      std::memory_order_relaxed);
 }
 
 ThreadPool::ThreadPool(int num_threads)

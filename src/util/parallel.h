@@ -35,16 +35,11 @@ int ParseThreadsSpec(const char* spec);
 inline constexpr int kMaxThreads = 256;
 }  // namespace internal
 
-// Process-wide default worker count for parallel batch passes. Resolution
-// order: SetDefaultNumThreads override if set, else the GMC_THREADS
-// environment variable (read once), else std::thread::hardware_concurrency.
-// Always >= 1; 1 means every batch pass runs serially.
+// Process-wide default worker count for parallel batch passes: the
+// GMC_THREADS environment variable (read once), else
+// std::thread::hardware_concurrency. Always >= 1; 1 means every batch pass
+// runs serially. GmcOptions::num_threads overrides it per cache or session.
 int DefaultNumThreads();
-// Overrides the process default (0 restores env/hardware resolution).
-// GmcOptions::num_threads overrides per cache or session; this is the knob
-// for whole-process A/B runs, tests, and callers that build their own
-// caches (VerifyMobiusInversion).
-void SetDefaultNumThreads(int num_threads);
 
 class ThreadPool {
  public:

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -113,11 +114,12 @@ TEST(IntervalEvalTest, EnclosesExactAcrossCorpusOrdersAndThreads) {
         GmcOptions options = cache.options();
         options.order = order;
         cache.Configure(options);
-        const NnfCircuit& circuit = cache.Get(lineage.cnf);
-        const Rational exact = circuit.EvaluateBatch(weights, 1)[0];
+        const std::shared_ptr<const NnfCircuit> circuit =
+            cache.GetShared(lineage.cnf);
+        const Rational exact = circuit->EvaluateBatch(weights, 1)[0];
         for (int threads : {1, 8}) {
           const std::vector<ProbInterval> intervals =
-              circuit.EvaluateBatchInterval(weights, threads);
+              circuit->EvaluateBatchInterval(weights, threads);
           ASSERT_EQ(intervals.size(), 1u);
           ExpectEncloses(intervals[0], exact);
           // Rounding error grows per node, not per magnitude: these
@@ -141,10 +143,11 @@ TEST(IntervalEvalTest, MultiColumnBatchEnclosesEveryColumn) {
   }
   const WeightMatrix weights = WeightMatrix::FromRows(rows);
   CircuitCache cache;
-  const NnfCircuit& circuit = cache.Get(lineage.cnf);
-  const std::vector<Rational> exact = circuit.EvaluateBatch(weights, 1);
+  const std::shared_ptr<const NnfCircuit> circuit =
+      cache.GetShared(lineage.cnf);
+  const std::vector<Rational> exact = circuit->EvaluateBatch(weights, 1);
   const std::vector<ProbInterval> intervals =
-      circuit.EvaluateBatchInterval(weights, 4);
+      circuit->EvaluateBatchInterval(weights, 4);
   ASSERT_EQ(intervals.size(), exact.size());
   for (size_t i = 0; i < exact.size(); ++i) {
     ExpectEncloses(intervals[i], exact[i]);
@@ -294,20 +297,20 @@ TEST(CompileBudgetTest, CacheTryGetMemoizesFailuresUntilABiggerBudget) {
   CircuitCache cache;
   CompileBudget tiny;
   tiny.max_calls = 2;
-  EXPECT_EQ(cache.TryGet(lineage.cnf, tiny), nullptr);
+  EXPECT_EQ(cache.TryGetShared(lineage.cnf, tiny), nullptr);
   EXPECT_EQ(cache.stats().budget_exhausted, 1u);
   EXPECT_EQ(cache.stats().compiles, 0u);
   // Same (or smaller) budget: refused from the failure memo, no recompile.
-  EXPECT_EQ(cache.TryGet(lineage.cnf, tiny), nullptr);
+  EXPECT_EQ(cache.TryGetShared(lineage.cnf, tiny), nullptr);
   EXPECT_EQ(cache.stats().budget_exhausted, 2u);
   EXPECT_EQ(cache.stats().compiles, 0u);
   // Strictly more budget: the retry rule compiles for real.
-  const NnfCircuit* circuit =
-      cache.TryGet(lineage.cnf, DefaultCompileBudget());
+  const std::shared_ptr<const NnfCircuit> circuit =
+      cache.TryGetShared(lineage.cnf, DefaultCompileBudget());
   ASSERT_NE(circuit, nullptr);
   EXPECT_EQ(cache.stats().compiles, 1u);
   // Once cached, even the tiny budget is served from the cache.
-  EXPECT_EQ(cache.TryGet(lineage.cnf, tiny), circuit);
+  EXPECT_EQ(cache.TryGetShared(lineage.cnf, tiny), circuit);
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
@@ -505,7 +508,7 @@ TEST(SessionRouterTest, SampleModeSkipsTheProbeAndCertifies) {
   EXPECT_LE(std::abs(answer.estimate - exact.ToDouble()), answer.epsilon);
   const GfomcSession::Stats stats = session.stats();
   EXPECT_EQ(stats.anytime_sampled, 1u);
-  EXPECT_EQ(stats.circuit_compiles, 0u);  // no probe, no compile
+  EXPECT_EQ(stats.cache.compiles, 0u);  // no probe, no compile
   EXPECT_EQ(stats.budget_exhausted, 0u);
 }
 
@@ -586,15 +589,15 @@ TEST(SessionRouterTest, ExactModeUnlimitedCompilesPastTheVarGate) {
   ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &answer).ok());
   EXPECT_EQ(answer.tier, AnswerTier::kCompiledExact);
   EXPECT_EQ(answer.exact, expected);
-  EXPECT_EQ(session.stats().circuit_compiles, 1u);
-  EXPECT_EQ(session.stats().circuit_hits, 0u);
+  EXPECT_EQ(session.stats().cache.compiles, 1u);
+  EXPECT_EQ(session.stats().cache.hits, 0u);
 
   GmcAnswer repeat;
   ASSERT_TRUE(session.EvaluateAnswer(h1, tid, &repeat).ok());
   EXPECT_EQ(repeat.tier, AnswerTier::kCompiledExact);
   EXPECT_EQ(repeat.exact, expected);
-  EXPECT_EQ(session.stats().circuit_compiles, 1u);
-  EXPECT_EQ(session.stats().circuit_hits, 1u);
+  EXPECT_EQ(session.stats().cache.compiles, 1u);
+  EXPECT_EQ(session.stats().cache.hits, 1u);
 }
 
 TEST(SessionRouterTest, DeadlineBoundsAnOversizedExactRequest) {
@@ -616,7 +619,7 @@ TEST(SessionRouterTest, DeadlineBoundsAnOversizedExactRequest) {
   EXPECT_EQ(timed[0].code, GmcStatusCode::kDeadlineExceeded);
   EXPECT_EQ(session.stats().deadline_exceeded, 1u);
   // Nothing memoized: no circuit, no budget failure.
-  EXPECT_EQ(session.stats().circuit_compiles, 0u);
+  EXPECT_EQ(session.stats().cache.compiles, 0u);
   EXPECT_EQ(session.stats().budget_exhausted, 0u);
 
   // The undeadlined retry compiles and answers exactly.
@@ -626,7 +629,7 @@ TEST(SessionRouterTest, DeadlineBoundsAnOversizedExactRequest) {
   ASSERT_TRUE(retry[0].ok()) << retry[0].message;
   EXPECT_EQ(answers[0].tier, AnswerTier::kCompiledExact);
   EXPECT_EQ(answers[0].exact, WmcEngine().Probability(Ground(h1, tid)));
-  EXPECT_EQ(session.stats().circuit_compiles, 1u);
+  EXPECT_EQ(session.stats().cache.compiles, 1u);
   EXPECT_EQ(session.stats().deadline_exceeded, 1u);
 }
 
@@ -1144,8 +1147,8 @@ TEST(SessionRouterTest, SampledRequestsShareOnePlanBuildPerStructure) {
   EXPECT_EQ(answers[2].estimate, answers[0].estimate);
   const GfomcSession::Stats stats = session.stats();
   EXPECT_EQ(stats.anytime_sampled, 3u);
-  EXPECT_EQ(stats.plan_misses, 1u);
-  EXPECT_EQ(stats.plan_hits, 2u);
+  EXPECT_EQ(stats.plans.misses, 1u);
+  EXPECT_EQ(stats.plans.hits, 2u);
   EXPECT_EQ(stats.sampler_batches, 1u);
 
   // A disabled plan cache (sample_plan_entries = 0) must not change a
@@ -1162,7 +1165,7 @@ TEST(SessionRouterTest, SampledRequestsShareOnePlanBuildPerStructure) {
     EXPECT_EQ(fresh[i].estimate, answers[i].estimate);
     EXPECT_EQ(fresh[i].samples, answers[i].samples);
   }
-  EXPECT_EQ(uncached.stats().plan_hits, 0u);
+  EXPECT_EQ(uncached.stats().plans.hits, 0u);
 }
 
 }  // namespace

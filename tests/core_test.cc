@@ -71,8 +71,8 @@ TEST(GfomcSessionTest, RepeatedQueriesHitTheCircuitCache) {
   EXPECT_EQ(stats.unsafe_compiled, 6u);
   // All six assignments share one lineage structure: one compile, the rest
   // cache hits — the repeated-query payoff the session exists for.
-  EXPECT_EQ(stats.circuit_compiles, 1u);
-  EXPECT_EQ(stats.circuit_hits, 5u);
+  EXPECT_EQ(stats.cache.compiles, 1u);
+  EXPECT_EQ(stats.cache.hits, 5u);
 
   // The batched form gives the same answers in one grouped circuit pass.
   GfomcSession batched;
@@ -81,7 +81,7 @@ TEST(GfomcSessionTest, RepeatedQueriesHitTheCircuitCache) {
   for (size_t i = 0; i < tids.size(); ++i) {
     EXPECT_EQ(many[i].probability, session.Evaluate(h1, tids[i]).probability);
   }
-  EXPECT_EQ(batched.stats().circuit_compiles, 1u);
+  EXPECT_EQ(batched.stats().cache.compiles, 1u);
 }
 
 TEST(GfomcSessionTest, SafeQueriesRouteThroughTheSession) {

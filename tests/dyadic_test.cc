@@ -13,6 +13,7 @@
 //      since the in-place compound operators are new load-bearing code.
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -285,9 +286,9 @@ TEST(CircuitCacheRoutingTest, DyadicBatchesRouteAutomatically) {
   EXPECT_EQ(cache.stats().batch_passes, 2u);
 
   // Both routes agree with the Rational walk.
-  const NnfCircuit& circuit = cache.Get(cnf);
-  EXPECT_EQ(via_dyadic, circuit.EvaluateBatch(dyadic_weights, 1));
-  EXPECT_EQ(mixed, circuit.EvaluateBatch(mixed_weights, 1));
+  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(cnf);
+  EXPECT_EQ(via_dyadic, circuit->EvaluateBatch(dyadic_weights, 1));
+  EXPECT_EQ(mixed, circuit->EvaluateBatch(mixed_weights, 1));
 }
 
 // The dyadic routing through every production caller — the caches

@@ -261,6 +261,14 @@ TEST_F(OverloadTest, EwmaActuallySmooths) {
   EXPECT_NEAR(governor.wait_ewma_ms(), 75.0, 0.01);
 }
 
+TEST_F(OverloadTest, SubMillisecondWaitsReachTheEwma) {
+  // A served request usually waits well under a millisecond; those waits
+  // must move the EWMA instead of folding in as zero.
+  LoadGovernor governor;
+  for (int i = 0; i < 50; ++i) governor.RecordQueueWait(0.5);
+  EXPECT_NEAR(governor.wait_ewma_ms(), 0.5, 0.01);
+}
+
 TEST_F(OverloadTest, InflightWorkCountsTowardTheSignal) {
   OverloadOptions options;
   options.capacity = 10;

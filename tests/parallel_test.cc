@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -168,9 +169,6 @@ TEST(DefaultNumThreadsTest, ParseAndOverride) {
   EXPECT_EQ(internal::ParseThreadsSpec("-3"), 0);
   EXPECT_EQ(internal::ParseThreadsSpec("99999"), internal::kMaxThreads);
 
-  SetDefaultNumThreads(3);
-  EXPECT_EQ(DefaultNumThreads(), 3);
-  SetDefaultNumThreads(0);
   EXPECT_GE(DefaultNumThreads(), 1);
 }
 
@@ -225,8 +223,8 @@ TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
   std::vector<Rational> reference;
   CircuitCache rational;
   for (size_t i = 0; i < lineages.size(); ++i) {
-    reference.push_back(rational.Get(lineages[i].cnf)
-                            .EvaluateBatch(StackWeights(lineages, {i}), 1)
+    reference.push_back(rational.GetShared(lineages[i].cnf)
+                            ->EvaluateBatch(StackWeights(lineages, {i}), 1)
                             .front());
   }
   for (int threads : {1, 2, 8}) {
@@ -253,19 +251,17 @@ TEST(ThreadInvarianceTest, TypeIiMobiusInversionAcrossThreadCounts) {
       }
     }
   }
-  // The per-block batch inside VerifyMobiusInversion follows the process
-  // default; the inversion result must not move with it.
-  SetDefaultNumThreads(1);
-  MobiusInversionCheck serial = VerifyMobiusInversion(structure, delta);
+  // The per-block batch inside VerifyMobiusInversion runs on the worker
+  // count it is given; the inversion result must not move with it.
+  MobiusInversionCheck serial = VerifyMobiusInversion(structure, delta, 1);
   EXPECT_EQ(serial.direct, serial.via_inversion);
   for (int threads : {2, 8}) {
-    SetDefaultNumThreads(threads);
-    MobiusInversionCheck check = VerifyMobiusInversion(structure, delta);
+    MobiusInversionCheck check =
+        VerifyMobiusInversion(structure, delta, threads);
     EXPECT_EQ(check.via_inversion, serial.via_inversion)
         << "threads " << threads;
     EXPECT_EQ(check.direct, serial.direct);
   }
-  SetDefaultNumThreads(0);  // back to env/hardware resolution
 }
 
 // ------------------------------------------------------- thread safety
@@ -335,25 +331,24 @@ TEST(CircuitCacheConcurrencyTest, HammerStatsAddUp) {
 }
 
 TEST(CircuitCacheConcurrencyTest, ConcurrentGetReferencesStayValid) {
-  // Get's returned reference must survive other threads inserting: hold
-  // the first circuit across a flood of distinct insertions and use it at
-  // the end.
+  // A GetShared pin must survive other threads inserting: hold the first
+  // circuit across a flood of distinct insertions and use it at the end.
   std::mt19937_64 rng(31337);
   CircuitCache cache;
   Cnf first = RandomCnf(rng);
-  const NnfCircuit& held = cache.Get(first);
-  const size_t nodes_before = held.num_nodes();
+  const std::shared_ptr<const NnfCircuit> held = cache.GetShared(first);
+  const size_t nodes_before = held->num_nodes();
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     std::vector<Cnf> mine;
     for (int i = 0; i < 12; ++i) mine.push_back(RandomCnf(rng));
     threads.emplace_back(
         [&cache, mine = std::move(mine)] {
-          for (const Cnf& cnf : mine) cache.Get(cnf);
+          for (const Cnf& cnf : mine) cache.GetShared(cnf);
         });
   }
   for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(held.num_nodes(), nodes_before);  // reference still alive
+  EXPECT_EQ(held->num_nodes(), nodes_before);  // pin still alive
 }
 
 TEST(GfomcSessionTest, SharedSessionServesConcurrentTraffic) {

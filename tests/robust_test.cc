@@ -158,7 +158,9 @@ TEST(FaultTest, StoreWriteFaultSurfacesAsTypedSaveError) {
   const Query query = H1();
   const Lineage lineage = Ground(query, UniformTid(query, 3));
   CircuitCache cache;
-  const NnfCircuit& circuit = cache.Get(lineage.cnf);
+  const std::shared_ptr<const NnfCircuit> pinned =
+      cache.GetShared(lineage.cnf);
+  const NnfCircuit& circuit = *pinned;
 
   store::CircuitStore store(dir);
   std::string error;
@@ -238,7 +240,9 @@ TEST(CancelledWalkTest, CancelledPassKeepsSizesAndRetryIsBitIdentical) {
   const Query query = H1();
   const Lineage lineage = Ground(query, UniformTid(query, 4));
   CircuitCache cache;
-  const NnfCircuit& circuit = cache.Get(lineage.cnf);
+  const std::shared_ptr<const NnfCircuit> pinned =
+      cache.GetShared(lineage.cnf);
+  const NnfCircuit& circuit = *pinned;
   const WeightMatrix weights =
       WeightMatrix::FromRows({lineage.probabilities});
   const std::vector<Rational> want = circuit.EvaluateBatch(weights, 1);
@@ -495,7 +499,7 @@ TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
   opts.max_resident_bytes = cap;
   session->Configure(opts);
   EXPECT_EQ(session->WarmCircuitsFrom(store_dir), stored);
-  EXPECT_LE(session->stats().resident_bytes, cap);
+  EXPECT_LE(session->stats().cache.resident_bytes, cap);
 
   const std::vector<GfomcResult> results = session->EvaluateMany(query, tids);
   for (size_t i = 0; i < tids.size(); ++i) {
@@ -505,8 +509,8 @@ TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
   session->EvaluateMany(safe, {Tid(safe.vocab_ptr(), 3, 3, Rational::Half())});
   const GfomcSession::Stats stats = session->stats();
   EXPECT_EQ(stats.safe_compiled, 1u);  // the safe route used the cache too
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.resident_bytes, cap);
+  EXPECT_GT(stats.cache.evictions, 0u);
+  EXPECT_LE(stats.cache.resident_bytes, cap);
 
   const size_t saved = session->SaveCircuitsTo(flush_dir);
   EXPECT_GT(saved, 0u);

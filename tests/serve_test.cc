@@ -10,6 +10,7 @@
 // warm-starts — a restarted server re-serves from disk without
 // recompiling.
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -107,6 +108,14 @@ class LineClient {
   std::string Roundtrip(const std::string& line) {
     if (!SendLine(line)) return "";
     return ReadLine();
+  }
+
+  // Whether a reply byte is already here, without waiting for one.
+  bool HasInput() const {
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
+    return !buffer_.empty() || ::poll(&pfd, 1, 0) > 0;
   }
 
  private:
@@ -328,6 +337,42 @@ TEST_F(ServeTest, StatsLineReportsServerAndSessionCounters) {
   }
 }
 
+TEST_F(ServeTest, StatsAndHealthNeverWaitForAnEvaluation) {
+  // Exact evaluation of an unsafe query is #P-hard, so one EVAL may hold
+  // the session for a long time: H1 10x12 at 1/2 compiles for ~300 ms on
+  // a Release build, longer under the sanitizers. The monitoring verbs
+  // must answer meanwhile.
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("nowait");
+  options.num_threads = 1;
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  LineClient evaluator;
+  LineClient monitor;
+  ASSERT_TRUE(evaluator.Connect(server.socket_path()));
+  ASSERT_TRUE(monitor.Connect(server.socket_path()));
+  ASSERT_TRUE(evaluator.SendLine("EVAL big 10 12 1/2"));
+  // The round counts before its evaluation starts.
+  while (server.stats().batches == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const std::string health = monitor.Roundtrip("HEALTH");
+  const std::string stats = monitor.Roundtrip("STATS");
+  EXPECT_FALSE(evaluator.HasInput())
+      << "the EVAL finished before the monitor was answered";
+  EXPECT_EQ(health.rfind("HEALTH pressure=", 0), 0u) << health;
+  EXPECT_EQ(stats.rfind("STATS ", 0), 0u) << stats;
+  EXPECT_NE(stats.find(" responses=0 "), std::string::npos) << stats;
+
+  // Sanitizer builds compile for several seconds; outwait the client's
+  // 10 s receive timeout a few times over.
+  std::string answer;
+  for (int i = 0; i < 6 && answer.empty(); ++i) answer = evaluator.ReadLine();
+  EXPECT_EQ(answer.rfind("OK big ", 0), 0u) << answer;
+}
+
 TEST_F(ServeTest, RestartWarmStartsFromTheStore) {
   const std::string socket_path = TestSocketPath("warm");
   Query query = H1();
@@ -350,7 +395,7 @@ TEST_F(ServeTest, RestartWarmStartsFromTheStore) {
     EXPECT_EQ(client.Roundtrip("EVAL cold 3 3 1/2"),
               "OK cold " + want + " lifted=0");
     server.Stop();
-    EXPECT_GT(server.session_stats().circuit_compiles, 0u);
+    EXPECT_GT(server.session_stats().cache.compiles, 0u);
   }
   ASSERT_FALSE(store::CircuitStore(store_dir_).ListEntries().empty());
 
@@ -371,8 +416,8 @@ TEST_F(ServeTest, RestartWarmStartsFromTheStore) {
               "OK warm " + want + " lifted=0");
     server.Stop();
     const GfomcSession::Stats session = server.session_stats();
-    EXPECT_GE(session.store_hits, 1u);
-    EXPECT_EQ(session.circuit_compiles, 0u);
+    EXPECT_GE(session.cache.store_hits, 1u);
+    EXPECT_EQ(session.cache.compiles, 0u);
   }
 
   // Third server: the default warm_start=true bulk-loads the directory on
@@ -390,8 +435,8 @@ TEST_F(ServeTest, RestartWarmStartsFromTheStore) {
               "OK hot " + want + " lifted=0");
     server.Stop();
     const GfomcSession::Stats session = server.session_stats();
-    EXPECT_EQ(session.circuit_compiles, 0u);
-    EXPECT_GE(session.circuit_hits, 1u);
+    EXPECT_EQ(session.cache.compiles, 0u);
+    EXPECT_GE(session.cache.hits, 1u);
   }
 }
 
@@ -737,8 +782,8 @@ TEST_F(ServeTest, SampledRequestsCoalesceAndShareOnePlanBuild) {
       << " concurrent clients";
   EXPECT_GE(snap.server.approx_batches, 1u);
   // ONE plan build served every sampled request in this test.
-  EXPECT_EQ(snap.session.plan_misses, 1u);
-  EXPECT_GE(snap.session.plan_hits, snap.session.anytime_sampled - 1);
+  EXPECT_EQ(snap.session.plans.misses, 1u);
+  EXPECT_GE(snap.session.plans.hits, snap.session.anytime_sampled - 1);
   EXPECT_GE(snap.session.anytime_sampled, static_cast<uint64_t>(kClients));
   // Coalescing visibly beats per-request sampling: fewer sampler batches
   // than sampled answers.

@@ -530,13 +530,13 @@ TEST_F(StoreTest, SessionStorePlumbing) {
     session.set_store_directory(dir_);
     EXPECT_EQ(session.options().store_directory, dir_);
     want = session.Evaluate(query, tid).probability;
-    EXPECT_GT(session.stats().store_misses, 0u);
+    EXPECT_GT(session.stats().cache.store_misses, 0u);
   }
   GfomcSession cold;
   cold.set_store_directory(dir_);
   EXPECT_GT(cold.WarmCircuitsFrom(dir_), 0u);
   EXPECT_EQ(cold.Evaluate(query, tid).probability, want);
-  EXPECT_EQ(cold.stats().store_rejected, 0u);
+  EXPECT_EQ(cold.stats().cache.store_rejected, 0u);
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ CircuitCache::Stats OrderedCacheRun(OrderHeuristic order,
       << OrderHeuristicName(order);
   // Second probe: cache hit, no new compile.
   EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage));
-  *edges = cache.Get(lineage.cnf).ComputeStats().edges;
+  *edges = cache.GetShared(lineage.cnf)->ComputeStats().edges;
   return cache.stats();
 }
 
