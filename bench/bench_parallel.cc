@@ -120,7 +120,7 @@ void BM_BigIntDyadicSweepSmall(benchmark::State& state) {
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gmc::walk_internal::WalkEvaluateBatchDyadicBig(
-        gadget.circuit.Flatten().view(), weights, /*num_threads=*/1));
+        gadget.circuit.view(), weights, /*num_threads=*/1));
   }
   state.counters["weight_vectors"] = num_k;
 }
@@ -151,7 +151,7 @@ void BM_BigIntDyadicSweepLarge(benchmark::State& state) {
   gmc::WeightMatrix weights = GridWeights(gadget, num_k, /*exponent=*/1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gmc::walk_internal::WalkEvaluateBatchDyadicBig(
-        gadget.circuit.Flatten().view(), weights, /*num_threads=*/1));
+        gadget.circuit.view(), weights, /*num_threads=*/1));
   }
   state.counters["weight_vectors"] = num_k;
 }
@@ -218,7 +218,7 @@ void BM_ParallelCrossCheck(benchmark::State& state) {
             return;
           }
           if (gmc::walk_internal::WalkEvaluateBatchDyadicBig(
-                  gadget->circuit.Flatten().view(), weights, threads) !=
+                  gadget->circuit.view(), weights, threads) !=
               reference) {
             state.SkipWithError("BigInt dyadic disagrees");
             return;

@@ -4,12 +4,13 @@
 // file": BM_ColdCompile is the price the first process pays for the
 // Type-II Möbius gadget, BM_WarmLoad is the price every later process
 // pays for the same circuit (read + checksum + structural validation +
-// fingerprint + rebuild), and BM_MmapOpen skips even the rebuild —
-// validate in place and evaluate straight off the page cache, the
-// N-replicas-one-copy serving shape. BM_StoreCrossCheck is the CI-
-// enforced acceptance bar: the warm paths must answer bit-identically
-// to the compiled circuit AND LoadCircuit must beat the cold compile by
-// ≥10× on the headline domain-4 gadget, or the run fails loudly.
+// fingerprint + a copy of the node and child arrays), and BM_MmapOpen
+// skips even the copy — validate in place and evaluate straight off the
+// page cache, the N-replicas-one-copy shape MappedCircuitView offers
+// embedders. BM_StoreCrossCheck is the CI-enforced acceptance bar: the
+// warm paths must answer bit-identically to the compiled circuit AND
+// LoadCircuit must beat the cold compile by ≥10× on the headline
+// domain-4 gadget, or the run fails loudly.
 
 #include <benchmark/benchmark.h>
 
@@ -105,7 +106,7 @@ void BM_ColdCompile(benchmark::State& state) {
 }
 BENCHMARK(BM_ColdCompile)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The warm path: full read + validation + owning rebuild.
+// The warm path: full read + validation + owning copy of the two arrays.
 void BM_WarmLoad(benchmark::State& state) {
   SavedCircuit& saved = Saved(static_cast<int>(state.range(0)));
   if (!saved.ok()) {
@@ -124,7 +125,7 @@ void BM_WarmLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmLoad)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The zero-copy path: validate the mapping, no rebuild at all. Open cost
+// The zero-copy path: validate the mapping, no copy at all. Open cost
 // only — the evaluate benches below measure the steady state.
 void BM_MmapOpen(benchmark::State& state) {
   SavedCircuit& saved = Saved(static_cast<int>(state.range(0)));

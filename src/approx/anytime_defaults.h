@@ -31,6 +31,12 @@ inline constexpr uint64_t kDefaultMaxSamples = uint64_t{1} << 20;
 inline constexpr uint64_t kDefaultSampleSeed = 0x9e3779b97f4a7c15ull;
 /// Capacity of a session's KarpLubyPlan cache, in plans (0 disables).
 inline constexpr uint64_t kDefaultSamplePlanEntries = 64;
+/// Most samples a session draws for one instance. A session refuses an
+/// instance whose sample count (the (ε, δ) target, or max_samples when
+/// that is non-zero and smaller) exceeds it: at the limit the per-chunk
+/// tallies alone take 96 MiB and sampling takes minutes, and past it a
+/// tiny ε would ask for an unallocatable tally vector.
+inline constexpr uint64_t kMaxSamplesPerInstance = uint64_t{1} << 32;
 
 }  // namespace gmc
 

@@ -110,9 +110,11 @@ class CircuitCache {
     /// Memory governance (zero unless max_resident_bytes is set): entries
     /// dropped by the LRU sweep, and the current byte footprint of the
     /// cached circuits (a gauge, not cumulative — NnfCircuit::MemoryBytes
-    /// per entry). In-flight evaluations pin evicted circuits alive via
-    /// shared_ptr, so resident_bytes tracks what the CACHE retains, not
-    /// total process memory.
+    /// per entry: the object plus 16 bytes per node record and 4 per
+    /// child-pool entry, which is all a resident circuit holds). In-flight
+    /// evaluations pin evicted circuits alive via shared_ptr, so
+    /// resident_bytes tracks what the CACHE retains, not total process
+    /// memory.
     RelaxedCounter evictions;
     RelaxedCounter resident_bytes;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,19 +12,23 @@ namespace gmc {
 
 namespace {
 
+bool IsAnd(const NnfCircuit& circuit, int id) {
+  return static_cast<NnfKind>(circuit.nodes()[id].kind) == NnfKind::kAnd;
+}
+
 // The branch as a set of conjunct ids: an AND contributes its (sorted)
 // children, anything else contributes itself.
 std::vector<int> ConjunctsOf(const NnfCircuit& circuit, int id) {
-  const NnfNode& node = circuit.nodes()[id];
-  if (node.kind == NnfKind::kAnd) return node.children;
-  return {id};
+  const std::span<const int32_t> children = circuit.children(id);
+  if (children.empty()) return {id};
+  return {children.begin(), children.end()};
 }
 
 }  // namespace
 
 NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
                               Stats* delta) {
-  const std::vector<NnfNode>& nodes = circuit.nodes();
+  const std::vector<FlatNode>& nodes = circuit.nodes();
 
   // Dead-node sweep: only nodes reachable from the root are rebuilt. The
   // reference counts feed the factoring rewrite's orphan prediction.
@@ -35,17 +40,16 @@ NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
     stack.pop_back();
     if (reachable[id]) continue;
     reachable[id] = true;
-    const NnfNode& node = nodes[id];
-    if (node.kind == NnfKind::kAnd) {
-      for (int child : node.children) {
-        ++refs[child];
-        stack.push_back(child);
-      }
-    } else if (node.kind == NnfKind::kDecision) {
-      ++refs[node.high];
-      ++refs[node.low];
-      stack.push_back(node.high);
-      stack.push_back(node.low);
+    const FlatNode& node = nodes[id];
+    for (int child : circuit.children(id)) {
+      ++refs[child];
+      stack.push_back(child);
+    }
+    if (static_cast<NnfKind>(node.kind) == NnfKind::kDecision) {
+      ++refs[node.a];
+      ++refs[node.b];
+      stack.push_back(node.a);
+      stack.push_back(node.b);
     }
   }
 
@@ -58,10 +62,10 @@ NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
   remap[circuit.True()] = out.True();
   for (size_t id = 2; id < nodes.size(); ++id) {
     if (!reachable[id]) continue;
-    const NnfNode& node = nodes[id];
+    const FlatNode& node = nodes[id];
     const size_t count_before = out.num_nodes();
     int rebuilt = -1;
-    switch (node.kind) {
+    switch (static_cast<NnfKind>(node.kind)) {
       case NnfKind::kFalse:
       case NnfKind::kTrue:
         GMC_CHECK_MSG(false, "constants live at ids 0 and 1 only");
@@ -71,16 +75,16 @@ NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
         break;
       case NnfKind::kAnd: {
         std::vector<int> children;
-        children.reserve(node.children.size());
-        for (int child : node.children) {
+        children.reserve(node.b);
+        for (int child : circuit.children(id)) {
           const int mapped = remap[child];
-          if (out.nodes()[mapped].kind == NnfKind::kAnd) {
-            // Flatten: splice a decomposable AND child into its parent
+          if (IsAnd(out, mapped)) {
+            // Splice a decomposable AND child into its parent
             // (associativity; supports stay pairwise disjoint because the
             // child's support is their union). The spliced child is pruned
             // below if nothing else references it.
             ++delta->flattened_ands;
-            const std::vector<int> inner = out.nodes()[mapped].children;
+            const std::span<const int32_t> inner = out.children(mapped);
             children.insert(children.end(), inner.begin(), inner.end());
           } else {
             children.push_back(mapped);
@@ -90,8 +94,8 @@ NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
         break;
       }
       case NnfKind::kDecision: {
-        const int high = remap[node.high];
-        const int low = remap[node.low];
+        const int high = remap[node.a];
+        const int low = remap[node.b];
         if (factor && high != low) {
           // Common-factor extraction:  v ? X∧r1 : X∧r2  =  X ∧ (v ? r1 : r2).
           // The conjuncts X shared by both branches hoist above the
@@ -120,14 +124,8 @@ NnfCircuit Minimizer::Rebuild(const NnfCircuit& circuit, bool factor,
             const int added = 2 + (r1.size() >= 2 ? 1 : 0) +
                               (r2.size() >= 2 ? 1 : 0);
             const int removed =
-                1 +
-                (out.nodes()[high].kind == NnfKind::kAnd &&
-                         refs[node.high] == 1
-                     ? 1
-                     : 0) +
-                (out.nodes()[low].kind == NnfKind::kAnd && refs[node.low] == 1
-                     ? 1
-                     : 0);
+                1 + (IsAnd(out, high) && refs[node.a] == 1 ? 1 : 0) +
+                (IsAnd(out, low) && refs[node.b] == 1 ? 1 : 0);
             if (added <= removed) {
               const int residual = out.Decision(node.var, out.And(r1),
                                                 out.And(r2));

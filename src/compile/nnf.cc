@@ -1,6 +1,7 @@
 #include "compile/nnf.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "util/check.h"
@@ -9,20 +10,24 @@ namespace gmc {
 
 namespace {
 
-uint64_t HashNode(const NnfNode& node) {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t word) { h = (h ^ word) * 1099511628211ull; };
-  mix(static_cast<uint64_t>(node.kind));
-  mix(static_cast<uint64_t>(node.var) + 1);
-  mix(static_cast<uint64_t>(node.high) + 1);
-  mix(static_cast<uint64_t>(node.low) + 1);
-  for (int child : node.children) mix(static_cast<uint64_t>(child));
-  return h;
+NnfKind KindOf(const FlatNode& node) {
+  return static_cast<NnfKind>(node.kind);
 }
 
-bool SameNode(const NnfNode& a, const NnfNode& b) {
-  return a.kind == b.kind && a.var == b.var && a.high == b.high &&
-         a.low == b.low && a.children == b.children;
+// The hash-consing key: kind and variable, then an AND's child ids or
+// any other node's branch words (an AND's a/b only locate its pool slice).
+uint64_t HashNode(const FlatNode& node, std::span<const int32_t> child_ids) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t word) { h = (h ^ word) * 1099511628211ull; };
+  mix(node.kind);
+  mix(static_cast<uint64_t>(node.var) + 1);
+  if (KindOf(node) == NnfKind::kAnd) {
+    for (int32_t child : child_ids) mix(static_cast<uint64_t>(child));
+  } else {
+    mix(static_cast<uint64_t>(node.a) + 1);
+    mix(static_cast<uint64_t>(node.b) + 1);
+  }
+  return h;
 }
 
 }  // namespace
@@ -65,19 +70,41 @@ bool WeightMatrix::AllDyadic() const {
   return true;
 }
 
-NnfCircuit::NnfCircuit() {
-  nodes_.push_back(NnfNode{NnfKind::kFalse, -1, -1, -1, {}});
-  nodes_.push_back(NnfNode{NnfKind::kTrue, -1, -1, -1, {}});
+NnfCircuit::NnfCircuit()
+    : nodes_{FlatNode{static_cast<uint32_t>(NnfKind::kFalse)},
+             FlatNode{static_cast<uint32_t>(NnfKind::kTrue)}} {}
+
+std::span<const int32_t> NnfCircuit::children(size_t id) const {
+  const FlatNode& node = nodes_[id];
+  if (KindOf(node) != NnfKind::kAnd) return {};
+  return {children_.data() + node.a, static_cast<size_t>(node.b)};
 }
 
-int NnfCircuit::Intern(NnfNode node) {
-  const uint64_t h = HashNode(node);
-  std::vector<int>& bucket = unique_[h];
+int NnfCircuit::Intern(FlatNode node, std::span<const int32_t> child_ids) {
+  if (unique_.empty()) {
+    // Pruned and FromFlat circuits carry no index: re-derive it from the
+    // existing nodes (constants 0/1 stay untabled).
+    for (int id = 2; id < static_cast<int>(nodes_.size()); ++id) {
+      unique_[HashNode(nodes_[id], children(id))].push_back(id);
+    }
+  }
+  const bool is_and = KindOf(node) == NnfKind::kAnd;
+  std::vector<int>& bucket = unique_[HashNode(node, child_ids)];
   for (int id : bucket) {
-    if (SameNode(nodes_[id], node)) return id;
+    const FlatNode& other = nodes_[id];
+    if (other.kind != node.kind || other.var != node.var) continue;
+    if (is_and ? std::ranges::equal(children(id), child_ids)
+               : other.a == node.a && other.b == node.b) {
+      return id;
+    }
+  }
+  if (is_and) {
+    node.a = static_cast<int32_t>(children_.size());
+    node.b = static_cast<int32_t>(child_ids.size());
+    children_.insert(children_.end(), child_ids.begin(), child_ids.end());
   }
   const int id = static_cast<int>(nodes_.size());
-  nodes_.push_back(std::move(node));
+  nodes_.push_back(node);
   bucket.push_back(id);
   return id;
 }
@@ -85,7 +112,7 @@ int NnfCircuit::Intern(NnfNode node) {
 int NnfCircuit::Var(int var) {
   GMC_CHECK(var >= 0);
   num_vars_ = std::max(num_vars_, var + 1);
-  return Intern(NnfNode{NnfKind::kVar, var, -1, -1, {}});
+  return Intern(FlatNode{static_cast<uint32_t>(NnfKind::kVar), var});
 }
 
 int NnfCircuit::And(std::vector<int> children) {
@@ -103,7 +130,7 @@ int NnfCircuit::And(std::vector<int> children) {
   std::sort(kept.begin(), kept.end());
   kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
   if (kept.size() == 1) return kept[0];
-  return Intern(NnfNode{NnfKind::kAnd, -1, -1, -1, std::move(kept)});
+  return Intern(FlatNode{static_cast<uint32_t>(NnfKind::kAnd)}, kept);
 }
 
 int NnfCircuit::Decision(int var, int high, int low) {
@@ -113,7 +140,8 @@ int NnfCircuit::Decision(int var, int high, int low) {
   if (high == low) return high;  // the test is irrelevant
   num_vars_ = std::max(num_vars_, var + 1);
   if (high == True() && low == False()) return Var(var);
-  return Intern(NnfNode{NnfKind::kDecision, var, high, low, {}});
+  return Intern(
+      FlatNode{static_cast<uint32_t>(NnfKind::kDecision), var, high, low});
 }
 
 void NnfCircuit::SetRoot(int id) {
@@ -121,98 +149,49 @@ void NnfCircuit::SetRoot(int id) {
   root_ = id;
 }
 
-// Every evaluation entry point flattens once (O(nodes), far below the
-// O(nodes · K) arithmetic of the pass itself) and delegates to the shared
-// walk core — the byte-for-byte same code the circuit store's mmap view
-// runs, which is what makes persisted circuits bit-identical to compiled
-// ones (nnf_walk.h).
-
-FlatCircuit NnfCircuit::Flatten() const {
-  FlatCircuit flat;
-  flat.nodes.reserve(nodes_.size());
-  for (const NnfNode& node : nodes_) {
-    FlatNode out;
-    out.kind = static_cast<uint32_t>(node.kind);
-    out.var = node.var;
-    if (node.kind == NnfKind::kDecision) {
-      out.a = node.high;
-      out.b = node.low;
-    } else if (node.kind == NnfKind::kAnd) {
-      out.a = static_cast<int32_t>(flat.children.size());
-      out.b = static_cast<int32_t>(node.children.size());
-      flat.children.insert(flat.children.end(), node.children.begin(),
-                           node.children.end());
-    }
-    flat.nodes.push_back(out);
-  }
-  flat.root = root_;
-  flat.num_vars = num_vars_;
-  return flat;
-}
-
 NnfCircuit NnfCircuit::FromFlat(const CircuitWalkView& view) {
   NnfCircuit circuit;
-  circuit.nodes_.clear();
-  circuit.nodes_.reserve(view.num_nodes);
-  for (size_t id = 0; id < view.num_nodes; ++id) {
-    const FlatNode& in = view.nodes[id];
-    NnfNode node;
-    node.kind = static_cast<NnfKind>(in.kind);
-    node.var = in.var;
-    if (node.kind == NnfKind::kDecision) {
-      node.high = in.a;
-      node.low = in.b;
-    } else if (node.kind == NnfKind::kAnd) {
-      node.children.assign(view.children + in.a,
-                           view.children + in.a + in.b);
-    }
-    circuit.nodes_.push_back(std::move(node));
-  }
+  circuit.nodes_.assign(view.nodes, view.nodes + view.num_nodes);
+  circuit.children_.assign(view.children, view.children + view.num_children);
   circuit.root_ = view.root;
   circuit.num_vars_ = view.num_vars;
-  // Rebuild the hash-consing table so the circuit stays mutable (same
-  // post-condition as PruneUnreachable; constants 0/1 stay untabled).
-  for (size_t id = 2; id < circuit.nodes_.size(); ++id) {
-    circuit.unique_[HashNode(circuit.nodes_[id])].push_back(
-        static_cast<int>(id));
-  }
   return circuit;
 }
 
-uint64_t NnfCircuit::Fingerprint() const {
-  return WalkFingerprint(Flatten().view());
-}
+// Every evaluation entry point walks the circuit's own arrays — the
+// byte-for-byte same code the circuit store's mmap view runs, which is what
+// makes persisted circuits bit-identical to compiled ones (nnf_walk.h).
+
+uint64_t NnfCircuit::Fingerprint() const { return WalkFingerprint(view()); }
 
 Rational NnfCircuit::Evaluate(
     const std::vector<Rational>& probabilities) const {
-  return WalkEvaluate(Flatten().view(), probabilities);
+  return WalkEvaluate(view(), probabilities);
 }
 
 std::vector<Rational> NnfCircuit::EvaluateBatch(
     const WeightMatrix& weights, int num_threads,
     const CancelToken* cancel) const {
-  return WalkEvaluateBatch(Flatten().view(), weights, num_threads, cancel);
+  return WalkEvaluateBatch(view(), weights, num_threads, cancel);
 }
 
 std::vector<Rational> NnfCircuit::EvaluateBatchDyadic(
     const WeightMatrix& weights, int num_threads, DyadicBatchStats* stats,
     const CancelToken* cancel) const {
-  return WalkEvaluateBatchDyadic(Flatten().view(), weights, num_threads,
-                                 stats, cancel);
+  return WalkEvaluateBatchDyadic(view(), weights, num_threads, stats, cancel);
 }
 
 std::vector<double> NnfCircuit::EvaluateBatchDouble(
     const WeightMatrix& weights, int recheck_stride, double recheck_tolerance,
     int num_threads, const CancelToken* cancel) const {
-  return WalkEvaluateBatchDouble(Flatten().view(), weights, recheck_stride,
+  return WalkEvaluateBatchDouble(view(), weights, recheck_stride,
                                  recheck_tolerance, num_threads, cancel);
 }
 
 std::vector<ProbInterval> NnfCircuit::EvaluateBatchInterval(
     const WeightMatrix& weights, int num_threads,
     const CancelToken* cancel) const {
-  return WalkEvaluateBatchInterval(Flatten().view(), weights, num_threads,
-                                   cancel);
+  return WalkEvaluateBatchInterval(view(), weights, num_threads, cancel);
 }
 
 NnfCircuit::Stats NnfCircuit::ComputeStats() const {
@@ -220,8 +199,8 @@ NnfCircuit::Stats NnfCircuit::ComputeStats() const {
   stats.num_nodes = nodes_.size();
   std::vector<int> depth(nodes_.size(), 0);
   for (size_t id = 0; id < nodes_.size(); ++id) {
-    const NnfNode& node = nodes_[id];
-    switch (node.kind) {
+    const FlatNode& node = nodes_[id];
+    switch (KindOf(node)) {
       case NnfKind::kFalse:
       case NnfKind::kTrue:
         break;
@@ -230,15 +209,15 @@ NnfCircuit::Stats NnfCircuit::ComputeStats() const {
         break;
       case NnfKind::kAnd:
         ++stats.and_nodes;
-        stats.edges += node.children.size();
-        for (int child : node.children) {
+        stats.edges += node.b;
+        for (int child : children(id)) {
           depth[id] = std::max(depth[id], depth[child] + 1);
         }
         break;
       case NnfKind::kDecision:
         ++stats.decision_nodes;
         stats.edges += 2;
-        depth[id] = std::max(depth[node.high], depth[node.low]) + 1;
+        depth[id] = std::max(depth[node.a], depth[node.b]) + 1;
         break;
     }
   }
@@ -247,20 +226,11 @@ NnfCircuit::Stats NnfCircuit::ComputeStats() const {
 }
 
 size_t NnfCircuit::MemoryBytes() const {
-  // Element counts, not allocator capacities: the estimate must be a pure
+  // Element counts, not allocator capacities: the size must be a pure
   // function of the circuit's structure so eviction accounting balances
   // exactly across insert and erase.
-  size_t bytes = sizeof(NnfCircuit) + nodes_.size() * sizeof(NnfNode);
-  for (const NnfNode& node : nodes_) {
-    bytes += node.children.size() * sizeof(int);
-  }
-  for (const auto& [hash, bucket] : unique_) {
-    // Per-entry map overhead: key + value + one hash-table node's worth of
-    // bookkeeping (a fixed nominal 32 bytes — close enough for a budget).
-    bytes += sizeof(hash) + sizeof(bucket) + 32;
-    bytes += bucket.size() * sizeof(int);
-  }
-  return bytes;
+  return sizeof(NnfCircuit) + nodes_.size() * sizeof(FlatNode) +
+         children_.size() * sizeof(int32_t);
 }
 
 std::vector<std::vector<int>> NnfCircuit::Supports() const {
@@ -274,8 +244,8 @@ std::vector<std::vector<int>> NnfCircuit::Supports() const {
     out = std::move(merged);
   };
   for (size_t id = 0; id < nodes_.size(); ++id) {
-    const NnfNode& node = nodes_[id];
-    switch (node.kind) {
+    const FlatNode& node = nodes_[id];
+    switch (KindOf(node)) {
       case NnfKind::kFalse:
       case NnfKind::kTrue:
         break;
@@ -283,13 +253,13 @@ std::vector<std::vector<int>> NnfCircuit::Supports() const {
         support[id] = {node.var};
         break;
       case NnfKind::kAnd:
-        for (int child : node.children) {
+        for (int child : children(id)) {
           merge_into(support[id], support[child]);
         }
         break;
       case NnfKind::kDecision:
-        merge_into(support[id], support[node.high]);
-        merge_into(support[id], support[node.low]);
+        merge_into(support[id], support[node.a]);
+        merge_into(support[id], support[node.b]);
         merge_into(support[id], {node.var});
         break;
     }
@@ -299,11 +269,10 @@ std::vector<std::vector<int>> NnfCircuit::Supports() const {
 
 bool NnfCircuit::CheckDecomposable() const {
   const std::vector<std::vector<int>> support = Supports();
-  for (const NnfNode& node : nodes_) {
-    if (node.kind != NnfKind::kAnd) continue;
+  for (size_t id = 0; id < nodes_.size(); ++id) {
     size_t total = 0;
     std::vector<int> merged;
-    for (int child : node.children) {
+    for (int child : children(id)) {
       total += support[child].size();
       merged.insert(merged.end(), support[child].begin(),
                     support[child].end());
@@ -317,10 +286,10 @@ bool NnfCircuit::CheckDecomposable() const {
 
 bool NnfCircuit::CheckDeterministic() const {
   const std::vector<std::vector<int>> support = Supports();
-  for (const NnfNode& node : nodes_) {
-    if (node.kind != NnfKind::kDecision) continue;
-    const std::vector<int>& high = support[node.high];
-    const std::vector<int>& low = support[node.low];
+  for (const FlatNode& node : nodes_) {
+    if (KindOf(node) != NnfKind::kDecision) continue;
+    const std::vector<int>& high = support[node.a];
+    const std::vector<int>& low = support[node.b];
     if (std::binary_search(high.begin(), high.end(), node.var)) return false;
     if (std::binary_search(low.begin(), low.end(), node.var)) return false;
   }
@@ -335,12 +304,11 @@ std::vector<bool> NnfCircuit::Reachable() const {
     stack.pop_back();
     if (reachable[id]) continue;
     reachable[id] = true;
-    const NnfNode& node = nodes_[id];
-    if (node.kind == NnfKind::kAnd) {
-      for (int child : node.children) stack.push_back(child);
-    } else if (node.kind == NnfKind::kDecision) {
-      stack.push_back(node.high);
-      stack.push_back(node.low);
+    const FlatNode& node = nodes_[id];
+    for (int child : children(id)) stack.push_back(child);
+    if (KindOf(node) == NnfKind::kDecision) {
+      stack.push_back(node.a);
+      stack.push_back(node.b);
     }
   }
   return reachable;
@@ -349,28 +317,37 @@ std::vector<bool> NnfCircuit::Reachable() const {
 void NnfCircuit::PruneUnreachable() {
   std::vector<bool> reachable = Reachable();
   reachable[0] = reachable[1] = true;  // constants keep their fixed ids
-  std::vector<int> remap(nodes_.size(), -1);
-  std::vector<NnfNode> kept;
+  std::vector<int32_t> remap(nodes_.size(), -1);
+  std::vector<FlatNode> kept;
+  std::vector<int32_t> pool;
   kept.reserve(nodes_.size());
+  pool.reserve(children_.size());
+  // Ascending-id compaction keeps children before parents, so every child
+  // is already renumbered when its parent is copied, and the pool keeps
+  // node order.
   for (size_t id = 0; id < nodes_.size(); ++id) {
     if (!reachable[id]) continue;
-    remap[id] = static_cast<int>(kept.size());
-    kept.push_back(std::move(nodes_[id]));
-  }
-  // Ascending-id compaction keeps children before parents.
-  for (NnfNode& node : kept) {
-    if (node.kind == NnfKind::kDecision) {
-      node.high = remap[node.high];
-      node.low = remap[node.low];
+    remap[id] = static_cast<int32_t>(kept.size());
+    FlatNode node = nodes_[id];
+    if (KindOf(node) == NnfKind::kDecision) {
+      node.a = remap[node.a];
+      node.b = remap[node.b];
+    } else if (KindOf(node) == NnfKind::kAnd) {
+      node.a = static_cast<int32_t>(pool.size());
+      for (int child : children(id)) {
+        pool.push_back(remap[child]);
+      }
     }
-    for (int& child : node.children) child = remap[child];
+    kept.push_back(node);
   }
   nodes_ = std::move(kept);
+  children_ = std::move(pool);
+  nodes_.shrink_to_fit();
+  children_.shrink_to_fit();
   root_ = remap[root_];
-  unique_.clear();
-  for (size_t id = 2; id < nodes_.size(); ++id) {
-    unique_[HashNode(nodes_[id])].push_back(static_cast<int>(id));
-  }
+  // The index is build-time state; a finished circuit holds none (a move
+  // from an empty map also frees the bucket array, which clear() keeps).
+  unique_ = decltype(unique_)();
 }
 
 std::string NnfCircuit::ToDot() const {
@@ -378,9 +355,9 @@ std::string NnfCircuit::ToDot() const {
   const std::vector<bool> reachable = Reachable();
   for (size_t id = 0; id < nodes_.size(); ++id) {
     if (!reachable[id]) continue;
-    const NnfNode& node = nodes_[id];
+    const FlatNode& node = nodes_[id];
     const std::string name = "n" + std::to_string(id);
-    switch (node.kind) {
+    switch (KindOf(node)) {
       case NnfKind::kFalse:
         out += "  " + name + " [label=\"0\", shape=box];\n";
         break;
@@ -393,16 +370,16 @@ std::string NnfCircuit::ToDot() const {
         break;
       case NnfKind::kAnd:
         out += "  " + name + " [label=\"AND\"];\n";
-        for (int child : node.children) {
+        for (int child : children(id)) {
           out += "  n" + std::to_string(child) + " -> " + name + ";\n";
         }
         break;
       case NnfKind::kDecision:
         out += "  " + name + " [label=\"x" + std::to_string(node.var) +
                "?\", shape=diamond];\n";
-        out += "  n" + std::to_string(node.high) + " -> " + name +
+        out += "  n" + std::to_string(node.a) + " -> " + name +
                " [label=\"1\"];\n";
-        out += "  n" + std::to_string(node.low) + " -> " + name +
+        out += "  n" + std::to_string(node.b) + " -> " + name +
                " [label=\"0\", style=dashed];\n";
         break;
     }

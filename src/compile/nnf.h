@@ -18,11 +18,14 @@
 // Nodes are hash-consed: structurally identical nodes share one id, and
 // children always precede their parents, so ascending id order is a
 // topological order — Evaluate and the structural audits are single passes.
+// The nodes ARE the walk core's flat records (FlatNode, nnf_walk.h) plus one
+// child-id pool, so every evaluation walks view() in place.
 
 #ifndef GMC_COMPILE_NNF_H_
 #define GMC_COMPILE_NNF_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -83,16 +86,6 @@ class WeightMatrix {
   std::vector<Rational> values_;  // values_[var * num_vectors_ + k]
 };
 
-/// One circuit node. Plain data; child ids always point at lower-numbered
-/// nodes (ascending id order is a topological order).
-struct NnfNode {
-  NnfKind kind = NnfKind::kFalse;
-  int var = -1;               ///< kVar and kDecision
-  int high = -1;              ///< kDecision: branch with var = true
-  int low = -1;               ///< kDecision: branch with var = false
-  std::vector<int> children;  ///< kAnd (always ≥ 2 after folding)
-};
-
 /// Per-call routing report of EvaluateBatchDyadic: how many of the K weight
 /// vectors were served by each mantissa width. The three counters sum to K;
 /// CircuitCache aggregates them into its stats.
@@ -104,9 +97,15 @@ struct DyadicBatchStats {
 
 /// One d-DNNF circuit.
 ///
-/// Ownership: plain value type — the nodes live inside the object, copies
-/// are deep and independent, and nothing returned by the accessors
-/// outlives the circuit.
+/// Ownership: plain value type — the node records and the child pool live
+/// inside the object, copies are deep and independent, and nothing
+/// returned by the accessors (view() included) outlives the circuit or
+/// survives its next mutation.
+///
+/// The hash-consing index is build-time state: PruneUnreachable (the last
+/// step of every compile and minimization) releases it and the node
+/// constructors re-derive it when empty, so a finished or loaded circuit
+/// holds only its two arrays.
 ///
 /// Thread safety: construction and mutation (Var/And/Decision/SetRoot/
 /// PruneUnreachable) are single-threaded; every evaluation entry point is
@@ -146,10 +145,20 @@ class NnfCircuit {
 
   void SetRoot(int id);
   int root() const { return root_; }
-  const std::vector<NnfNode>& nodes() const { return nodes_; }
+  /// The node records in id order. A decision's a/b are its high/low
+  /// branches; an AND's a/b are its offset and count in the child pool.
+  const std::vector<FlatNode>& nodes() const { return nodes_; }
+  /// The child ids of node `id` when it is an AND; empty otherwise.
+  std::span<const int32_t> children(size_t id) const;
   size_t num_nodes() const { return nodes_.size(); }
   /// 1 + the largest variable id mentioned (0 for constant circuits).
   int num_vars() const { return num_vars_; }
+  /// The walk view over this circuit's own arrays: what every evaluation
+  /// entry point below runs on, and what the store encodes.
+  CircuitWalkView view() const {
+    return CircuitWalkView{nodes_.data(),    nodes_.size(), children_.data(),
+                           children_.size(), root_,         num_vars_};
+  }
 
   /// Weighted model count in one bottom-up pass: the probability that the
   /// circuit is satisfied when variable v is independently true with
@@ -229,18 +238,10 @@ class NnfCircuit {
       const WeightMatrix& weights, int num_threads = 0,
       const CancelToken* cancel = nullptr) const;
 
-  /// The flat, pointer-free form of this circuit — the layout the walk
-  /// core (nnf_walk.h) evaluates and the circuit store persists. One
-  /// linear copy; every evaluation entry point above flattens once and
-  /// delegates, so a circuit loaded or mmap-ed from the store runs the
-  /// byte-for-byte same walk as this object.
-  FlatCircuit Flatten() const;
-
-  /// Rebuilds a circuit from a flat view. TRUSTED input: the view must be
-  /// structurally valid (children precede parents, indices in range,
-  /// nodes 0/1 the constants) — the store validates before calling; in-
-  /// process callers should only feed back Flatten() output. The result
-  /// is a fully owning, mutable circuit (hash-consing table rebuilt).
+  /// An owning copy of a flat view's two arrays. TRUSTED input: the view
+  /// must be structurally valid (children precede parents, indices in
+  /// range, nodes 0/1 the constants) — the store validates before calling;
+  /// in-process callers should only feed back another circuit's view().
   static NnfCircuit FromFlat(const CircuitWalkView& view);
 
   /// Order-independent structural fingerprint of the DAG under the root
@@ -250,11 +251,11 @@ class NnfCircuit {
 
   Stats ComputeStats() const;
 
-  /// Deterministic estimate of this circuit's resident heap footprint in
-  /// bytes (nodes, child vectors, and the hash-consing table), counting
-  /// element sizes rather than allocator capacities so the same circuit
-  /// always reports the same number — the accounting unit of
-  /// CircuitCache's max_resident_bytes eviction.
+  /// Deterministic size of this circuit in bytes: the object plus 16 per
+  /// node record and 4 per child-pool entry, counting elements rather than
+  /// allocator capacities so the same circuit always reports the same
+  /// number — the accounting unit of CircuitCache's max_resident_bytes
+  /// eviction.
   size_t MemoryBytes() const;
 
   /// Structural audits (tests): AND children have pairwise disjoint variable
@@ -266,8 +267,9 @@ class NnfCircuit {
   /// Drops nodes unreachable from the root (constant folding can orphan
   /// subcircuits, e.g. component nodes built before a FALSE sibling
   /// collapsed their AND) and renumbers the rest, keeping children before
-  /// parents. Evaluate cost is proportional to node count, so the compiler
-  /// calls this once per compilation to keep the evaluate-many path lean.
+  /// parents, into exactly sized arrays; releases the hash-consing index.
+  /// Evaluate cost is proportional to node count, so the compiler calls
+  /// this once per compilation to keep the evaluate-many path lean.
   void PruneUnreachable();
 
   /// Graphviz dump of the subcircuit reachable from the root.
@@ -275,16 +277,17 @@ class NnfCircuit {
 
  private:
   // Hash-consing: returns the existing id of a structurally equal node or
-  // appends `node`. Buckets are compared exactly, so sharing is sound even
-  // under hash collisions.
-  int Intern(NnfNode node);
+  // appends `node` (an AND's `child_ids` to the pool). Buckets are compared
+  // exactly, so sharing is sound even under hash collisions.
+  int Intern(FlatNode node, std::span<const int32_t> child_ids = {});
   // Variable support of every node, as sorted id vectors (audits only).
   std::vector<std::vector<int>> Supports() const;
   // Reachability from the root (constants are always kept).
   std::vector<bool> Reachable() const;
 
-  std::vector<NnfNode> nodes_;
-  std::unordered_map<uint64_t, std::vector<int>> unique_;
+  std::vector<FlatNode> nodes_;
+  std::vector<int32_t> children_;  // AND child ids, in node order
+  std::unordered_map<uint64_t, std::vector<int>> unique_;  // build-time only
   int root_ = 0;
   int num_vars_ = 0;
 };

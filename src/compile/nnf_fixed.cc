@@ -1,6 +1,7 @@
 // Fixed-width dyadic batch kernels and the width-routing front end of the
 // dyadic walk (WalkEvaluateBatchDyadic, which NnfCircuit::
-// EvaluateBatchDyadic and the store's MappedCircuitView both delegate to).
+// EvaluateBatchDyadic runs on the circuit's own arrays and the store's
+// MappedCircuitView on a mapped file — one record layout, one walk).
 //
 // The key invariant (see util/dyadic_fixed.h): every node value of a
 // weighted model count over probabilities in [0, 1] is itself a

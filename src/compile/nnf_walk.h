@@ -1,16 +1,15 @@
 // Flat, pointer-free circuit walks — the shared evaluation core.
 //
 // Every evaluation entry point of NnfCircuit (single, batched Rational,
-// batched dyadic, batched double) is one bottom-up topological pass over
-// the node arena. This header factors those passes out of NnfCircuit into
-// free functions over CircuitWalkView, a non-owning view of a circuit in
-// FLAT form: fixed-size 16-byte node records plus one contiguous child-id
-// pool, no per-node heap state anywhere.
+// batched dyadic, batched double, interval) is one bottom-up topological
+// pass over the node arena. This header factors those passes out of
+// NnfCircuit into free functions over CircuitWalkView, a non-owning view
+// of a circuit in FLAT form: fixed-size 16-byte node records plus one
+// contiguous child-id pool, no per-node heap state anywhere.
 //
-// Two producers instantiate the view:
-//   * NnfCircuit::Flatten() — one linear copy of the hash-consed nodes,
-//     built per evaluation call (O(nodes) against the O(nodes · K)
-//     arithmetic it precedes);
+// Two owners hand out such views:
+//   * NnfCircuit::view() — the circuit's own node and child arrays (the
+//     flat form IS NnfCircuit's layout, so no evaluation copies anything);
 //   * store/MappedCircuitView — the SAME record layout read directly from
 //     an mmap-ed circuit file, so a persisted circuit is evaluable with
 //     zero deserialization and N replicas share one read-only page-cache
@@ -19,9 +18,10 @@
 // evaluate bit-identical to the in-memory result by construction.
 //
 // Preconditions: the view must be structurally valid — children precede
-// parents, indices in range, nodes 0/1 the FALSE/TRUE constants. Flatten
-// guarantees this by construction; the store validates before handing out
-// views (store/circuit_io.h). The walks do not re-validate.
+// parents, indices in range, nodes 0/1 the FALSE/TRUE constants.
+// NnfCircuit's constructors guarantee this by construction; the store
+// validates before handing out views (store/circuit_io.h). The walks do
+// not re-validate.
 
 #ifndef GMC_COMPILE_NNF_WALK_H_
 #define GMC_COMPILE_NNF_WALK_H_
@@ -65,20 +65,6 @@ struct CircuitWalkView {
   int32_t num_vars = 0;
 };
 
-/// Owning flat form (what NnfCircuit::Flatten returns). view() is valid
-/// for the lifetime of the object.
-struct FlatCircuit {
-  std::vector<FlatNode> nodes;
-  std::vector<int32_t> children;
-  int32_t root = 0;
-  int32_t num_vars = 0;
-
-  CircuitWalkView view() const {
-    return CircuitWalkView{nodes.data(),    nodes.size(), children.data(),
-                           children.size(), root,         num_vars};
-  }
-};
-
 /// A certified enclosure of one probability: lo <= exact <= hi, both ends
 /// finite doubles in [0, 1]. Produced by the directed-rounding interval
 /// walk; the width is the walk's honest error report (typically a few ulp
@@ -94,7 +80,7 @@ struct ProbInterval {
 
 /// The walks. Semantics, exactness, thread behaviour, and parameter
 /// meanings are those of the NnfCircuit methods of the same name (nnf.h),
-/// which are now thin Flatten-then-delegate wrappers over these.
+/// which call these on the circuit's own view().
 ///
 /// `cancel` (optional, every batch walk): the request-deadline token,
 /// polled every 64 arena nodes inside each column-parallel slice. A pass

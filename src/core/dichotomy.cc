@@ -1,8 +1,11 @@
 #include "core/dichotomy.h"
 
+#include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "approx/anytime_defaults.h"
 #include "approx/karp_luby.h"
 #include "lineage/grounder.h"
 #include "util/check.h"
@@ -313,11 +316,23 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
           "fallback (raise the budget or switch to kAuto)");
     }
   }
-  // (ε, δ) sampler — the anytime floor. The per-instance seed mixes the
-  // session seed with the lineage structure, so fixed-seed runs reproduce
-  // per instance regardless of batch order. A deadline firing mid-sampling
-  // degrades to the achieved-ε anytime report, never an error — samples
-  // already drawn are not thrown away (see approx/karp_luby.h).
+  // (ε, δ) sampler — the anytime floor. An instance that samples (two or
+  // more clauses; fewer are exact) is refused before the plan build when
+  // its sample count passes the per-instance limit.
+  const size_t m = lineage.cnf.clauses.size();
+  uint64_t samples = KarpLubySampleTarget(m, sampler.epsilon, sampler.delta);
+  if (sampler.max_samples > 0) samples = std::min(samples, sampler.max_samples);
+  if (m >= 2 && samples > kMaxSamplesPerInstance) {
+    ++counters_.invalid_requests;
+    return GmcStatus::Error(GmcStatusCode::kInvalidOptions,
+                            "sampling would draw " + std::to_string(samples) +
+                                " samples, over the per-instance limit 2^32");
+  }
+  // The per-instance seed mixes the session seed with the lineage
+  // structure, so fixed-seed runs reproduce per instance regardless of
+  // batch order. A deadline firing mid-sampling degrades to the achieved-ε
+  // anytime report, never an error — samples already drawn are not thrown
+  // away (see approx/karp_luby.h).
   sampler.seed =
       approx_internal::SplitMix64(options_.sample_seed ^ lineage.cnf.Hash64())
           .Next();

@@ -109,7 +109,9 @@ struct GmcAnswer {
 enum class GmcStatusCode : uint8_t {
   kOk = 0,
   kInvalidWeight,    ///< a tuple probability outside [0, 1]
-  kInvalidOptions,   ///< epsilon/delta outside (0, 1)
+  /// epsilon/delta outside (0, 1), or a sampled instance that would draw
+  /// more than kMaxSamplesPerInstance samples
+  kInvalidOptions,
   kBudgetExhausted,  ///< RoutingMode::kExact refused an over-budget instance
   /// The request's end-to-end deadline (GmcOptions::deadline_ms) fired
   /// before an answer was produced. Distinct from kBudgetExhausted: a

@@ -11,11 +11,11 @@ Polynomial ArithmetizeCnf(const Cnf& cnf) {
   // multilinear (AND children have disjoint supports, decision branches
   // omit their variable), so the root is THE arithmetization.
   const NnfCircuit circuit = Compiler().Compile(cnf);
-  const std::vector<NnfNode>& nodes = circuit.nodes();
+  const std::vector<FlatNode>& nodes = circuit.nodes();
   std::vector<Polynomial> value(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const NnfNode& node = nodes[i];
-    switch (node.kind) {
+    const FlatNode& node = nodes[i];
+    switch (static_cast<NnfKind>(node.kind)) {
       case NnfKind::kFalse:  // the zero polynomial
         break;
       case NnfKind::kTrue:
@@ -26,11 +26,11 @@ Polynomial ArithmetizeCnf(const Cnf& cnf) {
         break;
       case NnfKind::kAnd:
         value[i] = Polynomial::Constant(Rational::One());
-        for (const int child : node.children) value[i] *= value[child];
+        for (const int child : circuit.children(i)) value[i] *= value[child];
         break;
       case NnfKind::kDecision:
-        value[i] = Polynomial::Variable(node.var) * value[node.high] +
-                   Polynomial::OneMinusVariable(node.var) * value[node.low];
+        value[i] = Polynomial::Variable(node.var) * value[node.a] +
+                   Polynomial::OneMinusVariable(node.var) * value[node.b];
         break;
     }
   }

@@ -5,19 +5,21 @@
 //     compiled from) to a file: temp file in the target directory, fsync,
 //     rename, so readers never observe a half-written store entry.
 //   * LoadCircuit — reads, validates (checksum + full structural bounds
-//     check), and materializes an owning NnfCircuit. The expensive step a
-//     warm start replaces is COMPILATION; this is one linear decode.
+//     check), and copies the file's node records and child pool into an
+//     owning NnfCircuit, whose in-memory layout they already are. The
+//     expensive step a warm start replaces is COMPILATION; this is two
+//     array copies. CircuitCache (and so gmc_serve) loads this way.
 //   * MappedCircuitView — mmap(PROT_READ) of the same file, validated the
 //     same way, evaluable IN PLACE through the shared walk core with zero
-//     deserialization. N replicas mapping one store directory share a
+//     copies: a library API for embedders whose replicas should share a
 //     single page-cache copy of every circuit.
 //
 // Every reader rejects — with a clean error string, no UB, no partial
 // state — truncated files, flipped bits anywhere (checksum), version or
 // magic mismatches, and structurally invalid arenas (out-of-range child
-// ids, children not preceding parents, bad kinds/roots/counts). In debug
-// builds, loads additionally re-fingerprint the decoded circuit against
-// the header (NnfCircuit::Fingerprint round-trip check).
+// ids, children not preceding parents, bad kinds/roots/counts) or a
+// recomputed fingerprint that disagrees with the header. The owning copy
+// is the validated arrays themselves, so it needs no second check.
 
 #ifndef GMC_STORE_CIRCUIT_IO_H_
 #define GMC_STORE_CIRCUIT_IO_H_
@@ -62,7 +64,7 @@ bool SaveCircuit(const NnfCircuit& circuit, const Cnf& cnf,
                  OrderHeuristic order, const std::string& path,
                  std::string* error);
 
-/// Reads + validates + materializes. See LoadedCircuit.
+/// Reads + validates + copies. See LoadedCircuit.
 bool LoadCircuit(const std::string& path, LoadedCircuit* out,
                  std::string* error);
 
@@ -101,7 +103,8 @@ class MappedCircuitView {
   Cnf DecodeCnf() const;
 
   /// Evaluation, straight off the mapping (see compile/nnf_walk.h for
-  /// semantics — these are the same walks NnfCircuit delegates to).
+  /// semantics — these are the same walks NnfCircuit runs on its own
+  /// arrays).
   Rational Evaluate(const std::vector<Rational>& probabilities) const;
   std::vector<Rational> EvaluateBatch(const WeightMatrix& weights,
                                       int num_threads = 0) const;

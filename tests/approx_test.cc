@@ -512,6 +512,41 @@ TEST(SessionRouterTest, SampleModeSkipsTheProbeAndCertifies) {
   EXPECT_EQ(stats.budget_exhausted, 0u);
 }
 
+TEST(SessionRouterTest, UncappedTinyEpsilonIsRefusedBeforeSampling) {
+  // With max_samples = 0 the (ε, δ) target alone sizes the run; at
+  // ε = 1e-9 it saturates, and sampling it would allocate ~2^54 chunk
+  // tallies. The session refuses such an instance with a typed status
+  // instead, and a sane ε on the same session still runs its full target.
+  const Query h1 = H1();
+  const Tid tid(h1.vocab_ptr(), 3, 3, Rational::Half());
+  GfomcSession session;
+  GmcOptions options = session.options();
+  options.routing_mode = RoutingMode::kSample;
+  options.max_samples = 0;
+  options.delta = 0.5;
+  session.Configure(options);
+
+  GmcOptions tiny = session.options();
+  tiny.epsilon = 1e-9;
+  std::vector<GmcAnswer> answers;
+  std::vector<GmcStatus> statuses =
+      session.EvaluateAnswers(h1, {tid}, tiny, &answers);
+  ASSERT_EQ(statuses.size(), 1u);
+  EXPECT_EQ(statuses[0].code, GmcStatusCode::kInvalidOptions);
+  EXPECT_EQ(session.stats().anytime_sampled, 0u);
+  EXPECT_EQ(session.stats().invalid_requests, 1u);
+
+  GmcOptions sane = session.options();
+  sane.epsilon = 0.1;
+  statuses = session.EvaluateAnswers(h1, {tid}, sane, &answers);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].message;
+  EXPECT_EQ(answers[0].tier, AnswerTier::kSampled);
+  const size_t num_clauses = Ground(h1, tid).cnf.clauses.size();
+  EXPECT_EQ(answers[0].samples,
+            KarpLubySampleTarget(num_clauses, sane.epsilon, sane.delta));
+  EXPECT_EQ(session.stats().anytime_sampled, 1u);
+}
+
 TEST(SessionRouterTest, OverBudgetInstanceDegradesToTheSampler) {
   // The headline contract: an unsafe instance whose compile probe exceeds
   // the budget still gets a certified answer, never an unbounded compile.

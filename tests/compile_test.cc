@@ -5,6 +5,7 @@
 // weight vectors — the compile-once / evaluate-many contract.
 
 #include <random>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -129,9 +130,52 @@ TEST(CompilerTest, CompilationIsDeterministic) {
   for (size_t i = 0; i < a.num_nodes(); ++i) {
     EXPECT_EQ(a.nodes()[i].kind, b.nodes()[i].kind);
     EXPECT_EQ(a.nodes()[i].var, b.nodes()[i].var);
-    EXPECT_EQ(a.nodes()[i].high, b.nodes()[i].high);
-    EXPECT_EQ(a.nodes()[i].low, b.nodes()[i].low);
-    EXPECT_EQ(a.nodes()[i].children, b.nodes()[i].children);
+    EXPECT_EQ(a.nodes()[i].a, b.nodes()[i].a);
+    EXPECT_EQ(a.nodes()[i].b, b.nodes()[i].b);
+  }
+  const CircuitWalkView va = a.view();
+  const CircuitWalkView vb = b.view();
+  EXPECT_EQ(std::vector<int32_t>(va.children, va.children + va.num_children),
+            std::vector<int32_t>(vb.children, vb.children + vb.num_children));
+}
+
+TEST(CompilerTest, HashConsingSurvivesTheReleasedIndex) {
+  // PruneUnreachable releases the build-time index and FromFlat never has
+  // one; the node constructors must re-derive it, so re-creating an
+  // existing Var, And or Decision returns its id and appends nothing.
+  Cnf cnf;
+  cnf.num_vars = 4;
+  cnf.AddClause({0, 1});
+  cnf.AddClause({2, 3});
+  NnfCircuit pruned = Compiler().Compile(cnf);
+  pruned.PruneUnreachable();
+  NnfCircuit copy = NnfCircuit::FromFlat(pruned.view());
+  for (NnfCircuit* circuit : {&pruned, &copy}) {
+    const size_t before = circuit->num_nodes();
+    int seen_kinds = 0;
+    for (int id = 2; id < static_cast<int>(before); ++id) {
+      const FlatNode node = circuit->nodes()[id];
+      switch (static_cast<NnfKind>(node.kind)) {
+        case NnfKind::kVar:
+          EXPECT_EQ(circuit->Var(node.var), id);
+          seen_kinds |= 1;
+          break;
+        case NnfKind::kAnd: {
+          const std::span<const int32_t> children = circuit->children(id);
+          EXPECT_EQ(circuit->And({children.begin(), children.end()}), id);
+          seen_kinds |= 2;
+          break;
+        }
+        case NnfKind::kDecision:
+          EXPECT_EQ(circuit->Decision(node.var, node.a, node.b), id);
+          seen_kinds |= 4;
+          break;
+        default:
+          ADD_FAILURE() << "constant past id 1";
+      }
+    }
+    EXPECT_EQ(seen_kinds, 7) << "the fixture must hold every inner kind";
+    EXPECT_EQ(circuit->num_nodes(), before);
   }
 }
 

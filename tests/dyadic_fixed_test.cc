@@ -332,7 +332,7 @@ TEST(FixedWidthBatchTest, FixedWidthMatchesTheBigIntArena) {
   EXPECT_EQ(stats.fixed64_vectors, 16);
   EXPECT_EQ(stats.bigint_vectors, 0);
   EXPECT_EQ(fixed, walk_internal::WalkEvaluateBatchDyadicBig(
-                       gadget.circuit.Flatten().view(), weights, 1));
+                       gadget.circuit.view(), weights, 1));
 }
 
 TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
@@ -386,7 +386,7 @@ TEST(FixedWidthBatchTest, RandomCircuitsAgreeAcrossAllPaths) {
     EXPECT_EQ(circuit.EvaluateBatchDyadic(weights, 1), rational)
         << "trial " << trial;
     EXPECT_EQ(walk_internal::WalkEvaluateBatchDyadicBig(
-                  circuit.Flatten().view(), weights, 1),
+                  circuit.view(), weights, 1),
               rational)
         << "trial " << trial;
   }

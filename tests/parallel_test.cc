@@ -202,7 +202,7 @@ TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial, serial_dyadic);
     // And so does the BigInt arena behind the fixed-width kernels.
     EXPECT_EQ(walk_internal::WalkEvaluateBatchDyadicBig(
-                  circuit.Flatten().view(), weights, 8),
+                  circuit.view(), weights, 8),
               serial_dyadic);
   }
 }

@@ -255,17 +255,46 @@ TEST_F(StoreTest, MappedViewConcurrentEvaluation) {
 TEST_F(StoreTest, FingerprintIsOrderIndependentAndDiscriminating) {
   // The same formula compiled under different orders yields differently
   // SHAPED circuits — fingerprints may differ. But renumbering the same
-  // DAG must not move the fingerprint: FromFlat(Flatten()) is the
-  // identity on structure.
+  // DAG must not move the fingerprint: FromFlat(view()) is the identity on
+  // structure.
   std::mt19937_64 rng(21);
   const Cnf a = RandomCnf(rng);
   const Cnf b = RandomCnf(rng);
   const NnfCircuit ca = CompileUnder(a, OrderHeuristic::kDefault);
   const NnfCircuit cb = CompileUnder(b, OrderHeuristic::kDefault);
-  EXPECT_EQ(NnfCircuit::FromFlat(ca.Flatten().view()).Fingerprint(),
+  EXPECT_EQ(NnfCircuit::FromFlat(ca.view()).Fingerprint(),
             ca.Fingerprint());
   ASSERT_NE(a.clauses, b.clauses);
   EXPECT_NE(ca.Fingerprint(), cb.Fingerprint());
+}
+
+TEST(StoreGoldenTest, EncodedBytesMatchTheRecordedImages) {
+  // No other test compares an encoding with one an earlier build wrote. A
+  // changed node numbering, child-pool order or record field would make
+  // every deployed store entry fail its fingerprint check and recompile
+  // without any error; these sizes and checksums were recorded from the
+  // encoder before NnfCircuit adopted the flat record layout in memory.
+  struct Golden {
+    OrderHeuristic order;
+    size_t size;
+    uint64_t checksum;
+  };
+  constexpr Golden kGolden[] = {
+      {OrderHeuristic::kDefault, 656, 0x21776d2a7aedbed3ull},
+      {OrderHeuristic::kMinFill, 608, 0xf983dc17ea960eecull},
+      {OrderHeuristic::kBalanced, 608, 0x37f4d8ccf5d0f1b3ull},
+  };
+  const Query query = H1();
+  const Lineage lineage =
+      Ground(query, Tid(query.vocab_ptr(), 2, 2, Rational::Half()));
+  for (const Golden& golden : kGolden) {
+    const std::vector<uint8_t> bytes = store::EncodeCircuit(
+        CompileUnder(lineage.cnf, golden.order), lineage.cnf, golden.order);
+    EXPECT_EQ(bytes.size(), golden.size) << OrderHeuristicName(golden.order);
+    EXPECT_EQ(store::ChecksumFile(bytes.data(), bytes.size()),
+              golden.checksum)
+        << OrderHeuristicName(golden.order);
+  }
 }
 
 // ------------------------------------------------------------------ fuzz
@@ -502,6 +531,41 @@ TEST_F(StoreTest, WarmFromRacesLiveCompiles) {
   }
   for (std::thread& w : workers) w.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(ok[t], 1) << "thread " << t;
+}
+
+TEST_F(StoreTest, ResidentCircuitsCarryOnlyTheirArrays) {
+  // A resident circuit — compiled into a cache, loaded from a file, or
+  // served after a warm start — is its node records and child pool, no
+  // build-time index; MemoryBytes, the cache's eviction unit, counts
+  // exactly that.
+  auto expect_arrays_only = [](const NnfCircuit& circuit) {
+    EXPECT_EQ(circuit.MemoryBytes(),
+              sizeof(NnfCircuit) + 16 * circuit.num_nodes() +
+                  4 * circuit.view().num_children);
+  };
+  const Lineage lineage = GadgetCorpus(3).back();
+  CircuitCache source;
+  const std::shared_ptr<const NnfCircuit> compiled =
+      source.GetShared(lineage.cnf);
+  ASSERT_NE(compiled, nullptr);
+  expect_arrays_only(*compiled);
+
+  std::string error;
+  ASSERT_EQ(source.SaveTo(dir_, &error), 1u) << error;
+  store::LoadedCircuit loaded;
+  ASSERT_TRUE(store::LoadCircuit(
+      store::CircuitStore(dir_).PathFor(lineage.cnf), &loaded, &error))
+      << error;
+  expect_arrays_only(loaded.circuit);
+
+  CircuitCache warmed;
+  ASSERT_EQ(warmed.WarmFrom(dir_), 1u);
+  const std::shared_ptr<const NnfCircuit> served =
+      warmed.GetShared(lineage.cnf);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(warmed.stats().compiles, 0u);
+  expect_arrays_only(*served);
+  EXPECT_EQ(served->Fingerprint(), compiled->Fingerprint());
 }
 
 TEST_F(StoreTest, GmcStoreDefaultFlowsIntoNewCaches) {
