@@ -1,11 +1,11 @@
 // Anytime-tier benchmarks: the certified interval walk and the Karp–Luby
 // sampler against the exact passes they bound, on the gadget corpus.
 //
-// Headline numbers: the directed-rounding interval pass runs at
-// double-batch speed (orders of magnitude under the exact BigInt pass on
-// non-dyadic weights) while still carrying a guarantee; the sampler's cost
-// is linear in its (ε, δ)-derived sample count, independent of circuit
-// size. BM_RouterOverBudget times the full degraded path through
+// Headline numbers: the directed-rounding interval pass costs about 3×
+// the double batch pass at K = 64 (orders of magnitude under the exact
+// BigInt pass on non-dyadic weights) while still carrying a guarantee; the
+// sampler's cost is linear in its (ε, δ)-derived sample count, independent
+// of circuit size. BM_RouterOverBudget times the full degraded path through
 // GfomcSession — probe, budget exhaustion, sampler — the latency a serving
 // client sees when an instance blows its compile budget.
 //
@@ -22,11 +22,15 @@
 // with exact rational arithmetic), interval results that differ across
 // thread counts, a fixed-seed estimate outside its ε certificate — or not
 // bit-identical between the serial and 8-worker sampler — or an
-// over-budget instance that fails to come back certified. This is the
+// over-budget instance that fails to come back certified. It also fails
+// when the interval pass costs more than 5× the double pass (best of 20
+// interleaved single-thread passes each, K = 64, C9 3×3). This is the
 // acceptance bar of the anytime tier, enforced on every CI run.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -277,6 +281,10 @@ BENCHMARK(BM_RouterOverBudget)->Unit(benchmark::kMillisecond);
 
 void BM_AnytimeCrossCheck(benchmark::State& state) {
   std::vector<gmc::Lineage> corpus = {H1Lineage(3), Type2Lineage(3)};
+  using Clock = std::chrono::steady_clock;
+  const gmc::NnfCircuit ratio_circuit = gmc::Compiler().Compile(corpus[1]);
+  const gmc::WeightMatrix ratio_weights = SweepWeights(corpus[1], 64);
+  double ratio = 0.0;
   for (auto _ : state) {
     for (const gmc::Lineage& lineage : corpus) {
       gmc::Compiler compiler;
@@ -334,6 +342,28 @@ void BM_AnytimeCrossCheck(benchmark::State& state) {
         return;
       }
     }
+    // The interval pass's cost gate: best of 20 interleaved single-thread
+    // passes each at K = 64 on C9 3×3, interval at most 5× the double pass.
+    double best_interval = 1e300;
+    double best_double = 1e300;
+    for (int rep = 0; rep < 20; ++rep) {
+      const auto t0 = Clock::now();
+      benchmark::DoNotOptimize(
+          ratio_circuit.EvaluateBatchInterval(ratio_weights, 1));
+      const auto t1 = Clock::now();
+      benchmark::DoNotOptimize(ratio_circuit.EvaluateBatchDouble(
+          ratio_weights, /*recheck_stride=*/0, 1e-9, /*num_threads=*/1));
+      const auto t2 = Clock::now();
+      best_interval = std::min(
+          best_interval, std::chrono::duration<double>(t1 - t0).count());
+      best_double =
+          std::min(best_double, std::chrono::duration<double>(t2 - t1).count());
+    }
+    ratio = best_interval / best_double;
+    if (ratio > 5.0) {
+      state.SkipWithError("interval pass costs more than 5x the double pass");
+      return;
+    }
     // An over-budget instance must still come back certified through the
     // session — the anytime tier's contract end to end.
     gmc::Query query = H1();
@@ -355,6 +385,7 @@ void BM_AnytimeCrossCheck(benchmark::State& state) {
       return;
     }
   }
+  state.counters["interval_over_double"] = ratio;
 }
 BENCHMARK(BM_AnytimeCrossCheck)->Unit(benchmark::kMillisecond);
 

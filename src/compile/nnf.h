@@ -229,11 +229,13 @@ class NnfCircuit {
                                           const CancelToken* cancel =
                                               nullptr) const;
 
-  /// Certified fast path: the double-speed arena pass with every flop
+  /// Certified fast path: the double arena pass with every flop
   /// outward-rounded, returning per-column enclosures [lo, hi] that
   /// PROVABLY contain the exact answer (see nnf_interval.cc for the
-  /// argument). Weights must be probabilities in [0, 1]; aborts otherwise.
-  /// The certified tier of RoutingMode::kInterval.
+  /// argument). About 3× the cost of EvaluateBatchDouble on C9 3×3 at
+  /// K = 64 (bench_anytime; BM_AnytimeCrossCheck fails past 5×). Weights
+  /// must be probabilities in [0, 1]; aborts otherwise. The certified tier
+  /// of RoutingMode::kInterval.
   std::vector<ProbInterval> EvaluateBatchInterval(
       const WeightMatrix& weights, int num_threads = 0,
       const CancelToken* cancel = nullptr) const;

@@ -5,14 +5,24 @@
 // rounded, so the returned interval PROVABLY contains the exact Rational
 // answer on every column. The proof obligations, node by node:
 //
-//   * Weight leaves: each exact weight p is bracketed by exact comparison —
-//     a finite double is a dyadic rational, so converting it back to a
-//     Rational is lossless, and lo/hi are nudged with nextafter until
-//     lo <= p <= hi holds exactly.
+//   * Weight leaves: each exact weight p gets the tight pair [RD(p), RU(p)]
+//     — the largest double <= p and the smallest double >= p — by one of
+//     two routes. When p = a/b with a and b of at most 53 bits, both
+//     convert exactly, so d = a/b in double is the correctly rounded
+//     quotient and fma(d, b, −a) = b·(d − p) rounds once from a multiple
+//     of 2^-105 that cannot underflow: its sign says whether d is above,
+//     below or on p, and the pair is d plus at most one neighbour one step
+//     away. Wider weights take the BigInt route: a start within a few ulp
+//     from each part's top 64 bits, then steps checked by exact
+//     cross-multiplication — a bounded number at any size.
 //   * Every flop: under round-to-nearest, fl(x op y) is within half an ulp
-//     of x op y, so nextafter(fl(x op y)) in the right direction is a
-//     strict outward bound. No fesetround — nextafter is portable, immune
-//     to compiler reordering, and keeps the pass thread-agnostic.
+//     of x op y, so the next double in the right direction is a strict
+//     outward bound. The step is one unit on the bit pattern — bits − 1
+//     below a positive x, bits + 1 above a finite x with a clear sign bit
+//     — which is exactly the value nextafter returns; the other inputs
+//     (zero going down, negatives, NaN, +inf going up) still call
+//     nextafter. No fesetround — the steps are portable, immune to
+//     compiler reordering, and keep the pass thread-agnostic.
 //   * Monotonicity: all circuit values are probabilities in [0, 1]
 //     (children of a decomposable AND multiply, deterministic decisions
 //     convex-combine), so lower bounds propagate through lower bounds and
@@ -23,6 +33,8 @@
 // circuit level on gadget-scale circuits, orders of magnitude below the
 // re-check tolerance the plain double pass runs under.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -35,44 +47,112 @@
 
 namespace gmc {
 
+namespace walk_internal {
+
+double StepDown(double x) {
+  if (x > 0.0) return std::bit_cast<double>(std::bit_cast<uint64_t>(x) - 1);
+  return std::nextafter(x, -std::numeric_limits<double>::infinity());
+}
+
+double StepUp(double x) {
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  const auto bits = std::bit_cast<uint64_t>(x);
+  // Every pattern below +inf's is a finite double with a clear sign bit.
+  if (bits < std::bit_cast<uint64_t>(kInfinity)) {
+    return std::bit_cast<double>(bits + 1);
+  }
+  return std::nextafter(x, kInfinity);
+}
+
+bool FitsBracketFast(const Rational& p) {
+  return p.sign() >= 0 && p.numerator().BitLength() <= 53 &&
+         p.denominator().BitLength() <= 53;
+}
+
+ProbInterval BracketFast(uint64_t a, uint64_t b) {
+  const auto num = static_cast<double>(a);
+  const auto den = static_cast<double>(b);
+  const double d = num / den;
+  const double excess = std::fma(d, den, -num);  // sign of d − p
+  if (excess > 0.0) return {StepDown(d), d};
+  if (excess < 0.0) return {d, StepUp(d)};
+  return {d, d};
+}
+
 namespace {
+
+// Sign of x − num/den for a finite x >= 0 (den > 0, num >= 0), exactly:
+// x = m · 2^(e − 53) with m an integer, so compare m·den with num·2^(53−e).
+// Every x the bracket visits is at most 1 + 2^-52, so 53 − e >= 52.
+int CompareExact(double x, const BigInt& num, const BigInt& den) {
+  if (x == 0.0) return num.IsZero() ? 0 : -1;
+  int exponent = 0;
+  const auto mantissa =
+      static_cast<int64_t>(std::ldexp(std::frexp(x, &exponent), 53));
+  const BigInt lhs = BigInt(mantissa) * den;
+  const BigInt rhs = num.ShiftLeft(static_cast<uint64_t>(53 - exponent));
+  return lhs < rhs ? -1 : (rhs < lhs ? 1 : 0);
+}
+
+}  // namespace
+
+ProbInterval BracketBig(const Rational& p) {
+  const BigInt& num = p.numerator();
+  const BigInt& den = p.denominator();
+  // Start within a few ulp of p: the quotient of the top 64 bits of each
+  // part, rescaled. At the −1200 clamp any start rounds to 0, which is
+  // RD(p) for every p that small.
+  const uint64_t num_shift = std::max<uint64_t>(num.BitLength(), 64) - 64;
+  const uint64_t den_shift = std::max<uint64_t>(den.BitLength(), 64) - 64;
+  const int64_t scale = std::max<int64_t>(
+      static_cast<int64_t>(num_shift) - static_cast<int64_t>(den_shift),
+      -1200);
+  double lo = std::min(
+      1.0, std::ldexp(static_cast<double>(num.Bits64At(num_shift)) /
+                          static_cast<double>(den.Bits64At(den_shift)),
+                      static_cast<int>(scale)));
+  while (CompareExact(lo, num, den) > 0) lo = StepDown(lo);
+  while (CompareExact(StepUp(lo), num, den) <= 0) lo = StepUp(lo);
+  return {lo, CompareExact(lo, num, den) == 0 ? lo : StepUp(lo)};
+}
+
+}  // namespace walk_internal
+
+namespace {
+
+using walk_internal::StepDown;
+using walk_internal::StepUp;
 
 // Mirrors the slice sizing (and the deadline-poll stride) of nnf_walk.cc.
 constexpr int64_t kMinColumnsPerSlice = 4;
 constexpr int64_t kMinVarsPerChunk = 8;
 constexpr size_t kCancelNodeStride = 64;
 
-double Down(double x) {
-  return std::nextafter(x, -std::numeric_limits<double>::infinity());
-}
-double Up(double x) {
-  return std::nextafter(x, std::numeric_limits<double>::infinity());
-}
 double ClampLo(double x) { return x < 0.0 ? 0.0 : x; }
 double ClampHi(double x) { return x > 1.0 ? 1.0 : x; }
 
-// Exact value of a finite double in [0, 1]: every such double is the
-// dyadic rational mantissa · 2^(exponent - 53), recovered losslessly.
-Rational ExactOfDouble(double d) {
-  if (d == 0.0) return Rational::Zero();
-  int exponent = 0;
-  const double mantissa = std::frexp(d, &exponent);  // d = m · 2^e, m ∈ [½,1)
-  const auto scaled = static_cast<int64_t>(std::ldexp(mantissa, 53));
-  // d <= 1 forces e <= 1, so the dyadic denominator exponent 53 - e >= 52.
-  return Rational::Dyadic(BigInt(scaled), static_cast<uint64_t>(53 - exponent));
-}
+constexpr const char kNeedsProbabilities[] =
+    "EvaluateBatchInterval needs probabilities in [0, 1]";
 
-// The tightest-enough double bracket of an exact probability: ToDouble is
-// within one ulp of p, so at most a couple of nextafter steps land on
-// lo <= p <= hi (verified by exact Rational comparison, not trusted).
-ProbInterval BracketExact(const Rational& p) {
-  const double d = p.ToDouble();
-  ProbInterval iv{d, d};
-  while (iv.lo > 0.0 && ExactOfDouble(iv.lo) > p) iv.lo = Down(iv.lo);
-  while (iv.hi < 1.0 && ExactOfDouble(iv.hi) < p) iv.hi = Up(iv.hi);
-  iv.lo = ClampLo(iv.lo);
-  iv.hi = ClampHi(iv.hi);
-  return iv;
+// The brackets of p and, when `complement` is non-null, of 1 − p — each
+// from its own exact value, so both are as tight as a double pair can be.
+void BracketWeight(const Rational& p, ProbInterval* bracket,
+                   ProbInterval* complement) {
+  if (walk_internal::FitsBracketFast(p)) {
+    const uint64_t a = p.numerator().Bits64At(0);
+    const uint64_t b = p.denominator().Bits64At(0);
+    GMC_CHECK_MSG(a <= b, kNeedsProbabilities);
+    *bracket = walk_internal::BracketFast(a, b);
+    if (complement != nullptr) {
+      *complement = walk_internal::BracketFast(b - a, b);
+    }
+    return;
+  }
+  GMC_CHECK_MSG(p.sign() >= 0 && p <= Rational::One(), kNeedsProbabilities);
+  *bracket = walk_internal::BracketBig(p);
+  if (complement != nullptr) {
+    *complement = walk_internal::BracketBig(Rational::One() - p);
+  }
 }
 
 // One contiguous row-major interval arena per slice — the EvaluateBatchSlice
@@ -111,8 +191,8 @@ void IntervalSlice(const CircuitWalkView& view, int k0, int k1, int num_k,
               value.data() + static_cast<size_t>(child_ids[c]) * num_w;
           for (int k = 0; k < num_w; ++k) {
             // Nonnegative factors: lo·lo bounds below, hi·hi above.
-            out[k].lo = ClampLo(Down(out[k].lo * child[k].lo));
-            out[k].hi = ClampHi(Up(out[k].hi * child[k].hi));
+            out[k].lo = ClampLo(StepDown(out[k].lo * child[k].lo));
+            out[k].hi = ClampHi(StepUp(out[k].hi * child[k].hi));
           }
         }
         break;
@@ -127,12 +207,12 @@ void IntervalSlice(const CircuitWalkView& view, int k0, int k1, int num_k,
         const ProbInterval* low =
             value.data() + static_cast<size_t>(node.b) * num_w;
         for (int k = 0; k < num_w; ++k) {
-          const double t_lo = Down(p[k].lo * high[k].lo);
-          const double u_lo = Down(q[k].lo * low[k].lo);
-          const double t_hi = Up(p[k].hi * high[k].hi);
-          const double u_hi = Up(q[k].hi * low[k].hi);
-          out[k].lo = ClampLo(Down(t_lo + u_lo));
-          out[k].hi = ClampHi(Up(t_hi + u_hi));
+          const double t_lo = StepDown(p[k].lo * high[k].lo);
+          const double u_lo = StepDown(q[k].lo * low[k].lo);
+          const double t_hi = StepUp(p[k].hi * high[k].hi);
+          const double u_hi = StepUp(q[k].hi * low[k].hi);
+          out[k].lo = ClampLo(StepDown(t_lo + u_lo));
+          out[k].hi = ClampHi(StepUp(t_hi + u_hi));
         }
         break;
       }
@@ -151,11 +231,8 @@ std::vector<ProbInterval> WalkEvaluateBatchInterval(
   const int num_k = weights.num_vectors();
   const int num_vars = view.num_vars;
 
-  // Weight and complement brackets, computed once per (variable, vector) by
-  // exact comparison against the Rational. The complement is bracketed from
-  // the exact 1 − p (not from the p bracket), so both enclosures are as
-  // tight as a double pair can be. Chunked over variables like the other
-  // batch preambles.
+  // Weight and complement brackets, once per (variable, vector); chunked
+  // over variables like the other batch preambles.
   const std::vector<bool> decides = walk_internal::WalkDecisionVars(view);
   std::vector<ProbInterval> probability(static_cast<size_t>(num_vars) * num_k);
   std::vector<ProbInterval> complement(static_cast<size_t>(num_vars) * num_k);
@@ -163,19 +240,10 @@ std::vector<ProbInterval> WalkEvaluateBatchInterval(
               [&](int64_t v0, int64_t v1, int /*chunk*/) {
                 for (int64_t v = v0; v < v1; ++v) {
                   const Rational* p = weights.Column(static_cast<int>(v));
-                  ProbInterval* out =
-                      probability.data() + static_cast<size_t>(v) * num_k;
+                  const size_t row = static_cast<size_t>(v) * num_k;
                   for (int k = 0; k < num_k; ++k) {
-                    GMC_CHECK_MSG(
-                        p[k].sign() >= 0 && p[k] <= Rational::One(),
-                        "EvaluateBatchInterval needs probabilities in [0, 1]");
-                    out[k] = BracketExact(p[k]);
-                  }
-                  if (!decides[v]) continue;
-                  ProbInterval* comp =
-                      complement.data() + static_cast<size_t>(v) * num_k;
-                  for (int k = 0; k < num_k; ++k) {
-                    comp[k] = BracketExact(Rational::One() - p[k]);
+                    BracketWeight(p[k], &probability[row + k],
+                                  decides[v] ? &complement[row + k] : nullptr);
                   }
                 }
               });

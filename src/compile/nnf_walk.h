@@ -105,10 +105,11 @@ std::vector<double> WalkEvaluateBatchDouble(
     const CancelToken* cancel = nullptr);
 /// Directed-rounding interval pass (nnf_interval.cc): the double arena walk
 /// with every flop outward-rounded, so each returned interval PROVABLY
-/// contains the exact Rational answer — double speed with a guarantee
-/// instead of a spot re-check. Weights must be probabilities in [0, 1]
-/// (aborts otherwise); column-parallel and deterministic at every thread
-/// count like the other batch walks.
+/// contains the exact Rational answer — a guarantee instead of a spot
+/// re-check, at about 3× the double walk's cost (C9 3×3, K = 64).
+/// Weights must be probabilities in [0, 1] (aborts otherwise);
+/// column-parallel and deterministic at every thread count like the other
+/// batch walks.
 std::vector<ProbInterval> WalkEvaluateBatchInterval(
     const CircuitWalkView& view, const WeightMatrix& weights, int num_threads,
     const CancelToken* cancel = nullptr);
@@ -132,6 +133,25 @@ std::vector<Rational> WalkEvaluateBatchDyadicBig(
 /// decides[v] iff some decision node tests v (those variables need
 /// complements 1 − p).
 std::vector<bool> WalkDecisionVars(const CircuitWalkView& view);
+
+/// The interval walk's pieces (nnf_interval.cc), exposed so tests can
+/// fuzz each fast route against its reference.
+///
+/// The route rule: p >= 0 with numerator and denominator of at most 53
+/// bits each takes BracketFast, every other weight BracketBig.
+bool FitsBracketFast(const Rational& p);
+/// The tight double pair [RD(p), RU(p)] of p = a/b — the largest double
+/// <= p and the smallest >= p — in double arithmetic. Requires
+/// 1 <= b < 2^53 and a <= b.
+ProbInterval BracketFast(uint64_t a, uint64_t b);
+/// The same tight pair for any probability p in [0, 1], by exact BigInt
+/// comparison: a bounded number of steps at any numerator or denominator
+/// size.
+ProbInterval BracketBig(const Rational& p);
+/// The next double toward −inf / +inf: bitwise what std::nextafter
+/// returns, by a one-unit step on the bit pattern where that is the answer.
+double StepDown(double x);
+double StepUp(double x);
 }  // namespace walk_internal
 
 }  // namespace gmc

@@ -5,10 +5,14 @@
 // hard equality or containment, not a flaky tolerance. The one wall-clock
 // input, a request deadline, is set 35x below the work it interrupts.
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +20,7 @@
 #include "compile/circuit_cache.h"
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "compile/nnf_walk.h"
 #include "core/dichotomy.h"
 #include "lineage/grounder.h"
 #include "logic/parser.h"
@@ -169,6 +174,303 @@ TEST(IntervalEvalTest, EndpointWeightsStayEnclosedAndClamped) {
   ExpectEncloses(interval, Rational::One());
   EXPECT_EQ(interval.hi, 1.0);  // the clamp: never past the unit interval
   EXPECT_LT(interval.width(), 1e-15);
+}
+
+// Every endpoint's bit pattern folded into one 64-bit word (FNV-1a over
+// 64-bit words): any change to a weight bracket or a rounding step moves it.
+uint64_t IntervalBitsHash(const std::vector<ProbInterval>& intervals) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const ProbInterval& interval : intervals) {
+    for (const double end : {interval.lo, interval.hi}) {
+      hash ^= std::bit_cast<uint64_t>(end);
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// The certified_interval request shape: C9 over 3×3 with all 36 tuples
+// uncertain, each at k/7 or k/11 drawn from a fixed SplitMix64 stream.
+Tid C9UncertainTid(const Query& query, uint64_t seed) {
+  Tid tid(query.vocab_ptr(), 3, 3, Rational::Half());
+  approx_internal::SplitMix64 rng(seed);
+  const Vocabulary& vocab = query.vocab();
+  for (SymbolId s = 0; s < vocab.size(); ++s) {
+    EXPECT_EQ(vocab.kind(s), SymbolKind::kBinary);
+    for (int u = 0; u < 3; ++u) {
+      for (int v = 0; v < 3; ++v) {
+        const uint64_t word = rng.Next();
+        const int64_t denominator = (word & 1) != 0 ? 11 : 7;
+        const auto k = static_cast<int64_t>(1 + (word >> 1) %
+                                                    (denominator - 1));
+        tid.SetBinary(s, u, v, Rational(k, denominator));
+      }
+    }
+  }
+  return tid;
+}
+
+// Golden pins: interval bits recorded from the BigInt-bracket, nextafter
+// walk (commit 628985f) that the double-arithmetic brackets and bit-step
+// rounding replaced. Every other interval pin checks enclosure; these are
+// the ones a change to any returned bit cannot pass.
+TEST(IntervalGoldenTest, BitsMatchTheRecordedHashes) {
+  struct Golden {
+    const char* name;
+    std::vector<std::pair<Lineage, WeightMatrix>> batches;
+    uint64_t hash;
+  };
+  const Query c9 = ExampleC9();
+  const Query h1 = H1();
+  Golden c9_uncertain{"C9 3x3, 36 tuples at k/7 or k/11", {},
+                      0xbdfab063be8b2cc4ull};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Lineage lineage = Ground(c9, C9UncertainTid(c9, 0x1e7a0000u + seed));
+    ASSERT_EQ(lineage.cnf.num_vars, 36);
+    WeightMatrix weights = WeightMatrix::FromRows({lineage.probabilities});
+    c9_uncertain.batches.emplace_back(std::move(lineage), std::move(weights));
+  }
+  Golden h1_default{"H1 3x3 at 3/7", {}, 0x12b4aab91b42634cull};
+  {
+    Lineage lineage = Ground(h1, Tid(h1.vocab_ptr(), 3, 3, Rational(3, 7)));
+    WeightMatrix weights = WeightMatrix::FromRows({lineage.probabilities});
+    h1_default.batches.emplace_back(std::move(lineage), std::move(weights));
+  }
+  // bench_anytime's SweepWeights over C9 3×3 at K = 64.
+  Golden c9_sweep{"C9 3x3 K=64 sweep", {}, 0x244207f094662cd0ull};
+  {
+    Lineage lineage = Ground(c9, Tid(c9.vocab_ptr(), 3, 3, Rational(3, 7)));
+    WeightMatrix weights(64, lineage.cnf.num_vars);
+    for (int column = 0; column < 64; ++column) {
+      for (int v = 0; v < lineage.cnf.num_vars; ++v) {
+        weights.Set(column, v, Rational(1 + (column + v) % 9, 11));
+      }
+    }
+    c9_sweep.batches.emplace_back(std::move(lineage), std::move(weights));
+  }
+  for (const Golden* golden : {&c9_uncertain, &h1_default, &c9_sweep}) {
+    std::vector<NnfCircuit> circuits;
+    for (const auto& [lineage, weights] : golden->batches) {
+      Compiler compiler;
+      compiler.set_order(OrderHeuristic::kDefault);
+      circuits.push_back(compiler.Compile(lineage));
+    }
+    for (int threads : {1, 8}) {
+      std::vector<ProbInterval> all;
+      for (size_t i = 0; i < circuits.size(); ++i) {
+        const std::vector<ProbInterval> intervals =
+            circuits[i].EvaluateBatchInterval(golden->batches[i].second,
+                                              threads);
+        all.insert(all.end(), intervals.begin(), intervals.end());
+      }
+      EXPECT_EQ(IntervalBitsHash(all), golden->hash)
+          << golden->name << " threads=" << threads << " hash=0x" << std::hex
+          << IntervalBitsHash(all);
+    }
+  }
+}
+
+// A weight whose denominator passes 900 bits, where Rational::ToDouble
+// rescales both parts and turns 1/2^1000 into 0: the bracket must not step
+// up from that value one subnormal at a time (about 2^74 steps, which no
+// deadline interrupts), so the request answers well inside a second.
+TEST(SessionRouterTest, IntervalModeAnswersAThousandBitWeightPromptly) {
+  const Query h1 = H1();
+  Tid tid(h1.vocab_ptr(), 1, 1, Rational::Half());
+  const Vocabulary& vocab = h1.vocab();
+  for (SymbolId s = 0; s < vocab.size(); ++s) {
+    if (vocab.kind(s) == SymbolKind::kBinary) {
+      tid.SetBinary(s, 0, 0, Rational::Dyadic(BigInt(1), 1000));
+    }
+  }
+  GfomcSession session;
+  GmcOptions options = session.options();
+  options.routing_mode = RoutingMode::kInterval;
+  options.num_threads = 1;
+  options.deadline_ms = 2000;
+  session.Configure(options);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<GmcAnswer> answers;
+  ASSERT_TRUE(session.EvaluateAnswers(h1, {tid}, &answers).ok());
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  EXPECT_LT(elapsed_ms, 1000.0);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].tier, AnswerTier::kCertifiedInterval);
+  ExpectEncloses(answers[0].interval, Gfomc(h1, tid).probability);
+}
+
+// ---------------------------------------------------------------------------
+// The interval walk's fast routes against their references
+
+using walk_internal::BracketBig;
+using walk_internal::BracketFast;
+using walk_internal::FitsBracketFast;
+using walk_internal::StepDown;
+using walk_internal::StepUp;
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+bool SameBits(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+bool SameBits(const ProbInterval& x, const ProbInterval& y) {
+  return SameBits(x.lo, y.lo) && SameBits(x.hi, y.hi);
+}
+
+// [RD(p), RU(p)] from its definition, in exact rational arithmetic:
+// lo <= p < next(lo) and prev(hi) < p <= hi.
+void ExpectTightBracket(const ProbInterval& bracket, const Rational& p) {
+  EXPECT_LE(RationalOfDouble(bracket.lo), p);
+  EXPECT_LT(p, RationalOfDouble(std::nextafter(bracket.lo, kInfinity)));
+  EXPECT_LE(p, RationalOfDouble(bracket.hi));
+  EXPECT_LT(RationalOfDouble(std::nextafter(bracket.hi, -kInfinity)), p);
+}
+
+// Sign of x − a/b (b >= 1) in 128-bit integers, independent of BigInt: a
+// finite 0 < x <= 2 is m / 2^s with s >= 51, and m·b < 2^106.
+int CompareWords(double x, uint64_t a, uint64_t b) {
+  if (x <= 0.0) return x == 0.0 && a == 0 ? 0 : -1;
+  if (a == 0) return 1;
+  int exponent = 0;
+  const auto mantissa =
+      static_cast<uint64_t>(std::ldexp(std::frexp(x, &exponent), 53));
+  const int shift = 53 - exponent;
+  // a·2^shift >= 2^127 > m·b: x is below p without a wider product.
+  if (static_cast<int>(std::bit_width(a)) + shift > 127) return -1;
+  const unsigned __int128 lhs = static_cast<unsigned __int128>(mantissa) * b;
+  const unsigned __int128 rhs = static_cast<unsigned __int128>(a) << shift;
+  return lhs < rhs ? -1 : (rhs < lhs ? 1 : 0);
+}
+
+bool IsTightWordBracket(const ProbInterval& bracket, uint64_t a, uint64_t b) {
+  return CompareWords(bracket.lo, a, b) <= 0 &&
+         CompareWords(std::nextafter(bracket.lo, kInfinity), a, b) > 0 &&
+         CompareWords(bracket.hi, a, b) >= 0 &&
+         CompareWords(std::nextafter(bracket.hi, -kInfinity), a, b) < 0;
+}
+
+// A random BigInt of exactly `bits` bits.
+BigInt RandomBigInt(approx_internal::SplitMix64* rng, int bits) {
+  BigInt out(1);
+  for (int have = 1; have < bits;) {
+    const int take = std::min(31, bits - have);
+    out.ShiftLeftInPlace(static_cast<uint64_t>(take));
+    out += BigInt(static_cast<int64_t>(rng->Next() >> (64 - take)));
+    have += take;
+  }
+  return out;
+}
+
+TEST(IntervalBracketTest, BigIntBracketIsTightAtAnySize) {
+  // 1/2^1000 is a normal double; 3/2^1100 lies below the subnormal range.
+  const Rational tiny = Rational::Dyadic(BigInt(1), 1000);
+  const ProbInterval tiny_bracket = BracketBig(tiny);
+  EXPECT_EQ(tiny_bracket.lo, std::ldexp(1.0, -1000));
+  EXPECT_EQ(tiny_bracket.hi, std::ldexp(1.0, -1000));
+  ExpectTightBracket(tiny_bracket, tiny);
+  const Rational below = Rational::Dyadic(BigInt(3), 1100);
+  const ProbInterval below_bracket = BracketBig(below);
+  EXPECT_EQ(below_bracket.lo, 0.0);
+  EXPECT_EQ(below_bracket.hi, std::numeric_limits<double>::denorm_min());
+  ExpectTightBracket(below_bracket, below);
+  // A 528-bit numerator over a 1001-bit denominator.
+  const Rational skewed(BigInt(3).Pow(333),
+                        BigInt(1).ShiftLeft(1000) + BigInt(1));
+  ASSERT_EQ(skewed.numerator().BitLength(), 528u);
+  ASSERT_EQ(skewed.denominator().BitLength(), 1001u);
+  ExpectTightBracket(BracketBig(skewed), skewed);
+  for (const Rational& p : {tiny, below, skewed}) {
+    EXPECT_FALSE(FitsBracketFast(p));
+  }
+  EXPECT_TRUE(SameBits(BracketBig(Rational::Zero()), ProbInterval{0.0, 0.0}));
+  EXPECT_TRUE(SameBits(BracketBig(Rational::One()), ProbInterval{1.0, 1.0}));
+}
+
+// The fast bracket of p and of 1 − p on a million fractions with
+// 1 <= b < 2^53 at every bit width (a power of two one time in eight), a
+// drawn from {0, 1, b − 1, b} half the time: bitwise the BigInt
+// bracket's, and the tight pair by an independent 128-bit check.
+TEST(IntervalBracketTest, FastBracketEqualsTheBigIntBracketFuzzed) {
+  approx_internal::SplitMix64 rng(0xb7ac4e70u);
+  int failures = 0;
+  for (int i = 0; i < 1000000 && failures < 10; ++i) {
+    const uint64_t word = rng.Next();
+    const int width = 1 + static_cast<int>(word % 53);
+    const uint64_t top = uint64_t{1} << (width - 1);
+    const uint64_t b =
+        ((word >> 8) & 7) == 0 ? top : top | (rng.Next() & (top - 1));
+    const uint64_t edges[] = {0, 1, b - 1, b};
+    const uint64_t a = ((word >> 16) & 1) == 0 ? edges[(word >> 17) & 3]
+                                               : rng.Next() % (b + 1);
+    const Rational p(BigInt(static_cast<int64_t>(a)),
+                     BigInt(static_cast<int64_t>(b)));
+    const ProbInterval fast = BracketFast(a, b);
+    const ProbInterval fast_complement = BracketFast(b - a, b);
+    if (!FitsBracketFast(p) || !SameBits(fast, BracketBig(p)) ||
+        !SameBits(fast_complement, BracketBig(Rational::One() - p)) ||
+        !IsTightWordBracket(fast, a, b) ||
+        !IsTightWordBracket(fast_complement, b - a, b)) {
+      ADD_FAILURE() << "p = " << a << "/" << b;
+      ++failures;
+    }
+  }
+}
+
+// Parts of 54, 64 and over 900 bits take the BigInt route, which still
+// returns the tight pair — down through the subnormal range.
+TEST(IntervalBracketTest, WidePartsTakeTheBigIntRouteAndStayTight) {
+  approx_internal::SplitMix64 rng(0x31de0000u);
+  int checked = 0;
+  for (const int width : {54, 64, 901, 1500}) {
+    for (int i = 0; i < 200; ++i) {
+      BigInt den = RandomBigInt(&rng, width);
+      const auto num_width = 1 + static_cast<int>(rng.Next() % 1500);
+      BigInt num = RandomBigInt(&rng, std::min(num_width, width));
+      if (den < num) std::swap(num, den);
+      const Rational p(num, den);
+      // A common factor can shrink the reduced parts back under 54 bits.
+      if (p.denominator().BitLength() < 54) continue;
+      EXPECT_FALSE(FitsBracketFast(p)) << p.ToString();
+      ExpectTightBracket(BracketBig(p), p);
+      ExpectTightBracket(BracketBig(Rational::One() - p),
+                         Rational::One() - p);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 700);
+}
+
+// StepDown/StepUp against std::nextafter toward ∓inf, bitwise (NaN as
+// NaN): the special values, then a million random finite doubles.
+TEST(IntervalBracketTest, StepsEqualNextafterFuzzed) {
+  auto same = [](double got, double want) {
+    return std::isnan(want) ? std::isnan(got) : SameBits(got, want);
+  };
+  int failures = 0;
+  auto check = [&](double x) {
+    if (!same(StepDown(x), std::nextafter(x, -kInfinity)) ||
+        !same(StepUp(x), std::nextafter(x, kInfinity))) {
+      ADD_FAILURE() << "x bits = 0x" << std::hex << std::bit_cast<uint64_t>(x);
+      ++failures;
+    }
+  };
+  using Limits = std::numeric_limits<double>;
+  for (const double x :
+       {0.0, Limits::denorm_min(), Limits::min(),
+        std::nextafter(Limits::min(), 0.0), std::nextafter(Limits::min(), 1.0),
+        1.0, 2.0, Limits::max(), kInfinity, Limits::quiet_NaN()}) {
+    check(x);
+    check(-x);
+  }
+  approx_internal::SplitMix64 rng(0x57e90000u);
+  for (int i = 0; i < 1000000 && failures < 10;) {
+    const double x = std::bit_cast<double>(rng.Next());
+    if (!std::isfinite(x)) continue;
+    check(x);
+    ++i;
+  }
 }
 
 TEST(KarpLubyTest, TrivialInstancesAreExact) {

@@ -247,6 +247,12 @@ TEST(CancelledWalkTest, CancelledPassKeepsSizesAndRetryIsBitIdentical) {
       WeightMatrix::FromRows({lineage.probabilities});
   const std::vector<Rational> want = circuit.EvaluateBatch(weights, 1);
   ASSERT_EQ(want.size(), 1u);
+  const std::vector<ProbInterval> want_interval =
+      circuit.EvaluateBatchInterval(weights, 1);
+  ASSERT_EQ(want_interval.size(), 1u);
+  auto same_bits = [](const ProbInterval& x, const ProbInterval& y) {
+    return std::memcmp(&x, &y, sizeof(ProbInterval)) == 0;
+  };
 
   for (int threads : {1, 2, 8}) {
     CancelToken token;
@@ -256,10 +262,16 @@ TEST(CancelledWalkTest, CancelledPassKeepsSizesAndRetryIsBitIdentical) {
     const std::vector<Rational> cancelled =
         circuit.EvaluateBatch(weights, threads, &token);
     EXPECT_EQ(cancelled.size(), want.size());
+    EXPECT_EQ(circuit.EvaluateBatchInterval(weights, threads, &token).size(),
+              want_interval.size());
     EXPECT_TRUE(token.cancelled());
     // An un-fired token never perturbs the pass: bit-identical results.
     CancelToken idle;
     EXPECT_EQ(circuit.EvaluateBatch(weights, threads, &idle), want);
+    const std::vector<ProbInterval> interval =
+        circuit.EvaluateBatchInterval(weights, threads, &idle);
+    ASSERT_EQ(interval.size(), want_interval.size());
+    EXPECT_TRUE(same_bits(interval[0], want_interval[0]));
     EXPECT_FALSE(idle.cancelled());
   }
 }

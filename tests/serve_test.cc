@@ -598,6 +598,12 @@ TEST_F(ServeTest, ExactAndIntervalRequestsCoalesceByteIdentically) {
 
   for (int round = 0; round < 20 && server.stats().max_approx_batch < 2;
        ++round) {
+    // A sampled request (about 1.1e5 draws) keeps the worker busy while
+    // the clients below connect and send, so their requests queue up and
+    // share the next round however fast that round runs.
+    LineClient busy;
+    ASSERT_TRUE(busy.Connect(server.socket_path()));
+    ASSERT_TRUE(busy.SendLine("EVAL_APPROX busy sample 1/20 1/100 3 3 1/3"));
     std::vector<std::thread> workers;
     std::vector<std::string> got(kClients);
     for (int c = 0; c < kClients; ++c) {
@@ -609,6 +615,7 @@ TEST_F(ServeTest, ExactAndIntervalRequestsCoalesceByteIdentically) {
       });
     }
     for (std::thread& w : workers) w.join();
+    EXPECT_EQ(busy.ReadLine().rfind("OK busy ESTIMATE ", 0), 0u);
     for (int c = 0; c < kClients; ++c) {
       EXPECT_EQ(got[c], alone[c]) << "client " << c << " round " << round;
     }
