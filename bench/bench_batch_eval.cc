@@ -151,8 +151,9 @@ void BM_BatchEvaluateExactDyadicGrid(benchmark::State& state) {
 BENCHMARK(BM_BatchEvaluateExactDyadicGrid)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// The exact-path headline: same weights, same circuit, dyadic fixed-point
-// arena — bignum integer streaming with no gcd anywhere. Must beat
+// The exact-path headline: same weights, same circuit, the dyadic kernel
+// at its BigInt width (this grid folds the 75-variable gadget past 127
+// bits) — bignum integer streaming with no gcd anywhere. Must beat
 // BM_BatchEvaluateExactDyadicGrid by ≥5× at K = 64.
 void BM_BatchEvaluateDyadic(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));

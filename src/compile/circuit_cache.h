@@ -70,8 +70,8 @@ class CircuitCache {
     RelaxedCounter dyadic_batches;
     RelaxedCounter dyadic_vectors;
     /// Width routing inside the dyadic path (see nnf_fixed.cc): vectors
-    /// served by the uint64 / UInt128 fixed-width kernels vs the BigInt
-    /// Dyadic arena. fixed64 + fixed128 + bigint == dyadic_vectors.
+    /// served at uint64 / UInt128 / BigInt mantissa width.
+    /// fixed64 + fixed128 + bigint == dyadic_vectors.
     RelaxedCounter fixed64_vectors;
     RelaxedCounter fixed128_vectors;
     RelaxedCounter bigint_vectors;

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "compile/nnf_walk.h"
-#include "util/dyadic.h"
 #include "util/rational.h"
 
 namespace gmc {
@@ -87,12 +86,13 @@ class WeightMatrix {
 };
 
 /// Per-call routing report of EvaluateBatchDyadic: how many of the K weight
-/// vectors were served by each mantissa width. The three counters sum to K;
-/// CircuitCache aggregates them into its stats.
+/// vectors were served by each mantissa width. The width is chosen once per
+/// batch, so one counter takes all K; CircuitCache aggregates them into its
+/// stats.
 struct DyadicBatchStats {
-  int fixed64_vectors = 0;   // raw uint64 mantissa kernel
-  int fixed128_vectors = 0;  // two-limb UInt128 mantissa kernel
-  int bigint_vectors = 0;    // BigInt Dyadic arena (arbitrary precision)
+  int fixed64_vectors = 0;   // raw uint64 mantissas
+  int fixed128_vectors = 0;  // two-limb UInt128 mantissas
+  int bigint_vectors = 0;    // BigInt mantissas (arbitrary precision)
 };
 
 /// One d-DNNF circuit.
@@ -200,16 +200,15 @@ class NnfCircuit {
   /// anywhere. Requires weights.AllDyadic(); aborts otherwise. Results are
   /// bit-identical to EvaluateBatch on the same weights.
   ///
-  /// Mantissa width is chosen per batch by a static exponent analysis
-  /// (nnf_fixed.cc): circuit values are probabilities, so a node's mantissa
-  /// is bounded by 2^E with E the node's exponent under the batch's weight
-  /// exponents, computed by one fold over the circuit BEFORE evaluating.
-  /// When every node exponent fits, the pass runs on fixed-width mantissas
-  /// (uint64 up to 63, two-limb UInt128 up to 127 — branch-free SoA loops,
-  /// see util/dyadic_fixed.h) with no per-operation overflow checks at all;
-  /// otherwise columns that fit individually run fixed-width one at a time
-  /// and only the remainder pays for the BigInt Dyadic arena. `stats`, if
-  /// non-null, reports how the K vectors were routed.
+  /// One fold over the circuit, BEFORE evaluating, gives every node its
+  /// exponent E under the batch's weight exponents, and picks the mantissa
+  /// width for the whole batch (nnf_fixed.cc). Circuit values are
+  /// probabilities, so with every weight in [0, 1] a node's mantissa is at
+  /// most 2^E: a bound of at most 63 bits runs on uint64 mantissas, at most
+  /// 127 on two-limb UInt128 (branch-free SoA loops with no per-operation
+  /// overflow checks, see util/dyadic_fixed.h). Every other batch runs the
+  /// same kernel on BigInt mantissas; a fold that saturates runs the
+  /// Rational walk instead. `stats`, if non-null, reports the width.
   std::vector<Rational> EvaluateBatchDyadic(
       const WeightMatrix& weights, int num_threads = 0,
       DyadicBatchStats* stats = nullptr,

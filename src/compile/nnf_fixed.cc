@@ -1,42 +1,41 @@
-// Fixed-width dyadic batch kernels and the width-routing front end of the
-// dyadic walk (WalkEvaluateBatchDyadic, which NnfCircuit::
-// EvaluateBatchDyadic runs on the circuit's own arrays and the store's
-// MappedCircuitView on a mapped file — one record layout, one walk).
+// The dyadic batch kernel and its width choice (WalkEvaluateBatchDyadic,
+// which NnfCircuit::EvaluateBatchDyadic runs on the circuit's own arrays and
+// the store's MappedCircuitView on a mapped file — one record layout, one
+// walk).
 //
-// The key invariant (see util/dyadic_fixed.h): every node value of a
-// weighted model count over probabilities in [0, 1] is itself a
-// probability, so a node holding v = m · 2^-E has 0 <= m <= 2^E. Node
-// exponents depend only on the circuit and the per-variable weight
-// exponents — NOT on the weights' mantissas — so one bottom-up fold
-// (FoldDyadicExponents) bounds every mantissa the pass will ever hold
-// BEFORE evaluating. When the bound fits a machine word, the whole batch
-// runs on structure-of-arrays mantissa columns:
+// A dyadic weight is m · 2^-e. Node exponents depend only on the circuit
+// and the per-variable weight exponents — NOT on the weights' mantissas —
+// so one bottom-up fold (FoldDyadicExponents) fixes every node's exponent
+// BEFORE evaluating, and the whole batch runs on structure-of-arrays
+// mantissa columns under those exponents:
 //
 //   * per-node uniform exponents — the alignment shifts of a decision
 //     node's two products are the same for all K columns, so the inner
-//     loops carry no per-element branches and no per-element overflow
-//     checks (the fold already proved overflow impossible);
-//   * complements 2^E − m are a branch-free subtract from a hoisted
-//     constant;
-//   * products and sums are single (uint64) or two-limb (UInt128) integer
-//     ops on contiguous arrays — the form compilers auto-vectorize.
+//     loops carry no per-element branches;
+//   * complements 2^E − m are one subtract from a hoisted constant;
+//   * products and sums are plain integer ops on contiguous arrays.
 //
-// Batches whose global bound is too wide are re-examined per column (a
-// column's own weight exponents give a private, often much smaller bound):
-// columns that fit a fixed width individually run through the fixed kernel
-// one at a time, and only the remainder pays for the BigInt Dyadic arena.
-// Every path is exact; results are bit-identical across paths, widths, and
-// thread counts.
+// The same fold picks the mantissa width, once per batch. Every node value
+// of a weighted model count over probabilities in [0, 1] is itself a
+// probability, so a node with exponent E holds 0 <= m <= 2^E. With every
+// weight in [0, 1], a bound of at most 63 (resp. 127) bits runs the kernel
+// on raw uint64 (resp. two-limb UInt128) mantissas, with no per-element
+// overflow checks and nothing that blocks auto-vectorization (see
+// util/dyadic_fixed.h). Any other batch — a wider bound, or a weight
+// outside [0, 1] — runs the same kernel on signed BigInt mantissas, and a
+// fold that saturates goes to the Rational walk. Every path is exact;
+// results are bit-identical across widths and thread counts.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "compile/nnf.h"
 #include "compile/nnf_walk.h"
+#include "util/bigint.h"
 #include "util/check.h"
 #include "util/dyadic_fixed.h"
 #include "util/parallel.h"
@@ -45,16 +44,22 @@ namespace gmc {
 
 namespace {
 
-// Exponent saturation cap: far above any width the fixed kernels accept,
-// far below uint64 wraparound even when summed over a whole circuit.
+// Exponent saturation cap: far above any width a word kernel accepts, far
+// below uint64 wraparound even when summed over a whole circuit. A fold
+// that reaches it no longer states true node exponents, so no width runs
+// under it.
 constexpr uint64_t kExponentCap = uint64_t{1} << 32;
 
 constexpr uint64_t kFixed64MaxExponent = 63;
 constexpr uint64_t kFixed128MaxExponent = 127;
 
-// Columns per slice for the fixed kernels: cheaper per column than the
-// BigInt arena, so slices need more columns to amortize their arena.
-constexpr int64_t kMinFixedColumnsPerSlice = 16;
+// Columns per parallel slice, at minimum: each slice allocates its own
+// nodes × W arena, and a word column is cheap enough that a slice needs
+// more of them than BigInt columns to amortize it.
+template <typename M>
+constexpr int64_t kMinColumnsPerSlice = std::is_same_v<M, BigInt> ? 4 : 16;
+// Variables per chunk for the conversion/complement preamble.
+constexpr int64_t kMinVarsPerChunk = 8;
 // Deadline-poll stride, mirroring nnf_walk.cc's arena loops.
 constexpr size_t kCancelNodeStride = 64;
 
@@ -63,31 +68,36 @@ uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
 }
 
 // Exponent of a dyadic Rational's denominator (0 for integers). The
-// caller has checked AllDyadic, so the denominator is 1 or a power of two.
+// caller has checked that the denominator is 1 or a power of two.
 uint64_t DenominatorExponent(const Rational& value) {
   const BigInt& den = value.denominator();
   return den.IsOne() ? 0 : den.BitLength() - 1;
 }
 
-// ----- word-level ops, uniform across uint64_t and UInt128 ---------------
+// ----- mantissa ops, uniform across uint64_t, UInt128 and BigInt ---------
 
-inline uint64_t WordMul(uint64_t a, uint64_t b) { return a * b; }
-inline UInt128 WordMul(UInt128 a, UInt128 b) { return UInt128::Mul(a, b); }
-inline uint64_t WordShl(uint64_t a, unsigned s) { return a << s; }
-inline UInt128 WordShl(UInt128 a, unsigned s) { return a.Shl(s); }
+inline void ShiftLeft(uint64_t* a, uint64_t s) { *a <<= s; }
+inline void ShiftLeft(UInt128* a, uint64_t s) {
+  *a = a->Shl(static_cast<unsigned>(s));
+}
+inline void ShiftLeft(BigInt* a, uint64_t s) { a->ShiftLeftInPlace(s); }
 
 template <typename M>
-M WordFromBigInt(const BigInt& value);
+M MantissaFromBigInt(const BigInt& value);
 template <>
-uint64_t WordFromBigInt<uint64_t>(const BigInt& value) {
+uint64_t MantissaFromBigInt<uint64_t>(const BigInt& value) {
   return value.Bits64At(0);
 }
 template <>
-UInt128 WordFromBigInt<UInt128>(const BigInt& value) {
+UInt128 MantissaFromBigInt<UInt128>(const BigInt& value) {
   return UInt128::FromBigInt(value);
 }
+template <>
+BigInt MantissaFromBigInt<BigInt>(const BigInt& value) {
+  return value;
+}
 
-Rational WordToRational(uint64_t mantissa, uint64_t exponent) {
+Rational MantissaToRational(uint64_t mantissa, uint64_t exponent) {
   if (mantissa == 0) return Rational::Zero();
   const uint64_t strip = std::min(
       static_cast<uint64_t>(std::countr_zero(mantissa)), exponent);
@@ -100,7 +110,7 @@ Rational WordToRational(uint64_t mantissa, uint64_t exponent) {
                                     BigInt(1).ShiftLeft(exponent - strip));
 }
 
-Rational WordToRational(UInt128 mantissa, uint64_t exponent) {
+Rational MantissaToRational(UInt128 mantissa, uint64_t exponent) {
   if (mantissa.IsZero()) return Rational::Zero();
   const uint64_t strip =
       std::min(static_cast<uint64_t>(mantissa.CountTrailingZeros()), exponent);
@@ -109,14 +119,47 @@ Rational WordToRational(UInt128 mantissa, uint64_t exponent) {
       BigInt(1).ShiftLeft(exponent - strip));
 }
 
-// FoldDyadicExponents propagates per-variable weight exponents bottom-up
-// (saturating), filling one exponent per node, and returns the maximum —
-// the mantissa-width bound that picks the kernel.
-uint64_t FoldDyadicExponents(const CircuitWalkView& view,
-                             const std::vector<uint64_t>& var_exp,
-                             std::vector<uint64_t>* node_exp) {
-  node_exp->assign(view.num_nodes, 0);
-  uint64_t max_exp = 0;
+Rational MantissaToRational(BigInt mantissa, uint64_t exponent) {
+  if (mantissa.IsZero()) return Rational::Zero();
+  const uint64_t strip = std::min(mantissa.TrailingZeroBits(), exponent);
+  mantissa.ShiftRightInPlace(strip);
+  return Rational::FromReducedParts(std::move(mantissa),
+                                    BigInt(1).ShiftLeft(exponent - strip));
+}
+
+// The batch's exponents: var_exp[v] is the largest denominator exponent
+// among variable v's K weights, node_exp[id] the fold's exponent of node
+// id, and bound the largest node exponent — the mantissa-width bound.
+struct DyadicFold {
+  std::vector<uint64_t> var_exp;
+  std::vector<uint64_t> node_exp;
+  uint64_t bound = 0;
+  bool unit_range = true;  // every weight lies in [0, 1]
+};
+
+// Scans the weights (aborting on a non-dyadic one) and propagates their
+// per-variable exponents bottom-up, saturating at kExponentCap.
+DyadicFold FoldDyadicExponents(const CircuitWalkView& view,
+                               const WeightMatrix& weights) {
+  GMC_CHECK(weights.num_vars() >= view.num_vars);
+  const int num_k = weights.num_vectors();
+  DyadicFold fold;
+  fold.var_exp.assign(static_cast<size_t>(view.num_vars), 0);
+  for (int v = 0; v < view.num_vars; ++v) {
+    const Rational* column = weights.Column(v);
+    for (int k = 0; k < num_k; ++k) {
+      const Rational& p = column[k];
+      GMC_CHECK_MSG(p.denominator().IsOne() || p.denominator().IsPowerOfTwo(),
+                    "EvaluateBatchDyadic needs all-dyadic weights "
+                    "(WeightMatrix::AllDyadic)");
+      if (p.sign() < 0 || p.denominator() < p.numerator()) {
+        fold.unit_range = false;
+      }
+      fold.var_exp[v] = std::max(fold.var_exp[v], DenominatorExponent(p));
+    }
+  }
+
+  fold.node_exp.assign(view.num_nodes, 0);
   for (size_t id = 0; id < view.num_nodes; ++id) {
     const FlatNode& node = view.nodes[id];
     uint64_t e = 0;
@@ -125,36 +168,40 @@ uint64_t FoldDyadicExponents(const CircuitWalkView& view,
       case NnfKind::kTrue:
         break;
       case NnfKind::kVar:
-        e = var_exp[node.var];
+        e = fold.var_exp[node.var];
         break;
       case NnfKind::kAnd: {
         const int32_t* child_ids = view.children + node.a;
         for (int32_t c = 0; c < node.b; ++c) {
-          e = SaturatingAdd(e, (*node_exp)[child_ids[c]]);
+          e = SaturatingAdd(e, fold.node_exp[child_ids[c]]);
         }
         break;
       }
       case NnfKind::kDecision:
-        e = SaturatingAdd(
-            var_exp[node.var],
-            std::max((*node_exp)[node.a], (*node_exp)[node.b]));
+        e = SaturatingAdd(fold.var_exp[node.var],
+                          std::max(fold.node_exp[node.a],
+                                   fold.node_exp[node.b]));
         break;
     }
-    (*node_exp)[id] = e;
-    max_exp = std::max(max_exp, e);
+    fold.node_exp[id] = e;
+    fold.bound = std::max(fold.bound, e);
   }
-  return max_exp;
+  return fold;
 }
 
-// EvaluateBatchDyadicFixed runs the whole batch on `M` mantissas
-// (uint64_t or UInt128) under the folded exponents.
+// EvaluateBatchDyadicAt runs the whole batch on `M` mantissas (uint64_t,
+// UInt128 or BigInt) under the folded exponents, which must not be
+// saturated.
 template <typename M>
-std::vector<Rational> EvaluateBatchDyadicFixed(
-    const CircuitWalkView& view, const WeightMatrix& weights, int num_threads,
-    const std::vector<uint64_t>& var_exp,
-    const std::vector<uint64_t>& node_exp, const CancelToken* cancel) {
+std::vector<Rational> EvaluateBatchDyadicAt(const CircuitWalkView& view,
+                                            const WeightMatrix& weights,
+                                            int num_threads,
+                                            const DyadicFold& fold,
+                                            const CancelToken* cancel) {
   const int num_k = weights.num_vectors();
   const int num_vars = view.num_vars;
+  const std::vector<uint64_t>& var_exp = fold.var_exp;
+  const std::vector<uint64_t>& node_exp = fold.node_exp;
 
   // SoA weight columns, aligned per variable to var_exp[v], plus the
   // complement columns 2^E − m for decision variables — all branch-free.
@@ -172,7 +219,7 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
   std::vector<M> complement(static_cast<size_t>(num_vars) * num_k);
   const std::vector<bool> decides = walk_internal::WalkDecisionVars(view);
   ParallelFor(
-      num_vars, num_threads, 8,
+      num_vars, num_threads, kMinVarsPerChunk,
       [&](int64_t v0, int64_t v1, int /*chunk*/) {
         for (int64_t v = v0; v < v1; ++v) {
           if (!used[v]) continue;
@@ -180,12 +227,12 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
           const uint64_t target = var_exp[v];
           M* out = probability.data() + static_cast<size_t>(v) * num_k;
           for (int k = 0; k < num_k; ++k) {
-            const uint64_t e = DenominatorExponent(column[k]);
-            out[k] = WordShl(WordFromBigInt<M>(column[k].numerator()),
-                             static_cast<unsigned>(target - e));
+            out[k] = MantissaFromBigInt<M>(column[k].numerator());
+            ShiftLeft(&out[k], target - DenominatorExponent(column[k]));
           }
           if (!decides[v]) continue;
-          const M one_at_e = WordShl(M(1), static_cast<unsigned>(target));
+          M one_at_e(1);
+          ShiftLeft(&one_at_e, target);
           M* comp = complement.data() + static_cast<size_t>(v) * num_k;
           for (int k = 0; k < num_k; ++k) comp[k] = one_at_e - out[k];
         }
@@ -195,7 +242,7 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
   // contiguous nodes × W mantissa arena; exponents are shared per node.
   std::vector<M> roots(num_k);
   ParallelFor(
-      num_k, num_threads, kMinFixedColumnsPerSlice,
+      num_k, num_threads, kMinColumnsPerSlice<M>,
       [&](int64_t k0_64, int64_t k1_64, int /*chunk*/) {
         const int k0 = static_cast<int>(k0_64);
         const int num_w = static_cast<int>(k1_64 - k0_64);
@@ -227,9 +274,7 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
               for (int32_t c = 1; c < node.b; ++c) {
                 const M* child =
                     value.data() + static_cast<size_t>(child_ids[c]) * num_w;
-                for (int k = 0; k < num_w; ++k) {
-                  out[k] = WordMul(out[k], child[k]);
-                }
+                for (int k = 0; k < num_w; ++k) out[k] *= child[k];
               }
               break;
             }
@@ -246,20 +291,26 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
               // products rise to the node exponent with one uniform shift
               // each (one of the two is always zero).
               const uint64_t ve = var_exp[node.var];
-              const unsigned sa = static_cast<unsigned>(
-                  node_exp[id] - (ve + node_exp[node.a]));
-              const unsigned sb = static_cast<unsigned>(
-                  node_exp[id] - (ve + node_exp[node.b]));
+              const uint64_t sa = node_exp[id] - (ve + node_exp[node.a]);
+              const uint64_t sb = node_exp[id] - (ve + node_exp[node.b]);
               for (int k = 0; k < num_w; ++k) {
-                out[k] = WordShl(WordMul(p[k], high[k]), sa) +
-                         WordShl(WordMul(q[k], low[k]), sb);
+                // In place, so a BigInt mantissa allocates nothing beyond
+                // the two products.
+                M t = p[k];
+                t *= high[k];
+                ShiftLeft(&t, sa);
+                M u = q[k];
+                u *= low[k];
+                ShiftLeft(&u, sb);
+                t += u;
+                out[k] = std::move(t);
               }
               break;
             }
           }
         }
-        const M* root = value.data() + static_cast<size_t>(view.root) * num_w;
-        for (int k = 0; k < num_w; ++k) roots[k0 + k] = root[k];
+        M* root = value.data() + static_cast<size_t>(view.root) * num_w;
+        for (int k = 0; k < num_w; ++k) roots[k0 + k] = std::move(root[k]);
       });
 
   // Keep the size contract on cancellation (the caller discards) without
@@ -271,9 +322,23 @@ std::vector<Rational> EvaluateBatchDyadicFixed(
   std::vector<Rational> result;
   result.reserve(num_k);
   for (int k = 0; k < num_k; ++k) {
-    result.push_back(WordToRational(roots[k], root_exp));
+    result.push_back(MantissaToRational(std::move(roots[k]), root_exp));
   }
   return result;
+}
+
+// The BigInt width: exact at every exponent the fold can state. A
+// saturated fold states none, so that batch runs the Rational walk.
+std::vector<Rational> EvaluateBatchDyadicBigInt(const CircuitWalkView& view,
+                                                const WeightMatrix& weights,
+                                                int num_threads,
+                                                const DyadicFold& fold,
+                                                const CancelToken* cancel) {
+  if (fold.bound >= kExponentCap) {
+    return WalkEvaluateBatch(view, weights, num_threads, cancel);
+  }
+  return EvaluateBatchDyadicAt<BigInt>(view, weights, num_threads, fold,
+                                       cancel);
 }
 
 }  // namespace
@@ -283,149 +348,34 @@ std::vector<Rational> WalkEvaluateBatchDyadic(const CircuitWalkView& view,
                                               int num_threads,
                                               DyadicBatchStats* stats,
                                               const CancelToken* cancel) {
-  GMC_CHECK(weights.num_vars() >= view.num_vars);
+  const DyadicFold fold = FoldDyadicExponents(view, weights);
   const int num_k = weights.num_vectors();
-  const int num_vars = view.num_vars;
-  auto report = [stats](int fixed64, int fixed128, int bigint) {
-    if (stats == nullptr) return;
-    stats->fixed64_vectors += fixed64;
-    stats->fixed128_vectors += fixed128;
-    stats->bigint_vectors += bigint;
-  };
-
-  // The fixed kernels' probability invariant needs weights in [0, 1];
-  // anything else (legal for plain WMC) keeps the BigInt arena.
-  bool unit_range = true;
-  std::vector<uint64_t> var_exp(static_cast<size_t>(num_vars), 0);
-  for (int v = 0; v < num_vars && unit_range; ++v) {
-    const Rational* column = weights.Column(v);
-    for (int k = 0; k < num_k; ++k) {
-      const Rational& p = column[k];
-      GMC_CHECK_MSG(p.denominator().IsOne() || p.denominator().IsPowerOfTwo(),
-                    "EvaluateBatchDyadic needs all-dyadic weights "
-                    "(WeightMatrix::AllDyadic)");
-      if (p.sign() < 0 || p.denominator() < p.numerator()) {
-        unit_range = false;
-        break;
-      }
-      var_exp[v] = std::max(var_exp[v], DenominatorExponent(p));
-    }
+  DyadicBatchStats unused;
+  if (stats == nullptr) stats = &unused;
+  if (fold.unit_range && fold.bound <= kFixed64MaxExponent) {
+    stats->fixed64_vectors += num_k;
+    return EvaluateBatchDyadicAt<uint64_t>(view, weights, num_threads, fold,
+                                           cancel);
   }
-  if (!unit_range) {
-    report(0, 0, num_k);
-    return walk_internal::WalkEvaluateBatchDyadicBig(view, weights,
-                                                     num_threads, cancel);
+  if (fold.unit_range && fold.bound <= kFixed128MaxExponent) {
+    stats->fixed128_vectors += num_k;
+    return EvaluateBatchDyadicAt<UInt128>(view, weights, num_threads, fold,
+                                          cancel);
   }
-
-  // Width selection: one fold with the batch-wide per-variable exponents.
-  std::vector<uint64_t> node_exp;
-  const uint64_t bound = FoldDyadicExponents(view, var_exp, &node_exp);
-  if (bound <= kFixed64MaxExponent) {
-    report(num_k, 0, 0);
-    return EvaluateBatchDyadicFixed<uint64_t>(view, weights, num_threads,
-                                              var_exp, node_exp, cancel);
-  }
-  if (bound <= kFixed128MaxExponent) {
-    report(0, num_k, 0);
-    return EvaluateBatchDyadicFixed<UInt128>(view, weights, num_threads,
-                                             var_exp, node_exp, cancel);
-  }
-
-  // Too wide as one batch — classify per column: a column's private
-  // exponents often fit a fixed width even when the batch-wide max does
-  // not (mixed-precision sweeps). This is the per-column fallback: fixed
-  // width where the fold proves it safe, BigInt Dyadic for the rest.
-  std::vector<uint64_t> col_exp(static_cast<size_t>(num_vars));
-  std::vector<uint64_t> col_node_exp;
-  std::vector<int> fits64, fits128, needs_big;
-  for (int k = 0; k < num_k; ++k) {
-    for (int v = 0; v < num_vars; ++v) {
-      col_exp[v] = DenominatorExponent(weights.Column(v)[k]);
-    }
-    const uint64_t col_bound =
-        FoldDyadicExponents(view, col_exp, &col_node_exp);
-    if (col_bound <= kFixed64MaxExponent) {
-      fits64.push_back(k);
-    } else if (col_bound <= kFixed128MaxExponent) {
-      fits128.push_back(k);
-    } else {
-      needs_big.push_back(k);
-    }
-  }
-  // Splitting pays only if it diverts real work off the BigInt arena: when
-  // most columns need BigInt anyway, the gather/scatter and the sub-batch
-  // bookkeeping cost more than the few diverted columns save — run the
-  // whole batch on the arena and keep the pass monolithic.
-  if ((fits64.size() + fits128.size()) * 4 < static_cast<size_t>(num_k)) {
-    report(0, 0, num_k);
-    return walk_internal::WalkEvaluateBatchDyadicBig(view, weights,
-                                                     num_threads, cancel);
-  }
-  report(static_cast<int>(fits64.size()), static_cast<int>(fits128.size()),
-         static_cast<int>(needs_big.size()));
-
-  // Gather a column subset into a dense sub-batch.
-  auto gather = [&](const std::vector<int>& columns) {
-    WeightMatrix sub(static_cast<int>(columns.size()), weights.num_vars());
-    for (size_t m = 0; m < columns.size(); ++m) {
-      for (int v = 0; v < weights.num_vars(); ++v) {
-        sub.Set(static_cast<int>(m), v, weights.Column(v)[columns[m]]);
-      }
-    }
-    return sub;
-  };
-  std::vector<Rational> result(num_k);
-  auto scatter = [&](const std::vector<int>& columns,
-                     std::vector<Rational> values) {
-    for (size_t m = 0; m < columns.size(); ++m) {
-      result[columns[m]] = std::move(values[m]);
-    }
-  };
-
-  // A gathered fixed-width class re-folds with the CLASS's max exponents:
-  // usually the class is exponent-homogeneous and one batch suffices; if
-  // the joint bound spills anyway, its columns run one at a time (each
-  // one's private fold already proved it safe).
-  auto run_fixed_class = [&](const std::vector<int>& columns,
-                             uint64_t max_exponent) {
-    if (columns.empty()) return;
-    WeightMatrix sub = gather(columns);
-    std::vector<uint64_t> sub_exp(static_cast<size_t>(num_vars), 0);
-    for (int v = 0; v < num_vars; ++v) {
-      for (size_t m = 0; m < columns.size(); ++m) {
-        sub_exp[v] = std::max(sub_exp[v], DenominatorExponent(
-                                              weights.Column(v)[columns[m]]));
-      }
-    }
-    std::vector<uint64_t> sub_node_exp;
-    const uint64_t sub_bound =
-        FoldDyadicExponents(view, sub_exp, &sub_node_exp);
-    if (sub_bound <= max_exponent) {
-      std::vector<Rational> values =
-          max_exponent <= kFixed64MaxExponent
-              ? EvaluateBatchDyadicFixed<uint64_t>(view, sub, num_threads,
-                                                   sub_exp, sub_node_exp,
-                                                   cancel)
-              : EvaluateBatchDyadicFixed<UInt128>(view, sub, num_threads,
-                                                  sub_exp, sub_node_exp,
-                                                  cancel);
-      scatter(columns, std::move(values));
-      return;
-    }
-    for (int k : columns) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      std::vector<Rational> one = WalkEvaluateBatchDyadic(
-          view, gather({k}), num_threads, nullptr, cancel);
-      result[k] = std::move(one[0]);
-    }
-  };
-  run_fixed_class(fits64, kFixed64MaxExponent);
-  run_fixed_class(fits128, kFixed128MaxExponent);
-  if (!needs_big.empty() && (cancel == nullptr || !cancel->cancelled())) {
-    scatter(needs_big, walk_internal::WalkEvaluateBatchDyadicBig(
-                           view, gather(needs_big), num_threads, cancel));
-  }
-  return result;
+  stats->bigint_vectors += num_k;
+  return EvaluateBatchDyadicBigInt(view, weights, num_threads, fold, cancel);
 }
+
+namespace walk_internal {
+
+std::vector<Rational> WalkEvaluateBatchDyadicBig(const CircuitWalkView& view,
+                                                 const WeightMatrix& weights,
+                                                 int num_threads,
+                                                 const CancelToken* cancel) {
+  return EvaluateBatchDyadicBigInt(view, weights, num_threads,
+                                   FoldDyadicExponents(view, weights), cancel);
+}
+
+}  // namespace walk_internal
 
 }  // namespace gmc

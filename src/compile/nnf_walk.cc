@@ -1,8 +1,7 @@
-// The Rational / BigInt-dyadic / double walk bodies over CircuitWalkView.
-// Ported verbatim (same operations, same order) from the former NnfCircuit
-// member templates, so results are bit-identical to every pre-refactor
-// release; the fixed-width dyadic kernels and the dyadic routing live in
-// nnf_fixed.cc.
+// The Rational / double walk bodies over CircuitWalkView. Ported verbatim
+// (same operations, same order) from the former NnfCircuit member
+// templates, so results are bit-identical to every pre-refactor release;
+// the dyadic kernel and its width choice live in nnf_fixed.cc.
 
 #include "compile/nnf_walk.h"
 
@@ -12,16 +11,14 @@
 
 #include "compile/nnf.h"
 #include "util/check.h"
-#include "util/dyadic.h"
 #include "util/parallel.h"
 
 namespace gmc {
 
 namespace {
 
-// The arena walk's zero test, uniform across the three value types.
+// The arena walk's zero test, uniform across the two value types.
 bool IsZeroValue(const Rational& v) { return v.IsZero(); }
-bool IsZeroValue(const Dyadic& v) { return v.IsZero(); }
 bool IsZeroValue(double v) { return v == 0.0; }
 
 // Columns per parallel slice, at minimum: below this, slice setup (one
@@ -135,59 +132,6 @@ std::vector<bool> WalkDecisionVars(const CircuitWalkView& view) {
     }
   }
   return decides;
-}
-
-std::vector<Rational> WalkEvaluateBatchDyadicBig(const CircuitWalkView& view,
-                                                 const WeightMatrix& weights,
-                                                 int num_threads,
-                                                 const CancelToken* cancel) {
-  GMC_CHECK(weights.num_vars() >= view.num_vars);
-  const int num_k = weights.num_vectors();
-  const int num_vars = view.num_vars;
-
-  // Weight columns converted once, then raised to a per-variable common
-  // exponent (batch-level normalization): every add over a column aligns
-  // for free and the decision complements share one 2^E. Conversion and
-  // complements chunk over variables — disjoint column slices per chunk.
-  std::vector<Dyadic> probability(static_cast<size_t>(num_vars) * num_k);
-  const std::vector<bool> decides = WalkDecisionVars(view);
-  std::vector<Dyadic> complement(static_cast<size_t>(num_vars) * num_k);
-  ParallelFor(
-      num_vars, num_threads, kMinVarsPerChunk,
-      [&](int64_t v0, int64_t v1, int /*chunk*/) {
-        for (int64_t v = v0; v < v1; ++v) {
-          const Rational* p = weights.Column(static_cast<int>(v));
-          Dyadic* out = probability.data() + static_cast<size_t>(v) * num_k;
-          for (int k = 0; k < num_k; ++k) {
-            std::optional<Dyadic> value = Dyadic::FromRational(p[k]);
-            GMC_CHECK_MSG(value.has_value(),
-                          "EvaluateBatchDyadic needs all-dyadic weights "
-                          "(WeightMatrix::AllDyadic)");
-            out[k] = std::move(*value);
-          }
-          Dyadic::AlignExponents(out, static_cast<size_t>(num_k));
-          if (!decides[v]) continue;
-          Dyadic* comp = complement.data() + static_cast<size_t>(v) * num_k;
-          for (int k = 0; k < num_k; ++k) comp[k] = out[k].OneMinus();
-        }
-      });
-
-  const Dyadic one = Dyadic::One();
-  std::vector<Dyadic> roots = EvaluateBatchArena<Dyadic>(
-      view, num_k, num_threads,
-      [&probability, num_k](int var) {
-        return probability.data() + static_cast<size_t>(var) * num_k;
-      },
-      complement.data(), one, cancel);
-  // Keep the size contract on cancellation (values are discarded anyway)
-  // without paying the num_k ToRational conversions.
-  if (cancel != nullptr && cancel->cancelled()) {
-    return std::vector<Rational>(num_k);
-  }
-  std::vector<Rational> result;
-  result.reserve(num_k);
-  for (const Dyadic& root : roots) result.push_back(root.ToRational());
-  return result;
 }
 
 }  // namespace walk_internal

@@ -123,10 +123,10 @@ std::vector<ProbInterval> WalkEvaluateBatchInterval(
 uint64_t WalkFingerprint(const CircuitWalkView& view);
 
 namespace walk_internal {
-/// The BigInt Dyadic arena pass — exact at any exponent, the fallback of
-/// the fixed-width routing in nnf_fixed.cc. Exposed here so the two walk
-/// translation units can share it, and so tests and benchmarks can run the
-/// arena directly as the reference for the fixed-width kernels.
+/// The dyadic kernel of nnf_fixed.cc forced to its BigInt mantissa width,
+/// whatever the batch's exponent bound (a saturated bound still goes to
+/// the Rational walk). Exposed so tests and benchmarks can compare the
+/// word widths against it on the same weights.
 std::vector<Rational> WalkEvaluateBatchDyadicBig(
     const CircuitWalkView& view, const WeightMatrix& weights, int num_threads,
     const CancelToken* cancel = nullptr);

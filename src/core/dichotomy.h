@@ -13,7 +13,7 @@
 // * DemonstrateHardness(Q, Φ): constructive witness of #P-hardness for
 //   unsafe Type I-I queries — simplifies Q to a final query (Def. 2.8) if
 //   needed, then runs the Cook reduction of §3 to count Φ's models through
-//   a Pr(Q) oracle.
+//   a Pr(Q) oracle (a typed refusal, not a count, for length-0 queries).
 
 #ifndef GMC_CORE_DICHOTOMY_H_
 #define GMC_CORE_DICHOTOMY_H_
@@ -316,6 +316,9 @@ class GfomcSession {
 // Runs #P2CNF ≤P FOMC(Q) for an unsafe Type I-I query `query` (it is first
 // simplified to a final query if needed, per Lemma 2.7) and returns the
 // reduction's result on `phi`; aborts if `query` is safe or not Type I-I.
+// When the final query fails design conditions (22)-(24) — today every
+// unsafe query of length 0, H0 included — the result is a typed refusal:
+// status kDesignConditionsFailed and no count (see Type1Status).
 Type1ReductionResult DemonstrateHardness(const Query& query,
                                          const P2Cnf& phi,
                                          Oracle* oracle = nullptr);

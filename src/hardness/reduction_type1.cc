@@ -99,8 +99,10 @@ Type1ReductionResult Type1Reduction::Run(const P2Cnf& phi, Oracle* oracle) {
 
   Type1ReductionResult result;
   result.design_report = CheckDesignConditions(a1_);
-  GMC_CHECK_MSG(result.design_report.AllHold(),
-                "design conditions (22)-(24) failed; is the query final?");
+  if (!result.design_report.AllHold()) {
+    result.status = Type1Status::kDesignConditionsFailed;
+    return result;
+  }
 
   // z-series for p = 1..m+1 (Lemma 3.19) and the symmetric big matrix
   // (Theorem 3.6, multiset-row form — see big_matrix.h).

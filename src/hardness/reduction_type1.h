@@ -22,6 +22,7 @@
 #ifndef GMC_HARDNESS_REDUCTION_TYPE1_H_
 #define GMC_HARDNESS_REDUCTION_TYPE1_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -103,7 +104,20 @@ class FactorizedOracle : public Oracle {
                             const std::vector<Rational>& y00_y01_y11);
 };
 
+// How Type1Reduction::Run ended. Only kRecovered carries a count: a
+// refusal leaves model_count at 0, which is NOT #Φ = 0.
+enum class Type1Status : uint8_t {
+  kRecovered = 0,  // model_count is #Φ
+  // The one-link matrix A(1) fails design conditions (22)-(24) (see
+  // design_report), so Theorem 3.6's big matrix need not be invertible.
+  // Run refuses before any oracle call. Unsafe length-0 queries such as
+  // H0 = ∀x∀y(R(x) ∨ S(x,y) ∨ T(y)) end here: their final form
+  // ∀x∀y(R(x) ∨ T(y)) breaks the ordering z00 < z01 = z10 < z11.
+  kDesignConditionsFailed,
+};
+
 struct Type1ReductionResult {
+  Type1Status status = Type1Status::kRecovered;
   BigInt model_count;                          // recovered #Φ
   std::map<Signature, BigInt> signature_counts;  // recovered #k′
   int oracle_calls = 0;
@@ -124,7 +138,9 @@ class Type1Reduction {
 
   // Runs the full reduction. If `oracle` is null, uses the Theorem 3.4
   // factorized evaluation (fast path); otherwise consults `oracle` once per
-  // (p1, p2) pair on the actual TID.
+  // (p1, p2) pair on the actual TID. Returns status
+  // kDesignConditionsFailed, with no count and no oracle call, when the
+  // query's A(1) fails design conditions (22)-(24).
   Type1ReductionResult Run(const P2Cnf& phi, Oracle* oracle = nullptr);
 
   // The TID ∆_{p1,p2} the reduction sends to the oracle (exposed for tests

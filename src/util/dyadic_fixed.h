@@ -1,44 +1,20 @@
-// Fixed-width dyadic numbers: uint64 / 128-bit mantissas for the batched
-// exact evaluation kernels.
-//
-// The BigInt-mantissa Dyadic (util/dyadic.h) makes the exact batch pass
-// gcd-free, but every operation still walks a heap-capable limb vector
-// through out-of-line calls. The circuit values of a weighted model count
-// are PROBABILITIES, though, and that makes a stronger representation
-// sound: a value v in [0, 1] held as v = m · 2^-E has a NON-NEGATIVE
-// mantissa m <= 2^E, so once the per-node exponent E is known, the
-// mantissa's width is known a priori. The batched evaluator exploits this
-// by folding per-variable weight exponents over the circuit ONCE per batch
-// (nnf_fixed.cc): when every node exponent fits 63 (resp. 127) bits, the
-// whole pass runs on raw uint64 (resp. two-limb UInt128) mantissa arrays —
-// contiguous SoA columns, uniform per-node shift amounts, no branches, no
-// per-element overflow checks, nothing that blocks auto-vectorization.
-//
-// This header provides the two-limb unsigned integer the 128-bit kernel
-// streams, plus Dyadic64/Dyadic128 — scalar fixed-width dyadics with
-// overflow-CHECKED operations. The scalar types are the reference
-// semantics for the kernels (tests pit both against the BigInt Dyadic) and
-// the building block for callers that stream values one at a time and want
-// the cheap representation with a per-operation fallback instead of the
-// batch-level exponent analysis.
-//
-// Exactness contract: identical to Dyadic — every value is exactly
-// mantissa · 2^-exponent, and ToRational produces the canonical reduced
-// Rational. Operations that WOULD overflow report failure and leave the
-// destination untouched; they never round.
+// The two-limb mantissa word of the exact dyadic batch kernel
+// (compile/nnf_fixed.cc), which runs a batch on uint64, UInt128 or BigInt
+// mantissas as one exponent fold over the circuit decides. The word widths
+// need every weight in [0, 1]: then every circuit value is a probability,
+// and a value held as m · 2^-E has 0 <= m <= 2^E, so the fold's largest
+// node exponent bounds every mantissa before the pass starts. UInt128's
+// arithmetic therefore wraps: the fold, not the word, guarantees that no
+// product or sum overflows.
 
 #ifndef GMC_UTIL_DYADIC_FIXED_H_
 #define GMC_UTIL_DYADIC_FIXED_H_
 
 #include <bit>
 #include <cstdint>
-#include <optional>
-#include <utility>
 
 #include "util/bigint.h"
 #include "util/check.h"
-#include "util/dyadic.h"
-#include "util/rational.h"
 
 namespace gmc {
 
@@ -65,8 +41,7 @@ inline void Mul64To128(uint64_t x, uint64_t y, uint64_t* lo, uint64_t* hi) {
 // Unsigned 128-bit integer as an explicit pair of uint64 limbs — the
 // mantissa word of the 128-bit batch kernel. Only the operations that
 // kernel streams are provided; Mul wraps modulo 2^128 (the kernel's
-// exponent analysis guarantees products fit), MulChecked detects overflow
-// for the scalar Dyadic128 type.
+// exponent analysis guarantees products fit).
 struct UInt128 {
   uint64_t lo = 0;
   uint64_t hi = 0;
@@ -94,11 +69,9 @@ struct UInt128 {
   friend bool operator==(UInt128 a, UInt128 b) {
     return a.lo == b.lo && a.hi == b.hi;
   }
-  friend bool operator!=(UInt128 a, UInt128 b) { return !(a == b); }
   friend bool operator<(UInt128 a, UInt128 b) {
     return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
   }
-  friend bool operator<=(UInt128 a, UInt128 b) { return !(b < a); }
 
   // a * b modulo 2^128. Both operands having a non-zero high limb means
   // the product cannot fit (>= 2^128); the kernel's exponent bound rules
@@ -110,24 +83,6 @@ struct UInt128 {
     Mul64To128(a.lo, b.lo, &out.lo, &carry);
     out.hi = carry + a.lo * b.hi + a.hi * b.lo;
     return out;
-  }
-
-  // a * b if it fits 128 bits; false (out untouched) on overflow.
-  static bool MulChecked(UInt128 a, UInt128 b, UInt128* out) {
-    if (a.hi != 0 && b.hi != 0) return false;
-    // One operand is a bare uint64 at this point; fold the cross term.
-    const uint64_t small = a.hi == 0 ? a.lo : b.lo;
-    const uint64_t big_hi = a.hi == 0 ? b.hi : a.hi;
-    const uint64_t big_lo = a.hi == 0 ? b.lo : a.lo;
-    uint64_t lo, carry, cross_lo, cross_hi;
-    Mul64To128(small, big_lo, &lo, &carry);
-    Mul64To128(small, big_hi, &cross_lo, &cross_hi);
-    if (cross_hi != 0) return false;
-    const uint64_t hi = carry + cross_lo;
-    if (hi < carry) return false;
-    out->lo = lo;
-    out->hi = hi;
-    return true;
   }
 
   // *this << shift for shift in [0, 128); bits shifted past 2^128 are
@@ -182,163 +137,6 @@ struct UInt128 {
     out += BigInt(static_cast<int64_t>(lo & 0xffffffffu));
     return out;
   }
-};
-
-// Scalar dyadic with a single uint64 mantissa: value = mantissa · 2^-exp,
-// non-negative only (circuit values are probabilities). All mutating
-// operations are overflow-checked: they return false and leave *this
-// untouched when the result would not fit — the caller's cue to fall back
-// to the BigInt Dyadic.
-struct Dyadic64 {
-  static constexpr uint64_t kMaxExponent = 63;
-
-  uint64_t mantissa = 0;
-  uint64_t exponent = 0;
-
-  static Dyadic64 Zero() { return {}; }
-  static Dyadic64 One() { return {1, 0}; }
-
-  // Exact conversion; nullopt unless `value` is a non-negative dyadic whose
-  // reduced mantissa and exponent both fit.
-  static std::optional<Dyadic64> FromRational(const Rational& value) {
-    const std::optional<Dyadic> wide = Dyadic::FromRational(value);
-    if (!wide.has_value() || wide->sign() < 0) return std::nullopt;
-    if (wide->exponent() > kMaxExponent) return std::nullopt;
-    if (wide->mantissa().BitLength() > 64) return std::nullopt;
-    return Dyadic64{wide->mantissa().Bits64At(0), wide->exponent()};
-  }
-
-  bool IsZero() const { return mantissa == 0; }
-
-  // *this * other; false on mantissa or exponent overflow.
-  bool MulAssign(const Dyadic64& other) {
-    uint64_t lo, hi;
-    Mul64To128(mantissa, other.mantissa, &lo, &hi);
-    if (hi != 0) return false;
-    const uint64_t exp = exponent + other.exponent;
-    if (exp < exponent) return false;  // exponent wrapped
-    mantissa = lo;
-    exponent = mantissa == 0 ? 0 : exp;
-    return true;
-  }
-
-  // *this + other, aligning to the larger exponent; false on overflow.
-  bool AddAssign(const Dyadic64& other) {
-    if (other.mantissa == 0) return true;
-    if (mantissa == 0) {
-      *this = other;
-      return true;
-    }
-    uint64_t a = mantissa, b = other.mantissa;
-    uint64_t exp = exponent;
-    if (exponent < other.exponent) {
-      const uint64_t shift = other.exponent - exponent;
-      if (shift > 63 || (a >> (64 - shift)) != 0) return false;
-      a <<= shift;
-      exp = other.exponent;
-    } else if (exponent > other.exponent) {
-      const uint64_t shift = exponent - other.exponent;
-      if (shift > 63 || (b >> (64 - shift)) != 0) return false;
-      b <<= shift;
-    }
-    const uint64_t sum = a + b;
-    if (sum < a) return false;
-    mantissa = sum;
-    exponent = exp;
-    return true;
-  }
-
-  // 1 - *this at this exponent; false if *this > 1 (the complement would
-  // be negative) or the exponent is out of range.
-  bool OneMinusAssign() {
-    if (exponent > kMaxExponent) return false;
-    const uint64_t one = uint64_t{1} << exponent;
-    if (mantissa > one) return false;
-    mantissa = one - mantissa;
-    return true;
-  }
-
-  Dyadic ToDyadic() const {
-    // The mantissa may exceed int64; feed it through the top bit.
-    BigInt m(static_cast<int64_t>(mantissa >> 1));
-    m.ShiftLeftInPlace(1);
-    m += BigInt(static_cast<int64_t>(mantissa & 1));
-    return Dyadic(std::move(m), exponent);
-  }
-  Rational ToRational() const { return ToDyadic().ToRational(); }
-  double ToDouble() const { return ToDyadic().ToDouble(); }
-};
-
-// Scalar dyadic with a two-limb UInt128 mantissa; same contract as
-// Dyadic64, one width up.
-struct Dyadic128 {
-  static constexpr uint64_t kMaxExponent = 127;
-
-  UInt128 mantissa;
-  uint64_t exponent = 0;
-
-  static Dyadic128 Zero() { return {}; }
-  static Dyadic128 One() { return {UInt128(1), 0}; }
-
-  static std::optional<Dyadic128> FromRational(const Rational& value) {
-    const std::optional<Dyadic> wide = Dyadic::FromRational(value);
-    if (!wide.has_value() || wide->sign() < 0) return std::nullopt;
-    if (wide->exponent() > kMaxExponent) return std::nullopt;
-    if (wide->mantissa().BitLength() > 128) return std::nullopt;
-    return Dyadic128{UInt128::FromBigInt(wide->mantissa()),
-                     wide->exponent()};
-  }
-
-  bool IsZero() const { return mantissa.IsZero(); }
-
-  bool MulAssign(const Dyadic128& other) {
-    UInt128 product;
-    if (!UInt128::MulChecked(mantissa, other.mantissa, &product)) {
-      return false;
-    }
-    const uint64_t exp = exponent + other.exponent;
-    if (exp < exponent) return false;
-    mantissa = product;
-    exponent = mantissa.IsZero() ? 0 : exp;
-    return true;
-  }
-
-  bool AddAssign(const Dyadic128& other) {
-    if (other.IsZero()) return true;
-    if (IsZero()) {
-      *this = other;
-      return true;
-    }
-    UInt128 a = mantissa, b = other.mantissa;
-    uint64_t exp = exponent;
-    if (exponent < other.exponent) {
-      const uint64_t shift = other.exponent - exponent;
-      if (shift > 127 || a.BitLength() + shift > 128) return false;
-      a = a.Shl(static_cast<unsigned>(shift));
-      exp = other.exponent;
-    } else if (exponent > other.exponent) {
-      const uint64_t shift = exponent - other.exponent;
-      if (shift > 127 || b.BitLength() + shift > 128) return false;
-      b = b.Shl(static_cast<unsigned>(shift));
-    }
-    const UInt128 sum = a + b;
-    if (sum < a) return false;  // carried past 2^128
-    mantissa = sum;
-    exponent = exp;
-    return true;
-  }
-
-  bool OneMinusAssign() {
-    if (exponent > kMaxExponent) return false;
-    const UInt128 one = UInt128(1).Shl(static_cast<unsigned>(exponent));
-    if (one < mantissa) return false;
-    mantissa = one - mantissa;
-    return true;
-  }
-
-  Dyadic ToDyadic() const { return Dyadic(mantissa.ToBigInt(), exponent); }
-  Rational ToRational() const { return ToDyadic().ToRational(); }
-  double ToDouble() const { return ToDyadic().ToDouble(); }
 };
 
 }  // namespace gmc

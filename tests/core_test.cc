@@ -110,6 +110,29 @@ TEST(DichotomyTest, DemonstrateHardnessOnNonFinalQuery) {
   phi.num_vars = 3;
   phi.edges = {{0, 1}, {1, 2}};
   Type1ReductionResult result = DemonstrateHardness(q, phi);
+  EXPECT_EQ(result.status, Type1Status::kRecovered);
+  EXPECT_EQ(result.model_count, CountSatisfying(phi));
+}
+
+TEST(DichotomyTest, DemonstrateHardnessRefusesOnlyLengthZeroQueries) {
+  // Unsafe Type I-I queries of length 0 walk down to ∀x∀y(R(x) ∨ T(y)),
+  // whose one-link gadget breaks the ordering z00 < z01 = z10 < z11. The
+  // façade answers with a typed refusal instead of aborting, and makes no
+  // oracle call; H1, of length 1, still recovers #Φ on the same Φ.
+  P2Cnf phi = P2Cnf::Random(4, 4, /*seed=*/7);
+  for (const char* text :
+       {"Ax Ay (R(x) | S(x,y) | T(y))",
+        "Ax Ay (R(x) | S1(x,y) | S2(x,y) | T(y))"}) {
+    Query q = ParseQueryOrDie(text);
+    ASSERT_FALSE(IsSafe(q)) << text;
+    Type1ReductionResult result = DemonstrateHardness(q, phi);
+    EXPECT_EQ(result.status, Type1Status::kDesignConditionsFailed) << text;
+    EXPECT_FALSE(result.design_report.AllHold()) << text;
+    EXPECT_EQ(result.oracle_calls, 0) << text;
+  }
+  Query h1 = ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
+  Type1ReductionResult result = DemonstrateHardness(h1, phi);
+  EXPECT_EQ(result.status, Type1Status::kRecovered);
   EXPECT_EQ(result.model_count, CountSatisfying(phi));
 }
 

@@ -1,13 +1,12 @@
-// Fixed-width dyadic layer: the UInt128 limb-pair word, the Dyadic64 /
-// Dyadic128 scalar types (overflow-checked ops vs the BigInt Dyadic), the
-// BigInt::Bits64At extraction they build on, and the width-routed batch
-// kernels — every dispatch class (uint64 / UInt128 / BigInt fallback /
-// per-column split) pinned by DyadicBatchStats and cross-checked
-// bit-identically against the Rational evaluator.
+// Fixed-width dyadic layer: the UInt128 limb-pair word, the
+// BigInt::Bits64At extraction it builds on, and the dyadic batch kernel —
+// every width (uint64 / UInt128 / BigInt) pinned by DyadicBatchStats and
+// cross-checked bit-identically against the Rational evaluator, including
+// signed and wide weights at the BigInt width.
 
 #include <cstdint>
-#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "util/bigint.h"
-#include "util/dyadic.h"
 #include "util/dyadic_fixed.h"
 #include "util/rational.h"
 
@@ -94,108 +92,11 @@ TEST(UInt128Test, ArithmeticMatchesBigInt) {
     const unsigned shift = static_cast<unsigned>(rng() % 128);
     EXPECT_EQ(ua.Shl(shift).ToBigInt(), a.ShiftLeft(shift) % modulus);
     EXPECT_EQ(ua.Shr(shift).ToBigInt(), a.ShiftRight(shift));
-    // Unchecked Mul is exercised only where a product provably fits.
+    // Mul is exercised only where a product provably fits.
     const BigInt product = a * b;
-    UInt128 checked;
-    if (UInt128::MulChecked(ua, ub, &checked)) {
-      EXPECT_LE(product.BitLength(), 128u);
-      EXPECT_EQ(checked.ToBigInt(), product);
+    if (product.BitLength() <= 128) {
       EXPECT_EQ(UInt128::Mul(ua, ub).ToBigInt(), product);
-    } else {
-      EXPECT_GT(product.BitLength(), 128u);
     }
-  }
-}
-
-// ------------------------------------------------- scalar fixed dyadics
-
-TEST(Dyadic64Test, FromRationalAndRoundTrip) {
-  EXPECT_EQ(Dyadic64::Zero().ToRational(), Rational::Zero());
-  EXPECT_EQ(Dyadic64::One().ToRational(), Rational::One());
-  ASSERT_TRUE(Dyadic64::FromRational(Rational(5, 16)).has_value());
-  EXPECT_EQ(Dyadic64::FromRational(Rational(5, 16))->ToRational(),
-            Rational(5, 16));
-  // Not dyadic, negative, or too wide: all rejected.
-  EXPECT_FALSE(Dyadic64::FromRational(Rational(1, 3)).has_value());
-  EXPECT_FALSE(Dyadic64::FromRational(Rational(-1, 2)).has_value());
-  EXPECT_FALSE(Dyadic64::FromRational(
-                   Rational(BigInt(1), BigInt(1).ShiftLeft(64)))
-                   .has_value());
-  // Exponent 63 still fits.
-  const Rational tiny(BigInt(1), BigInt(1).ShiftLeft(63));
-  ASSERT_TRUE(Dyadic64::FromRational(tiny).has_value());
-  EXPECT_EQ(Dyadic64::FromRational(tiny)->ToRational(), tiny);
-}
-
-TEST(Dyadic64Test, CheckedOpsMatchBigIntDyadic) {
-  std::mt19937_64 rng(44);
-  for (int trial = 0; trial < 2000; ++trial) {
-    // Ranges chosen so no checked op can overflow: 30-bit mantissas with
-    // exponent gaps of at most 20 stay within 64 bits under alignment.
-    const uint64_t ea = rng() % 20, eb = rng() % 20;
-    const Dyadic64 a{rng() >> (64 - 30), ea};
-    const Dyadic64 b{rng() >> (64 - 30), eb};
-    const Dyadic wide_a = a.ToDyadic(), wide_b = b.ToDyadic();
-    Dyadic64 mul = a;
-    ASSERT_TRUE(mul.MulAssign(b));
-    EXPECT_EQ(mul.ToRational(), (wide_a * wide_b).ToRational());
-    Dyadic64 add = a;
-    ASSERT_TRUE(add.AddAssign(b));
-    EXPECT_EQ(add.ToRational(), (wide_a + wide_b).ToRational());
-  }
-}
-
-TEST(Dyadic64Test, OverflowIsDetectedAndNonDestructive) {
-  Dyadic64 big{uint64_t{1} << 62, 1};
-  const Dyadic64 saved = big;
-  EXPECT_FALSE(big.MulAssign(Dyadic64{uint64_t{1} << 10, 0}));
-  EXPECT_EQ(big.mantissa, saved.mantissa);
-  EXPECT_EQ(big.exponent, saved.exponent);
-  // Alignment overflow: huge exponent gap forces the smaller-exponent
-  // mantissa past 64 bits.
-  Dyadic64 low{uint64_t{1} << 40, 0};
-  EXPECT_FALSE(low.AddAssign(Dyadic64{1, 63}));
-  EXPECT_EQ(low.mantissa, uint64_t{1} << 40);
-  // OneMinus on a value above one reports failure.
-  Dyadic64 above_one{3, 1};  // 3/2
-  EXPECT_FALSE(above_one.OneMinusAssign());
-  Dyadic64 half{1, 1};
-  ASSERT_TRUE(half.OneMinusAssign());
-  EXPECT_EQ(half.ToRational(), Rational::Half());
-}
-
-TEST(Dyadic128Test, CheckedOpsMatchBigIntDyadic) {
-  std::mt19937_64 rng(55);
-  for (int trial = 0; trial < 1000; ++trial) {
-    const Dyadic128 a{UInt128(rng(), rng() >> 40), rng() % 100};
-    const Dyadic128 b{UInt128(rng(), rng() >> 40), rng() % 100};
-    const Dyadic wide_a = a.ToDyadic(), wide_b = b.ToDyadic();
-    Dyadic128 mul = a;
-    if (mul.MulAssign(b)) {
-      EXPECT_EQ(mul.ToRational(), (wide_a * wide_b).ToRational());
-    }
-    Dyadic128 add = a;
-    if (add.AddAssign(b)) {
-      EXPECT_EQ(add.ToRational(), (wide_a + wide_b).ToRational());
-    } else {
-      add = a;  // overflow must have left the destination untouched
-      EXPECT_EQ(add.ToRational(), wide_a.ToRational());
-    }
-  }
-}
-
-TEST(Dyadic128Test, OneMinusMatchesBigIntDyadic) {
-  std::mt19937_64 rng(66);
-  for (int trial = 0; trial < 500; ++trial) {
-    const uint64_t exponent = rng() % 120;
-    UInt128 one = UInt128(1).Shl(static_cast<unsigned>(exponent));
-    // A mantissa below 2^exponent: a genuine probability.
-    UInt128 mantissa = UInt128(rng(), exponent >= 64 ? rng() : 0);
-    while (one < mantissa) mantissa = mantissa.Shr(1);
-    Dyadic128 value{mantissa, exponent};
-    const Dyadic wide = value.ToDyadic();
-    ASSERT_TRUE(value.OneMinusAssign());
-    EXPECT_EQ(value.ToRational(), wide.OneMinus().ToRational());
   }
 }
 
@@ -263,11 +164,11 @@ TEST(FixedWidthBatchTest, WideExponentsFallBackToBigInt) {
   EXPECT_EQ(fixed, gadget.circuit.EvaluateBatch(weights, 1));
 }
 
-TEST(FixedWidthBatchTest, MixedPrecisionSplitsPerColumn) {
+TEST(FixedWidthBatchTest, MixedPrecisionBatchRunsWhollyAtBigIntWidth) {
   // A small chain circuit (exponent depth 3) where half the columns use
-  // 1/2-grid weights (bound 3 — fits uint64) and half use 2^43
-  // denominators (bound 129 — needs BigInt): the batch-wide bound spills,
-  // the per-column fallback routes each class separately.
+  // 1/2-grid weights (bound 3 on their own) and half use 2^43
+  // denominators (bound 129): the width is chosen once per batch, so the
+  // batch-wide bound sends all 16 columns to the BigInt width.
   Cnf cnf;
   cnf.num_vars = 4;
   cnf.AddClause({0, 1});
@@ -294,9 +195,9 @@ TEST(FixedWidthBatchTest, MixedPrecisionSplitsPerColumn) {
   DyadicBatchStats stats;
   const std::vector<Rational> fixed =
       circuit.EvaluateBatchDyadic(weights, 1, &stats);
-  EXPECT_EQ(stats.fixed64_vectors, 8);
+  EXPECT_EQ(stats.fixed64_vectors, 0);
   EXPECT_EQ(stats.fixed128_vectors, 0);
-  EXPECT_EQ(stats.bigint_vectors, 8);
+  EXPECT_EQ(stats.bigint_vectors, 16);
   EXPECT_EQ(fixed, circuit.EvaluateBatch(weights, 1));
 }
 
@@ -333,6 +234,7 @@ TEST(FixedWidthBatchTest, FixedWidthMatchesTheBigIntArena) {
   EXPECT_EQ(stats.bigint_vectors, 0);
   EXPECT_EQ(fixed, walk_internal::WalkEvaluateBatchDyadicBig(
                        gadget.circuit.view(), weights, 1));
+  EXPECT_EQ(fixed, gadget.circuit.EvaluateBatch(weights, 1));
 }
 
 TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
@@ -389,6 +291,56 @@ TEST(FixedWidthBatchTest, RandomCircuitsAgreeAcrossAllPaths) {
                   circuit.view(), weights, 1),
               rational)
         << "trial " << trial;
+  }
+}
+
+// m · 2^-e with e < 70 and |m| < 2^90: negative, zero, below and above
+// one.
+Rational RandomSignedDyadic(std::mt19937_64& rng) {
+  if (rng() % 8 == 0) return Rational::Zero();
+  BigInt mantissa = RandomMagnitude(rng, 1 + static_cast<int>(rng() % 90));
+  if (rng() % 2 == 0) mantissa = -mantissa;
+  return Rational::Dyadic(std::move(mantissa), rng() % 70);
+}
+
+TEST(BigIntWidthTest, SignedAndWideWeightsMatchTheRationalWalk) {
+  // Weights outside [0, 1] break the probability bound the word widths
+  // rest on, so every batch here runs at the BigInt width, whose mantissas
+  // carry the sign.
+  std::mt19937_64 rng(1919);
+  Compiler compiler;
+  for (int trial = 0; trial < 100; ++trial) {
+    const int num_vars = 2 + static_cast<int>(rng() % 9);
+    Cnf cnf;
+    cnf.num_vars = num_vars;
+    const int num_clauses = 1 + static_cast<int>(rng() % 10);
+    for (int c = 0; c < num_clauses; ++c) {
+      std::vector<int> clause;
+      const int len = 1 + static_cast<int>(rng() % 3);
+      for (int l = 0; l < len; ++l) {
+        clause.push_back(static_cast<int>(rng() % num_vars));
+      }
+      cnf.AddClause(std::move(clause));
+    }
+    NnfCircuit circuit = compiler.Compile(cnf);
+    const int num_k = 1 + static_cast<int>(rng() % 9);
+    std::vector<std::vector<Rational>> rows;
+    for (int k = 0; k < num_k; ++k) {
+      std::vector<Rational> row;
+      for (int v = 0; v < num_vars; ++v) row.push_back(RandomSignedDyadic(rng));
+      rows.push_back(std::move(row));
+    }
+    rows[0][0] = Rational(-3, 2);  // at least one weight outside [0, 1]
+    WeightMatrix weights = WeightMatrix::FromRows(rows);
+    const std::vector<Rational> rational = circuit.EvaluateBatch(weights, 1);
+    for (int threads : {1, 2, 8}) {
+      DyadicBatchStats stats;
+      EXPECT_EQ(circuit.EvaluateBatchDyadic(weights, threads, &stats),
+                rational)
+          << "trial " << trial << " threads " << threads;
+      EXPECT_EQ(stats.bigint_vectors, num_k);
+      EXPECT_EQ(stats.fixed64_vectors + stats.fixed128_vectors, 0);
+    }
   }
 }
 

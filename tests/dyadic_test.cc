@@ -1,16 +1,14 @@
-// The dyadic fixed-point layer and the BigInt hot-loop machinery under it.
+// The exact dyadic batch path and the BigInt hot-loop machinery under it.
 //
-// Three families of checks:
-//   1. Dyadic arithmetic cross-checked against Rational on thousands of
-//      randomized values (negative, zero, and mixed-exponent cases), plus
-//      the batch normalization helpers;
-//   2. EvaluateBatchDyadic vs EvaluateBatch exact (bit-identical) equality
+// Two families of checks:
+//   1. EvaluateBatchDyadic vs EvaluateBatch exact (bit-identical) equality
 //      on random CNFs and on the Type I / Type II gadget lineages, and the
 //      automatic CircuitCache routing through every production caller,
 //      checked against independent exact references;
-//   3. BigInt small-value-optimization boundaries (1→2→3 limb transitions,
+//   2. BigInt small-value-optimization boundaries (1→2→3 limb transitions,
 //      heap spill and shrink-back) and in-place aliasing (a += a, a *= a),
-//      since the in-place compound operators are new load-bearing code.
+//      since the in-place compound operators are load-bearing in the
+//      dyadic kernel's BigInt width.
 
 #include <cstdint>
 #include <memory>
@@ -29,7 +27,6 @@
 #include "prob/tid.h"
 #include "safe/safe_eval.h"
 #include "util/bigint.h"
-#include "util/dyadic.h"
 #include "util/rational.h"
 #include "wmc/wmc.h"
 
@@ -55,103 +52,6 @@ BigInt RandomBigInt(std::mt19937_64& rng, int limbs) {
   }
   if (rng() % 2) out = -out;
   return out;
-}
-
-// Random dyadic value m · 2^-e with mixed mantissa widths and exponents
-// (zero and negative included).
-Dyadic RandomDyadic(std::mt19937_64& rng) {
-  if (rng() % 16 == 0) return Dyadic::Zero();
-  const int limbs = 1 + static_cast<int>(rng() % 3);
-  const uint64_t exponent = rng() % 70;
-  return Dyadic(RandomBigInt(rng, limbs), exponent);
-}
-
-TEST(DyadicTest, RationalRoundTrip) {
-  EXPECT_EQ(Dyadic::Zero().ToRational(), Rational::Zero());
-  EXPECT_EQ(Dyadic::One().ToRational(), Rational::One());
-  EXPECT_EQ(Dyadic::Half().ToRational(), Rational::Half());
-  EXPECT_EQ(Dyadic(BigInt(-3), 3).ToRational(), Rational(-3, 8));
-  // Non-canonical representations reduce on the way out.
-  EXPECT_EQ(Dyadic(BigInt(8), 3).ToRational(), Rational::One());
-  EXPECT_EQ(Dyadic(BigInt(12), 3).ToRational(), Rational(3, 2));
-
-  ASSERT_TRUE(Dyadic::FromRational(Rational(5, 16)).has_value());
-  EXPECT_EQ(Dyadic::FromRational(Rational(5, 16))->ToRational(),
-            Rational(5, 16));
-  EXPECT_EQ(Dyadic::FromRational(Rational(-7, 1))->ToRational(),
-            Rational(-7, 1));
-  EXPECT_FALSE(Dyadic::FromRational(Rational(1, 3)).has_value());
-  EXPECT_FALSE(Dyadic::FromRational(Rational(5, 6)).has_value());
-}
-
-TEST(DyadicTest, RandomizedArithmeticMatchesRational) {
-  std::mt19937_64 rng(20210617);
-  for (int trial = 0; trial < 3000; ++trial) {
-    const Dyadic a = RandomDyadic(rng);
-    const Dyadic b = RandomDyadic(rng);
-    const Rational ra = a.ToRational();
-    const Rational rb = b.ToRational();
-    EXPECT_EQ((a + b).ToRational(), ra + rb);
-    EXPECT_EQ((a - b).ToRational(), ra - rb);
-    EXPECT_EQ((a * b).ToRational(), ra * rb);
-    EXPECT_EQ((-a).ToRational(), -ra);
-    // In-place forms agree with the binary forms.
-    Dyadic c = a;
-    c += b;
-    EXPECT_EQ(c, a + b);
-    c = a;
-    c -= b;
-    EXPECT_EQ(c, a - b);
-    c = a;
-    c *= b;
-    EXPECT_EQ(c, a * b);
-    // Fused decision-node update.
-    const Dyadic d = RandomDyadic(rng);
-    const Dyadic e = RandomDyadic(rng);
-    EXPECT_EQ(Dyadic::MulAdd(a, b, d, e).ToRational(), ra * rb + d.ToRational() * e.ToRational());
-  }
-}
-
-TEST(DyadicTest, NormalizeAndAlignPreserveValue) {
-  std::mt19937_64 rng(42424242);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::vector<Dyadic> values;
-    std::vector<Rational> expected;
-    for (int i = 0; i < 8; ++i) {
-      values.push_back(RandomDyadic(rng));
-      expected.push_back(values.back().ToRational());
-    }
-    Dyadic::AlignExponents(values.data(), values.size());
-    uint64_t common = values[0].exponent();
-    for (size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(values[i].exponent(), common);  // one exponent for the block
-      EXPECT_EQ(values[i].ToRational(), expected[i]);
-      values[i].Normalize();
-      EXPECT_EQ(values[i].ToRational(), expected[i]);
-      if (!values[i].IsZero() && values[i].exponent() > 0) {
-        // Canonical: odd mantissa once normalized.
-        EXPECT_EQ(values[i].mantissa().TrailingZeroBits(), 0u);
-      }
-    }
-  }
-}
-
-TEST(DyadicTest, OneMinusComplement) {
-  std::mt19937_64 rng(777);
-  for (int trial = 0; trial < 500; ++trial) {
-    const Dyadic a = RandomDyadic(rng);
-    EXPECT_EQ(a.OneMinus().ToRational(), Rational::One() - a.ToRational());
-    EXPECT_EQ(a.OneMinus().exponent(), a.exponent());
-  }
-  EXPECT_EQ(Dyadic::Zero().OneMinus().ToRational(), Rational::One());
-  EXPECT_EQ(Dyadic::One().OneMinus().ToRational(), Rational::Zero());
-}
-
-TEST(DyadicTest, ValueEqualityIsAlignmentInsensitive) {
-  EXPECT_EQ(Dyadic(BigInt(1), 0), Dyadic(BigInt(8), 3));
-  EXPECT_EQ(Dyadic(BigInt(-2), 1), Dyadic(BigInt(-16), 4));
-  EXPECT_NE(Dyadic(BigInt(1), 0), Dyadic(BigInt(9), 3));
-  EXPECT_EQ(Dyadic(BigInt(0), 0), Dyadic(BigInt(0), 17));
 }
 
 // ------------------------------------------------------------------
