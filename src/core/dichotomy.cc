@@ -1,6 +1,7 @@
 #include "core/dichotomy.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -107,7 +108,11 @@ std::vector<GfomcResult> GfomcSession::EvaluateMany(
   std::vector<GmcAnswer> answers;
   const std::vector<GmcStatus> statuses =
       EvaluateAnswers(query, tids, legacy, &answers);
-  const bool safe = IsSafe(query);
+  bool safe = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    safe = templates_.IsSafe(query);  // the verdict the call used
+  }
   std::vector<GfomcResult> results(tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
     // Trusted input: only an invalid weight can fail here.
@@ -197,10 +202,14 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // Safe branch: safety is PTIME exact, so the anytime tiers never apply —
   // there is nothing to trade away (and the lifted plan is polynomial, so
   // the deadline has nothing to interrupt). GFOMC instances route through
-  // the session's cache, general weights through the lifted plan.
+  // the session's cache, general weights through the lifted plan. The
+  // verdict is analysed once per session, in the query's template record
+  // (a constant query is safe).
   const int compiled_before = safe_.stats().compiled_assignments;
-  if (auto safe = safe_.EvaluateMany(query, live_tids, circuits_);
-      safe.has_value()) {
+  if (templates_.IsSafe(query)) {
+    std::optional<std::vector<Rational>> safe =
+        safe_.EvaluateMany(query, live_tids, circuits_);
+    GMC_CHECK(safe.has_value());
     const bool compiled = safe_.stats().compiled_assignments > compiled_before;
     for (size_t m = 0; m < live.size(); ++m) {
       GmcAnswer& answer = (*answers)[live[m]];
@@ -212,7 +221,8 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
     return statuses;
   }
 
-  // Unsafe: ground and route each instance through the policy. One deadline
+  // Unsafe: ground each instance (from the query's template when its domain
+  // and support pattern repeat) and route it through the policy. One deadline
   // token covers the call — compile probes, circuit passes, and sampling
   // all poll it; 0 ms means none, and every poll site reduces to one
   // pointer comparison. Instances the sampler answers share the plan
@@ -238,7 +248,9 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   std::unordered_map<const NnfCircuit*, size_t> group_of;
   const uint64_t sampled_before = counters_.anytime_sampled;
   for (const size_t i : live) {
-    lineages[i] = Ground(query, tids[i]);
+    bool hit = false;
+    lineages[i] = templates_.Ground(query, tids[i], &hit);
+    ++(hit ? counters_.template_hits : counters_.template_misses);
     std::shared_ptr<const NnfCircuit> circuit;
     statuses[i] = RouteUnsafe(lineages[i], policy, sampler, &(*answers)[i],
                               &circuit);

@@ -215,6 +215,12 @@ class GfomcSession {
     // with serve's coalescing, N same-round sampled requests surface here
     // as ONE batch (vs anytime_sampled counting N).
     RelaxedCounter sampler_batches;
+    // Unsafe instances whose lineage a grounding template built (a
+    // repeated query, domain and support pattern), and those that ran
+    // Ground (a first sight, a sight after a table reset, a pattern too
+    // large for a template, or a fired lineage.template fault point).
+    RelaxedCounter template_hits;
+    RelaxedCounter template_misses;
     // The session's CircuitCache: compiles vs hits (the repeated-query
     // win), persistent-store traffic, and memory governance.
     CircuitCache::Stats cache;
@@ -300,6 +306,10 @@ class GfomcSession {
   mutable std::mutex mu_;  // serializes evaluation and Configure
   CircuitCache circuits_;  // the one cache, for safe and unsafe routes
   SafeEvaluator safe_;
+  // Per query: its verdict, analysed once, and the unsafe route's
+  // grounding templates (bounded by GroundingTemplates::kMaxBytes, outside
+  // the cache's resident_bytes).
+  GroundingTemplates templates_;
   // Cached per-instance sampler setup, keyed by (cnf, probabilities) —
   // same-structure sampled requests (one serve coalescing round, or a
   // probability sweep re-hitting one lineage) build the exact disjunct-

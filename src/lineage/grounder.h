@@ -8,12 +8,27 @@
 // Type II clauses ∀b(∨_ℓ ∀i D_ℓ(b,i)) are disjunctions of conjunctions after
 // grounding; they are converted to CNF by distribution (the blow-up is
 // |Dom|^m for m subclauses, polynomial for fixed queries, per §C.4).
+//
+// Grounding templates. Folding looks at nothing but whether a tuple is 0, 1
+// or uncertain, so a lineage's clauses, its variable numbering and is_false
+// are fixed by the query, the domain sides and the support pattern (the
+// class of every ground tuple of the query's symbols); the weights only fill
+// `probabilities`. GroundingTemplates keeps, per pattern seen, the structure
+// Ground produced, and builds the Lineage of a repeat from it and the TID's
+// weights: no distribution step, no RemoveSubsumed, no per-variable map.
+// The key is exact: the query's clause list (Clause::operator==), the
+// domain sides, and the pattern at 2 bits per tuple, in slot order; a
+// 64-bit hash only picks the bucket. A template is one flat uint16 array,
+// and the table is bounded by a constant byte cap (kMaxBytes).
 
 #ifndef GMC_LINEAGE_GROUNDER_H_
 #define GMC_LINEAGE_GROUNDER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "lineage/boolean_formula.h"
@@ -28,11 +43,11 @@ struct Lineage {
   Cnf cnf;
   std::vector<TupleKey> variables;      // var id -> tuple
   std::vector<Rational> probabilities;  // var id -> probability in (0, 1)
-  std::unordered_map<TupleKey, int, TupleKeyHash> var_ids;
   // True if some ground clause is unsatisfiable (so Pr(Q) = 0).
   bool is_false = false;
 
-  // Lineage variable of a tuple, or -1 if the tuple was folded away.
+  // Lineage variable of a tuple, or -1 if the tuple was folded away (a scan
+  // of `variables`).
   int VarOf(const TupleKey& key) const;
 };
 
@@ -58,10 +73,80 @@ class Grounder {
 
   const Tid* tid_;
   Lineage lineage_;
+  std::unordered_map<TupleKey, int, TupleKeyHash> var_ids_;  // tuple -> var
 };
 
 // One-shot convenience: the lineage Φ_∆(Q).
 Lineage Ground(const Query& query, const Tid& tid, bool minimize = true);
+
+// A session's grounding templates (see the header comment): Ground once per
+// (query, domain sides, support pattern). Not thread-safe: the owner
+// serializes calls.
+class GroundingTemplates {
+ public:
+  // The byte cap on templates plus query records, each charged its arrays
+  // and about 64 B of bookkeeping. An insert that would pass it first
+  // resets the whole table: the price is one Ground per pattern afterwards,
+  // never a wrong lineage. A C9 3×3 template takes about 0.5 KiB; the 1,600
+  // H1 4×4 patterns of e2ebench's hot pool about 0.23 MiB.
+  static constexpr size_t kMaxBytes = size_t{4} << 20;
+
+  // IsSafe(query), analysed once per query record — the dichotomy verdict
+  // the record keeps next to its templates.
+  bool IsSafe(const Query& query);
+
+  // Φ_∆(Q), equal field for field to Ground(query, tid); a FALSE query is
+  // refused the same way. On a hit (*hit set) it is built from the stored
+  // template and `tid`'s weights; on a miss Ground runs and its structure
+  // is stored. The lineage.template fault point aliases a lost template: a
+  // fired crossing skips the lookup and the insert, so the instance
+  // grounds.
+  Lineage Ground(const Query& query, const Tid& tid, bool* hit);
+
+  size_t bytes() const { return bytes_; }  // charged bytes, <= kMaxBytes
+  size_t size() const { return size_; }    // templates held
+
+ private:
+  // One query's scope under its clause list (the key's first part): the
+  // tuple slot layout, the verdict and the templates.
+  struct QueryRecord {
+    // Every symbol of the query with its vocabulary kind (where Ground
+    // reads its tuples), sorted: the slot order.
+    std::vector<std::pair<SymbolId, SymbolKind>> ranges;
+    // Index into `ranges` by symbol id, or -1.
+    std::vector<int> range_of;
+    std::optional<bool> safe;
+    // Pattern hash -> template; a colliding pattern replaces the entry.
+    std::unordered_map<uint64_t, std::vector<uint16_t>> templates;
+  };
+
+  struct ClauseListHash {
+    size_t operator()(const std::vector<Clause>& clauses) const;
+  };
+  using Records =
+      std::unordered_map<std::vector<Clause>, QueryRecord, ClauseListHash>;
+
+  QueryRecord& RecordOf(const Query& query);
+  // Lays out `tid`'s slots under `record` into offsets_, and fills pattern_
+  // and weights_; false when a side or the slot count does not fit the
+  // uint16 layout.
+  bool ReadSupport(const QueryRecord& record, const Tid& tid);
+  // The slot of `key` under offsets_, or -1 if the query does not read it.
+  int64_t SlotOf(const QueryRecord& record, const TupleKey& key,
+                 int64_t num_right) const;
+  Lineage Build(const QueryRecord& record, const std::vector<uint16_t>& entry,
+                int num_right) const;
+  void Reset();
+
+  Records records_;
+  size_t bytes_ = 0;
+  size_t size_ = 0;
+  // Per-call scratch, kept to spare the allocations: each range's first
+  // slot (plus the total), the pattern words, and each slot's probability.
+  std::vector<int64_t> offsets_;
+  std::vector<uint16_t> pattern_;
+  std::vector<const Rational*> weights_;
+};
 
 }  // namespace gmc
 

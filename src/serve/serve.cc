@@ -849,6 +849,8 @@ std::string GmcServer::StatsSnapshot::ToLine() const {
       << " plan_hits=" << session.plans.hits
       << " plan_misses=" << session.plans.misses
       << " sampler_batches=" << session.sampler_batches
+      << " template_hits=" << session.template_hits
+      << " template_misses=" << session.template_misses
       << " faults_injected=" << faults_injected;
   return out.str();
 }

@@ -185,6 +185,8 @@ const char* PointName(Point point) {
       return "store.scrub";
     case Point::kApproxPlan:
       return "approx.plan";
+    case Point::kLineageTemplate:
+      return "lineage.template";
     case Point::kNumPoints:
       break;
   }

@@ -15,7 +15,7 @@
 //   GMC_FAULT="store.write=0.1,cache.insert=0.01,seed=42"
 //
 //   point := store.read | store.write | cache.insert | socket.write
-//          | serve.accept | store.scrub | approx.plan
+//          | serve.accept | store.scrub | approx.plan | lineage.template
 //   rate  := decimal in [0, 1] (probability that one crossing fires)
 //   seed  := uint64 (default 0) — decisions are a pure function of
 //            (seed, point, per-point crossing index), so a given seed
@@ -24,8 +24,8 @@
 //
 // A fired point must surface as a typed error on the normal failure path
 // of its call site — never a crash, never a silently wrong answer. The
-// call sites (circuit_io.cc, circuit_cache.cc, serve.cc, karp_luby.cc)
-// each document which existing failure they alias to.
+// call sites (circuit_io.cc, circuit_cache.cc, serve.cc, karp_luby.cc,
+// grounder.cc) each document which existing failure they alias to.
 
 #ifndef GMC_UTIL_FAULT_H_
 #define GMC_UTIL_FAULT_H_
@@ -37,13 +37,14 @@ namespace gmc {
 namespace fault {
 
 enum class Point : int {
-  kStoreRead = 0,   // LoadCircuit: the image fails to read back
-  kStoreWrite,      // SaveCircuit: the write is lost before rename
-  kCacheInsert,     // CircuitCache: a compiled circuit misses the cache
-  kSocketWrite,     // serve reply: the peer vanished mid-send
-  kServeAccept,     // accept(2): a transient ECONNABORTED-class failure
-  kStoreScrub,      // scrub: the quarantine rename fails
-  kApproxPlan,      // KarpLubyPlanCache: the cached plan is lost
+  kStoreRead = 0,    // LoadCircuit: the image fails to read back
+  kStoreWrite,       // SaveCircuit: the write is lost before rename
+  kCacheInsert,      // CircuitCache: a compiled circuit misses the cache
+  kSocketWrite,      // serve reply: the peer vanished mid-send
+  kServeAccept,      // accept(2): a transient ECONNABORTED-class failure
+  kStoreScrub,       // scrub: the quarantine rename fails
+  kApproxPlan,       // KarpLubyPlanCache: the cached plan is lost
+  kLineageTemplate,  // GroundingTemplates: the stored template is lost
   kNumPoints,
 };
 

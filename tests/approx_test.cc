@@ -1505,5 +1505,85 @@ TEST(SessionRouterTest, SampledRequestsShareOnePlanBuildPerStructure) {
   EXPECT_EQ(uncached.stats().plans.hits, 0u);
 }
 
+TEST(SessionRouterTest, TemplatesAnswerEveryTierAsASessionThatAlwaysGrounds) {
+  // C9 over 3×3 at two support patterns (all 36 tuples uncertain, as on
+  // certified_interval; and S2, S4 certain with S1(0, 0) absent), each at
+  // two weightings of k/7 and k/11. A session that grounds every instance
+  // (lineage.template at rate 1) must give the same bits on every tier.
+  fault::Reset();
+  const Query c9 = ExampleC9();
+  const Vocabulary& v = c9.vocab();
+  std::vector<Tid> tids;
+  for (int pattern = 0; pattern < 2; ++pattern) {
+    for (int k = 0; k < 2; ++k) {
+      Tid tid(c9.vocab_ptr(), 3, 3, Rational::One());
+      int salt = k;
+      for (const char* name : {"S1", "S2", "S3", "S4"}) {
+        const bool certain = pattern == 1 && (name[1] == '2' || name[1] == '4');
+        for (int x = 0; x < 3; ++x) {
+          for (int y = 0; y < 3; ++y, ++salt) {
+            tid.SetBinary(v.Find(name), x, y,
+                          certain         ? Rational::One()
+                          : salt % 2 == 0 ? Rational(1 + salt % 6, 7)
+                                          : Rational(1 + salt % 10, 11));
+          }
+        }
+      }
+      if (pattern == 1) tid.SetBinary(v.Find("S1"), 0, 0, Rational::Zero());
+      tids.push_back(std::move(tid));
+    }
+  }
+  const RoutingMode modes[] = {RoutingMode::kExact, RoutingMode::kInterval,
+                               RoutingMode::kSample};
+  struct Run {
+    std::vector<std::vector<GmcAnswer>> answers;  // per mode
+    GfomcSession::Stats stats;
+  };
+  auto run = [&] {
+    GfomcSession session;
+    GmcOptions options = session.options();
+    options.max_samples = 2048;
+    session.Configure(options);
+    Run out;
+    for (const RoutingMode mode : modes) {
+      GmcOptions request = options;
+      request.routing_mode = mode;
+      request.epsilon = 0.1;
+      request.delta = 0.05;
+      out.answers.emplace_back();
+      for (const GmcStatus& status : session.EvaluateAnswers(
+               c9, tids, request, &out.answers.back())) {
+        EXPECT_TRUE(status.ok()) << status.message;
+      }
+    }
+    out.stats = session.stats();
+    return out;
+  };
+  const Run cached = run();
+  EXPECT_EQ(cached.stats.template_misses, 2u);
+  EXPECT_EQ(cached.stats.template_hits, 3 * tids.size() - 2);
+
+  std::string error;
+  ASSERT_TRUE(fault::Configure("lineage.template=1", &error)) << error;
+  const Run grounding = run();
+  fault::Reset();
+  EXPECT_EQ(grounding.stats.template_hits, 0u);
+  EXPECT_EQ(grounding.stats.template_misses, 3 * tids.size());
+  for (size_t m = 0; m < std::size(modes); ++m) {
+    for (size_t i = 0; i < tids.size(); ++i) {
+      const GmcAnswer& a = cached.answers[m][i];
+      const GmcAnswer& b = grounding.answers[m][i];
+      EXPECT_EQ(a.tier, b.tier);
+      EXPECT_EQ(a.exact, b.exact);
+      EXPECT_TRUE(SameBits(a.interval, b.interval));
+      EXPECT_TRUE(SameBits(a.estimate, b.estimate));
+      EXPECT_TRUE(SameBits(a.epsilon, b.epsilon));
+      EXPECT_EQ(a.samples, b.samples);
+    }
+  }
+  EXPECT_EQ(cached.answers[1][0].tier, AnswerTier::kCertifiedInterval);
+  EXPECT_EQ(cached.answers[2][0].tier, AnswerTier::kSampled);
+}
+
 }  // namespace
 }  // namespace gmc

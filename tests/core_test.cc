@@ -1,7 +1,11 @@
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/dichotomy.h"
 #include "logic/parser.h"
+#include "util/fault.h"
 #include "wmc/brute_force.h"
 
 namespace gmc {
@@ -134,6 +138,77 @@ TEST(DichotomyTest, DemonstrateHardnessRefusesOnlyLengthZeroQueries) {
   Type1ReductionResult result = DemonstrateHardness(h1, phi);
   EXPECT_EQ(result.status, Type1Status::kRecovered);
   EXPECT_EQ(result.model_count, CountSatisfying(phi));
+}
+
+// H1 over 3×3 at three support patterns of S (0, 1 or uncertain per
+// tuple, R and T uncertain), each at three weightings.
+std::vector<Tid> PatternedH1Tids(const Query& h1) {
+  const Vocabulary& v = h1.vocab();
+  std::vector<Tid> tids;
+  for (int pattern = 0; pattern < 3; ++pattern) {
+    for (int k = 0; k < 3; ++k) {
+      Tid tid(h1.vocab_ptr(), 3, 3, Rational::One());
+      for (int u = 0; u < 3; ++u) {
+        tid.SetUnaryLeft(v.Find("R"), u, Rational(1 + (k + u) % 6, 7));
+        tid.SetUnaryRight(v.Find("T"), u, Rational(1 + (k + 2 * u) % 10, 11));
+        for (int w = 0; w < 3; ++w) {
+          const int support = (3 * u + w + pattern) % 3;
+          tid.SetBinary(v.Find("S"), u, w,
+                        support == 0   ? Rational::Zero()
+                        : support == 1 ? Rational::One()
+                                       : Rational(1 + (k + u + w) % 6, 8));
+        }
+      }
+      tids.push_back(std::move(tid));
+    }
+  }
+  return tids;
+}
+
+// Declared last: the test Resets the env fault spec (the faults CI job arms
+// lineage.template, which would skew the template counts), and a Reset
+// must stay reset.
+TEST(GfomcSessionTest, TemplatesAnswerExactlyAsASessionThatAlwaysGrounds) {
+  fault::Reset();
+  const Query h1 =
+      ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
+  const std::vector<Tid> tids = PatternedH1Tids(h1);
+  struct Run {
+    std::vector<GmcAnswer> answers;
+    std::vector<GfomcResult> many;
+    GfomcSession::Stats stats;
+  };
+  auto run = [&] {
+    GfomcSession session;
+    GmcOptions request = session.options();
+    request.routing_mode = RoutingMode::kExact;
+    Run out;
+    for (const GmcStatus& status :
+         session.EvaluateAnswers(h1, tids, request, &out.answers)) {
+      EXPECT_TRUE(status.ok()) << status.message;
+    }
+    out.many = session.EvaluateMany(h1, tids);
+    out.stats = session.stats();
+    return out;
+  };
+  const Run cached = run();
+  // Three patterns: three first sights, then every instance a repeat.
+  EXPECT_EQ(cached.stats.template_misses, 3u);
+  EXPECT_EQ(cached.stats.template_hits, 2 * tids.size() - 3);
+
+  std::string error;
+  ASSERT_TRUE(fault::Configure("lineage.template=1", &error)) << error;
+  const Run grounding = run();
+  fault::Reset();
+  EXPECT_EQ(grounding.stats.template_hits, 0u);
+  EXPECT_EQ(grounding.stats.template_misses, 2 * tids.size());
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(cached.answers[i].tier, AnswerTier::kCompiledExact);
+    EXPECT_EQ(cached.answers[i].exact, grounding.answers[i].exact);
+    EXPECT_EQ(cached.answers[i].exact, BruteForceQueryProbability(h1, tids[i]));
+    EXPECT_EQ(cached.many[i].probability, grounding.many[i].probability);
+    EXPECT_FALSE(cached.many[i].used_lifted);
+  }
 }
 
 }  // namespace
