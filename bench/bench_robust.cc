@@ -20,6 +20,10 @@
 //     every drain one RecordQueueWait, every shed/degrade decision one
 //     level()+retry_after_ms() read (BM_Governor*). All lock-free; the
 //     baselines pin them at nanoseconds alongside the fault points.
+//   - the request parse: every request line is split into words and its
+//     TID tail parsed before admission (BM_ParseRequestLine, on lines of
+//     the e2ebench hot_exact and certified shapes, with the cost per
+//     tuple token as a counter).
 //
 // BM_RobustCrossCheck also pins the cancellation semantics the overhead
 // numbers depend on: a pass completed under an unfired token is
@@ -30,6 +34,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -39,6 +46,7 @@
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "serve/overload.h"
+#include "serve/serve.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/rational.h"
@@ -187,6 +195,100 @@ void BM_GovernorDecision(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GovernorDecision);
+
+// Request lines of the two e2ebench shapes. hot_exact: H1 over 4x4, each
+// of the 24 tuples certain (omitted), absent (S only, "=0") or at a fresh
+// dyadic k/2^j, j in 1..4, on EVAL or EVAL_APPROX exact. certified: C9
+// over 3x3, all 36 tuples at a fresh k/7 or k/11, on EVAL_APPROX interval.
+enum class LineShape { kHotExact, kCertified };
+
+std::vector<std::string> RequestLines(LineShape shape, int count) {
+  std::mt19937_64 rng(7);
+  auto below = [&rng](uint64_t n) { return static_cast<int>(rng() % n); };
+  std::vector<std::string> lines;
+  for (int i = 0; i < count; ++i) {
+    std::string line;
+    if (shape == LineShape::kHotExact) {
+      line = below(2) == 0 ? "EVAL h0-" + std::to_string(i) + " 4 4 1"
+                           : "EVAL_APPROX h0-" + std::to_string(i) +
+                                 " exact 1/10 1/20 4 4 1";
+      auto weight = [&](const std::string& tuple, bool binary) {
+        const int r = below(100);
+        if (binary && r < 10) {
+          line += " " + tuple + "=0";
+        } else if (r >= (binary ? 50 : 45)) {
+          const int den = 2 << below(4);
+          line += " " + tuple + "=" + std::to_string(2 * below(den / 2) + 1) +
+                  "/" + std::to_string(den);
+        }
+      };
+      for (int u = 0; u < 4; ++u) weight("R(" + std::to_string(u) + ")", false);
+      for (int v = 0; v < 4; ++v) weight("T(" + std::to_string(v) + ")", false);
+      for (int u = 0; u < 4; ++u) {
+        for (int v = 0; v < 4; ++v) {
+          weight("S(" + std::to_string(u) + "," + std::to_string(v) + ")",
+                 true);
+        }
+      }
+    } else {
+      line = "EVAL_APPROX i0-" + std::to_string(i) +
+             " interval 1/10 1/20 3 3 1";
+      for (const char* symbol : {"S1", "S2", "S3", "S4"}) {
+        for (int u = 0; u < 3; ++u) {
+          for (int v = 0; v < 3; ++v) {
+            const int den = below(2) == 0 ? 7 : 11;
+            line += std::string(" ") + symbol + "(" + std::to_string(u) +
+                    "," + std::to_string(v) + ")=" +
+                    std::to_string(1 + below(den - 1)) + "/" +
+                    std::to_string(den);
+          }
+        }
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+// The reader's parse of one request line: split into words, then the TID
+// tail from <num_left> on (after <id>, or after <id> <mode> <eps> <delta>
+// on EVAL_APPROX). Fails the run if any line does not parse.
+void BM_ParseRequestLine(benchmark::State& state, LineShape shape) {
+  const gmc::Query query = gmc::ParseQueryOrDie(
+      shape == LineShape::kHotExact
+          ? "Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))"
+          : "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | S3(x,y)) & "
+            "Ay (Ax (S3(x,y)) | Ax (S4(x,y)))");
+  const std::vector<std::string> lines = RequestLines(shape, 256);
+  size_t line = 0;
+  double tuple_tokens = 0;
+  std::string detail;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const std::vector<std::string_view> words =
+        gmc::serve::internal::SplitWords(lines[line]);
+    const size_t first = words[0] == "EVAL_APPROX" ? 5 : 2;
+    const std::optional<gmc::Tid> tid = gmc::serve::internal::ParseTidTail(
+        query, words, first, /*max_domain=*/256, &detail);
+    if (!tid.has_value() ||
+        tid->explicit_tuples().size() != words.size() - first - 3) {
+      state.SkipWithError(("request line did not parse: " + detail).c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(tid);
+    tuple_tokens += static_cast<double>(words.size() - first - 3);
+    line = (line + 1) % lines.size();
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  state.counters["ns_per_tuple_token"] =
+      tuple_tokens > 0 ? elapsed_ns / tuple_tokens : 0.0;
+  state.counters["tuple_tokens_per_line"] =
+      tuple_tokens / static_cast<double>(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_ParseRequestLine, hot_exact, LineShape::kHotExact);
+BENCHMARK_CAPTURE(BM_ParseRequestLine, certified, LineShape::kCertified);
 
 // Correctness + overhead guard, registered as a benchmark so a violation
 // fails the bench run loudly:

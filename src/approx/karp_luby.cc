@@ -141,9 +141,8 @@ std::shared_ptr<const KarpLubyPlan> BuildKarpLubyPlan(
   for (size_t i = 0; i < m; ++i) {
     Rational weight = Rational::One();
     for (int v : cnf.clauses[i]) {
-      GMC_CHECK_MSG(
-          probabilities[v].sign() >= 0 && probabilities[v] <= Rational::One(),
-          "BuildKarpLubyPlan needs probabilities in [0, 1]");
+      GMC_CHECK_MSG(probabilities[v].IsProbability(),
+                    "BuildKarpLubyPlan needs probabilities in [0, 1]");
       weight *= Rational::One() - probabilities[v];
       if (weight.IsZero()) break;
     }

@@ -148,7 +148,7 @@ void BracketWeight(const Rational& p, ProbInterval* bracket,
     }
     return;
   }
-  GMC_CHECK_MSG(p.sign() >= 0 && p <= Rational::One(), kNeedsProbabilities);
+  GMC_CHECK_MSG(p.IsProbability(), kNeedsProbabilities);
   *bracket = walk_internal::BracketBig(p);
   if (complement != nullptr) {
     *complement = walk_internal::BracketBig(Rational::One() - p);

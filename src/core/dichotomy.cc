@@ -60,21 +60,13 @@ double GmcAnswer::PointEstimate() const {
   }
 }
 
-namespace {
-
-bool IsProbability(const Rational& p) {
-  return p.sign() >= 0 && p <= Rational::One();
-}
-
-}  // namespace
-
 GmcStatus ValidateTid(const Tid& tid) {
-  if (!IsProbability(tid.default_probability())) {
+  if (!tid.default_probability().IsProbability()) {
     return GmcStatus::Error(GmcStatusCode::kInvalidWeight,
                             "default probability outside [0, 1]");
   }
   for (const auto& [key, probability] : tid.explicit_tuples()) {
-    if (!IsProbability(probability)) {
+    if (!probability.IsProbability()) {
       return GmcStatus::Error(
           GmcStatusCode::kInvalidWeight,
           "tuple probability outside [0, 1] (symbol " +

@@ -14,8 +14,7 @@ Tid::Tid(std::shared_ptr<const Vocabulary> vocab, int num_left, int num_right,
       default_probability_(std::move(default_probability)) {
   GMC_CHECK(vocab_ != nullptr);
   GMC_CHECK(num_left_ >= 0 && num_right_ >= 0);
-  GMC_CHECK(default_probability_ >= Rational::Zero() &&
-            default_probability_ <= Rational::One());
+  GMC_CHECK(default_probability_.IsProbability());
 }
 
 void Tid::CheckKey(const TupleKey& key) const {
@@ -36,9 +35,7 @@ void Tid::CheckKey(const TupleKey& key) const {
 
 void Tid::Set(const TupleKey& key, const Rational& probability) {
   CheckKey(key);
-  GMC_CHECK_MSG(probability >= Rational::Zero() &&
-                    probability <= Rational::One(),
-                "probability out of [0, 1]");
+  GMC_CHECK_MSG(probability.IsProbability(), "probability out of [0, 1]");
   tuples_[key] = probability;
 }
 

@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstring>
 #include <iomanip>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -27,51 +28,154 @@ namespace {
 // one line (one request) comfortably fits well below this.
 constexpr size_t kMaxLineBytes = 1 << 20;
 
-bool AllDigits(const std::string& s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
+// The C-locale whitespace set: space, \t, \n, \v, \f and \r.
+bool IsWireSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-std::vector<std::string> SplitWords(const std::string& line) {
-  std::vector<std::string> words;
-  std::istringstream in(line);
-  std::string word;
-  while (in >> word) words.push_back(std::move(word));
-  return words;
+// A run of 1 to max_digits ASCII digits, nothing else. With max_digits
+// <= 19 the value fits in 64 bits, so there is no overflow path.
+bool ParseDigits(std::string_view text, size_t max_digits, uint64_t* out) {
+  if (text.empty() || text.size() > max_digits) return false;
+  uint64_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    value = value * 10 + static_cast<uint64_t>(c - '0');
+  }
+  *out = value;
+  return true;
 }
 
 }  // namespace
 
 namespace internal {
 
-bool ParseProbability(const std::string& token, Rational* out) {
-  const size_t slash = token.find('/');
-  std::string num = token.substr(0, slash);
-  std::string den =
-      slash == std::string::npos ? "1" : token.substr(slash + 1);
-  // Digit-only and length-capped: FromString is safe to call afterwards
-  // (it aborts on malformed input, which must never be reachable from the
-  // socket), and 18 digits keep the magnitudes tame.
-  if (!AllDigits(num) || !AllDigits(den) || num.size() > 18 ||
-      den.size() > 18) {
-    return false;
+std::vector<std::string_view> SplitWords(std::string_view line) {
+  std::vector<std::string_view> words;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && IsWireSpace(line[i])) ++i;
+    const size_t begin = i;
+    while (i < line.size() && !IsWireSpace(line[i])) ++i;
+    if (i > begin) words.push_back(line.substr(begin, i - begin));
   }
-  // The zero-denominator check must come BEFORE the division: Rational's
-  // operator/ aborts on a zero divisor, and these bytes are untrusted.
-  Rational denominator = Rational::FromString(den);
-  if (denominator.IsZero()) return false;
-  Rational value = Rational::FromString(num) / denominator;
-  if (value > Rational::One()) return false;
-  return (*out = std::move(value), true);
+  return words;
 }
 
-bool ParseSmallInt(const std::string& token, int* out) {
-  if (!AllDigits(token) || token.size() > 9) return false;
-  *out = std::stoi(token);
+bool ParseProbability(std::string_view token, Rational* out) {
+  const size_t slash = token.find('/');
+  uint64_t num = 0;
+  uint64_t den = 1;
+  if (!ParseDigits(token.substr(0, slash), 18, &num) ||
+      (slash != std::string_view::npos &&
+       !ParseDigits(token.substr(slash + 1), 18, &den)) ||
+      den == 0 || num > den) {
+    return false;
+  }
+  if (num == 0) return (*out = Rational::Zero(), true);
+  const uint64_t g = std::gcd(num, den);
+  *out = Rational::FromReducedParts(BigInt(static_cast<int64_t>(num / g)),
+                                    BigInt(static_cast<int64_t>(den / g)));
   return true;
+}
+
+bool ParseSmallInt(std::string_view token, int* out) {
+  uint64_t value = 0;
+  if (!ParseDigits(token, 9, &value)) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
+std::optional<Tid> ParseTidTail(const Query& query,
+                                const std::vector<std::string_view>& words,
+                                size_t first, int max_domain,
+                                std::string* detail) {
+  if (words.size() < first + 3) {
+    return (*detail = "want: <num_left> <num_right> <default_p> ...",
+            std::nullopt);
+  }
+  int num_left = 0;
+  int num_right = 0;
+  if (!ParseSmallInt(words[first], &num_left) ||
+      !ParseSmallInt(words[first + 1], &num_right) ||
+      num_left > max_domain || num_right > max_domain) {
+    return (*detail = "domain sides must be integers in [0, " +
+                      std::to_string(max_domain) + "]",
+            std::nullopt);
+  }
+  Rational default_p = Rational::One();
+  if (!ParseProbability(words[first + 2], &default_p)) {
+    return (*detail = "default probability must be a rational in [0, 1]",
+            std::nullopt);
+  }
+
+  Tid tid(query.vocab_ptr(), num_left, num_right, std::move(default_p));
+  for (size_t w = first + 3; w < words.size(); ++w) {
+    // Tuple assignment: Name(u)=p or Name(u,v)=p.
+    const std::string_view token = words[w];
+    const size_t lparen = token.find('(');
+    const size_t rparen = token.find(')', lparen == std::string_view::npos
+                                              ? std::string_view::npos
+                                              : lparen + 1);
+    if (lparen == std::string_view::npos ||
+        rparen == std::string_view::npos || rparen + 1 >= token.size() ||
+        token[rparen + 1] != '=') {
+      return (*detail = "bad tuple assignment '" + std::string(token) + "'",
+              std::nullopt);
+    }
+    const std::string_view args = token.substr(lparen + 1, rparen - lparen - 1);
+    Rational p = Rational::Zero();
+    if (!ParseProbability(token.substr(rparen + 2), &p)) {
+      return (*detail = "bad probability in '" + std::string(token) + "'",
+              std::nullopt);
+    }
+    const std::string name(token.substr(0, lparen));
+    const SymbolId symbol = query.vocab().Find(name);
+    if (symbol < 0) {
+      return (*detail = "unknown symbol '" + name + "'", std::nullopt);
+    }
+    const size_t comma = args.find(',');
+    int u = 0;
+    int v = 0;
+    const bool unary = comma == std::string_view::npos;
+    if (unary ? !ParseSmallInt(args, &u)
+              : (!ParseSmallInt(args.substr(0, comma), &u) ||
+                 !ParseSmallInt(args.substr(comma + 1), &v))) {
+      return (*detail = "bad constants in '" + std::string(token) + "'",
+              std::nullopt);
+    }
+    // Range-check BEFORE touching the Tid: its setters abort on bad keys,
+    // and untrusted bytes must never reach an abort.
+    switch (query.vocab().kind(symbol)) {
+      case SymbolKind::kUnaryLeft:
+        if (!unary || u >= num_left) {
+          return (*detail = "'" + std::string(token) +
+                            "': want one left constant < " +
+                            std::to_string(num_left),
+                  std::nullopt);
+        }
+        tid.SetUnaryLeft(symbol, u, p);
+        break;
+      case SymbolKind::kUnaryRight:
+        if (!unary || u >= num_right) {
+          return (*detail = "'" + std::string(token) +
+                            "': want one right constant < " +
+                            std::to_string(num_right),
+                  std::nullopt);
+        }
+        tid.SetUnaryRight(symbol, u, p);
+        break;
+      case SymbolKind::kBinary:
+        if (unary || u >= num_left || v >= num_right) {
+          return (*detail = "'" + std::string(token) +
+                            "': want constants < " +
+                            std::to_string(num_left) + "," +
+                            std::to_string(num_right),
+                  std::nullopt);
+        }
+        tid.SetBinary(symbol, u, v, p);
+        break;
+    }
+  }
+  return tid;
 }
 
 }  // namespace internal
@@ -288,6 +392,9 @@ void GmcServer::AcceptLoop() {
 
 void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   std::string buffer;
+  // Bytes of `buffer` already searched for '\n': each received byte is
+  // scanned once, however many recvs a long line takes to arrive.
+  size_t scanned = 0;
   char chunk[4096];
   bool close_connection = false;
   // A rejected input stream (over-long line, NUL byte) gets ONE typed
@@ -323,19 +430,29 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       break;
     }
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
+    // Each complete line is handled as a view into `buffer`; the consumed
+    // prefix is erased once, after the last view is gone. A CRLF line's
+    // '\r' needs no strip: the tokenizer treats it as whitespace.
+    size_t line_start = 0;
+    while (!close_connection) {
+      const size_t pos = buffer.find('\n', scanned);
+      if (pos == std::string::npos) {
+        scanned = buffer.size();
+        break;
+      }
+      scanned = pos + 1;
+      const std::string_view line(buffer.data() + line_start,
+                                  pos - line_start);
+      line_start = pos + 1;
       if (line.size() > kMaxLineBytes) {
         reject_input("line exceeds " + std::to_string(kMaxLineBytes) +
                      " bytes");
         break;
       }
-      if (!line.empty() && line.back() == '\r') line.pop_back();
       HandleLine(conn, line, &close_connection);
-      if (close_connection) break;
     }
+    buffer.erase(0, line_start);
+    scanned -= line_start;
     // An unterminated partial line past the cap is hostile too — reject
     // it now instead of buffering toward an unbounded allocation.
     if (!close_connection && buffer.size() > kMaxLineBytes) {
@@ -398,8 +515,8 @@ void GmcServer::SendLine(const std::shared_ptr<Connection>& conn,
 }
 
 void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
-                           const std::string& line, bool* close_connection) {
-  const std::vector<std::string> words = SplitWords(line);
+                           std::string_view line, bool* close_connection) {
+  const std::vector<std::string_view> words = internal::SplitWords(line);
   if (words.empty()) return;
 
   auto reply = [&](const std::string& text) { SendLine(conn, text); };
@@ -421,11 +538,11 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
   const bool approx = words[0] == "EVAL_APPROX";
   if (words[0] != "EVAL" && !approx) {
     ++stats_.parse_errors;
-    reply("ERR - PARSE unknown command '" + words[0] + "'");
+    reply("ERR - PARSE unknown command '" + std::string(words[0]) + "'");
     return;
   }
 
-  const std::string id = words.size() > 1 ? words[1] : "-";
+  const std::string id(words.size() > 1 ? words[1] : "-");
   auto parse_error = [&](const std::string& detail) {
     ++stats_.parse_errors;
     reply("ERR " + id + " PARSE " + detail);
@@ -434,7 +551,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
   PendingEval eval{id, Tid(query_.vocab_ptr(), 0, 0), conn};
   size_t first = 2;  // index of <num_left> in `words`
   // Optional end-to-end deadline, directly after <id> on both verbs.
-  if (words.size() > first && words[first].rfind("deadline=", 0) == 0) {
+  if (words.size() > first && words[first].starts_with("deadline=")) {
     int deadline_ms = 0;
     if (!internal::ParseSmallInt(words[first].substr(9), &deadline_ms)) {
       parse_error("deadline must be a non-negative integer (milliseconds)");
@@ -451,7 +568,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
           "<num_left> <num_right> <default_p> ...");
       return;
     }
-    if (!ParseRoutingMode(words[first].c_str(), &eval.mode)) {
+    if (!ParseRoutingMode(std::string(words[first]).c_str(), &eval.mode)) {
       parse_error("mode must be auto, exact, interval, or sample");
       return;
     }
@@ -461,8 +578,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     Rational delta = Rational::Zero();
     if (!internal::ParseProbability(words[first + 1], &eps) ||
         !internal::ParseProbability(words[first + 2], &delta) ||
-        eps.IsZero() || delta.IsZero() || eps == Rational::One() ||
-        delta == Rational::One()) {
+        eps.IsZero() || delta.IsZero() || eps.IsOne() || delta.IsOne()) {
       parse_error("eps and delta must be rationals strictly in (0, 1)");
       return;
     }
@@ -477,7 +593,8 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
   }
 
   std::string detail;
-  std::optional<Tid> tid = ParseTidSpec(words, first, &detail);
+  std::optional<Tid> tid = internal::ParseTidTail(query_, words, first,
+                                                  options_.max_domain, &detail);
   if (!tid.has_value()) {
     parse_error(detail);
     return;
@@ -526,93 +643,6 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     governor_.RecordQueueDepth(pending_.size());
   }
   queue_cv_.notify_one();
-}
-
-std::optional<Tid> GmcServer::ParseTidSpec(
-    const std::vector<std::string>& words, size_t first,
-    std::string* detail) {
-  if (words.size() < first + 3) {
-    return (*detail = "want: <num_left> <num_right> <default_p> ...",
-            std::nullopt);
-  }
-  int num_left = 0;
-  int num_right = 0;
-  if (!internal::ParseSmallInt(words[first], &num_left) ||
-      !internal::ParseSmallInt(words[first + 1], &num_right) ||
-      num_left > options_.max_domain || num_right > options_.max_domain) {
-    return (*detail = "domain sides must be integers in [0, " +
-                      std::to_string(options_.max_domain) + "]",
-            std::nullopt);
-  }
-  Rational default_p = Rational::One();
-  if (!internal::ParseProbability(words[first + 2], &default_p)) {
-    return (*detail = "default probability must be a rational in [0, 1]",
-            std::nullopt);
-  }
-
-  Tid tid(query_.vocab_ptr(), num_left, num_right, default_p);
-  for (size_t w = first + 3; w < words.size(); ++w) {
-    // Tuple assignment: Name(u)=p or Name(u,v)=p.
-    const std::string& token = words[w];
-    const size_t lparen = token.find('(');
-    const size_t rparen = token.find(')', lparen == std::string::npos
-                                              ? std::string::npos
-                                              : lparen + 1);
-    if (lparen == std::string::npos || rparen == std::string::npos ||
-        rparen + 1 >= token.size() || token[rparen + 1] != '=') {
-      return (*detail = "bad tuple assignment '" + token + "'",
-              std::nullopt);
-    }
-    const std::string name = token.substr(0, lparen);
-    const std::string args = token.substr(lparen + 1, rparen - lparen - 1);
-    Rational p = Rational::Zero();
-    if (!internal::ParseProbability(token.substr(rparen + 2), &p)) {
-      return (*detail = "bad probability in '" + token + "'", std::nullopt);
-    }
-    const SymbolId symbol = query_.vocab().Find(name);
-    if (symbol < 0) {
-      return (*detail = "unknown symbol '" + name + "'", std::nullopt);
-    }
-    const size_t comma = args.find(',');
-    int u = 0;
-    int v = 0;
-    const bool unary = comma == std::string::npos;
-    if (unary ? !internal::ParseSmallInt(args, &u)
-              : (!internal::ParseSmallInt(args.substr(0, comma), &u) ||
-                 !internal::ParseSmallInt(args.substr(comma + 1), &v))) {
-      return (*detail = "bad constants in '" + token + "'", std::nullopt);
-    }
-    // Range-check BEFORE touching the Tid: its setters abort on bad keys,
-    // and untrusted bytes must never reach an abort.
-    switch (query_.vocab().kind(symbol)) {
-      case SymbolKind::kUnaryLeft:
-        if (!unary || u >= num_left) {
-          return (*detail = "'" + token + "': want one left constant < " +
-                            std::to_string(num_left),
-                  std::nullopt);
-        }
-        tid.SetUnaryLeft(symbol, u, p);
-        break;
-      case SymbolKind::kUnaryRight:
-        if (!unary || u >= num_right) {
-          return (*detail = "'" + token + "': want one right constant < " +
-                            std::to_string(num_right),
-                  std::nullopt);
-        }
-        tid.SetUnaryRight(symbol, u, p);
-        break;
-      case SymbolKind::kBinary:
-        if (unary || u >= num_left || v >= num_right) {
-          return (*detail = "'" + token + "': want constants < " +
-                            std::to_string(num_left) + "," +
-                            std::to_string(num_right),
-                  std::nullopt);
-        }
-        tid.SetBinary(symbol, u, v, p);
-        break;
-    }
-  }
-  return tid;
 }
 
 void GmcServer::BatchLoop() {

@@ -45,7 +45,9 @@
 //         domain, unassigned tuples at <default_p>; tuples are
 //         R(u), T(v), or S(u,v) with symbol names from the server's
 //         query, probabilities are non-negative rationals "a/b" or "a"
-//         in [0, 1]. <id> is an opaque token echoed in the response.
+//         in [0, 1], each part at most 18 decimal digits. Tokens are
+//         separated by ASCII whitespace. <id> is an opaque token echoed
+//         in the response.
 //         The optional deadline token bounds the request end to end; a
 //         request that cannot finish in time answers ERR TIMEOUT instead
 //         of stalling the connection (a deadline'd request is never
@@ -123,6 +125,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -304,13 +307,9 @@ class GmcServer {
   // Joins reader threads whose connection is done and drops their entries
   // (threads_mu_ must NOT be held). Called between accepts and in Stop.
   void ReapFinishedReaders();
+  // `line` is a view into the reader's buffer, valid for this call only.
   void HandleLine(const std::shared_ptr<Connection>& conn,
-                  const std::string& line, bool* close_connection);
-  // The shared TID tail parser of EVAL and EVAL_APPROX:
-  // words[first..] = <num_left> <num_right> <default_p> [<tuple>=<p> ...].
-  // nullopt with *detail set on malformed input (nothing is evaluated).
-  std::optional<Tid> ParseTidSpec(const std::vector<std::string>& words,
-                                  size_t first, std::string* detail);
+                  std::string_view line, bool* close_connection);
   void RunBatch(std::vector<PendingEval> batch);
   // The one reply writer: whole-line send under the connection's write
   // mutex, bounded by options_.write_timeout_ms, instrumented with the
@@ -347,15 +346,29 @@ class GmcServer {
 };
 
 namespace internal {
-/// Non-aborting "a" / "a/b" probability parser (socket input is
-/// untrusted; Rational::FromString aborts). Accepts only canonical
-/// non-negative rationals with value in [0, 1].
-bool ParseProbability(const std::string& token, Rational* out);
+/// The request line's words: views into `line`, split on the C-locale
+/// whitespace set (space, \t, \n, \v, \f, \r). Bytes >= 0x80 are word
+/// bytes.
+std::vector<std::string_view> SplitWords(std::string_view line);
+/// The wire's probability token, "a" or "a/b": each part 1 to 18 ASCII
+/// digits, b nonzero, a <= b. Both parts are parsed in 64-bit integers
+/// (10^18 < 2^63, so there is no overflow path) and reduced by their gcd,
+/// so the result is the canonical Rational of the value ("4/8" gives 1/2).
+/// False, with *out untouched, on anything else.
+bool ParseProbability(std::string_view token, Rational* out);
 /// Digit-only small non-negative integer ("0".."999999999"): no sign, no
 /// whitespace, no suffix, at most nine digits, so no overflow path exists.
 /// Parses the wire's domain sizes, constant ids and deadlines, and
 /// gmc_serve's numeric flags.
-bool ParseSmallInt(const std::string& token, int* out);
+bool ParseSmallInt(std::string_view token, int* out);
+/// The shared TID tail of EVAL and EVAL_APPROX:
+/// words[first..] = <num_left> <num_right> <default_p> [<tuple>=<p> ...],
+/// with symbol names from `query` and domain sides at most max_domain.
+/// nullopt with *detail set on malformed input (nothing is evaluated).
+std::optional<Tid> ParseTidTail(const Query& query,
+                                const std::vector<std::string_view>& words,
+                                size_t first, int max_domain,
+                                std::string* detail);
 }  // namespace internal
 
 }  // namespace serve

@@ -46,6 +46,12 @@ class Rational {
   bool IsOne() const { return numerator_.IsOne() && denominator_.IsOne(); }
   bool IsInteger() const { return denominator_.IsOne(); }
   int sign() const { return numerator_.sign(); }
+  // Whether the value lies in [0, 1]: the library's one definition of a
+  // valid probability. Exact without a multiplication, since the
+  // denominator is positive: num/den <= 1 iff num <= den.
+  bool IsProbability() const {
+    return numerator_.sign() >= 0 && numerator_ <= denominator_;
+  }
 
   Rational operator-() const;
   Rational operator+(const Rational& other) const;

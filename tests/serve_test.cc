@@ -8,7 +8,9 @@
 // lines yield ERR and leave the connection serviceable (the parser
 // fronts aborting APIs, so "no crash" is a real property); (e) store
 // warm-starts — a restarted server re-serves from disk without
-// recompiling.
+// recompiling; (f) the wire parse — a golden script pins every reply
+// byte, and the tokenizer and number parsers are held to the
+// istringstream / Rational::FromString parser they replaced.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -21,8 +23,10 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -77,11 +81,13 @@ class LineClient {
     return ReadLine() == "HELLO gmc_serve 1";
   }
 
-  bool SendLine(const std::string& line) {
-    const std::string out = line + "\n";
+  bool SendLine(const std::string& line) { return SendRaw(line + "\n"); }
+
+  // Exactly these bytes, with no terminator added.
+  bool SendRaw(const std::string& bytes) {
     size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n = ::send(fd_, out.data() + off, out.size() - off,
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
                                MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return false;
@@ -306,6 +312,43 @@ TEST_F(ServeTest, MalformedInputYieldsErrNotACrash) {
   const GmcServer::Stats stats = server.stats();
   EXPECT_EQ(stats.parse_errors, hostile.size());
   EXPECT_EQ(stats.requests, 1u);
+}
+
+// The reader frames lines across recv boundaries: a request that arrives
+// one byte per send, or with its "\r\n" split over two sends, or glued to
+// the start of the next one, answers byte-identically to one whole send.
+TEST_F(ServeTest, RequestsSplitAcrossSendsAnswerLikeWholeOnes) {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("split");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.socket_path()));
+  const std::string request =
+      "EVAL_APPROX r1 interval 1/10 1/20 2 2 1/3 R(0)=1/7 S(1,1)=2/5";
+  const std::string whole = client.Roundtrip(request);
+  ASSERT_EQ(whole.rfind("OK r1 INTERVAL ", 0), 0u) << whole;
+
+  for (const char c : request + "\n") {
+    ASSERT_TRUE(client.SendRaw(std::string(1, c)));
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(client.ReadLine(), whole);
+
+  ASSERT_TRUE(client.SendRaw(request + "\r"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(client.SendRaw("\n"));
+  EXPECT_EQ(client.ReadLine(), whole);
+
+  // Two whole lines and the head of a third in one send, its tail later.
+  const size_t half = request.size() / 2;
+  ASSERT_TRUE(client.SendRaw(request + "\r\n" + request + "\n" +
+                             request.substr(0, half)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(client.SendRaw(request.substr(half) + "\r\n"));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(client.ReadLine(), whole) << i;
 }
 
 TEST_F(ServeTest, StatsLineReportsServerAndSessionCounters) {
@@ -867,6 +910,334 @@ TEST(ServeInternalTest, ParseSmallIntRejectsSignsSuffixesAndOverflow) {
     EXPECT_FALSE(internal::ParseSmallInt(bad, &out)) << bad;
   }
   EXPECT_EQ(out, 7);  // untouched on failure
+}
+
+// The server's parser before tokens became views and weights 64-bit
+// integers, kept verbatim as the reference the differential tests below
+// hold the current one to.
+namespace reference {
+
+bool AllDigits(const std::string& s) {
+  if (s.empty()) return false;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+  }
+  return true;
+}
+
+std::vector<std::string> SplitWords(const std::string& line) {
+  std::vector<std::string> words;
+  std::istringstream in(line);
+  std::string word;
+  while (in >> word) words.push_back(std::move(word));
+  return words;
+}
+
+bool ParseProbability(const std::string& token, Rational* out) {
+  const size_t slash = token.find('/');
+  std::string num = token.substr(0, slash);
+  std::string den =
+      slash == std::string::npos ? "1" : token.substr(slash + 1);
+  if (!AllDigits(num) || !AllDigits(den) || num.size() > 18 ||
+      den.size() > 18) {
+    return false;
+  }
+  Rational denominator = Rational::FromString(den);
+  if (denominator.IsZero()) return false;
+  Rational value = Rational::FromString(num) / denominator;
+  if (value > Rational::One()) return false;
+  return (*out = std::move(value), true);
+}
+
+bool ParseSmallInt(const std::string& token, int* out) {
+  if (!AllDigits(token) || token.size() > 9) return false;
+  *out = std::stoi(token);
+  return true;
+}
+
+}  // namespace reference
+
+// A random digit run of 0 to max_len digits, often with leading zeros.
+std::string RandomDigits(std::mt19937_64& rng, size_t max_len) {
+  const size_t len = rng() % (max_len + 1);
+  const size_t zeros = rng() % 4 == 0 ? rng() % (len + 1) : 0;
+  std::string out(zeros, '0');
+  while (out.size() < len) out += static_cast<char>('0' + rng() % 10);
+  return out;
+}
+
+// Digit runs around the 18-digit cap, alone or as "a/b", with junk bytes
+// spliced in at random: signs, dots, exponents, hex, spaces, slashes, NUL
+// and bytes >= 0x80.
+std::string RandomProbabilityToken(std::mt19937_64& rng) {
+  static const char kJunk[] = {'/', '-', '+', '.', 'e', 'x', ' ', '\t',
+                               '\0', '\x80', '\xff', 'a'};
+  std::string token;
+  switch (rng() % 6) {
+    case 0:
+      return rng() % 2 == 0 ? "0/0" : "0";
+    case 1: {  // 18-digit / 18-digit, either order of magnitude
+      std::string a(18, '0');
+      std::string b(18, '0');
+      for (char& c : a) c = static_cast<char>('0' + rng() % 10);
+      for (char& c : b) c = static_cast<char>('0' + rng() % 10);
+      if (rng() % 2 == 0) a[0] = '0';
+      return a + "/" + b;
+    }
+    case 2:
+      token = RandomDigits(rng, 20);
+      break;
+    default:
+      token = RandomDigits(rng, 20) + "/" + RandomDigits(rng, 20);
+      break;
+  }
+  if (rng() % 4 == 0) {
+    const size_t at = rng() % (token.size() + 1);
+    token.insert(at, 1, kJunk[rng() % sizeof(kJunk)]);
+  }
+  return token;
+}
+
+TEST(ServeInternalTest, ParseProbabilityMatchesTheFromStringParser) {
+  std::mt19937_64 rng(20260);
+  size_t accepted = 0;
+  constexpr size_t kTokens = 1000000;
+  for (size_t i = 0; i < kTokens; ++i) {
+    const std::string token = RandomProbabilityToken(rng);
+    Rational want = Rational(7, 9);
+    Rational got = Rational(7, 9);
+    const bool want_ok = reference::ParseProbability(token, &want);
+    const bool got_ok = internal::ParseProbability(token, &got);
+    ASSERT_EQ(got_ok, want_ok) << "'" << token << "'";
+    ASSERT_EQ(got, want) << "'" << token << "'";
+    ASSERT_EQ(got.Hash(), want.Hash()) << "'" << token << "'";
+    accepted += got_ok ? 1 : 0;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GT(accepted, kTokens / 5);
+  EXPECT_LT(accepted, kTokens * 4 / 5);
+}
+
+TEST(ServeInternalTest, ParseSmallIntMatchesTheStoiParser) {
+  std::mt19937_64 rng(20261);
+  for (int i = 0; i < 200000; ++i) {
+    std::string token = RandomDigits(rng, 11);
+    if (rng() % 5 == 0) {
+      token.insert(rng() % (token.size() + 1), 1, "-+ x\x80"[rng() % 5]);
+    }
+    int want = -7;
+    int got = -7;
+    const bool want_ok = reference::ParseSmallInt(token, &want);
+    ASSERT_EQ(internal::ParseSmallInt(token, &got), want_ok) << token;
+    ASSERT_EQ(got, want) << token;
+  }
+}
+
+TEST(ServeInternalTest, SplitWordsMatchesIstringstream) {
+  static const char kSpace[] = {' ', '\t', '\n', '\v', '\f', '\r'};
+  std::mt19937_64 rng(20262);
+  for (int i = 0; i < 20000; ++i) {
+    std::string line;
+    const int words = static_cast<int>(rng() % 8);
+    for (int w = 0; w <= words; ++w) {
+      const size_t gap = rng() % 4;  // leading and trailing runs too
+      for (size_t g = 0; g < gap; ++g) line += kSpace[rng() % 6];
+      if (w == words) break;
+      const size_t len = 1 + rng() % 6;
+      for (size_t c = 0; c < len; ++c) {
+        char byte = static_cast<char>(rng() % 256);
+        while (std::memchr(kSpace, byte, sizeof(kSpace)) != nullptr) {
+          byte = static_cast<char>(rng() % 256);
+        }
+        line += byte;
+      }
+    }
+    const std::vector<std::string> want = reference::SplitWords(line);
+    const std::vector<std::string_view> got = internal::SplitWords(line);
+    ASSERT_EQ(std::vector<std::string>(got.begin(), got.end()), want)
+        << "line " << i;
+  }
+}
+
+// A random BigInt of up to four 62-bit chunks: one or several limbs.
+BigInt RandomMagnitude(std::mt19937_64& rng) {
+  BigInt out(static_cast<int64_t>(rng() >> 2));
+  for (uint64_t chunks = rng() % 4; chunks > 0; --chunks) {
+    out = out.ShiftLeft(62) + BigInt(static_cast<int64_t>(rng() >> 2));
+  }
+  return out;
+}
+
+TEST(RationalIsProbabilityTest, MatchesTheCrossMultipliedCheck) {
+  std::mt19937_64 rng(20263);
+  const BigInt one(1);
+  for (int i = 0; i < 50000; ++i) {
+    BigInt den = RandomMagnitude(rng) + one;
+    BigInt num;
+    switch (rng() % 6) {
+      case 0: num = BigInt(0); break;
+      case 1: num = den; break;                  // exactly one
+      case 2: num = den - one; break;            // just below one
+      case 3: num = den + one; break;            // just above one
+      default: num = RandomMagnitude(rng); break;
+    }
+    if (rng() % 4 == 0) num = -num;
+    const Rational r(num, den);
+    EXPECT_EQ(r.IsProbability(), r.sign() >= 0 && r <= Rational::One())
+        << r.ToString();
+  }
+  EXPECT_TRUE(Rational::Zero().IsProbability());
+  EXPECT_TRUE(Rational::One().IsProbability());
+  EXPECT_FALSE(Rational(-1, 2).IsProbability());
+  EXPECT_FALSE(Rational(3, 2).IsProbability());
+}
+
+// Every reply byte of a fixed script, recorded from the server whose
+// parser split lines with istringstream and built each weight with
+// Rational::FromString: exact, interval and sampled answers, weights at
+// the 18-digit cap and in non-canonical form, every whitespace byte as a
+// separator, and every PARSE detail shape. A change to any byte of a reply
+// or an error detail fails here.
+struct GoldenExchange {
+  std::string request;
+  std::string reply;
+};
+
+void ExpectGoldenReplies(const char* query_text, const std::string& name,
+                         const std::vector<GoldenExchange>& script) {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath(name);
+  GmcServer server(ParseQueryOrDie(query_text), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  LineClient client;
+  ASSERT_TRUE(client.Connect(server.socket_path()));
+  for (const GoldenExchange& exchange : script) {
+    EXPECT_EQ(client.Roundtrip(exchange.request), exchange.reply)
+        << exchange.request;
+  }
+}
+
+TEST(ServeGoldenTest, H1RepliesAreByteIdentical) {
+  ExpectGoldenReplies(
+      "Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))", "golden_h1",
+      {
+          {"EVAL g1 2 2 1/2", "OK g1 47/256 lifted=0"},
+          {"EVAL g2 2 2 0", "OK g2 0 lifted=0"},
+          {"EVAL g3 2 2 1", "OK g3 1 lifted=0"},
+          {"EVAL\tg4 2  2\t\t1/2   R(0)=4/8 S(0,1)=1/3   T(1)=2/7",
+           "OK g4 53/448 lifted=0"},
+          {" \tEVAL\vg5\f3 2 1/2 R(2)=0/5 S(2,1)=1/1\r",
+           "OK g5 47/512 lifted=0"},
+          {"EVAL g6 2 2 1/2 R(0)=123456789012345678/999999999999999999 "
+           "S(1,1)=000000000000000001/000000000000000003 T(0)=00",
+           "OK g6 120256058445358939/1777777777777777776 lifted=0"},
+          {"EVAL g7 deadline=600000 2 2 1", "OK g7 1 lifted=0"},
+          {"EVAL_APPROX g8 exact 1/10 1/20 2 2 1/2 S(0,0)=3/8",
+           "OK g8 EXACT 167/1024 tier=compiled"},
+          {"EVAL_APPROX g9 exact 1/10 1/20 2 2 0 R(1)=1",
+           "OK g9 EXACT 0 tier=compiled"},
+          {"EVAL_APPROX g10 interval 1/10 1/20 2 2 1/3 R(1)=1/7 "
+           "S(1,0)=999999999999999998/999999999999999999",
+           "OK g10 INTERVAL 0.067215363511659659 0.067215363511659965 "
+           "tier=interval"},
+          {"EVAL_APPROX g11 interval 1/10 1/20 3 3 1/2 R(0)=1 T(2)=5/11",
+           "OK g11 INTERVAL 0.057373046874999882 0.057373046875000132 "
+           "tier=interval"},
+          {"EVAL_APPROX g12 sample 1/2 1/2 2 2 1/2 T(0)=1/11",
+           "OK g12 ESTIMATE 0.065128900949796467 eps=0.5 delta=0.5 "
+           "samples=134 tier=sampled"},
+          {"EVAL_APPROX  g13  sample  1/4\t1/3 3 3 1/2 S(0,0)=0 S(1,1)=1 "
+           "R(2)=1/3",
+           "OK g13 ESTIMATE -0.11084220716360116 eps=0.25 "
+           "delta=0.33333333333333331 samples=1033 tier=sampled"},
+          {"EVAL p1 2 2 1/2 R(0)1/2",
+           "ERR p1 PARSE bad tuple assignment 'R(0)1/2'"},
+          {"EVAL p2 2 2 1/2 S(0,1",
+           "ERR p2 PARSE bad tuple assignment 'S(0,1'"},
+          {"EVAL p3 2 2 1/2 Q(0)=1/2", "ERR p3 PARSE unknown symbol 'Q'"},
+          {"EVAL p4 2 2 1/2 S\xc3\xa9(0)=1/2",
+           "ERR p4 PARSE unknown symbol 'S\xc3\xa9'"},
+          {"EVAL p5 2 2 1/2 S(5,0)=1/2",
+           "ERR p5 PARSE 'S(5,0)=1/2': want constants < 2,2"},
+          {"EVAL p6 2 2 1/2 R(2)=1/2",
+           "ERR p6 PARSE 'R(2)=1/2': want one left constant < 2"},
+          {"EVAL p7 2 2 1/2 T(0,1)=1/2",
+           "ERR p7 PARSE 'T(0,1)=1/2': want one right constant < 2"},
+          {"EVAL p8 2 2 1/2 R(x)=1/2",
+           "ERR p8 PARSE bad constants in 'R(x)=1/2'"},
+          {"EVAL p9 2 2 1234567890123456789/9999999999999999999",
+           "ERR p9 PARSE default probability must be a rational in [0, 1]"},
+          {"EVAL p10 2 2 1/2 R(0)=1/1234567890123456789",
+           "ERR p10 PARSE bad probability in 'R(0)=1/1234567890123456789'"},
+          {"EVAL p11 2 2 1/0",
+           "ERR p11 PARSE default probability must be a rational in [0, 1]"},
+          {"EVAL p12 2 2 1/2 S(0,0)=3/2",
+           "ERR p12 PARSE bad probability in 'S(0,0)=3/2'"},
+          {"EVAL p13 2 2 1/2 S(0,0)=-1/2",
+           "ERR p13 PARSE bad probability in 'S(0,0)=-1/2'"},
+          {"EVAL p14 300 2 1/2",
+           "ERR p14 PARSE domain sides must be integers in [0, 256]"},
+          {"EVAL p15 2 2",
+           "ERR p15 PARSE want: EVAL <id> [deadline=<ms>] <num_left> "
+           "<num_right> <default_p> ..."},
+          {"EVAL p16 deadline=soon 2 2 1/2",
+           "ERR p16 PARSE deadline must be a non-negative integer "
+           "(milliseconds)"},
+          {"EVAL_APPROX p17 frobnicate 1/10 1/20 2 2 1/2",
+           "ERR p17 PARSE mode must be auto, exact, interval, or sample"},
+          {"EVAL_APPROX p18 exact 1 1/20 2 2 1/2",
+           "ERR p18 PARSE eps and delta must be rationals strictly in (0, 1)"},
+          {"EVAL_APPROX p19 exact 1/10",
+           "ERR p19 PARSE want: EVAL_APPROX <id> [deadline=<ms>] <mode> "
+           "<eps> <delta> <num_left> <num_right> <default_p> ..."},
+          {"EVAL",
+           "ERR - PARSE want: EVAL <id> [deadline=<ms>] <num_left> "
+           "<num_right> <default_p> ..."},
+          {"FROBNICATE x", "ERR - PARSE unknown command 'FROBNICATE'"},
+      });
+}
+
+TEST(ServeGoldenTest, C9RepliesAreByteIdentical) {
+  ExpectGoldenReplies(
+      "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | S3(x,y)) & "
+      "Ay (Ax (S3(x,y)) | Ax (S4(x,y)))",
+      "golden_c9",
+      {
+          {"EVAL c1 2 2 1/2", "OK c1 873/32768 lifted=0"},
+          {"EVAL c2 3 3 0 S1(0,0)=1/2 S2(2,2)=1", "OK c2 0 lifted=0"},
+          {"EVAL c3 2 2 1 S2(1,0)=3/7 S4(0,1)=5/11", "OK c3 1 lifted=0"},
+          {"EVAL_APPROX c4 exact 1/10 1/20 2 2 1/2 S3(1,1)=4/8",
+           "OK c4 EXACT 873/32768 tier=compiled"},
+          {"EVAL_APPROX c5 interval 1/10 1/20 3 3 1/2 S1(0,0)=3/7 S2(1,2)=2/11 "
+           "S3(2,2)=1/7 S4(0,1)=6/11",
+           "OK c5 INTERVAL 3.8125190954874456e-05 3.8125190954874958e-05 "
+           "tier=interval"},
+          {"EVAL_APPROX c6 interval 1/10 1/20 2 2 "
+           "999999999999999998/999999999999999999 S1(0,1)=1/3",
+           "OK c6 INTERVAL 0.99999999999999689 1 tier=interval"},
+          {"EVAL_APPROX c7 sample 1/2 1/2 2 2 1/2 S1(0,1)=1/7",
+           "OK c7 ESTIMATE 0.03582153582153582 eps=0.5 delta=0.5 samples=333 "
+           "tier=sampled"},
+          {"EVAL_APPROX\tc8\tsample\t1/3\t1/4\t3\t3\t1/2\tS4(2,2)=0",
+           "OK c8 ESTIMATE 0.064726253298153028 eps=0.33333333333333331 "
+           "delta=0.25 samples=3032 tier=sampled"},
+          {"EVAL p1 2 2 1/2 S1(0,0)=1/2=",
+           "ERR p1 PARSE bad probability in 'S1(0,0)=1/2='"},
+          {"EVAL p2 2 2 1/2 S5(0,0)=1/2", "ERR p2 PARSE unknown symbol 'S5'"},
+          {"EVAL p3 2 2 1/2 S1(0,2)=1/2",
+           "ERR p3 PARSE 'S1(0,2)=1/2': want constants < 2,2"},
+          {"EVAL p4 2 2 1/2 S1(0)=1/2",
+           "ERR p4 PARSE 'S1(0)=1/2': want constants < 2,2"},
+          {"EVAL p5 2 2 1/2 S1(0,0)=1/1234567890123456789",
+           "ERR p5 PARSE bad probability in 'S1(0,0)=1/1234567890123456789'"},
+          {"EVAL p6 2 2 1/0",
+           "ERR p6 PARSE default probability must be a rational in [0, 1]"},
+          {"EVAL p7 2 2 3/2",
+           "ERR p7 PARSE default probability must be a rational in [0, 1]"},
+          {"EVAL p8 2 2 1/2 S1(0,0)=1/2 S2(1,1)=4/3",
+           "ERR p8 PARSE bad probability in 'S2(1,1)=4/3'"},
+      });
 }
 
 }  // namespace
