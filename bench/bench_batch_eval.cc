@@ -2,30 +2,22 @@
 //
 // The interpolation workload knows its whole weight set up front, so the
 // question is what one topological pass over all K vectors buys over K
-// independent Evaluate walks. Three answers, all measured at K = 16/64/256
-// with minimization on and off:
-//   - exact batch (EvaluateBatch): same Rational arithmetic, one arena and
-//     one traversal decode instead of K — a modest constant-factor win,
-//     because BigInt arithmetic dominates and is identical in both paths;
-//   - fast batch (EvaluateBatchDouble with recheck_stride = 8): doubles in
-//     the arena, every 8th vector re-verified exactly — this is the ≥2×
-//     (in practice ~8×) win for sweeps that only need interpolation-grade
-//     inputs, and the re-check knob keeps it honest;
-//   - unchecked fast batch: the pure double pass, bounding what SIMD-grade
-//     evaluation could reach.
+// independent Evaluate walks, measured at K = 16/64/256 with minimization
+// on and off. The exact batch (EvaluateBatch) runs the same Rational
+// arithmetic with one arena and one traversal decode instead of K — a
+// modest constant-factor win, because BigInt arithmetic dominates and is
+// identical in both paths.
 // The dyadic configurations measure the EXACT fast path: weights on the
 // power-of-two grid the paper's reductions actually sweep (k/2^⌈lg K+1⌉),
 // evaluated through EvaluateBatchDyadic (mantissa·2^-exp streaming, no
 // gcd) vs the same weights through the Rational EvaluateBatch. The
 // acceptance bar is ≥5× at K = 64 with bit-identical results
 // (BM_DyadicCrossCheck fails the run loudly on any mismatch).
-// BM_BatchCrossCheck pins correctness: batch equals loop point by point
-// (exactly for the Rational path, to 1e-9 relative for the double path).
+// BM_BatchCrossCheck pins correctness: batch equals loop point by point,
+// exactly.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -84,8 +76,6 @@ gmc::WeightMatrix SweepWeightsDyadic(const gmc::Lineage& lineage, int num_k) {
   }
   return gmc::WeightMatrix::FromRows(rows);
 }
-
-constexpr int kRecheckStride = 8;
 
 void BM_LoopedEvaluateExact(benchmark::State& state) {
   const int num_k = static_cast<int>(state.range(0));
@@ -183,40 +173,9 @@ void BM_BatchEvaluateDyadicUnminimized(benchmark::State& state) {
 BENCHMARK(BM_BatchEvaluateDyadicUnminimized)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
-// The headline: the double arena with every 8th vector re-verified against
-// the exact evaluator. Cost ≈ loop / recheck_stride, i.e. ~8× at any K.
-void BM_BatchEvaluateFast(benchmark::State& state) {
-  const int num_k = static_cast<int>(state.range(0));
-  gmc::Lineage lineage = SweepLineage();
-  gmc::NnfCircuit circuit = CompileSweepCircuit(lineage, /*minimize=*/true);
-  gmc::WeightMatrix weights = SweepWeights(lineage, num_k);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        circuit.EvaluateBatchDouble(weights, kRecheckStride));
-  }
-  state.counters["weight_vectors"] = num_k;
-  state.counters["recheck_stride"] = kRecheckStride;
-}
-BENCHMARK(BM_BatchEvaluateFast)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_BatchEvaluateFastUnchecked(benchmark::State& state) {
-  const int num_k = static_cast<int>(state.range(0));
-  gmc::Lineage lineage = SweepLineage();
-  gmc::NnfCircuit circuit = CompileSweepCircuit(lineage, /*minimize=*/true);
-  gmc::WeightMatrix weights = SweepWeights(lineage, num_k);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        circuit.EvaluateBatchDouble(weights, /*recheck_stride=*/0));
-  }
-  state.counters["weight_vectors"] = num_k;
-}
-BENCHMARK(BM_BatchEvaluateFastUnchecked)->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
 // Correctness guard: batch equals loop point by point, on both the
-// minimized and the unminimized circuit, for both precisions. Registered
-// as a benchmark so a mismatch fails the bench run loudly.
+// minimized and the unminimized circuit. Registered as a benchmark so a
+// mismatch fails the bench run loudly.
 void BM_BatchCrossCheck(benchmark::State& state) {
   const int num_k = 16;
   gmc::Lineage lineage = SweepLineage();
@@ -227,14 +186,9 @@ void BM_BatchCrossCheck(benchmark::State& state) {
     const std::vector<gmc::Rational> batched =
         minimized.EvaluateBatch(weights);
     const std::vector<gmc::Rational> raw_batched = raw.EvaluateBatch(weights);
-    const std::vector<double> fast =
-        minimized.EvaluateBatchDouble(weights, /*recheck_stride=*/1);
     for (int k = 0; k < num_k; ++k) {
       const gmc::Rational looped = minimized.Evaluate(weights.Row(k));
-      const double exact = looped.ToDouble();
-      const double scale = std::max(1.0, std::abs(exact));
-      if (batched[k] != looped || raw_batched[k] != looped ||
-          std::abs(fast[k] - exact) > 1e-9 * scale) {
+      if (batched[k] != looped || raw_batched[k] != looped) {
         state.SkipWithError("batched evaluation disagrees with looped");
         return;
       }

@@ -4,13 +4,10 @@
 // file": BM_ColdCompile is the price the first process pays for the
 // Type-II Möbius gadget, BM_WarmLoad is the price every later process
 // pays for the same circuit (read + checksum + structural validation +
-// fingerprint + a copy of the node and child arrays), and BM_MmapOpen
-// skips even the copy — validate in place and evaluate straight off the
-// page cache, the N-replicas-one-copy shape MappedCircuitView offers
-// embedders. BM_StoreCrossCheck is the CI-enforced acceptance bar: the
-// warm paths must answer bit-identically to the compiled circuit AND
-// LoadCircuit must beat the cold compile by ≥10× on the headline
-// domain-4 gadget, or the run fails loudly.
+// fingerprint + a copy of the node and child arrays). BM_StoreCrossCheck
+// is the CI-enforced acceptance bar: the warm load must answer
+// bit-identically to the compiled circuit AND beat the cold compile by
+// ≥10× on the headline domain-4 gadget, or the run fails loudly.
 
 #include <benchmark/benchmark.h>
 
@@ -69,23 +66,21 @@ gmc::WeightMatrix SweepWeights(const gmc::Lineage& lineage, int k) {
 class SavedCircuit {
  public:
   explicit SavedCircuit(int domain)
-      : lineage_(Type2Lineage(domain)),
-        path_("/tmp/gmc_bench_store_" + std::to_string(::getpid()) + "_" +
+      : path_("/tmp/gmc_bench_store_" + std::to_string(::getpid()) + "_" +
               std::to_string(domain) + ".gmcc") {
-    gmc::NnfCircuit circuit = CompileDefault(lineage_);
+    const gmc::Lineage lineage = Type2Lineage(domain);
+    gmc::NnfCircuit circuit = CompileDefault(lineage);
     std::string error;
-    ok_ = gmc::store::SaveCircuit(circuit, lineage_.cnf,
+    ok_ = gmc::store::SaveCircuit(circuit, lineage.cnf,
                                   gmc::OrderHeuristic::kDefault, path_,
                                   &error);
   }
   ~SavedCircuit() { ::unlink(path_.c_str()); }
 
   bool ok() const { return ok_; }
-  const gmc::Lineage& lineage() const { return lineage_; }
   const std::string& path() const { return path_; }
 
  private:
-  gmc::Lineage lineage_;
   std::string path_;
   bool ok_ = false;
 };
@@ -125,50 +120,6 @@ void BM_WarmLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_WarmLoad)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The zero-copy path: validate the mapping, no copy at all. Open cost
-// only — the evaluate benches below measure the steady state.
-void BM_MmapOpen(benchmark::State& state) {
-  SavedCircuit& saved = Saved(static_cast<int>(state.range(0)));
-  if (!saved.ok()) {
-    state.SkipWithError("failed to save the gadget circuit");
-    return;
-  }
-  for (auto _ : state) {
-    gmc::store::MappedCircuitView mapped;
-    std::string error;
-    if (!mapped.Open(saved.path(), &error)) {
-      state.SkipWithError(("Open: " + error).c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(mapped.view().root);
-  }
-}
-BENCHMARK(BM_MmapOpen)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Steady-state serving off the mapping: open once, K-vector dyadic sweep
-// per iteration — identical inner kernel to the owning circuit, so this
-// pins "mmap costs nothing per evaluation".
-void BM_MmapSweep(benchmark::State& state) {
-  SavedCircuit& saved = Saved(4);
-  if (!saved.ok()) {
-    state.SkipWithError("failed to save the gadget circuit");
-    return;
-  }
-  gmc::store::MappedCircuitView mapped;
-  std::string error;
-  if (!mapped.Open(saved.path(), &error)) {
-    state.SkipWithError(("Open: " + error).c_str());
-    return;
-  }
-  const int k = static_cast<int>(state.range(0));
-  const gmc::WeightMatrix weights = SweepWeights(saved.lineage(), k);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mapped.EvaluateBatchDyadic(weights));
-  }
-  state.counters["sweep_points"] = k;
-}
-BENCHMARK(BM_MmapSweep)->Arg(64)->Unit(benchmark::kMillisecond);
-
 // Save throughput (encode + temp file + fsync + rename), bytes/s.
 void BM_SaveCircuit(benchmark::State& state) {
   const gmc::Lineage lineage = Type2Lineage(static_cast<int>(state.range(0)));
@@ -196,8 +147,8 @@ void BM_SaveCircuit(benchmark::State& state) {
 BENCHMARK(BM_SaveCircuit)->Arg(4)->Unit(benchmark::kMillisecond);
 
 // Acceptance bar, CI-enforced on every run: warm answers are bit-
-// identical to the compiled circuit through BOTH read paths, and the
-// warm load beats the cold compile by ≥10× on the domain-4 gadget.
+// identical to the compiled circuit, and the warm load beats the cold
+// compile by ≥10× on the domain-4 gadget.
 void BM_StoreCrossCheck(benchmark::State& state) {
   const gmc::Lineage lineage = Type2Lineage(4);
   const gmc::NnfCircuit circuit = CompileDefault(lineage);
@@ -213,16 +164,13 @@ void BM_StoreCrossCheck(benchmark::State& state) {
   const std::vector<gmc::Rational> want = circuit.EvaluateBatchDyadic(weights);
 
   for (auto _ : state) {
-    // Bit-identity through the owning load and the mapping.
+    // Bit-identity through the owning load.
     gmc::store::LoadedCircuit loaded;
-    gmc::store::MappedCircuitView mapped;
-    if (!gmc::store::LoadCircuit(path, &loaded, &error) ||
-        !mapped.Open(path, &error)) {
+    if (!gmc::store::LoadCircuit(path, &loaded, &error)) {
       state.SkipWithError(("warm read failed: " + error).c_str());
       return;
     }
     if (loaded.circuit.EvaluateBatchDyadic(weights) != want ||
-        mapped.EvaluateBatchDyadic(weights) != want ||
         loaded.circuit.Fingerprint() != circuit.Fingerprint()) {
       state.SkipWithError("store round-trip is not bit-identical");
       return;

@@ -365,11 +365,14 @@ KarpLubyResult KarpLubyEstimate(const KarpLubyPlan& plan,
   }
 
   // μ̂ = W · successes / N, computed exactly before the one rounding into
-  // the reported double.
+  // the reported double. W can exceed 1, so μ̂ can too; the estimate is
+  // 1 − μ̂ projected onto [0, 1], decided exactly (μ̂ ≥ 0, so only the lower
+  // end can bind). The projection never moves it away from Pr(F).
   const Rational mu_hat =
       total * Rational(static_cast<int64_t>(successes)) /
       Rational(static_cast<int64_t>(drawn));
-  result.estimate = (Rational::One() - mu_hat).ToDouble();
+  result.estimate =
+      mu_hat < Rational::One() ? (Rational::One() - mu_hat).ToDouble() : 0.0;
   result.samples = drawn;
   result.successes = successes;
   return result;

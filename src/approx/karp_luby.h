@@ -112,7 +112,9 @@ struct KarpLubyParams {
 
 /// One sampling run's outcome.
 struct KarpLubyResult {
-  double estimate = 0.0;  ///< point estimate of Pr(F = true)
+  /// Point estimate of Pr(F = true): 1 − μ̂ clamped to [0, 1] (μ̂ can
+  /// exceed 1, and the clamp can only shrink the error).
+  double estimate = 0.0;
   /// The additive epsilon certified at `delta`: the target when the sample
   /// budget sufficed, the larger achieved value when max_samples bound,
   /// 0 for instances answered exactly.

@@ -158,8 +158,8 @@ NnfCircuit NnfCircuit::FromFlat(const CircuitWalkView& view) {
   return circuit;
 }
 
-// Every evaluation entry point walks the circuit's own arrays — the
-// byte-for-byte same code the circuit store's mmap view runs, which is what
+// Every evaluation entry point walks the circuit's own arrays; a loaded
+// circuit's arrays are the store file's validated records, which is what
 // makes persisted circuits bit-identical to compiled ones (nnf_walk.h).
 
 uint64_t NnfCircuit::Fingerprint() const { return WalkFingerprint(view()); }
@@ -179,13 +179,6 @@ std::vector<Rational> NnfCircuit::EvaluateBatchDyadic(
     const WeightMatrix& weights, int num_threads, DyadicBatchStats* stats,
     const CancelToken* cancel) const {
   return WalkEvaluateBatchDyadic(view(), weights, num_threads, stats, cancel);
-}
-
-std::vector<double> NnfCircuit::EvaluateBatchDouble(
-    const WeightMatrix& weights, int recheck_stride, double recheck_tolerance,
-    int num_threads, const CancelToken* cancel) const {
-  return WalkEvaluateBatchDouble(view(), weights, recheck_stride,
-                                 recheck_tolerance, num_threads, cancel);
 }
 
 std::vector<ProbInterval> NnfCircuit::EvaluateBatchInterval(

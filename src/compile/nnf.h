@@ -71,7 +71,8 @@ class WeightMatrix {
     return values_.data() + static_cast<size_t>(var) * num_vectors_;
   }
 
-  /// One weight vector, re-assembled (loop-comparison and re-check paths).
+  /// One weight vector, re-assembled (loop comparisons in tests and
+  /// benchmarks).
   std::vector<Rational> Row(int k) const;
 
   /// True iff every entry has a power-of-two denominator — the whole batch
@@ -115,8 +116,7 @@ struct DyadicBatchStats {
 ///
 /// Exactness: Evaluate, EvaluateBatch, and EvaluateBatchDyadic return
 /// exact canonical Rationals — bit-identical to one another on the same
-/// weights; EvaluateBatchDouble is the one approximate pass and re-checks
-/// itself against the exact evaluator at a configurable stride.
+/// weights; EvaluateBatchInterval returns certified enclosures of them.
 class NnfCircuit {
  public:
   /// Structural summary, computed by ComputeStats in one pass.
@@ -184,7 +184,7 @@ class NnfCircuit {
   /// count. `num_threads`: 0 = process default (DefaultNumThreads, i.e. the
   /// GMC_THREADS knob), 1 = serial, n = at most n slices.
   ///
-  /// `cancel` (all four batch evaluators): optional request-deadline token
+  /// `cancel` (all three batch evaluators): optional request-deadline token
   /// polled periodically inside every column slice. A pass that finishes
   /// with the token unfired is bit-identical to an uncancelled one; once
   /// it fires the return value is meaningless and the caller must discard
@@ -214,24 +214,10 @@ class NnfCircuit {
       DyadicBatchStats* stats = nullptr,
       const CancelToken* cancel = nullptr) const;
 
-  /// Double-precision fast path of EvaluateBatch for sweeps that only need
-  /// interpolation-grade inputs: same pass over a double arena, no BigInt
-  /// allocation anywhere. If `recheck_stride > 0`, every stride-th weight
-  /// vector is additionally evaluated exactly and the double result must
-  /// match within `recheck_tolerance` relative error (aborts otherwise) —
-  /// the knob that spot-verifies the fast path against the exact one at a
-  /// K/stride fraction of the exact cost.
-  std::vector<double> EvaluateBatchDouble(const WeightMatrix& weights,
-                                          int recheck_stride = 0,
-                                          double recheck_tolerance = 1e-9,
-                                          int num_threads = 0,
-                                          const CancelToken* cancel =
-                                              nullptr) const;
-
-  /// Certified fast path: the double arena pass with every flop
-  /// outward-rounded, returning per-column enclosures [lo, hi] that
+  /// Certified fast path: the arena pass in double arithmetic with every
+  /// flop outward-rounded, returning per-column enclosures [lo, hi] that
   /// PROVABLY contain the exact answer (see nnf_interval.cc for the
-  /// argument). About 3× the cost of EvaluateBatchDouble on C9 3×3 at
+  /// argument). About 3× the cost of the same pass unrounded on C9 3×3 at
   /// K = 64 (bench_anytime; BM_AnytimeCrossCheck fails past 5×). Weights
   /// must be probabilities in [0, 1]; aborts otherwise. The certified tier
   /// of RoutingMode::kInterval.

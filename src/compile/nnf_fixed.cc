@@ -1,7 +1,5 @@
 // The dyadic batch kernel and its width choice (WalkEvaluateBatchDyadic,
-// which NnfCircuit::EvaluateBatchDyadic runs on the circuit's own arrays and
-// the store's MappedCircuitView on a mapped file — one record layout, one
-// walk).
+// which NnfCircuit::EvaluateBatchDyadic runs on the circuit's own arrays).
 //
 // A dyadic weight is m · 2^-e. Node exponents depend only on the circuit
 // and the per-variable weight exponents — NOT on the weights' mantissas —

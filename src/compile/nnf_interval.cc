@@ -1,9 +1,10 @@
 // The directed-rounding interval walk — the certified fast tier.
 //
-// Same bottom-up arena pass as WalkEvaluateBatchDouble, but every value is
-// an enclosure [lo, hi] and every floating-point operation is outward-
-// rounded, so the returned interval PROVABLY contains the exact Rational
-// answer on every column. The proof obligations, node by node:
+// The same bottom-up arena pass as the Rational walk (nnf_walk.cc), but in
+// double arithmetic: every value is an enclosure [lo, hi] and every
+// floating-point operation is outward-rounded, so the returned interval
+// PROVABLY contains the exact Rational answer on every column. The proof
+// obligations, node by node:
 //
 //   * Weight leaves: each exact weight p gets the tight pair [RD(p), RU(p)]
 //     — the largest double <= p and the smallest double >= p — by one of
@@ -30,8 +31,7 @@
 //     clamping to [0, 1] after each node is sound.
 //
 // The width of the result is the walk's honest error report: a few ulp per
-// circuit level on gadget-scale circuits, orders of magnitude below the
-// re-check tolerance the plain double pass runs under.
+// circuit level on gadget-scale circuits.
 
 #include <algorithm>
 #include <bit>

@@ -1,12 +1,10 @@
-// The Rational / double walk bodies over CircuitWalkView. Ported verbatim
+// The Rational walk bodies over CircuitWalkView. Ported verbatim
 // (same operations, same order) from the former NnfCircuit member
 // templates, so results are bit-identical to every pre-refactor release;
 // the dyadic kernel and its width choice live in nnf_fixed.cc.
 
 #include "compile/nnf_walk.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "compile/nnf.h"
@@ -17,14 +15,10 @@ namespace gmc {
 
 namespace {
 
-// The arena walk's zero test, uniform across the two value types.
-bool IsZeroValue(const Rational& v) { return v.IsZero(); }
-bool IsZeroValue(double v) { return v == 0.0; }
-
 // Columns per parallel slice, at minimum: below this, slice setup (one
 // arena allocation per slice) costs more than the columns it covers.
 constexpr int64_t kMinColumnsPerSlice = 4;
-// Variables per chunk for the parallel conversion/complement preambles.
+// Variables per chunk for the parallel complement preamble.
 constexpr int64_t kMinVarsPerChunk = 8;
 // Arena nodes between deadline polls (see util/cancel.h): the poll is one
 // relaxed load on the common path, so the stride exists only to amortize
@@ -36,19 +30,20 @@ constexpr size_t kCancelNodeStride = 64;
 // A fired cancel token abandons the slice mid-pass: out_roots keeps its
 // previous (meaningless) contents and the CALLER discards the batch — see
 // the contract in nnf_walk.h.
-template <typename Value, typename ColumnFn>
-void EvaluateBatchSlice(const CircuitWalkView& view, int k0, int k1,
-                        int num_k, ColumnFn column, const Value* complement,
-                        const Value& one, Value* out_roots,
+void EvaluateBatchSlice(const CircuitWalkView& view,
+                        const WeightMatrix& weights, int k0, int k1,
+                        const Rational* complement, Rational* out_roots,
                         const CancelToken* cancel) {
+  const int num_k = weights.num_vectors();
   const int num_w = k1 - k0;
-  std::vector<Value> value(view.num_nodes * num_w);
+  const Rational one = Rational::One();
+  std::vector<Rational> value(view.num_nodes * num_w);
   for (size_t id = 0; id < view.num_nodes; ++id) {
     if (cancel != nullptr && (id % kCancelNodeStride) == 0 && cancel->Poll()) {
       return;
     }
     const FlatNode& node = view.nodes[id];
-    Value* out = value.data() + id * num_w;
+    Rational* out = value.data() + id * num_w;
     switch (static_cast<NnfKind>(node.kind)) {
       case NnfKind::kFalse:
         break;  // arena default-constructs to zero
@@ -56,37 +51,39 @@ void EvaluateBatchSlice(const CircuitWalkView& view, int k0, int k1,
         for (int k = 0; k < num_w; ++k) out[k] = one;
         break;
       case NnfKind::kVar: {
-        const Value* p = column(node.var) + k0;
+        const Rational* p = weights.Column(node.var) + k0;
         for (int k = 0; k < num_w; ++k) out[k] = p[k];
         break;
       }
       case NnfKind::kAnd: {
         const int32_t* child_ids = view.children + node.a;
-        const Value* first =
+        const Rational* first =
             value.data() + static_cast<size_t>(child_ids[0]) * num_w;
         for (int k = 0; k < num_w; ++k) out[k] = first[k];
         for (int32_t c = 1; c < node.b; ++c) {
-          const Value* child =
+          const Rational* child =
               value.data() + static_cast<size_t>(child_ids[c]) * num_w;
           for (int k = 0; k < num_w; ++k) {
-            if (IsZeroValue(out[k])) continue;
+            if (out[k].IsZero()) continue;
             out[k] *= child[k];
           }
         }
         break;
       }
       case NnfKind::kDecision: {
-        const Value* p = column(node.var) + k0;
-        const Value* q =
+        const Rational* p = weights.Column(node.var) + k0;
+        const Rational* q =
             complement + static_cast<size_t>(node.var) * num_k + k0;
-        const Value* high = value.data() + static_cast<size_t>(node.a) * num_w;
-        const Value* low = value.data() + static_cast<size_t>(node.b) * num_w;
+        const Rational* high =
+            value.data() + static_cast<size_t>(node.a) * num_w;
+        const Rational* low =
+            value.data() + static_cast<size_t>(node.b) * num_w;
         for (int k = 0; k < num_w; ++k) {
           // p·high + q·low through the in-place operators: no allocation
-          // beyond the two products for Value types with heap state.
-          Value t = p[k];
+          // beyond the two products.
+          Rational t = p[k];
           t *= high[k];
-          Value u = q[k];
+          Rational u = q[k];
           u *= low[k];
           t += u;
           out[k] = std::move(t);
@@ -95,28 +92,8 @@ void EvaluateBatchSlice(const CircuitWalkView& view, int k0, int k1,
       }
     }
   }
-  Value* root = value.data() + static_cast<size_t>(view.root) * num_w;
+  Rational* root = value.data() + static_cast<size_t>(view.root) * num_w;
   for (int k = 0; k < num_w; ++k) out_roots[k0 + k] = std::move(root[k]);
-}
-
-// Parallel driver: splits the K columns into contiguous slices (at most
-// `num_threads`; 0 = process default) and runs EvaluateBatchSlice per
-// slice. Returns the K root values in input order.
-template <typename Value, typename ColumnFn>
-std::vector<Value> EvaluateBatchArena(const CircuitWalkView& view, int num_k,
-                                      int num_threads, ColumnFn column,
-                                      const Value* complement,
-                                      const Value& one,
-                                      const CancelToken* cancel = nullptr) {
-  std::vector<Value> result(num_k);
-  ParallelFor(num_k, num_threads, kMinColumnsPerSlice,
-              [&](int64_t k0, int64_t k1, int /*chunk*/) {
-                EvaluateBatchSlice<Value>(view, static_cast<int>(k0),
-                                          static_cast<int>(k1), num_k, column,
-                                          complement, one, result.data(),
-                                          cancel);
-              });
-  return result;
 }
 
 }  // namespace
@@ -198,71 +175,15 @@ std::vector<Rational> WalkEvaluateBatch(const CircuitWalkView& view,
                 }
               });
 
-  return EvaluateBatchArena<Rational>(
-      view, num_k, num_threads,
-      [&weights](int var) { return weights.Column(var); }, complement.data(),
-      Rational::One(), cancel);
-}
-
-std::vector<double> WalkEvaluateBatchDouble(const CircuitWalkView& view,
-                                            const WeightMatrix& weights,
-                                            int recheck_stride,
-                                            double recheck_tolerance,
-                                            int num_threads,
-                                            const CancelToken* cancel) {
-  GMC_CHECK(weights.num_vars() >= view.num_vars);
-  const int num_k = weights.num_vectors();
-  const int num_vars = view.num_vars;
-
-  // The weight columns, converted once; BigInt never appears in the pass.
-  std::vector<double> probability(static_cast<size_t>(num_vars) * num_k);
-  const std::vector<bool> decides = walk_internal::WalkDecisionVars(view);
-  std::vector<double> complement(static_cast<size_t>(num_vars) * num_k, 0.0);
-  ParallelFor(num_vars, num_threads, kMinVarsPerChunk,
-              [&](int64_t v0, int64_t v1, int /*chunk*/) {
-                for (int64_t v = v0; v < v1; ++v) {
-                  const Rational* p = weights.Column(static_cast<int>(v));
-                  double* out =
-                      probability.data() + static_cast<size_t>(v) * num_k;
-                  for (int k = 0; k < num_k; ++k) out[k] = p[k].ToDouble();
-                  if (!decides[v]) continue;
-                  double* comp =
-                      complement.data() + static_cast<size_t>(v) * num_k;
-                  for (int k = 0; k < num_k; ++k) comp[k] = 1.0 - out[k];
-                }
+  // Splits the K columns into contiguous slices (at most `num_threads`;
+  // 0 = process default), one arena pass per slice.
+  std::vector<Rational> result(num_k);
+  ParallelFor(num_k, num_threads, kMinColumnsPerSlice,
+              [&](int64_t k0, int64_t k1, int /*chunk*/) {
+                EvaluateBatchSlice(view, weights, static_cast<int>(k0),
+                                   static_cast<int>(k1), complement.data(),
+                                   result.data(), cancel);
               });
-
-  std::vector<double> result = EvaluateBatchArena<double>(
-      view, num_k, num_threads,
-      [&probability, num_k](int var) {
-        return probability.data() + static_cast<size_t>(var) * num_k;
-      },
-      complement.data(), 1.0, cancel);
-
-  if (recheck_stride > 0 && (cancel == nullptr || !cancel->cancelled())) {
-    // Re-checks are the expensive half (one exact Evaluate each), and each
-    // checks one column independently — chunk them over the pool too. A
-    // cancelled main pass skips them (partial values would trip the drift
-    // abort on data the caller is about to discard); a cancellation DURING
-    // the re-checks only skips the remaining checks — never the abort on a
-    // check that already ran against real values.
-    const int num_checks = (num_k + recheck_stride - 1) / recheck_stride;
-    ParallelFor(num_checks, num_threads, 1,
-                [&](int64_t c0, int64_t c1, int /*chunk*/) {
-                  for (int64_t c = c0; c < c1; ++c) {
-                    if (cancel != nullptr && cancel->Poll()) return;
-                    const int k = static_cast<int>(c) * recheck_stride;
-                    const double exact =
-                        WalkEvaluate(view, weights.Row(k)).ToDouble();
-                    const double scale = std::max(1.0, std::abs(exact));
-                    GMC_CHECK_MSG(
-                        std::abs(result[k] - exact) <=
-                            recheck_tolerance * scale,
-                        "EvaluateBatchDouble drifted from the exact "
-                        "evaluator");
-                  }
-                });
-  }
   return result;
 }
 

@@ -1,21 +1,19 @@
 // Flat, pointer-free circuit walks — the shared evaluation core.
 //
 // Every evaluation entry point of NnfCircuit (single, batched Rational,
-// batched dyadic, batched double, interval) is one bottom-up topological
-// pass over the node arena. This header factors those passes out of
-// NnfCircuit into free functions over CircuitWalkView, a non-owning view
-// of a circuit in FLAT form: fixed-size 16-byte node records plus one
-// contiguous child-id pool, no per-node heap state anywhere.
+// batched dyadic, interval) is one bottom-up topological pass over the
+// node arena. This header factors those passes out of NnfCircuit into free
+// functions over CircuitWalkView, a non-owning view of a circuit in FLAT
+// form: fixed-size 16-byte node records plus one contiguous child-id pool,
+// no per-node heap state anywhere.
 //
-// Two owners hand out such views:
-//   * NnfCircuit::view() — the circuit's own node and child arrays (the
-//     flat form IS NnfCircuit's layout, so no evaluation copies anything);
-//   * store/MappedCircuitView — the SAME record layout read directly from
-//     an mmap-ed circuit file, so a persisted circuit is evaluable with
-//     zero deserialization and N replicas share one read-only page-cache
-//     copy.
-// Both run the identical code below, which is what makes save→load→
-// evaluate bit-identical to the in-memory result by construction.
+// NnfCircuit::view() hands out such views over the circuit's own node and
+// child arrays (the flat form IS NnfCircuit's layout, so no evaluation
+// copies anything). The circuit store validates a file's bytes as a view
+// too, and NnfCircuit::FromFlat copies exactly those records, so a loaded
+// circuit runs the identical code below on the identical records — which
+// is what makes save→load→evaluate bit-identical to the in-memory result
+// by construction.
 //
 // Preconditions: the view must be structurally valid — children precede
 // parents, indices in range, nodes 0/1 the FALSE/TRUE constants.
@@ -42,7 +40,7 @@ struct DyadicBatchStats;
 /// One flat circuit node: a fixed 16-byte record of four 32-bit words.
 /// This is both the in-memory walk layout and the on-disk node record of
 /// the circuit store (little-endian; see store/circuit_format.h), so a
-/// mapped file IS a node arena.
+/// file's node section copies into an arena without per-node decoding.
 struct FlatNode {
   uint32_t kind = 0;  ///< NnfKind, widened to a fixed-size word
   int32_t var = -1;   ///< kVar and kDecision
@@ -99,14 +97,10 @@ std::vector<Rational> WalkEvaluateBatch(const CircuitWalkView& view,
 std::vector<Rational> WalkEvaluateBatchDyadic(
     const CircuitWalkView& view, const WeightMatrix& weights, int num_threads,
     DyadicBatchStats* stats, const CancelToken* cancel = nullptr);
-std::vector<double> WalkEvaluateBatchDouble(
-    const CircuitWalkView& view, const WeightMatrix& weights,
-    int recheck_stride, double recheck_tolerance, int num_threads,
-    const CancelToken* cancel = nullptr);
-/// Directed-rounding interval pass (nnf_interval.cc): the double arena walk
-/// with every flop outward-rounded, so each returned interval PROVABLY
-/// contains the exact Rational answer — a guarantee instead of a spot
-/// re-check, at about 3× the double walk's cost (C9 3×3, K = 64).
+/// Directed-rounding interval pass (nnf_interval.cc): an arena walk in
+/// double arithmetic with every flop outward-rounded, so each returned
+/// interval PROVABLY contains the exact Rational answer, at about 3× the
+/// cost of the same walk unrounded (C9 3×3, K = 64; bench_anytime).
 /// Weights must be probabilities in [0, 1] (aborts otherwise);
 /// column-parallel and deterministic at every thread count like the other
 /// batch walks.

@@ -4,8 +4,7 @@
 // Design goals, in order:
 //   1. A loaded file IS an evaluable circuit: the node section uses the
 //      exact FlatNode record the walk core (compile/nnf_walk.h) consumes,
-//      so an mmap-ed file evaluates with zero deserialization and N
-//      replicas share one read-only page-cache copy.
+//      so loading copies two arrays with no per-node decoding.
 //   2. Corruption is detected, never executed: a full-file checksum plus
 //      per-node bounds validation run before any walk touches the data.
 //   3. Self-describing: the grounded CNF the circuit was compiled from is

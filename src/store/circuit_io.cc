@@ -1,7 +1,6 @@
 #include "store/circuit_io.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -13,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "compile/nnf_walk.h"
 #include "store/circuit_format.h"
 #include "util/check.h"
 #include "util/fault.h"
@@ -408,120 +408,6 @@ bool LoadCircuit(const std::string& path, LoadedCircuit* out,
     return Fail(error, path + ": " + decode_error);
   }
   return true;
-}
-
-MappedCircuitView::~MappedCircuitView() { Reset(); }
-
-MappedCircuitView::MappedCircuitView(MappedCircuitView&& other) noexcept {
-  *this = std::move(other);
-}
-
-MappedCircuitView& MappedCircuitView::operator=(
-    MappedCircuitView&& other) noexcept {
-  if (this == &other) return *this;
-  Reset();
-  data_ = other.data_;
-  size_ = other.size_;
-  view_ = other.view_;
-  cnf_hash_ = other.cnf_hash_;
-  fingerprint_ = other.fingerprint_;
-  order_ = other.order_;
-  clause_lengths_ = other.clause_lengths_;
-  clause_vars_ = other.clause_vars_;
-  num_clauses_ = other.num_clauses_;
-  cnf_num_vars_ = other.cnf_num_vars_;
-  num_clause_vars_ = other.num_clause_vars_;
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.view_ = CircuitWalkView{};
-  return *this;
-}
-
-void MappedCircuitView::Reset() {
-  if (data_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(data_), size_);
-    data_ = nullptr;
-    size_ = 0;
-    view_ = CircuitWalkView{};
-  }
-}
-
-bool MappedCircuitView::Open(const std::string& path, std::string* error) {
-  Reset();
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Fail(error, "open(" + path + "): " + std::strerror(errno));
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const std::string msg = std::strerror(errno);
-    ::close(fd);
-    return Fail(error, "fstat(" + path + "): " + msg);
-  }
-  if (st.st_size <= 0) {
-    ::close(fd);
-    return Fail(error, path + ": empty file");
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference
-  if (base == MAP_FAILED) {
-    return Fail(error, "mmap(" + path + "): " + std::strerror(errno));
-  }
-
-  ParsedImage image;
-  std::string validate_error;
-  if (!ValidateImage(static_cast<const uint8_t*>(base), size, &image,
-                     &validate_error)) {
-    ::munmap(base, size);
-    return Fail(error, path + ": " + validate_error);
-  }
-
-  data_ = static_cast<const uint8_t*>(base);
-  size_ = size;
-  view_ = image.view;
-  cnf_hash_ = image.header.cnf_hash;
-  fingerprint_ = image.header.fingerprint;
-  order_ = static_cast<OrderHeuristic>(image.header.order_tag);
-  clause_lengths_ = image.clause_lengths;
-  clause_vars_ = image.clause_vars;
-  num_clauses_ = image.header.num_clauses;
-  cnf_num_vars_ = image.header.cnf_num_vars;
-  num_clause_vars_ = image.num_clause_vars;
-  return true;
-}
-
-Cnf MappedCircuitView::DecodeCnf() const {
-  GMC_CHECK(ok());
-  return DecodeCnfSections(cnf_num_vars_, num_clauses_, clause_lengths_,
-                           clause_vars_);
-}
-
-Rational MappedCircuitView::Evaluate(
-    const std::vector<Rational>& probabilities) const {
-  GMC_CHECK(ok());
-  return WalkEvaluate(view_, probabilities);
-}
-
-std::vector<Rational> MappedCircuitView::EvaluateBatch(
-    const WeightMatrix& weights, int num_threads) const {
-  GMC_CHECK(ok());
-  return WalkEvaluateBatch(view_, weights, num_threads);
-}
-
-std::vector<Rational> MappedCircuitView::EvaluateBatchDyadic(
-    const WeightMatrix& weights, int num_threads,
-    DyadicBatchStats* stats) const {
-  GMC_CHECK(ok());
-  return WalkEvaluateBatchDyadic(view_, weights, num_threads, stats);
-}
-
-std::vector<double> MappedCircuitView::EvaluateBatchDouble(
-    const WeightMatrix& weights, int recheck_stride, double recheck_tolerance,
-    int num_threads) const {
-  GMC_CHECK(ok());
-  return WalkEvaluateBatchDouble(view_, weights, recheck_stride,
-                                 recheck_tolerance, num_threads);
 }
 
 }  // namespace store

@@ -814,6 +814,35 @@ TEST(SessionRouterTest, SampleModeSkipsTheProbeAndCertifies) {
   EXPECT_EQ(stats.budget_exhausted, 0u);
 }
 
+// The sampler reports 1 − μ̂, and μ̂ = W·successes/N can exceed 1 when the
+// union bound W does. On this H1 instance (the serve golden script's g13
+// request: default 1/2, S(0,0)=0, S(1,1)=1, R(2)=1/3, ε = 1/4, δ = 1/3)
+// the unclamped estimate was about −0.11; the reported one must lie in
+// [0, 1].
+TEST(SessionRouterTest, SampledEstimateStaysInTheUnitInterval) {
+  const Query h1 = H1();
+  const Vocabulary& vocab = h1.vocab();
+  Tid tid(h1.vocab_ptr(), 3, 3, Rational::Half());
+  tid.SetBinary(vocab.Find("S"), 0, 0, Rational::Zero());
+  tid.SetBinary(vocab.Find("S"), 1, 1, Rational::One());
+  tid.SetUnaryLeft(vocab.Find("R"), 2, Rational(1, 3));
+  const double exact = Gfomc(h1, tid).probability.ToDouble();
+
+  GmcOptions request;
+  request.routing_mode = RoutingMode::kSample;
+  request.epsilon = 0.25;
+  request.delta = Rational(1, 3).ToDouble();
+  GfomcSession session;
+  std::vector<GmcAnswer> answers;
+  const std::vector<GmcStatus> statuses =
+      session.EvaluateAnswers(h1, {tid}, request, &answers);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].message;
+  ASSERT_EQ(answers[0].tier, AnswerTier::kSampled);
+  EXPECT_GE(answers[0].estimate, 0.0);
+  EXPECT_LE(answers[0].estimate, 1.0);
+  EXPECT_LE(std::abs(answers[0].estimate - exact), answers[0].epsilon);
+}
+
 TEST(SessionRouterTest, UncappedTinyEpsilonIsRefusedBeforeSampling) {
   // With max_samples = 0 the (ε, δ) target alone sizes the run; at
   // ε = 1e-9 it saturates, and sampling it would allocate ~2^54 chunk

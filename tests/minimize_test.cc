@@ -3,7 +3,7 @@
 // output (random monotone CNFs and the real Type I/II gadget lineages),
 // must preserve the decomposability/determinism audits, and must never
 // grow the node count; EvaluateBatch must agree point by point with a loop
-// of Evaluate calls on both the Rational and the double path.
+// of Evaluate calls.
 
 #include <random>
 #include <vector>
@@ -197,13 +197,6 @@ TEST(EvaluateBatchTest, AgreesWithLoopedEvaluateOnRandomCnfs) {
     for (int k = 0; k < num_k; ++k) {
       EXPECT_EQ(batched[k], circuit.Evaluate(rows[k])) << "k=" << k;
     }
-    // Double path with the re-check knob verifying every vector: the knob
-    // itself aborts on drift, and we re-verify the returned values here.
-    std::vector<double> approx =
-        circuit.EvaluateBatchDouble(weights, /*recheck_stride=*/1);
-    for (int k = 0; k < num_k; ++k) {
-      EXPECT_NEAR(approx[k], batched[k].ToDouble(), 1e-9) << "k=" << k;
-    }
   }
 }
 
@@ -222,12 +215,8 @@ TEST(EvaluateBatchTest, AgreesOnTypeIGadgetSweep) {
   }
   WeightMatrix weights = WeightMatrix::FromRows(rows);
   std::vector<Rational> batched = circuit.EvaluateBatch(weights);
-  std::vector<double> approx =
-      circuit.EvaluateBatchDouble(weights, /*recheck_stride=*/4);
   for (int k = 0; k < num_k; ++k) {
-    const Rational looped = circuit.Evaluate(rows[k]);
-    EXPECT_EQ(batched[k], looped) << "k=" << k;
-    EXPECT_NEAR(approx[k], looped.ToDouble(), 1e-9) << "k=" << k;
+    EXPECT_EQ(batched[k], circuit.Evaluate(rows[k])) << "k=" << k;
   }
 }
 

@@ -6,6 +6,7 @@
 // primary TSAN target of the CI tsan job.
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -185,8 +186,8 @@ TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
     const std::vector<Rational> serial = circuit.EvaluateBatch(weights, 1);
     const std::vector<Rational> serial_dyadic =
         circuit.EvaluateBatchDyadic(weights, 1);
-    const std::vector<double> serial_double =
-        circuit.EvaluateBatchDouble(weights, 4, 1e-9, 1);
+    const std::vector<ProbInterval> serial_interval =
+        circuit.EvaluateBatchInterval(weights, 1);
     for (int threads : {2, 8}) {
       EXPECT_EQ(circuit.EvaluateBatch(weights, threads), serial)
           << "trial " << trial << " threads " << threads;
@@ -194,9 +195,17 @@ TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
           << "trial " << trial << " threads " << threads;
       // Doubles too: slices only regroup columns, they never reorder the
       // arithmetic inside one, so even floating point is bit-identical.
-      EXPECT_EQ(circuit.EvaluateBatchDouble(weights, 4, 1e-9, threads),
-                serial_double)
-          << "trial " << trial << " threads " << threads;
+      const std::vector<ProbInterval> interval =
+          circuit.EvaluateBatchInterval(weights, threads);
+      ASSERT_EQ(interval.size(), serial_interval.size());
+      for (size_t k = 0; k < interval.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(interval[k].lo),
+                  std::bit_cast<uint64_t>(serial_interval[k].lo))
+            << "trial " << trial << " threads " << threads << " k " << k;
+        EXPECT_EQ(std::bit_cast<uint64_t>(interval[k].hi),
+                  std::bit_cast<uint64_t>(serial_interval[k].hi))
+            << "trial " << trial << " threads " << threads << " k " << k;
+      }
     }
     // The dyadic and Rational paths agree bit-for-bit as well.
     EXPECT_EQ(serial, serial_dyadic);

@@ -1,10 +1,10 @@
 // The circuit store: persistence without a single bit of drift.
 //
-// Pins (a) save→load→evaluate bit-identity — owning loads AND mmap views
-// — against the in-memory circuit on random CNFs and the paper's gadget
-// corpus, across every order heuristic, both batch evaluators, and 1/2/8
-// threads; (b) clean rejection (no crash, no UB, an error string) of
-// truncated, bit-flipped, version-skewed, and structurally corrupt files;
+// Pins (a) save→load→evaluate bit-identity of the owning load against the
+// in-memory circuit on random CNFs and the paper's gadget corpus, across
+// every order heuristic, both exact batch evaluators, and 1/2/8 threads;
+// (b) clean rejection (no crash, no UB, an error string) of truncated,
+// bit-flipped, version-skewed, and structurally corrupt files;
 // (c) the CircuitCache integration: read-through, write-through,
 // SaveTo/WarmFrom (including WarmFrom racing live compiles), the
 // store_hits/store_misses/store_rejected counters, and the GMC_STORE-
@@ -151,9 +151,9 @@ NnfCircuit CompileUnder(const Cnf& cnf, OrderHeuristic order) {
   return compiler.Compile(cnf);
 }
 
-// The acceptance bar: every evaluator, at every thread count, agrees
-// BIT-IDENTICALLY between the in-memory circuit, an owning load, and a
-// zero-copy mmap view of the same file.
+// The acceptance bar: every exact batch evaluator, at every thread count,
+// agrees BIT-IDENTICALLY between the in-memory circuit and an owning load
+// of the same file.
 void ExpectRoundTripBitIdentical(const NnfCircuit& original, const Cnf& cnf,
                                  OrderHeuristic order,
                                  const std::string& path) {
@@ -166,11 +166,7 @@ void ExpectRoundTripBitIdentical(const NnfCircuit& original, const Cnf& cnf,
   EXPECT_EQ(loaded.cnf_hash, cnf.Hash64());
   EXPECT_EQ(loaded.cnf.clauses, cnf.clauses);
   EXPECT_EQ(loaded.circuit.Fingerprint(), original.Fingerprint());
-
-  store::MappedCircuitView mapped;
-  ASSERT_TRUE(mapped.Open(path, &error)) << error;
-  EXPECT_EQ(mapped.fingerprint(), original.Fingerprint());
-  EXPECT_EQ(mapped.DecodeCnf().clauses, cnf.clauses);
+  EXPECT_EQ(loaded.fingerprint, original.Fingerprint());
 
   const int num_vars = original.num_vars();
   const WeightMatrix dyadic = DyadicWeights(num_vars, 5);
@@ -179,15 +175,13 @@ void ExpectRoundTripBitIdentical(const NnfCircuit& original, const Cnf& cnf,
     const std::vector<Rational> want_rat =
         original.EvaluateBatch(rational, threads);
     EXPECT_EQ(loaded.circuit.EvaluateBatch(rational, threads), want_rat);
-    EXPECT_EQ(mapped.EvaluateBatch(rational, threads), want_rat);
 
     const std::vector<Rational> want_dy =
         original.EvaluateBatchDyadic(dyadic, threads);
     EXPECT_EQ(loaded.circuit.EvaluateBatchDyadic(dyadic, threads), want_dy);
-    EXPECT_EQ(mapped.EvaluateBatchDyadic(dyadic, threads), want_dy);
     // The two exact evaluators agree with each other too, through the
-    // mapped bytes.
-    EXPECT_EQ(mapped.EvaluateBatch(dyadic, threads), want_dy);
+    // stored bytes.
+    EXPECT_EQ(loaded.circuit.EvaluateBatch(dyadic, threads), want_dy);
   }
 }
 
@@ -212,7 +206,7 @@ TEST_F(StoreTest, RoundTripGadgetCorpusAllOrders) {
   }
 }
 
-TEST_F(StoreTest, SingleEvaluateMatchesThroughTheMapping) {
+TEST_F(StoreTest, SingleEvaluateMatchesThroughTheStore) {
   const Lineage lineage = GadgetCorpus(3).back();
   const NnfCircuit circuit =
       CompileUnder(lineage.cnf, OrderHeuristic::kMinFill);
@@ -220,13 +214,13 @@ TEST_F(StoreTest, SingleEvaluateMatchesThroughTheMapping) {
   std::string error;
   ASSERT_TRUE(store::SaveCircuit(circuit, lineage.cnf,
                                  OrderHeuristic::kMinFill, path, &error));
-  store::MappedCircuitView mapped;
-  ASSERT_TRUE(mapped.Open(path, &error)) << error;
-  EXPECT_EQ(mapped.Evaluate(lineage.probabilities),
+  store::LoadedCircuit loaded;
+  ASSERT_TRUE(store::LoadCircuit(path, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.circuit.Evaluate(lineage.probabilities),
             circuit.Evaluate(lineage.probabilities));
 }
 
-TEST_F(StoreTest, MappedViewConcurrentEvaluation) {
+TEST_F(StoreTest, LoadedCircuitConcurrentEvaluation) {
   const Lineage lineage = GadgetCorpus(4).back();
   const NnfCircuit circuit =
       CompileUnder(lineage.cnf, OrderHeuristic::kDefault);
@@ -234,8 +228,8 @@ TEST_F(StoreTest, MappedViewConcurrentEvaluation) {
   std::string error;
   ASSERT_TRUE(store::SaveCircuit(circuit, lineage.cnf,
                                  OrderHeuristic::kDefault, path, &error));
-  store::MappedCircuitView mapped;
-  ASSERT_TRUE(mapped.Open(path, &error)) << error;
+  store::LoadedCircuit loaded;
+  ASSERT_TRUE(store::LoadCircuit(path, &loaded, &error)) << error;
 
   const WeightMatrix weights = DyadicWeights(circuit.num_vars(), 6);
   const std::vector<Rational> want = circuit.EvaluateBatchDyadic(weights, 1);
@@ -243,9 +237,9 @@ TEST_F(StoreTest, MappedViewConcurrentEvaluation) {
   std::vector<int> ok(8, 0);
   for (int t = 0; t < 8; ++t) {
     workers.emplace_back([&, t] {
-      // One shared mapping, eight concurrent walkers (each internally
-      // parallel too) — the N-replicas-one-page-cache-copy shape.
-      ok[t] = mapped.EvaluateBatchDyadic(weights, 2) == want ? 1 : 0;
+      // One loaded circuit, eight concurrent walkers (each internally
+      // parallel too) — the shape of a resident store hit under load.
+      ok[t] = loaded.circuit.EvaluateBatchDyadic(weights, 2) == want ? 1 : 0;
     });
   }
   for (std::thread& w : workers) w.join();
@@ -409,7 +403,7 @@ TEST(StoreRejectionTest, VersionSkewAndStructuralCorruption) {
   }
 }
 
-TEST_F(StoreTest, MappedOpenRejectsCorruptFilesCleanly) {
+TEST_F(StoreTest, LoadRejectsCorruptFilesCleanly) {
   const std::vector<uint8_t> bytes = EncodedGadget();
   const std::string path = dir_ + "/corrupt.gmcc";
   std::vector<uint8_t> corrupt = bytes;
@@ -419,13 +413,10 @@ TEST_F(StoreTest, MappedOpenRejectsCorruptFilesCleanly) {
   ASSERT_EQ(::fwrite(corrupt.data(), 1, corrupt.size(), f), corrupt.size());
   ::fclose(f);
 
-  store::MappedCircuitView mapped;
   std::string error;
-  EXPECT_FALSE(mapped.Open(path, &error));
-  EXPECT_FALSE(mapped.ok());
-  EXPECT_FALSE(error.empty());
   store::LoadedCircuit out;
   EXPECT_FALSE(store::LoadCircuit(path, &out, &error));
+  EXPECT_FALSE(error.empty());
   ::unlink(path.c_str());
 }
 
