@@ -10,6 +10,11 @@
 // the latency a serving client sees when an instance blows its compile
 // budget.
 //
+// BM_KarpLubyPlanBuild times the sampler's per-request setup on the shape
+// the end-to-end certified_sampled workload serves: C9 3×3 with its own
+// k/7 or k/11 weight on every tuple, which the plan builds in 64-bit
+// integers.
+//
 // BM_KarpLubyParallel scales the chunk-parallel sampler across worker
 // counts on one plan (substreams are indexed by sample chunk, so every
 // thread count draws the SAME samples — the bench refuses to report a
@@ -22,8 +27,9 @@
 // wrong: an interval that does not enclose the exact probability (checked
 // with exact rational arithmetic), interval results that differ across
 // thread counts, a fixed-seed estimate outside its ε certificate — or not
-// bit-identical between the serial and 8-worker sampler — or an
-// over-budget instance that fails to come back certified. It also fails
+// bit-identical between the serial and 8-worker sampler — a sampler plan
+// whose integer build differs from its Rational build, or an over-budget
+// instance that fails to come back certified. It also fails
 // when the interval pass costs more than 5× the double walk (best of 20
 // interleaved single-thread passes each, K = 64, C9 3×3). This is the
 // acceptance bar of the anytime tier, enforced on every CI run.
@@ -38,6 +44,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "approx/karp_luby.h"
@@ -76,6 +83,37 @@ gmc::Lineage H1Lineage(int domain) {
 gmc::Lineage Type2Lineage(int domain) {
   gmc::Query q = ExampleC9();
   gmc::Tid tid(q.vocab_ptr(), domain, domain, gmc::Rational(3, 7));
+  return gmc::Ground(q, tid);
+}
+
+// C9 3×3 with per-tuple weights cycling through k/7 and k/11 in (symbol,
+// u, v) order: the end-to-end certified_sampled shape.
+gmc::Lineage CyclingC9Lineage() {
+  const gmc::Rational weights[] = {
+      gmc::Rational(1, 7), gmc::Rational(2, 11), gmc::Rational(3, 7),
+      gmc::Rational(5, 11), gmc::Rational(6, 7), gmc::Rational(9, 11),
+      gmc::Rational(2, 7), gmc::Rational(4, 11), gmc::Rational(5, 7),
+      gmc::Rational(10, 11)};
+  gmc::Query q = ExampleC9();
+  gmc::Tid tid(q.vocab_ptr(), 3, 3, gmc::Rational::Half());
+  const gmc::Vocabulary& vocab = q.vocab();
+  size_t next = 0;
+  auto weight = [&] { return weights[next++ % std::size(weights)]; };
+  for (gmc::SymbolId s = 0; s < vocab.size(); ++s) {
+    for (int u = 0; u < 3; ++u) {
+      switch (vocab.kind(s)) {
+        case gmc::SymbolKind::kUnaryLeft:
+          tid.SetUnaryLeft(s, u, weight());
+          break;
+        case gmc::SymbolKind::kUnaryRight:
+          tid.SetUnaryRight(s, u, weight());
+          break;
+        case gmc::SymbolKind::kBinary:
+          for (int v = 0; v < 3; ++v) tid.SetBinary(s, u, v, weight());
+          break;
+      }
+    }
+  }
   return gmc::Ground(q, tid);
 }
 
@@ -249,6 +287,19 @@ void BM_KarpLuby(benchmark::State& state) {
 }
 BENCHMARK(BM_KarpLuby)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
+// The per-request plan build: a fresh-weight request misses the plan
+// cache and pays exactly this.
+void BM_KarpLubyPlanBuild(benchmark::State& state) {
+  const gmc::Lineage lineage = CyclingC9Lineage();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        gmc::BuildKarpLubyPlan(lineage.cnf, lineage.probabilities));
+  }
+  state.counters["lineage_clauses"] =
+      static_cast<double>(lineage.cnf.clauses.size());
+}
+BENCHMARK(BM_KarpLubyPlanBuild)->Unit(benchmark::kMicrosecond);
+
 // The chunk-parallel sampler on the Type-II d=4 gadget, one shared plan,
 // Arg = worker count. The wall-clock ratio Arg(1)/Arg(8) is the headline
 // speedup; the bench aborts rather than time a wrong answer — every
@@ -360,6 +411,20 @@ BENCHMARK(BM_RouterOverBudget)->Unit(benchmark::kMillisecond);
 
 // --- Correctness guard, CI-enforced -----------------------------------
 
+// Whether the integer plan build applies to the lineage and agrees with
+// the Rational build field for field.
+bool PlanBuildsAgree(const gmc::Lineage& lineage) {
+  gmc::KarpLubyPlan integer;
+  gmc::KarpLubyPlan rational;
+  integer.cnf = rational.cnf = lineage.cnf;
+  integer.probabilities = rational.probabilities = lineage.probabilities;
+  gmc::approx_internal::BuildWordsRational(&rational);
+  return gmc::approx_internal::BuildWordsInteger(&integer) &&
+         integer.prefix == rational.prefix &&
+         integer.variable_words == rational.variable_words &&
+         integer.boundary_words == rational.boundary_words;
+}
+
 void BM_AnytimeCrossCheck(benchmark::State& state) {
   std::vector<gmc::Lineage> corpus = {H1Lineage(3), Type2Lineage(3)};
   using Clock = std::chrono::steady_clock;
@@ -400,6 +465,13 @@ void BM_AnytimeCrossCheck(benchmark::State& state) {
           state.SkipWithError("the double walk disagrees with the exact pass");
           return;
         }
+      }
+      // The sampler's plan: the integer build must apply to these 3/7
+      // weights and equal the Rational build.
+      if (!PlanBuildsAgree(lineage)) {
+        state.SkipWithError(
+            "the integer sampler-plan build differs from the Rational build");
+        return;
       }
       // The sampler's certificate at a fixed seed: |est − p| ≤ ε on the
       // single-column lineage weights.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 
 #include "util/bigint.h"
 #include "util/check.h"
@@ -95,13 +96,166 @@ bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng) {
 size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng) {
   // Boundaries with a word below c lie below u, those with a word above c
   // lie above all of u's interval; lo counts the former, so unless the
-  // next boundary's word is c itself, u · W falls in bucket lo.
+  // next boundary's word is c itself, u · W falls in bucket lo. The guide
+  // table brackets lo by c's slice of the word range; the search runs
+  // only over the words inside that slice.
   const std::vector<uint64_t>& words = plan.boundary_words;
   const uint64_t c = rng->Next();
-  const size_t lo = static_cast<size_t>(
-      std::lower_bound(words.begin(), words.end(), c) - words.begin());
+  const uint64_t slice = c >> plan.guide_shift;
+  size_t lo = plan.guide[slice];
+  const size_t hi = plan.guide[slice + 1];
+  if (hi - lo <= 8) [[likely]] {
+    while (lo < hi && words[lo] < c) ++lo;
+  } else {
+    lo = static_cast<size_t>(
+        std::lower_bound(words.begin() + lo, words.begin() + hi, c) -
+        words.begin());
+  }
   if (lo == words.size() || words[lo] != c) [[likely]] return lo;
   return LazyUniform(rng, c).Categorical(plan.prefix, plan.total_weight());
+}
+
+namespace {
+
+using UInt128 = unsigned __int128;
+
+bool FitsIn63Bits(UInt128 value) { return value < (UInt128{1} << 63); }
+
+// ⌊(num / den)·2^64⌋ for 0 ≤ num < den: the word a threshold compares as.
+uint64_t FloorWord(const BigInt& num, const BigInt& den) {
+  return (num.ShiftLeft(64) / den).Bits64At(0);
+}
+
+// The same word for 64-bit parts; num < den keeps the quotient in 64 bits.
+uint64_t FloorWord(uint64_t num, uint64_t den) {
+  return static_cast<uint64_t>((UInt128{num} << 64) / den);
+}
+
+}  // namespace
+
+bool BuildWordsInteger(KarpLubyPlan* plan) {
+  const std::vector<Rational>& probabilities = plan->probabilities;
+  const std::vector<std::vector<int>>& clauses = plan->cnf.clauses;
+  const size_t m = clauses.size();
+  // Every marginal as a/b in lowest terms, 0 ≤ a ≤ b < 2^63.
+  std::vector<std::pair<uint64_t, uint64_t>> parts(probabilities.size());
+  for (size_t v = 0; v < probabilities.size(); ++v) {
+    const Rational& p = probabilities[v];
+    if (p.sign() < 0 || p.denominator().BitLength() > 63 ||
+        p.numerator().BitLength() > 63) {
+      return false;
+    }
+    parts[v] = {p.numerator().Bits64At(0), p.denominator().Bits64At(0)};
+    if (parts[v].first > parts[v].second) return false;
+  }
+  // The reduced clause weights n_i/d_i = Π (b − a)/b and their common
+  // denominator D. Both factors of each step are in lowest terms (the
+  // gcd of b − a and b is that of a and b), so cancelling gcd(n, b) and
+  // gcd(b − a, d) leaves the product in lowest terms too. A weight is at
+  // most 1, so its numerator fits wherever its denominator does.
+  std::vector<uint64_t> numerators(m);
+  std::vector<uint64_t> denominators(m);
+  uint64_t common = 1;
+  for (size_t i = 0; i < m; ++i) {
+    uint64_t n = 1;
+    uint64_t d = 1;
+    for (int v : clauses[i]) {
+      const auto [a, b] = parts[v];
+      const uint64_t q = b - a;
+      if (q == 0) {
+        n = 0;
+        d = 1;
+        break;
+      }
+      const uint64_t g_nb = std::gcd(n, b);
+      const uint64_t g_qd = std::gcd(q, d);
+      const UInt128 den = UInt128{d / g_qd} * (b / g_nb);
+      if (!FitsIn63Bits(den)) return false;
+      n = (n / g_nb) * (q / g_qd);
+      d = static_cast<uint64_t>(den);
+    }
+    numerators[i] = n;
+    denominators[i] = d;
+    const UInt128 lcm = UInt128{common / std::gcd(common, d)} * d;
+    if (!FitsIn63Bits(lcm)) return false;
+    common = static_cast<uint64_t>(lcm);
+  }
+  // The prefix numerators N_i over D: prefix[i] = N_i / D.
+  std::vector<uint64_t> sums(m + 1, 0);
+  for (size_t i = 0; i < m; ++i) {
+    const UInt128 next =
+        sums[i] + UInt128{common / denominators[i]} * numerators[i];
+    if (!FitsIn63Bits(next)) return false;
+    sums[i + 1] = static_cast<uint64_t>(next);
+  }
+
+  // Everything fits: write the plan. The prefix entries are the canonical
+  // Rationals N_i / D reduced, so they equal the Rational path's sums.
+  plan->prefix.resize(m + 1);
+  for (size_t i = 0; i <= m; ++i) {
+    const uint64_t g = std::gcd(sums[i], common);  // D when N_i = 0
+    plan->prefix[i] = Rational::FromReducedParts(
+        BigInt(static_cast<int64_t>(sums[i] / g)),
+        BigInt(static_cast<int64_t>(common / g)));
+  }
+  plan->variable_words.assign(parts.size(), {});
+  for (size_t v = 0; v < parts.size(); ++v) {
+    const auto [a, b] = parts[v];
+    KarpLubyPlan::VariableWord& word = plan->variable_words[v];
+    if (a == 0) {
+      word.fixed = 0;
+    } else if (a == b) {
+      word.fixed = 1;
+    } else {
+      word.floor = FloorWord(a, b);
+    }
+  }
+  // prefix[i] / W = N_i / N_m.
+  plan->boundary_words.clear();
+  for (size_t i = 1; i < m && sums[i] != sums[m]; ++i) {
+    plan->boundary_words.push_back(FloorWord(sums[i], sums[m]));
+  }
+  return true;
+}
+
+void BuildWordsRational(KarpLubyPlan* plan) {
+  const std::vector<Rational>& probabilities = plan->probabilities;
+  const Cnf& cnf = plan->cnf;
+  // Disjunct weights w_i = Π_{v ∈ clause_i} (1 − p_v), their prefix sums,
+  // and W — all exact.
+  const size_t m = cnf.clauses.size();
+  plan->prefix.assign(m + 1, Rational::Zero());
+  for (size_t i = 0; i < m; ++i) {
+    Rational weight = Rational::One();
+    for (int v : cnf.clauses[i]) {
+      GMC_CHECK_MSG(probabilities[v].IsProbability(),
+                    "BuildKarpLubyPlan needs probabilities in [0, 1]");
+      weight *= Rational::One() - probabilities[v];
+      if (weight.IsZero()) break;
+    }
+    plan->prefix[i + 1] = plan->prefix[i] + weight;
+  }
+  // The threshold words the draws compare against (see DrawBernoulli).
+  plan->variable_words.assign(probabilities.size(), {});
+  for (size_t v = 0; v < probabilities.size(); ++v) {
+    const Rational& p = probabilities[v];
+    KarpLubyPlan::VariableWord& word = plan->variable_words[v];
+    if (p.sign() <= 0) {
+      word.fixed = 0;
+    } else if (p >= Rational::One()) {
+      word.fixed = 1;
+    } else {
+      word.floor = FloorWord(p.numerator(), p.denominator());
+    }
+  }
+  plan->boundary_words.clear();
+  const Rational& total = plan->total_weight();
+  for (size_t i = 1; i < m && plan->prefix[i] != total; ++i) {
+    // prefix[i] / W < 1, as (a/b) / (N/D) = a·D / (b·N).
+    plan->boundary_words.push_back(
+        FloorWord(plan->prefix[i].numerator() * total.denominator(),
+                  plan->prefix[i].denominator() * total.numerator()));
+  }
 }
 
 }  // namespace approx_internal
@@ -121,9 +275,23 @@ uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
 
 namespace {
 
-// ⌊(num / den)·2^64⌋ for 0 ≤ num < den: the word a threshold compares as.
-uint64_t FloorWord(const BigInt& num, const BigInt& den) {
-  return (num.ShiftLeft(64) / den).Bits64At(0);
+// The guide table over plan->boundary_words (see KarpLubyPlan::guide), in
+// one merge pass over the slice edges k·2^shift and the sorted words.
+void BuildGuide(KarpLubyPlan* plan) {
+  const std::vector<uint64_t>& words = plan->boundary_words;
+  GMC_CHECK(words.size() <= UINT32_MAX);
+  int log_slices = 1;
+  while ((uint64_t{1} << log_slices) < 2 * words.size()) ++log_slices;
+  const size_t slices = size_t{1} << log_slices;
+  plan->guide_shift = 64 - log_slices;
+  plan->guide.resize(slices + 1);
+  size_t below = 0;
+  for (size_t k = 0; k < slices; ++k) {
+    const uint64_t edge = static_cast<uint64_t>(k) << plan->guide_shift;
+    while (below < words.size() && words[below] < edge) ++below;
+    plan->guide[k] = static_cast<uint32_t>(below);
+  }
+  plan->guide[slices] = static_cast<uint32_t>(words.size());
 }
 
 }  // namespace
@@ -134,40 +302,10 @@ std::shared_ptr<const KarpLubyPlan> BuildKarpLubyPlan(
   auto plan = std::make_shared<KarpLubyPlan>();
   plan->cnf = cnf;
   plan->probabilities = probabilities;
-  // Disjunct weights w_i = Π_{v ∈ clause_i} (1 − p_v), their prefix sums,
-  // and W — all exact.
-  const size_t m = cnf.clauses.size();
-  plan->prefix.assign(m + 1, Rational::Zero());
-  for (size_t i = 0; i < m; ++i) {
-    Rational weight = Rational::One();
-    for (int v : cnf.clauses[i]) {
-      GMC_CHECK_MSG(probabilities[v].IsProbability(),
-                    "BuildKarpLubyPlan needs probabilities in [0, 1]");
-      weight *= Rational::One() - probabilities[v];
-      if (weight.IsZero()) break;
-    }
-    plan->prefix[i + 1] = plan->prefix[i] + weight;
+  if (!approx_internal::BuildWordsInteger(plan.get())) {
+    approx_internal::BuildWordsRational(plan.get());
   }
-  // The threshold words the draws compare against (see DrawBernoulli).
-  plan->variable_words.resize(probabilities.size());
-  for (size_t v = 0; v < probabilities.size(); ++v) {
-    const Rational& p = probabilities[v];
-    KarpLubyPlan::VariableWord& word = plan->variable_words[v];
-    if (p.sign() <= 0) {
-      word.fixed = 0;
-    } else if (p >= Rational::One()) {
-      word.fixed = 1;
-    } else {
-      word.floor = FloorWord(p.numerator(), p.denominator());
-    }
-  }
-  const Rational& total = plan->total_weight();
-  for (size_t i = 1; i < m && plan->prefix[i] != total; ++i) {
-    // prefix[i] / W < 1, as (a/b) / (N/D) = a·D / (b·N).
-    plan->boundary_words.push_back(
-        FloorWord(plan->prefix[i].numerator() * total.denominator(),
-                  plan->prefix[i].denominator() * total.numerator()));
-  }
+  BuildGuide(plan.get());
   return plan;
 }
 
@@ -398,8 +536,10 @@ KarpLubyResult KarpLubyEstimate(const Lineage& lineage,
 
 namespace {
 
-// Order-free fold for the plan-cache key (seed the cnf hash, fold each
-// marginal's hash in sequence — boost::hash_combine's recipe widened).
+// Order-dependent fold for the plan-cache key (seed the cnf hash, fold
+// each marginal's hash in variable order — boost::hash_combine's recipe
+// widened): the key is indexed by variable, so swapping two marginals
+// must change it.
 uint64_t HashCombine(uint64_t h, uint64_t v) {
   return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4));
 }

@@ -34,6 +34,19 @@
 // bits at a time. Decisions and stream consumption are those of a fully
 // Rational draw, word for word.
 //
+// The words are exact too, whichever way the plan computes them. When
+// every weight's parts, every reduced clause weight, the clause weights'
+// common denominator D and every prefix numerator fit in 63 bits (the
+// k/7, k/11 and short dyadic weights of ordinary traffic), the plan is
+// built in 128-bit integer arithmetic over D; any other input takes the
+// Rational path. Both produce the same prefix sums and words (pinned by
+// tests/approx_test.cc). The categorical draw finds c among the boundary
+// words through a guide table (Chen and Asau's indexed search): c's top
+// bits name one of T ≥ 2·|boundary words| equal slices of the word range,
+// the table says which words lie in that slice, and only those are
+// searched. The index is std::lower_bound's by construction, in expected
+// O(1) work per draw and O(log m) at worst.
+//
 // Anytime contract: when max_samples caps N below the target, the sampler
 // still runs and reports the LARGER epsilon it actually achieved at that
 // sample count (same δ) — a weaker certificate, never a silent lie.
@@ -52,8 +65,10 @@
 // invariant when the token was fired before sampling began.
 //
 // Setup reuse: the per-instance work that dominates short runs — copying
-// the CNF, the exact disjunct weights, their prefix sums — is factored
-// into a KarpLubyPlan. Build one with BuildKarpLubyPlan (or share them
+// the CNF, the exact disjunct weights and their prefix sums, the threshold
+// words and the guide table — is factored into a KarpLubyPlan. Every part
+// but the CNF depends on the weights, so a plan is shared only by requests
+// with equal weights. Build one with BuildKarpLubyPlan (or share them
 // through a KarpLubyPlanCache, as GfomcSession does) and run
 // KarpLubyEstimate(plan, params) any number of times: same-structure
 // requests in one serve coalescing round pay for one plan, not N.
@@ -143,6 +158,7 @@ struct KarpLubyPlan {
   struct VariableWord {
     uint64_t floor = 0;
     int8_t fixed = -1;
+    bool operator==(const VariableWord&) const = default;
   };
 
   Cnf cnf;
@@ -157,6 +173,14 @@ struct KarpLubyPlan {
   /// with prefix[k] = W (below m when the trailing disjuncts weigh 0).
   /// Nondecreasing; empty when W = 0.
   std::vector<uint64_t> boundary_words;
+  /// The guide table over `boundary_words`: with T = guide.size() − 1, the
+  /// smallest power of two ≥ 2·|boundary_words| (at least 2), and
+  /// guide_shift = 64 − log2 T, guide[k] counts the words below k·2^shift
+  /// and guide[T] counts them all. A drawn word c lies in slice
+  /// s = c >> guide_shift, so lower_bound(boundary_words, c) is in
+  /// [guide[s], guide[s + 1]].
+  std::vector<uint32_t> guide;
+  int guide_shift = 63;
 
   size_t num_clauses() const { return cnf.clauses.size(); }
   const Rational& total_weight() const { return prefix.back(); }
@@ -204,8 +228,9 @@ uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
 /// crossing skips both the lookup and the insert, forcing a rebuild whose
 /// result is identical — self-healing by construction.
 ///
-/// Thread-safe (one mutex; plan builds run outside it only on the fault
-/// path — cached builds are cheap enough that holding it is simpler).
+/// Thread-safe: one mutex guards the entries, and a miss builds its plan
+/// outside it, so concurrent misses build in parallel. Two racing misses
+/// on one key both build, and the later insert replaces an equal plan.
 class KarpLubyPlanCache {
  public:
   /// Cumulative counters, updated in place; stats() copies them without
@@ -305,6 +330,17 @@ class LazyUniform {
 /// from `rng`. DrawDisjunct needs W > 0.
 bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng);
 size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng);
+
+/// The plan's two word builders. Each fills `prefix`, `variable_words` and
+/// `boundary_words` from plan->cnf and plan->probabilities (the guide table
+/// is BuildKarpLubyPlan's). BuildWordsInteger runs in 128-bit integers and
+/// returns false, with the plan untouched, unless every probability a/b
+/// has 0 ≤ a ≤ b < 2^63 and every running clause product, the common
+/// denominator and every prefix numerator fit in 63 bits.
+/// BuildWordsRational takes any input and aborts on a clause variable
+/// outside [0, 1]. Where both apply, their results are equal.
+bool BuildWordsInteger(KarpLubyPlan* plan);
+void BuildWordsRational(KarpLubyPlan* plan);
 
 }  // namespace approx_internal
 

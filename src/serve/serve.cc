@@ -665,8 +665,10 @@ void GmcServer::BatchLoop() {
 
 namespace {
 
-// Shortest decimal that round-trips (the wire carries doubles for the
-// approximate tiers; exact tiers stay rational).
+// 17 significant digits, which round-trip every double but are not
+// always the shortest decimal that does (0.1 prints as
+// 0.10000000000000001). The wire carries doubles for the approximate
+// tiers; exact tiers stay rational.
 std::string FormatDouble(double value) {
   std::ostringstream out;
   out << std::setprecision(17) << value;

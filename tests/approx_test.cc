@@ -12,7 +12,9 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -1195,6 +1197,14 @@ Tid CyclingTid(const Query& query, int n,
   return tid;
 }
 
+// The end-to-end sampled workload's weights, k/7 and k/11, in the order
+// CyclingTid hands them out.
+std::vector<Rational> SeventhsElevenths() {
+  return {Rational(1, 7), Rational(2, 11), Rational(3, 7), Rational(5, 11),
+          Rational(6, 7), Rational(9, 11), Rational(2, 7), Rational(4, 11),
+          Rational(5, 7), Rational(10, 11)};
+}
+
 // Golden pins: the sampler's exact output for fixed (lineage, weights,
 // seed, cap), recorded from the all-Rational draw code that preceded the
 // integer word compare. Every other sampler pin compares two runs of the
@@ -1339,6 +1349,28 @@ Rational UpperWeight(uint64_t w) {
 
 constexpr uint64_t kTieSeeds[] = {1, 2, 3, 0x601d, 0xfeedface, 1u << 31};
 
+// x from x ^ (x >> shift).
+uint64_t UnXorShift(uint64_t y, int shift) {
+  uint64_t x = y;
+  for (int i = 0; i <= 64 / shift; ++i) x = y ^ (x >> shift);
+  return x;
+}
+
+// The inverse of an odd number modulo 2^64 (Newton's iteration).
+uint64_t InverseOdd(uint64_t a) {
+  uint64_t x = a;
+  for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+  return x;
+}
+
+// A seed whose stream returns `word` first: SplitMix64's mix undone step
+// by step, then its first increment taken back.
+uint64_t SeedYielding(uint64_t word) {
+  uint64_t z = UnXorShift(word, 31) * InverseOdd(0x94d049bb133111ebull);
+  z = UnXorShift(z, 27) * InverseOdd(0xbf58476d1ce4e5b9ull);
+  return UnXorShift(z, 30) - 0x9e3779b97f4a7c15ull;
+}
+
 }  // namespace tie
 
 TEST(KarpLubyDrawTest, NonIntegralBernoulliTieRefinesExactly) {
@@ -1418,6 +1450,190 @@ TEST(KarpLubyDrawTest, UntiedDrawsReadOneWordAndMatchTheReference) {
     for (int v = 0; v < 7; ++v) {
       tie::ExpectBernoulliMatches(*plan, v, seed,
                                   plan->variable_words[v].fixed < 0 ? 1 : 0);
+    }
+  }
+}
+
+TEST(KarpLubyDrawTest, GuidedDisjunctMatchesLowerBound) {
+  // The golden C9 plan (62 words), a plan with repeated words (zero-weight
+  // middle disjuncts), and a skewed plan: after a disjunct of weight 1/3,
+  // twelve of weight 2^-20 put twelve words inside one guide slice.
+  const Lineage c9 =
+      Ground(ExampleC9(), CyclingTid(ExampleC9(), 3, SeventhsElevenths()));
+  std::vector<Rational> skewed = {Rational(2, 3)};
+  skewed.insert(skewed.end(), 12,
+                Rational::One() - Rational::Dyadic(BigInt(1), 20));
+  skewed.push_back(Rational(1, 3));
+  const std::shared_ptr<const KarpLubyPlan> plans[] = {
+      BuildKarpLubyPlan(c9.cnf, c9.probabilities),
+      tie::UnitClausePlan({Rational(1, 7), Rational::One(), Rational(5, 11),
+                           Rational::One(), Rational::One(), Rational(1, 2)}),
+      tie::UnitClausePlan(skewed),
+  };
+  ASSERT_EQ(plans[0]->boundary_words.size(), 62u);
+  uint32_t widest = 0;
+  for (const auto& plan : plans) {
+    const std::vector<uint64_t>& words = plan->boundary_words;
+    const size_t slices = plan->guide.size() - 1;
+    ASSERT_GE(slices, 2 * words.size());
+    ASSERT_EQ(uint64_t{1} << (64 - plan->guide_shift), slices);
+    std::vector<uint64_t> probes;
+    for (uint64_t w : words) probes.insert(probes.end(), {w - 1, w, w + 1});
+    for (size_t k = 0; k < slices; ++k) {
+      const uint64_t edge = static_cast<uint64_t>(k) << plan->guide_shift;
+      probes.insert(probes.end(), {edge - 1, edge});
+      widest = std::max(widest, plan->guide[k + 1] - plan->guide[k]);
+    }
+    for (uint64_t c : probes) {
+      const uint64_t seed = tie::SeedYielding(c);
+      ASSERT_EQ(approx_internal::SplitMix64(seed).Next(), c);
+      if (std::binary_search(words.begin(), words.end(), c)) {
+        // A tie continues exactly, as far as the reference reads.
+        approx_internal::SplitMix64 fast(seed);
+        approx_internal::SplitMix64 reference(seed);
+        EXPECT_EQ(approx_internal::DrawDisjunct(*plan, &fast),
+                  approx_internal::LazyUniform(&reference)
+                      .Categorical(plan->prefix, plan->total_weight()))
+            << "c=" << c;
+        EXPECT_EQ(fast.Next(), reference.Next()) << "c=" << c;
+      } else {
+        EXPECT_EQ(tie::ExpectDisjunctMatches(*plan, seed, 1),
+                  static_cast<size_t>(
+                      std::lower_bound(words.begin(), words.end(), c) -
+                      words.begin()))
+            << "c=" << c;
+      }
+    }
+  }
+  EXPECT_GT(widest, 8u);  // the skewed plan's slice takes the binary search
+}
+
+// One builder pair on one instance: the integer build, where it applies,
+// equals the Rational one field for field, and BuildKarpLubyPlan equals
+// the Rational build either way. Returns whether the integer path applied.
+bool ExpectBuildsAgree(const Cnf& cnf,
+                       const std::vector<Rational>& probabilities,
+                       const std::string& label) {
+  KarpLubyPlan integer;
+  KarpLubyPlan rational;
+  integer.cnf = rational.cnf = cnf;
+  integer.probabilities = rational.probabilities = probabilities;
+  approx_internal::BuildWordsRational(&rational);
+  const bool applied = approx_internal::BuildWordsInteger(&integer);
+  if (applied) {
+    EXPECT_EQ(integer.prefix, rational.prefix) << label;
+    EXPECT_EQ(integer.variable_words, rational.variable_words) << label;
+    EXPECT_EQ(integer.boundary_words, rational.boundary_words) << label;
+  } else {
+    EXPECT_TRUE(integer.prefix.empty() && integer.variable_words.empty() &&
+                integer.boundary_words.empty())
+        << label << ": a refused integer build wrote to the plan";
+  }
+  const std::shared_ptr<const KarpLubyPlan> plan =
+      BuildKarpLubyPlan(cnf, probabilities);
+  EXPECT_EQ(plan->prefix, rational.prefix) << label;
+  EXPECT_EQ(plan->variable_words, rational.variable_words) << label;
+  EXPECT_EQ(plan->boundary_words, rational.boundary_words) << label;
+  return applied;
+}
+
+TEST(KarpLubyPlanTest, IntegerAndRationalBuildsAgree) {
+  // The e2e shapes: C9 and H1 on 3×3 with per-tuple k/7 and k/11 weights.
+  for (const Query& query : {ExampleC9(), H1()}) {
+    const Lineage lineage =
+        Ground(query, CyclingTid(query, 3, SeventhsElevenths()));
+    EXPECT_TRUE(
+        ExpectBuildsAgree(lineage.cnf, lineage.probabilities, "e2e shape"));
+  }
+
+  // Fixed shapes: m = 0; m = 1; W = 0 (every clause holds a certain
+  // variable); zero-weight trailing disjuncts.
+  Cnf empty;
+  empty.num_vars = 2;
+  EXPECT_TRUE(ExpectBuildsAgree(empty, {Rational(1, 3), Rational(1, 2)},
+                                "m = 0"));
+  Cnf one;
+  one.num_vars = 2;
+  one.clauses = {{0, 1}};
+  EXPECT_TRUE(ExpectBuildsAgree(one, {Rational(1, 3), Rational(2, 7)},
+                                "m = 1"));
+  Cnf certain;
+  certain.num_vars = 3;
+  certain.clauses = {{0, 1}, {1, 2}, {1}};
+  EXPECT_TRUE(ExpectBuildsAgree(
+      certain, {Rational(1, 3), Rational::One(), Rational(5, 11)}, "W = 0"));
+  Cnf trailing;
+  trailing.num_vars = 4;
+  trailing.clauses = {{0, 1}, {2}, {1, 3}, {3}};
+  EXPECT_TRUE(ExpectBuildsAgree(trailing,
+                                {Rational(1, 3), Rational::Half(),
+                                 Rational(4, 7), Rational::One()},
+                                "trailing zero weights"));
+
+  // Random CNFs per weight family. The small families take the integer
+  // path; with a two-literal clause over 18-digit parts, the clause
+  // denominator passes 2^63 and the build falls back.
+  enum Family { kDyadic, kSeventhsElevenths, kHalves, kEighteenDigits };
+  approx_internal::SplitMix64 rng(0x1b7e6e40u);
+  auto draw = [&](uint64_t bound) { return rng.Next() % bound; };
+  for (Family family :
+       {kDyadic, kSeventhsElevenths, kHalves, kEighteenDigits}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      Cnf cnf;
+      cnf.num_vars = 2 + static_cast<int>(draw(9));
+      const size_t m = draw(9);
+      for (size_t i = 0; i < m; ++i) {
+        std::vector<int> clause = {static_cast<int>(draw(cnf.num_vars))};
+        const int second = static_cast<int>(draw(cnf.num_vars));
+        if (family == kEighteenDigits && i == 0) {
+          clause.push_back((clause[0] + 1 + second % (cnf.num_vars - 1)) %
+                           cnf.num_vars);
+        } else if (draw(3) != 0 && second != clause[0]) {
+          clause.push_back(second);
+        }
+        std::sort(clause.begin(), clause.end());
+        cnf.clauses.push_back(clause);
+      }
+      std::vector<Rational> probabilities;
+      for (int v = 0; v < cnf.num_vars; ++v) {
+        switch (family) {
+          case kDyadic: {
+            const uint64_t j = draw(17);
+            probabilities.push_back(Rational::Dyadic(
+                BigInt(static_cast<int64_t>(draw((uint64_t{1} << j) + 1))),
+                j));
+            break;
+          }
+          case kSeventhsElevenths: {
+            const int64_t den = draw(2) == 0 ? 7 : 11;
+            probabilities.push_back(
+                Rational(static_cast<int64_t>(draw(den + 1)), den));
+            break;
+          }
+          case kHalves:
+            probabilities.push_back(Rational(static_cast<int64_t>(draw(3)), 2));
+            break;
+          case kEighteenDigits: {
+            const uint64_t den = 100000000000000000ull +
+                                 draw(900000000000000000ull);
+            probabilities.push_back(Rational(
+                static_cast<int64_t>(1 + draw(den - 1)),
+                static_cast<int64_t>(den)));
+            break;
+          }
+        }
+      }
+      const std::string label =
+          "family " + std::to_string(family) + " trial " +
+          std::to_string(trial);
+      const bool applied = ExpectBuildsAgree(cnf, probabilities, label);
+      if (family == kEighteenDigits) {
+        if (m > 0) {
+          EXPECT_FALSE(applied) << label;
+        }
+      } else {
+        EXPECT_TRUE(applied) << label;
+      }
     }
   }
 }
