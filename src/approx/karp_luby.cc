@@ -102,15 +102,10 @@ size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng) {
   const std::vector<uint64_t>& words = plan.boundary_words;
   const uint64_t c = rng->Next();
   const uint64_t slice = c >> plan.guide_shift;
-  size_t lo = plan.guide[slice];
-  const size_t hi = plan.guide[slice + 1];
-  if (hi - lo <= 8) [[likely]] {
-    while (lo < hi && words[lo] < c) ++lo;
-  } else {
-    lo = static_cast<size_t>(
-        std::lower_bound(words.begin() + lo, words.begin() + hi, c) -
-        words.begin());
-  }
+  const size_t lo = static_cast<size_t>(
+      std::lower_bound(words.begin() + plan.guide[slice],
+                       words.begin() + plan.guide[slice + 1], c) -
+      words.begin());
   if (lo == words.size() || words[lo] != c) [[likely]] return lo;
   return LazyUniform(rng, c).Categorical(plan.prefix, plan.total_weight());
 }
@@ -148,11 +143,9 @@ bool BuildWordsInteger(KarpLubyPlan* plan) {
     parts[v] = {p.numerator().Bits64At(0), p.denominator().Bits64At(0)};
     if (parts[v].first > parts[v].second) return false;
   }
-  // The reduced clause weights n_i/d_i = Π (b − a)/b and their common
-  // denominator D. Both factors of each step are in lowest terms (the
-  // gcd of b − a and b is that of a and b), so cancelling gcd(n, b) and
-  // gcd(b − a, d) leaves the product in lowest terms too. A weight is at
-  // most 1, so its numerator fits wherever its denominator does.
+  // The clause weights n_i/d_i = Π (b − a)/b and their common
+  // denominator D. A weight is at most 1, so its numerator fits wherever
+  // its denominator does.
   std::vector<uint64_t> numerators(m);
   std::vector<uint64_t> denominators(m);
   uint64_t common = 1;
@@ -167,11 +160,9 @@ bool BuildWordsInteger(KarpLubyPlan* plan) {
         d = 1;
         break;
       }
-      const uint64_t g_nb = std::gcd(n, b);
-      const uint64_t g_qd = std::gcd(q, d);
-      const UInt128 den = UInt128{d / g_qd} * (b / g_nb);
+      const UInt128 den = UInt128{d} * b;
       if (!FitsIn63Bits(den)) return false;
-      n = (n / g_nb) * (q / g_qd);
+      n *= q;
       d = static_cast<uint64_t>(den);
     }
     numerators[i] = n;

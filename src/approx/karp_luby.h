@@ -34,18 +34,9 @@
 // bits at a time. Decisions and stream consumption are those of a fully
 // Rational draw, word for word.
 //
-// The words are exact too, whichever way the plan computes them. When
-// every weight's parts, every reduced clause weight, the clause weights'
-// common denominator D and every prefix numerator fit in 63 bits (the
-// k/7, k/11 and short dyadic weights of ordinary traffic), the plan is
-// built in 128-bit integer arithmetic over D; any other input takes the
-// Rational path. Both produce the same prefix sums and words (pinned by
-// tests/approx_test.cc). The categorical draw finds c among the boundary
-// words through a guide table (Chen and Asau's indexed search): c's top
-// bits name one of T ≥ 2·|boundary words| equal slices of the word range,
-// the table says which words lie in that slice, and only those are
-// searched. The index is std::lower_bound's by construction, in expected
-// O(1) work per draw and O(log m) at worst.
+// The words are exact whichever builder computes them, and the categorical
+// draw's guided search returns std::lower_bound's index (see
+// approx_internal::BuildWordsInteger and KarpLubyPlan::guide).
 //
 // Anytime contract: when max_samples caps N below the target, the sampler
 // still runs and reports the LARGER epsilon it actually achieved at that
@@ -173,12 +164,12 @@ struct KarpLubyPlan {
   /// with prefix[k] = W (below m when the trailing disjuncts weigh 0).
   /// Nondecreasing; empty when W = 0.
   std::vector<uint64_t> boundary_words;
-  /// The guide table over `boundary_words`: with T = guide.size() − 1, the
-  /// smallest power of two ≥ 2·|boundary_words| (at least 2), and
-  /// guide_shift = 64 − log2 T, guide[k] counts the words below k·2^shift
-  /// and guide[T] counts them all. A drawn word c lies in slice
-  /// s = c >> guide_shift, so lower_bound(boundary_words, c) is in
-  /// [guide[s], guide[s + 1]].
+  /// The guide table over `boundary_words` (Chen and Asau's indexed
+  /// search): with T = guide.size() − 1, the smallest power of two
+  /// ≥ 2·|boundary_words| (at least 2), and guide_shift = 64 − log2 T,
+  /// guide[k] counts the words below k·2^shift and guide[T] counts them
+  /// all. A drawn word c lies in slice s = c >> guide_shift, so
+  /// lower_bound(boundary_words, c) is in [guide[s], guide[s + 1]].
   std::vector<uint32_t> guide;
   int guide_shift = 63;
 

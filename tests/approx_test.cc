@@ -1505,7 +1505,7 @@ TEST(KarpLubyDrawTest, GuidedDisjunctMatchesLowerBound) {
       }
     }
   }
-  EXPECT_GT(widest, 8u);  // the skewed plan's slice takes the binary search
+  EXPECT_GT(widest, 8u);  // the skewed plan searches a many-word slice
 }
 
 // One builder pair on one instance: the integer build, where it applies,
