@@ -20,8 +20,7 @@
 // thread count draws the SAME samples — the bench refuses to report a
 // number that isn't bit-identical to serial), and BM_SessionSampledBatch
 // times the batched serving shape: K same-structure sampled requests
-// through one EvaluateAnswers call, where the session's plan cache pays
-// the disjunct-weight setup once (plan_hits/plan_misses ride as counters).
+// through one EvaluateAnswers call, each instance building its own plan.
 //
 // BM_AnytimeCrossCheck fails the run loudly if any certified answer is
 // wrong: an interval that does not enclose the exact probability (checked
@@ -287,8 +286,7 @@ void BM_KarpLuby(benchmark::State& state) {
 }
 BENCHMARK(BM_KarpLuby)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// The per-request plan build: a fresh-weight request misses the plan
-// cache and pays exactly this.
+// The per-request plan build: every sampled instance pays exactly this.
 void BM_KarpLubyPlanBuild(benchmark::State& state) {
   const gmc::Lineage lineage = CyclingC9Lineage();
   for (auto _ : state) {
@@ -344,9 +342,9 @@ BENCHMARK(BM_KarpLubyParallel)
     ->Unit(benchmark::kMillisecond);
 
 // The batched serving shape: K same-structure sampled requests through ONE
-// EvaluateAnswers call — what a serve coalescing round runs. The session's
-// plan cache pays the per-instance setup once per structure (the counters
-// prove it: misses stay at 1 while hits grow with K × iterations).
+// EvaluateAnswers call — what a serve coalescing round runs. Each instance
+// builds its plan, samples, and drops the plan; the session keeps no
+// sampler state between calls.
 void BM_SessionSampledBatch(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   gmc::Query query = ExampleC9();
@@ -368,10 +366,7 @@ void BM_SessionSampledBatch(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(answers.data());
   }
-  const gmc::GfomcSession::Stats stats = session.stats();
   state.counters["requests"] = static_cast<double>(k);
-  state.counters["plan_hits"] = static_cast<double>(stats.plans.hits);
-  state.counters["plan_misses"] = static_cast<double>(stats.plans.misses);
 }
 BENCHMARK(BM_SessionSampledBatch)
     ->Arg(1)

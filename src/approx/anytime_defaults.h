@@ -29,8 +29,6 @@ inline constexpr uint64_t kDefaultMaxSamples = uint64_t{1} << 20;
 /// Base PRNG seed (the golden-ratio splitmix64 increment — an arbitrary
 /// but recognizable constant); per-instance streams derive from it.
 inline constexpr uint64_t kDefaultSampleSeed = 0x9e3779b97f4a7c15ull;
-/// Capacity of a session's KarpLubyPlan cache, in plans (0 disables).
-inline constexpr uint64_t kDefaultSamplePlanEntries = 64;
 /// Most samples a session draws for one instance. A session refuses an
 /// instance whose sample count (the (ε, δ) target, or max_samples when
 /// that is non-zero and smaller) exceeds it: at the limit the per-chunk

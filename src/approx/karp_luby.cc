@@ -7,7 +7,6 @@
 
 #include "util/bigint.h"
 #include "util/check.h"
-#include "util/fault.h"
 #include "util/parallel.h"
 
 namespace gmc {
@@ -523,90 +522,6 @@ KarpLubyResult KarpLubyEstimate(const Lineage& lineage,
     return result;
   }
   return KarpLubyEstimate(lineage.cnf, lineage.probabilities, params);
-}
-
-namespace {
-
-// Order-dependent fold for the plan-cache key (seed the cnf hash, fold
-// each marginal's hash in variable order — boost::hash_combine's recipe
-// widened): the key is indexed by variable, so swapping two marginals
-// must change it.
-uint64_t HashCombine(uint64_t h, uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4));
-}
-
-}  // namespace
-
-std::shared_ptr<const KarpLubyPlan> KarpLubyPlanCache::Get(
-    const Cnf& cnf, const std::vector<Rational>& probabilities) {
-  // Key over structure AND weights: two TIDs sharing a lineage but not its
-  // marginals must not share disjunct weights.
-  uint64_t key = cnf.Hash64();
-  for (const Rational& p : probabilities) {
-    key = HashCombine(key, static_cast<uint64_t>(p.Hash()));
-  }
-  // approx.plan aliases "the cached plan was lost": a fired crossing skips
-  // the lookup and the insert, so the plan rebuilds below — identical
-  // results, just the setup cost paid again (self-healing, which the
-  // faults CI job exercises across the whole suite).
-  const bool dropped = fault::ShouldFail(fault::Point::kApproxPlan);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!dropped && max_entries_ > 0) {
-      const auto it = entries_.find(key);
-      // Exact-equality probe: a 64-bit collision costs one rebuild below,
-      // never a wrong plan.
-      if (it != entries_.end() &&
-          it->second.plan->cnf.num_vars == cnf.num_vars &&
-          it->second.plan->cnf.clauses == cnf.clauses &&
-          it->second.plan->probabilities == probabilities) {
-        ++stats_.hits;
-        it->second.last_used = ++clock_;
-        return it->second.plan;
-      }
-    }
-    ++stats_.misses;
-  }
-  std::shared_ptr<const KarpLubyPlan> plan =
-      BuildKarpLubyPlan(cnf, probabilities);
-  if (!dropped) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (max_entries_ > 0) {
-      if (entries_.size() >= max_entries_ &&
-          entries_.find(key) == entries_.end()) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-          if (it->second.last_used < victim->second.last_used) victim = it;
-        }
-        entries_.erase(victim);
-        ++stats_.evictions;
-      }
-      Entry& entry = entries_[key];
-      entry.plan = plan;
-      entry.last_used = ++clock_;
-    }
-  }
-  return plan;
-}
-
-void KarpLubyPlanCache::set_max_entries(uint64_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  max_entries_ = max_entries;
-  while (entries_.size() > max_entries_) {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
-    }
-    entries_.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
-void KarpLubyPlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  stats_ = Stats{};
-  clock_ = 0;
 }
 
 }  // namespace gmc

@@ -55,14 +55,14 @@
 // observed the deadline), which keeps even cancelled runs thread-count-
 // invariant when the token was fired before sampling began.
 //
-// Setup reuse: the per-instance work that dominates short runs — copying
-// the CNF, the exact disjunct weights and their prefix sums, the threshold
-// words and the guide table — is factored into a KarpLubyPlan. Every part
-// but the CNF depends on the weights, so a plan is shared only by requests
-// with equal weights. Build one with BuildKarpLubyPlan (or share them
-// through a KarpLubyPlanCache, as GfomcSession does) and run
-// KarpLubyEstimate(plan, params) any number of times: same-structure
-// requests in one serve coalescing round pay for one plan, not N.
+// Setup: the per-instance work — copying the CNF, the exact disjunct
+// weights and their prefix sums, the threshold words and the guide table —
+// is factored into a KarpLubyPlan. Every part but the CNF depends on the
+// weights, so a plan serves only runs with equal weights. Build one with
+// BuildKarpLubyPlan and run KarpLubyEstimate(plan, params) any number of
+// times. GfomcSession builds one per sampled instance and drops it after
+// the estimate: fresh-weight traffic never repeats a plan, and the build
+// is a small share of a run.
 //
 // Default precedence (see approx/anytime_defaults.h for the shared
 // constants): a default-constructed KarpLubyParams equals a
@@ -77,8 +77,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "approx/anytime_defaults.h"
@@ -86,7 +84,6 @@
 #include "lineage/grounder.h"
 #include "util/cancel.h"
 #include "util/rational.h"
-#include "util/relaxed_counter.h"
 
 namespace gmc {
 
@@ -184,9 +181,9 @@ struct KarpLubyPlan {
 std::shared_ptr<const KarpLubyPlan> BuildKarpLubyPlan(
     const Cnf& cnf, const std::vector<Rational>& probabilities);
 
-/// Runs the estimator against a prebuilt plan — the batched entry point:
-/// amortize one BuildKarpLubyPlan across every same-structure request.
-/// Deterministic given (plan, params).
+/// Runs the estimator against a prebuilt plan, which any number of runs
+/// over the same (cnf, probabilities) may share. Deterministic given
+/// (plan, params).
 KarpLubyResult KarpLubyEstimate(const KarpLubyPlan& plan,
                                 const KarpLubyParams& params);
 
@@ -205,57 +202,6 @@ KarpLubyResult KarpLubyEstimate(const Lineage& lineage,
 /// cost accounting.
 uint64_t KarpLubySampleTarget(uint64_t num_clauses, double epsilon,
                               double delta);
-
-/// A small LRU cache of KarpLubyPlans keyed by (cnf, probabilities) —
-/// structure alone is NOT enough, because the disjunct weights depend on
-/// the marginals. GfomcSession holds one so the EVAL_APPROX coalescing
-/// round in serve.cc pays one plan build for N same-structure requests;
-/// hits/misses surface through GfomcSession::Stats::plans and the STATS
-/// wire line (plan_hits / plan_misses).
-///
-/// Probes verify full key equality (exact Rational comparison), so a hash
-/// collision costs one rebuild, never a wrong plan. The approx.plan fault
-/// point (util/fault.h) aliases "the cached plan was lost": a fired
-/// crossing skips both the lookup and the insert, forcing a rebuild whose
-/// result is identical — self-healing by construction.
-///
-/// Thread-safe: one mutex guards the entries, and a miss builds its plan
-/// outside it, so concurrent misses build in parallel. Two racing misses
-/// on one key both build, and the later insert replaces an equal plan.
-class KarpLubyPlanCache {
- public:
-  /// Cumulative counters, updated in place; stats() copies them without
-  /// taking the cache's mutex.
-  struct Stats {
-    RelaxedCounter hits;
-    RelaxedCounter misses;
-    RelaxedCounter evictions;
-  };
-
-  /// The cached plan for (cnf, probabilities), building and inserting on a
-  /// miss. Never returns null.
-  std::shared_ptr<const KarpLubyPlan> Get(
-      const Cnf& cnf, const std::vector<Rational>& probabilities);
-
-  /// Capacity in plans; 0 disables caching (every Get builds fresh).
-  /// Shrinking evicts least-recently-used entries immediately.
-  void set_max_entries(uint64_t max_entries);
-
-  Stats stats() const { return stats_; }
-  void Clear();  ///< drops every entry and zeroes the stats
-
- private:
-  struct Entry {
-    std::shared_ptr<const KarpLubyPlan> plan;
-    uint64_t last_used = 0;
-  };
-
-  mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Entry> entries_;
-  uint64_t max_entries_ = kDefaultSamplePlanEntries;
-  uint64_t clock_ = 0;
-  Stats stats_;
-};
 
 namespace approx_internal {
 

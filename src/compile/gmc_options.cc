@@ -1,10 +1,7 @@
 #include "compile/gmc_options.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-
-#include "util/parallel.h"
 
 namespace gmc {
 
@@ -113,13 +110,6 @@ GmcOptions GmcOptions::FromEnv() {
   EnvUnitDouble("GMC_DELTA", &options.delta);
   EnvU64("GMC_MAX_SAMPLES", &options.max_samples);
   EnvU64("GMC_SEED", &options.sample_seed);
-  uint64_t sample_threads = 0;
-  EnvU64("GMC_SAMPLE_THREADS", &sample_threads);
-  if (sample_threads > 0) {
-    options.sample_threads = static_cast<int>(std::min<uint64_t>(
-        sample_threads, static_cast<uint64_t>(internal::kMaxThreads)));
-  }
-  EnvU64("GMC_PLAN_ENTRIES", &options.sample_plan_entries);
   EnvU64("GMC_DEADLINE_MS", &options.deadline_ms);
   EnvU64("GMC_CACHE_BYTES", &options.max_resident_bytes);
   EnvBool("GMC_STORE_SELF_HEAL", &options.store_self_heal);

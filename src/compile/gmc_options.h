@@ -84,9 +84,9 @@ bool ParseRoutingMode(const char* name, RoutingMode* out);
 ///   CircuitCache:  num_threads, order, store_directory,
 ///                  store_write_through, store_self_heal,
 ///                  max_resident_bytes
-///   GfomcSession:  all of the above, applied to its one cache, plus
-///                  max_samples, sample_seed, sample_threads,
-///                  sample_plan_entries
+///   GfomcSession:  all of the above, applied to its one cache (the
+///                  sampler's workers follow num_threads too), plus
+///                  max_samples, sample_seed
 ///   Per call:      routing_mode, compile_budget, epsilon, delta,
 ///                  deadline_ms — GfomcSession::EvaluateAnswers reads
 ///                  them from its request; the configured values serve
@@ -94,10 +94,12 @@ bool ParseRoutingMode(const char* name, RoutingMode* out);
 /// Configure(options) on either class applies the fields that class
 /// understands and ignores the rest.
 struct GmcOptions {
-  /// Worker bound for batched circuit passes: 0 defers to the process
-  /// default (the GMC_THREADS environment variable, else the hardware
-  /// thread count), 1 forces serial, n allows at most n column slices.
-  /// Results are bit-identical at every setting.
+  /// Worker bound for batched circuit passes and the Karp–Luby sample
+  /// loop: 0 defers to the process default (the GMC_THREADS environment
+  /// variable, else the hardware thread count), 1 forces serial, n allows
+  /// at most n column slices or sampling workers. Results are
+  /// bit-identical at every setting — the sampler's substreams are indexed
+  /// by sample chunk, never by worker (see approx/karp_luby.h).
   int num_threads = 0;
   /// Shannon-order heuristic for newly compiled circuits (circuit size
   /// only; results are bit-identical under every heuristic).
@@ -134,16 +136,6 @@ struct GmcOptions {
   /// Base PRNG seed; per-instance streams derive deterministically from it
   /// and the lineage structure, so fixed-seed runs reproduce exactly.
   uint64_t sample_seed = kDefaultSampleSeed;
-  /// Worker bound for the chunk-parallel Karp–Luby sample loop: 0 follows
-  /// num_threads (whose own 0 defers to the process default), n caps the
-  /// sampler independently of the circuit passes. Results are
-  /// bit-identical at every setting — the sampler's substreams are indexed
-  /// by sample chunk, never by worker (see approx/karp_luby.h).
-  int sample_threads = 0;
-  /// Capacity of the session's KarpLubyPlan cache, in plans (0 disables):
-  /// same-structure sampled requests reuse one exact disjunct-weight
-  /// prefix-sum build instead of paying it per request.
-  uint64_t sample_plan_entries = kDefaultSamplePlanEntries;
 
   /// End-to-end wall-clock deadline per checked request, in milliseconds
   /// (0 = none). One CancelToken armed with this deadline covers grounding,
@@ -170,10 +162,7 @@ struct GmcOptions {
   /// GMC_ROUTING (exact/auto/interval/sample), GMC_BUDGET_NODES /
   /// GMC_BUDGET_CALLS / GMC_BUDGET_MS (unsigned; 0 = unlimited),
   /// GMC_EPSILON / GMC_DELTA (decimals strictly in (0, 1)),
-  /// GMC_MAX_SAMPLES and GMC_SEED (unsigned), GMC_SAMPLE_THREADS →
-  /// sample_threads (positive, clamped to the pool maximum; 0/unset keeps
-  /// the num_threads-following default) and GMC_PLAN_ENTRIES →
-  /// sample_plan_entries (unsigned; 0 disables the plan cache),
+  /// GMC_MAX_SAMPLES and GMC_SEED (unsigned),
   /// GMC_DEADLINE_MS → deadline_ms and GMC_CACHE_BYTES →
   /// max_resident_bytes (unsigned; 0 = off), GMC_STORE_SELF_HEAL →
   /// store_self_heal (0/false/off to disable). Unset or malformed values

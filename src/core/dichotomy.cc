@@ -119,7 +119,6 @@ void GfomcSession::Configure(const GmcOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   options_ = options;
   circuits_.Configure(options);
-  sample_plans_.set_max_entries(options.sample_plan_entries);
 }
 
 GmcOptions GfomcSession::options() const {
@@ -217,20 +216,17 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // and support pattern repeat) and route it through the policy. One deadline
   // token covers the call — compile probes, circuit passes, and sampling
   // all poll it; 0 ms means none, and every poll site reduces to one
-  // pointer comparison. Instances the sampler answers share the plan
-  // cache, so same-structure tids pay one plan build (plan_hits), and a
-  // call with any sampled instance counts once in sampler_batches.
+  // pointer comparison. A call with any sampled instance counts once in
+  // sampler_batches.
   const RoutingPolicy policy(request);
   const CancelToken deadline(request.deadline_ms);
   KarpLubyParams sampler;
   sampler.epsilon = request.epsilon;
   sampler.delta = request.delta;
   sampler.max_samples = options_.max_samples;
-  // sample_threads caps the sampler's workers independently of the circuit
-  // passes; 0 falls through to num_threads (whose 0 defers to the process
-  // default inside the sampler). Bit-identical either way.
-  sampler.num_threads = options_.sample_threads != 0 ? options_.sample_threads
-                                                     : options_.num_threads;
+  // 0 defers to the process default inside the sampler; bit-identical at
+  // every worker count.
+  sampler.num_threads = options_.num_threads;
   sampler.cancel = request.deadline_ms > 0 ? &deadline : nullptr;
   std::vector<Lineage> lineages(tids.size());
   // Instances answered from a circuit, grouped by the circuit the probe
@@ -340,11 +336,11 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
   sampler.seed =
       approx_internal::SplitMix64(options_.sample_seed ^ lineage.cnf.Hash64())
           .Next();
-  // lineage.is_false was handled at entry, so the plan covers every
-  // remaining case; same-structure requests share one build via the cache.
-  const std::shared_ptr<const KarpLubyPlan> plan =
-      sample_plans_.Get(lineage.cnf, lineage.probabilities);
-  const KarpLubyResult sampled = KarpLubyEstimate(*plan, sampler);
+  // The one-shot form builds this instance's plan and drops it after the
+  // estimate, so the session keeps no sampler state (lineage.is_false was
+  // handled at entry).
+  const KarpLubyResult sampled =
+      KarpLubyEstimate(lineage.cnf, lineage.probabilities, sampler);
   answer->tier = AnswerTier::kSampled;
   answer->estimate = sampled.estimate;
   answer->epsilon = sampled.epsilon;
@@ -365,7 +361,6 @@ GmcStatus GfomcSession::DeadlineExceeded() {
 GfomcSession::Stats GfomcSession::stats() const {
   Stats out = counters_;
   out.cache = circuits_.stats();
-  out.plans = sample_plans_.stats();
   return out;
 }
 

@@ -224,9 +224,6 @@ class GfomcSession {
     // The session's CircuitCache: compiles vs hits (the repeated-query
     // win), persistent-store traffic, and memory governance.
     CircuitCache::Stats cache;
-    // The sampled tier's plan cache: a hit reuses another request's exact
-    // disjunct-weight prefix sums instead of rebuilding them.
-    KarpLubyPlanCache::Stats plans;
   };
 
   GfomcResult Evaluate(const Query& query, const Tid& tid);
@@ -310,13 +307,8 @@ class GfomcSession {
   // grounding templates (bounded by GroundingTemplates::kMaxBytes, outside
   // the cache's resident_bytes).
   GroundingTemplates templates_;
-  // Cached per-instance sampler setup, keyed by (cnf, probabilities) —
-  // same-structure sampled requests (one serve coalescing round, or a
-  // probability sweep re-hitting one lineage) build the exact disjunct-
-  // weight prefix sums once. Capacity follows sample_plan_entries.
-  KarpLubyPlanCache sample_plans_;
-  // The session's own counters; `cache` and `plans` stay zero here, since
-  // stats() fills them from circuits_ and sample_plans_.
+  // The session's own counters; `cache` stays zero here, since stats()
+  // fills it from circuits_.
   Stats counters_;
   // The options last Configured; the cache-level fields are mirrored in
   // circuits_. Starts from FromEnv(), matching the cache's constructor.

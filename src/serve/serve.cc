@@ -748,9 +748,10 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
   // One grouping pass: requests with the same route share ONE session
   // call, so every tier coalesces — same-structure instances in a group
   // cost one batched circuit pass (a K-column WeightMatrix instead of K
-  // walks) or one Karp–Luby plan build. Statuses are per instance, so an
-  // over-budget request fails alone. A deadline'd request is a group of
-  // one: one deadline must bound ONE request, never a whole round.
+  // walks), and a group's sampled instances count as one sampler batch.
+  // Statuses are per instance, so an over-budget request fails alone. A
+  // deadline'd request is a group of one: one deadline must bound ONE
+  // request, never a whole round.
   auto same_route = [](const PendingEval& a, const PendingEval& b) {
     return a.deadline_ms == 0 && b.deadline_ms == 0 && a.mode == b.mode &&
            a.budget == b.budget && a.epsilon == b.epsilon &&
@@ -878,8 +879,6 @@ std::string GmcServer::StatsSnapshot::ToLine() const {
       << " deadline_exceeded=" << session.deadline_exceeded
       << " evictions=" << session.cache.evictions
       << " resident_bytes=" << session.cache.resident_bytes
-      << " plan_hits=" << session.plans.hits
-      << " plan_misses=" << session.plans.misses
       << " sampler_batches=" << session.sampler_batches
       << " template_hits=" << session.template_hits
       << " template_misses=" << session.template_misses

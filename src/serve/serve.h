@@ -14,9 +14,9 @@
 //      in one grouping pass — requests with the same route (mode, compile
 //      budget, eps, delta) share ONE GfomcSession::EvaluateAnswers call,
 //      on every tier — so K concurrent requests against the same lineage
-//      structure cost one circuit pass over a K-column WeightMatrix (or
-//      one Karp–Luby plan build) instead of K, with answers
-//      byte-identical to serial single-request serving.
+//      structure cost one circuit pass over a K-column WeightMatrix
+//      instead of K, with answers byte-identical to serial single-request
+//      serving.
 //   3. Shed, don't stall: past the admission limit a request is refused
 //      immediately with a typed SHED error carrying a retry_after_ms
 //      backoff hint — the client can retry or fail over; the queue never
@@ -221,7 +221,7 @@ class GmcServer {
   };
 
   /// The whole serving stack's counters: the serving layer's, the
-  /// session's (evaluation, tier, cache, store, plan cache), and the
+  /// session's (evaluation, tier, cache, store, template), and the
   /// process-wide fault tally. Each field is an independent relaxed read,
   /// so the snapshot is not a transaction: counters bumped together may be
   /// seen one ahead of the other. Taking it holds no lock, so STATS never

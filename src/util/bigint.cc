@@ -792,15 +792,4 @@ int64_t BigInt::ToInt64() const {
   return -static_cast<int64_t>(magnitude - 1) - 1;
 }
 
-size_t BigInt::Hash() const {
-  size_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<uint64_t>(sign_ + 1));
-  for (size_t i = 0; i < limbs_.size(); ++i) mix(limbs_[i]);
-  return h;
-}
-
 }  // namespace gmc

@@ -210,9 +210,6 @@ class BigInt {
   // Exact conversion to int64_t; aborts if out of range.
   int64_t ToInt64() const;
 
-  // FNV-style hash of the canonical representation.
-  size_t Hash() const;
-
  private:
   using LimbVec = internal::LimbVec;
 

@@ -183,8 +183,6 @@ const char* PointName(Point point) {
       return "serve.accept";
     case Point::kStoreScrub:
       return "store.scrub";
-    case Point::kApproxPlan:
-      return "approx.plan";
     case Point::kLineageTemplate:
       return "lineage.template";
     case Point::kNumPoints:

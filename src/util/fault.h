@@ -15,7 +15,7 @@
 //   GMC_FAULT="store.write=0.1,cache.insert=0.01,seed=42"
 //
 //   point := store.read | store.write | cache.insert | socket.write
-//          | serve.accept | store.scrub | approx.plan | lineage.template
+//          | serve.accept | store.scrub | lineage.template
 //   rate  := decimal in [0, 1] (probability that one crossing fires)
 //   seed  := uint64 (default 0) — decisions are a pure function of
 //            (seed, point, per-point crossing index), so a given seed
@@ -24,7 +24,7 @@
 //
 // A fired point must surface as a typed error on the normal failure path
 // of its call site — never a crash, never a silently wrong answer. The
-// call sites (circuit_io.cc, circuit_cache.cc, serve.cc, karp_luby.cc,
+// call sites (circuit_io.cc, circuit_cache.cc, serve.cc, scrub.cc,
 // grounder.cc) each document which existing failure they alias to.
 
 #ifndef GMC_UTIL_FAULT_H_
@@ -43,7 +43,6 @@ enum class Point : int {
   kSocketWrite,      // serve reply: the peer vanished mid-send
   kServeAccept,      // accept(2): a transient ECONNABORTED-class failure
   kStoreScrub,       // scrub: the quarantine rename fails
-  kApproxPlan,       // KarpLubyPlanCache: the cached plan is lost
   kLineageTemplate,  // GroundingTemplates: the stored template is lost
   kNumPoints,
 };

@@ -294,10 +294,4 @@ double Rational::ToDouble() const {
   return numerator_.ToDouble() / denominator_.ToDouble();
 }
 
-size_t Rational::Hash() const {
-  size_t h = numerator_.Hash();
-  h ^= denominator_.Hash() + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
 }  // namespace gmc

@@ -86,8 +86,6 @@ class Rational {
   std::string ToString() const;
   double ToDouble() const;
 
-  size_t Hash() const;
-
  private:
   void Reduce();
   // Shared body of += / -=: *this ± other, in place.

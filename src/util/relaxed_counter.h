@@ -1,9 +1,9 @@
 // A monitoring counter that is its own snapshot.
 //
-// Every layer's Stats struct (GmcServer, CircuitCache, KarpLubyPlanCache,
-// GfomcSession) is built from these, so one declaration serves as both the
-// live counters and the copy a reader takes home: stats() is a plain
-// struct copy, one relaxed load per field, and never takes a lock. The
+// Every layer's Stats struct (GmcServer, CircuitCache, GfomcSession) is
+// built from these, so one declaration serves as both the live counters
+// and the copy a reader takes home: stats() is a plain struct copy, one
+// relaxed load per field, and never takes a lock. The
 // price is that a copied struct is not a transaction — each field is read
 // independently, so two counters bumped together may be seen one ahead of
 // the other. That is the right trade for monitoring: a STATS or HEALTH

@@ -652,9 +652,8 @@ TEST(GmcOptionsTest, FromEnvReadsTheRoutingKnobs) {
       "GMC_THREADS",        "GMC_ORDER",         "GMC_STORE",
       "GMC_ROUTING",        "GMC_BUDGET_NODES",  "GMC_BUDGET_CALLS",
       "GMC_BUDGET_MS",      "GMC_EPSILON",       "GMC_DELTA",
-      "GMC_MAX_SAMPLES",    "GMC_SEED",          "GMC_SAMPLE_THREADS",
-      "GMC_PLAN_ENTRIES",   "GMC_DEADLINE_MS",   "GMC_CACHE_BYTES",
-      "GMC_STORE_SELF_HEAL"};
+      "GMC_MAX_SAMPLES",    "GMC_SEED",          "GMC_DEADLINE_MS",
+      "GMC_CACHE_BYTES",    "GMC_STORE_SELF_HEAL"};
   ScopedEnv env;
   for (const char* name : kVariables) env.Set(name, nullptr);
   // All unset: the struct defaults.
@@ -678,8 +677,6 @@ TEST(GmcOptionsTest, FromEnvReadsTheRoutingKnobs) {
   env.Set("GMC_DELTA", "0.25");
   env.Set("GMC_MAX_SAMPLES", "1000");
   env.Set("GMC_SEED", "99");
-  env.Set("GMC_SAMPLE_THREADS", "3");
-  env.Set("GMC_PLAN_ENTRIES", "5");
   env.Set("GMC_DEADLINE_MS", "250");
   env.Set("GMC_CACHE_BYTES", "4096");
   env.Set("GMC_STORE_SELF_HEAL", "off");
@@ -696,8 +693,6 @@ TEST(GmcOptionsTest, FromEnvReadsTheRoutingKnobs) {
   EXPECT_EQ(options.delta, 0.25);
   EXPECT_EQ(options.max_samples, 1000u);
   EXPECT_EQ(options.sample_seed, 99u);
-  EXPECT_EQ(options.sample_threads, 3);
-  EXPECT_EQ(options.sample_plan_entries, 5u);
   EXPECT_EQ(options.deadline_ms, 250u);
   EXPECT_EQ(options.max_resident_bytes, 4096u);
   EXPECT_FALSE(options.store_self_heal);
@@ -1093,9 +1088,8 @@ TEST(AnytimeDefaultsTest, ParamsAndOptionsShareOneSourceOfTruth) {
   EXPECT_EQ(params.delta, kDefaultSampleDelta);
   EXPECT_EQ(params.max_samples, kDefaultMaxSamples);
   EXPECT_EQ(params.seed, kDefaultSampleSeed);
-  EXPECT_EQ(options.sample_plan_entries, kDefaultSamplePlanEntries);
   EXPECT_EQ(params.num_threads, 0);   // both follow the process default
-  EXPECT_EQ(options.sample_threads, 0);
+  EXPECT_EQ(options.num_threads, 0);
 }
 
 // The tentpole's headline pin: the reproducibility matrix. Fixed-seed
@@ -1638,78 +1632,25 @@ TEST(KarpLubyPlanTest, IntegerAndRationalBuildsAgree) {
   }
 }
 
-// Every test below that pins plan hit/miss counts calls fault::Reset()
-// first: an ambient GMC_FAULT spec (the CI faults job arms approx.plan)
-// would perturb the counters, and a Reset must stay reset — so these are
-// declared at the tail of the file to leave as much of the suite as
-// possible running under the env faults before the first Reset lands.
-TEST(KarpLubyPlanTest, CacheSharesOneBuildAndKeysOnWeights) {
-  fault::Reset();
+// The plan form is the primary path; the (cnf, probabilities) overload
+// builds a throwaway plan and runs it, so the two must agree bit for bit.
+TEST(KarpLubyPlanTest, PlanAndOneShotFormsAgree) {
   const Lineage lineage = Ground(H1(), CorpusTid(H1(), 3, 3, 1));
   ASSERT_FALSE(lineage.is_false);
-  KarpLubyPlanCache cache;
-  const std::shared_ptr<const KarpLubyPlan> a =
-      cache.Get(lineage.cnf, lineage.probabilities);
-  const std::shared_ptr<const KarpLubyPlan> b =
-      cache.Get(lineage.cnf, lineage.probabilities);
-  EXPECT_EQ(a.get(), b.get());  // pointer identity: one build served both
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  // Same structure, different marginals: a DIFFERENT plan — the key covers
-  // the weights, not just the CNF.
-  std::vector<Rational> other = lineage.probabilities;
-  other[0] = Rational(1, 3);
-  const std::shared_ptr<const KarpLubyPlan> c =
-      cache.Get(lineage.cnf, other);
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(cache.stats().misses, 2u);
-
-  // Plan-based estimation is the primary path; the (cnf, probabilities)
-  // overload must be a thin wrapper over it — bit-identical.
+  const std::shared_ptr<const KarpLubyPlan> plan =
+      BuildKarpLubyPlan(lineage.cnf, lineage.probabilities);
   KarpLubyParams params;
   params.max_samples = 2048;
   params.seed = 5;
-  const KarpLubyResult via_plan = KarpLubyEstimate(*a, params);
+  const KarpLubyResult via_plan = KarpLubyEstimate(*plan, params);
   const KarpLubyResult one_shot =
       KarpLubyEstimate(lineage.cnf, lineage.probabilities, params);
   EXPECT_EQ(via_plan.estimate, one_shot.estimate);
   EXPECT_EQ(via_plan.successes, one_shot.successes);
   EXPECT_EQ(via_plan.samples, one_shot.samples);
-
-  // Capacity 0 disables: every Get builds fresh, nothing is retained.
-  cache.set_max_entries(0);
-  const std::shared_ptr<const KarpLubyPlan> d =
-      cache.Get(lineage.cnf, lineage.probabilities);
-  EXPECT_NE(d.get(), a.get());
 }
 
-TEST(KarpLubyPlanTest, DroppedPlanFaultRebuildsIdentically) {
-  fault::Reset();
-  const Lineage lineage = Ground(H1(), CorpusTid(H1(), 3, 3, 1));
-  KarpLubyPlanCache cache;
-  const std::shared_ptr<const KarpLubyPlan> a =
-      cache.Get(lineage.cnf, lineage.probabilities);
-  KarpLubyParams params;
-  params.max_samples = 1024;
-  params.seed = 9;
-  const KarpLubyResult before = KarpLubyEstimate(*a, params);
-  // approx.plan at rate 1: every Get loses the cached plan and rebuilds —
-  // the answer must not change (self-healing by construction).
-  std::string error;
-  ASSERT_TRUE(fault::Configure("approx.plan=1", &error)) << error;
-  const std::shared_ptr<const KarpLubyPlan> b =
-      cache.Get(lineage.cnf, lineage.probabilities);
-  EXPECT_NE(a.get(), b.get());  // rebuilt, not served from cache
-  EXPECT_GT(fault::InjectedCount(fault::Point::kApproxPlan), 0u);
-  const KarpLubyResult after = KarpLubyEstimate(*b, params);
-  EXPECT_EQ(after.estimate, before.estimate);
-  EXPECT_EQ(after.successes, before.successes);
-  fault::Reset();
-}
-
-TEST(SessionRouterTest, SampledRequestsShareOnePlanBuildPerStructure) {
-  fault::Reset();
+TEST(SessionRouterTest, IdenticalRequestsGetIdenticalEstimates) {
   const Query h1 = H1();
   const Tid tid = CorpusTid(h1, 3, 3, 1);
   const std::vector<Tid> tids = {tid, tid, tid};
@@ -1724,32 +1665,18 @@ TEST(SessionRouterTest, SampledRequestsShareOnePlanBuildPerStructure) {
   ASSERT_EQ(answers.size(), 3u);
   EXPECT_EQ(answers[0].tier, AnswerTier::kSampled);
   // Same structure + same weights + same per-instance seed: identical
-  // answers, ONE plan build, one sampler batch.
+  // answers, and one sampler batch for the call.
   EXPECT_EQ(answers[1].estimate, answers[0].estimate);
   EXPECT_EQ(answers[2].estimate, answers[0].estimate);
   const GfomcSession::Stats stats = session.stats();
   EXPECT_EQ(stats.anytime_sampled, 3u);
-  EXPECT_EQ(stats.plans.misses, 1u);
-  EXPECT_EQ(stats.plans.hits, 2u);
   EXPECT_EQ(stats.sampler_batches, 1u);
-
-  // A disabled plan cache (sample_plan_entries = 0) must not change a
-  // single bit of the answers — only the setup cost.
-  GfomcSession uncached;
-  GmcOptions plain = uncached.options();
-  plain.routing_mode = RoutingMode::kSample;
-  plain.max_samples = 2048;
-  plain.sample_plan_entries = 0;
-  uncached.Configure(plain);
-  std::vector<GmcAnswer> fresh;
-  ASSERT_TRUE(uncached.EvaluateAnswers(h1, tids, &fresh).ok());
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    EXPECT_EQ(fresh[i].estimate, answers[i].estimate);
-    EXPECT_EQ(fresh[i].samples, answers[i].samples);
-  }
-  EXPECT_EQ(uncached.stats().plans.hits, 0u);
 }
 
+// The test below pins template hit/miss counts and calls fault::Reset()
+// first: an ambient GMC_FAULT spec (the CI faults job arms
+// lineage.template) would perturb them. A Reset stays reset, so every
+// test that runs after this one runs without the env faults.
 TEST(SessionRouterTest, TemplatesAnswerEveryTierAsASessionThatAlwaysGrounds) {
   // C9 over 3×3 at two support patterns (all 36 tuples uncertain, as on
   // certified_interval; and S2, S4 certain with S1(0, 0) absent), each at

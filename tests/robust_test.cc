@@ -100,6 +100,18 @@ TEST(CancelTokenTest, DeadlineLatchesThroughPoll) {
 // ---------------------------------------------------------------------------
 // Fault injection
 
+// A GMC_FAULT spec that names an unknown point is malformed, and the env
+// install then disables every point without a word: a stale name would
+// leave a faults run green with nothing armed. So the ambient spec must
+// parse. Configure installs it exactly as the env install would, before
+// the first Reset below.
+TEST(FaultTest, AmbientSpecParses) {
+  const char* spec = std::getenv("GMC_FAULT");
+  if (spec == nullptr) GTEST_SKIP() << "GMC_FAULT unset";
+  std::string error;
+  EXPECT_TRUE(fault::Configure(spec, &error)) << error;
+}
+
 TEST(FaultTest, RateOneFiresEveryCrossingAndCountersTick) {
   FaultGuard guard;
   std::string error;
