@@ -121,19 +121,12 @@ CircuitCache::Stripe& CircuitCache::StripeFor(const Cnf& cnf) {
   return stripes_[CnfHash{}(cnf) >> kShift & (kNumStripes - 1)];
 }
 
-std::shared_ptr<const NnfCircuit> CircuitCache::GetShared(
-    const Cnf& cnf, const CancelToken* cancel) {
-  return GetOrCompile(cnf, nullptr, cancel);
+std::shared_ptr<const NnfCircuit> CircuitCache::GetShared(const Cnf& cnf) {
+  return TryGetShared(cnf, CompileBudget{});
 }
 
 std::shared_ptr<const NnfCircuit> CircuitCache::TryGetShared(
     const Cnf& cnf, const CompileBudget& budget, const CancelToken* cancel) {
-  if (budget.Unlimited()) return GetOrCompile(cnf, nullptr, cancel);
-  return GetOrCompile(cnf, &budget, cancel);
-}
-
-std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
-    const Cnf& cnf, const CompileBudget* budget, const CancelToken* cancel) {
   Stripe& stripe = StripeFor(cnf);
   // The shared_ptr the caller takes home, and the clock reading the LRU
   // sweep must not evict (the just-inserted entry). Both escape the locked
@@ -172,10 +165,11 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
     }
     // Budget-exhaustion memo: a structure that already blew through an
     // equal-or-larger budget is not worth recompiling — fail fast so the
-    // router's probe costs one hash lookup on repeat traffic.
-    if (result == nullptr && budget != nullptr) {
+    // router's probe costs one hash lookup on repeat traffic. Only finite
+    // budgets fail, and an unlimited one allows more than any of them.
+    if (result == nullptr) {
       if (auto it = stripe.failed.find(cnf); it != stripe.failed.end()) {
-        if (!budget->AllowsMoreThan(it->second)) {
+        if (!budget.AllowsMoreThan(it->second)) {
           ++stats_.budget_exhausted;
           return nullptr;
         }
@@ -226,33 +220,26 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
       // threads on other stripes only serialize on the compiler mutex
       // below (the compiler's sub-formula memo is shared state).
       const OrderHeuristic order = order_.load(std::memory_order_relaxed);
-      NnfCircuit compiled;
+      std::optional<NnfCircuit> compiled;
       {
         std::lock_guard<std::mutex> compiler_lock(compiler_mu_);
         compiler_.set_order(order);
         const Compiler::Stats before = compiler_.stats();
-        if (budget != nullptr) {
-          std::optional<NnfCircuit> attempt =
-              compiler_.TryCompile(cnf, *budget, cancel);
-          if (!attempt.has_value()) {
-            // A fired deadline is NOT a budget failure: it says nothing
-            // about the instance, so no memo and no exhaustion tick — a
-            // later unhurried probe must be free to compile.
-            if (cancel != nullptr && cancel->cancelled()) return nullptr;
-            // Remember the largest budget this structure has failed under.
-            auto [it, fresh] = stripe.failed.try_emplace(cnf, *budget);
-            if (!fresh && budget->AllowsMoreThan(it->second)) {
-              it->second = *budget;
-            }
-            ++stats_.budget_exhausted;
-            return nullptr;
-          }
-          compiled = std::move(*attempt);
-        } else {
-          compiled = compiler_.Compile(cnf, cancel);
-          // A cancelled unbudgeted compile hands back a placeholder-laced
-          // partial circuit — discard it, cache nothing.
+        // An unlimited budget is exactly Compile, so it fails only when
+        // `cancel` fires.
+        compiled = compiler_.TryCompile(cnf, budget, cancel);
+        if (!compiled.has_value()) {
+          // A fired deadline is NOT a budget failure: it says nothing
+          // about the instance, so no memo and no exhaustion tick — a
+          // later unhurried probe must be free to compile.
           if (cancel != nullptr && cancel->cancelled()) return nullptr;
+          // Remember the largest budget this structure has failed under.
+          auto [it, fresh] = stripe.failed.try_emplace(cnf, budget);
+          if (!fresh && budget.AllowsMoreThan(it->second)) {
+            it->second = budget;
+          }
+          ++stats_.budget_exhausted;
+          return nullptr;
         }
         ++stats_.compiles;
         const Compiler::Stats after = compiler_.stats();
@@ -267,9 +254,9 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetOrCompile(
       // section.
       if (order != OrderHeuristic::kDefault) {
         ++stats_.ordered_compiles;
-        stats_.order_edges += compiled.ComputeStats().edges;
+        stats_.order_edges += compiled->ComputeStats().edges;
       }
-      publish(std::move(compiled));
+      publish(std::move(*compiled));
       // Write-through AFTER the insert, from the caller's copy: a failed
       // save is a lost cache entry (the next cold process recompiles),
       // never a query failure, so the error is deliberately dropped.
@@ -350,18 +337,12 @@ Rational CircuitCache::QueryProbability(const Query& query, const Tid& tid) {
 }
 
 std::vector<Rational> CircuitCache::ProbabilityBatch(
-    const Cnf& cnf, const WeightMatrix& weights, const CancelToken* cancel) {
-  const std::shared_ptr<const NnfCircuit> pinned = GetShared(cnf, cancel);
-  if (pinned == nullptr) {
-    // Deadline fired during the compile: the contract is "well-formed but
-    // meaningless" — the caller checks cancel->cancelled() and discards.
-    return std::vector<Rational>(
-        static_cast<size_t>(weights.num_vectors()));
-  }
+    const Cnf& cnf, const WeightMatrix& weights) {
+  const std::shared_ptr<const NnfCircuit> pinned = GetShared(cnf);
   // The GetShared above accounted one compile or hit; the remaining K − 1
   // vectors are all cache-served evaluations.
   stats_.hits += weights.num_vectors() - 1;
-  return EvaluatePinned(*pinned, weights, cancel);
+  return EvaluatePinned(*pinned, weights);
 }
 
 std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,

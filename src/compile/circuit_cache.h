@@ -140,15 +140,10 @@ class CircuitCache {
   /// re-Configure is the intended update idiom).
   GmcOptions options() const;
 
-  /// The compiled circuit for `cnf`, compiling on first sight. The
-  /// returned shared_ptr keeps the circuit alive across any concurrent
-  /// eviction or Clear. `cancel`, if non-null, is threaded into the
-  /// compile; a fired token abandons the compile and returns nullptr
-  /// WITHOUT caching the partial circuit or memoizing a failure (a
-  /// deadline says nothing about the instance — see compiler.h). This is
-  /// the only way GetShared returns null.
-  std::shared_ptr<const NnfCircuit> GetShared(
-      const Cnf& cnf, const CancelToken* cancel = nullptr);
+  /// The compiled circuit for `cnf`, compiling on first sight; never
+  /// null. The returned shared_ptr keeps the circuit alive across any
+  /// concurrent eviction or Clear.
+  std::shared_ptr<const NnfCircuit> GetShared(const Cnf& cnf);
 
   /// Budgeted GetShared — the routing probe of the anytime tier. Returns
   /// the circuit if `cnf` is already cached (in memory or in the attached
@@ -158,8 +153,8 @@ class CircuitCache {
   /// structure only recompiles when offered a strictly larger budget —
   /// see CompileBudget::AllowsMoreThan) or once `cancel` fires (not
   /// memoized, no stat) — callers under a deadline check
-  /// cancel->cancelled() to tell the two apart. An unlimited budget is
-  /// exactly GetShared.
+  /// cancel->cancelled() to tell the two apart. An unlimited budget fails
+  /// only when `cancel` fires, and is otherwise exactly GetShared.
   std::shared_ptr<const NnfCircuit> TryGetShared(
       const Cnf& cnf, const CompileBudget& budget,
       const CancelToken* cancel = nullptr);
@@ -175,13 +170,8 @@ class CircuitCache {
   /// single topological circuit pass (NnfCircuit::EvaluateBatch) instead
   /// of K independent walks. The pass itself is column-parallel (see
   /// nnf.h); GmcOptions::num_threads bounds the workers it may use.
-  /// `cancel`, if non-null, covers both the compile and the batch pass; a
-  /// fired token makes the RESULT meaningless (well-formed sizes, garbage
-  /// values) — the caller owns the cancelled() check-and-discard, exactly
-  /// as with NnfCircuit::EvaluateBatch.
   std::vector<Rational> ProbabilityBatch(const Cnf& cnf,
-                                         const WeightMatrix& weights,
-                                         const CancelToken* cancel = nullptr);
+                                         const WeightMatrix& weights);
   /// Numeric routing for one exact pass over a circuit the caller already
   /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
   /// or BigInt kernels, see nnf_fixed.cc) when every weight has a
@@ -256,11 +246,6 @@ class CircuitCache {
     std::unordered_map<Cnf, CompileBudget, CnfHash, CnfClauseEq> failed;
   };
   Stripe& StripeFor(const Cnf& cnf);
-  // Shared body of every lookup. Null iff the budget was spent (memoized)
-  // or `cancel` fired (not memoized).
-  std::shared_ptr<const NnfCircuit> GetOrCompile(const Cnf& cnf,
-                                                 const CompileBudget* budget,
-                                                 const CancelToken* cancel);
   // LRU sweep: drops globally least-recently-used entries until
   // stats_.resident_bytes fits `max_bytes`, never touching entries used at
   // or after `keep_from` (the just-inserted entry's clock reading —

@@ -48,9 +48,9 @@ struct CompileBudget {
 /// enough that a blow-up is cut off in well under a second.
 CompileBudget DefaultCompileBudget();
 
-/// How GfomcSession routes unsafe queries (safe queries always take the
-/// lifted PTIME plan; it is exact and polynomial, so there is nothing to
-/// trade away).
+/// How GfomcSession routes unsafe queries (safe queries are always
+/// answered exactly; a PTIME plan exists, so there is nothing to trade
+/// away).
 enum class RoutingMode : uint8_t {
   /// Legacy two-way behaviour: exact always. With an unlimited
   /// compile_budget every lineage compiles, whatever its size — worst-case

@@ -9,9 +9,37 @@
 #include "approx/anytime_defaults.h"
 #include "approx/karp_luby.h"
 #include "lineage/grounder.h"
+#include "safe/safe_eval.h"
 #include "util/check.h"
 
 namespace gmc {
+
+namespace {
+
+// The compile gate of safe calls. Safety guarantees a PTIME lifted plan,
+// not a small circuit: compiling a safe query's lineage is worst-case
+// exponential too. The circuit cache wins for the small, heavily repeated
+// lineages of GFOMC instances (grounding folds every certain tuple away),
+// so a safe call takes the compiled route only when its query is not
+// constant, every instance is GFOMC, and every lineage has at most this
+// many variables; otherwise the lifted plan answers the whole call.
+constexpr size_t kMaxCompiledLineageVars = 96;
+
+// Exact whatever the configured routing fields: an unlimited budget
+// compiles every lineage instead of refusing, and no deadline interrupts.
+// EvaluateMany's legacy contract, and the request safe calls compile
+// under.
+const GmcOptions& ExactRequest() {
+  static const GmcOptions exact = [] {
+    GmcOptions options;
+    options.routing_mode = RoutingMode::kExact;
+    options.compile_budget = CompileBudget{};
+    return options;
+  }();
+  return exact;
+}
+
+}  // namespace
 
 DichotomyReport Classify(const Query& query) {
   DichotomyReport report;
@@ -91,15 +119,9 @@ GfomcResult GfomcSession::Evaluate(const Query& query, const Tid& tid) {
 
 std::vector<GfomcResult> GfomcSession::EvaluateMany(
     const Query& query, const std::vector<Tid>& tids) {
-  // The legacy contract: exact whatever the configured routing fields — an
-  // unlimited budget compiles every lineage instead of refusing — and never
-  // interrupted.
-  GmcOptions legacy;
-  legacy.routing_mode = RoutingMode::kExact;
-  legacy.compile_budget = CompileBudget{};
   std::vector<GmcAnswer> answers;
   const std::vector<GmcStatus> statuses =
-      EvaluateAnswers(query, tids, legacy, &answers);
+      EvaluateAnswers(query, tids, ExactRequest(), &answers);
   bool safe = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -182,53 +204,62 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
       ++counters_.invalid_requests;
     }
   }
-  std::vector<Tid> live_subset;
-  if (live.size() < tids.size()) {
-    for (const size_t i : live) live_subset.push_back(tids[i]);
-  }
-  const std::vector<Tid>& live_tids =
-      live.size() < tids.size() ? live_subset : tids;
   counters_.queries += live.size();
 
-  // Safe branch: safety is PTIME exact, so the anytime tiers never apply —
+  // Safe calls: safety is PTIME exact, so the anytime tiers never apply —
   // there is nothing to trade away (and the lifted plan is polynomial, so
-  // the deadline has nothing to interrupt). GFOMC instances route through
-  // the session's cache, general weights through the lifted plan. The
-  // verdict is analysed once per session, in the query's template record
-  // (a constant query is safe).
-  const int compiled_before = safe_.stats().compiled_assignments;
-  if (templates_.IsSafe(query)) {
-    std::optional<std::vector<Rational>> safe =
-        safe_.EvaluateMany(query, live_tids, circuits_);
-    GMC_CHECK(safe.has_value());
-    const bool compiled = safe_.stats().compiled_assignments > compiled_before;
-    for (size_t m = 0; m < live.size(); ++m) {
-      GmcAnswer& answer = (*answers)[live[m]];
-      answer.tier = compiled ? AnswerTier::kCompiledExact : AnswerTier::kLifted;
-      answer.exact = std::move((*safe)[m]);
+  // the deadline has nothing to interrupt). The verdict is analysed once
+  // per session, in the query's template record (a constant query is
+  // safe). A safe call that passes the compile gate takes the route below
+  // under the exact, unbudgeted request; any other is answered by the
+  // lifted plan.
+  const bool safe = templates_.IsSafe(query);
+  bool compiled =
+      !safe || (!query.IsTrue() && !query.IsFalse() &&
+                std::all_of(live.begin(), live.end(), [&](size_t i) {
+                  return tids[i].IsGfomcInstance();
+                }));
+  // Ground each instance, from the query's template when its domain and
+  // support pattern repeat.
+  std::vector<Lineage> lineages(tids.size());
+  if (compiled) {
+    for (const size_t i : live) {
+      bool hit = false;
+      lineages[i] = templates_.Ground(query, tids[i], &hit);
+      ++(hit ? counters_.template_hits : counters_.template_misses);
+      if (safe && lineages[i].variables.size() > kMaxCompiledLineageVars) {
+        compiled = false;
+      }
     }
-    (compiled ? counters_.safe_compiled : counters_.safe_lifted) +=
-        live.size();
+  }
+  if (!compiled) {
+    for (const size_t i : live) {
+      std::optional<Rational> value = LiftedProbability(query, tids[i]);
+      GMC_CHECK(value.has_value());  // the query is safe
+      (*answers)[i].tier = AnswerTier::kLifted;
+      (*answers)[i].exact = std::move(*value);
+    }
+    counters_.safe_lifted += live.size();
     return statuses;
   }
 
-  // Unsafe: ground each instance (from the query's template when its domain
-  // and support pattern repeat) and route it through the policy. One deadline
-  // token covers the call — compile probes, circuit passes, and sampling
-  // all poll it; 0 ms means none, and every poll site reduces to one
-  // pointer comparison. A call with any sampled instance counts once in
-  // sampler_batches.
-  const RoutingPolicy policy(request);
-  const CancelToken deadline(request.deadline_ms);
+  // Route each instance through the policy. One deadline token covers the
+  // call — compile probes, circuit passes, and sampling all poll it; 0 ms
+  // means none, and every poll site reduces to one pointer comparison. A
+  // call with any sampled instance counts once in sampler_batches.
+  const GmcOptions& routing = safe ? ExactRequest() : request;
+  const RoutingPolicy policy(routing);
+  const CancelToken deadline(routing.deadline_ms);
   KarpLubyParams sampler;
-  sampler.epsilon = request.epsilon;
-  sampler.delta = request.delta;
+  sampler.epsilon = routing.epsilon;
+  sampler.delta = routing.delta;
   sampler.max_samples = options_.max_samples;
   // 0 defers to the process default inside the sampler; bit-identical at
   // every worker count.
   sampler.num_threads = options_.num_threads;
-  sampler.cancel = request.deadline_ms > 0 ? &deadline : nullptr;
-  std::vector<Lineage> lineages(tids.size());
+  sampler.cancel = routing.deadline_ms > 0 ? &deadline : nullptr;
+  RelaxedCounter& exact_answers =
+      safe ? counters_.safe_compiled : counters_.unsafe_compiled;
   // Instances answered from a circuit, grouped by the circuit the probe
   // pinned (one per structure), in first-seen order.
   std::vector<std::pair<std::shared_ptr<const NnfCircuit>, std::vector<size_t>>>
@@ -236,12 +267,16 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   std::unordered_map<const NnfCircuit*, size_t> group_of;
   const uint64_t sampled_before = counters_.anytime_sampled;
   for (const size_t i : live) {
-    bool hit = false;
-    lineages[i] = templates_.Ground(query, tids[i], &hit);
-    ++(hit ? counters_.template_hits : counters_.template_misses);
+    if (lineages[i].is_false || lineages[i].cnf.HasEmptyClause()) {
+      // Some ground clause is unsatisfiable: exactly 0, every mode.
+      (*answers)[i].tier = AnswerTier::kCompiledExact;
+      (*answers)[i].exact = Rational::Zero();
+      ++exact_answers;
+      continue;
+    }
     std::shared_ptr<const NnfCircuit> circuit;
-    statuses[i] = RouteUnsafe(lineages[i], policy, sampler, &(*answers)[i],
-                              &circuit);
+    statuses[i] =
+        Route(lineages[i], policy, sampler, &(*answers)[i], &circuit);
     if (circuit == nullptr) continue;
     const auto [it, fresh] = group_of.try_emplace(circuit.get(), groups.size());
     if (fresh) groups.emplace_back(std::move(circuit), std::vector<size_t>());
@@ -274,24 +309,17 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
         ++counters_.anytime_interval;
       } else {
         answer.exact = std::move(exact[m]);
-        ++counters_.unsafe_compiled;
+        ++exact_answers;
       }
     }
   }
   return statuses;
 }
 
-GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
-                                    const RoutingPolicy& policy,
-                                    KarpLubyParams sampler, GmcAnswer* answer,
-                                    std::shared_ptr<const NnfCircuit>* circuit) {
-  if (lineage.is_false || lineage.cnf.HasEmptyClause()) {
-    // Some ground clause is unsatisfiable: exactly 0, every mode.
-    answer->tier = AnswerTier::kCompiledExact;
-    answer->exact = Rational::Zero();
-    ++counters_.unsafe_compiled;
-    return GmcStatus::Ok();
-  }
+GmcStatus GfomcSession::Route(const Lineage& lineage,
+                              const RoutingPolicy& policy,
+                              KarpLubyParams sampler, GmcAnswer* answer,
+                              std::shared_ptr<const NnfCircuit>* circuit) {
   const CancelToken* cancel = sampler.cancel;
   if (cancel != nullptr && cancel->Poll()) return DeadlineExceeded();
   if (policy.WantsCompileProbe()) {
@@ -338,7 +366,7 @@ GmcStatus GfomcSession::RouteUnsafe(const Lineage& lineage,
           .Next();
   // The one-shot form builds this instance's plan and drops it after the
   // estimate, so the session keeps no sampler state (lineage.is_false was
-  // handled at entry).
+  // handled by the caller).
   const KarpLubyResult sampled =
       KarpLubyEstimate(lineage.cnf, lineage.probabilities, sampler);
   answer->tier = AnswerTier::kSampled;

@@ -2,14 +2,16 @@
 //
 // * Classify(Q): the static analysis of Theorem 2.2 — safe queries are
 //   PTIME, unsafe ones #P-hard even with probabilities in {0, 1/2, 1}.
-// * Gfomc(Q, ∆): one-call probability evaluation. Safe queries route to the
-//   lifted PTIME evaluator; unsafe ones fall back to exact (worst-case
+// * Gfomc(Q, ∆): one-call probability evaluation. Safe queries take the
+//   lifted PTIME plan (or, for a small GFOMC instance, the same compiled
+//   pass as unsafe ones); unsafe ones fall back to exact (worst-case
 //   exponential) weighted model counting, as the dichotomy promises nothing
 //   better.
 // * GfomcSession: the repeated-query front end. Holds one CircuitCache
-//   across calls, so probing the same query at many probability
-//   assignments compiles each grounded lineage once and pays a linear
-//   circuit pass afterwards; surfaces compile/hit counters.
+//   and one table of grounding templates across calls, so probing the
+//   same query at many probability assignments compiles each grounded
+//   lineage once and pays a linear circuit pass afterwards; surfaces
+//   compile/hit counters.
 // * DemonstrateHardness(Q, Φ): constructive witness of #P-hardness for
 //   unsafe Type I-I queries — simplifies Q to a final query (Def. 2.8) if
 //   needed, then runs the Cook reduction of §3 to count Φ's models through
@@ -33,7 +35,6 @@
 #include "logic/bipartite.h"
 #include "logic/query.h"
 #include "prob/tid.h"
-#include "safe/safe_eval.h"
 #include "util/relaxed_counter.h"
 
 namespace gmc {
@@ -50,7 +51,8 @@ DichotomyReport Classify(const Query& query);
 
 struct GfomcResult {
   Rational probability;
-  // True if the lifted PTIME algorithm was used (query safe); false means
+  // True iff the query is safe, so a PTIME lifted plan exists (a small
+  // GFOMC instance may still be answered by a circuit pass); false means
   // the lineage was compiled (query unsafe — expected exponential).
   bool used_lifted = false;
 };
@@ -141,9 +143,9 @@ GmcStatus ValidateTid(const Tid& tid);
 /// The pure tier-selection rules, factored out of the session so the
 /// routing pins are testable without evaluators: given the configured mode
 /// and whether the budgeted compile probe produced a circuit, which tier
-/// answers an UNSAFE instance? (Safe queries always take the lifted or
-/// compiled-safe path; safety is PTIME exact, so there is nothing to
-/// trade.)
+/// answers an UNSAFE instance? (Safe queries are answered exactly, by the
+/// lifted plan or under an exact, unbudgeted policy; safety is PTIME
+/// exact, so there is nothing to trade.)
 class RoutingPolicy {
  public:
   explicit RoutingPolicy(const GmcOptions& options) : options_(options) {}
@@ -175,22 +177,25 @@ class RoutingPolicy {
 };
 
 // Stateful GFOMC evaluation for repeated-query traffic. One-shot Gfomc()
-// rebuilds its evaluators — and loses their compiled circuits — on every
-// call; a session keeps ONE CircuitCache alive for the safe route's
-// compiled GFOMC path and the unsafe compiled route alike, so a workload
-// that probes one query at many probability assignments compiles each
-// distinct grounded lineage once and holds it once.
+// rebuilds its session — and loses its compiled circuits — on every call;
+// a session keeps ONE CircuitCache and one table of grounding templates
+// alive for every grounded instance, safe GFOMC calls and unsafe calls
+// alike, so a workload that probes one query at many probability
+// assignments grounds each support pattern once and compiles each distinct
+// grounded lineage once.
 //
 // The per-call EvaluateAnswers is the one evaluation core; EvaluateMany and
 // the configured-options EvaluateAnswers are adapters over it. Instances
 // answered from a circuit are grouped by structure: one batched pass per
-// group.
+// group. A safe call that the compile gate turns away (a constant query, a
+// non-GFOMC instance, or a lineage over 96 variables) is answered whole by
+// the lifted plan (LiftedProbability, safe/safe_eval.h).
 //
-// Thread safety: evaluation calls serialize on a session mutex (the lifted
-// plan is not concurrency-safe); throughput within a call comes from the
-// column-parallel passes underneath (GmcOptions::num_threads), and the
-// CircuitCache is itself striped-lock thread-safe. stats() takes no lock,
-// so a monitor never waits behind an evaluation in flight.
+// Thread safety: evaluation calls serialize on a session mutex (the
+// grounding templates are shared scratch); throughput within a call comes
+// from the column-parallel passes underneath (GmcOptions::num_threads),
+// and the CircuitCache is itself striped-lock thread-safe. stats() takes
+// no lock, so a monitor never waits behind an evaluation in flight.
 class GfomcSession {
  public:
   // Monitoring counters. The session's own are updated in place; stats()
@@ -198,7 +203,7 @@ class GfomcSession {
   struct Stats {
     RelaxedCounter queries;
     RelaxedCounter safe_lifted;      // safe, answered by the PTIME plan
-    RelaxedCounter safe_compiled;    // safe GFOMC instances, circuit cache
+    RelaxedCounter safe_compiled;    // safe GFOMC instances, circuit pass
     RelaxedCounter unsafe_compiled;  // unsafe, answered by a circuit pass
     // Anytime-tier traffic (EvaluateMany is always exact): answers served
     // as certified intervals, answers served by the (ε, δ) sampler,
@@ -215,10 +220,12 @@ class GfomcSession {
     // with serve's coalescing, N same-round sampled requests surface here
     // as ONE batch (vs anytime_sampled counting N).
     RelaxedCounter sampler_batches;
-    // Unsafe instances whose lineage a grounding template built (a
-    // repeated query, domain and support pattern), and those that ran
-    // Ground (a first sight, a sight after a table reset, a pattern too
-    // large for a template, or a fired lineage.template fault point).
+    // Grounded instances, safe or unsafe, whose lineage a grounding
+    // template built (a repeated query, domain and support pattern), and
+    // those that ran Ground (a first sight, a sight after a table reset, a
+    // pattern too large for a template, or a fired lineage.template fault
+    // point). A safe call grounds only when its query is not constant and
+    // every instance is GFOMC.
     RelaxedCounter template_hits;
     RelaxedCounter template_misses;
     // The session's CircuitCache: compiles vs hits (the repeated-query
@@ -240,9 +247,10 @@ class GfomcSession {
   // deadline_ms are read from `request`; the rest stays session
   // configuration. Each instance is validated (a weight outside [0, 1] or
   // an (ε, δ) outside (0, 1) is a typed status, never an abort) and routed:
-  // safe → lifted/compiled exact; unsafe → budgeted compile probe (exact
-  // pass or certified interval on success, Karp–Luby (ε, δ) estimate once
-  // the budget is exhausted), per RoutingPolicy and docs/ANYTIME.md.
+  // safe → lifted or compiled exact, whatever the request; unsafe →
+  // budgeted compile probe (exact pass or certified interval on success,
+  // Karp–Luby (ε, δ) estimate once the budget is exhausted), per
+  // RoutingPolicy and docs/ANYTIME.md.
   // Returns one status per tid and resizes *answers to match; answers[i]
   // is meaningful iff status i is OK, so a refused or timed-out instance
   // never costs the others their answers. One deadline covers the call.
@@ -289,22 +297,21 @@ class GfomcSession {
   Stats stats() const;
 
  private:
-  // Routes one unsafe grounded lineage (mu_ held). `sampler` carries the
-  // call's (ε, δ), sample cap, workers, and deadline token, which the
+  // Routes one satisfiable grounded lineage (mu_ held). `sampler` carries
+  // the call's (ε, δ), sample cap, workers, and deadline token, which the
   // compile probe polls too. OK with *circuit set: the structure's group
   // pass answers the instance from that pinned circuit. Non-OK only when
   // kExact refuses a finite, exhausted budget, or the deadline fires first
   // (the sampled tier degrades to its achieved-ε report instead).
-  GmcStatus RouteUnsafe(const Lineage& lineage, const RoutingPolicy& policy,
-                        KarpLubyParams sampler, GmcAnswer* answer,
-                        std::shared_ptr<const NnfCircuit>* circuit);
+  GmcStatus Route(const Lineage& lineage, const RoutingPolicy& policy,
+                  KarpLubyParams sampler, GmcAnswer* answer,
+                  std::shared_ptr<const NnfCircuit>* circuit);
   GmcStatus DeadlineExceeded();
 
   mutable std::mutex mu_;  // serializes evaluation and Configure
-  CircuitCache circuits_;  // the one cache, for safe and unsafe routes
-  SafeEvaluator safe_;
-  // Per query: its verdict, analysed once, and the unsafe route's
-  // grounding templates (bounded by GroundingTemplates::kMaxBytes, outside
+  CircuitCache circuits_;  // the one cache, for safe and unsafe calls
+  // Per query: its verdict, analysed once, and the grounding templates of
+  // every grounded call (bounded by GroundingTemplates::kMaxBytes, outside
   // the cache's resident_bytes).
   GroundingTemplates templates_;
   // The session's own counters; `cache` stays zero here, since stats()

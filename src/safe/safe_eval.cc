@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "lineage/grounder.h"
 #include "logic/bipartite.h"
 #include "safe/lattice.h"
 #include "util/check.h"
@@ -12,12 +11,6 @@
 namespace gmc {
 
 namespace {
-
-// Gate for routing safe GFOMC traffic through the compiled path: the
-// circuit cache is a win for compact, heavily repeated lineages, but
-// compilation is worst-case exponential in lineage size, so larger
-// lineages stay on the lifted plan.
-constexpr size_t kMaxCompiledLineageVars = 96;
 
 // A clause of a safe component viewed from the evaluation side: a
 // disjunction of unary atoms over the base constant plus ∀-quantified
@@ -117,12 +110,8 @@ Rational PairProbability(const SymbolCnf& formula, const Tid& tid,
 
 }  // namespace
 
-std::optional<Rational> SafeEvaluator::Evaluate(const Query& query,
-                                                const Tid& tid) {
-  // Per-call fields only; the EvaluateMany routing counters are cumulative.
-  stats_.components = 0;
-  stats_.lattices_built = 0;
-  stats_.max_lattice_size = 0;
+std::optional<Rational> LiftedProbability(const Query& query,
+                                          const Tid& tid) {
   if (query.IsFalse()) return Rational::Zero();
   if (query.IsTrue()) return Rational::One();
   BipartiteAnalysis analysis = AnalyzeBipartite(query);
@@ -131,7 +120,6 @@ std::optional<Rational> SafeEvaluator::Evaluate(const Query& query,
   const std::vector<int> component_of = query.ClauseComponents();
   int num_components = 0;
   for (int c : component_of) num_components = std::max(num_components, c + 1);
-  stats_.components = num_components;
 
   Rational total = Rational::One();
   for (int component = 0; component < num_components; ++component) {
@@ -251,10 +239,6 @@ std::optional<Rational> SafeEvaluator::Evaluate(const Query& query,
         } else {
           // Möbius inversion: Pr(∨ᵢ ∀y Gᵢ) = −Σ_{α<1̂} µ(α)·Pr(∀y G_α).
           ImplicationLattice lattice(disjuncts);
-          ++stats_.lattices_built;
-          stats_.max_lattice_size =
-              std::max(stats_.max_lattice_size,
-                       static_cast<int>(lattice.elements().size()));
           branch = Rational::Zero();
           for (int index : lattice.StrictSupport()) {
             const LatticeElement& element = lattice.elements()[index];
@@ -269,58 +253,6 @@ std::optional<Rational> SafeEvaluator::Evaluate(const Query& query,
     total *= component_probability;
   }
   return total;
-}
-
-std::optional<std::vector<Rational>> SafeEvaluator::EvaluateMany(
-    const Query& query, const std::vector<Tid>& tids, CircuitCache& circuits) {
-  if (query.IsFalse()) {
-    return std::vector<Rational>(tids.size(), Rational::Zero());
-  }
-  if (query.IsTrue()) {
-    return std::vector<Rational>(tids.size(), Rational::One());
-  }
-  BipartiteAnalysis analysis = AnalyzeBipartite(query);
-  if (!analysis.safe) return std::nullopt;
-
-  bool all_gfomc = !tids.empty();
-  for (const Tid& tid : tids) all_gfomc = all_gfomc && tid.IsGfomcInstance();
-
-  // Safety guarantees a PTIME lifted plan, not a small circuit: compiling
-  // the grounded lineage is worst-case exponential even for safe queries.
-  // The compiled path is a cache win for the small, heavily repeated
-  // gadget-style lineages, so gate it on lineage size (grounding itself is
-  // polynomial) and keep the lifted algorithm as the asymptotic contract.
-  std::vector<Lineage> lineages;
-  if (all_gfomc) {
-    lineages.reserve(tids.size());
-    for (const Tid& tid : tids) {
-      lineages.push_back(Ground(query, tid));
-      if (lineages.back().variables.size() > kMaxCompiledLineageVars) {
-        all_gfomc = false;
-        lineages.clear();
-        break;
-      }
-    }
-  }
-
-  std::vector<Rational> results;
-  if (all_gfomc) {
-    // GFOMC instances ({0, 1/2, 1} probabilities) ground to compact shared
-    // lineages — the certain tuples fold away — so route through the
-    // circuit cache: one compile per distinct grounded lineage, one batched
-    // circuit pass per structure.
-    results = circuits.ProbabilityBatch(lineages);
-    stats_.compiled_assignments += static_cast<int>(tids.size());
-  } else {
-    results.reserve(tids.size());
-    for (const Tid& tid : tids) {
-      std::optional<Rational> value = Evaluate(query, tid);
-      GMC_CHECK(value.has_value());  // safety was established above
-      results.push_back(std::move(*value));
-      ++stats_.lifted_assignments;
-    }
-  }
-  return results;
 }
 
 }  // namespace gmc

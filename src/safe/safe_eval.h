@@ -15,51 +15,17 @@
 #define GMC_SAFE_SAFE_EVAL_H_
 
 #include <optional>
-#include <vector>
 
-#include "compile/circuit_cache.h"
 #include "logic/query.h"
 #include "prob/tid.h"
 #include "util/rational.h"
 
 namespace gmc {
 
-class SafeEvaluator {
- public:
-  struct Stats {
-    int components = 0;
-    int lattices_built = 0;
-    int max_lattice_size = 0;
-    // EvaluateMany accounting: how many assignments went through the
-    // compiled (CircuitCache-backed) path vs the lifted per-TID algorithm.
-    int compiled_assignments = 0;
-    int lifted_assignments = 0;
-  };
-
-  // Pr_∆(Q) for a safe query; std::nullopt if the query is unsafe
-  // (Def. 2.4), in which case no PTIME algorithm exists unless FP = #P.
-  std::optional<Rational> Evaluate(const Query& query, const Tid& tid);
-
-  // Repeated probability assignments over one query: Pr_∆(Q) for every TID,
-  // in input order; std::nullopt if the query is unsafe. When every TID is
-  // a GFOMC instance (Tid::IsGfomcInstance — probabilities in {0, 1/2, 1}),
-  // grounding folds all certain tuples away and the assignments share
-  // compact lineage structure, so they route through the caller's
-  // `circuits`: each distinct grounded lineage compiles once and its
-  // assignments are served by one batched circuit pass (the cache's
-  // configuration — threads, order, store — applies). The compiled route
-  // is gated on lineage size — safety promises a PTIME lifted plan, not a
-  // small circuit, so oversized lineages and general-weight TIDs fall back
-  // to the lifted per-TID algorithm, which remains the asymptotic contract.
-  std::optional<std::vector<Rational>> EvaluateMany(
-      const Query& query, const std::vector<Tid>& tids,
-      CircuitCache& circuits);
-
-  const Stats& stats() const { return stats_; }
-
- private:
-  Stats stats_;
-};
+// Pr_∆(Q) for a safe query; std::nullopt if the query is unsafe
+// (Def. 2.4), in which case no PTIME algorithm exists unless FP = #P.
+// Stateless: every call analyses the query and evaluates from scratch.
+std::optional<Rational> LiftedProbability(const Query& query, const Tid& tid);
 
 }  // namespace gmc
 

@@ -1,6 +1,7 @@
 #include "util/fault.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
@@ -50,12 +51,18 @@ bool ConfigureImpl(const std::string& spec, std::string* error);
 // flag instead, so a test's spec is never clobbered by a late env install.
 // The env path must call ConfigureImpl, NOT the public Configure: the
 // public entry point consumes EnvOnce itself, and re-entering call_once on
-// the flag currently being run is a deadlock.
+// the flag currently being run is a deadlock. A malformed spec leaves every
+// point disarmed and says so once on stderr: a run that meant to inject
+// faults must not pass without a word.
 void MaybeInstallEnvSpec() {
   std::call_once(EnvOnce(), [] {
     const char* env = std::getenv("GMC_FAULT");
-    if (env != nullptr && env[0] != '\0') {
-      (void)ConfigureImpl(env, nullptr);  // malformed env spec = disabled
+    std::string error;
+    if (env != nullptr && env[0] != '\0' && !ConfigureImpl(env, &error)) {
+      std::fprintf(stderr,
+                   "GMC_FAULT=\"%s\" is malformed (%s); every fault point "
+                   "is disarmed\n",
+                   env, error.c_str());
     }
   });
 }

@@ -55,8 +55,9 @@ const char* PointName(Point point);
 bool Configure(const std::string& spec, std::string* error = nullptr);
 
 // True if this crossing of `point` should fail. The first call anywhere
-// lazily installs GMC_FAULT (malformed env specs disable injection rather
-// than abort: the variable is operator input, not programmer error).
+// lazily installs GMC_FAULT. A malformed env spec disables injection
+// rather than abort (the variable is operator input, not programmer
+// error), and one stderr line names the variable and the parse error.
 bool ShouldFail(Point point);
 
 // Crossings of `point` that fired since the last Configure/Reset.

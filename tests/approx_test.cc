@@ -24,6 +24,7 @@
 #include "compile/nnf.h"
 #include "compile/nnf_walk.h"
 #include "core/dichotomy.h"
+#include "fault_guard.h"
 #include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
@@ -1673,16 +1674,15 @@ TEST(SessionRouterTest, IdenticalRequestsGetIdenticalEstimates) {
   EXPECT_EQ(stats.sampler_batches, 1u);
 }
 
-// The test below pins template hit/miss counts and calls fault::Reset()
-// first: an ambient GMC_FAULT spec (the CI faults job arms
-// lineage.template) would perturb them. A Reset stays reset, so every
-// test that runs after this one runs without the env faults.
+// The test below pins template hit/miss counts, which an ambient GMC_FAULT
+// spec (the CI faults job arms lineage.template) would perturb, so it
+// holds a FaultGuard.
 TEST(SessionRouterTest, TemplatesAnswerEveryTierAsASessionThatAlwaysGrounds) {
   // C9 over 3×3 at two support patterns (all 36 tuples uncertain, as on
   // certified_interval; and S2, S4 certain with S1(0, 0) absent), each at
   // two weightings of k/7 and k/11. A session that grounds every instance
   // (lineage.template at rate 1) must give the same bits on every tier.
-  fault::Reset();
+  FaultGuard guard;
   const Query c9 = ExampleC9();
   const Vocabulary& v = c9.vocab();
   std::vector<Tid> tids;
@@ -1738,7 +1738,6 @@ TEST(SessionRouterTest, TemplatesAnswerEveryTierAsASessionThatAlwaysGrounds) {
   std::string error;
   ASSERT_TRUE(fault::Configure("lineage.template=1", &error)) << error;
   const Run grounding = run();
-  fault::Reset();
   EXPECT_EQ(grounding.stats.template_hits, 0u);
   EXPECT_EQ(grounding.stats.template_misses, 3 * tids.size());
   for (size_t m = 0; m < std::size(modes); ++m) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/dichotomy.h"
+#include "fault_guard.h"
 #include "logic/parser.h"
+#include "safe/safe_eval.h"
 #include "util/fault.h"
 #include "wmc/brute_force.h"
 
@@ -165,11 +167,10 @@ std::vector<Tid> PatternedH1Tids(const Query& h1) {
   return tids;
 }
 
-// Declared last: the test Resets the env fault spec (the faults CI job arms
-// lineage.template, which would skew the template counts), and a Reset
-// must stay reset.
+// The faults CI job arms lineage.template, which would skew the template
+// counts, so the test holds a FaultGuard.
 TEST(GfomcSessionTest, TemplatesAnswerExactlyAsASessionThatAlwaysGrounds) {
-  fault::Reset();
+  FaultGuard guard;
   const Query h1 =
       ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
   const std::vector<Tid> tids = PatternedH1Tids(h1);
@@ -199,7 +200,6 @@ TEST(GfomcSessionTest, TemplatesAnswerExactlyAsASessionThatAlwaysGrounds) {
   std::string error;
   ASSERT_TRUE(fault::Configure("lineage.template=1", &error)) << error;
   const Run grounding = run();
-  fault::Reset();
   EXPECT_EQ(grounding.stats.template_hits, 0u);
   EXPECT_EQ(grounding.stats.template_misses, 2 * tids.size());
   for (size_t i = 0; i < tids.size(); ++i) {
@@ -209,6 +209,125 @@ TEST(GfomcSessionTest, TemplatesAnswerExactlyAsASessionThatAlwaysGrounds) {
     EXPECT_EQ(cached.many[i].probability, grounding.many[i].probability);
     EXPECT_FALSE(cached.many[i].used_lifted);
   }
+}
+
+// --- The compile gate of safe calls ---------------------------------------
+//
+// A safe call takes the session's compiled route only when its query is not
+// constant, every instance is GFOMC and every lineage has at most 96
+// variables; otherwise the lifted plan answers the whole call.
+
+// Ax Ay (R(x) | S(x,y)) over n×n: R(u) at ½ for u < uncertain and 1
+// otherwise, every S tuple at `s`.
+Tid LeftTypeITid(const Query& q, int n, int uncertain, const Rational& s) {
+  Tid tid(q.vocab_ptr(), n, n, s);
+  for (int u = 0; u < n; ++u) {
+    tid.SetUnaryLeft(q.vocab().Find("R"), u,
+                     u < uncertain ? Rational::Half() : Rational::One());
+  }
+  return tid;
+}
+
+std::vector<GmcAnswer> EvaluateOk(GfomcSession& session, const Query& q,
+                                  const std::vector<Tid>& tids,
+                                  const GmcOptions& request) {
+  std::vector<GmcAnswer> answers;
+  for (const GmcStatus& status :
+       session.EvaluateAnswers(q, tids, request, &answers)) {
+    EXPECT_TRUE(status.ok()) << status.message;
+  }
+  return answers;
+}
+
+TEST(SafeRouteTest, OneOversizedLineageSendsTheWholeCallToTheLiftedPlan) {
+  const Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
+  // 2×2 grounds to 6 variables, 10×10 to 110.
+  const std::vector<Tid> tids = {LeftTypeITid(q, 2, 2, Rational::Half()),
+                                 LeftTypeITid(q, 10, 10, Rational::Half())};
+  GfomcSession session;
+  const std::vector<GmcAnswer> answers =
+      EvaluateOk(session, q, tids, session.options());
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(answers[i].tier, AnswerTier::kLifted) << "tid " << i;
+    EXPECT_EQ(answers[i].exact, *LiftedProbability(q, tids[i]));
+  }
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.safe_lifted, 2u);
+  EXPECT_EQ(stats.safe_compiled, 0u);
+  EXPECT_EQ(stats.cache.compiles + stats.cache.hits, 0u);
+}
+
+TEST(SafeRouteTest, OneNonGfomcInstanceSendsTheWholeCallToTheLiftedPlan) {
+  const Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
+  const std::vector<Tid> tids = {LeftTypeITid(q, 2, 1, Rational::Half()),
+                                 LeftTypeITid(q, 2, 1, Rational(3, 7))};
+  GfomcSession session;
+  const std::vector<GmcAnswer> answers =
+      EvaluateOk(session, q, tids, session.options());
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(answers[i].tier, AnswerTier::kLifted) << "tid " << i;
+    EXPECT_EQ(answers[i].exact, *LiftedProbability(q, tids[i]));
+  }
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.safe_lifted, 2u);
+  EXPECT_EQ(stats.safe_compiled, 0u);
+  // The gate turned the call away before grounding anything.
+  EXPECT_EQ(stats.template_hits + stats.template_misses, 0u);
+}
+
+TEST(SafeRouteTest, CompiledSafeCallsIgnoreTheRequestDeadline) {
+  // The compiled route runs exact, unbudgeted and without a deadline: a
+  // safe call has no anytime tier to degrade to, and a PTIME plan exists.
+  // Twenty support patterns of the Type II safe query over 4×4 (48
+  // variables each) take well over 1 ms to compile.
+  const Query q = ParseQueryOrDie(
+      "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax (Ay (S1(x,y)) | Ay (S3(x,y)))");
+  std::vector<Tid> tids;
+  for (int k = 0; k < 20; ++k) {
+    Tid tid(q.vocab_ptr(), 4, 4, Rational::Half());
+    tid.SetBinary(q.vocab().Find("S1"), k % 4, k / 4 % 4, Rational::Zero());
+    tid.SetBinary(q.vocab().Find("S2"), k / 4 % 4, k % 4, Rational::One());
+    tid.SetBinary(q.vocab().Find("S3"), k % 3, k % 4, Rational::Zero());
+    tids.push_back(std::move(tid));
+  }
+  GfomcSession session;
+  GmcOptions request = session.options();
+  request.deadline_ms = 1;
+  const std::vector<GmcAnswer> answers = EvaluateOk(session, q, tids, request);
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(answers[i].tier, AnswerTier::kCompiledExact) << "tid " << i;
+    EXPECT_EQ(answers[i].exact, *LiftedProbability(q, tids[i]));
+  }
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.safe_compiled, tids.size());
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+}
+
+TEST(SafeRouteTest, RepeatedSafeGfomcPatternsHitTheirTemplate) {
+  FaultGuard guard;  // an armed lineage.template would turn hits into misses
+  const Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
+  // The same 0 / 1 / uncertain pattern twice: explicit ½ tuples under a
+  // default of 1, then the default at ½ with R(2) explicitly certain.
+  Tid tid = LeftTypeITid(q, 3, 2, Rational::One());
+  for (int u = 0; u < 3; ++u) {
+    for (int v = 0; v < 3; ++v) {
+      tid.SetBinary(q.vocab().Find("S"), u, v, Rational::Half());
+    }
+  }
+  Tid repeat(q.vocab_ptr(), 3, 3, Rational::Half());
+  repeat.SetUnaryLeft(q.vocab().Find("R"), 2, Rational::One());
+  GfomcSession session;
+  for (const Tid* instance : {&tid, &repeat}) {
+    const std::vector<GmcAnswer> answers =
+        EvaluateOk(session, q, {*instance}, session.options());
+    EXPECT_EQ(answers[0].tier, AnswerTier::kCompiledExact);
+    EXPECT_EQ(answers[0].exact, *LiftedProbability(q, *instance));
+  }
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.template_misses, 1u);
+  EXPECT_EQ(stats.template_hits, 1u);
+  EXPECT_EQ(stats.safe_compiled, 2u);
+  EXPECT_EQ(stats.cache.compiles, 1u);
 }
 
 }  // namespace

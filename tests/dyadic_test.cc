@@ -20,6 +20,7 @@
 #include "compile/circuit_cache.h"
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "core/dichotomy.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "lineage/grounder.h"
@@ -229,8 +230,8 @@ TEST(DyadicRoutingTest, CacheBatchMatchesRecursiveEngine) {
   }
 }
 
-TEST(DyadicRoutingTest, SafeEvaluateManyBitIdentical) {
-  // A safe query whose GFOMC instances route through the circuit cache.
+TEST(DyadicRoutingTest, SafeSessionCallBitIdentical) {
+  // A safe query whose GFOMC instances route through the session's cache.
   Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
   std::vector<Tid> tids;
   for (int i = 0; i < 6; ++i) {
@@ -241,17 +242,15 @@ TEST(DyadicRoutingTest, SafeEvaluateManyBitIdentical) {
     tids.push_back(std::move(tid));
   }
 
-  CircuitCache cache;
-  auto batched = SafeEvaluator().EvaluateMany(q, tids, cache);
-  ASSERT_TRUE(batched.has_value());
-  EXPECT_GT(cache.stats().dyadic_batches, 0u);
+  GfomcSession session;
+  const std::vector<GfomcResult> batched = session.EvaluateMany(q, tids);
+  EXPECT_GT(session.stats().cache.dyadic_batches, 0u);
 
   // The lifted per-TID algorithm is the reference.
-  SafeEvaluator lifted;
   for (size_t i = 0; i < tids.size(); ++i) {
-    auto value = lifted.Evaluate(q, tids[i]);
+    auto value = LiftedProbability(q, tids[i]);
     ASSERT_TRUE(value.has_value());
-    EXPECT_EQ((*batched)[i], *value) << "tid " << i;
+    EXPECT_EQ(batched[i].probability, *value) << "tid " << i;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_guard.h"
 #include "lineage/boolean_formula.h"
 #include "lineage/grounder.h"
 #include "logic/parser.h"
@@ -293,7 +294,7 @@ std::vector<Tid> PatternTids(const Query& query, int count,
 }
 
 TEST(GroundingTemplatesTest, MatchGroundOnH0H1AndC9) {
-  fault::Reset();  // an armed lineage.template would turn hits into misses
+  FaultGuard guard;  // an armed lineage.template would turn hits into misses
   std::mt19937_64 rng(20);
   for (const Query& query : {H1(), H0(), ExampleC9()}) {
     ExpectTemplatesMatchGround(query, PatternTids(query, 40, &rng));
@@ -301,7 +302,7 @@ TEST(GroundingTemplatesTest, MatchGroundOnH0H1AndC9) {
 }
 
 TEST(GroundingTemplatesTest, MatchGroundOnTypeOneGadgetTids) {
-  fault::Reset();
+  FaultGuard guard;
   std::mt19937_64 rng(21);
   const Query h1 = H1();
   const std::vector<std::pair<int, int>> edges = {{0, 1}, {1, 2}, {0, 2}};
@@ -319,7 +320,7 @@ TEST(GroundingTemplatesTest, MatchGroundOnRandomQueries) {
   // Queries of at most three clauses over R(x), S1–S3(x,y) and T(y): Type I
   // and middle clauses with any non-empty set of binaries, and Type II
   // clauses on either side.
-  fault::Reset();
+  FaultGuard guard;
   std::mt19937_64 rng(22);
   auto vocab = std::make_shared<Vocabulary>();
   const SymbolId r = vocab->Add("R", SymbolKind::kUnaryLeft);
@@ -363,7 +364,7 @@ TEST(GroundingTemplatesTest, MatchGroundOnRandomQueries) {
 }
 
 TEST(GroundingTemplatesTest, QueriesOnOneTidNeverShareATemplate) {
-  fault::Reset();
+  FaultGuard guard;
   auto vocab = std::make_shared<Vocabulary>();
   const Query h1 =
       ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))", vocab);
@@ -382,7 +383,7 @@ TEST(GroundingTemplatesTest, QueriesOnOneTidNeverShareATemplate) {
 }
 
 TEST(GroundingTemplatesTest, FalseLineagesAndEmptyDomainsRoundTrip) {
-  fault::Reset();
+  FaultGuard guard;
   const Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
   const Vocabulary& v = q.vocab();
   GroundingTemplates templates;
@@ -414,7 +415,7 @@ TEST(GroundingTemplatesTest, FalseLineagesAndEmptyDomainsRoundTrip) {
 TEST(GroundingTemplatesTest, PatternsPastTheUint16LayoutAlwaysGround) {
   // A side over 0xffff, or 0xffff slots or more, does not fit a template:
   // such an instance grounds every time and nothing is stored.
-  fault::Reset();
+  FaultGuard guard;
   const Query r = ParseQueryOrDie("Ax (R(x))");
   const Query s = ParseQueryOrDie("Ax Ay (S(x,y))");
   const Tid wide(r.vocab_ptr(), 2, 0x10000, Rational::Half());
@@ -441,7 +442,7 @@ TEST(GroundingTemplatesTest, FillingPastTheCapResetsTheTable) {
   // holds a few hundred bytes, so the constant cap is passed after some
   // thousands of patterns. The table resets, stays under the cap, and
   // every lineage still equals Ground's.
-  fault::Reset();
+  FaultGuard guard;
   const Query q = ParseQueryOrDie("Ax Ay (S(x,y))");
   const SymbolId s = q.vocab().Find("S");
   std::mt19937_64 rng(24);
@@ -482,6 +483,7 @@ TEST(GroundingTemplatesTest, FillingPastTheCapResetsTheTable) {
 }
 
 TEST(GroundingTemplatesTest, AFiredFaultPointGroundsAndStoresNothing) {
+  FaultGuard guard;
   const Query h1 = H1();
   const Tid tid(h1.vocab_ptr(), 3, 3, Rational(2, 5));
   GroundingTemplates templates;
@@ -494,7 +496,6 @@ TEST(GroundingTemplatesTest, AFiredFaultPointGroundsAndStoresNothing) {
   }
   EXPECT_EQ(templates.size(), 0u);
   EXPECT_EQ(fault::InjectedCount(fault::Point::kLineageTemplate), 2u);
-  fault::Reset();
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "compile/compiler.h"
 #include "compile/minimize.h"
 #include "compile/nnf.h"
+#include "core/dichotomy.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "hardness/type2.h"
@@ -307,9 +308,9 @@ TEST(OracleBatchTest, CompiledBatchMatchesPerCallOracle) {
   EXPECT_EQ(looped.calls(), static_cast<int>(tids.size()));
 }
 
-TEST(SafeEvaluatorBatchTest, GfomcAssignmentsRouteThroughCircuitCache) {
-  // Safe query, GFOMC weights: EvaluateMany must agree with per-TID lifted
-  // evaluation and actually take the compiled path.
+TEST(SafeSessionBatchTest, GfomcAssignmentsRouteThroughCircuitCache) {
+  // Safe query, GFOMC weights: a session call must agree with per-TID
+  // lifted evaluation and actually take the compiled route.
   Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
   std::vector<Tid> tids;
   for (int i = 0; i < 4; ++i) {
@@ -324,22 +325,20 @@ TEST(SafeEvaluatorBatchTest, GfomcAssignmentsRouteThroughCircuitCache) {
     }
     tids.push_back(std::move(tid));
   }
-  SafeEvaluator batched;
-  CircuitCache cache;
-  auto results = batched.EvaluateMany(q, tids, cache);
-  ASSERT_TRUE(results.has_value());
-  EXPECT_EQ(batched.stats().compiled_assignments, 4);
-  EXPECT_EQ(batched.stats().lifted_assignments, 0);
-  EXPECT_GT(cache.stats().batch_passes, 0u);
-  SafeEvaluator lifted;
+  GfomcSession session;
+  const std::vector<GfomcResult> results = session.EvaluateMany(q, tids);
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.safe_compiled, 4u);
+  EXPECT_EQ(stats.safe_lifted, 0u);
+  EXPECT_GT(stats.cache.batch_passes, 0u);
   for (size_t i = 0; i < tids.size(); ++i) {
-    auto expected = lifted.Evaluate(q, tids[i]);
+    auto expected = LiftedProbability(q, tids[i]);
     ASSERT_TRUE(expected.has_value());
-    EXPECT_EQ((*results)[i], *expected) << "tid " << i;
+    EXPECT_EQ(results[i].probability, *expected) << "tid " << i;
   }
 }
 
-TEST(SafeEvaluatorBatchTest, GeneralWeightsFallBackToLiftedPath) {
+TEST(SafeSessionBatchTest, GeneralWeightsFallBackToLiftedPath) {
   Query q = ParseQueryOrDie("Ax Ay (R(x) | S(x,y))");
   std::vector<Tid> tids;
   for (int i = 1; i <= 3; ++i) {
@@ -352,25 +351,16 @@ TEST(SafeEvaluatorBatchTest, GeneralWeightsFallBackToLiftedPath) {
     }
     tids.push_back(std::move(tid));
   }
-  SafeEvaluator evaluator;
-  CircuitCache cache;
-  auto results = evaluator.EvaluateMany(q, tids, cache);
-  ASSERT_TRUE(results.has_value());
-  EXPECT_EQ(evaluator.stats().lifted_assignments, 3);
-  EXPECT_EQ(evaluator.stats().compiled_assignments, 0);
+  GfomcSession session;
+  const std::vector<GfomcResult> results = session.EvaluateMany(q, tids);
+  const GfomcSession::Stats stats = session.stats();
+  EXPECT_EQ(stats.safe_lifted, 3u);
+  EXPECT_EQ(stats.safe_compiled, 0u);
   for (size_t i = 0; i < tids.size(); ++i) {
-    auto expected = SafeEvaluator().Evaluate(q, tids[i]);
+    auto expected = LiftedProbability(q, tids[i]);
     ASSERT_TRUE(expected.has_value());
-    EXPECT_EQ((*results)[i], *expected);
+    EXPECT_EQ(results[i].probability, *expected);
   }
-}
-
-TEST(SafeEvaluatorBatchTest, UnsafeQueryReturnsNullopt) {
-  SafeEvaluator evaluator;
-  std::vector<Tid> tids;
-  tids.emplace_back(H1().vocab_ptr(), 2, 2, Rational::Half());
-  CircuitCache cache;
-  EXPECT_FALSE(evaluator.EvaluateMany(H1(), tids, cache).has_value());
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include "serve/serve.h"
 #include "store/circuit_io.h"
 #include "store/circuit_store.h"
+#include "fault_guard.h"
 #include "util/cancel.h"
 #include "util/fault.h"
 
@@ -60,12 +61,6 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
              std::chrono::steady_clock::now() - since)
       .count();
 }
-
-// Every test leaves the process-wide fault state clean, whatever happened.
-class FaultGuard {
- public:
-  ~FaultGuard() { fault::Reset(); }
-};
 
 // ---------------------------------------------------------------------------
 // CancelToken
@@ -101,15 +96,32 @@ TEST(CancelTokenTest, DeadlineLatchesThroughPoll) {
 // Fault injection
 
 // A GMC_FAULT spec that names an unknown point is malformed, and the env
-// install then disables every point without a word: a stale name would
-// leave a faults run green with nothing armed. So the ambient spec must
-// parse. Configure installs it exactly as the env install would, before
-// the first Reset below.
+// install then disables every point: a stale name would leave a faults run
+// green with nothing armed. So the ambient spec must parse. Configure
+// installs it exactly as the env install would, before the first Reset
+// below.
 TEST(FaultTest, AmbientSpecParses) {
   const char* spec = std::getenv("GMC_FAULT");
   if (spec == nullptr) GTEST_SKIP() << "GMC_FAULT unset";
   std::string error;
   EXPECT_TRUE(fault::Configure(spec, &error)) << error;
+}
+
+// The env install disarms a malformed spec and names the variable and the
+// parse error on stderr. It runs once per process, at the first crossing,
+// so the threadsafe style runs the check in a freshly started child; the
+// child exits 0 only if the crossing found every point disarmed.
+TEST(FaultDeathTest, MalformedEnvSpecIsDisarmedAndReported) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        ::setenv("GMC_FAULT", "approx.plan=0.05,seed=7", 1);
+        (void)fault::ShouldFail(fault::Point::kStoreRead);
+        std::exit(fault::CrossingCount(fault::Point::kStoreRead) == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0),
+      "GMC_FAULT=\"approx\\.plan=0\\.05,seed=7\" is malformed \\(unknown "
+      "fault point 'approx\\.plan'\\); every fault point is disarmed");
 }
 
 TEST(FaultTest, RateOneFiresEveryCrossingAndCountersTick) {
@@ -473,7 +485,7 @@ TEST(EvictionTest, EvictedButPersistedCircuitsReloadFromTheStore) {
 // the cap, safe and unsafe traffic share that cap, and a flush writes each
 // resident circuit once.
 TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
-  fault::Reset();  // every circuit below must reach the store
+  FaultGuard guard;  // every circuit below must reach the store
   char store_tmpl[] = "/tmp/gmc_robust_store_XXXXXX";
   char flush_tmpl[] = "/tmp/gmc_robust_flush_XXXXXX";
   ASSERT_NE(::mkdtemp(store_tmpl), nullptr);

@@ -103,8 +103,7 @@ void ExpectMatchesWmc(const std::string& text, int nu, int nv,
                       uint64_t seed) {
   Query q = ParseQueryOrDie(text);
   Tid tid = RandomTid(q, nu, nv, seed);
-  SafeEvaluator evaluator;
-  auto lifted = evaluator.Evaluate(q, tid);
+  auto lifted = LiftedProbability(q, tid);
   ASSERT_TRUE(lifted.has_value()) << text;
   WmcEngine engine;
   EXPECT_EQ(*lifted, engine.QueryProbability(q, tid)) << text << "\nseed "
@@ -115,8 +114,7 @@ TEST(SafeEvalTest, UnsafeReturnsNullopt) {
   Query h1 =
       ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
   Tid tid(h1.vocab_ptr(), 2, 2);
-  SafeEvaluator evaluator;
-  EXPECT_FALSE(evaluator.Evaluate(h1, tid).has_value());
+  EXPECT_FALSE(LiftedProbability(h1, tid).has_value());
 }
 
 TEST(SafeEvalTest, LeftOnlyTypeI) {
@@ -199,8 +197,7 @@ TEST_P(SafeEvalRandomTest, AgainstBruteForceOnManyTids) {
     const int nu = 1 + static_cast<int>(rng() % 3);
     const int nv = 1 + static_cast<int>(rng() % 3);
     Tid tid = RandomTid(q, nu, nv, rng());
-    SafeEvaluator evaluator;
-    auto lifted = evaluator.Evaluate(q, tid);
+    auto lifted = LiftedProbability(q, tid);
     ASSERT_TRUE(lifted.has_value()) << text;
     EXPECT_EQ(*lifted, BruteForceQueryProbability(q, tid))
         << text << " nu=" << nu << " nv=" << nv;

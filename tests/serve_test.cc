@@ -33,12 +33,12 @@
 #include <gtest/gtest.h>
 
 #include "core/dichotomy.h"
+#include "fault_guard.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
 #include "serve/serve.h"
 #include "store/circuit_store.h"
 #include "store/scrub.h"
-#include "util/fault.h"
 #include "wmc/brute_force.h"
 
 namespace gmc {
@@ -717,10 +717,9 @@ TEST_F(ServeTest, OverBudgetRequestFailsAloneInsideItsGroup) {
   // gets its exact answer. The budget is tiny (GMC_BUDGET_CALLS, as in
   // OverBudgetInstanceDegradesOverTheWire); the neighbour's structure is
   // cached first, and lookups ignore the budget. A dropped cache insert
-  // would send the neighbour back to the tiny budget, so this test clears
-  // any ambient GMC_FAULT spec; a Reset stays reset, so it runs just
-  // before the last ServeTest.
-  fault::Reset();
+  // would send the neighbour back to the tiny budget, so this test holds a
+  // FaultGuard.
+  FaultGuard guard;
   ::setenv("GMC_BUDGET_CALLS", "2", 1);
   GmcServerOptions options;
   options.socket_path = TestSocketPath("budgetgroup");
