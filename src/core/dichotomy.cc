@@ -214,7 +214,7 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // under the exact, unbudgeted request; any other is answered by the
   // lifted plan.
   const bool safe = templates_.IsSafe(query);
-  bool compiled =
+  bool routed =
       !safe || (!query.IsTrue() && !query.IsFalse() &&
                 std::all_of(live.begin(), live.end(), [&](size_t i) {
                   return tids[i].IsGfomcInstance();
@@ -222,17 +222,17 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // Ground each instance, from the query's template when its domain and
   // support pattern repeat.
   std::vector<Lineage> lineages(tids.size());
-  if (compiled) {
+  if (routed) {
     for (const size_t i : live) {
       bool hit = false;
       lineages[i] = templates_.Ground(query, tids[i], &hit);
       ++(hit ? counters_.template_hits : counters_.template_misses);
       if (safe && lineages[i].variables.size() > kMaxCompiledLineageVars) {
-        compiled = false;
+        routed = false;
       }
     }
   }
-  if (!compiled) {
+  if (!routed) {
     for (const size_t i : live) {
       std::optional<Rational> value = LiftedProbability(query, tids[i]);
       GMC_CHECK(value.has_value());  // the query is safe
