@@ -25,7 +25,7 @@
 //
 // The fixed-width and Rational configurations run the public
 // EvaluateBatch* entry points, so they measure exactly what
-// CircuitCache::ProbabilityBatch traffic pays; the BigInt comparators run
+// CircuitCache::EvaluatePinned traffic pays; the BigInt comparators run
 // the same kernel forced to BigInt width
 // (walk_internal::WalkEvaluateBatchDyadicBig).
 

@@ -3,11 +3,14 @@
 // The reduction's own work (building the z-series, the C(m+2,2)-sized big
 // matrix, and the exact solve) is polynomial in m; the oracle is the
 // expensive part, exactly as the theory says. Series: reduction time vs m
-// with the Theorem-3.4 factorized oracle, and with the honest WMC oracle on
-// the real gadget TIDs for small instances.
+// with the Theorem-3.4 factorized oracle, and, on the real gadget TIDs for
+// small instances, with the honest WMC oracle and with the compiled oracle
+// (a fresh GfomcSession per run: grounding, compiles and the batched
+// passes).
 
 #include <benchmark/benchmark.h>
 
+#include "core/dichotomy.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "logic/parser.h"
@@ -48,6 +51,21 @@ void BM_Type1ReductionWmcOracle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Type1ReductionWmcOracle)->DenseRange(1, 2)
+    ->Unit(benchmark::kMillisecond);
+
+// m <= 3: P2Cnf::Random(3, m) has only 3 distinct edges to draw.
+void BM_Type1ReductionCompiledOracle(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  gmc::Type1Reduction reduction(H1());
+  gmc::P2Cnf phi = gmc::P2Cnf::Random(3, m, /*seed=*/7 + m);
+  gmc::BigInt expected = gmc::CountSatisfying(phi);
+  for (auto _ : state) {
+    gmc::CompiledOracle oracle;
+    gmc::Type1ReductionResult result = reduction.Run(phi, &oracle);
+    if (result.model_count != expected) state.SkipWithError("wrong count");
+  }
+}
+BENCHMARK(BM_Type1ReductionCompiledOracle)->DenseRange(1, 3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ReductionChainQuery(benchmark::State& state) {

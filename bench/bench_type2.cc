@@ -1,10 +1,12 @@
 // E12/E13/E14: Type-II machinery — lattice construction with Möbius
-// function, the inversion formula of Theorem C.19 (verified against direct
-// WMC inside the loop), the Q_αβ invertibility check of Lemma C.10, and
-// CCP coloring counts with Theorem C.3's #PP2CNF extraction.
+// function, the inversion formula of Theorem C.19 (per-block probabilities
+// from a fresh compiled oracle, verified against direct WMC inside the
+// loop), the Q_αβ invertibility check of Lemma C.10, and CCP coloring
+// counts with Theorem C.3's #PP2CNF extraction.
 
 #include <benchmark/benchmark.h>
 
+#include "core/dichotomy.h"
 #include "hardness/ccp.h"
 #include "hardness/type2.h"
 #include "logic/parser.h"
@@ -32,8 +34,9 @@ void BM_MobiusInversion(benchmark::State& state) {
   gmc::TypeIIStructure structure = gmc::AnalyzeTypeII(q);
   gmc::Tid delta(q.vocab_ptr(), n, n, gmc::Rational::Half());
   for (auto _ : state) {
+    gmc::CompiledOracle oracle;
     gmc::MobiusInversionCheck check =
-        gmc::VerifyMobiusInversion(structure, delta);
+        gmc::VerifyMobiusInversion(structure, delta, oracle);
     if (check.direct != check.via_inversion) {
       state.SkipWithError("Theorem C.19 violated");
     }

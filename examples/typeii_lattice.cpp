@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "core/dichotomy.h"
 #include "hardness/ccp.h"
 #include "hardness/type2.h"
 #include "logic/parser.h"
@@ -33,15 +34,23 @@ int main() {
     }
   }
 
-  // Theorem C.19 on a 2×2 block TID with all tuples at 1/2.
+  // Theorem C.19 on a 2×2 block TID with all tuples at 1/2, with the
+  // per-block probabilities from the compiled oracle.
   Tid delta(q.vocab_ptr(), 2, 2, Rational::Half());
-  MobiusInversionCheck check = VerifyMobiusInversion(structure, delta);
+  CompiledOracle oracle;
+  MobiusInversionCheck check = VerifyMobiusInversion(structure, delta, oracle);
+  const CircuitCache::Stats circuits = oracle.session().stats().cache;
   std::printf(
       "\nMobius inversion (Thm C.19) on a 2x2 half-probability TID:\n"
-      "  direct Pr(Q)        = %s\n  via inversion (%d terms) = %s  [%s]\n",
+      "  direct Pr(Q)        = %s\n  via inversion (%d terms) = %s  [%s]\n"
+      "  per-block oracle: %d calls, %llu compiles, %llu hits, %llu "
+      "batched passes\n",
       check.direct.ToString().c_str(), check.terms,
       check.via_inversion.ToString().c_str(),
-      check.direct == check.via_inversion ? "match" : "MISMATCH");
+      check.direct == check.via_inversion ? "match" : "MISMATCH",
+      oracle.calls(), static_cast<unsigned long long>(circuits.compiles),
+      static_cast<unsigned long long>(circuits.hits),
+      static_cast<unsigned long long>(circuits.batch_passes));
 
   // Theorem C.3: #PP2CNF from coloring counts.
   BipartiteGraph graph;

@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "compile/circuit_cache.h"
+#include "core/dichotomy.h"
 #include "hardness/zigzag.h"
 #include "logic/bipartite.h"
 #include "logic/parser.h"
@@ -31,13 +31,14 @@ int main() {
                 zg.n);
 
     // Lemma A.1 on a 2×2 database with all uncertain tuples at 1/2 —
-    // checked by the recursive engine and by the compiled d-DNNF path.
+    // checked by the recursive engine and by the compiled d-DNNF path
+    // (Gfomc compiles the lineage of an unsafe query).
     Tid delta(zg.query.vocab_ptr(), 2, 2, Rational::Half());
     Tid zg_delta = MakeZigzagTid(zg, delta);
     WmcEngine engine;
     Rational lhs = engine.QueryProbability(zg.query, delta);
     Rational rhs = engine.QueryProbability(q, zg_delta);
-    Rational compiled = CircuitCache().QueryProbability(q, zg_delta);
+    Rational compiled = Gfomc(q, zg_delta).probability;
     ok = ok && lhs == rhs && compiled == rhs;
     std::printf(
         "Lemma A.1: Pr_D(zg(Q)) = %s, Pr_zg(D)(Q) = %s  [%s; compiled "

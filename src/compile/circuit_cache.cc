@@ -318,33 +318,6 @@ void CircuitCache::MaybeEvict(uint64_t max_bytes, uint64_t keep_from) {
   }
 }
 
-Rational CircuitCache::Probability(const Cnf& cnf,
-                                   const std::vector<Rational>& probabilities) {
-  // GetShared, not Get: the pin keeps the circuit alive through the
-  // evaluation even if a concurrent insert evicts this entry.
-  return GetShared(cnf)->Evaluate(probabilities);
-}
-
-Rational CircuitCache::Probability(const Lineage& lineage) {
-  if (lineage.is_false) return Rational::Zero();
-  return Probability(lineage.cnf, lineage.probabilities);
-}
-
-Rational CircuitCache::QueryProbability(const Query& query, const Tid& tid) {
-  if (query.IsFalse()) return Rational::Zero();
-  if (query.IsTrue()) return Rational::One();
-  return Probability(Ground(query, tid));
-}
-
-std::vector<Rational> CircuitCache::ProbabilityBatch(
-    const Cnf& cnf, const WeightMatrix& weights) {
-  const std::shared_ptr<const NnfCircuit> pinned = GetShared(cnf);
-  // The GetShared above accounted one compile or hit; the remaining K − 1
-  // vectors are all cache-served evaluations.
-  stats_.hits += weights.num_vectors() - 1;
-  return EvaluatePinned(*pinned, weights);
-}
-
 std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
                                                    const WeightMatrix& weights,
                                                    const CancelToken* cancel) {
@@ -367,30 +340,6 @@ std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
     return result;
   }
   return circuit.EvaluateBatch(weights, num_threads, cancel);
-}
-
-std::vector<Rational> CircuitCache::ProbabilityBatch(
-    const std::vector<Lineage>& lineages) {
-  std::vector<Rational> results(lineages.size());
-  // Group by CNF structure; each group shares one compiled circuit and one
-  // batch pass. std::map-free: the order of groups does not matter because
-  // results are written back by input index.
-  std::unordered_map<Cnf, std::vector<size_t>, CnfHash, CnfClauseEq> groups;
-  for (size_t i = 0; i < lineages.size(); ++i) {
-    if (lineages[i].is_false) {
-      results[i] = Rational::Zero();
-      continue;
-    }
-    groups[lineages[i].cnf].push_back(i);
-  }
-  for (const auto& [cnf, members] : groups) {
-    std::vector<Rational> values =
-        ProbabilityBatch(cnf, StackWeights(lineages, members));
-    for (size_t m = 0; m < members.size(); ++m) {
-      results[members[m]] = std::move(values[m]);
-    }
-  }
-  return results;
 }
 
 WeightMatrix StackWeights(const std::vector<Lineage>& lineages,

@@ -1,12 +1,13 @@
-// Compile-once / evaluate-many front end over the d-DNNF compiler.
+// Compile-once / evaluate-many store over the d-DNNF compiler.
 //
 // Circuits are cached by the lineage CNF (hashed with Cnf::Hash64,
-// compared exactly on the clause lists), so any caller that probes the
-// same grounded structure at different tuple-probability settings — the
-// Type I interpolation sweep, the Type II Möbius inversion's per-block
-// queries, a zig-zag cross-check — pays for compilation once and a linear
-// circuit pass per evaluation thereafter. Note the key is the CNF alone,
-// not the weights: that is the whole point.
+// compared exactly on the clause lists), so a caller that probes the same
+// grounded structure at different tuple-probability settings pays for
+// compilation once and a linear circuit pass per evaluation thereafter.
+// Note the key is the CNF alone, not the weights: that is the whole point.
+// The cache only looks up, compiles and runs a pass over a pinned
+// circuit; grounding, grouping by structure and batching belong to its
+// caller, GfomcSession (core/dichotomy.h).
 //
 // Thread safety: the cache is safe to share across threads. The memo is
 // partitioned into hash stripes, each guarded by its own mutex, so lookups
@@ -36,8 +37,6 @@
 #include "compile/nnf.h"
 #include "compile/vtree.h"
 #include "lineage/grounder.h"
-#include "logic/query.h"
-#include "prob/tid.h"
 #include "store/circuit_store.h"
 #include "util/rational.h"
 #include "util/relaxed_counter.h"
@@ -50,19 +49,22 @@ namespace gmc {
 WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
                           const std::vector<size_t>& members);
 
-/// Thread-safe compile-once / evaluate-many circuit store. All evaluation
-/// entry points are exact (results are canonical reduced Rationals,
-/// bit-identical across the dyadic/Rational routing, every order
-/// heuristic, and every thread count); a lookup returns a shared_ptr that
-/// keeps its circuit alive for as long as the caller holds it.
+/// Thread-safe compile-once / evaluate-many circuit store. EvaluatePinned
+/// is exact (results are canonical reduced Rationals, bit-identical across
+/// the dyadic/Rational routing, every order heuristic, and every thread
+/// count); a lookup returns a shared_ptr that keeps its circuit alive for
+/// as long as the caller holds it.
 class CircuitCache {
  public:
   /// Monitoring counters, all cumulative except the resident_bytes gauge.
   /// The cache updates this struct in place; stats() copies it.
   struct Stats {
+    /// Lookups (GetShared / TryGetShared): structures compiled, and
+    /// lookups a resident circuit answered. A pass never counts here, so
+    /// hits is not a count of evaluated vectors.
     RelaxedCounter compiles;
     RelaxedCounter hits;
-    RelaxedCounter batch_passes;     ///< batched passes issued (either path)
+    RelaxedCounter batch_passes;     ///< EvaluatePinned passes
     RelaxedCounter batched_vectors;  ///< weight vectors those passes served
     /// Dyadic routing: batches whose weights all had power-of-two
     /// denominators and therefore took EvaluateBatchDyadic instead of the
@@ -159,19 +161,6 @@ class CircuitCache {
       const Cnf& cnf, const CompileBudget& budget,
       const CancelToken* cancel = nullptr);
 
-  /// One circuit evaluation; compiles on the first call per CNF structure.
-  Rational Probability(const Cnf& cnf,
-                       const std::vector<Rational>& probabilities);
-  Rational Probability(const Lineage& lineage);
-  /// Grounds and evaluates: Pr_∆(Q) through the compiled path.
-  Rational QueryProbability(const Query& query, const Tid& tid);
-
-  /// Batched evaluate-many: all K weight vectors of one CNF structure in a
-  /// single topological circuit pass (NnfCircuit::EvaluateBatch) instead
-  /// of K independent walks. The pass itself is column-parallel (see
-  /// nnf.h); GmcOptions::num_threads bounds the workers it may use.
-  std::vector<Rational> ProbabilityBatch(const Cnf& cnf,
-                                         const WeightMatrix& weights);
   /// Numeric routing for one exact pass over a circuit the caller already
   /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
   /// or BigInt kernels, see nnf_fixed.cc) when every weight has a
@@ -182,14 +171,6 @@ class CircuitCache {
   std::vector<Rational> EvaluatePinned(const NnfCircuit& circuit,
                                        const WeightMatrix& weights,
                                        const CancelToken* cancel = nullptr);
-  /// Mixed-structure form: groups the lineages by CNF structure, compiles
-  /// each distinct structure once, and serves every group with one batch
-  /// pass over that group's weight vectors. Results come back in input
-  /// order, so callers need not know (or care) how the grouping fell out —
-  /// gadget sweeps whose grounding folds different certain tuples per
-  /// setting still batch within each surviving structure.
-  std::vector<Rational> ProbabilityBatch(const std::vector<Lineage>& lineages);
-
   /// The Shannon-order heuristic in force (the order SaveTo stamps into
   /// persisted circuits).
   OrderHeuristic order() const {

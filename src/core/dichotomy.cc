@@ -392,6 +392,22 @@ GfomcSession::Stats GfomcSession::stats() const {
   return out;
 }
 
+Rational CompiledOracle::Probability(const Query& query, const Tid& tid) {
+  ++calls_;
+  return session_.Evaluate(query, tid).probability;
+}
+
+std::vector<Rational> CompiledOracle::ProbabilityBatch(
+    const Query& query, const std::vector<Tid>& tids) {
+  calls_ += static_cast<int>(tids.size());
+  std::vector<Rational> results;
+  results.reserve(tids.size());
+  for (GfomcResult& result : session_.EvaluateMany(query, tids)) {
+    results.push_back(std::move(result.probability));
+  }
+  return results;
+}
+
 Type1ReductionResult DemonstrateHardness(const Query& query,
                                          const P2Cnf& phi, Oracle* oracle) {
   BipartiteAnalysis analysis = AnalyzeBipartite(query);

@@ -12,6 +12,8 @@
 //   same query at many probability assignments compiles each grounded
 //   lineage once and pays a linear circuit pass afterwards; surfaces
 //   compile/hit counters.
+// * CompiledOracle: the Pr(Q) oracle of the hardness reductions, served by
+//   one GfomcSession.
 // * DemonstrateHardness(Q, Φ): constructive witness of #P-hardness for
 //   unsafe Type I-I queries — simplifies Q to a final query (Def. 2.8) if
 //   needed, then runs the Cook reduction of §3 to count Φ's models through
@@ -320,6 +322,25 @@ class GfomcSession {
   // The options last Configured; the cache-level fields are mirrored in
   // circuits_. Starts from FromEnv(), matching the cache's constructor.
   GmcOptions options_ = GmcOptions::FromEnv();
+};
+
+// The hardness reductions' Pr(Q) oracle on the serving path: Probability
+// is GfomcSession::Evaluate and ProbabilityBatch is EvaluateMany, so a
+// reduction's TIDs take the session's grounding templates, compile probe,
+// one batched pass per circuit and dyadic width routing. Each TID counts
+// as one oracle call. Configure the session to set its worker count;
+// results are bit-identical at every setting.
+class CompiledOracle : public Oracle {
+ public:
+  Rational Probability(const Query& query, const Tid& tid) override;
+  std::vector<Rational> ProbabilityBatch(const Query& query,
+                                         const std::vector<Tid>& tids) override;
+  std::string name() const override { return "d-dnnf"; }
+
+  GfomcSession& session() { return session_; }
+
+ private:
+  GfomcSession session_;
 };
 
 // Runs #P2CNF ≤P FOMC(Q) for an unsafe Type I-I query `query` (it is first

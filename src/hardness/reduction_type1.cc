@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "hardness/big_matrix.h"
-#include "lineage/grounder.h"
 #include "logic/bipartite.h"
 #include "prob/block.h"
 #include "util/check.h"
@@ -24,26 +23,6 @@ Rational WmcOracle::Probability(const Query& query, const Tid& tid) {
   ++calls_;
   WmcEngine engine;
   return engine.QueryProbability(query, tid);
-}
-
-Rational CompiledOracle::Probability(const Query& query, const Tid& tid) {
-  ++calls_;
-  return cache_.QueryProbability(query, tid);
-}
-
-std::vector<Rational> CompiledOracle::ProbabilityBatch(
-    const Query& query, const std::vector<Tid>& tids) {
-  calls_ += static_cast<int>(tids.size());
-  if (query.IsFalse()) {
-    return std::vector<Rational>(tids.size(), Rational::Zero());
-  }
-  if (query.IsTrue()) {
-    return std::vector<Rational>(tids.size(), Rational::One());
-  }
-  std::vector<Lineage> lineages;
-  lineages.reserve(tids.size());
-  for (const Tid& tid : tids) lineages.push_back(Ground(query, tid));
-  return cache_.ProbabilityBatch(lineages);
 }
 
 Rational FactorizedOracle::Probability(const Query& query, const Tid& tid) {
@@ -111,8 +90,8 @@ Type1ReductionResult Type1Reduction::Run(const P2Cnf& phi, Oracle* oracle) {
 
   // Right-hand side: 2^n · Pr_∆(Q), one oracle call per multiset {p1, p2}.
   // All TIDs are known up front, so the oracle sees them as one batch —
-  // structure-aware oracles (CompiledOracle) collapse the whole sweep into
-  // one circuit pass per distinct gadget lineage.
+  // CompiledOracle answers the whole sweep in one session call, one
+  // circuit pass per distinct gadget lineage.
   const Rational two_pow_n = Rational(BigInt(1).ShiftLeft(n), BigInt(1));
   std::vector<Rational> rhs(big.matrix.rows());
   if (oracle != nullptr) {

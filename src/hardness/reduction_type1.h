@@ -15,9 +15,10 @@
 //      undirected signature count #k′ of Φ;
 //   4. returns #Φ = Σ_{k′ : k00 = 0} #k′.
 //
-// The oracle can be the honest exact WMC engine (no structure assumed) or
-// the Theorem 3.4 factorized evaluator (exponential only in n); both give
-// identical answers and are cross-checked in tests.
+// The oracle can be the honest exact WMC engine (no structure assumed), the
+// compiled serving path (CompiledOracle, core/dichotomy.h), or the Theorem
+// 3.4 factorized evaluator (exponential only in n); all give identical
+// answers and are cross-checked in tests.
 
 #ifndef GMC_HARDNESS_REDUCTION_TYPE1_H_
 #define GMC_HARDNESS_REDUCTION_TYPE1_H_
@@ -28,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "compile/circuit_cache.h"
 #include "hardness/p2cnf.h"
 #include "hardness/small_matrix.h"
 #include "linalg/matrix.h"
@@ -46,11 +46,10 @@ class Oracle {
   virtual ~Oracle() = default;
   virtual Rational Probability(const Query& query, const Tid& tid) = 0;
   // Batched form: Pr(Q) for every TID, in input order. The base
-  // implementation loops over Probability; oracles that can exploit shared
-  // lineage structure (CompiledOracle) override it to compile each distinct
-  // structure once and evaluate all weight vectors per structure in one
-  // circuit pass. Each TID still counts as one oracle call — the reduction
-  // complexity accounting is unchanged.
+  // implementation loops over Probability; an oracle that can exploit
+  // shared lineage structure (CompiledOracle) overrides it to answer the
+  // whole batch in one call. Each TID still counts as one oracle call — the
+  // reduction complexity accounting is unchanged.
   virtual std::vector<Rational> ProbabilityBatch(const Query& query,
                                                  const std::vector<Tid>& tids);
   virtual std::string name() const = 0;
@@ -66,28 +65,6 @@ class WmcOracle : public Oracle {
  public:
   Rational Probability(const Query& query, const Tid& tid) override;
   std::string name() const override { return "wmc"; }
-};
-
-// Knowledge-compilation oracle (src/compile/): grounds the lineage, compiles
-// it to a d-DNNF circuit keyed on the canonical CNF, and evaluates the
-// circuit with the TID's weights. Gadget databases that share lineage
-// structure — interpolation sweeps that vary only tuple probabilities —
-// compile once and pay a linear circuit pass per call afterwards.
-class CompiledOracle : public Oracle {
- public:
-  Rational Probability(const Query& query, const Tid& tid) override;
-  // Grounds every TID, groups the lineages by CNF structure, and serves
-  // each group with a single batched circuit pass — the interpolation
-  // sweep's C(m+2,2) probes collapse into one EvaluateBatch per distinct
-  // gadget structure.
-  std::vector<Rational> ProbabilityBatch(const Query& query,
-                                         const std::vector<Tid>& tids) override;
-  std::string name() const override { return "d-dnnf"; }
-
-  const CircuitCache& cache() const { return cache_; }
-
- private:
-  CircuitCache cache_;
 };
 
 // Theorem 3.4: Pr_∆(Q) = 2^{-n} Σ_θ Π_{(u,v)∈E} y_{θ(u)θ(v)}; valid for

@@ -5,8 +5,7 @@
 #include <tuple>
 #include <utility>
 
-#include "compile/circuit_cache.h"
-#include "lineage/grounder.h"
+#include "hardness/reduction_type1.h"
 #include "logic/bipartite.h"
 #include "util/check.h"
 #include "wmc/wmc.h"
@@ -142,7 +141,7 @@ bool CheckInvertibility(const TypeIIStructure& structure) {
 }
 
 MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
-                                           const Tid& delta, int num_threads) {
+                                           const Tid& delta, Oracle& oracle) {
   MobiusInversionCheck out;
   WmcEngine engine;
   out.direct = engine.QueryProbability(structure.query, delta);
@@ -155,15 +154,8 @@ MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
 
   // Per-block probabilities Pr(Y_αβ(u,v)): the block is the single pair
   // (u,v) with delta's probabilities. Every (α, β, u, v) combination the
-  // inversion sum can touch is known up front, so all blocks are grounded
-  // first and handed to the circuit cache as one batch — each distinct
-  // lineage structure (typically one per (α, β)) compiles once and its
-  // blocks are served by a single batched circuit pass instead of one walk
-  // per block.
-  CircuitCache circuits;
-  GmcOptions cache_options = circuits.options();
-  cache_options.num_threads = num_threads;
-  circuits.Configure(cache_options);
+  // inversion sum can touch is known up front, so the oracle sees each
+  // (α, β)'s blocks as one batch.
   std::map<std::tuple<int, int, int, int>, Rational> block_probability;
   {
     // The pair TID depends only on (u, v); build the nu·nv of them once
@@ -181,17 +173,11 @@ MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
       }
     }
     // One batch per (α, β): lineage structure is shared within an (α, β)
-    // and rarely across them, so this keeps the single-pass-per-structure
-    // win while holding only nu·nv grounded lineages alive at a time.
+    // and rarely across them.
     for (int a : l0g) {
       for (int b : l0h) {
-        const Query q_ab = MakeQueryAlphaBeta(structure, a, b);
-        std::vector<Lineage> lineages;
-        lineages.reserve(pair_tids.size());
-        for (const Tid& pair_tid : pair_tids) {
-          lineages.push_back(Ground(q_ab, pair_tid));
-        }
-        std::vector<Rational> values = circuits.ProbabilityBatch(lineages);
+        std::vector<Rational> values = oracle.ProbabilityBatch(
+            MakeQueryAlphaBeta(structure, a, b), pair_tids);
         for (int u = 0; u < nu; ++u) {
           for (int v = 0; v < nv; ++v) {
             block_probability.emplace(std::make_tuple(u, v, a, b),
@@ -240,9 +226,6 @@ MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
   // (−1)^{|U|+|V|}.
   if ((nu + nv) % 2 == 1) total = -total;
   out.via_inversion = total;
-  out.circuit_compiles = static_cast<int>(circuits.stats().compiles);
-  out.circuit_hits = static_cast<int>(circuits.stats().hits);
-  out.batch_passes = static_cast<int>(circuits.stats().batch_passes);
   return out;
 }
 

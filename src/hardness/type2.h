@@ -23,6 +23,8 @@
 
 namespace gmc {
 
+class Oracle;  // hardness/reduction_type1.h
+
 struct TypeIIStructure {
   Query query;
   SymbolCnf middle;                       // C(x,y)
@@ -55,28 +57,20 @@ bool CheckInvertibility(const TypeIIStructure& structure);
 // and via the Möbius inversion sum
 //   Σ_{σ,τ} Πᵤ µ(σ(u)) Πᵥ µ(τ(v)) Π_{u,v} Pr(Y_{σ(u)τ(v)}(u,v)).
 //
-// The per-block probabilities go through the knowledge-compilation cache:
-// Y_αβ has one lineage structure per (α, β), evaluated at each block's
-// weights, so circuits compile once per (α, β) — and because all blocks
-// are known before the sum starts, each structure's blocks are served by a
-// single batched circuit pass (`batch_passes`) rather than one walk per
-// block (`circuit_compiles` / `circuit_hits` report the sharing actually
-// achieved).
+// The per-block probabilities Pr(Y_αβ(u,v)) come from `oracle`, one
+// ProbabilityBatch(Q_αβ, pair TIDs) per (α, β), so each block is one oracle
+// call. A CompiledOracle (core/dichotomy.h) compiles each distinct block
+// lineage structure once and serves an (α, β)'s blocks with one batched
+// pass per structure; its session's stats report the sharing actually
+// achieved.
 struct MobiusInversionCheck {
   Rational direct;
   Rational via_inversion;
   int terms = 0;
-  int circuit_compiles = 0;
-  int circuit_hits = 0;
-  int batch_passes = 0;
 };
 
-/// `num_threads` bounds the per-block batch passes (GmcOptions::num_threads
-/// semantics; 0 = process default). The result is bit-identical for every
-/// value.
 MobiusInversionCheck VerifyMobiusInversion(const TypeIIStructure& structure,
-                                           const Tid& delta,
-                                           int num_threads = 0);
+                                           const Tid& delta, Oracle& oracle);
 
 }  // namespace gmc
 

@@ -12,6 +12,7 @@
 #include "compile/circuit_cache.h"
 #include "compile/compiler.h"
 #include "compile/nnf.h"
+#include "core/dichotomy.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
 #include "hardness/type2.h"
@@ -19,6 +20,7 @@
 #include "prob/tid.h"
 #include "wmc/brute_force.h"
 #include "wmc/wmc.h"
+#include "fault_guard.h"
 
 namespace gmc {
 namespace {
@@ -286,13 +288,14 @@ TEST(CircuitCacheTest, CompilesOncePerStructure) {
   for (int k = 1; k <= 8; ++k) {
     std::vector<Rational> probs = {Rational(k, 9), Rational(1, 2),
                                    Rational(9 - k, 9)};
-    EXPECT_EQ(cache.Probability(cnf, probs), engine.Probability(cnf, probs));
+    EXPECT_EQ(cache.GetShared(cnf)->Evaluate(probs),
+              engine.Probability(cnf, probs));
   }
   EXPECT_EQ(cache.stats().compiles, 1u);
   EXPECT_EQ(cache.stats().hits, 7u);
 }
 
-TEST(CircuitCacheTest, CompiledQueryPathMatchesRecursive) {
+TEST(GfomcSessionTest, CompiledQueryPathMatchesRecursive) {
   Query q = H1();
   const Vocabulary& v = q.vocab();
   Tid tid(q.vocab_ptr(), 2, 2);
@@ -303,10 +306,10 @@ TEST(CircuitCacheTest, CompiledQueryPathMatchesRecursive) {
       tid.SetBinary(v.Find("S"), u, w, Rational(1, 3));
     }
   }
-  CircuitCache cache;
-  EXPECT_EQ(cache.QueryProbability(q, tid),
+  GfomcSession session;
+  EXPECT_EQ(session.Evaluate(q, tid).probability,
             WmcEngine().QueryProbability(q, tid));
-  EXPECT_EQ(cache.stats().compiles, 1u);
+  EXPECT_EQ(session.stats().cache.compiles, 1u);
 }
 
 TEST(CompiledOracleTest, DrivesTheType1ReductionExactly) {
@@ -321,6 +324,7 @@ TEST(CompiledOracleTest, DrivesTheType1ReductionExactly) {
 }
 
 TEST(CompiledOracleTest, MobiusInversionSharesCircuitsAcrossBlocks) {
+  FaultGuard guard;  // a lost cache insert would add a compile
   Query q = ExampleC9();
   TypeIIStructure structure = AnalyzeTypeII(q);
   Tid delta(q.vocab_ptr(), 2, 2, Rational::One());
@@ -333,13 +337,20 @@ TEST(CompiledOracleTest, MobiusInversionSharesCircuitsAcrossBlocks) {
       }
     }
   }
-  MobiusInversionCheck check = VerifyMobiusInversion(structure, delta);
+  CompiledOracle oracle;
+  MobiusInversionCheck check = VerifyMobiusInversion(structure, delta, oracle);
   EXPECT_EQ(check.direct, check.via_inversion);
   // 4 uniform blocks per (α, β): one compile per lineage structure, every
-  // other block evaluation reuses a cached circuit.
-  EXPECT_GT(check.circuit_compiles, 0);
-  EXPECT_GT(check.circuit_hits, 0);
-  EXPECT_GE(check.circuit_hits, 3 * check.circuit_compiles);
+  // other block evaluation reuses a cached circuit, and each (α, β) is one
+  // batched pass.
+  const CircuitCache::Stats stats = oracle.session().stats().cache;
+  EXPECT_GT(stats.compiles, 0u);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GE(stats.hits, 3 * stats.compiles);
+  EXPECT_EQ(stats.compiles, 4u);
+  EXPECT_EQ(stats.hits, 32u);
+  EXPECT_EQ(stats.batch_passes, 9u);
+  EXPECT_EQ(oracle.calls(), 36);  // 9 (α, β) pairs × 4 blocks
 }
 
 }  // namespace

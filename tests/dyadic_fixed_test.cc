@@ -245,7 +245,9 @@ TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
   cache.Configure(options);
   std::vector<Lineage> lineages;
   for (int i = 0; i < 5; ++i) lineages.push_back(gadget.lineage);
-  std::vector<Rational> results = cache.ProbabilityBatch(lineages);
+  std::vector<Rational> results =
+      cache.EvaluatePinned(*cache.GetShared(gadget.lineage.cnf),
+                           StackWeights(lineages, {0, 1, 2, 3, 4}));
   for (const Rational& r : results) EXPECT_EQ(r, results[0]);
   const CircuitCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.dyadic_vectors, 5u);

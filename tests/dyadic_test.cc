@@ -177,31 +177,31 @@ TEST(CircuitCacheRoutingTest, DyadicBatchesRouteAutomatically) {
   ASSERT_FALSE(mixed_weights.AllDyadic());
 
   CircuitCache cache;
+  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(cnf);
   const std::vector<Rational> via_dyadic =
-      cache.ProbabilityBatch(cnf, dyadic_weights);
+      cache.EvaluatePinned(*circuit, dyadic_weights);
   EXPECT_EQ(cache.stats().dyadic_batches, 1u);
   EXPECT_EQ(cache.stats().dyadic_vectors, 8u);
   const std::vector<Rational> mixed =
-      cache.ProbabilityBatch(cnf, mixed_weights);
+      cache.EvaluatePinned(*circuit, mixed_weights);
   EXPECT_EQ(cache.stats().dyadic_batches, 1u);  // mixed batch fell back
   EXPECT_EQ(cache.stats().batch_passes, 2u);
 
   // Both routes agree with the Rational walk.
-  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(cnf);
   EXPECT_EQ(via_dyadic, circuit->EvaluateBatch(dyadic_weights, 1));
   EXPECT_EQ(mixed, circuit->EvaluateBatch(mixed_weights, 1));
 }
 
-// The dyadic routing through every production caller — the caches
-// embedded in the reduction oracles and evaluators — against independent
-// exact references.
+// The dyadic routing through every production caller — the cache behind
+// the session, and so behind the reductions' CompiledOracle — against
+// independent exact references.
 TEST(DyadicRoutingTest, Type1ReductionBitIdentical) {
   Type1Reduction reduction(H1());
   P2Cnf phi = P2Cnf::Random(4, 3, /*seed=*/7);
 
   CompiledOracle compiled;
   Type1ReductionResult result = reduction.Run(phi, &compiled);
-  EXPECT_GT(compiled.cache().stats().dyadic_batches, 0u);
+  EXPECT_GT(compiled.session().stats().cache.dyadic_batches, 0u);
 
   // The structure-blind recursive WMC oracle never touches a circuit.
   WmcOracle wmc;
@@ -222,7 +222,8 @@ TEST(DyadicRoutingTest, CacheBatchMatchesRecursiveEngine) {
   WeightMatrix weights = RandomDyadicWeights(12, 5, rng);
 
   CircuitCache cache;
-  const std::vector<Rational> batch = cache.ProbabilityBatch(cnf, weights);
+  const std::vector<Rational> batch =
+      cache.EvaluatePinned(*cache.GetShared(cnf), weights);
   // The per-vector recursive engine is the reference.
   WmcEngine engine;
   for (int k = 0; k < weights.num_vectors(); ++k) {

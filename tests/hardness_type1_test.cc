@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dichotomy.h"
 #include "hardness/big_matrix.h"
 #include "hardness/p2cnf.h"
 #include "hardness/reduction_type1.h"
@@ -214,6 +215,13 @@ TEST(Type1ReductionTest, HonestWmcOracleAgrees) {
   Type1ReductionResult result = reduction.Run(phi, &oracle);
   EXPECT_EQ(result.model_count, CountSatisfying(phi));
   EXPECT_EQ(result.oracle_calls, 6);  // C(m+2,2) with m = 2
+  // Differential: the serving path (templates, the group pass, the dyadic
+  // widths) recovers the same counts from the same oracle calls.
+  CompiledOracle compiled;
+  Type1ReductionResult served = reduction.Run(phi, &compiled);
+  EXPECT_EQ(served.model_count, result.model_count);
+  EXPECT_EQ(served.signature_counts, result.signature_counts);
+  EXPECT_EQ(served.oracle_calls, result.oracle_calls);
 }
 
 TEST(Type1ReductionTest, OracleTidProbabilityMatchesTheorem34) {

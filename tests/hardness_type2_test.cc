@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dichotomy.h"
 #include "hardness/ccp.h"
+#include "hardness/reduction_type1.h"
 #include "hardness/type2.h"
 #include "hardness/zigzag.h"
 #include "logic/bipartite.h"
@@ -196,9 +198,19 @@ TEST_P(MobiusInversionTest, TheoremC19OnRandomBlockTids) {
         }
       }
     }
-    MobiusInversionCheck check = VerifyMobiusInversion(structure, delta);
+    CompiledOracle compiled;
+    MobiusInversionCheck check =
+        VerifyMobiusInversion(structure, delta, compiled);
     EXPECT_EQ(check.direct, check.via_inversion)
         << "nu=" << nu << " nv=" << nv << " seed " << GetParam();
+    // Differential: the session path answers every block as the
+    // structure-blind WMC oracle does.
+    WmcOracle wmc;
+    MobiusInversionCheck reference =
+        VerifyMobiusInversion(structure, delta, wmc);
+    EXPECT_EQ(check.via_inversion, reference.via_inversion);
+    EXPECT_EQ(check.terms, reference.terms);
+    EXPECT_EQ(compiled.calls(), wmc.calls());
   }
 }
 

@@ -23,6 +23,7 @@
 #include "prob/tid.h"
 #include "safe/safe_eval.h"
 #include "wmc/wmc.h"
+#include "fault_guard.h"
 
 namespace gmc {
 namespace {
@@ -231,44 +232,47 @@ TEST(EvaluateBatchTest, ConstantCircuits) {
   EXPECT_EQ(values, std::vector<Rational>(3, Rational::One()));
 }
 
-TEST(CircuitCacheBatchTest, GroupsMixedStructures) {
-  // Two distinct CNF structures interleaved: the cache must compile each
-  // once, batch within groups, and return results in input order.
-  Cnf chain;
-  chain.num_vars = 3;
-  chain.AddClause({0, 1});
-  chain.AddClause({1, 2});
-  Cnf pair;
-  pair.num_vars = 2;
-  pair.AddClause({0, 1});
-  std::vector<Lineage> lineages;
-  WmcEngine engine;
-  std::vector<Rational> expected;
+TEST(SessionGroupPassTest, InterleavedSupportPatternsBatchPerStructure) {
+  // One EvaluateMany call whose TIDs alternate between two support
+  // patterns, so their lineages have two structures: the session must
+  // compile each once, batch within each structure, and return the answers
+  // in input order. The guard keeps a lost cache insert from adding a
+  // compile and a pass.
+  FaultGuard guard;
+  const Query q = H1();
+  std::vector<Tid> tids;
   for (int k = 1; k <= 6; ++k) {
-    Lineage l;
-    l.cnf = (k % 2 == 0) ? chain : pair;
-    l.probabilities.assign(l.cnf.num_vars, Rational(k, 7));
-    lineages.push_back(l);
-    expected.push_back(engine.Probability(l.cnf, l.probabilities));
+    Tid tid(q.vocab_ptr(), 2, 2, Rational(k, 7));
+    // Even k: S(0,0) is certain, which drops both of its clauses.
+    if (k % 2 == 0) {
+      tid.SetBinary(q.vocab().Find("S"), 0, 0, Rational::One());
+    }
+    tids.push_back(std::move(tid));
   }
-  CircuitCache cache;
-  std::vector<Rational> results = cache.ProbabilityBatch(lineages);
-  EXPECT_EQ(results, expected);
-  EXPECT_EQ(cache.stats().compiles, 2u);
-  EXPECT_EQ(cache.stats().batch_passes, 2u);
-  EXPECT_EQ(cache.stats().batched_vectors, 6u);
+  GfomcSession session;
+  const std::vector<GfomcResult> results = session.EvaluateMany(q, tids);
+  ASSERT_EQ(results.size(), tids.size());
+  WmcEngine engine;
+  for (size_t i = 0; i < tids.size(); ++i) {
+    EXPECT_EQ(results[i].probability, engine.QueryProbability(q, tids[i]))
+        << "tid " << i;
+  }
+  const CircuitCache::Stats stats = session.stats().cache;
+  EXPECT_EQ(stats.compiles, 2u);
+  EXPECT_EQ(stats.batch_passes, 2u);
+  EXPECT_EQ(stats.batched_vectors, 6u);
   // Minimization payoff is surfaced through the cache stats.
-  EXPECT_GE(cache.stats().nodes_before_minimize,
-            cache.stats().nodes_after_minimize);
-  EXPECT_GT(cache.stats().nodes_after_minimize, 0u);
+  EXPECT_GE(stats.nodes_before_minimize, stats.nodes_after_minimize);
+  EXPECT_GT(stats.nodes_after_minimize, 0u);
 }
 
-TEST(CircuitCacheBatchTest, GroupsLineagesWithOrphanVariables) {
-  // Grouping compares clause lists only, but a grounder can intern a
-  // variable and then drop its clause (certain-true tuple, subsumption),
-  // so two lineages with identical clauses can disagree on num_vars. The
-  // batch must size its weight matrix to the widest member — the orphan
-  // columns are never read — rather than the group key's width.
+TEST(StackWeightsTest, SizesTheBatchToTheWidestMember) {
+  // A group shares clause lists only, but a grounder can intern a variable
+  // and then drop its clause (certain-true tuple, subsumption), so two
+  // lineages with identical clauses can disagree on num_vars. The batch
+  // must size its weight matrix to the widest member — the orphan columns
+  // are never read — rather than the group key's width.
+  FaultGuard guard;  // a lost insert would recompile for the second lookup
   Cnf narrow;
   narrow.num_vars = 2;
   narrow.AddClause({0, 1});
@@ -281,9 +285,16 @@ TEST(CircuitCacheBatchTest, GroupsLineagesWithOrphanVariables) {
   b.cnf = wide;
   b.probabilities = {Rational(2, 3), Rational(3, 4), Rational::Half(),
                      Rational::Half()};
+  const std::vector<Lineage> lineages = {a, b};
+  const WeightMatrix weights = StackWeights(lineages, {0, 1});
+  EXPECT_EQ(weights.num_vectors(), 2);
+  EXPECT_EQ(weights.num_vars(), 4);
   CircuitCache cache;
-  std::vector<Rational> results = cache.ProbabilityBatch({a, b});
-  EXPECT_EQ(cache.stats().compiles, 1u);  // one group: equal clause lists
+  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(a.cnf);
+  // One structure: the cache key compares clause lists only.
+  EXPECT_EQ(cache.GetShared(b.cnf), circuit);
+  EXPECT_EQ(cache.stats().compiles, 1u);
+  const std::vector<Rational> results = cache.EvaluatePinned(*circuit, weights);
   WmcEngine engine;
   EXPECT_EQ(results[0], engine.Probability(a.cnf, a.probabilities));
   EXPECT_EQ(results[1], engine.Probability(b.cnf, b.probabilities));

@@ -456,7 +456,8 @@ TEST_F(OverloadTest, InjectedReadFailureNeverQuarantinesHealthyFiles) {
   const Lineage lineage = TestLineage();
   CircuitCache writer;
   writer.Configure(StoreOptions());
-  const Rational want = writer.Probability(lineage);
+  const Rational want =
+      writer.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   const std::string path = store::CircuitStore(dir_).PathFor(lineage.cnf);
   ASSERT_TRUE(FileExists(path));
 
@@ -464,7 +465,8 @@ TEST_F(OverloadTest, InjectedReadFailureNeverQuarantinesHealthyFiles) {
   ASSERT_TRUE(fault::Configure("store.read=1.0,seed=5", &error)) << error;
   CircuitCache reader;
   reader.Configure(StoreOptions());
-  EXPECT_EQ(reader.Probability(lineage), want);  // recompiled, still right
+  EXPECT_EQ(reader.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            want);  // recompiled, still right
   const CircuitCache::Stats stats = reader.stats();
   EXPECT_GE(stats.store_rejected, 1u);
   EXPECT_EQ(stats.store_quarantined, 0u);  // and the file never moved
@@ -481,7 +483,8 @@ TEST_F(OverloadTest, ReadPathSelfHealsCorruptEntries) {
   // and the write-through immediately re-lands a healthy entry.
   CircuitCache cache;
   cache.Configure(StoreOptions());
-  const Rational got = cache.Probability(lineage);
+  const Rational got =
+      cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   const CircuitCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.store_rejected, 1u);
   EXPECT_EQ(stats.store_quarantined, 1u);
@@ -492,7 +495,8 @@ TEST_F(OverloadTest, ReadPathSelfHealsCorruptEntries) {
 
   CircuitCache healed;
   healed.Configure(StoreOptions());
-  EXPECT_EQ(healed.Probability(lineage), got);
+  EXPECT_EQ(healed.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            got);
   EXPECT_EQ(healed.stats().store_hits, 1u);
   EXPECT_EQ(healed.stats().compiles, 0u);
 }
@@ -511,7 +515,7 @@ TEST_F(OverloadTest, SelfHealOffLeavesCorruptEntriesInPlace) {
   options.store_write_through = false;  // fully read-only posture
   CircuitCache cache;
   cache.Configure(options);
-  (void)cache.Probability(lineage);
+  (void)cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   const CircuitCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.store_rejected, 1u);
   EXPECT_EQ(stats.store_quarantined, 0u);
@@ -524,7 +528,8 @@ TEST_F(OverloadTest, CrashMidSaveRecoveryQuarantinesAndRecompiles) {
   Compiler compiler;
   const NnfCircuit circuit = compiler.Compile(lineage.cnf);
   CircuitCache reference;  // no store: the ground-truth probability
-  const Rational want = reference.Probability(lineage);
+  const Rational want =
+      reference.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
 
   const std::string canonical =
       store::CircuitStore(dir_).PathFor(lineage.cnf);
@@ -579,11 +584,13 @@ TEST_F(OverloadTest, CrashMidSaveRecoveryQuarantinesAndRecompiles) {
   // store healed for the next cold process.
   CircuitCache cache;
   cache.Configure(StoreOptions());
-  EXPECT_EQ(cache.Probability(lineage), want);
+  EXPECT_EQ(cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            want);
   EXPECT_EQ(cache.stats().compiles, 1u);
   CircuitCache healed;
   healed.Configure(StoreOptions());
-  EXPECT_EQ(healed.Probability(lineage), want);
+  EXPECT_EQ(healed.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            want);
   EXPECT_EQ(healed.stats().store_hits, 1u);
 }
 
@@ -740,10 +747,17 @@ TEST_F(OverloadTest, SyntheticOverloadShedsTypedRepliesNeverSilently) {
 
   LineClient client;
   ASSERT_TRUE(client.Connect(server.socket_path()));
+  // The whole burst goes out in one write, led by an H1 6x6 instance whose
+  // first evaluation compiles for milliseconds (7.3 ms in a Release build
+  // on a shared 4-vCPU VM), against about 13 us to parse all 40 lines
+  // there. So the batch thread is still on q0 while the reader admits q1
+  // and sheds what follows.
   constexpr int kBurst = 40;
-  for (int i = 0; i < kBurst; ++i) {
-    ASSERT_TRUE(client.SendLine("EVAL q" + std::to_string(i) + " 2 2 1/2"));
+  std::string burst = "EVAL q0 6 6 1/2";
+  for (int i = 1; i < kBurst; ++i) {
+    burst += "\nEVAL q" + std::to_string(i) + " 2 2 1/2";
   }
+  ASSERT_TRUE(client.SendLine(burst));
 
   int ok = 0;
   int shed = 0;

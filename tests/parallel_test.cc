@@ -1,9 +1,10 @@
 // The parallel evaluation engine: thread pool mechanics, thread-count
 // invariance of the batched evaluators (bit-identical results at 1/2/8
-// threads, on every numeric route, on random CNFs and the Type I / II
-// gadget lineages), and the thread safety of CircuitCache under a
-// concurrent hammer (exact stats accounting included). This test is the
-// primary TSAN target of the CI tsan job.
+// threads, on every numeric route, on random CNFs and, through the
+// reductions' CompiledOracle, the Type I / II gadget lineages), and the
+// thread safety of CircuitCache under a concurrent hammer (exact stats
+// accounting included). This test is the primary TSAN target of the CI
+// tsan job.
 
 #include <atomic>
 #include <bit>
@@ -40,6 +41,13 @@ Query ExampleC9() {
   return ParseQueryOrDie(
       "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | S3(x,y)) & "
       "Ay (Ax (S3(x,y)) | Ax (S4(x,y)))");
+}
+
+// A reductions' oracle whose session passes run on `threads` workers.
+void SetThreads(CompiledOracle& oracle, int threads) {
+  GmcOptions options = oracle.session().options();
+  options.num_threads = threads;
+  oracle.session().Configure(options);
 }
 
 Cnf RandomCnf(std::mt19937_64& rng) {
@@ -219,13 +227,14 @@ TEST(ThreadInvarianceTest, RandomCnfsBitIdenticalAcrossThreadCounts) {
 TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
   Type1Reduction reduction(H1());
   P2Cnf phi = P2Cnf::Random(3, 2, /*seed=*/17);
-  // The actual reduction TIDs ({1/2, 1} probabilities), grounded per
-  // multiset parameter — the sweep the paper's oracle sees.
+  // The actual reduction TIDs ({1/2, 1} probabilities), one per multiset
+  // parameter — the sweep the paper's oracle sees.
+  std::vector<Tid> tids;
   std::vector<Lineage> lineages;
   for (int p1 = 1; p1 <= 2; ++p1) {
     for (int p2 = p1; p2 <= 2; ++p2) {
-      lineages.push_back(
-          Ground(reduction.query(), reduction.BuildTid(phi, p1, p2)));
+      tids.push_back(reduction.BuildTid(phi, p1, p2));
+      lineages.push_back(Ground(reduction.query(), tids.back()));
     }
   }
   // The reference: the Rational walk, one lineage at a time.
@@ -237,13 +246,11 @@ TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
                             .front());
   }
   for (int threads : {1, 2, 8}) {
-    CircuitCache cache;
-    GmcOptions options = cache.options();
-    options.num_threads = threads;
-    cache.Configure(options);
-    EXPECT_EQ(cache.ProbabilityBatch(lineages), reference)
+    CompiledOracle oracle;
+    SetThreads(oracle, threads);
+    EXPECT_EQ(oracle.ProbabilityBatch(reduction.query(), tids), reference)
         << "threads " << threads;
-    EXPECT_EQ(cache.stats().dyadic_vectors, lineages.size());
+    EXPECT_EQ(oracle.session().stats().cache.dyadic_vectors, tids.size());
   }
 }
 
@@ -260,13 +267,18 @@ TEST(ThreadInvarianceTest, TypeIiMobiusInversionAcrossThreadCounts) {
       }
     }
   }
-  // The per-block batch inside VerifyMobiusInversion runs on the worker
-  // count it is given; the inversion result must not move with it.
-  MobiusInversionCheck serial = VerifyMobiusInversion(structure, delta, 1);
+  // The per-block batches inside VerifyMobiusInversion run on the oracle's
+  // session workers; the inversion result must not move with them.
+  CompiledOracle serial_oracle;
+  SetThreads(serial_oracle, 1);
+  MobiusInversionCheck serial =
+      VerifyMobiusInversion(structure, delta, serial_oracle);
   EXPECT_EQ(serial.direct, serial.via_inversion);
   for (int threads : {2, 8}) {
+    CompiledOracle oracle;
+    SetThreads(oracle, threads);
     MobiusInversionCheck check =
-        VerifyMobiusInversion(structure, delta, threads);
+        VerifyMobiusInversion(structure, delta, oracle);
     EXPECT_EQ(check.via_inversion, serial.via_inversion)
         << "threads " << threads;
     EXPECT_EQ(check.direct, serial.direct);
@@ -305,7 +317,8 @@ TEST(CircuitCacheConcurrencyTest, HammerStatsAddUp) {
     expected.emplace_back();
     for (const Cnf& cnf : cnfs) {
       weights[t].push_back(RandomDyadicWeights(kVectors, cnf.num_vars, rng));
-      expected[t].push_back(reference.ProbabilityBatch(cnf, weights[t].back()));
+      expected[t].push_back(reference.EvaluatePinned(
+          *reference.GetShared(cnf), weights[t].back()));
     }
   }
 
@@ -317,7 +330,7 @@ TEST(CircuitCacheConcurrencyTest, HammerStatsAddUp) {
       for (int round = 0; round < kRounds; ++round) {
         for (size_t s = 0; s < cnfs.size(); ++s) {
           std::vector<Rational> result =
-              cache.ProbabilityBatch(cnfs[s], weights[t][s]);
+              cache.EvaluatePinned(*cache.GetShared(cnfs[s]), weights[t][s]);
           if (result != expected[t][s]) mismatches.fetch_add(1);
         }
       }
@@ -331,8 +344,9 @@ TEST(CircuitCacheConcurrencyTest, HammerStatsAddUp) {
   EXPECT_EQ(stats.compiles, cnfs.size());  // no duplicate compiles
   EXPECT_EQ(stats.batch_passes, batches);
   EXPECT_EQ(stats.batched_vectors, batches * kVectors);
-  // Every batched vector beyond each structure's first compile is a hit.
-  EXPECT_EQ(stats.hits, batches * kVectors - cnfs.size());
+  // hits counts lookups: every batch's lookup beyond each structure's
+  // first compile is a hit.
+  EXPECT_EQ(stats.hits, batches - cnfs.size());
   EXPECT_EQ(stats.dyadic_vectors,
             stats.fixed64_vectors + stats.fixed128_vectors +
                 stats.bigint_vectors);

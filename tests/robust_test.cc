@@ -209,14 +209,15 @@ TEST(FaultTest, CacheInsertFaultLosesTheEntryNeverTheAnswer) {
 
   CircuitCache reference;
   const Rational want =
-      reference.Probability(lineage.cnf, lineage.probabilities);
+      reference.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
 
   ASSERT_TRUE(fault::Configure("cache.insert=1,seed=1"));
   CircuitCache cache;
   // Every lookup recompiles (the insert is lost each time), yet every
   // answer is exact and the returned reference stays valid until Clear.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.Probability(lineage.cnf, lineage.probabilities), want);
+    EXPECT_EQ(cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+              want);
   }
   EXPECT_EQ(cache.stats().compiles, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -238,13 +239,14 @@ TEST(FaultTest, StoreReadFaultDegradesToARecompileWithCorrectBits) {
     // Populate the store via write-through.
     CircuitCache writer;
     writer.Configure(store_options);
-    want = writer.Probability(lineage.cnf, lineage.probabilities);
+    want = writer.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   }
 
   ASSERT_TRUE(fault::Configure("store.read=1,seed=1"));
   CircuitCache reader;
   reader.Configure(store_options);
-  EXPECT_EQ(reader.Probability(lineage.cnf, lineage.probabilities), want);
+  EXPECT_EQ(reader.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            want);
   // The read-through was exercised and failed; the compile covered it.
   EXPECT_GE(fault::InjectedCount(fault::Point::kStoreRead), 1u);
   EXPECT_EQ(reader.stats().compiles, 1u);
@@ -411,7 +413,7 @@ TEST(EvictionTest, BudgetEvictsLruAndAnswersStayExact) {
     std::vector<uint64_t> sizes;
     for (const Lineage& lineage : lineages) {
       want.push_back(
-          reference.Probability(lineage.cnf, lineage.probabilities));
+          reference.GetShared(lineage.cnf)->Evaluate(lineage.probabilities));
       sizes.push_back(reference.GetShared(lineage.cnf)->MemoryBytes());
     }
     smallest_two = sizes[0] + sizes[1];
@@ -425,7 +427,7 @@ TEST(EvictionTest, BudgetEvictsLruAndAnswersStayExact) {
   for (int round = 0; round < 3; ++round) {
     for (size_t i = 0; i < lineages.size(); ++i) {
       EXPECT_EQ(
-          cache.Probability(lineages[i].cnf, lineages[i].probabilities),
+          cache.GetShared(lineages[i].cnf)->Evaluate(lineages[i].probabilities),
           want[i]);
     }
   }
@@ -513,7 +515,9 @@ TEST(EvictionTest, SessionHoldsEachCircuitOnceUnderOneCap) {
     options.store_directory = store_dir;  // write-through every compile
     writer->Configure(options);
     for (const Tid& tid : tids) {
-      want.push_back(writer->QueryProbability(query, tid));
+      const Lineage lineage = Ground(query, tid);
+      want.push_back(
+          writer->GetShared(lineage.cnf)->Evaluate(lineage.probabilities));
     }
   }
   const size_t stored = store::CircuitStore(store_dir).ListEntries().size();
@@ -573,10 +577,11 @@ TEST(EvictionTest, ConcurrentHammerUnderTinyBudgetStaysExact) {
   std::vector<Rational> want;
   uint64_t budget = 0;
   for (size_t i = 0; i < lineages.size(); ++i) {
+    const Lineage& lineage = lineages[i];
     want.push_back(
-        reference.Probability(lineages[i].cnf, lineages[i].probabilities));
+        reference.GetShared(lineage.cnf)->Evaluate(lineage.probabilities));
     if (i < 2) {
-      budget += reference.GetShared(lineages[i].cnf)->MemoryBytes();
+      budget += reference.GetShared(lineage.cnf)->MemoryBytes();
     }
   }
 
@@ -625,7 +630,7 @@ TEST(EvictionTest, DeadlinedCompilesLeaveTheCacheConsistent) {
   const Lineage lineage = Ground(query, UniformTid(query, 8));
   CircuitCache reference;
   const Rational want =
-      reference.Probability(lineage.cnf, lineage.probabilities);
+      reference.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
 
   for (int threads : {1, 2, 8}) {
     CircuitCache cache;
@@ -641,7 +646,8 @@ TEST(EvictionTest, DeadlinedCompilesLeaveTheCacheConsistent) {
     EXPECT_TRUE(fired.cancelled());
     EXPECT_EQ(cache.stats().budget_exhausted, 0u);  // not a budget failure
     // The same cache still serves the exact answer afterwards.
-    EXPECT_EQ(cache.Probability(lineage.cnf, lineage.probabilities), want);
+    EXPECT_EQ(cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+              want);
   }
 }
 

@@ -428,7 +428,8 @@ TEST_F(StoreTest, ReadThroughAndWriteThrough) {
   CircuitCache writer;
   writer.Configure(StoreOptions());
   EXPECT_EQ(writer.store_directory(), dir_);
-  const Rational want = writer.Probability(lineage);
+  const Rational want =
+      writer.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   {
     const CircuitCache::Stats s = writer.stats();
     EXPECT_EQ(s.compiles, 1u);
@@ -445,7 +446,8 @@ TEST_F(StoreTest, ReadThroughAndWriteThrough) {
   // compile and the probability is bit-identical.
   CircuitCache reader;
   reader.Configure(StoreOptions());
-  EXPECT_EQ(reader.Probability(lineage), want);
+  EXPECT_EQ(reader.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            want);
   const CircuitCache::Stats s = reader.stats();
   EXPECT_EQ(s.compiles, 0u);
   EXPECT_EQ(s.store_hits, 1u);
@@ -461,14 +463,16 @@ TEST_F(StoreTest, RejectedEntryFallsBackToCompilation) {
 
   CircuitCache cache;
   cache.Configure(StoreOptions());
-  const Rational got = cache.Probability(lineage);
+  const Rational got =
+      cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities);
   const CircuitCache::Stats s = cache.stats();
   EXPECT_EQ(s.store_rejected, 1u);
   EXPECT_EQ(s.compiles, 1u);  // fell back and recompiled
   // And the write-through healed the store: a fresh cache now hits.
   CircuitCache healed;
   healed.Configure(StoreOptions());
-  EXPECT_EQ(healed.Probability(lineage), got);
+  EXPECT_EQ(healed.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            got);
   EXPECT_EQ(healed.stats().store_hits, 1u);
 }
 
@@ -477,7 +481,8 @@ TEST_F(StoreTest, SaveToThenWarmFrom) {
   CircuitCache source;  // no store attached — plain in-memory compiles
   std::vector<Rational> want;
   for (const Lineage& lineage : corpus) {
-    want.push_back(source.Probability(lineage));
+    want.push_back(
+        source.GetShared(lineage.cnf)->Evaluate(lineage.probabilities));
   }
   std::string error;
   EXPECT_EQ(source.SaveTo(dir_, &error), corpus.size()) << error;
@@ -485,7 +490,9 @@ TEST_F(StoreTest, SaveToThenWarmFrom) {
   CircuitCache warmed;
   EXPECT_EQ(warmed.WarmFrom(dir_), corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    EXPECT_EQ(warmed.Probability(corpus[i]), want[i]);
+    const Lineage& lineage = corpus[i];
+    EXPECT_EQ(warmed.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+              want[i]);
   }
   const CircuitCache::Stats s = warmed.stats();
   EXPECT_EQ(s.compiles, 0u);  // every query served by the warm start
@@ -498,7 +505,8 @@ TEST_F(StoreTest, WarmFromRacesLiveCompiles) {
   {
     CircuitCache source;
     for (const Lineage& lineage : corpus) {
-      want.push_back(source.Probability(lineage));
+      want.push_back(
+          source.GetShared(lineage.cnf)->Evaluate(lineage.probabilities));
     }
     std::string error;
     ASSERT_EQ(source.SaveTo(dir_, &error), corpus.size()) << error;
@@ -516,7 +524,11 @@ TEST_F(StoreTest, WarmFromRacesLiveCompiles) {
         return;
       }
       for (size_t i = 0; i < corpus.size(); ++i) {
-        if (cache.Probability(corpus[i]) != want[i]) ok[t] = 0;
+        const Lineage& lineage = corpus[i];
+        if (cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities) !=
+            want[i]) {
+          ok[t] = 0;
+        }
       }
     });
   }

@@ -344,10 +344,12 @@ CircuitCache::Stats OrderedCacheRun(OrderHeuristic order,
   cache.Configure(options);
   EXPECT_EQ(cache.order(), order);
   WmcEngine engine;
-  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage))
+  EXPECT_EQ(cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            engine.Probability(lineage))
       << OrderHeuristicName(order);
   // Second probe: cache hit, no new compile.
-  EXPECT_EQ(cache.Probability(lineage), engine.Probability(lineage));
+  EXPECT_EQ(cache.GetShared(lineage.cnf)->Evaluate(lineage.probabilities),
+            engine.Probability(lineage));
   *edges = cache.GetShared(lineage.cnf)->ComputeStats().edges;
   return cache.stats();
 }
