@@ -13,7 +13,8 @@
 // BM_KarpLubyPlanBuild times the sampler's per-request setup on the shape
 // the end-to-end certified_sampled workload serves: C9 3×3 with its own
 // k/7 or k/11 weight on every tuple, which the plan builds in 64-bit
-// integers.
+// integers. BM_KarpLubyServedShape times the estimate that follows on
+// that plan, at the workload's ε, δ and 2048-sample cap, per sample.
 //
 // BM_KarpLubyParallel scales the chunk-parallel sampler across worker
 // counts on one plan (substreams are indexed by sample chunk, so every
@@ -297,6 +298,32 @@ void BM_KarpLubyPlanBuild(benchmark::State& state) {
       static_cast<double>(lineage.cnf.clauses.size());
 }
 BENCHMARK(BM_KarpLubyPlanBuild)->Unit(benchmark::kMicrosecond);
+
+// The per-request estimate on the same shape: ε = 1/10 and δ = 1/20 put
+// the target past the cap, so every run draws 2048 samples on one thread.
+void BM_KarpLubyServedShape(benchmark::State& state) {
+  const gmc::Lineage lineage = CyclingC9Lineage();
+  const std::shared_ptr<const gmc::KarpLubyPlan> plan =
+      gmc::BuildKarpLubyPlan(lineage.cnf, lineage.probabilities);
+  gmc::KarpLubyParams params;
+  params.epsilon = 0.1;
+  params.delta = 0.05;
+  params.max_samples = 2048;
+  params.seed = 0x1234abcdull;
+  params.num_threads = 1;
+  double samples = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const gmc::KarpLubyResult result = gmc::KarpLubyEstimate(*plan, params);
+    samples += static_cast<double>(result.samples);
+    benchmark::DoNotOptimize(result.estimate);
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  state.counters["ns_per_sample"] = samples > 0 ? elapsed_ns / samples : 0.0;
+}
+BENCHMARK(BM_KarpLubyServedShape)->Unit(benchmark::kMicrosecond);
 
 // The chunk-parallel sampler on the Type-II d=4 gadget, one shared plan,
 // Arg = worker count. The wall-clock ratio Arg(1)/Arg(8) is the headline

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -80,18 +81,6 @@ size_t LazyUniform::Categorical(const std::vector<Rational>& prefix,
   }
 }
 
-// With u ∈ [c/2^64, (c+1)/2^64) and a threshold word F = ⌊t·2^64⌋, c < F
-// puts all of u below t and c > F puts all of it at or above t: exactly
-// the first-word checks LazyUniform makes, over integers. c = F is the
-// one word where they can fail, so it continues the exact draw from c.
-bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng) {
-  const KarpLubyPlan::VariableWord& word = plan.variable_words[var];
-  if (word.fixed >= 0) return word.fixed != 0;  // decided with no word
-  const uint64_t c = rng->Next();
-  if (c != word.floor) [[likely]] return c < word.floor;
-  return LazyUniform(rng, c).LessThan(plan.probabilities[var]);
-}
-
 size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng) {
   // Boundaries with a word below c lie below u, those with a word above c
   // lie above all of u's interval; lo counts the former, so unless the
@@ -107,6 +96,79 @@ size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng) {
       words.begin());
   if (lo == words.size() || words[lo] != c) [[likely]] return lo;
   return LazyUniform(rng, c).Categorical(plan.prefix, plan.total_weight());
+}
+
+uint64_t DrawBernoulliLanes(const KarpLubyPlan& plan, int var,
+                            uint64_t lanes, SplitMix64* rng) {
+  const KarpLubyPlan::VariableWord& word = plan.variable_words[var];
+  if (word.fixed >= 0) return word.fixed != 0 ? lanes : 0;  // no word
+  // Bit k of p's expansion is bit 63 − k of the floor word. A tied lane
+  // whose bit differs from p's is decided: a 0 against p's 1 puts u below
+  // p, a 1 against p's 0 puts it above.
+  uint64_t below = 0;
+  uint64_t tied = lanes;
+  for (int k = 0; k < word.bits && tied != 0; ++k) {
+    const uint64_t lane_bits = rng->Next();
+    const uint64_t p_bit = 0 - ((word.floor >> (63 - k)) & 1);
+    const uint64_t differ = (lane_bits ^ p_bit) & tied;
+    below |= differ & ~lane_bits;
+    tied ^= differ;
+  }
+  // Under 64 bits the expansion has ended, so the tied lanes have u ≥ p.
+  // After 64, each tied lane's first word is the floor word, and its draw
+  // goes on exactly from there.
+  if (word.bits == 64) {
+    for (; tied != 0; tied &= tied - 1) {
+      if (LazyUniform(rng, word.floor).LessThan(plan.probabilities[var])) {
+        below |= tied & (0 - tied);
+      }
+    }
+  }
+  return below;
+}
+
+LaneBatch::LaneBatch(const KarpLubyPlan& plan)
+    : chosen(plan.num_clauses()),
+      forced(plan.cnf.num_vars),
+      value(plan.cnf.num_vars),
+      drawn(plan.cnf.num_vars) {}
+
+int SampleLanes(const KarpLubyPlan& plan, int num_lanes, SplitMix64* rng,
+                LaneBatch* batch) {
+  const std::vector<std::vector<int>>& clauses = plan.cnf.clauses;
+  std::fill(batch->chosen.begin(), batch->chosen.end(), 0);
+  std::fill(batch->forced.begin(), batch->forced.end(), 0);
+  std::fill(batch->drawn.begin(), batch->drawn.end(), 0);
+  // 1. Disjunct i ∝ w_i per lane; clause i's variables are false there.
+  for (int lane = 0; lane < num_lanes; ++lane) {
+    const uint64_t bit = uint64_t{1} << lane;
+    const size_t i = DrawDisjunct(plan, rng);
+    batch->chosen[i] |= bit;
+    for (int v : clauses[i]) batch->forced[v] |= bit;
+  }
+  // 2. One walk for every lane. `pending` holds the lanes that have not
+  //    reached their disjunct and met no all-false clause before it; each
+  //    lane's own disjunct lies ahead, so the walk ends inside the CNF.
+  uint64_t pending = ~uint64_t{0} >> (64 - num_lanes);
+  uint64_t succeeded = 0;
+  for (size_t j = 0; pending != 0; ++j) {
+    const uint64_t reached = pending & batch->chosen[j];
+    succeeded |= reached;
+    pending ^= reached;
+    uint64_t all_false = pending;
+    for (int v : clauses[j]) {
+      if (all_false == 0) break;
+      if (!batch->drawn[v]) {
+        batch->drawn[v] = 1;
+        batch->value[v] =
+            DrawBernoulliLanes(plan, v, pending & ~batch->forced[v], rng);
+      }
+      all_false &= ~batch->value[v];
+    }
+    pending &= ~all_false;
+  }
+  // 3. Success iff no EARLIER disjunct was also satisfied (all false).
+  return std::popcount(succeeded);
 }
 
 namespace {
@@ -198,6 +260,8 @@ bool BuildWordsInteger(KarpLubyPlan* plan) {
       word.fixed = 1;
     } else {
       word.floor = FloorWord(a, b);
+      // b < 2^63: a dyadic p's expansion ends within the word.
+      if (std::has_single_bit(b)) word.bits = std::countr_zero(b);
     }
   }
   // prefix[i] / W = N_i / N_m.
@@ -225,7 +289,8 @@ void BuildWordsRational(KarpLubyPlan* plan) {
     }
     plan->prefix[i + 1] = plan->prefix[i] + weight;
   }
-  // The threshold words the draws compare against (see DrawBernoulli).
+  // The threshold words the draws compare against (see
+  // DrawBernoulliLanes).
   plan->variable_words.assign(probabilities.size(), {});
   for (size_t v = 0; v < probabilities.size(); ++v) {
     const Rational& p = probabilities[v];
@@ -235,7 +300,11 @@ void BuildWordsRational(KarpLubyPlan* plan) {
     } else if (p >= Rational::One()) {
       word.fixed = 1;
     } else {
-      word.floor = FloorWord(p.numerator(), p.denominator());
+      const BigInt& den = p.denominator();
+      word.floor = FloorWord(p.numerator(), den);
+      if (den.IsPowerOfTwo() && den.BitLength() <= 65) {
+        word.bits = static_cast<uint8_t>(den.BitLength() - 1);
+      }
     }
   }
   plan->boundary_words.clear();
@@ -311,64 +380,30 @@ struct ChunkTally {
   bool completed = false;
 };
 
-// Draws samples [begin, end) of the global index space into `tally`,
+// Draws the chunk's `count` samples into `tally`, 64 lanes at a time,
 // from the chunk's own substream. Returns false iff the deadline fired
 // mid-chunk (the tally then holds a valid partial count). The substream
 // seed is the instance seed XOR the CHUNK index — not the worker index
 // directly, which would tie the stream to the schedule; a "worker" in the
 // determinism contract is the logical owner of one fixed chunk.
 bool SampleChunk(const KarpLubyPlan& plan, const KarpLubyParams& params,
-                 uint64_t chunk, uint64_t begin, uint64_t end,
-                 std::vector<char>* assigned_scratch,
-                 std::vector<char>* value_scratch, ChunkTally* tally) {
-  const Cnf& cnf = plan.cnf;
-  std::vector<char>& assigned = *assigned_scratch;
-  std::vector<char>& value = *value_scratch;
+                 uint64_t chunk, uint64_t count,
+                 approx_internal::LaneBatch* batch, ChunkTally* tally) {
   approx_internal::SplitMix64 rng(params.seed ^ chunk);
-  for (uint64_t n = begin; n < end; ++n) {
+  for (uint64_t local = 0; local < count; local += 64) {
     // A fired deadline degrades to the anytime report — the samples
     // already drawn stay valid (each is i.i.d.; stopping is oblivious to
-    // their outcomes, so no bias). Poll every 64 samples of THIS chunk,
-    // and never before its first: chunk 0 always completes one sample,
+    // their outcomes, so no bias). Poll before every 64-sample batch of
+    // THIS chunk but its first: chunk 0 always completes one batch,
     // keeping μ̂ well-defined, and the poll cadence is a pure function of
     // the chunk-local index, not of which worker runs the chunk.
-    const uint64_t local = n - begin;
-    if (params.cancel != nullptr && local > 0 && (local & 63) == 0 &&
-        params.cancel->Poll()) {
+    if (params.cancel != nullptr && local > 0 && params.cancel->Poll()) {
       return false;
     }
-    // 1. Disjunct i ∝ w_i.
-    const size_t i = approx_internal::DrawDisjunct(plan, &rng);
-    // 2. Assignment conditioned on D_i: clause_i's variables are false;
-    //    everything else is sampled lazily on first read in step 3 —
-    //    variables in no earlier clause never consume randomness. To keep
-    //    the stream deterministic per sample, reset the scratch marks.
-    std::fill(assigned.begin(), assigned.end(), 0);
-    for (int v : cnf.clauses[i]) {
-      assigned[v] = 1;
-      value[v] = 0;
-    }
-    auto is_true = [&](int v) {
-      if (!assigned[v]) {
-        assigned[v] = 1;
-        value[v] = approx_internal::DrawBernoulli(plan, v, &rng) ? 1 : 0;
-      }
-      return value[v] != 0;
-    };
-    // 3. Success iff no EARLIER disjunct is also satisfied (all-false).
-    bool minimal = true;
-    for (size_t j = 0; j < i && minimal; ++j) {
-      bool clause_all_false = true;
-      for (int v : cnf.clauses[j]) {
-        if (is_true(v)) {
-          clause_all_false = false;
-          break;
-        }
-      }
-      if (clause_all_false) minimal = false;
-    }
-    if (minimal) ++tally->successes;
-    ++tally->drawn;
+    const int lanes = static_cast<int>(std::min<uint64_t>(64, count - local));
+    tally->successes +=
+        approx_internal::SampleLanes(plan, lanes, &rng, batch);
+    tally->drawn += lanes;
   }
   tally->completed = true;
   return true;
@@ -441,10 +476,9 @@ KarpLubyResult KarpLubyEstimate(const KarpLubyPlan& plan,
       std::min<uint64_t>(static_cast<uint64_t>(std::max(requested, 1)),
                          num_chunks));
   auto drain_chunks = [&](int) {
-    // Scratch is per worker, reused across the chunks it claims — the
-    // sample body resets it per draw, so reuse cannot leak state.
-    std::vector<char> assigned(cnf.num_vars);  // sampled this round?
-    std::vector<char> value(cnf.num_vars);     // the sampled truth value
+    // Scratch is per worker, reused across the chunks it claims — each
+    // batch resets it, so reuse cannot leak state.
+    approx_internal::LaneBatch batch(plan);
     for (;;) {
       const uint64_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= num_chunks) return;
@@ -456,10 +490,8 @@ KarpLubyResult KarpLubyEstimate(const KarpLubyPlan& plan,
       if (c > 0 && params.cancel != nullptr && params.cancel->Poll()) {
         return;
       }
-      const uint64_t begin = c * chunk_size;
-      const uint64_t end = std::min(target, begin + chunk_size);
-      if (!SampleChunk(plan, params, c, begin, end, &assigned, &value,
-                       &tallies[c])) {
+      const uint64_t count = std::min(target - c * chunk_size, chunk_size);
+      if (!SampleChunk(plan, params, c, count, &batch, &tallies[c])) {
         return;  // deadline fired mid-chunk; partial tally kept
       }
     }

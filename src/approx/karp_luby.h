@@ -25,14 +25,37 @@
 // draw compares an exact uniform u ∈ [0, 1) against the exact Rational
 // weights (util/rational.h), so the sampling distribution is exactly the
 // one the analysis above assumes; no floating-point bias anywhere. Doubles
-// appear only in the reported estimate. A draw reads one 64-bit word c,
-// which pins u to [c/2^64, (c+1)/2^64), and the plan holds every threshold
-// t as the integer word ⌊t·2^64⌋: c below the word means u < t, c above it
-// means u ≥ t, so one integer compare decides the draw. Only c equal to
-// the word (probability 2^-64) leaves t inside u's interval; the draw then
-// continues as an exact LazyUniform refinement from c, reading 64 more
-// bits at a time. Decisions and stream consumption are those of a fully
-// Rational draw, word for word.
+// appear only in the reported estimate. The plan holds every threshold t
+// as the integer word ⌊t·2^64⌋.
+//
+// The disjunct draw reads one 64-bit word c, which pins u to
+// [c/2^64, (c+1)/2^64): a boundary whose word is below c lies below u, one
+// whose word is above c lies above it, so integer compares place u. Only
+// c equal to a boundary's word (probability 2^-64) leaves that boundary
+// inside u's interval; the draw then continues as an exact LazyUniform
+// refinement from c, reading 64 more bits at a time. Its decision and
+// stream use are those of a fully Rational draw, word for word.
+//
+// Samples are drawn 64 at a time, one per bit lane of a uint64_t
+// (approx_internal::SampleLanes). A batch draws its 64 disjuncts in lane
+// order, then walks the clauses once for all lanes and draws a variable
+// for every lane that still needs it the first time the walk reads it.
+// Word k of that draw is bit k of each lane's uniform u, and a lane
+// compares its bits with p's binary expansion, most significant first
+// (Knuth and Yao 1976): the first bit that differs decides u < p or
+// u ≥ p, and a lane whose bits match a terminating expansion to its end
+// has u ≥ p. The draw stops reading once every lane is decided; a lane
+// still tied after 64 bits has u's first 64 bits equal to ⌊p·2^64⌋ and
+// continues as the LazyUniform refinement above. Each lane's value is an
+// exact, independent Bernoulli(p):
+//   - lanes read disjoint bit positions of the draw's words;
+//   - where a draw starts depends only on words already read (it is a
+//     stopping time of the i.i.d. word stream), so its words are i.i.d.
+//     uniform and independent of everything drawn before, and a lane's
+//     decision reads only its own bits, all of which the draw reads;
+//   - a lane whose disjunct holds the variable draws nothing: the
+//     variable is false there, which is the conditioning on D_i.
+// So a batch is 64 independent samples of the estimator above.
 //
 // The words are exact whichever builder computes them, and the categorical
 // draw's guided search returns std::lower_bound's index (see
@@ -45,8 +68,10 @@
 // Parallelism and determinism: the sample index space is cut into
 // fixed-size chunks (kSamplesPerChunk), chunk c draws from its own
 // splitmix64 substream seeded `params.seed ^ c`, and workers claim chunks
-// from a shared counter. Chunk boundaries and substreams depend only on
-// (seed, target) — never on the worker count or the schedule — and the
+// from a shared counter. A chunk draws its samples in 64-lane batches
+// from its first index (only the final chunk's last batch can be
+// partial). Chunk boundaries and substreams depend only on (seed, target)
+// — never on the worker count or the schedule — and the
 // caller reduces the per-chunk counts in chunk-index order, so a fixed
 // seed is bit-reproducible at EVERY thread count (the same contract the
 // batch evaluators honor, pinned by the reproducibility matrix in
@@ -143,9 +168,13 @@ struct KarpLubyPlan {
   /// A variable's Bernoulli threshold as a word: ⌊p·2^64⌋ when 0 < p < 1.
   /// p ≤ 0 and p ≥ 1 are decided without reading the stream; `fixed` then
   /// holds the value (0 or 1), and is −1 for a variable that draws.
+  /// `bits` is how many bits of p's binary expansion a draw compares: k
+  /// when p = a/2^k for an odd a and k ≤ 64 (the expansion ends there),
+  /// else 64.
   struct VariableWord {
     uint64_t floor = 0;
     int8_t fixed = -1;
+    uint8_t bits = 64;
     bool operator==(const VariableWord&) const = default;
   };
 
@@ -232,8 +261,9 @@ class SplitMix64 {
 /// against an exact Rational consumes just enough 64-bit chunks to decide
 /// it (one, except with probability 2^-64 per extra chunk). Each draw is
 /// independent; construct one per decision. The sampler builds one only
-/// when a word ties its threshold (see DrawBernoulli / DrawDisjunct); the
-/// fresh-draw form is their reference.
+/// when a uniform's first 64 bits tie a threshold word (see
+/// DrawBernoulliLanes / DrawDisjunct); the fresh-draw form is their
+/// reference.
 class LazyUniform {
  public:
   /// A fresh draw: no bits read yet.
@@ -260,13 +290,49 @@ class LazyUniform {
   uint64_t bits_ = 0;     // draw resolution: high_ - low_ == 2^-bits_
 };
 
-/// The sampler's two draws, decided by a 64-bit compare against the plan's
-/// words and continued exactly on a tie. Each returns what a fresh
-/// LazyUniform would (LessThan(plan.probabilities[var]), respectively
-/// Categorical(plan.prefix, plan.total_weight())) and reads the same words
-/// from `rng`. DrawDisjunct needs W > 0.
-bool DrawBernoulli(const KarpLubyPlan& plan, int var, SplitMix64* rng);
+/// The categorical draw, decided by 64-bit compares against the plan's
+/// boundary words and continued exactly on a tie. Returns what a fresh
+/// LazyUniform would (Categorical(plan.prefix, plan.total_weight())) and
+/// reads the same words from `rng`. Needs W > 0.
 size_t DrawDisjunct(const KarpLubyPlan& plan, SplitMix64* rng);
+
+/// Variable `var`'s Bernoulli draw for every lane in `lanes` at once (see
+/// the header comment): word k read from `rng` is bit k of each lane's
+/// uniform u, compared with bit k of p's expansion, and reading stops once
+/// every lane in `lanes` is decided. Lanes still tied after 64 words then
+/// continue, in lane order, as LazyUniform(rng, floor).LessThan(p).
+/// Returns the lanes of `lanes` where u < p, i.e. the variable is true.
+/// p = 0 and p = 1 read no word.
+uint64_t DrawBernoulliLanes(const KarpLubyPlan& plan, int var,
+                            uint64_t lanes, SplitMix64* rng);
+
+/// One batch's working state, reused batch after batch by one worker. Bit
+/// ℓ of every word is lane ℓ, the batch's ℓ-th sample. After SampleLanes
+/// it describes the batch just drawn.
+struct LaneBatch {
+  explicit LaneBatch(const KarpLubyPlan& plan);
+
+  /// Per clause: the lanes that drew it as their disjunct.
+  std::vector<uint64_t> chosen;
+  /// Per variable: the lanes whose disjunct holds it, so it is false there.
+  std::vector<uint64_t> forced;
+  /// Per variable, once drawn: the lanes where it is true, among the
+  /// undecided, unforced lanes the draw served; every other lane reads 0.
+  std::vector<uint64_t> value;
+  /// Per variable: whether `value` was drawn in this batch.
+  std::vector<char> drawn;
+};
+
+/// Draws `num_lanes` samples (1 to 64) into lanes 0 … num_lanes − 1 and
+/// returns how many succeeded. The disjuncts come first, one DrawDisjunct
+/// per lane in lane order. The walk then visits clause j = 0, 1, …: the
+/// lanes that chose j and met no all-false clause before it succeed, the
+/// lanes where clause j is all false fail, and a variable is drawn with
+/// DrawBernoulliLanes, for the lanes still undecided and not forced, the
+/// first time the walk reads it. The walk ends once every lane is
+/// decided. Needs W > 0.
+int SampleLanes(const KarpLubyPlan& plan, int num_lanes, SplitMix64* rng,
+                LaneBatch* batch);
 
 /// The plan's two word builders. Each fills `prefix`, `variable_words` and
 /// `boundary_words` from plan->cnf and plan->probabilities (the guide table

@@ -26,9 +26,18 @@
 //
 // Sized for CI: 2 instances × 200 seeds × ≤1024 samples per run stays a
 // few seconds even under TSAN/ASAN (the 300 s ctest timeout is far away).
+//
+// The certificate is loose — ε = 0.33 on H1 and 0.62 on C9 at 1024
+// samples — so a sampler can be biased by far less than ε and still pass
+// the sweep. The unbiasedness test below looks at the success fraction
+// itself: each sample succeeds with probability exactly μ/W, so over N
+// samples the fraction lies within a few σ = sqrt(q(1 − q)/N) of q = μ/W,
+// which the exact WMC engine gives. At N = 2^20, σ is about 5·10^-4.
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +127,94 @@ void RunCalibration(const Query& query, int salt) {
   EXPECT_LE(violations, static_cast<int>(bound))
       << "violation rate " << (static_cast<double>(violations) / kRuns)
       << " vs certified delta " << kDelta;
+}
+
+// A TID on an n×n domain whose tuple weights cycle through `weights` in
+// (symbol, u, v) order (the same profile tests/approx_test.cc uses).
+Tid CyclingTid(const Query& query, int n,
+               const std::vector<Rational>& weights) {
+  Tid tid(query.vocab_ptr(), n, n, Rational::Half());
+  const Vocabulary& vocab = query.vocab();
+  size_t next = 0;
+  auto weight = [&] { return weights[next++ % weights.size()]; };
+  for (SymbolId s = 0; s < vocab.size(); ++s) {
+    for (int u = 0; u < n; ++u) {
+      switch (vocab.kind(s)) {
+        case SymbolKind::kUnaryLeft:
+          tid.SetUnaryLeft(s, u, weight());
+          break;
+        case SymbolKind::kUnaryRight:
+          tid.SetUnaryRight(s, u, weight());
+          break;
+        case SymbolKind::kBinary:
+          for (int v = 0; v < n; ++v) tid.SetBinary(s, u, v, weight());
+          break;
+      }
+    }
+  }
+  return tid;
+}
+
+// The end-to-end sampled workload's weights, k/7 and k/11.
+std::vector<Rational> SeventhsElevenths() {
+  return {Rational(1, 7), Rational(2, 11), Rational(3, 7), Rational(5, 11),
+          Rational(6, 7), Rational(9, 11), Rational(2, 7), Rational(4, 11),
+          Rational(5, 7), Rational(10, 11)};
+}
+
+void RunUnbiasedness(const Cnf& cnf,
+                     const std::vector<Rational>& probabilities,
+                     uint64_t seed) {
+  const std::shared_ptr<const KarpLubyPlan> plan =
+      BuildKarpLubyPlan(cnf, probabilities);
+  const Rational mu =
+      Rational::One() - WmcEngine().Probability(cnf, probabilities);
+  const double q = (mu / plan->total_weight()).ToDouble();
+  const uint64_t kSamples = uint64_t{1} << 20;
+  const double sigma =
+      std::sqrt(q * (1.0 - q) / static_cast<double>(kSamples));
+  for (int threads : {1, 4}) {
+    KarpLubyParams params;
+    params.epsilon = 0.001;  // a target far past the cap
+    params.max_samples = kSamples;
+    params.seed = seed;
+    params.num_threads = threads;
+    const KarpLubyResult r = KarpLubyEstimate(*plan, params);
+    ASSERT_EQ(r.samples, kSamples);
+    const double fraction =
+        static_cast<double>(r.successes) / static_cast<double>(kSamples);
+    EXPECT_LE(std::abs(fraction - q), 5.0 * sigma)
+        << "threads=" << threads << " fraction=" << fraction << " q=" << q
+        << " z=" << (fraction - q) / sigma;
+  }
+}
+
+TEST(KarpLubyUnbiasednessTest, H1SuccessFractionIsMuOverW) {
+  const Lineage lineage =
+      Ground(H1(), CyclingTid(H1(), 3, SeventhsElevenths()));
+  ASSERT_FALSE(lineage.is_false);
+  RunUnbiasedness(lineage.cnf, lineage.probabilities, 0xb1a5ed01u);
+}
+
+TEST(KarpLubyUnbiasednessTest, ExampleC9SuccessFractionIsMuOverW) {
+  const Lineage lineage =
+      Ground(ExampleC9(), CyclingTid(ExampleC9(), 3, SeventhsElevenths()));
+  ASSERT_FALSE(lineage.is_false);
+  RunUnbiasedness(lineage.cnf, lineage.probabilities, 0xb1a5ed02u);
+}
+
+TEST(KarpLubyUnbiasednessTest, CertainAndImpossibleVariablesStayUnbiased) {
+  // tests/approx_test.cc's golden "mixed 0/1" CNF: variables 0 and 5 are
+  // impossible, 1 and 7 certain, and disjuncts 2, 6 and 7 weigh 0.
+  Cnf mixed;
+  mixed.num_vars = 8;
+  mixed.clauses = {{0, 2}, {2, 3}, {1, 4}, {3, 5, 6},
+                   {4, 6}, {2, 5}, {0, 7}, {1, 6}};
+  RunUnbiasedness(mixed,
+                  {Rational::Zero(), Rational::One(), Rational(1, 3),
+                   Rational::Half(), Rational(2, 5), Rational::Zero(),
+                   Rational(3, 4), Rational::One()},
+                  0xb1a5ed03u);
 }
 
 TEST(KarpLubyCalibrationTest, H1HoldsItsCertificateEmpirically) {

@@ -1200,16 +1200,17 @@ std::vector<Rational> SeventhsElevenths() {
           Rational(5, 7), Rational(10, 11)};
 }
 
-// Golden pins: the sampler's exact output for fixed (lineage, weights,
-// seed, cap), recorded from the all-Rational draw code that preceded the
-// integer word compare. Every other sampler pin compares two runs of the
-// same code (serial vs parallel, plan vs one-shot); these are the ones a
-// change to how a draw reads the stream cannot pass.
-TEST(KarpLubyGoldenTest, EstimatesMatchTheRecordedBits) {
-  const std::vector<Rational> sevenths_elevenths = {
-      Rational(1, 7),  Rational(2, 11), Rational(3, 7), Rational(5, 11),
-      Rational(6, 7),  Rational(9, 11), Rational(2, 7), Rational(4, 11),
-      Rational(5, 7),  Rational(10, 11)};
+// The sampler's golden instances: H1 and C9 on 3×3 at k/7 and k/11, H1
+// at k/16, and a hand-built CNF with p = 0 and p = 1, each with a fixed
+// seed.
+struct SamplerInstance {
+  const char* name;
+  Cnf cnf;
+  std::vector<Rational> probabilities;
+  uint64_t seed;
+};
+
+std::vector<SamplerInstance> GoldenSamplerInstances() {
   const std::vector<Rational> sixteenths = {
       Rational(1, 16), Rational(3, 16), Rational(5, 16),  Rational(1, 2),
       Rational(9, 16), Rational(3, 4),  Rational(13, 16), Rational(15, 16)};
@@ -1224,59 +1225,151 @@ TEST(KarpLubyGoldenTest, EstimatesMatchTheRecordedBits) {
   const std::vector<Rational> mixed_p = {
       Rational::Zero(), Rational::One(),  Rational(1, 3), Rational::Half(),
       Rational(2, 5),   Rational::Zero(), Rational(3, 4), Rational::One()};
-
-  struct Golden {
-    const char* name;
-    Cnf cnf;
-    std::vector<Rational> probabilities;
-    uint64_t seed;
-    uint64_t successes;
-    uint64_t estimate_bits;
-  };
   auto grounded = [](const Query& query, const std::vector<Rational>& w) {
     const Lineage lineage = Ground(query, CyclingTid(query, 3, w));
     EXPECT_FALSE(lineage.is_false);
     return lineage;
   };
-  const Lineage h1 = grounded(H1(), sevenths_elevenths);
-  const Lineage c9 = grounded(ExampleC9(), sevenths_elevenths);
+  const Lineage h1 = grounded(H1(), SeventhsElevenths());
+  const Lineage c9 = grounded(ExampleC9(), SeventhsElevenths());
   const Lineage dyadic = grounded(H1(), sixteenths);
-  const Golden goldens[] = {
-      {"H1 k/7 k/11", h1.cnf, h1.probabilities, 0x601d0001u, 578,
-       0x3fa87f296e1c3200ull},
-      {"C9 k/7 k/11", c9.cnf, c9.probabilities, 0x601d0002u, 169,
-       0x3fc532ce555c3383ull},
-      {"H1 k/16", dyadic.cnf, dyadic.probabilities, 0x601d0003u, 625,
-       0x3f90800000000000ull},
-      {"mixed 0/1", mixed, mixed_p, 0x601d0004u, 1129,
-       0x3fd13bfbd01f4fc8ull},
+  return {
+      {"H1 k/7 k/11", h1.cnf, h1.probabilities, 0x601d0001u},
+      {"C9 k/7 k/11", c9.cnf, c9.probabilities, 0x601d0002u},
+      {"H1 k/16", dyadic.cnf, dyadic.probabilities, 0x601d0003u},
+      {"mixed 0/1", mixed, mixed_p, 0x601d0004u},
   };
-  for (const Golden& golden : goldens) {
+}
+
+// The golden instances' sampler parameters: a cap of 3000 binds, so the
+// run ends in a partial chunk (952 samples) whose last batch is partial
+// (56 lanes).
+KarpLubyParams GoldenParams(uint64_t seed, int threads) {
+  KarpLubyParams params;
+  params.epsilon = 0.1;
+  params.delta = 0.05;
+  params.max_samples = 3000;
+  params.seed = seed;
+  params.num_threads = threads;
+  return params;
+}
+
+// Golden pins: the sampler's exact output for fixed (lineage, weights,
+// seed, cap), recorded from the 64-lane batch sampler. Every other
+// sampler pin compares two runs of the same code (serial vs parallel,
+// plan vs one-shot, batch vs its scalar scoring); these are the ones a
+// change to how a draw reads the stream cannot pass. Each estimate also
+// lies within its certified ε of the exact probability.
+TEST(KarpLubyGoldenTest, EstimatesMatchTheRecordedBits) {
+  struct Pin {
+    uint64_t successes;
+    uint64_t estimate_bits;
+  };
+  const Pin pins[] = {
+      {583, 0x3fa44791df1e35faull},
+      {196, 0x3fa08abeb4e3c612ull},
+      {656, 0x0000000000000000ull},  // μ̂ ≥ 1: clamped to 0
+      {1130, 0x3fd131612a8d8a20ull},
+  };
+  const std::vector<SamplerInstance> instances = GoldenSamplerInstances();
+  ASSERT_EQ(instances.size(), std::size(pins));
+  for (size_t n = 0; n < instances.size(); ++n) {
+    const SamplerInstance& instance = instances[n];
+    const double exact =
+        WmcEngine().Probability(instance.cnf, instance.probabilities)
+            .ToDouble();
     for (int threads : {1, 3}) {
-      KarpLubyParams params;
-      params.epsilon = 0.1;
-      params.delta = 0.05;
-      params.max_samples = 3000;  // binds, and ends mid-chunk
-      params.seed = golden.seed;
-      params.num_threads = threads;
       const KarpLubyResult r =
-          KarpLubyEstimate(golden.cnf, golden.probabilities, params);
-      ASSERT_FALSE(r.exact) << golden.name;
-      EXPECT_EQ(r.samples, 3000u) << golden.name;
-      EXPECT_EQ(r.successes, golden.successes) << golden.name;
-      EXPECT_EQ(std::bit_cast<uint64_t>(r.estimate), golden.estimate_bits)
-          << golden.name << " estimate=" << r.estimate;
+          KarpLubyEstimate(instance.cnf, instance.probabilities,
+                           GoldenParams(instance.seed, threads));
+      ASSERT_FALSE(r.exact) << instance.name;
+      EXPECT_EQ(r.samples, 3000u) << instance.name;
+      EXPECT_EQ(r.successes, pins[n].successes) << instance.name;
+      EXPECT_EQ(std::bit_cast<uint64_t>(r.estimate), pins[n].estimate_bits)
+          << instance.name << " estimate=" << r.estimate << std::hex
+          << " bits=0x" << std::bit_cast<uint64_t>(r.estimate);
+      EXPECT_LE(std::abs(r.estimate - exact), r.epsilon)
+          << instance.name << " estimate=" << r.estimate
+          << " exact=" << exact;
     }
   }
 }
 
-// The draw routines against their reference. Each check runs the fast
-// draw and a fresh-draw LazyUniform on identically seeded streams: the
+// The scalar definition of a success, scored per lane from a drawn
+// batch: lane ℓ succeeds iff no clause before its disjunct is all false
+// in lane ℓ, reading each variable's lane bit (false where forced). Every
+// variable it reads must have been drawn for the lane.
+int ScalarSuccesses(const KarpLubyPlan& plan, int num_lanes,
+                    const approx_internal::LaneBatch& batch) {
+  const std::vector<std::vector<int>>& clauses = plan.cnf.clauses;
+  int successes = 0;
+  for (int lane = 0; lane < num_lanes; ++lane) {
+    const uint64_t bit = uint64_t{1} << lane;
+    size_t disjunct = clauses.size();
+    for (size_t j = 0; j < clauses.size(); ++j) {
+      if ((batch.chosen[j] & bit) == 0) continue;
+      EXPECT_EQ(disjunct, clauses.size()) << "lane " << lane << " chose twice";
+      disjunct = j;
+    }
+    EXPECT_LT(disjunct, clauses.size()) << "lane " << lane << " chose none";
+    auto is_true = [&](int v) {
+      if ((batch.forced[v] & bit) != 0) return false;
+      EXPECT_TRUE(batch.drawn[v]) << "lane " << lane << " read var " << v;
+      return (batch.value[v] & bit) != 0;
+    };
+    bool minimal = true;
+    for (size_t j = 0; j < disjunct && minimal; ++j) {
+      minimal = std::any_of(clauses[j].begin(), clauses[j].end(), is_true);
+    }
+    if (minimal) ++successes;
+  }
+  return successes;
+}
+
+// The golden runs replayed batch by batch: chunk c's substream is seeded
+// seed ^ c and drawn 64 lanes at a time. Each batch must take its
+// disjuncts in lane order and score as the scalar loop does, and the
+// batches must add up to the estimator's success count.
+TEST(KarpLubyLaneBatchTest, BatchesScoreAsTheScalarLoop) {
+  const uint64_t chunk_size = approx_internal::kSamplesPerChunk;
+  for (const SamplerInstance& instance : GoldenSamplerInstances()) {
+    const auto plan = BuildKarpLubyPlan(instance.cnf, instance.probabilities);
+    const KarpLubyParams params = GoldenParams(instance.seed, 1);
+    approx_internal::LaneBatch batch(*plan);
+    uint64_t successes = 0;
+    int partial_batches = 0;
+    for (uint64_t begin = 0, c = 0; begin < params.max_samples;
+         begin += chunk_size, ++c) {
+      const uint64_t end = std::min(params.max_samples, begin + chunk_size);
+      approx_internal::SplitMix64 rng(params.seed ^ c);
+      for (uint64_t n = begin; n < end; n += 64) {
+        const int lanes = static_cast<int>(std::min<uint64_t>(64, end - n));
+        if (lanes < 64) ++partial_batches;
+        approx_internal::SplitMix64 replay = rng;
+        const int got =
+            approx_internal::SampleLanes(*plan, lanes, &rng, &batch);
+        for (int lane = 0; lane < lanes; ++lane) {
+          const size_t i = approx_internal::DrawDisjunct(*plan, &replay);
+          EXPECT_NE(batch.chosen[i] & (uint64_t{1} << lane), 0u)
+              << instance.name << " lane " << lane;
+        }
+        EXPECT_EQ(got, ScalarSuccesses(*plan, lanes, batch))
+            << instance.name << " batch at " << n;
+        successes += static_cast<uint64_t>(got);
+      }
+    }
+    EXPECT_EQ(partial_batches, 1) << instance.name;
+    EXPECT_EQ(successes, KarpLubyEstimate(*plan, params).successes)
+        << instance.name;
+  }
+}
+
+// The disjunct draw against its reference. Each check runs the fast draw
+// and a fresh-draw LazyUniform on identically seeded streams: the
 // decisions must agree, and so must the next word each stream returns,
 // which shows both read the same words — `words_read` of them.
 namespace tie {
 
-using approx_internal::DrawBernoulli;
 using approx_internal::DrawDisjunct;
 using approx_internal::LazyUniform;
 using approx_internal::SplitMix64;
@@ -1301,21 +1394,6 @@ std::shared_ptr<const KarpLubyPlan> UnitClausePlan(
   cnf.num_vars = static_cast<int>(probabilities.size());
   for (int v = 0; v < cnf.num_vars; ++v) cnf.clauses.push_back({v});
   return BuildKarpLubyPlan(cnf, probabilities);
-}
-
-// Returns the decision.
-bool ExpectBernoulliMatches(const KarpLubyPlan& plan, int var, uint64_t seed,
-                            int words_read) {
-  SplitMix64 fast(seed);
-  SplitMix64 reference(seed);
-  const bool got = DrawBernoulli(plan, var, &fast);
-  EXPECT_EQ(got, LazyUniform(&reference).LessThan(plan.probabilities[var]))
-      << "var=" << var << " seed=" << seed;
-  const uint64_t next = fast.Next();
-  EXPECT_EQ(next, reference.Next()) << "var=" << var << " seed=" << seed;
-  EXPECT_EQ(next, WordAfter(seed, words_read))
-      << "var=" << var << " seed=" << seed;
-  return got;
 }
 
 size_t ExpectDisjunctMatches(const KarpLubyPlan& plan, uint64_t seed,
@@ -1368,39 +1446,6 @@ uint64_t SeedYielding(uint64_t word) {
 
 }  // namespace tie
 
-TEST(KarpLubyDrawTest, NonIntegralBernoulliTieRefinesExactly) {
-  for (uint64_t seed : tie::kTieSeeds) {
-    const uint64_t w = tie::WordAfter(seed, 0);
-    // p·2^64 = w + 1/2: the first word lands on the threshold word, and
-    // the draw reads a second one.
-    const Rational p =
-        Rational::Dyadic(tie::BigOfU64(w) * BigInt(2) + BigInt(1), 65);
-    const auto plan = tie::UnitClausePlan({p});
-    ASSERT_EQ(plan->variable_words[0].floor, w);
-    tie::ExpectBernoulliMatches(*plan, 0, seed, 2);
-  }
-}
-
-TEST(KarpLubyDrawTest, IntegralBernoulliTieIsDecidedByItsWord) {
-  for (uint64_t seed : tie::kTieSeeds) {
-    const uint64_t w = tie::WordAfter(seed, 0);
-    ASSERT_NE(w, 0u);
-    // p·2^64 = w: u ≥ w/2^64 = p, so false, with no second word.
-    const auto plan =
-        tie::UnitClausePlan({Rational::Dyadic(tie::BigOfU64(w), 64)});
-    ASSERT_EQ(plan->variable_words[0].floor, w);
-    EXPECT_FALSE(tie::ExpectBernoulliMatches(*plan, 0, seed, 1));
-  }
-}
-
-TEST(KarpLubyDrawTest, CertainAndImpossibleVariablesReadNoWord) {
-  const auto plan = tie::UnitClausePlan({Rational::Zero(), Rational::One()});
-  for (uint64_t seed : tie::kTieSeeds) {
-    EXPECT_FALSE(tie::ExpectBernoulliMatches(*plan, 0, seed, 0));
-    EXPECT_TRUE(tie::ExpectBernoulliMatches(*plan, 1, seed, 0));
-  }
-}
-
 TEST(KarpLubyDrawTest, DisjunctTieRefinesExactly) {
   for (uint64_t seed : tie::kTieSeeds) {
     const uint64_t w = tie::WordAfter(seed, 0);
@@ -1432,7 +1477,7 @@ TEST(KarpLubyDrawTest, ZeroWeightDisjunctsAreNeverDrawn) {
 
 TEST(KarpLubyDrawTest, UntiedDrawsReadOneWordAndMatchTheReference) {
   // Zero-weight leading, middle and trailing disjuncts among general
-  // weights; the variables cover p = 1 and several p in (0, 1).
+  // weights.
   const auto plan = tie::UnitClausePlan(
       {Rational::One(), Rational(1, 7), Rational(5, 11), Rational::One(),
        Rational(1, 2), Rational(999, 1000), Rational::One()});
@@ -1442,10 +1487,6 @@ TEST(KarpLubyDrawTest, UntiedDrawsReadOneWordAndMatchTheReference) {
     EXPECT_NE(i, 0u);
     EXPECT_NE(i, 3u);
     EXPECT_NE(i, 6u);
-    for (int v = 0; v < 7; ++v) {
-      tie::ExpectBernoulliMatches(*plan, v, seed,
-                                  plan->variable_words[v].fixed < 0 ? 1 : 0);
-    }
   }
 }
 
@@ -1501,6 +1542,162 @@ TEST(KarpLubyDrawTest, GuidedDisjunctMatchesLowerBound) {
     }
   }
   EXPECT_GT(widest, 8u);  // the skewed plan searches a many-word slice
+}
+
+// The lane draw against the exact comparison. Word k that a lane draw
+// reads is bit k of every lane's uniform u, so a replay of the same
+// stream gives each lane's bit string. The replay decides each lane as
+// soon as its bits settle u < p or u ≥ p, comparing with p = a/b in exact
+// integer arithmetic (no floor word), and stops once every lane is
+// decided: the draw must agree lane for lane and read as many words.
+namespace lanes {
+
+using UInt128 = unsigned __int128;
+
+struct Replay {
+  uint64_t below = 0;  // the lanes with u < p
+  int words_read = 0;
+};
+
+Replay ReplayLanes(uint64_t seed, uint64_t lanes, uint64_t a, uint64_t b) {
+  approx_internal::SplitMix64 rng(seed);
+  UInt128 prefix[64] = {};  // lane ℓ's bits so far: u ∈ [c/2^k, (c+1)/2^k)
+  Replay replay;
+  for (uint64_t open = lanes; open != 0;) {
+    EXPECT_LT(replay.words_read, 64) << "a lane tied p's floor word";
+    if (replay.words_read == 64) break;
+    const uint64_t word = rng.Next();
+    const int k = ++replay.words_read;
+    for (uint64_t rest = open; rest != 0; rest &= rest - 1) {
+      const int lane = std::countr_zero(rest);
+      const uint64_t bit = uint64_t{1} << lane;
+      UInt128& c = prefix[lane];
+      c = 2 * c + ((word >> lane) & 1);
+      if ((c + 1) * b <= (UInt128{a} << k)) {  // all of u's interval < p
+        replay.below |= bit;
+        open &= ~bit;
+      } else if (c * b >= (UInt128{a} << k)) {  // all of it ≥ p
+        open &= ~bit;
+      }
+    }
+  }
+  return replay;
+}
+
+}  // namespace lanes
+
+TEST(KarpLubyLaneDrawTest, LanesDecideAsTheirBitStringsCompare) {
+  std::vector<std::pair<uint64_t, uint64_t>> fractions = {
+      {1, 7}, {5, 11}, {1, 2}, {999, 1000}};
+  for (uint64_t k = 1; k < 16; ++k) fractions.push_back({k, 16});
+  std::vector<Rational> probabilities;
+  for (const auto& [a, b] : fractions) {
+    probabilities.push_back(Rational(static_cast<int64_t>(a),
+                                     static_cast<int64_t>(b)));
+  }
+  const auto plan = tie::UnitClausePlan(probabilities);
+  EXPECT_EQ(plan->variable_words[2].bits, 1);   // ½ = 0.1
+  EXPECT_EQ(plan->variable_words[4].bits, 4);   // 1/16 = 0.0001
+  EXPECT_EQ(plan->variable_words[0].bits, 64);  // 1/7 never ends
+  int max_words = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    // Every lane, and a random half of them.
+    for (const uint64_t lanes : {~uint64_t{0}, tie::WordAfter(~seed, 0)}) {
+      for (size_t v = 0; v < fractions.size(); ++v) {
+        const lanes::Replay replay = lanes::ReplayLanes(
+            seed, lanes, fractions[v].first, fractions[v].second);
+        approx_internal::SplitMix64 rng(seed);
+        EXPECT_EQ(approx_internal::DrawBernoulliLanes(
+                      *plan, static_cast<int>(v), lanes, &rng),
+                  replay.below)
+            << "p=" << fractions[v].first << "/" << fractions[v].second
+            << " seed=" << seed;
+        EXPECT_EQ(rng.Next(), tie::WordAfter(seed, replay.words_read))
+            << "p=" << fractions[v].first << "/" << fractions[v].second
+            << " seed=" << seed;
+        max_words = std::max(max_words, replay.words_read);
+      }
+    }
+  }
+  EXPECT_GT(max_words, 8);  // some draws ran well past the typical stop
+}
+
+TEST(KarpLubyLaneDrawTest, TiedLaneContinuesExactlyOrStopsAtTheWord) {
+  // Lane 0's bits are bit 0 of the stream's first 64 words; F is those 64
+  // bits as a word, so lane 0 ties a threshold word F through all of them.
+  int odd = 0;
+  int even = 0;
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    approx_internal::SplitMix64 stream(seed);
+    uint64_t strings[64] = {};  // each lane's first 64 bits
+    for (int k = 0; k < 64; ++k) {
+      const uint64_t word = stream.Next();
+      for (int lane = 0; lane < 64; ++lane) {
+        strings[lane] = strings[lane] << 1 | ((word >> lane) & 1);
+      }
+    }
+    const uint64_t f = strings[0];
+    ASSERT_NE(f, 0u);
+    uint64_t below_f = 0;  // the other lanes, decided by their 64 bits
+    for (int lane = 1; lane < 64; ++lane) {
+      ASSERT_NE(strings[lane], f);
+      if (strings[lane] < f) below_f |= uint64_t{1} << lane;
+    }
+    // p = (2F + 1)/2^65 lies inside lane 0's interval: it goes on through
+    // LazyUniform from F, reading the 65th word.
+    const Rational inside =
+        Rational::Dyadic(tie::BigOfU64(f) * BigInt(2) + BigInt(1), 65);
+    // p = F/2^64 is lane 0's lower end, so u ≥ p with no further word; the
+    // expansion ends at F's lowest one bit, where the draw stops.
+    const Rational at = Rational::Dyadic(tie::BigOfU64(f), 64);
+    const auto plan = tie::UnitClausePlan({inside, at});
+    ASSERT_EQ(plan->variable_words[0].floor, f);
+    ASSERT_EQ(plan->variable_words[0].bits, 64);
+    ASSERT_EQ(plan->variable_words[1].floor, f);
+    const int ends = 64 - std::countr_zero(f);
+    ASSERT_EQ(plan->variable_words[1].bits, ends);
+    (f & 1 ? odd : even)++;
+
+    approx_internal::SplitMix64 fast(seed);
+    approx_internal::SplitMix64 reference(seed);
+    for (int k = 0; k < 64; ++k) reference.Next();
+    const bool lane0 =
+        approx_internal::LazyUniform(&reference, f).LessThan(inside);
+    EXPECT_EQ(approx_internal::DrawBernoulliLanes(*plan, 0, ~uint64_t{0},
+                                                  &fast),
+              below_f | (lane0 ? 1 : 0))
+        << "seed=" << seed;
+    EXPECT_EQ(fast.Next(), tie::WordAfter(seed, 65)) << "seed=" << seed;
+
+    // Lanes that tie F's first `ends` bits are u ≥ p, like lane 0.
+    const uint64_t prefix = f >> (64 - ends);
+    uint64_t below_at = 0;
+    for (int lane = 1; lane < 64; ++lane) {
+      if ((strings[lane] >> (64 - ends)) < prefix) {
+        below_at |= uint64_t{1} << lane;
+      }
+    }
+    fast = approx_internal::SplitMix64(seed);
+    EXPECT_EQ(approx_internal::DrawBernoulliLanes(*plan, 1, ~uint64_t{0},
+                                                  &fast),
+              below_at)
+        << "seed=" << seed;
+    EXPECT_EQ(fast.Next(), tie::WordAfter(seed, ends)) << "seed=" << seed;
+  }
+  EXPECT_GT(odd, 0);   // F/2^64 with all 64 bits: LazyUniform reads nothing
+  EXPECT_GT(even, 0);  // an expansion that ends inside the word
+}
+
+TEST(KarpLubyLaneDrawTest, CertainAndImpossibleVariablesReadNoWord) {
+  const auto plan = tie::UnitClausePlan({Rational::Zero(), Rational::One()});
+  for (uint64_t seed : tie::kTieSeeds) {
+    const uint64_t lanes = tie::WordAfter(~seed, 0);
+    approx_internal::SplitMix64 rng(seed);
+    EXPECT_EQ(approx_internal::DrawBernoulliLanes(*plan, 0, lanes, &rng), 0u);
+    EXPECT_EQ(approx_internal::DrawBernoulliLanes(*plan, 1, lanes, &rng),
+              lanes);
+    EXPECT_EQ(rng.Next(), tie::WordAfter(seed, 0));
+  }
 }
 
 // One builder pair on one instance: the integer build, where it applies,
