@@ -71,8 +71,8 @@ const char* PressureName(Pressure level);
 /// cheap-queue-expensive-work case a depth limit alone misses), and
 /// "each request COSTS too much to evaluate" can all raise pressure. The
 /// third term exists for the RED-tier blind spot: once auto traffic has
-/// been downshifted to the sampler, the batch loop drains the queue fast
-/// enough that depth and wait both collapse — without a per-request work
+/// been downshifted to the sampler, the serving rounds drain the queue
+/// fast enough that depth and wait both collapse — without a per-request work
 /// cost feed the signal would drop, the level would flap back to GREEN,
 /// and the expensive tier would return. Thresholds are fractions of that
 /// signal; exits must be at or below their enters (Configure clamps them

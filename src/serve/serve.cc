@@ -267,11 +267,17 @@ bool GmcServer::Start(std::string* error) {
 
 void GmcServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
+  {
+    // Under queue_mu_: HandleLine's admission check and BatchLoop's wait
+    // read it there, so neither can miss it.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
 
   // Unblock accept() (on Linux a SHUT_RDWR on the listening socket wakes
   // it with EINVAL), then drain the batch loop, then the per-connection
-  // readers. The batch loop goes before the readers because answering a
+  // readers. The batch loop waits out a round running on a reader, drains
+  // what is queued, and goes before the readers because answering a
   // queued request needs its connection open. Readers that outlive it
   // enqueue nothing: HandleLine sheds under queue_mu_ once stopping_ is
   // set, so no request can land after the loop's last empty swap.
@@ -397,6 +403,8 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   size_t scanned = 0;
   char chunk[4096];
   bool close_connection = false;
+  // Set by a QUIT line: BYE is then the connection's last line.
+  bool quit = false;
   // A rejected input stream (over-long line, NUL byte) gets ONE typed
   // error before the close: the framing itself is untrustworthy from that
   // byte on, so nothing after it is parsed.
@@ -434,6 +442,7 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
     // prefix is erased once, after the last view is gone. A CRLF line's
     // '\r' needs no strip: the tokenizer treats it as whitespace.
     size_t line_start = 0;
+    bool claim = false;
     while (!close_connection) {
       const size_t pos = buffer.find('\n', scanned);
       if (pos == std::string::npos) {
@@ -449,7 +458,8 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
                      " bytes");
         break;
       }
-      HandleLine(conn, line, &close_connection);
+      claim |= HandleLine(conn, line, &quit);
+      close_connection = quit;
     }
     buffer.erase(0, line_start);
     scanned -= line_start;
@@ -459,7 +469,19 @@ void GmcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       reject_input("line exceeds " + std::to_string(kMaxLineBytes) +
                    " bytes");
     }
+    // Only after every line of this recv is admitted, so a pipelined
+    // burst stays one round. What was admitted while a round ran is that
+    // round's to drain.
+    if (claim) RunRoundIfIdle();
   }
+  // Answer everything this connection admitted before the BYE and the
+  // close: the round that writes the last reply notifies (RunBatch).
+  {
+    std::unique_lock<std::mutex> write_lock(conn->write_mu);
+    conn->closing.store(true);
+    conn->drained.wait(write_lock, [&] { return conn->inflight.load() == 0; });
+  }
+  if (quit) SendLine(conn, "BYE");
   // The reader is the only closer; writers take write_mu and check fd, so
   // the descriptor can never be reused under a concurrent send.
   {
@@ -498,7 +520,7 @@ void GmcServer::SendLine(const std::shared_ptr<Connection>& conn,
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Socket buffer full: give the peer write_timeout_ms to drain, then
       // treat it as dead and drop the remainder — one stalled client must
-      // never wedge the batch loop for everyone else.
+      // never wedge a round for everyone else.
       pollfd pfd{};
       pfd.fd = conn->fd;
       pfd.events = POLLOUT;
@@ -514,32 +536,31 @@ void GmcServer::SendLine(const std::shared_ptr<Connection>& conn,
   }
 }
 
-void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
-                           std::string_view line, bool* close_connection) {
+bool GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
+                           std::string_view line, bool* quit) {
   const std::vector<std::string_view> words = internal::SplitWords(line);
-  if (words.empty()) return;
+  if (words.empty()) return false;
 
   auto reply = [&](const std::string& text) { SendLine(conn, text); };
 
   if (words[0] == "QUIT") {
-    reply("BYE");
-    *close_connection = true;
-    return;
+    *quit = true;  // ReaderLoop answers BYE after the connection's OKs
+    return false;
   }
   if (words[0] == "STATS") {
     reply(StatsLine());
-    return;
+    return false;
   }
   if (words[0] == "HEALTH") {
     ++stats_.health_requests;
     reply(HealthLine());
-    return;
+    return false;
   }
   const bool approx = words[0] == "EVAL_APPROX";
   if (words[0] != "EVAL" && !approx) {
     ++stats_.parse_errors;
     reply("ERR - PARSE unknown command '" + std::string(words[0]) + "'");
-    return;
+    return false;
   }
 
   const std::string id(words.size() > 1 ? words[1] : "-");
@@ -555,7 +576,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     int deadline_ms = 0;
     if (!internal::ParseSmallInt(words[first].substr(9), &deadline_ms)) {
       parse_error("deadline must be a non-negative integer (milliseconds)");
-      return;
+      return false;
     }
     eval.deadline_ms = static_cast<uint64_t>(deadline_ms);
     ++first;
@@ -566,11 +587,11 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
       parse_error(
           "want: EVAL_APPROX <id> [deadline=<ms>] <mode> <eps> <delta> "
           "<num_left> <num_right> <default_p> ...");
-      return;
+      return false;
     }
     if (!ParseRoutingMode(std::string(words[first]).c_str(), &eval.mode)) {
       parse_error("mode must be auto, exact, interval, or sample");
-      return;
+      return false;
     }
     // eps and delta ride the same non-aborting rational parser as the
     // probabilities, then must land strictly inside (0, 1).
@@ -580,7 +601,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
         !internal::ParseProbability(words[first + 2], &delta) ||
         eps.IsZero() || delta.IsZero() || eps.IsOne() || delta.IsOne()) {
       parse_error("eps and delta must be rationals strictly in (0, 1)");
-      return;
+      return false;
     }
     eval.epsilon = eps.ToDouble();
     eval.delta = delta.ToDouble();
@@ -589,7 +610,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     parse_error(
         "want: EVAL <id> [deadline=<ms>] <num_left> <num_right> "
         "<default_p> ...");
-    return;
+    return false;
   }
 
   std::string detail;
@@ -597,7 +618,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
                                                   options_.max_domain, &detail);
   if (!tid.has_value()) {
     parse_error(detail);
-    return;
+    return false;
   }
   eval.tid = std::move(*tid);
 
@@ -615,13 +636,13 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       shed("shutting down");
-      return;
+      return false;
     }
     if (pending_.size() >= options_.max_pending) {
       governor_.RecordQueueDepth(pending_.size());
       shed("queue full (limit " + std::to_string(options_.max_pending) +
            ")");
-      return;
+      return false;
     }
     // Cross-client fairness: one connection pipelining requests may hold
     // at most max_inflight_per_connection queue+work slots; past that ITS
@@ -631,7 +652,7 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
             options_.max_inflight_per_connection) {
       shed("per-connection limit (" +
            std::to_string(options_.max_inflight_per_connection) + ")");
-      return;
+      return false;
     }
     ++stats_.requests;
     if (approx) {
@@ -641,25 +662,58 @@ void GmcServer::HandleLine(const std::shared_ptr<Connection>& conn,
     eval.enqueued = std::chrono::steady_clock::now();
     pending_.push_back(std::move(eval));
     governor_.RecordQueueDepth(pending_.size());
+    // No notify: the running round's owner drains this, or the reader
+    // claims the round once its recv's lines are admitted.
+    return !round_running_;
   }
+}
+
+void GmcServer::RunRoundIfIdle() {
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  if (round_running_ || pending_.empty()) return;
+  round_running_ = true;
+  std::vector<PendingEval> batch;
+  batch.swap(pending_);
+  lock.unlock();
+  RunBatch(std::move(batch));
+  lock.lock();
+  // Depth sample at round end: pressure decays promptly once the queue
+  // drains instead of waiting for the next admission to refresh it.
+  governor_.RecordQueueDepth(pending_.size());
+  if (!pending_.empty()) {
+    // Requests arrived during the round: BatchLoop drains them, and this
+    // thread goes back to its socket.
+    handed_off_ = true;
+  } else {
+    round_running_ = false;
+    // Stop()'s drain waits for the round to end; otherwise nobody waits.
+    if (!stopping_.load(std::memory_order_acquire)) return;
+  }
+  lock.unlock();
   queue_cv_.notify_one();
 }
 
 void GmcServer::BatchLoop() {
+  std::unique_lock<std::mutex> lock(queue_mu_);
   while (true) {
-    std::vector<PendingEval> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
-        return stopping_.load(std::memory_order_acquire) || !pending_.empty();
-      });
+    queue_cv_.wait(lock, [&] {
+      return handed_off_ ||
+             (stopping_.load(std::memory_order_acquire) && !round_running_);
+    });
+    // A hand-off passes the running round here; at Stop() the round is
+    // taken once no reader runs one.
+    round_running_ = true;
+    handed_off_ = false;
+    while (!pending_.empty()) {
+      std::vector<PendingEval> batch;
       batch.swap(pending_);
+      lock.unlock();
+      RunBatch(std::move(batch));
+      lock.lock();
+      governor_.RecordQueueDepth(pending_.size());
     }
-    if (batch.empty()) {
-      if (stopping_.load(std::memory_order_acquire)) return;
-      continue;  // spurious wakeup
-    }
-    RunBatch(std::move(batch));
+    round_running_ = false;
+    if (stopping_.load(std::memory_order_acquire)) return;
   }
 }
 
@@ -800,8 +854,15 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
         text = FormatEval(eval.id, answers[m], query_safe_);
       }
       SendLine(eval.conn, text);
-      eval.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
       ++(status.ok() ? stats_.responses : stats_.eval_errors);
+      // Sequentially consistent with the closing reader's store and load
+      // (ReaderLoop): the last reply either sees `closing` and notifies,
+      // or the reader sees inflight at 0 and never waits.
+      Connection& conn = *eval.conn;
+      if (conn.inflight.fetch_sub(1) == 1 && conn.closing.load()) {
+        std::lock_guard<std::mutex> write_lock(conn.write_mu);
+        conn.drained.notify_all();
+      }
     }
     if (approx_members > 0) {
       ++stats_.approx_batches;
@@ -820,12 +881,7 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
   governor_.RecordWorkCost(batch_ms / static_cast<double>(batch.size()));
 
   governor_.EndWork(batch.size());
-  {
-    // Depth sample at batch end: pressure decays promptly once the queue
-    // drains instead of waiting for the next admission to refresh it.
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    governor_.RecordQueueDepth(pending_.size());
-  }
+  // The caller samples the queue depth under the lock it takes next.
 }
 
 GmcServer::StatsSnapshot GmcServer::snapshot() const {

@@ -9,14 +9,17 @@
 //      warm-starts from disk (WarmCircuitsFrom) and write-throughs every
 //      fresh compile — a restarted or replicated server re-serves in
 //      milliseconds what first cost a compilation.
-//   2. Coalesce concurrent load: requests land in a bounded queue; a
-//      single batch loop drains the WHOLE queue each round and answers it
-//      in one grouping pass — requests with the same route (mode, compile
-//      budget, eps, delta) share ONE GfomcSession::EvaluateAnswers call,
-//      on every tier — so K concurrent requests against the same lineage
-//      structure cost one circuit pass over a K-column WeightMatrix
-//      instead of K, with answers byte-identical to serial single-request
-//      serving.
+//   2. One hop for a lone request, coalescing under concurrent load:
+//      requests land in a bounded queue, and one round at a time takes the
+//      WHOLE queue and answers it in one grouping pass — requests with the
+//      same route (mode, compile budget, eps, delta) share ONE
+//      GfomcSession::EvaluateAnswers call, on every tier — so K concurrent
+//      requests against the same lineage structure cost one circuit pass
+//      over a K-column WeightMatrix instead of K, with answers
+//      byte-identical to serial single-request serving. A lone client's
+//      request is parsed, evaluated and answered on its reader thread
+//      (flat combining, Hendler, Incze, Shavit and Tzafrir, SPAA 2010; see
+//      the thread model below).
 //   3. Shed, don't stall: past the admission limit a request is refused
 //      immediately with a typed SHED error carrying a retry_after_ms
 //      backoff hint — the client can retry or fail over; the queue never
@@ -69,7 +72,9 @@
 //                  supervisors poll this instead of paying for an EVAL.
 //                  Neither STATS nor HEALTH waits for an evaluation in
 //                  flight: both read lock-free counters.
-//     QUIT         server answers BYE and closes the connection
+//     QUIT         server answers every request the connection already
+//                  sent, then BYE, and closes the connection (so does
+//                  EOF, without the BYE)
 //   server → client:
 //     OK <id> <probability> lifted=<0|1>                      (EVAL)
 //         lifted=1 iff the query is safe (PTIME on every instance).
@@ -109,11 +114,21 @@
 // itself is no longer trustworthy, so no further bytes are parsed.
 //
 // Thread model: one accept thread, one reader thread per connection, one
-// batch loop. Responses are written under a per-connection mutex, so OK
-// lines from the batch loop and ERR lines from the reader interleave as
-// whole lines. Start()/Stop() bracket the lifetime; Stop() drains the
-// queue, answers everything in flight, flushes the write-through store,
-// and joins every thread (also run by the destructor).
+// batch loop, and at most one round running at a time. A reader admits
+// every complete line of one recv, then, if no round is running, claims
+// the round and runs it on its own thread. When that round ends, the
+// reader releases it if the queue is empty, or hands it to the batch loop
+// (one notify) if requests arrived meanwhile; the batch loop drains the
+// queue until it is empty. The batch loop wakes for a hand-off or Stop()
+// only. Every claim, release and hand-off happens under the queue mutex,
+// so a queued request always has a round that will answer it. Responses
+// are written under a per-connection mutex, so OK lines from any round and
+// ERR lines from the reader interleave as whole lines. A reader closes its
+// connection (QUIT, EOF, idle timeout, rejected input) only once every
+// request it admitted is answered. Start()/Stop() bracket the lifetime;
+// Stop() waits out a running round, drains the queue on the batch loop,
+// then closes the readers, flushes the write-through store, and joins
+// every thread (also run by the destructor).
 
 #ifndef GMC_SERVE_SERVE_H_
 #define GMC_SERVE_SERVE_H_
@@ -166,7 +181,7 @@ struct GmcServerOptions {
   /// Per-reply write timeout in milliseconds (0 = block forever): a peer
   /// that stops draining its socket gets this long before the remainder
   /// of the reply is dropped — exactly the dead-peer behaviour — so one
-  /// stalled client can never wedge the batch loop for everyone else.
+  /// stalled client can never wedge a round for everyone else.
   uint64_t write_timeout_ms = 5000;
   /// listen(2) backlog for the accepting socket (the --backlog flag).
   int listen_backlog = 64;
@@ -200,7 +215,7 @@ class GmcServer {
     RelaxedCounter shed;       ///< EVALs refused by admission control
     RelaxedCounter parse_errors;
     RelaxedCounter eval_errors;  ///< ERR INVALID + ERR BUDGET lines written
-    RelaxedCounter batches;      ///< coalesced rounds executed
+    RelaxedCounter batches;  ///< rounds executed, inline or on the batch loop
     RelaxedCounter batched_requests;  ///< EVALs those rounds served
     RelaxedCounter max_batch;
     RelaxedCounter timeouts;          ///< ERR TIMEOUT lines written
@@ -269,6 +284,11 @@ class GmcServer {
     /// max_inflight_per_connection fairness cap); incremented under the
     /// queue lock at admission, decremented as each reply is written.
     std::atomic<uint64_t> inflight{0};
+    /// The closing reader waits on `drained` (with write_mu) until
+    /// inflight reaches 0; `closing` tells the round that answers the last
+    /// request to notify it, so no other reply pays for a notify.
+    std::atomic<bool> closing{false};
+    std::condition_variable drained;
     /// Set by ReaderLoop on exit — the reap signal: AcceptLoop joins the
     /// reader thread and drops the connection entry between accepts, so
     /// neither vector grows with connection churn.
@@ -303,13 +323,21 @@ class GmcServer {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
+  // Drains the queue for a hand-off, and once more at Stop().
   void BatchLoop();
+  // The reader's claim: runs the queue as one round on the calling thread
+  // when no round is running, then releases the round or hands it to
+  // BatchLoop.
+  void RunRoundIfIdle();
   // Joins reader threads whose connection is done and drops their entries
   // (threads_mu_ must NOT be held). Called between accepts and in Stop.
   void ReapFinishedReaders();
   // `line` is a view into the reader's buffer, valid for this call only.
-  void HandleLine(const std::shared_ptr<Connection>& conn,
-                  std::string_view line, bool* close_connection);
+  // Admits an EVAL to the queue without running it; *quit is set by QUIT.
+  // True when it admitted a request while no round was running: the
+  // reader must then claim the round (RunRoundIfIdle).
+  bool HandleLine(const std::shared_ptr<Connection>& conn,
+                  std::string_view line, bool* quit);
   void RunBatch(std::vector<PendingEval> batch);
   // The one reply writer: whole-line send under the connection's write
   // mutex, bounded by options_.write_timeout_ms, instrumented with the
@@ -331,8 +359,13 @@ class GmcServer {
   int listen_fd_ = -1;
 
   std::mutex queue_mu_;
+  // Wakes BatchLoop for a hand-off or Stop(), never for an admission.
   std::condition_variable queue_cv_;
   std::vector<PendingEval> pending_;
+  // Some thread runs a round: a reader inline, or BatchLoop.
+  bool round_running_ = false;
+  // The running round passed to BatchLoop, which drains the queue.
+  bool handed_off_ = false;
 
   std::mutex threads_mu_;
   std::thread accept_thread_;

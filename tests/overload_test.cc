@@ -750,8 +750,9 @@ TEST_F(OverloadTest, SyntheticOverloadShedsTypedRepliesNeverSilently) {
   // The whole burst goes out in one write, led by an H1 6x6 instance whose
   // first evaluation compiles for milliseconds (7.3 ms in a Release build
   // on a shared 4-vCPU VM), against about 13 us to parse all 40 lines
-  // there. So the batch thread is still on q0 while the reader admits q1
-  // and sheds what follows.
+  // there. The reader admits every line of a recv before it runs a round,
+  // so q0 is still unanswered while the reader admits q1 and sheds what
+  // follows.
   constexpr int kBurst = 40;
   std::string burst = "EVAL q0 6 6 1/2";
   for (int i = 1; i < kBurst; ++i) {
@@ -785,7 +786,7 @@ TEST_F(OverloadTest, SyntheticOverloadShedsTypedRepliesNeverSilently) {
   // the parse time of the rest of the burst).
   EXPECT_GE(shed, 1);
 
-  // Stop() first: it joins the batch thread, and the reply hits the wire
+  // Stop() first: it waits out every round, and the reply hits the wire
   // just before the responses counter bumps — reading stats while the last
   // reply is in flight can observe the counter one short.
   server.Stop();

@@ -116,6 +116,9 @@ class LineClient {
     return ReadLine();
   }
 
+  // Half-close: the server reads EOF, and replies still arrive.
+  void CloseWrite() { ::shutdown(fd_, SHUT_WR); }
+
   // Whether a reply byte is already here, without waiting for one.
   bool HasInput() const {
     pollfd pfd{};
@@ -214,9 +217,19 @@ TEST_F(ServeTest, ConcurrentRequestsCoalesceIntoBatches) {
 
   // Blast concurrent rounds until one coalesced batch served >1 request.
   // Each client varies its default probability so the requests are
-  // genuinely distinct work, not byte-identical lines.
+  // genuinely distinct work, not byte-identical lines. A lone request runs
+  // at once on the reader that admitted it, so requests coalesce when they
+  // arrive while a round runs: a sampled request (about 1.1e5 draws) holds
+  // one on its reader while the clients below connect and send.
   constexpr int kClients = 12;
   for (int round = 0; round < 20 && server.stats().max_batch < 2; ++round) {
+    LineClient busy;
+    ASSERT_TRUE(busy.Connect(server.socket_path()));
+    const uint64_t rounds_before = server.stats().batches;
+    ASSERT_TRUE(busy.SendLine("EVAL_APPROX busy sample 1/20 1/100 3 3 1/3"));
+    while (server.stats().batches == rounds_before) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     std::vector<std::thread> workers;
     std::vector<int> ok(kClients, 0);
     for (int c = 0; c < kClients; ++c) {
@@ -230,6 +243,7 @@ TEST_F(ServeTest, ConcurrentRequestsCoalesceIntoBatches) {
       });
     }
     for (std::thread& w : workers) w.join();
+    EXPECT_EQ(busy.ReadLine().rfind("OK busy ESTIMATE ", 0), 0u);
     for (int c = 0; c < kClients; ++c) EXPECT_EQ(ok[c], 1) << "client " << c;
   }
 
@@ -362,8 +376,8 @@ TEST_F(ServeTest, StatsLineReportsServerAndSessionCounters) {
   LineClient client;
   ASSERT_TRUE(client.Connect(server.socket_path()));
   ASSERT_NE(client.Roundtrip("EVAL q1 2 2 1/2"), "");
-  // Counters are monitoring snapshots: the batch thread's responses++
-  // lands just after the OK bytes, so poll until the line settles.
+  // Counters are monitoring snapshots: the round's responses++ lands
+  // just after the OK bytes, so poll until the line settles.
   std::string stats_line = client.Roundtrip("STATS");
   for (int i = 0; i < 100 && stats_line.find("responses=1") ==
                                  std::string::npos;
@@ -506,6 +520,98 @@ TEST_F(ServeTest, StopAnswersQueuedRequestsBeforeExiting) {
   stopper.join();
   EXPECT_EQ(response.rfind("OK d1 ", 0), 0u) << response;
   EXPECT_FALSE(server.running());
+}
+
+// A closing connection answers what it already sent: `EVAL ...\nQUIT\n`
+// in one write, as `printf ... | nc -U` sends it, reads the OK, then BYE,
+// then EOF.
+TEST_F(ServeTest, PipelinedQuitAnswersEveryRequestBeforeBye) {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("pipequit");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const Query query = H1();
+  const std::string want =
+      GfomcSession()
+          .Evaluate(query, Tid(query.vocab_ptr(), 2, 2, Rational::Half()))
+          .probability.ToString();
+  constexpr int kConnections = 50;
+  for (int c = 0; c < kConnections; ++c) {
+    LineClient client;
+    ASSERT_TRUE(client.Connect(server.socket_path()));
+    const std::string id = "p" + std::to_string(c);
+    ASSERT_TRUE(client.SendRaw("EVAL " + id + " 2 2 1/2\nQUIT\n"));
+    EXPECT_EQ(client.ReadLine(), "OK " + id + " " + want + " lifted=0")
+        << "connection " << c;
+    EXPECT_EQ(client.ReadLine(), "BYE") << "connection " << c;
+    EXPECT_EQ(client.ReadLine(), "") << "BYE must be the last line";
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().responses, static_cast<uint64_t>(kConnections));
+}
+
+// The same for a client that half-closes after its request: the OK
+// arrives, then EOF.
+TEST_F(ServeTest, HalfCloseAnswersTheRequestThenCloses) {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("halfclose");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const Query query = H1();
+  const std::string want =
+      GfomcSession()
+          .Evaluate(query, Tid(query.vocab_ptr(), 2, 2, Rational::Half()))
+          .probability.ToString();
+  constexpr int kConnections = 50;
+  for (int c = 0; c < kConnections; ++c) {
+    LineClient client;
+    ASSERT_TRUE(client.Connect(server.socket_path()));
+    const std::string id = "h" + std::to_string(c);
+    ASSERT_TRUE(client.SendLine("EVAL " + id + " 2 2 1/2"));
+    client.CloseWrite();
+    EXPECT_EQ(client.ReadLine(), "OK " + id + " " + want + " lifted=0")
+        << "connection " << c;
+    EXPECT_EQ(client.ReadLine(), "") << "connection " << c;
+  }
+}
+
+// The closing reader waits for a round it does not run: B's request
+// queues behind A's cold compile (H1 6x6), and B's QUIT arrives in the
+// same write. B's reader must wait until that round's owner answers it,
+// then say BYE.
+TEST_F(ServeTest, QuitWaitsForARequestQueuedBehindAnotherRound) {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("quitwait");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const Query query = H1();
+  const std::string want =
+      GfomcSession()
+          .Evaluate(query, Tid(query.vocab_ptr(), 2, 2, Rational::Half()))
+          .probability.ToString();
+  LineClient a;
+  LineClient b;
+  ASSERT_TRUE(a.Connect(server.socket_path()));
+  ASSERT_TRUE(b.Connect(server.socket_path()));
+  ASSERT_TRUE(a.SendLine("EVAL a 6 6 1/2"));
+  // The round counts before its evaluation starts.
+  while (server.stats().batches == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(b.SendRaw("EVAL b 2 2 1/2\nQUIT\n"));
+  EXPECT_EQ(b.ReadLine(), "OK b " + want + " lifted=0");
+  EXPECT_EQ(b.ReadLine(), "BYE");
+  EXPECT_EQ(b.ReadLine(), "");
+  // Sanitizer builds compile for longer than the client's 10 s timeout.
+  std::string answer;
+  for (int i = 0; i < 6 && answer.empty(); ++i) answer = a.ReadLine();
+  EXPECT_EQ(answer.rfind("OK a ", 0), 0u) << answer;
 }
 
 TEST_F(ServeTest, ApproxWireAnswersEveryTier) {
@@ -736,11 +842,11 @@ TEST_F(ServeTest, OverBudgetRequestFailsAloneInsideItsGroup) {
   LineClient client;
   ASSERT_TRUE(client.Connect(server.socket_path()));
   ASSERT_EQ(client.Roundtrip("EVAL w 2 2 1/2"), "OK w " + want + " lifted=0");
-  // Both requests ride one write, queued behind a sampled request from
-  // another routing group that runs to the 2^20-sample cap. The pair is
-  // sent only once the batch thread has taken that request (its round
-  // count moved), so the reader parses both lines while the batch thread
-  // is busy, and its next round takes them together.
+  // Both requests ride one write, sent while a sampled request from
+  // another routing group runs to the 2^20-sample cap (its round count
+  // moved). That round runs on this connection's reader, which reads the
+  // pair in one recv once the round ends, admits both lines, and only then
+  // runs its next round, so the round takes them together.
   const uint64_t rounds_before = server.stats().batches;
   ASSERT_TRUE(client.SendLine("EVAL_APPROX slow sample 1/1000 1/100 6 6 1/2"));
   while (server.stats().batches == rounds_before) {
@@ -756,8 +862,8 @@ TEST_F(ServeTest, OverBudgetRequestFailsAloneInsideItsGroup) {
   if (answered.rfind("ERR ", 0) == 0) std::swap(answered, refused);
   EXPECT_EQ(answered, "OK ok EXACT " + want + " tier=compiled");
   EXPECT_EQ(refused.rfind("ERR big BUDGET ", 0), 0u) << refused;
-  // A group is counted after its replies are sent; Stop joins the batch
-  // thread, so the count below is final.
+  // A group is counted after its replies are sent; Stop waits out every
+  // round, so the count below is final.
   server.Stop();
   EXPECT_GE(server.stats().max_approx_batch, 2u)
       << "the two requests never shared a round";
@@ -835,6 +941,160 @@ TEST_F(ServeTest, SampledRequestsCoalesceByteIdentically) {
     EXPECT_NE(line.find(field), std::string::npos)
         << "missing " << field << " in: " << line;
   }
+}
+
+// The concurrent-serving stress: closed-loop clients mixing every verb and
+// tier over four TIDs. A request's kind k picks the verb k % 4 and the TID
+// tail k / 4.
+constexpr int kStressKinds = 16;
+
+std::string StressLine(int kind, const std::string& id, bool deadline) {
+  static const char* const kVerbs[] = {
+      "EVAL", "EVAL_APPROX", "EVAL_APPROX", "EVAL_APPROX"};
+  static const char* const kModes[] = {
+      "", " exact 1/10 1/100", " interval 1/10 1/20", " sample 1/4 1/20"};
+  static const char* const kTails[] = {
+      " 2 2 1/2", " 2 2 1/3 R(0)=1/7 S(1,1)=2/5",
+      " 3 3 1/4 S(0,2)=0 T(1)=1/2", " 3 3 3/8"};
+  return std::string(kVerbs[kind % 4]) + " " + id +
+         (deadline ? " deadline=60000" : "") + kModes[kind % 4] +
+         kTails[kind / 4];
+}
+
+// Each kind's reply after "OK <id> ", from one client sending one request
+// at a time to a fresh server: every round holds one request.
+std::vector<std::string> StressReference() {
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("stressref");
+  GmcServer server(H1(), options);
+  std::string error;
+  if (!server.Start(&error)) return {};
+  LineClient client;
+  if (!client.Connect(server.socket_path())) return {};
+  std::vector<std::string> payloads;
+  for (int kind = 0; kind < kStressKinds; ++kind) {
+    const std::string reply = client.Roundtrip(StressLine(kind, "ref", false));
+    if (reply.rfind("OK ref ", 0) != 0) return {};
+    payloads.push_back(reply.substr(7));
+  }
+  return payloads;
+}
+
+// One stress client's closed loop: up to `quota` requests, one of them
+// with a deadline, each reply checked against its kind's reference. It
+// stops at the first reply that is not OK (Stop() sheds or closes).
+struct StressClient {
+  int answered = 0;
+  int shed = 0;
+  bool connected = false;
+  std::vector<std::string> wrong;  // replies that matched no rule
+
+  void Run(const std::string& socket_path, int c, int quota,
+           const std::vector<std::string>& payloads) {
+    LineClient client;
+    connected = client.Connect(socket_path);
+    if (!connected) return;
+    std::mt19937 rng(static_cast<uint32_t>(c) + 1);
+    const int deadline_at = static_cast<int>(rng() % quota);
+    for (int i = 0; i < quota; ++i) {
+      const int kind = static_cast<int>(rng() % kStressKinds);
+      const std::string id = "c" + std::to_string(c) + "." + std::to_string(i);
+      const std::string reply =
+          client.Roundtrip(StressLine(kind, id, i == deadline_at));
+      if (reply == "OK " + id + " " + payloads[kind]) {
+        ++answered;
+        continue;
+      }
+      if (reply.rfind("ERR " + id + " SHED ", 0) == 0) {
+        ++shed;
+      } else if (!reply.empty()) {
+        wrong.push_back(reply);
+      }
+      return;
+    }
+  }
+};
+
+TEST_F(ServeTest, ConcurrentClientsGetTheOneClientReplies) {
+  const std::vector<std::string> payloads = StressReference();
+  ASSERT_EQ(payloads.size(), static_cast<size_t>(kStressKinds));
+
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("stress");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  constexpr int kClients = 8;
+  constexpr int kQuota = 200;
+  std::vector<StressClient> clients(kClients);
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([&, c] {
+      clients[c].Run(server.socket_path(), c, kQuota, payloads);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  server.Stop();
+
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(clients[c].connected) << "client " << c;
+    EXPECT_EQ(clients[c].answered, kQuota) << "client " << c;
+    EXPECT_TRUE(clients[c].wrong.empty())
+        << "client " << c << ": " << clients[c].wrong.front();
+  }
+  const GmcServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kClients * kQuota));
+  EXPECT_EQ(stats.responses, stats.requests);
+  EXPECT_EQ(stats.batched_requests, stats.requests);
+}
+
+TEST_F(ServeTest, StopMidStreamAnswersEveryAdmittedRequestOnce) {
+  const std::vector<std::string> payloads = StressReference();
+  ASSERT_EQ(payloads.size(), static_cast<size_t>(kStressKinds));
+
+  GmcServerOptions options;
+  options.socket_path = TestSocketPath("stressstop");
+  GmcServer server(H1(), options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  constexpr int kClients = 8;
+  constexpr int kQuota = 200;
+  std::vector<StressClient> clients(kClients);
+  std::vector<std::thread> workers;
+  for (int c = 0; c < kClients; ++c) {
+    workers.emplace_back([&, c] {
+      clients[c].Run(server.socket_path(), c, kQuota, payloads);
+    });
+  }
+  // Stop once about a quarter of the traffic is answered, while every
+  // client still has a request in flight or about to be.
+  while (server.stats().responses < kClients * kQuota / 4) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  server.Stop();
+  for (std::thread& w : workers) w.join();
+
+  // Each client stops at its first reply that is not OK, so every OK it
+  // counted was its own request's one reply. A request the server read
+  // after Stop began sheds; one it never read gets EOF. Neither was
+  // admitted.
+  uint64_t answered = 0;
+  uint64_t shed = 0;
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(clients[c].connected) << "client " << c;
+    EXPECT_TRUE(clients[c].wrong.empty())
+        << "client " << c << ": " << clients[c].wrong.front();
+    answered += static_cast<uint64_t>(clients[c].answered);
+    shed += static_cast<uint64_t>(clients[c].shed);
+  }
+  EXPECT_LT(answered, static_cast<uint64_t>(kClients * kQuota))
+      << "Stop() came after the last request";
+  const GmcServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.requests, answered);
+  EXPECT_EQ(stats.responses, answered);
+  EXPECT_EQ(stats.batched_requests, stats.requests);
+  // A SHED reply can be lost to the close that follows it; never gained.
+  EXPECT_LE(shed, stats.shed);
 }
 
 // docs/SERVING.md calls its STATS key table the wire contract; this pins
