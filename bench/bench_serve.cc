@@ -1,6 +1,8 @@
 // The serving tier under N concurrent closed-loop clients: an in-process
 // GmcServer with one worker thread on a Unix socket, and N client threads
-// that each send EVAL, wait for its reply, and send the next.
+// that each send EVAL, wait for its reply, and send the next. Then the
+// session call one served request makes on a resident support pattern
+// (BM_SessionPatternHit, below).
 //
 // Every request is H1 over a 3x3 domain with all 15 tuples at fresh k/16
 // weights (k in 1..15, so the support pattern never changes): one resident
@@ -28,12 +30,15 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "compile/circuit_cache.h"
 #include "core/dichotomy.h"
+#include "lineage/grounder.h"
 #include "logic/parser.h"
 #include "prob/tid.h"
 #include "serve/serve.h"
@@ -239,6 +244,91 @@ BENCHMARK(BM_ServeClosedLoop)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// One GfomcSession::EvaluateAnswers call per iteration, one instance of a
+// resident support pattern at fresh weights: the path a repeated request
+// takes once its grounding template is bound to its circuit. Config 0: H1
+// over 4×4, exact, every fifth tuple certain and the rest at k/16 (the
+// dyadic walk). Config 1: C9 over 3×3, interval, every tuple at k/7 or
+// k/11. Every answer is checked against Ground, GetShared and
+// EvaluatePinned / EvaluateBatchInterval on a separate cache; a mismatch
+// fails the run (SkipWithError). Ungated, like the closed loop above.
+void BM_SessionPatternHit(benchmark::State& state) {
+  const bool interval = state.range(0) == 1;
+  const gmc::Query query = gmc::ParseQueryOrDie(
+      interval ? "Ax (Ay (S1(x,y)) | Ay (S2(x,y))) & Ax Ay (S1(x,y) | "
+                 "S3(x,y)) & Ay (Ax (S3(x,y)) | Ax (S4(x,y)))"
+               : "Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");
+  const int side = interval ? 3 : 4;
+  const gmc::Vocabulary& vocab = query.vocab();
+  std::mt19937_64 rng(29);
+  std::vector<std::vector<gmc::Tid>> calls;  // one instance each
+  std::vector<gmc::Rational> exact;
+  std::vector<gmc::ProbInterval> enclosures;
+  gmc::CircuitCache reference;
+  for (int j = 0; j < kWeightVectors; ++j) {
+    gmc::Tid tid(query.vocab_ptr(), side, side, gmc::Rational::One());
+    int t = 0;
+    for (const gmc::SymbolId s : query.Symbols()) {
+      const bool binary = vocab.IsBinary(s);
+      const bool left = vocab.kind(s) == gmc::SymbolKind::kUnaryLeft;
+      for (int u = 0; u < side; ++u) {
+        for (int v = 0; v < (binary ? side : 1); ++v, ++t) {
+          if (!interval && t % 5 == 0) continue;  // certain: the default
+          const int64_t den = interval ? (rng() % 2 == 0 ? 7 : 11) : 16;
+          const int64_t num = 1 + static_cast<int64_t>(rng() % (den - 1));
+          tid.Set(binary ? gmc::TupleKey{s, u, v}
+                  : left ? gmc::TupleKey{s, u, -1}
+                         : gmc::TupleKey{s, -1, u},
+                  gmc::Rational(num, den));
+        }
+      }
+    }
+    const gmc::Lineage lineage = gmc::Ground(query, tid);
+    const std::shared_ptr<const gmc::NnfCircuit> circuit =
+        reference.GetShared(lineage.cnf);
+    const gmc::WeightMatrix one =
+        gmc::WeightMatrix::FromRows({lineage.probabilities});
+    if (interval) {
+      enclosures.push_back(circuit->EvaluateBatchInterval(one, 1)[0]);
+    } else {
+      exact.push_back(reference.EvaluatePinned(*circuit, one)[0]);
+    }
+    calls.push_back({std::move(tid)});
+  }
+
+  gmc::GfomcSession session;
+  gmc::GmcOptions request = session.options();
+  request.num_threads = 1;
+  session.Configure(request);
+  request.routing_mode =
+      interval ? gmc::RoutingMode::kInterval : gmc::RoutingMode::kExact;
+  std::vector<gmc::GmcAnswer> answers;
+  // The first sight grounds, compiles and binds the template.
+  session.EvaluateAnswers(query, calls[0], request, &answers);
+  size_t j = 0;
+  for (auto _ : state) {
+    const std::vector<gmc::GmcStatus> statuses =
+        session.EvaluateAnswers(query, calls[j], request, &answers);
+    const bool same =
+        statuses[0].ok() &&
+        (interval ? answers[0].interval.lo == enclosures[j].lo &&
+                        answers[0].interval.hi == enclosures[j].hi
+                  : answers[0].exact == exact[j]);
+    if (!same) {
+      state.SkipWithError(("instance " + std::to_string(j) +
+                           " answered unlike the reference pass")
+                              .c_str());
+      return;
+    }
+    j = (j + 1) % calls.size();
+  }
+  const gmc::GfomcSession::Stats stats = session.stats();
+  state.counters["compiles"] = static_cast<double>(stats.cache.compiles);
+  state.counters["template_misses"] =
+      static_cast<double>(stats.template_misses);
+}
+BENCHMARK(BM_SessionPatternHit)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

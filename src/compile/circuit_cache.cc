@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "store/scrub.h"
+#include "util/check.h"
 #include "util/fault.h"
 
 namespace gmc {
@@ -82,7 +83,7 @@ size_t CircuitCache::WarmFrom(const std::string& directory) {
       }
       continue;
     }
-    Stripe& stripe = StripeFor(loaded.cnf);
+    Stripe& stripe = stripes_[StripeIndex(loaded.cnf)];
     std::lock_guard<std::mutex> lock(stripe.mu);
     // Keep an already-cached circuit: it may be pinned by an in-flight
     // evaluation, and evaluates identically anyway.
@@ -102,15 +103,11 @@ size_t CircuitCache::WarmFrom(const std::string& directory) {
   // One sweep after the bulk load (protecting nothing: a warm scan has no
   // in-flight entry to shield) so warming a replica against a byte budget
   // ends within it rather than at the full store size.
-  const uint64_t max_bytes =
-      max_resident_bytes_.load(std::memory_order_relaxed);
-  if (max_bytes > 0 && stats_.resident_bytes > max_bytes) {
-    MaybeEvict(max_bytes, use_clock_.load(std::memory_order_relaxed));
-  }
+  EvictIfOver(use_clock_.load(std::memory_order_relaxed));
   return inserted;
 }
 
-CircuitCache::Stripe& CircuitCache::StripeFor(const Cnf& cnf) {
+size_t CircuitCache::StripeIndex(const Cnf& cnf) const {
   // The stripe index uses the same 64-bit structural hash as the
   // per-stripe maps; taking the TOP bits keeps the two partitions
   // independent (the map buckets use the low bits). The shift tracks
@@ -118,7 +115,21 @@ CircuitCache::Stripe& CircuitCache::StripeFor(const Cnf& cnf) {
   static_assert((kNumStripes & (kNumStripes - 1)) == 0,
                 "stripe count must be a power of two");
   constexpr int kShift = 64 - std::bit_width(kNumStripes - 1);
-  return stripes_[CnfHash{}(cnf) >> kShift & (kNumStripes - 1)];
+  return CnfHash{}(cnf) >> kShift & (kNumStripes - 1);
+}
+
+uint64_t CircuitCache::Touch(Entry& entry) {
+  ++stats_.hits;
+  entry.last_used = use_clock_.fetch_add(1, std::memory_order_relaxed);
+  return entry.last_used;
+}
+
+void CircuitCache::EvictIfOver(uint64_t keep_from) {
+  const uint64_t max_bytes =
+      max_resident_bytes_.load(std::memory_order_relaxed);
+  if (max_bytes > 0 && stats_.resident_bytes > max_bytes) {
+    MaybeEvict(max_bytes, keep_from);
+  }
 }
 
 std::shared_ptr<const NnfCircuit> CircuitCache::GetShared(const Cnf& cnf) {
@@ -126,8 +137,18 @@ std::shared_ptr<const NnfCircuit> CircuitCache::GetShared(const Cnf& cnf) {
 }
 
 std::shared_ptr<const NnfCircuit> CircuitCache::TryGetShared(
-    const Cnf& cnf, const CompileBudget& budget, const CancelToken* cancel) {
-  Stripe& stripe = StripeFor(cnf);
+    const Cnf& cnf, const CompileBudget& budget, const CancelToken* cancel,
+    EntryHandle* entry) {
+  const size_t index = StripeIndex(cnf);
+  Stripe& stripe = stripes_[index];
+  // Records where the returned circuit's entry lives (under the lock).
+  if (entry != nullptr) *entry = EntryHandle();
+  auto hand_out = [&](std::pair<const Cnf, Entry>& node) {
+    if (entry == nullptr) return;
+    entry->node_ = &node;
+    entry->stripe_ = index;
+    entry->drops_ = stripe.drops;
+  };
   // The shared_ptr the caller takes home, and the clock reading the LRU
   // sweep must not evict (the just-inserted entry). Both escape the locked
   // scope: eviction runs after every lock is dropped.
@@ -143,25 +164,24 @@ std::shared_ptr<const NnfCircuit> CircuitCache::TryGetShared(
     result = std::make_shared<const NnfCircuit>(std::move(circuit));
     keep_from = use_clock_.fetch_add(1, std::memory_order_relaxed);
     if (fault::ShouldFail(fault::Point::kCacheInsert)) return;
-    Entry entry;
-    entry.circuit = result;
-    entry.bytes = result->MemoryBytes();
-    entry.last_used = keep_from;
-    stats_.resident_bytes += entry.bytes;
-    stripe.circuits.emplace(cnf, std::move(entry));
+    Entry fresh;
+    fresh.circuit = result;
+    fresh.bytes = result->MemoryBytes();
+    fresh.last_used = keep_from;
+    stats_.resident_bytes += fresh.bytes;
+    hand_out(*stripe.circuits.emplace(cnf, std::move(fresh)).first);
   };
   {
     std::lock_guard<std::mutex> stripe_lock(stripe.mu);
     if (auto it = stripe.circuits.find(cnf); it != stripe.circuits.end()) {
-      ++stats_.hits;
-      keep_from = use_clock_.fetch_add(1, std::memory_order_relaxed);
-      it->second.last_used = keep_from;
       // A hit exits through the shared eviction tail below, not an early
       // return: under a byte budget, pure-hit traffic must also be able
       // to shrink an over-budget cache — eviction pressure cannot depend
       // on the next insert ever happening. The hit entry itself is
       // shielded by its fresh keep_from stamp.
+      keep_from = Touch(it->second);
       result = it->second.circuit;
+      hand_out(*it);
     }
     // Budget-exhaustion memo: a structure that already blew through an
     // equal-or-larger budget is not worth recompiling — fail fast so the
@@ -270,11 +290,25 @@ std::shared_ptr<const NnfCircuit> CircuitCache::TryGetShared(
   // LRU sweep outside every lock (it takes stripe locks itself). The
   // freshly published entry is shielded via keep_from; everything older is
   // fair game.
-  const uint64_t max_bytes =
-      max_resident_bytes_.load(std::memory_order_relaxed);
-  if (max_bytes > 0 && stats_.resident_bytes > max_bytes) {
-    MaybeEvict(max_bytes, keep_from);
+  EvictIfOver(keep_from);
+  return result;
+}
+
+std::shared_ptr<const NnfCircuit> CircuitCache::Repin(
+    const EntryHandle& entry, [[maybe_unused]] const Cnf* expect) {
+  if (entry.empty()) return nullptr;
+  Stripe& stripe = stripes_[entry.stripe_];
+  std::shared_ptr<const NnfCircuit> result;
+  uint64_t keep_from = 0;
+  {
+    std::lock_guard<std::mutex> stripe_lock(stripe.mu);
+    if (stripe.drops != entry.drops_) return nullptr;
+    GMC_DCHECK(expect == nullptr ||
+               CnfClauseEq{}(entry.node_->first, *expect));
+    keep_from = Touch(entry.node_->second);
+    result = entry.node_->second.circuit;
   }
+  EvictIfOver(keep_from);
   return result;
 }
 
@@ -312,6 +346,7 @@ void CircuitCache::MaybeEvict(uint64_t max_bytes, uint64_t keep_from) {
     if (it->second.last_used >= keep_from) continue;  // hit since the scan
     stats_.resident_bytes -= it->second.bytes;
     ++stats_.evictions;
+    ++stripe.drops;
     // The erase drops the map's reference; an in-flight evaluation that
     // pinned via GetShared keeps the circuit alive until it finishes.
     stripe.circuits.erase(it);
@@ -384,6 +419,7 @@ void CircuitCache::Clear() {
     for (const auto& [cnf, entry] : stripe.circuits) {
       stats_.resident_bytes -= entry.bytes;
     }
+    stripe.drops += stripe.circuits.size();
     stripe.circuits.clear();
     stripe.failed.clear();
   }

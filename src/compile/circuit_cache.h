@@ -30,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "compile/compiler.h"
@@ -55,13 +56,16 @@ WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
 /// count); a lookup returns a shared_ptr that keeps its circuit alive for
 /// as long as the caller holds it.
 class CircuitCache {
+ private:
+  struct Entry;
+
  public:
   /// Monitoring counters, all cumulative except the resident_bytes gauge.
   /// The cache updates this struct in place; stats() copies it.
   struct Stats {
-    /// Lookups (GetShared / TryGetShared): structures compiled, and
-    /// lookups a resident circuit answered. A pass never counts here, so
-    /// hits is not a count of evaluated vectors.
+    /// Lookups (GetShared / TryGetShared / Repin): structures compiled,
+    /// and lookups a resident circuit answered. A pass never counts here,
+    /// so hits is not a count of evaluated vectors.
     RelaxedCounter compiles;
     RelaxedCounter hits;
     RelaxedCounter batch_passes;     ///< EvaluatePinned passes
@@ -121,6 +125,25 @@ class CircuitCache {
     RelaxedCounter resident_bytes;
   };
 
+  /// Where a lookup left a resident entry: Repin pins that entry again
+  /// without hashing or comparing a Cnf. A handle expires once the cache
+  /// drops its entry (an eviction or Clear). Expiry is tracked per hash
+  /// stripe, so dropping any entry of the same stripe expires it too; an
+  /// expired handle costs its holder one ordinary lookup. Plain data:
+  /// copying a handle takes no lock and keeps nothing alive.
+  class EntryHandle {
+   public:
+    /// True when no entry was found or published (a lost insert, a null
+    /// lookup): such a handle never re-pins.
+    bool empty() const { return node_ == nullptr; }
+
+   private:
+    friend class CircuitCache;
+    std::pair<const Cnf, Entry>* node_ = nullptr;
+    size_t stripe_ = 0;
+    uint64_t drops_ = 0;  // the stripe's drop count when the handle was set
+  };
+
   /// A fresh cache adopts the environment defaults — one
   /// Configure(GmcOptions::FromEnv()): the GMC_ORDER heuristic and, when
   /// GMC_STORE names a directory, a persistent circuit store attached
@@ -156,10 +179,22 @@ class CircuitCache {
   /// see CompileBudget::AllowsMoreThan) or once `cancel` fires (not
   /// memoized, no stat) — callers under a deadline check
   /// cancel->cancelled() to tell the two apart. An unlimited budget fails
-  /// only when `cancel` fires, and is otherwise exactly GetShared.
+  /// only when `cancel` fires, and is otherwise exactly GetShared. When
+  /// `entry` is given it is set to the handle of the entry that holds the
+  /// returned circuit, and left empty when none does.
   std::shared_ptr<const NnfCircuit> TryGetShared(
       const Cnf& cnf, const CompileBudget& budget,
-      const CancelToken* cancel = nullptr);
+      const CancelToken* cancel = nullptr, EntryHandle* entry = nullptr);
+
+  /// The circuit of `entry`'s entry, pinned exactly as a TryGetShared hit
+  /// on its Cnf pins it: the hit is counted, the LRU clock stamped and the
+  /// eviction sweep run. No Cnf is hashed or compared. nullptr when the
+  /// handle is empty or has expired; the caller then looks its Cnf up.
+  /// `expect`, when given, is that Cnf: builds with assertions check that
+  /// it equals the entry's key, so the pinned circuit is the one a lookup
+  /// would return.
+  std::shared_ptr<const NnfCircuit> Repin(const EntryHandle& entry,
+                                          const Cnf* expect = nullptr);
 
   /// Numeric routing for one exact pass over a circuit the caller already
   /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
@@ -220,13 +255,25 @@ class CircuitCache {
   struct Stripe {
     mutable std::mutex mu;
     std::unordered_map<Cnf, Entry, CnfHash, CnfClauseEq> circuits;
+    // Entries this stripe has dropped (evictions, Clear). A node outlives
+    // every insert, so an EntryHandle whose count still matches points at
+    // a live node.
+    uint64_t drops = 0;
     // Budget-exhaustion memo: the largest budget each structure has failed
     // under. TryGetShared consults it to skip recompiling a known blow-up
     // unless the caller offers strictly more on some axis. Cleared by
     // Clear().
     std::unordered_map<Cnf, CompileBudget, CnfHash, CnfClauseEq> failed;
   };
-  Stripe& StripeFor(const Cnf& cnf);
+  size_t StripeIndex(const Cnf& cnf) const;
+  // A lookup's hit on a resident entry, under its stripe's lock: counts
+  // it and stamps the entry with a fresh clock reading, which it returns
+  // for the eviction tail to spare.
+  uint64_t Touch(Entry& entry);
+  // Every lookup's exit, outside every lock: the LRU sweep when the cache
+  // is over its byte budget, sparing entries stamped at or after
+  // `keep_from`.
+  void EvictIfOver(uint64_t keep_from);
   // LRU sweep: drops globally least-recently-used entries until
   // stats_.resident_bytes fits `max_bytes`, never touching entries used at
   // or after `keep_from` (the just-inserted entry's clock reading —

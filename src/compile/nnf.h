@@ -70,6 +70,11 @@ class WeightMatrix {
   const Rational* Column(int var) const {
     return values_.data() + static_cast<size_t>(var) * num_vectors_;
   }
+  /// The same, writable: a batch filled in place copies each weight
+  /// straight into its cell.
+  Rational* MutableColumn(int var) {
+    return values_.data() + static_cast<size_t>(var) * num_vectors_;
+  }
 
   /// One weight vector, re-assembled (loop comparisons in tests and
   /// benchmarks).

@@ -39,6 +39,16 @@ const GmcOptions& ExactRequest() {
   return exact;
 }
 
+// One instance of a routed call, as grounding left it for the routing loop.
+struct Grounded {
+  // The cache entry of the circuit its template is bound to; empty when
+  // the instance carries a built lineage instead.
+  CircuitCache::EntryHandle bound;
+  GroundingTemplates::TemplateRef ref;  // its template, to bind after a probe
+  size_t num_vars = 0;                  // its weight row's width
+  size_t weights_at = 0;  // a bound row's first weight in bound_weights
+};
+
 }  // namespace
 
 DichotomyReport Classify(const Query& query) {
@@ -219,17 +229,34 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
                 std::all_of(live.begin(), live.end(), [&](size_t i) {
                   return tids[i].IsGfomcInstance();
                 }));
+  const GmcOptions& routing = safe ? ExactRequest() : request;
+  const RoutingPolicy policy(routing);
   // Ground each instance, from the query's template when its domain and
-  // support pattern repeat.
+  // support pattern repeat. A repeat whose template is bound to a resident
+  // circuit builds no lineage when the route probes for a circuit: its
+  // weights are read straight from the Tid, in the template's variable
+  // order, into `bound_weights`.
   std::vector<Lineage> lineages(tids.size());
+  std::vector<Grounded> grounded(tids.size());
+  std::vector<const Rational*> bound_weights;
   if (routed) {
     for (const size_t i : live) {
-      bool hit = false;
-      lineages[i] = templates_.Ground(query, tids[i], &hit);
-      ++(hit ? counters_.template_hits : counters_.template_misses);
-      if (safe && lineages[i].variables.size() > kMaxCompiledLineageVars) {
-        routed = false;
+      Grounded& g = grounded[i];
+      g.weights_at = bound_weights.size();
+      const GroundingTemplates::Sight sight =
+          templates_.Find(query, tids[i], policy.WantsCompileProbe(),
+                          &lineages[i], &bound_weights);
+      ++(sight.hit ? counters_.template_hits : counters_.template_misses);
+      g.ref = sight.ref;
+      if (sight.binding != nullptr) {
+        g.bound = *static_cast<const CircuitCache::EntryHandle*>(
+            sight.binding->get());
+        g.num_vars = static_cast<size_t>(sight.num_vars);
+      } else {
+        g.num_vars = std::max(lineages[i].probabilities.size(),
+                              static_cast<size_t>(lineages[i].cnf.num_vars));
       }
+      if (safe && g.num_vars > kMaxCompiledLineageVars) routed = false;
     }
   }
   if (!routed) {
@@ -247,8 +274,6 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   // call — compile probes, circuit passes, and sampling all poll it; 0 ms
   // means none, and every poll site reduces to one pointer comparison. A
   // call with any sampled instance counts once in sampler_batches.
-  const GmcOptions& routing = safe ? ExactRequest() : request;
-  const RoutingPolicy policy(routing);
   const CancelToken deadline(routing.deadline_ms);
   KarpLubyParams sampler;
   sampler.epsilon = routing.epsilon;
@@ -267,17 +292,50 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
   std::unordered_map<const NnfCircuit*, size_t> group_of;
   const uint64_t sampled_before = counters_.anytime_sampled;
   for (const size_t i : live) {
-    if (lineages[i].is_false || lineages[i].cnf.HasEmptyClause()) {
+    Grounded& g = grounded[i];
+    GmcAnswer& answer = (*answers)[i];
+    if (g.bound.empty() &&
+        (lineages[i].is_false || lineages[i].cnf.HasEmptyClause())) {
       // Some ground clause is unsatisfiable: exactly 0, every mode.
-      (*answers)[i].tier = AnswerTier::kCompiledExact;
-      (*answers)[i].exact = Rational::Zero();
+      answer.tier = AnswerTier::kCompiledExact;
+      answer.exact = Rational::Zero();
       ++exact_answers;
       continue;
     }
+    if (sampler.cancel != nullptr && sampler.cancel->Poll()) {
+      statuses[i] = DeadlineExceeded();
+      continue;
+    }
     std::shared_ptr<const NnfCircuit> circuit;
-    statuses[i] =
-        Route(lineages[i], policy, sampler, &(*answers)[i], &circuit);
-    if (circuit == nullptr) continue;
+    if (!g.bound.empty()) {
+      // A bound hit re-pins the circuit its template's Cnf resolved to,
+      // counted as the probe's hit. Builds with assertions check it against
+      // the Cnf a probe would look up: Ground's, which the template equals.
+#ifdef NDEBUG
+      circuit = circuits_.Repin(g.bound);
+#else
+      const Lineage expect = gmc::Ground(query, tids[i]);
+      circuit = circuits_.Repin(g.bound, &expect.cnf);
+#endif
+      if (circuit != nullptr) {
+        answer.tier = policy.TierForCompiled();
+        ++bound_hits_;
+      } else {
+        // The cache dropped the entry: take the unbound route, and rebind.
+        g.bound = CircuitCache::EntryHandle();
+        lineages[i] = gmc::Ground(query, tids[i]);
+      }
+    }
+    if (circuit == nullptr) {
+      CircuitCache::EntryHandle entry;
+      statuses[i] =
+          Route(lineages[i], policy, sampler, &answer, &circuit, &entry);
+      if (!entry.empty()) {
+        templates_.Bind(g.ref,
+                        std::make_shared<const CircuitCache::EntryHandle>(entry));
+      }
+      if (circuit == nullptr) continue;
+    }
     const auto [it, fresh] = group_of.try_emplace(circuit.get(), groups.size());
     if (fresh) groups.emplace_back(std::move(circuit), std::vector<size_t>());
     groups[it->second].second.push_back(i);
@@ -286,11 +344,26 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
 
   // One pass per group: numeric routing for the exact tier, one interval
   // pass for the certified tier. Columns are independent, so a grouped
-  // answer is bit-identical to the same instance evaluated alone.
+  // answer is bit-identical to the same instance evaluated alone. A
+  // member's row is its lineage's weights, or its bound weights; the batch
+  // is as wide as the widest member (clause-equal lineages can differ in
+  // orphaned variables, which the circuit never reads).
   const bool interval =
       policy.TierForCompiled() == AnswerTier::kCertifiedInterval;
   for (const auto& [circuit, members] : groups) {
-    const WeightMatrix weights = StackWeights(lineages, members);
+    size_t width = 0;
+    for (const size_t i : members) width = std::max(width, grounded[i].num_vars);
+    WeightMatrix weights(static_cast<int>(members.size()),
+                         static_cast<int>(width));
+    for (size_t m = 0; m < members.size(); ++m) {
+      const Grounded& g = grounded[members[m]];
+      const std::vector<Rational>& p = lineages[members[m]].probabilities;
+      const size_t row_width = g.bound.empty() ? p.size() : g.num_vars;
+      for (size_t v = 0; v < row_width; ++v) {
+        weights.MutableColumn(static_cast<int>(v))[m] =
+            g.bound.empty() ? p[v] : *bound_weights[g.weights_at + v];
+      }
+    }
     std::vector<Rational> exact;
     std::vector<ProbInterval> enclosures;
     if (interval) {
@@ -319,15 +392,16 @@ std::vector<GmcStatus> GfomcSession::EvaluateAnswers(
 GmcStatus GfomcSession::Route(const Lineage& lineage,
                               const RoutingPolicy& policy,
                               KarpLubyParams sampler, GmcAnswer* answer,
-                              std::shared_ptr<const NnfCircuit>* circuit) {
+                              std::shared_ptr<const NnfCircuit>* circuit,
+                              CircuitCache::EntryHandle* entry) {
   const CancelToken* cancel = sampler.cancel;
-  if (cancel != nullptr && cancel->Poll()) return DeadlineExceeded();
   if (policy.WantsCompileProbe()) {
     // Budgeted compile probe (kSample skips it; an unlimited budget always
     // compiles, whatever the lineage's size — the budget, not a variable
     // count, bounds compile work). The shared_ptr pins the circuit across
     // any concurrent eviction until the group pass.
-    *circuit = circuits_.TryGetShared(lineage.cnf, policy.budget(), cancel);
+    *circuit =
+        circuits_.TryGetShared(lineage.cnf, policy.budget(), cancel, entry);
     if (*circuit != nullptr) {
       answer->tier = policy.TierForCompiled();
       return GmcStatus::Ok();

@@ -299,15 +299,19 @@ class GfomcSession {
   Stats stats() const;
 
  private:
-  // Routes one satisfiable grounded lineage (mu_ held). `sampler` carries
-  // the call's (ε, δ), sample cap, workers, and deadline token, which the
-  // compile probe polls too. OK with *circuit set: the structure's group
-  // pass answers the instance from that pinned circuit. Non-OK only when
-  // kExact refuses a finite, exhausted budget, or the deadline fires first
-  // (the sampled tier degrades to its achieved-ε report instead).
+  // Routes one satisfiable grounded lineage (mu_ held) whose instance has
+  // no bound circuit. `sampler` carries the call's (ε, δ), sample cap,
+  // workers, and deadline token, which the compile probe polls too. OK
+  // with *circuit set: the structure's group pass answers the instance
+  // from that pinned circuit, and *entry names the cache entry holding it
+  // (empty when none does), for the template to bind. Non-OK only when
+  // kExact refuses a finite, exhausted budget, or the deadline fires
+  // during the probe (the sampled tier degrades to its achieved-ε report
+  // instead).
   GmcStatus Route(const Lineage& lineage, const RoutingPolicy& policy,
                   KarpLubyParams sampler, GmcAnswer* answer,
-                  std::shared_ptr<const NnfCircuit>* circuit);
+                  std::shared_ptr<const NnfCircuit>* circuit,
+                  CircuitCache::EntryHandle* entry);
   GmcStatus DeadlineExceeded();
 
   mutable std::mutex mu_;  // serializes evaluation and Configure
@@ -319,6 +323,11 @@ class GfomcSession {
   // The session's own counters; `cache` stays zero here, since stats()
   // fills it from circuits_.
   Stats counters_;
+  // Instances a bound template answered (mu_ held). Stats counts them as
+  // the cache hits they also are, so only tests read this, through
+  // GfomcSessionTestPeer (tests/core_test.cc).
+  uint64_t bound_hits_ = 0;
+  friend class GfomcSessionTestPeer;
   // The options last Configured; the cache-level fields are mirrored in
   // circuits_. Starts from FromEnv(), matching the cache's constructor.
   GmcOptions options_ = GmcOptions::FromEnv();

@@ -172,6 +172,9 @@ constexpr uint16_t kEndOfClause = 0xffff;
 // Bytes charged per template and per record beyond their arrays: the map
 // node, the vector header, and the allocator's headers.
 constexpr size_t kEntryOverhead = 64;
+// Charged per template on top: its binding's pointer and the owner's small
+// block behind it, charged up front so that Bind never passes the cap.
+constexpr size_t kBindingOverhead = 64;
 
 void Fnv(uint64_t* h, uint32_t word) {
   *h = (*h ^ word) * 1099511628211ull;  // FNV-1a, as Cnf::Hash64
@@ -330,53 +333,80 @@ Lineage GroundingTemplates::Build(const QueryRecord& record,
 
 Lineage GroundingTemplates::Ground(const Query& query, const Tid& tid,
                                    bool* hit) {
+  Lineage lineage;
+  *hit = Find(query, tid, /*bound_hits=*/false, &lineage, nullptr).hit;
+  return lineage;
+}
+
+GroundingTemplates::Sight GroundingTemplates::Find(
+    const Query& query, const Tid& tid, bool bound_hits, Lineage* lineage,
+    std::vector<const Rational*>* weights) {
   GMC_CHECK_MSG(!query.IsFalse(), "grounding a FALSE query");
-  *hit = false;
+  Sight sight;
   // lineage.template aliases "the template was lost": the instance grounds
   // and nothing is stored — the same lineage, only Ground's cost paid
   // again (the faults CI job exercises it across the whole suite).
   if (fault::ShouldFail(fault::Point::kLineageTemplate)) {
-    return gmc::Ground(query, tid);
+    *lineage = gmc::Ground(query, tid);
+    return sight;
   }
   QueryRecord* record = &RecordOf(query);
-  if (!ReadSupport(*record, tid)) return gmc::Ground(query, tid);
+  if (!ReadSupport(*record, tid)) {
+    *lineage = gmc::Ground(query, tid);
+    return sight;
+  }
   uint64_t key = 14695981039346656037ull;
   Fnv(&key, static_cast<uint32_t>(tid.num_left()));
   Fnv(&key, static_cast<uint32_t>(tid.num_right()));
   for (uint16_t word : pattern_) Fnv(&key, word);
+  if (forced_key_.has_value()) key = *forced_key_;
   const auto found = record->templates.find(key);
   if (found != record->templates.end()) {
-    const std::vector<uint16_t>& entry = found->second;
-    if (entry[kLeftAt] == tid.num_left() &&
-        entry[kRightAt] == tid.num_right() &&
+    Template& entry = found->second;
+    const std::vector<uint16_t>& layout = entry.layout;
+    if (layout[kLeftAt] == tid.num_left() &&
+        layout[kRightAt] == tid.num_right() &&
         std::equal(pattern_.begin(), pattern_.end(),
-                   entry.begin() + kHeader)) {
-      *hit = true;
-      return Build(*record, entry, tid.num_right());
+                   layout.begin() + kHeader)) {
+      sight.hit = true;
+      sight.ref.entry_ = &entry;
+      sight.ref.generation_ = generation_;
+      if (bound_hits && entry.binding != nullptr) {
+        sight.binding = &entry.binding;
+        sight.num_vars = layout[kVarsAt];
+        const uint16_t* slot = layout.data() + kHeader + pattern_.size();
+        for (int v = 0; v < sight.num_vars; ++v) {
+          weights->push_back(weights_[slot[v]]);
+        }
+        return sight;
+      }
+      *lineage = Build(*record, layout, tid.num_right());
+      return sight;
     }
   }
 
-  Lineage lineage = gmc::Ground(query, tid);
+  *lineage = gmc::Ground(query, tid);
   size_t literals = 0;
-  for (const auto& clause : lineage.cnf.clauses) literals += clause.size() + 1;
-  std::vector<uint16_t> entry;
-  entry.reserve(kHeader + pattern_.size() + lineage.variables.size() +
-                literals);
-  entry.push_back(static_cast<uint16_t>(tid.num_left()));
-  entry.push_back(static_cast<uint16_t>(tid.num_right()));
-  entry.push_back(lineage.is_false ? 1 : 0);
-  entry.push_back(static_cast<uint16_t>(lineage.variables.size()));
-  entry.insert(entry.end(), pattern_.begin(), pattern_.end());
-  for (const TupleKey& variable : lineage.variables) {
+  for (const auto& clause : lineage->cnf.clauses) literals += clause.size() + 1;
+  std::vector<uint16_t> layout;
+  layout.reserve(kHeader + pattern_.size() + lineage->variables.size() +
+                 literals);
+  layout.push_back(static_cast<uint16_t>(tid.num_left()));
+  layout.push_back(static_cast<uint16_t>(tid.num_right()));
+  layout.push_back(lineage->is_false ? 1 : 0);
+  layout.push_back(static_cast<uint16_t>(lineage->variables.size()));
+  layout.insert(layout.end(), pattern_.begin(), pattern_.end());
+  for (const TupleKey& variable : lineage->variables) {
     const int64_t slot = SlotOf(*record, variable, tid.num_right());
     GMC_CHECK(slot >= 0);  // Ground reads only the query's tuples
-    entry.push_back(static_cast<uint16_t>(slot));
+    layout.push_back(static_cast<uint16_t>(slot));
   }
-  for (const auto& clause : lineage.cnf.clauses) {
-    for (int literal : clause) entry.push_back(static_cast<uint16_t>(literal));
-    entry.push_back(kEndOfClause);
+  for (const auto& clause : lineage->cnf.clauses) {
+    for (int literal : clause) layout.push_back(static_cast<uint16_t>(literal));
+    layout.push_back(kEndOfClause);
   }
-  const size_t need = sizeof(uint16_t) * entry.size() + kEntryOverhead;
+  const size_t need =
+      sizeof(uint16_t) * layout.size() + kEntryOverhead + kBindingOverhead;
   if (bytes_ + need > kMaxBytes) {
     Reset();
     record = &RecordOf(query);
@@ -384,20 +414,31 @@ Lineage GroundingTemplates::Ground(const Query& query, const Tid& tid,
   if (bytes_ + need <= kMaxBytes) {
     const auto [slot, fresh] = record->templates.try_emplace(key);
     if (!fresh) {  // a pattern-hash collision: the newer pattern replaces it
-      bytes_ -= sizeof(uint16_t) * slot->second.size() + kEntryOverhead;
+      bytes_ -= sizeof(uint16_t) * slot->second.layout.size() +
+                kEntryOverhead + kBindingOverhead;
       --size_;
+      ++generation_;
     }
-    slot->second = std::move(entry);
+    slot->second = Template{std::move(layout), nullptr};
     bytes_ += need;
     ++size_;
+    sight.ref.entry_ = &slot->second;
+    sight.ref.generation_ = generation_;
   }
-  return lineage;
+  return sight;
+}
+
+void GroundingTemplates::Bind(const TemplateRef& ref, TemplateBinding binding) {
+  if (ref.entry_ != nullptr && ref.generation_ == generation_) {
+    ref.entry_->binding = std::move(binding);
+  }
 }
 
 void GroundingTemplates::Reset() {
   records_.clear();
   bytes_ = 0;
   size_ = 0;
+  ++generation_;
 }
 
 }  // namespace gmc

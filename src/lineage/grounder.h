@@ -20,12 +20,21 @@
 // domain sides, and the pattern at 2 bits per tuple, in slot order; a
 // 64-bit hash only picks the bucket. A template is one flat uint16 array,
 // and the table is bounded by a constant byte cap (kMaxBytes).
+//
+// Bindings. The template fixes the lineage, so it also fixes what the
+// owner derives from the lineage's structure alone. The owner may attach
+// one opaque TemplateBinding to a template (GfomcSession: the handle of the
+// cache entry holding the circuit its Cnf compiled to); a later hit then
+// hands back the binding and the instance's weights in variable order,
+// without building the Lineage. The table only stores a binding: it never
+// reads one, and it drops one with its template.
 
 #ifndef GMC_LINEAGE_GROUNDER_H_
 #define GMC_LINEAGE_GROUNDER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -79,21 +88,51 @@ class Grounder {
 // One-shot convenience: the lineage Φ_∆(Q).
 Lineage Ground(const Query& query, const Tid& tid, bool minimize = true);
 
+// What a template's owner attaches to it (see the header comment).
+using TemplateBinding = std::shared_ptr<const void>;
+
 // A session's grounding templates (see the header comment): Ground once per
 // (query, domain sides, support pattern). Not thread-safe: the owner
 // serializes calls.
 class GroundingTemplates {
+ private:
+  struct Template;
+
  public:
   // The byte cap on templates plus query records, each charged its arrays
-  // and about 64 B of bookkeeping. An insert that would pass it first
-  // resets the whole table: the price is one Ground per pattern afterwards,
-  // never a wrong lineage. A C9 3×3 template takes about 0.5 KiB; the 1,600
-  // H1 4×4 patterns of e2ebench's hot pool about 0.23 MiB.
+  // and about 64 B of bookkeeping, and each template 64 B more for a
+  // binding. An insert that would pass it first resets the whole table:
+  // the price is one Ground per pattern afterwards, never a wrong lineage.
+  // A C9 3×3 template takes about 0.6 KiB; the 1,600 H1 4×4 patterns of
+  // e2ebench's hot pool about 0.33 MiB.
   static constexpr size_t kMaxBytes = size_t{4} << 20;
 
   // IsSafe(query), analysed once per query record — the dichotomy verdict
   // the record keeps next to its templates.
   bool IsSafe(const Query& query);
+
+  // Names a stored template for a later Bind. It stays good until the
+  // table next drops or replaces any template (a reset, or a pattern-hash
+  // replacement); Bind ignores it after that.
+  class TemplateRef {
+   private:
+    friend class GroundingTemplates;
+    Template* entry_ = nullptr;
+    uint64_t generation_ = 0;
+  };
+
+  // What Find saw of one instance.
+  struct Sight {
+    bool hit = false;  // a stored template matched, as Ground's *hit
+    // On a bound hit, the matched template's binding; valid until the
+    // table's next call. Find then built no lineage: it appended the
+    // instance's weight of each lineage variable, in id order, to its
+    // `weights` (pointers into the Tid).
+    const TemplateBinding* binding = nullptr;
+    int num_vars = 0;  // the lineage's variable count, on a bound hit
+    // The matched or stored template; names none when nothing was stored.
+    TemplateRef ref;
+  };
 
   // Φ_∆(Q), equal field for field to Ground(query, tid); a FALSE query is
   // refused the same way. On a hit (*hit set) it is built from the stored
@@ -102,11 +141,30 @@ class GroundingTemplates {
   // fired crossing skips the lookup and the insert, so the instance
   // grounds.
   Lineage Ground(const Query& query, const Tid& tid, bool* hit);
+  // Ground for an owner that binds templates: *lineage is Ground's lineage,
+  // except on a hit whose template carries a binding when `bound_hits` is
+  // set (see Sight), where *lineage is left untouched.
+  Sight Find(const Query& query, const Tid& tid, bool bound_hits,
+             Lineage* lineage, std::vector<const Rational*>* weights);
+  // Attaches `binding` to the template `ref` names, replacing any binding
+  // it had, when the table still holds that template.
+  void Bind(const TemplateRef& ref, TemplateBinding binding);
+
+  // Test hook: while set, every pattern's key is `key`, so each new
+  // pattern of a query and domain replaces the template stored before it
+  // (the pattern-hash collision path). nullopt restores the hash.
+  void ForcePatternKeyForTesting(std::optional<uint64_t> key) {
+    forced_key_ = key;
+  }
 
   size_t bytes() const { return bytes_; }  // charged bytes, <= kMaxBytes
   size_t size() const { return size_; }    // templates held
 
  private:
+  struct Template {
+    std::vector<uint16_t> layout;  // see kHeader in grounder.cc
+    TemplateBinding binding;
+  };
   // One query's scope under its clause list (the key's first part): the
   // tuple slot layout, the verdict and the templates.
   struct QueryRecord {
@@ -117,7 +175,7 @@ class GroundingTemplates {
     std::vector<int> range_of;
     std::optional<bool> safe;
     // Pattern hash -> template; a colliding pattern replaces the entry.
-    std::unordered_map<uint64_t, std::vector<uint16_t>> templates;
+    std::unordered_map<uint64_t, Template> templates;
   };
 
   struct ClauseListHash {
@@ -141,6 +199,10 @@ class GroundingTemplates {
   Records records_;
   size_t bytes_ = 0;
   size_t size_ = 0;
+  // Templates dropped or replaced so far: a TemplateRef taken at another
+  // count may name a freed or reused entry.
+  uint64_t generation_ = 0;
+  std::optional<uint64_t> forced_key_;
   // Per-call scratch, kept to spare the allocations: each range's first
   // slot (plus the total), the pattern words, and each slot's probability.
   std::vector<int64_t> offsets_;

@@ -67,6 +67,9 @@ class Tid {
 
   const Rational& Probability(const TupleKey& key) const;
 
+  // Room for `tuples` explicit tuples without rehashing.
+  void Reserve(size_t tuples) { tuples_.reserve(tuples); }
+
   // Explicitly assigned tuples (everything else has the default).
   const std::unordered_map<TupleKey, Rational, TupleKeyHash>& explicit_tuples()
       const {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -108,6 +109,8 @@ std::optional<Tid> ParseTidTail(const Query& query,
   }
 
   Tid tid(query.vocab_ptr(), num_left, num_right, std::move(default_p));
+  tid.Reserve(words.size() - (first + 3));
+  const Vocabulary& vocab = query.vocab();
   for (size_t w = first + 3; w < words.size(); ++w) {
     // Tuple assignment: Name(u)=p or Name(u,v)=p.
     const std::string_view token = words[w];
@@ -127,10 +130,15 @@ std::optional<Tid> ParseTidTail(const Query& query,
       return (*detail = "bad probability in '" + std::string(token) + "'",
               std::nullopt);
     }
-    const std::string name(token.substr(0, lparen));
-    const SymbolId symbol = query.vocab().Find(name);
+    // The vocabulary's few names are scanned in place: no std::string per
+    // tuple, as a Vocabulary::Find would take.
+    const std::string_view name = token.substr(0, lparen);
+    SymbolId symbol = vocab.size() - 1;
+    while (symbol >= 0 && vocab.name(symbol) != name) --symbol;
     if (symbol < 0) {
-      return (*detail = "unknown symbol '" + name + "'", std::nullopt);
+      *detail = "unknown symbol '";
+      detail->append(name).append("'");
+      return std::nullopt;
     }
     const size_t comma = args.find(',');
     int u = 0;
@@ -144,7 +152,7 @@ std::optional<Tid> ParseTidTail(const Query& query,
     }
     // Range-check BEFORE touching the Tid: its setters abort on bad keys,
     // and untrusted bytes must never reach an abort.
-    switch (query.vocab().kind(symbol)) {
+    switch (vocab.kind(symbol)) {
       case SymbolKind::kUnaryLeft:
         if (!unary || u >= num_left) {
           return (*detail = "'" + std::string(token) +
@@ -246,6 +254,7 @@ bool GmcServer::Start(std::string* error) {
     session_options.store_write_through = true;
   }
   session_.Configure(session_options);
+  compile_budget_ = session_options.compile_budget;
   if (!options_.store_directory.empty() && options_.warm_start) {
     session_.WarmCircuitsFrom(options_.store_directory);
   }
@@ -717,17 +726,20 @@ void GmcServer::BatchLoop() {
   }
 }
 
-namespace {
+namespace internal {
 
-// 17 significant digits, which round-trip every double but are not
-// always the shortest decimal that does (0.1 prints as
-// 0.10000000000000001). The wire carries doubles for the approximate
-// tiers; exact tiers stay rational.
 std::string FormatDouble(double value) {
-  std::ostringstream out;
-  out << std::setprecision(17) << value;
-  return out.str();
+  // 17 significant digits in %g form: 24 characters at most, as in
+  // "-2.2250738585072014e-308".
+  char text[32];
+  const std::to_chars_result end = std::to_chars(
+      text, text + sizeof(text), value, std::chars_format::general, 17);
+  return std::string(text, end.ptr);
 }
+
+}  // namespace internal
+
+namespace {
 
 // The EVAL reply shape. lifted=1 means the query is safe: the lifted
 // tier's PTIME guarantee covers every instance of a safe query, whichever
@@ -742,12 +754,14 @@ std::string FormatEval(const std::string& id, const GmcAnswer& answer,
 std::string FormatApprox(const std::string& id, const GmcAnswer& answer) {
   switch (answer.tier) {
     case AnswerTier::kCertifiedInterval:
-      return "OK " + id + " INTERVAL " + FormatDouble(answer.interval.lo) +
-             " " + FormatDouble(answer.interval.hi) + " tier=interval";
+      return "OK " + id + " INTERVAL " +
+             internal::FormatDouble(answer.interval.lo) + " " +
+             internal::FormatDouble(answer.interval.hi) + " tier=interval";
     case AnswerTier::kSampled:
-      return "OK " + id + " ESTIMATE " + FormatDouble(answer.estimate) +
-             " eps=" + FormatDouble(answer.epsilon) +
-             " delta=" + FormatDouble(answer.delta) +
+      return "OK " + id + " ESTIMATE " +
+             internal::FormatDouble(answer.estimate) +
+             " eps=" + internal::FormatDouble(answer.epsilon) +
+             " delta=" + internal::FormatDouble(answer.delta) +
              " samples=" + std::to_string(answer.samples) + " tier=sampled";
     default:
       return "OK " + id + " EXACT " + answer.exact.ToString() +
@@ -783,7 +797,6 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
   // EXPLICIT mode is a contract and passes through untouched — the server
   // may shed it, never silently weaken it; DegradeForPressure enforces
   // exactly that.
-  const CompileBudget configured_budget = session_.options().compile_budget;
   const Pressure level = governor_.level();
   for (PendingEval& eval : batch) {
     if (!eval.approx) {
@@ -796,7 +809,7 @@ void GmcServer::RunBatch(std::vector<PendingEval> batch) {
       ++stats_.degraded;
     }
     eval.mode = effective;
-    eval.budget = configured_budget;
+    eval.budget = compile_budget_;
   }
 
   // One grouping pass: requests with the same route share ONE session

@@ -352,6 +352,9 @@ class GmcServer {
   const bool query_safe_;
   GmcServerOptions options_;
   GfomcSession session_;
+  // The session's compile budget, which EVAL_APPROX requests take. Start
+  // configures the session, and nothing reconfigures it while it serves.
+  CompileBudget compile_budget_;
   LoadGovernor governor_;
 
   std::atomic<bool> running_{false};
@@ -402,6 +405,11 @@ std::optional<Tid> ParseTidTail(const Query& query,
                                 const std::vector<std::string_view>& words,
                                 size_t first, int max_domain,
                                 std::string* detail);
+/// A reply's double: 17 significant digits in printf's %g form, which
+/// round-trip every double but are not always the shortest decimal that
+/// does (0.1 prints as 0.10000000000000001). The wire carries doubles for
+/// the approximate tiers; exact tiers stay rational.
+std::string FormatDouble(double value);
 }  // namespace internal
 
 }  // namespace serve

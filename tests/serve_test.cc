@@ -19,10 +19,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -1204,6 +1206,12 @@ bool ParseSmallInt(const std::string& token, int* out) {
   return true;
 }
 
+std::string FormatDouble(double value) {
+  std::ostringstream out;
+  out << std::setprecision(17) << value;
+  return out.str();
+}
+
 }  // namespace reference
 
 // A random digit run of 0 to max_len digits, often with leading zeros.
@@ -1314,6 +1322,44 @@ BigInt RandomMagnitude(std::mt19937_64& rng) {
     out = out.ShiftLeft(62) + BigInt(static_cast<int64_t>(rng() >> 2));
   }
   return out;
+}
+
+TEST(ServeInternalTest, FormatDoubleMatchesTheStreamForm) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      1.0,
+      0.5,
+      0.1,
+      1.0 / 3.0,
+      2.0 / 3.0,
+      3.8125190954874456e-05,  // a golden reply's interval endpoint
+      1e-4,                    // the edges of %g's fixed form
+      9.9999999999999991e-05,
+      1e16,
+      1e17,
+      std::nextafter(1.0, 0.0),
+      std::nextafter(0.0, 1.0),  // 5e-324, the least subnormal
+      std::ldexp(1.0, -1070),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  std::mt19937_64 rng(20264);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 20000; ++i) {
+    const double x = unit(rng);
+    values.push_back(x);
+    values.push_back(std::ldexp(x, -1070));  // subnormal
+    values.push_back(std::ldexp(x, -(1 + static_cast<int>(rng() % 1000))));
+  }
+  for (const double x : values) {
+    ASSERT_EQ(internal::FormatDouble(x), reference::FormatDouble(x))
+        << std::hexfloat << x;
+  }
 }
 
 TEST(RationalIsProbabilityTest, MatchesTheCrossMultipliedCheck) {
