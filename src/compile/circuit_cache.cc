@@ -1,6 +1,5 @@
 #include "compile/circuit_cache.h"
 
-#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -358,45 +357,21 @@ std::vector<Rational> CircuitCache::EvaluatePinned(const NnfCircuit& circuit,
                                                    const CancelToken* cancel) {
   ++stats_.batch_passes;
   stats_.batched_vectors += weights.num_vectors();
-  const int num_threads = num_threads_.load(std::memory_order_relaxed);
   // Interpolation sweeps and GFOMC instances have power-of-two weight
-  // denominators throughout; those batches take the gcd-free dyadic pass.
-  // Both paths return identical reduced Rationals, so callers never see
-  // which one ran.
-  if (weights.AllDyadic()) {
+  // denominators throughout, so the dyadic kernel's fold routes them to the
+  // gcd-free pass; any other batch it hands to the Rational walk. Both
+  // return identical reduced Rationals, so callers never see which ran.
+  DyadicBatchStats routes;
+  std::vector<Rational> result = circuit.EvaluateBatchDyadic(
+      weights, num_threads_.load(std::memory_order_relaxed), &routes, cancel);
+  if (routes.rational_vectors == 0) {
     ++stats_.dyadic_batches;
     stats_.dyadic_vectors += weights.num_vectors();
-    DyadicBatchStats widths;
-    std::vector<Rational> result =
-        circuit.EvaluateBatchDyadic(weights, num_threads, &widths, cancel);
-    stats_.fixed64_vectors += widths.fixed64_vectors;
-    stats_.fixed128_vectors += widths.fixed128_vectors;
-    stats_.bigint_vectors += widths.bigint_vectors;
-    return result;
   }
-  return circuit.EvaluateBatch(weights, num_threads, cancel);
-}
-
-WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
-                          const std::vector<size_t>& members) {
-  // Group equality compares clause lists only, so members can carry more
-  // interned-then-orphaned variables than one another; size the matrix to
-  // the widest row (the circuit never reads the orphan columns — its
-  // variables all occur in the shared clauses).
-  size_t width = 0;
-  for (size_t member : members) {
-    width = std::max({width, lineages[member].probabilities.size(),
-                      static_cast<size_t>(lineages[member].cnf.num_vars)});
-  }
-  WeightMatrix weights(static_cast<int>(members.size()),
-                       static_cast<int>(width));
-  for (size_t m = 0; m < members.size(); ++m) {
-    const std::vector<Rational>& row = lineages[members[m]].probabilities;
-    for (size_t v = 0; v < row.size(); ++v) {
-      weights.Set(static_cast<int>(m), static_cast<int>(v), row[v]);
-    }
-  }
-  return weights;
+  stats_.fixed64_vectors += routes.fixed64_vectors;
+  stats_.fixed128_vectors += routes.fixed128_vectors;
+  stats_.bigint_vectors += routes.bigint_vectors;
+  return result;
 }
 
 Compiler::Stats CircuitCache::compiler_stats() const {

@@ -37,18 +37,11 @@
 #include "compile/gmc_options.h"
 #include "compile/nnf.h"
 #include "compile/vtree.h"
-#include "lineage/grounder.h"
 #include "store/circuit_store.h"
 #include "util/rational.h"
 #include "util/relaxed_counter.h"
 
 namespace gmc {
-
-/// The weight rows of lineages[members[0]], lineages[members[1]], ... as
-/// one batch (row m of the result is member m) — the input of one grouped
-/// pass over the circuit the members' shared structure compiles to.
-WeightMatrix StackWeights(const std::vector<Lineage>& lineages,
-                          const std::vector<size_t>& members);
 
 /// Thread-safe compile-once / evaluate-many circuit store. EvaluatePinned
 /// is exact (results are canonical reduced Rationals, bit-identical across
@@ -70,9 +63,10 @@ class CircuitCache {
     RelaxedCounter hits;
     RelaxedCounter batch_passes;     ///< EvaluatePinned passes
     RelaxedCounter batched_vectors;  ///< weight vectors those passes served
-    /// Dyadic routing: batches whose weights all had power-of-two
-    /// denominators and therefore took EvaluateBatchDyadic instead of the
-    /// Rational EvaluateBatch (see nnf.h; results are bit-identical).
+    /// Dyadic routing: batches the dyadic kernel served because every
+    /// weight its fold read (the columns of the circuit's variables) had a
+    /// power-of-two denominator; the rest took the Rational walk (see
+    /// nnf.h; results are bit-identical).
     RelaxedCounter dyadic_batches;
     RelaxedCounter dyadic_vectors;
     /// Width routing inside the dyadic path (see nnf_fixed.cc): vectors
@@ -196,13 +190,14 @@ class CircuitCache {
   std::shared_ptr<const NnfCircuit> Repin(const EntryHandle& entry,
                                           const Cnf* expect = nullptr);
 
-  /// Numeric routing for one exact pass over a circuit the caller already
-  /// pinned (GetShared / TryGetShared): the dyadic walk (fixed64, fixed128
-  /// or BigInt kernels, see nnf_fixed.cc) when every weight has a
-  /// power-of-two denominator, the Rational walk otherwise —
-  /// identical reduced Rationals either way. Counts the pass and its
-  /// routing; never a lookup, so hits/compiles stay the probe's business.
-  /// `cancel` has EvaluateBatch's contract: the caller checks and discards.
+  /// One exact pass over a circuit the caller already pinned (GetShared /
+  /// TryGetShared): EvaluateBatchDyadic, whose fold picks the route — the
+  /// fixed64, fixed128 or BigInt kernel (see nnf_fixed.cc) when every
+  /// weight of the circuit's variables has a power-of-two denominator, the
+  /// Rational walk otherwise — identical reduced Rationals either way.
+  /// Counts the pass and its routing; never a lookup, so hits/compiles stay
+  /// the probe's business. `cancel` has EvaluateBatch's contract: the
+  /// caller checks and discards.
   std::vector<Rational> EvaluatePinned(const NnfCircuit& circuit,
                                        const WeightMatrix& weights,
                                        const CancelToken* cancel = nullptr);

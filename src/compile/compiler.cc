@@ -8,28 +8,16 @@
 
 namespace gmc {
 
-NnfCircuit Compiler::Compile(const Cnf& cnf, const CancelToken* cancel) {
-  budget_ = nullptr;
-  budget_exhausted_ = false;  // never inherit a prior TryCompile's failure
-  budget_calls_ = 0;
-  budget_token_.reset();
-  cancel_ = cancel;
-  cancelled_ = false;
-  NnfCircuit circuit = CompileImpl(cnf);
-  cancel_ = nullptr;
-  return circuit;
+NnfCircuit Compiler::Compile(const Cnf& cnf) {
+  // Unlimited and uncancelled, so the compile always completes.
+  return *TryCompile(cnf, CompileBudget());
 }
 
 std::optional<NnfCircuit> Compiler::TryCompile(const Cnf& cnf,
                                                const CompileBudget& budget,
                                                const CancelToken* cancel) {
-  if (budget.Unlimited()) {
-    NnfCircuit circuit = Compile(cnf, cancel);  // resets budget state too
-    if (cancelled_) return std::nullopt;
-    return circuit;
-  }
   budget_ = &budget;
-  budget_exhausted_ = false;
+  budget_exhausted_ = false;  // never inherit a prior run's failure
   budget_calls_ = 0;
   budget_token_.reset();
   if (budget.max_millis > 0) budget_token_.emplace(budget.max_millis);
@@ -106,14 +94,13 @@ int Compiler::BranchVariable(const Cnf& cnf) const {
 bool Compiler::BudgetSpent() {
   if (budget_exhausted_ || cancelled_) return true;
   ++budget_calls_;
-  // The external deadline outranks the budget and applies to unbudgeted
-  // compiles too; its clock read shares the budget's every-256 stride.
+  // The external deadline outranks the budget and applies to unlimited
+  // budgets too; its clock read shares the budget's every-256 stride.
   if (cancel_ != nullptr &&
       ((budget_calls_ & 255) == 0 ? cancel_->Poll() : cancel_->cancelled())) {
     cancelled_ = true;
     return true;
   }
-  if (budget_ == nullptr) return false;
   if ((budget_->max_calls > 0 && budget_calls_ > budget_->max_calls) ||
       (budget_->max_nodes > 0 &&
        circuit_->num_nodes() > budget_->max_nodes)) {
@@ -127,8 +114,8 @@ bool Compiler::BudgetSpent() {
 
 int Compiler::CompileNode(const Cnf& cnf) {
   ++stats_.compile_calls;
-  // Budget gate (TryCompile only): once spent, unwind immediately with a
-  // placeholder — the caller discards the whole circuit.
+  // Budget gate: once spent, unwind immediately with a placeholder — the
+  // caller discards the whole circuit.
   if (BudgetSpent()) return circuit_->True();
   if (cnf.clauses.empty()) return circuit_->True();
   for (const auto& clause : cnf.clauses) {

@@ -76,27 +76,25 @@ class Compiler {
   /// for every monotone CNF. The raw circuit then goes through one
   /// sweep-and-merge Minimizer pass (see minimize.h) unless disabled
   /// below. The returned circuit is owned by the caller and holds no
-  /// reference back into the compiler.
-  ///
-  /// `cancel` (optional) is the request-deadline token, polled every few
-  /// hundred recursion steps. A cancelled run returns a well-formed but
-  /// MEANINGLESS circuit — the caller must check cancel->cancelled() after
-  /// every pass it shares a token with and discard on true.
-  NnfCircuit Compile(const Cnf& cnf, const CancelToken* cancel = nullptr);
+  /// reference back into the compiler. TryCompile with an unlimited budget
+  /// and no token.
+  NnfCircuit Compile(const Cnf& cnf);
   /// Lineage convenience: an unsatisfiable lineage compiles to the FALSE
   /// circuit. Evaluate with lineage.probabilities (or any other weights).
   NnfCircuit Compile(const Lineage& lineage);
 
-  /// Budgeted compilation — the routing probe of the anytime tier. Returns
-  /// the circuit iff the whole compilation (node construction, call count,
-  /// wall clock) fits inside `budget`; std::nullopt once any cap is hit
-  /// (the partial circuit is discarded and Stats::budget_exhausted ticks).
-  /// An unlimited budget is exactly Compile: same circuit, bit for bit.
-  /// Node/call caps are deterministic; the wall-clock cap is checked every
-  /// few hundred recursion steps, so overshoot is bounded but timing-
-  /// dependent. A fired `cancel` token also yields std::nullopt, but ticks
-  /// Stats::cancelled instead of budget_exhausted — callers distinguish
-  /// the two by checking cancel->cancelled().
+  /// Budgeted compilation — the routing probe of the anytime tier, and the
+  /// body of every compilation. Returns the circuit iff the whole
+  /// compilation (node construction, call count, wall clock) fits inside
+  /// `budget`; std::nullopt once any cap is hit (the partial circuit is
+  /// discarded and Stats::budget_exhausted ticks). An unlimited budget is
+  /// exactly Compile: same circuit, bit for bit. Node/call caps are
+  /// deterministic; the wall-clock cap is checked every few hundred
+  /// recursion steps, so overshoot is bounded but timing-dependent.
+  /// `cancel` (optional) is the request-deadline token, polled on the same
+  /// stride: once it fires the result is std::nullopt too, but
+  /// Stats::cancelled ticks instead of budget_exhausted — callers
+  /// distinguish the two by checking cancel->cancelled().
   std::optional<NnfCircuit> TryCompile(const Cnf& cnf,
                                        const CompileBudget& budget,
                                        const CancelToken* cancel = nullptr);
@@ -125,8 +123,7 @@ class Compiler {
   }
 
  private:
-  /// Shared body of Compile and TryCompile: one full compilation under
-  /// whatever budget state the caller set up.
+  /// One full compilation under the budget state TryCompile set up.
   NnfCircuit CompileImpl(const Cnf& cnf);
   int CompileNode(const Cnf& cnf);
   /// The Shannon branch variable for `cnf` under the active order:
@@ -139,14 +136,14 @@ class Compiler {
   bool BudgetSpent();
 
   NnfCircuit* circuit_ = nullptr;
-  // In-flight budget state (TryCompile only; Compile runs unbudgeted).
+  // In-flight budget state, set by TryCompile for one compilation.
   const CompileBudget* budget_ = nullptr;
   bool budget_exhausted_ = false;
   uint64_t budget_calls_ = 0;
   // The budget's own wall-clock cap (max_millis), armed per TryCompile.
   std::optional<CancelToken> budget_token_;
-  // External request-deadline token (both entry points); polling it is
-  // amortized on the same every-256-calls stride as the budget clock.
+  // External request-deadline token; polling it is amortized on the same
+  // every-256-calls stride as the budget clock.
   const CancelToken* cancel_ = nullptr;
   bool cancelled_ = false;
   // Sub-CNF -> node id; hashed via Hash64, compared exactly (CnfClauseEq).

@@ -62,14 +62,6 @@ std::vector<Rational> WeightMatrix::Row(int k) const {
   return row;
 }
 
-bool WeightMatrix::AllDyadic() const {
-  for (const Rational& value : values_) {
-    const BigInt& den = value.denominator();
-    if (!den.IsOne() && !den.IsPowerOfTwo()) return false;
-  }
-  return true;
-}
-
 NnfCircuit::NnfCircuit()
     : nodes_{FlatNode{static_cast<uint32_t>(NnfKind::kFalse)},
              FlatNode{static_cast<uint32_t>(NnfKind::kTrue)}} {}

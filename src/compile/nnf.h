@@ -80,11 +80,6 @@ class WeightMatrix {
   /// benchmarks).
   std::vector<Rational> Row(int k) const;
 
-  /// True iff every entry has a power-of-two denominator — the whole batch
-  /// qualifies for the dyadic exact path (EvaluateBatchDyadic). One scan,
-  /// no allocation.
-  bool AllDyadic() const;
-
  private:
   int num_vectors_ = 0;
   int num_vars_ = 0;
@@ -92,13 +87,15 @@ class WeightMatrix {
 };
 
 /// Per-call routing report of EvaluateBatchDyadic: how many of the K weight
-/// vectors were served by each mantissa width. The width is chosen once per
-/// batch, so one counter takes all K; CircuitCache aggregates them into its
-/// stats.
+/// vectors were served by each route. The route is chosen once per batch,
+/// so one counter takes all K; CircuitCache aggregates them into its stats.
 struct DyadicBatchStats {
   int fixed64_vectors = 0;   // raw uint64 mantissas
   int fixed128_vectors = 0;  // two-limb UInt128 mantissas
   int bigint_vectors = 0;    // BigInt mantissas (arbitrary precision)
+  /// The Rational walk: the fold read a weight without a power-of-two
+  /// denominator, or saturated.
+  int rational_vectors = 0;
 };
 
 /// One d-DNNF circuit.
@@ -202,18 +199,20 @@ class NnfCircuit {
   /// Exact dyadic fast path of EvaluateBatch: the same topological pass over
   /// dyadic (mantissa · 2^-exp) values, so the inner loops are straight
   /// integer streaming — no gcd and no per-operation canonicalization
-  /// anywhere. Requires weights.AllDyadic(); aborts otherwise. Results are
-  /// bit-identical to EvaluateBatch on the same weights.
+  /// anywhere. Results are bit-identical to EvaluateBatch on the same
+  /// weights, whatever the weights.
   ///
   /// One fold over the circuit, BEFORE evaluating, gives every node its
-  /// exponent E under the batch's weight exponents, and picks the mantissa
-  /// width for the whole batch (nnf_fixed.cc). Circuit values are
-  /// probabilities, so with every weight in [0, 1] a node's mantissa is at
-  /// most 2^E: a bound of at most 63 bits runs on uint64 mantissas, at most
-  /// 127 on two-limb UInt128 (branch-free SoA loops with no per-operation
-  /// overflow checks, see util/dyadic_fixed.h). Every other batch runs the
-  /// same kernel on BigInt mantissas; a fold that saturates runs the
-  /// Rational walk instead. `stats`, if non-null, reports the width.
+  /// exponent E under the batch's weight exponents, and picks the route for
+  /// the whole batch (nnf_fixed.cc). Circuit values are probabilities, so
+  /// with every weight in [0, 1] a node's mantissa is at most 2^E: a bound
+  /// of at most 63 bits runs on uint64 mantissas, at most 127 on two-limb
+  /// UInt128 (branch-free SoA loops with no per-operation overflow checks,
+  /// see util/dyadic_fixed.h). Every other batch runs the same kernel on
+  /// BigInt mantissas. The fold reads the columns of the circuit's
+  /// variables (v < num_vars()); a weight there without a power-of-two
+  /// denominator saturates it, and a saturated fold runs the Rational walk
+  /// instead. `stats`, if non-null, reports the route.
   std::vector<Rational> EvaluateBatchDyadic(
       const WeightMatrix& weights, int num_threads = 0,
       DyadicBatchStats* stats = nullptr,

@@ -20,23 +20,24 @@
 // on raw uint64 (resp. two-limb UInt128) mantissas, with no per-element
 // overflow checks and nothing that blocks auto-vectorization (see
 // util/dyadic_fixed.h). Any other batch — a wider bound, or a weight
-// outside [0, 1] — runs the same kernel on signed BigInt mantissas, and a
-// fold that saturates goes to the Rational walk. Every path is exact;
-// results are bit-identical across widths and thread counts.
+// outside [0, 1] — runs the same kernel on signed BigInt mantissas. The
+// fold also picks the exact route: a weight without a power-of-two
+// denominator in a column it reads saturates it, and a saturated fold
+// sends the batch to the Rational walk. Every path is exact; results are
+// bit-identical across routes, widths and thread counts.
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "compile/arena_pass.h"
 #include "compile/nnf.h"
 #include "compile/nnf_walk.h"
 #include "util/bigint.h"
 #include "util/check.h"
 #include "util/dyadic_fixed.h"
-#include "util/parallel.h"
 
 namespace gmc {
 
@@ -51,22 +52,12 @@ constexpr uint64_t kExponentCap = uint64_t{1} << 32;
 constexpr uint64_t kFixed64MaxExponent = 63;
 constexpr uint64_t kFixed128MaxExponent = 127;
 
-// Columns per parallel slice, at minimum: each slice allocates its own
-// nodes × W arena, and a word column is cheap enough that a slice needs
-// more of them than BigInt columns to amortize it.
-template <typename M>
-constexpr int64_t kMinColumnsPerSlice = std::is_same_v<M, BigInt> ? 4 : 16;
-// Variables per chunk for the conversion/complement preamble.
-constexpr int64_t kMinVarsPerChunk = 8;
-// Deadline-poll stride, mirroring nnf_walk.cc's arena loops.
-constexpr size_t kCancelNodeStride = 64;
-
 uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
   return std::min(kExponentCap, std::min(kExponentCap, a) + b);
 }
 
 // Exponent of a dyadic Rational's denominator (0 for integers). The
-// caller has checked that the denominator is 1 or a power of two.
+// fold has checked that the denominator is 1 or a power of two.
 uint64_t DenominatorExponent(const Rational& value) {
   const BigInt& den = value.denominator();
   return den.IsOne() ? 0 : den.BitLength() - 1;
@@ -135,8 +126,11 @@ struct DyadicFold {
   bool unit_range = true;  // every weight lies in [0, 1]
 };
 
-// Scans the weights (aborting on a non-dyadic one) and propagates their
-// per-variable exponents bottom-up, saturating at kExponentCap.
+// Scans the weights of the circuit's variables and propagates their
+// per-variable exponents bottom-up, saturating at kExponentCap. A weight
+// without a power-of-two denominator has no exponent to propagate: it
+// saturates the fold outright. Columns at or past view.num_vars are never
+// read, here or by any pass.
 DyadicFold FoldDyadicExponents(const CircuitWalkView& view,
                                const WeightMatrix& weights) {
   GMC_CHECK(weights.num_vars() >= view.num_vars);
@@ -147,12 +141,12 @@ DyadicFold FoldDyadicExponents(const CircuitWalkView& view,
     const Rational* column = weights.Column(v);
     for (int k = 0; k < num_k; ++k) {
       const Rational& p = column[k];
-      GMC_CHECK_MSG(p.denominator().IsOne() || p.denominator().IsPowerOfTwo(),
-                    "EvaluateBatchDyadic needs all-dyadic weights "
-                    "(WeightMatrix::AllDyadic)");
-      if (p.sign() < 0 || p.denominator() < p.numerator()) {
-        fold.unit_range = false;
+      const BigInt& den = p.denominator();
+      if (!den.IsOne() && !den.IsPowerOfTwo()) [[unlikely]] {
+        fold.bound = kExponentCap;
+        return fold;
       }
+      if (p.sign() < 0 || den < p.numerator()) fold.unit_range = false;
       fold.var_exp[v] = std::max(fold.var_exp[v], DenominatorExponent(p));
     }
   }
@@ -187,8 +181,43 @@ DyadicFold FoldDyadicExponents(const CircuitWalkView& view,
   return fold;
 }
 
-// EvaluateBatchDyadicAt runs the whole batch on `M` mantissas (uint64_t,
-// UInt128 or BigInt) under the folded exponents, which must not be
+// The dyadic arithmetic of the arena pass (arena_pass.h) on `M` mantissas
+// (uint64_t, UInt128 or BigInt) under the folded exponents.
+template <typename M>
+struct DyadicKernel {
+  using Value = M;
+  const M* probability;  // aligned per variable to fold.var_exp
+  const M* complement;   // 2^E − m
+  const DyadicFold& fold;
+
+  static M One() { return M(1); }
+  static void And(M* out, const M* child, int num_w) {
+    for (int k = 0; k < num_w; ++k) out[k] *= child[k];
+  }
+  void Decision(size_t id, const FlatNode& node, const M* p, const M* q,
+                const M* high, const M* low, M* out, int num_w) const {
+    // Shift amounts are per NODE, not per element: both branch products
+    // rise to the node exponent with one uniform shift each (one of the
+    // two is always zero).
+    const uint64_t ve = fold.var_exp[node.var];
+    const uint64_t sa = fold.node_exp[id] - (ve + fold.node_exp[node.a]);
+    const uint64_t sb = fold.node_exp[id] - (ve + fold.node_exp[node.b]);
+    for (int k = 0; k < num_w; ++k) {
+      // In place, so a BigInt mantissa allocates nothing beyond the two
+      // products.
+      M t = p[k];
+      t *= high[k];
+      ShiftLeft(&t, sa);
+      M u = q[k];
+      u *= low[k];
+      ShiftLeft(&u, sb);
+      t += u;
+      out[k] = std::move(t);
+    }
+  }
+};
+
+// Runs the whole batch on `M` mantissas under `fold`, which must not be
 // saturated.
 template <typename M>
 std::vector<Rational> EvaluateBatchDyadicAt(const CircuitWalkView& view,
@@ -198,8 +227,6 @@ std::vector<Rational> EvaluateBatchDyadicAt(const CircuitWalkView& view,
                                             const CancelToken* cancel) {
   const int num_k = weights.num_vectors();
   const int num_vars = view.num_vars;
-  const std::vector<uint64_t>& var_exp = fold.var_exp;
-  const std::vector<uint64_t>& node_exp = fold.node_exp;
 
   // SoA weight columns, aligned per variable to var_exp[v], plus the
   // complement columns 2^E − m for decision variables — all branch-free.
@@ -216,127 +243,38 @@ std::vector<Rational> EvaluateBatchDyadicAt(const CircuitWalkView& view,
   std::vector<M> probability(static_cast<size_t>(num_vars) * num_k);
   std::vector<M> complement(static_cast<size_t>(num_vars) * num_k);
   const std::vector<bool> decides = walk_internal::WalkDecisionVars(view);
-  ParallelFor(
-      num_vars, num_threads, kMinVarsPerChunk,
-      [&](int64_t v0, int64_t v1, int /*chunk*/) {
-        for (int64_t v = v0; v < v1; ++v) {
-          if (!used[v]) continue;
-          const Rational* column = weights.Column(static_cast<int>(v));
-          const uint64_t target = var_exp[v];
-          M* out = probability.data() + static_cast<size_t>(v) * num_k;
-          for (int k = 0; k < num_k; ++k) {
-            out[k] = MantissaFromBigInt<M>(column[k].numerator());
-            ShiftLeft(&out[k], target - DenominatorExponent(column[k]));
-          }
-          if (!decides[v]) continue;
-          M one_at_e(1);
-          ShiftLeft(&one_at_e, target);
-          M* comp = complement.data() + static_cast<size_t>(v) * num_k;
-          for (int k = 0; k < num_k; ++k) comp[k] = one_at_e - out[k];
-        }
-      });
+  walk_internal::ForEachVariable(num_vars, num_threads, [&](int v) {
+    if (!used[v]) return;
+    const Rational* column = weights.Column(v);
+    const uint64_t target = fold.var_exp[v];
+    M* out = probability.data() + static_cast<size_t>(v) * num_k;
+    for (int k = 0; k < num_k; ++k) {
+      out[k] = MantissaFromBigInt<M>(column[k].numerator());
+      ShiftLeft(&out[k], target - DenominatorExponent(column[k]));
+    }
+    if (!decides[v]) return;
+    M one_at_e(1);
+    ShiftLeft(&one_at_e, target);
+    M* comp = complement.data() + static_cast<size_t>(v) * num_k;
+    for (int k = 0; k < num_k; ++k) comp[k] = one_at_e - out[k];
+  });
 
-  // The topological pass, column-sliced over the pool. Each slice owns a
-  // contiguous nodes × W mantissa arena; exponents are shared per node.
-  std::vector<M> roots(num_k);
-  ParallelFor(
-      num_k, num_threads, kMinColumnsPerSlice<M>,
-      [&](int64_t k0_64, int64_t k1_64, int /*chunk*/) {
-        const int k0 = static_cast<int>(k0_64);
-        const int num_w = static_cast<int>(k1_64 - k0_64);
-        std::vector<M> value(view.num_nodes * num_w);
-        for (size_t id = 0; id < view.num_nodes; ++id) {
-          if (cancel != nullptr && (id % kCancelNodeStride) == 0 &&
-              cancel->Poll()) {
-            return;  // caller discards the batch — nnf_walk.h contract
-          }
-          const FlatNode& node = view.nodes[id];
-          M* out = value.data() + id * num_w;
-          switch (static_cast<NnfKind>(node.kind)) {
-            case NnfKind::kFalse:
-              break;  // zero-initialized
-            case NnfKind::kTrue:
-              for (int k = 0; k < num_w; ++k) out[k] = M(1);
-              break;
-            case NnfKind::kVar: {
-              const M* p = probability.data() +
-                           static_cast<size_t>(node.var) * num_k + k0;
-              for (int k = 0; k < num_w; ++k) out[k] = p[k];
-              break;
-            }
-            case NnfKind::kAnd: {
-              const int32_t* child_ids = view.children + node.a;
-              const M* first =
-                  value.data() + static_cast<size_t>(child_ids[0]) * num_w;
-              for (int k = 0; k < num_w; ++k) out[k] = first[k];
-              for (int32_t c = 1; c < node.b; ++c) {
-                const M* child =
-                    value.data() + static_cast<size_t>(child_ids[c]) * num_w;
-                for (int k = 0; k < num_w; ++k) out[k] *= child[k];
-              }
-              break;
-            }
-            case NnfKind::kDecision: {
-              const M* p = probability.data() +
-                           static_cast<size_t>(node.var) * num_k + k0;
-              const M* q = complement.data() +
-                           static_cast<size_t>(node.var) * num_k + k0;
-              const M* high =
-                  value.data() + static_cast<size_t>(node.a) * num_w;
-              const M* low =
-                  value.data() + static_cast<size_t>(node.b) * num_w;
-              // Shift amounts are per NODE, not per element: both branch
-              // products rise to the node exponent with one uniform shift
-              // each (one of the two is always zero).
-              const uint64_t ve = var_exp[node.var];
-              const uint64_t sa = node_exp[id] - (ve + node_exp[node.a]);
-              const uint64_t sb = node_exp[id] - (ve + node_exp[node.b]);
-              for (int k = 0; k < num_w; ++k) {
-                // In place, so a BigInt mantissa allocates nothing beyond
-                // the two products.
-                M t = p[k];
-                t *= high[k];
-                ShiftLeft(&t, sa);
-                M u = q[k];
-                u *= low[k];
-                ShiftLeft(&u, sb);
-                t += u;
-                out[k] = std::move(t);
-              }
-              break;
-            }
-          }
-        }
-        M* root = value.data() + static_cast<size_t>(view.root) * num_w;
-        for (int k = 0; k < num_w; ++k) roots[k0 + k] = std::move(root[k]);
-      });
+  std::vector<M> roots = walk_internal::ArenaPass(
+      view, num_k, num_threads,
+      DyadicKernel<M>{probability.data(), complement.data(), fold}, cancel);
 
   // Keep the size contract on cancellation (the caller discards) without
   // converting partial mantissas.
   if (cancel != nullptr && cancel->cancelled()) {
     return std::vector<Rational>(num_k);
   }
-  const uint64_t root_exp = node_exp[view.root];
+  const uint64_t root_exp = fold.node_exp[view.root];
   std::vector<Rational> result;
   result.reserve(num_k);
   for (int k = 0; k < num_k; ++k) {
     result.push_back(MantissaToRational(std::move(roots[k]), root_exp));
   }
   return result;
-}
-
-// The BigInt width: exact at every exponent the fold can state. A
-// saturated fold states none, so that batch runs the Rational walk.
-std::vector<Rational> EvaluateBatchDyadicBigInt(const CircuitWalkView& view,
-                                                const WeightMatrix& weights,
-                                                int num_threads,
-                                                const DyadicFold& fold,
-                                                const CancelToken* cancel) {
-  if (fold.bound >= kExponentCap) {
-    return WalkEvaluateBatch(view, weights, num_threads, cancel);
-  }
-  return EvaluateBatchDyadicAt<BigInt>(view, weights, num_threads, fold,
-                                       cancel);
 }
 
 }  // namespace
@@ -350,6 +288,10 @@ std::vector<Rational> WalkEvaluateBatchDyadic(const CircuitWalkView& view,
   const int num_k = weights.num_vectors();
   DyadicBatchStats unused;
   if (stats == nullptr) stats = &unused;
+  if (fold.bound >= kExponentCap) {
+    stats->rational_vectors += num_k;
+    return WalkEvaluateBatch(view, weights, num_threads, cancel);
+  }
   if (fold.unit_range && fold.bound <= kFixed64MaxExponent) {
     stats->fixed64_vectors += num_k;
     return EvaluateBatchDyadicAt<uint64_t>(view, weights, num_threads, fold,
@@ -361,7 +303,8 @@ std::vector<Rational> WalkEvaluateBatchDyadic(const CircuitWalkView& view,
                                           cancel);
   }
   stats->bigint_vectors += num_k;
-  return EvaluateBatchDyadicBigInt(view, weights, num_threads, fold, cancel);
+  return EvaluateBatchDyadicAt<BigInt>(view, weights, num_threads, fold,
+                                       cancel);
 }
 
 namespace walk_internal {
@@ -370,8 +313,12 @@ std::vector<Rational> WalkEvaluateBatchDyadicBig(const CircuitWalkView& view,
                                                  const WeightMatrix& weights,
                                                  int num_threads,
                                                  const CancelToken* cancel) {
-  return EvaluateBatchDyadicBigInt(view, weights, num_threads,
-                                   FoldDyadicExponents(view, weights), cancel);
+  const DyadicFold fold = FoldDyadicExponents(view, weights);
+  if (fold.bound >= kExponentCap) {
+    return WalkEvaluateBatch(view, weights, num_threads, cancel);
+  }
+  return EvaluateBatchDyadicAt<BigInt>(view, weights, num_threads, fold,
+                                       cancel);
 }
 
 }  // namespace walk_internal

@@ -1,8 +1,8 @@
 // The directed-rounding interval walk — the certified fast tier.
 //
-// The same bottom-up arena pass as the Rational walk (nnf_walk.cc), but in
-// double arithmetic: every value is an enclosure [lo, hi] and every
-// floating-point operation is outward-rounded, so the returned interval
+// The arena pass of arena_pass.h in double arithmetic: every value is an
+// enclosure [lo, hi] and every floating-point operation is
+// outward-rounded, so the returned interval
 // PROVABLY contains the exact Rational answer on every column. The proof
 // obligations, node by node:
 //
@@ -40,10 +40,10 @@
 #include <limits>
 #include <vector>
 
+#include "compile/arena_pass.h"
 #include "compile/nnf.h"
 #include "compile/nnf_walk.h"
 #include "util/check.h"
-#include "util/parallel.h"
 
 namespace gmc {
 
@@ -123,11 +123,6 @@ namespace {
 using walk_internal::StepDown;
 using walk_internal::StepUp;
 
-// Mirrors the slice sizing (and the deadline-poll stride) of nnf_walk.cc.
-constexpr int64_t kMinColumnsPerSlice = 4;
-constexpr int64_t kMinVarsPerChunk = 8;
-constexpr size_t kCancelNodeStride = 64;
-
 double ClampLo(double x) { return x < 0.0 ? 0.0 : x; }
 double ClampHi(double x) { return x > 1.0 ? 1.0 : x; }
 
@@ -155,72 +150,34 @@ void BracketWeight(const Rational& p, ProbInterval* bracket,
   }
 }
 
-// One contiguous row-major interval arena per slice — the EvaluateBatchSlice
-// shape of nnf_walk.cc with outward rounding at every flop.
-void IntervalSlice(const CircuitWalkView& view, int k0, int k1, int num_k,
-                   const ProbInterval* probability,
-                   const ProbInterval* complement, ProbInterval* out_roots,
-                   const CancelToken* cancel) {
-  const int num_w = k1 - k0;
-  std::vector<ProbInterval> value(view.num_nodes * num_w);
-  for (size_t id = 0; id < view.num_nodes; ++id) {
-    if (cancel != nullptr && (id % kCancelNodeStride) == 0 && cancel->Poll()) {
-      return;  // caller discards the batch — nnf_walk.h cancel contract
-    }
-    const FlatNode& node = view.nodes[id];
-    ProbInterval* out = value.data() + id * num_w;
-    switch (static_cast<NnfKind>(node.kind)) {
-      case NnfKind::kFalse:
-        break;  // arena default-constructs to [0, 0]
-      case NnfKind::kTrue:
-        for (int k = 0; k < num_w; ++k) out[k] = ProbInterval{1.0, 1.0};
-        break;
-      case NnfKind::kVar: {
-        const ProbInterval* p =
-            probability + static_cast<size_t>(node.var) * num_k + k0;
-        for (int k = 0; k < num_w; ++k) out[k] = p[k];
-        break;
-      }
-      case NnfKind::kAnd: {
-        const int32_t* child_ids = view.children + node.a;
-        const ProbInterval* first =
-            value.data() + static_cast<size_t>(child_ids[0]) * num_w;
-        for (int k = 0; k < num_w; ++k) out[k] = first[k];
-        for (int32_t c = 1; c < node.b; ++c) {
-          const ProbInterval* child =
-              value.data() + static_cast<size_t>(child_ids[c]) * num_w;
-          for (int k = 0; k < num_w; ++k) {
-            // Nonnegative factors: lo·lo bounds below, hi·hi above.
-            out[k].lo = ClampLo(StepDown(out[k].lo * child[k].lo));
-            out[k].hi = ClampHi(StepUp(out[k].hi * child[k].hi));
-          }
-        }
-        break;
-      }
-      case NnfKind::kDecision: {
-        const ProbInterval* p =
-            probability + static_cast<size_t>(node.var) * num_k + k0;
-        const ProbInterval* q =
-            complement + static_cast<size_t>(node.var) * num_k + k0;
-        const ProbInterval* high =
-            value.data() + static_cast<size_t>(node.a) * num_w;
-        const ProbInterval* low =
-            value.data() + static_cast<size_t>(node.b) * num_w;
-        for (int k = 0; k < num_w; ++k) {
-          const double t_lo = StepDown(p[k].lo * high[k].lo);
-          const double u_lo = StepDown(q[k].lo * low[k].lo);
-          const double t_hi = StepUp(p[k].hi * high[k].hi);
-          const double u_hi = StepUp(q[k].hi * low[k].hi);
-          out[k].lo = ClampLo(StepDown(t_lo + u_lo));
-          out[k].hi = ClampHi(StepUp(t_hi + u_hi));
-        }
-        break;
-      }
+// The outward-rounded arithmetic of the arena pass (arena_pass.h).
+struct IntervalKernel {
+  using Value = ProbInterval;
+  const ProbInterval* probability;
+  const ProbInterval* complement;
+
+  static ProbInterval One() { return {1.0, 1.0}; }
+  static void And(ProbInterval* out, const ProbInterval* child, int num_w) {
+    for (int k = 0; k < num_w; ++k) {
+      // Nonnegative factors: lo·lo bounds below, hi·hi above.
+      out[k].lo = ClampLo(StepDown(out[k].lo * child[k].lo));
+      out[k].hi = ClampHi(StepUp(out[k].hi * child[k].hi));
     }
   }
-  ProbInterval* root = value.data() + static_cast<size_t>(view.root) * num_w;
-  for (int k = 0; k < num_w; ++k) out_roots[k0 + k] = root[k];
-}
+  static void Decision(size_t /*id*/, const FlatNode& /*node*/,
+                       const ProbInterval* p, const ProbInterval* q,
+                       const ProbInterval* high, const ProbInterval* low,
+                       ProbInterval* out, int num_w) {
+    for (int k = 0; k < num_w; ++k) {
+      const double t_lo = StepDown(p[k].lo * high[k].lo);
+      const double u_lo = StepDown(q[k].lo * low[k].lo);
+      const double t_hi = StepUp(p[k].hi * high[k].hi);
+      const double u_hi = StepUp(q[k].hi * low[k].hi);
+      out[k].lo = ClampLo(StepDown(t_lo + u_lo));
+      out[k].hi = ClampHi(StepUp(t_hi + u_hi));
+    }
+  }
+};
 
 }  // namespace
 
@@ -229,33 +186,23 @@ std::vector<ProbInterval> WalkEvaluateBatchInterval(
     const CancelToken* cancel) {
   GMC_CHECK(weights.num_vars() >= view.num_vars);
   const int num_k = weights.num_vectors();
-  const int num_vars = view.num_vars;
 
-  // Weight and complement brackets, once per (variable, vector); chunked
-  // over variables like the other batch preambles.
+  // Weight and complement brackets, once per (variable, vector).
   const std::vector<bool> decides = walk_internal::WalkDecisionVars(view);
-  std::vector<ProbInterval> probability(static_cast<size_t>(num_vars) * num_k);
-  std::vector<ProbInterval> complement(static_cast<size_t>(num_vars) * num_k);
-  ParallelFor(num_vars, num_threads, kMinVarsPerChunk,
-              [&](int64_t v0, int64_t v1, int /*chunk*/) {
-                for (int64_t v = v0; v < v1; ++v) {
-                  const Rational* p = weights.Column(static_cast<int>(v));
-                  const size_t row = static_cast<size_t>(v) * num_k;
-                  for (int k = 0; k < num_k; ++k) {
-                    BracketWeight(p[k], &probability[row + k],
-                                  decides[v] ? &complement[row + k] : nullptr);
-                  }
-                }
-              });
-
-  std::vector<ProbInterval> result(num_k);
-  ParallelFor(num_k, num_threads, kMinColumnsPerSlice,
-              [&](int64_t k0, int64_t k1, int /*chunk*/) {
-                IntervalSlice(view, static_cast<int>(k0),
-                              static_cast<int>(k1), num_k, probability.data(),
-                              complement.data(), result.data(), cancel);
-              });
-  return result;
+  const size_t cells = static_cast<size_t>(view.num_vars) * num_k;
+  std::vector<ProbInterval> probability(cells);
+  std::vector<ProbInterval> complement(cells);
+  walk_internal::ForEachVariable(view.num_vars, num_threads, [&](int v) {
+    const Rational* p = weights.Column(v);
+    const size_t row = static_cast<size_t>(v) * num_k;
+    for (int k = 0; k < num_k; ++k) {
+      BracketWeight(p[k], &probability[row + k],
+                    decides[v] ? &complement[row + k] : nullptr);
+    }
+  });
+  return walk_internal::ArenaPass(
+      view, num_k, num_threads,
+      IntervalKernel{probability.data(), complement.data()}, cancel);
 }
 
 }  // namespace gmc

@@ -5,7 +5,9 @@
 // node arena. This header factors those passes out of NnfCircuit into free
 // functions over CircuitWalkView, a non-owning view of a circuit in FLAT
 // form: fixed-size 16-byte node records plus one contiguous child-id pool,
-// no per-node heap state anywhere.
+// no per-node heap state anywhere. The three batch walks run one pass
+// (compile/arena_pass.h) and differ only in their preambles, value types
+// and AND and decision inner loops.
 //
 // NnfCircuit::view() hands out such views over the circuit's own node and
 // child arrays (the flat form IS NnfCircuit's layout, so no evaluation

@@ -352,8 +352,8 @@ TEST(SafeRouteTest, RepeatedSafeGfomcPatternsHitTheirTemplate) {
 // --- Bound templates -------------------------------------------------------
 //
 // A template bound to the cache entry of its circuit answers a repeat
-// without a Lineage, a Cnf probe or StackWeights. Every answer and counter
-// must equal the unbound route's.
+// without a Lineage or a Cnf probe. Every answer and counter must equal
+// the unbound route's.
 
 Query H1Query() {
   return ParseQueryOrDie("Ax Ay (R(x) | S(x,y)) & Ax Ay (S(x,y) | T(y))");

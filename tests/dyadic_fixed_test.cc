@@ -243,11 +243,11 @@ TEST(FixedWidthBatchTest, CircuitCacheSurfacesWidthRouting) {
   GmcOptions options = cache.options();
   options.num_threads = 1;
   cache.Configure(options);
-  std::vector<Lineage> lineages;
-  for (int i = 0; i < 5; ++i) lineages.push_back(gadget.lineage);
+  const std::vector<std::vector<Rational>> rows(
+      5, gadget.lineage.probabilities);
   std::vector<Rational> results =
       cache.EvaluatePinned(*cache.GetShared(gadget.lineage.cnf),
-                           StackWeights(lineages, {0, 1, 2, 3, 4}));
+                           WeightMatrix::FromRows(rows));
   for (const Rational& r : results) EXPECT_EQ(r, results[0]);
   const CircuitCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.dyadic_vectors, 5u);

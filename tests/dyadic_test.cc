@@ -86,6 +86,19 @@ WeightMatrix RandomDyadicWeights(int num_k, int num_vars,
   return WeightMatrix::FromRows(rows);
 }
 
+// True iff every weight has a power-of-two denominator: the cross-checks
+// below assert it, so they compare the dyadic kernel and not the Rational
+// walk its fold hands other batches to.
+bool AllDyadic(const WeightMatrix& weights) {
+  for (int v = 0; v < weights.num_vars(); ++v) {
+    for (int k = 0; k < weights.num_vectors(); ++k) {
+      const BigInt& den = weights.at(k, v).denominator();
+      if (!den.IsOne() && !den.IsPowerOfTwo()) return false;
+    }
+  }
+  return true;
+}
+
 TEST(EvaluateBatchDyadicTest, MatchesRationalOnRandomCnfs) {
   std::mt19937_64 rng(909);
   Compiler compiler;
@@ -105,7 +118,7 @@ TEST(EvaluateBatchDyadicTest, MatchesRationalOnRandomCnfs) {
     cnf.RemoveSubsumed();
     NnfCircuit circuit = compiler.Compile(cnf);
     WeightMatrix weights = RandomDyadicWeights(9, num_vars, rng);
-    ASSERT_TRUE(weights.AllDyadic());
+    ASSERT_TRUE(AllDyadic(weights));
     const std::vector<Rational> exact = circuit.EvaluateBatch(weights);
     const std::vector<Rational> dyadic = circuit.EvaluateBatchDyadic(weights);
     ASSERT_EQ(exact.size(), dyadic.size());
@@ -141,7 +154,7 @@ TEST(EvaluateBatchDyadicTest, MatchesRationalOnTypeIGadgets) {
         rows.push_back(std::move(row));
       }
       WeightMatrix weights = WeightMatrix::FromRows(rows);
-      ASSERT_TRUE(weights.AllDyadic());
+      ASSERT_TRUE(AllDyadic(weights));
       EXPECT_EQ(circuit.EvaluateBatch(weights),
                 circuit.EvaluateBatchDyadic(weights))
           << "p1=" << p1 << " p2=" << p2;
@@ -158,7 +171,7 @@ TEST(EvaluateBatchDyadicTest, MatchesRationalOnTypeIiGadget) {
   std::mt19937_64 rng(555);
   WeightMatrix weights = RandomDyadicWeights(
       16, static_cast<int>(lineage.probabilities.size()), rng);
-  ASSERT_TRUE(weights.AllDyadic());
+  ASSERT_TRUE(AllDyadic(weights));
   EXPECT_EQ(circuit.EvaluateBatch(weights),
             circuit.EvaluateBatchDyadic(weights));
 }
@@ -173,8 +186,8 @@ TEST(CircuitCacheRoutingTest, DyadicBatchesRouteAutomatically) {
   // One non-dyadic entry disqualifies the whole batch.
   WeightMatrix mixed_weights = dyadic_weights;
   mixed_weights.Set(3, 2, Rational(1, 3));
-  ASSERT_TRUE(dyadic_weights.AllDyadic());
-  ASSERT_FALSE(mixed_weights.AllDyadic());
+  ASSERT_TRUE(AllDyadic(dyadic_weights));
+  ASSERT_FALSE(AllDyadic(mixed_weights));
 
   CircuitCache cache;
   const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(cnf);
@@ -190,6 +203,35 @@ TEST(CircuitCacheRoutingTest, DyadicBatchesRouteAutomatically) {
   // Both routes agree with the Rational walk.
   EXPECT_EQ(via_dyadic, circuit->EvaluateBatch(dyadic_weights, 1));
   EXPECT_EQ(mixed, circuit->EvaluateBatch(mixed_weights, 1));
+}
+
+TEST(CircuitCacheRoutingTest, NonDyadicOrphanColumnsKeepTheDyadicRoute) {
+  // A session group's batch is as wide as its widest member, so a circuit
+  // can see columns past its own variables. The fold reads only the
+  // circuit's columns, so non-dyadic weights past them leave the batch on
+  // the dyadic kernel.
+  Cnf cnf;
+  cnf.num_vars = 4;
+  cnf.AddClause({0, 1});
+  cnf.AddClause({1, 2, 3});
+  std::mt19937_64 rng(4242);
+  const WeightMatrix dyadic = RandomDyadicWeights(8, 4, rng);
+  WeightMatrix wide(8, 6);
+  for (int k = 0; k < 8; ++k) {
+    for (int v = 0; v < 4; ++v) wide.Set(k, v, dyadic.at(k, v));
+    wide.Set(k, 4, Rational(1, 3));
+    wide.Set(k, 5, Rational(2, 5));
+  }
+  ASSERT_FALSE(AllDyadic(wide));
+
+  CircuitCache cache;
+  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(cnf);
+  ASSERT_EQ(circuit->num_vars(), 4);
+  const std::vector<Rational> results = cache.EvaluatePinned(*circuit, wide);
+  EXPECT_EQ(cache.stats().dyadic_batches, 1u);
+  EXPECT_EQ(cache.stats().dyadic_vectors, 8u);
+  EXPECT_EQ(results, circuit->EvaluateBatch(wide, 1));
+  EXPECT_EQ(results, circuit->EvaluateBatch(dyadic, 1));
 }
 
 // The dyadic routing through every production caller — the cache behind

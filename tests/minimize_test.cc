@@ -266,12 +266,12 @@ TEST(SessionGroupPassTest, InterleavedSupportPatternsBatchPerStructure) {
   EXPECT_GT(stats.nodes_after_minimize, 0u);
 }
 
-TEST(StackWeightsTest, SizesTheBatchToTheWidestMember) {
+TEST(ClauseEqualGroupTest, SharesOneEntryAndReadsTheWidestBatch) {
   // A group shares clause lists only, but a grounder can intern a variable
   // and then drop its clause (certain-true tuple, subsumption), so two
-  // lineages with identical clauses can disagree on num_vars. The batch
-  // must size its weight matrix to the widest member — the orphan columns
-  // are never read — rather than the group key's width.
+  // lineages with identical clauses can disagree on num_vars. They share
+  // one circuit, and its pass reads a batch as wide as the widest member —
+  // the orphan columns are never read — rather than the group key's width.
   FaultGuard guard;  // a lost insert would recompile for the second lookup
   Cnf narrow;
   narrow.num_vars = 2;
@@ -279,25 +279,22 @@ TEST(StackWeightsTest, SizesTheBatchToTheWidestMember) {
   Cnf wide;
   wide.num_vars = 4;  // vars 2..3 orphaned: no clause mentions them
   wide.AddClause({0, 1});
-  Lineage a, b;
-  a.cnf = narrow;
-  a.probabilities = {Rational(1, 3), Rational(1, 4)};
-  b.cnf = wide;
-  b.probabilities = {Rational(2, 3), Rational(3, 4), Rational::Half(),
-                     Rational::Half()};
-  const std::vector<Lineage> lineages = {a, b};
-  const WeightMatrix weights = StackWeights(lineages, {0, 1});
-  EXPECT_EQ(weights.num_vectors(), 2);
-  EXPECT_EQ(weights.num_vars(), 4);
+  const std::vector<Rational> a = {Rational(1, 3), Rational(1, 4)};
+  const std::vector<Rational> b = {Rational(2, 3), Rational(3, 4),
+                                   Rational::Half(), Rational::Half()};
+  // The narrow member's row leaves the orphan columns at zero, as a
+  // session group's batch does.
+  const WeightMatrix weights = WeightMatrix::FromRows(
+      {{a[0], a[1], Rational::Zero(), Rational::Zero()}, b});
   CircuitCache cache;
-  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(a.cnf);
+  const std::shared_ptr<const NnfCircuit> circuit = cache.GetShared(narrow);
   // One structure: the cache key compares clause lists only.
-  EXPECT_EQ(cache.GetShared(b.cnf), circuit);
+  EXPECT_EQ(cache.GetShared(wide), circuit);
   EXPECT_EQ(cache.stats().compiles, 1u);
   const std::vector<Rational> results = cache.EvaluatePinned(*circuit, weights);
   WmcEngine engine;
-  EXPECT_EQ(results[0], engine.Probability(a.cnf, a.probabilities));
-  EXPECT_EQ(results[1], engine.Probability(b.cnf, b.probabilities));
+  EXPECT_EQ(results[0], engine.Probability(narrow, a));
+  EXPECT_EQ(results[1], engine.Probability(wide, b));
 }
 
 TEST(OracleBatchTest, CompiledBatchMatchesPerCallOracle) {

@@ -241,9 +241,10 @@ TEST(ThreadInvarianceTest, TypeIGadgetSweepAcrossThreadsAndRouting) {
   std::vector<Rational> reference;
   CircuitCache rational;
   for (size_t i = 0; i < lineages.size(); ++i) {
-    reference.push_back(rational.GetShared(lineages[i].cnf)
-                            ->EvaluateBatch(StackWeights(lineages, {i}), 1)
-                            .front());
+    const WeightMatrix row =
+        WeightMatrix::FromRows({lineages[i].probabilities});
+    reference.push_back(
+        rational.GetShared(lineages[i].cnf)->EvaluateBatch(row, 1).front());
   }
   for (int threads : {1, 2, 8}) {
     CompiledOracle oracle;

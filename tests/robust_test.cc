@@ -27,6 +27,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -299,6 +300,43 @@ TEST(CancelledWalkTest, CancelledPassKeepsSizesAndRetryIsBitIdentical) {
     ASSERT_EQ(interval.size(), want_interval.size());
     EXPECT_TRUE(same_bits(interval[0], want_interval[0]));
     EXPECT_FALSE(idle.cancelled());
+  }
+
+  // The dyadic kernel at each mantissa width, on k/2^e grids whose folds
+  // land at uint64 (e = 1), UInt128 (e = 4) and BigInt (e = 8); 64 columns
+  // make several slices at every width and thread count.
+  constexpr int kColumns = 64;
+  const std::pair<int, int DyadicBatchStats::*> grids[] = {
+      {1, &DyadicBatchStats::fixed64_vectors},
+      {4, &DyadicBatchStats::fixed128_vectors},
+      {8, &DyadicBatchStats::bigint_vectors}};
+  for (const auto& [exponent, width] : grids) {
+    const int64_t den = int64_t{1} << exponent;
+    std::vector<std::vector<Rational>> rows;
+    for (int k = 0; k < kColumns; ++k) {
+      std::vector<Rational> row;
+      for (size_t v = 0; v < lineage.probabilities.size(); ++v) {
+        row.emplace_back(1 + static_cast<int64_t>(k + v) % den, den);
+      }
+      rows.push_back(std::move(row));
+    }
+    const WeightMatrix grid = WeightMatrix::FromRows(rows);
+    DyadicBatchStats stats;
+    const std::vector<Rational> want_dyadic =
+        circuit.EvaluateBatchDyadic(grid, 1, &stats);
+    ASSERT_EQ(stats.*width, kColumns) << "exponent " << exponent;
+    for (int threads : {1, 2, 8}) {
+      CancelToken token;
+      token.Cancel();
+      EXPECT_EQ(
+          circuit.EvaluateBatchDyadic(grid, threads, nullptr, &token).size(),
+          want_dyadic.size());
+      CancelToken idle;
+      EXPECT_EQ(circuit.EvaluateBatchDyadic(grid, threads, nullptr, &idle),
+                want_dyadic)
+          << "exponent " << exponent << " threads " << threads;
+      EXPECT_FALSE(idle.cancelled());
+    }
   }
 }
 
